@@ -109,7 +109,7 @@ void BM_HbReplay(benchmark::State& state, const char* query_id) {
   std::vector<profiler::TraceEvent> trace = ring->Snapshot();
   analysis::ScheduleReport report;
   for (auto _ : state) {
-    report = analysis::AnalyzeSchedule(plan, trace);
+    report = analysis::AnalyzeSchedule(plan, analysis::TraceIndex(trace));
     benchmark::DoNotOptimize(report);
   }
   state.counters["events"] = static_cast<double>(trace.size());

@@ -44,7 +44,8 @@ void PrintReport(const scope::OnlineReport& r) {
               r.analysis_rounds, r.color_updates);
   std::printf("  progress: %.0f%%\n", 100.0 * r.final_progress);
   std::printf("  %s\n", r.parallelism.summary.c_str());
-  std::printf("  utilization:\n%s", r.utilization.ToString().c_str());
+  std::printf("  utilization:\n%s",
+              scope::AnalyzeThreadUtilization(r.events).ToString().c_str());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "analysis/diagnostic.h"
+#include "analysis/trace_index.h"
 #include "dot/graph.h"
 #include "engine/kernel.h"
 #include "mal/program.h"
@@ -22,6 +23,10 @@ struct CheckContext {
   const mal::Program* program = nullptr;
   const dot::Graph* graph = nullptr;
   const std::vector<profiler::TraceEvent>* trace = nullptr;
+  /// Index over `trace`. Runner::Run builds it once per lint from `trace`,
+  /// replacing any value set here; code that calls a trace check's Run
+  /// directly must build it from the same vector.
+  const TraceIndex* trace_index = nullptr;
   const engine::ModuleRegistry* registry = nullptr;
   /// Platform spans (obs tracer snapshot or a parsed Chrome trace export);
   /// lets checks cross-validate the profiler's event stream against the

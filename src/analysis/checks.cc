@@ -75,17 +75,6 @@ std::vector<int> ConsumerCounts(const Program& p) {
   return consumers;
 }
 
-/// Trace events of one plan, sorted back into emission order (UDP transport
-/// may reorder datagrams).
-std::vector<TraceEvent> SortedByEventId(const std::vector<TraceEvent>& events) {
-  std::vector<TraceEvent> sorted = events;
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.event < b.event;
-                   });
-  return sorted;
-}
-
 // ---------------------------------------------------------------------------
 // ssa-def-before-use
 // ---------------------------------------------------------------------------
@@ -528,20 +517,15 @@ class TraceConformanceCheck final : public Check {
 
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     Emitter emit(id(), out);
-    std::vector<TraceEvent> events = SortedByEventId(*ctx.trace);
-
-    struct PcInfo {
-      int starts = 0;
-      int dones = 0;
-      bool done_before_start = false;
-      bool stmt_mismatch = false;
-      std::string stmt;
-    };
-    std::map<int, PcInfo> per_pc;
+    const TraceIndex& index = *ctx.trace_index;
+    // Pcs whose statement text was already reported as diverging.
+    std::vector<bool> stmt_mismatch(
+        ctx.program != nullptr ? ctx.program->size() : 0, false);
 
     int64_t prev_time = 0;
     bool reported_clock = false;
-    for (const TraceEvent& e : events) {
+    for (size_t i = 0; i < index.size(); ++i) {
+      const TraceEvent& e = index.event(i);
       if (e.time_us < prev_time && !reported_clock) {
         emit.Emit(Severity::kError, e.pc, -1,
                   StrFormat("event %lld timestamp runs backwards (%lld us "
@@ -577,26 +561,18 @@ class TraceConformanceCheck final : public Check {
                             static_cast<long long>(e.event), e.pc, e.pc));
       }
 
-      PcInfo& info = per_pc[e.pc];
-      if (e.state == EventState::kStart) {
-        ++info.starts;
-        info.stmt = e.stmt;
-      } else {
-        if (info.starts == 0) info.done_before_start = true;
-        ++info.dones;
-        if (e.usec < 0) {
-          emit.Emit(Severity::kError, e.pc, -1,
-                    StrFormat("done event %lld reports negative duration "
-                              "%lld us",
-                              static_cast<long long>(e.event),
-                              static_cast<long long>(e.usec)));
-        }
+      if (e.state == EventState::kDone && e.usec < 0) {
+        emit.Emit(Severity::kError, e.pc, -1,
+                  StrFormat("done event %lld reports negative duration "
+                            "%lld us",
+                            static_cast<long long>(e.event),
+                            static_cast<long long>(e.usec)));
       }
-      if (ctx.program != nullptr && !info.stmt_mismatch) {
+      if (ctx.program != nullptr && !stmt_mismatch[static_cast<size_t>(e.pc)]) {
         std::string stmt = ctx.program->InstructionToString(
             ctx.program->instruction(e.pc));
         if (e.stmt != stmt) {
-          info.stmt_mismatch = true;
+          stmt_mismatch[static_cast<size_t>(e.pc)] = true;
           emit.Emit(Severity::kError, e.pc, -1,
                     StrFormat("statement text diverges from the plan: trace "
                               "says \"%s\", plan says \"%s\"",
@@ -607,12 +583,20 @@ class TraceConformanceCheck final : public Check {
       }
     }
 
-    for (const auto& [pc, info] : per_pc) {
+    for (const auto& [pc, info] : index.pcs()) {
+      // Out-of-plan pcs were reported per event above.
+      if (ctx.program != nullptr &&
+          static_cast<size_t>(pc) >= ctx.program->size()) {
+        break;
+      }
+      const bool done_before_start =
+          info.completed() &&
+          (!info.started() || info.first_done < info.first_start);
       if (info.starts == info.dones && info.starts == 1 &&
-          !info.done_before_start) {
+          !done_before_start) {
         continue;
       }
-      if (info.done_before_start) {
+      if (done_before_start) {
         emit.Emit(Severity::kError, pc, -1,
                   "done event precedes its start event");
       }
@@ -655,29 +639,7 @@ class TraceSpanConformanceCheck final : public Check {
 
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     Emitter emit(id(), out);
-
-    // Executed instructions according to the profiler: pcs with a done
-    // event, keyed to the thread that ran them. (Unpaired events are
-    // trace-conformance's findings, not duplicated here.)
-    struct PcTrace {
-      int dones = 0;
-      int thread = 0;
-    };
-    std::map<int, PcTrace> executed;
-    // First start event per pc: the thread contract stamps start and done
-    // with the same query-local admission slot, even when work stealing
-    // moves the instruction between pool workers.
-    std::map<int, int> start_thread;
-    for (const TraceEvent& e : *ctx.trace) {
-      if (e.pc < 0) continue;
-      if (e.state != EventState::kDone) {
-        start_thread.emplace(e.pc, e.thread);
-        continue;
-      }
-      PcTrace& t = executed[e.pc];
-      ++t.dones;
-      t.thread = e.thread;
-    }
+    const TraceIndex& index = *ctx.trace_index;
 
     struct PcSpans {
       int count = 0;
@@ -698,14 +660,23 @@ class TraceSpanConformanceCheck final : public Check {
       s.tid = span.tid;
     }
 
-    for (const auto& [pc, traced] : executed) {
-      auto started = start_thread.find(pc);
-      if (started != start_thread.end() && started->second != traced.thread) {
+    // Executed instructions according to the profiler: pcs with a done
+    // event. (Unpaired events are trace-conformance's findings, not
+    // duplicated here.)
+    for (const auto& [pc, traced] : index.pcs()) {
+      if (!traced.completed()) continue;
+      const int thread = index.event(traced.first_done).thread;
+      // The thread contract stamps start and done with the same
+      // query-local admission slot, even when work stealing moves the
+      // instruction between pool workers.
+      const int start_thread =
+          traced.started() ? index.event(traced.first_start).thread : thread;
+      if (start_thread != thread) {
         emit.Emit(Severity::kError, pc, -1,
                   StrFormat("start and done events disagree on the thread id "
                             "(%d vs %d) — both must carry the query-local "
                             "admission slot",
-                            started->second, traced.thread),
+                            start_thread, thread),
                   "the emitter must stamp the pair with one slot even when "
                   "a stolen task runs on another pool worker");
       }
@@ -721,18 +692,19 @@ class TraceSpanConformanceCheck final : public Check {
                       : "trace and spans come from different runs");
         continue;
       }
-      if (it != kernel_spans.end() && it->second.tid != traced.thread) {
+      if (it != kernel_spans.end() && it->second.tid != thread) {
         emit.Emit(Severity::kError, pc, -1,
                   StrFormat("thread id diverges: profiler event says %d, "
                             "kernel span says %d — the span tracer must "
                             "preserve the trace thread contract",
-                            traced.thread, it->second.tid));
+                            thread, it->second.tid));
       }
     }
     // Spans with no profiler pair: the profiler filter may legitimately have
     // suppressed those events, so this direction is only a warning.
     for (const auto& [pc, spans] : kernel_spans) {
-      if (executed.find(pc) == executed.end()) {
+      const PcEvents* traced = index.Find(pc);
+      if (traced == nullptr || !traced->completed()) {
         emit.Emit(Severity::kWarning, pc, -1,
                   StrFormat("%d kernel span(s) have no profiler start/done "
                             "pair",

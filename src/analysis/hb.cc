@@ -12,16 +12,6 @@ namespace {
 using profiler::EventState;
 using profiler::TraceEvent;
 
-/// Restores emission order (UDP transport may reorder datagrams).
-std::vector<TraceEvent> SortedByEventId(const std::vector<TraceEvent>& events) {
-  std::vector<TraceEvent> sorted = events;
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.event < b.event;
-                   });
-  return sorted;
-}
-
 struct HbMetrics {
   obs::Counter* replays;
   obs::Counter* events;
@@ -108,7 +98,7 @@ bool HappensBefore(const PcExecution& a, const PcExecution& b) {
 }
 
 ScheduleReport AnalyzeSchedule(const mal::Program& program,
-                               const std::vector<TraceEvent>& trace) {
+                               const TraceIndex& trace) {
   ScheduleReport report;
   report.executions.resize(program.size());
   for (size_t pc = 0; pc < program.size(); ++pc) {
@@ -124,28 +114,21 @@ ScheduleReport AnalyzeSchedule(const mal::Program& program,
           : static_cast<double>(dep_edges) / static_cast<double>(program.size());
   report.plan_width = PlanWidth(deps);
 
-  std::vector<TraceEvent> events = SortedByEventId(trace);
-  report.events = static_cast<int64_t>(events.size());
-
-  // Dense thread index space for the vector clocks.
-  std::map<int, size_t> thread_index;
-  for (const TraceEvent& e : events) {
-    if (thread_index.emplace(e.thread, thread_index.size()).second) {
-      report.threads.push_back(e.thread);
-    }
-  }
-  size_t num_threads = thread_index.size();
+  report.events = static_cast<int64_t>(trace.size());
+  // The index's dense thread numbering is the vector clock space.
+  report.threads = trace.threads();
+  size_t num_threads = report.threads.size();
 
   // Replay: per-thread clocks advance on every event; a start joins the done
   // clocks of the producers the schedule actually respected.
   std::vector<VectorClock> thread_clock(num_threads,
                                         VectorClock(num_threads));
   int open = 0;
-  for (size_t i = 0; i < events.size(); ++i) {
-    const TraceEvent& e = events[i];
+  for (size_t i = 0; i < trace.size(); ++i) {
+    const TraceEvent& e = trace.event(i);
     if (e.pc < 0 || static_cast<size_t>(e.pc) >= program.size()) continue;
     PcExecution& exec = report.executions[static_cast<size_t>(e.pc)];
-    size_t t = thread_index[e.thread];
+    size_t t = trace.thread_slot(i);
     VectorClock& clock = thread_clock[t];
     bool duplicate = e.state == EventState::kStart ? exec.started()
                                                    : exec.completed();

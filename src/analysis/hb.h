@@ -6,8 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "analysis/trace_index.h"
 #include "mal/program.h"
-#include "profiler/event.h"
 
 namespace stetho::analysis {
 
@@ -127,12 +127,12 @@ struct ScheduleReport {
 };
 
 /// Replays `trace` against `program` and returns the schedule report. Cost
-/// is O(events * avg-indegree): one pass over the sorted events, each start
-/// joining its producers' clocks. Also updates the `stetho_hb_*` metrics in
-/// obs::Registry::Default() (replays/events/violations counters plus
-/// critical-path, makespan, and slack gauges).
+/// is O(events * avg-indegree): one pass over the events in the index's
+/// emission order, each start joining its producers' clocks. Also updates
+/// the `stetho_hb_*` metrics in obs::Registry::Default() (replays/events/
+/// violations counters plus critical-path, makespan, and slack gauges).
 ScheduleReport AnalyzeSchedule(const mal::Program& program,
-                               const std::vector<profiler::TraceEvent>& trace);
+                               const TraceIndex& trace);
 
 /// True when `a`'s completion happens-before `b`'s start under the replayed
 /// relation. Incomplete executions are unordered against everything.

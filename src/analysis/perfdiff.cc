@@ -5,6 +5,7 @@
 #include <map>
 
 #include "analysis/hb.h"
+#include "analysis/trace_index.h"
 #include "common/string_util.h"
 
 namespace stetho::analysis {
@@ -20,47 +21,6 @@ void MixString(uint64_t* h, const std::string& s) {
   }
   *h ^= '\n';
   *h *= kFnvPrime;
-}
-
-/// Per-pc digest of one trace: first start/done pair plus statement text.
-struct PcDigest {
-  int64_t start_us = -1;
-  int64_t done_us = -1;
-  int64_t usec = -1;  ///< first done event's duration; -1 = never completed
-  int64_t rss_bytes = 0;
-  std::string stmt;
-};
-
-std::map<int, PcDigest> DigestTrace(
-    const std::vector<profiler::TraceEvent>& trace) {
-  std::map<int, PcDigest> digests;
-  for (const profiler::TraceEvent& event : trace) {
-    if (event.pc < 0) continue;
-    PcDigest& digest = digests[event.pc];
-    if (digest.stmt.empty() && !event.stmt.empty()) digest.stmt = event.stmt;
-    if (event.state == profiler::EventState::kStart) {
-      if (digest.start_us < 0) digest.start_us = event.time_us;
-    } else if (event.state == profiler::EventState::kDone) {
-      if (digest.done_us < 0) {
-        digest.done_us = event.time_us;
-        digest.usec = std::max<int64_t>(0, event.usec);
-        digest.rss_bytes = event.rss_bytes;
-      }
-    }
-  }
-  return digests;
-}
-
-int64_t Makespan(const std::map<int, PcDigest>& digests) {
-  int64_t first = -1;
-  int64_t last = -1;
-  for (const auto& [pc, digest] : digests) {
-    if (digest.start_us >= 0 && (first < 0 || digest.start_us < first)) {
-      first = digest.start_us;
-    }
-    if (digest.done_us >= 0 && digest.done_us > last) last = digest.done_us;
-  }
-  return first >= 0 && last >= first ? last - first : 0;
 }
 
 std::string Truncate(const std::string& s, size_t max) {
@@ -91,58 +51,38 @@ uint64_t TraceShapeHash(const std::vector<profiler::TraceEvent>& trace) {
 
 obs::QueryObservation ObservationFromTrace(
     const std::vector<profiler::TraceEvent>& trace) {
+  const TraceIndex index(trace);
   obs::QueryObservation observation;
   observation.shape_hash = TraceShapeHash(trace);
-
-  std::map<int, PcDigest> digests = DigestTrace(trace);
-  observation.total_usec = Makespan(digests);
-  if (!digests.empty()) {
+  observation.total_usec = index.Makespan();
+  if (!index.pcs().empty()) {
     observation.plan_size =
-        static_cast<size_t>(digests.rbegin()->first) + 1;
+        static_cast<size_t>(index.pcs().rbegin()->first) + 1;
   }
 
-  // Observed concurrency: sweep the first start/done interval of every pc
-  // in time order and record, at each start, how many intervals are open
-  // (the starting one included). Ties break start-before-done so two
-  // instructions meeting at one timestamp count as overlapped — the
-  // generous reading a skew detector wants.
-  struct Edge {
-    int64_t time_us;
-    int kind;  // 0 = start, 1 = done
-    int pc;
-  };
-  std::vector<Edge> edges;
-  for (const auto& [pc, digest] : digests) {
-    if (digest.start_us < 0) continue;
-    edges.push_back({digest.start_us, 0, pc});
-    if (digest.done_us >= digest.start_us) {
-      edges.push_back({digest.done_us, 1, pc});
+  // Observed concurrency of every started pc's first interval.
+  std::vector<ExecInterval> intervals;
+  for (const auto& [pc, events] : index.pcs()) {
+    if (!events.started()) continue;
+    ExecInterval interval;
+    interval.start_us = index.event(events.first_start).time_us;
+    if (events.completed()) {
+      interval.done_us = index.event(events.first_done).time_us;
     }
+    intervals.push_back(interval);
   }
-  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
-    if (a.time_us != b.time_us) return a.time_us < b.time_us;
-    if (a.kind != b.kind) return a.kind < b.kind;
-    return a.pc < b.pc;
-  });
-  std::map<int, int> concurrency;
-  int open = 0;
-  for (const Edge& edge : edges) {
-    if (edge.kind == 0) {
-      ++open;
-      concurrency[edge.pc] = open;
-    } else {
-      open = std::max(0, open - 1);
-    }
-  }
+  const std::vector<int> concurrency = ConcurrencyAtStart(intervals);
 
-  for (const auto& [pc, digest] : digests) {
-    if (digest.usec < 0) continue;  // never completed: nothing to fold
+  size_t next_interval = 0;
+  for (const auto& [pc, events] : index.pcs()) {
+    const int open = events.started() ? concurrency[next_interval++] : 1;
+    if (!events.completed()) continue;  // never completed: nothing to fold
+    const profiler::TraceEvent& done = index.event(events.first_done);
     obs::PcSample sample;
     sample.pc = pc;
-    sample.usec = digest.usec;
-    sample.bytes = std::max<int64_t>(0, digest.rss_bytes);
-    auto it = concurrency.find(pc);
-    sample.concurrency = it != concurrency.end() ? it->second : 1;
+    sample.usec = std::max<int64_t>(0, done.usec);
+    sample.bytes = std::max<int64_t>(0, done.rss_bytes);
+    sample.concurrency = open;
     observation.pcs.push_back(sample);
   }
   return observation;
@@ -156,16 +96,16 @@ TraceDiff DiffTraces(const std::vector<profiler::TraceEvent>& a,
   diff.b_hash = TraceShapeHash(b);
   diff.shapes_match = diff.a_hash == diff.b_hash;
 
-  std::map<int, PcDigest> da = DigestTrace(a);
-  std::map<int, PcDigest> db = DigestTrace(b);
-  diff.a_makespan_usec = Makespan(da);
-  diff.b_makespan_usec = Makespan(db);
+  const TraceIndex ia(a);
+  const TraceIndex ib(b);
+  diff.a_makespan_usec = ia.Makespan();
+  diff.b_makespan_usec = ib.Makespan();
 
   std::vector<bool> critical_a;
   std::vector<bool> critical_b;
   if (plan != nullptr) {
-    ScheduleReport ra = AnalyzeSchedule(*plan, a);
-    ScheduleReport rb = AnalyzeSchedule(*plan, b);
+    ScheduleReport ra = AnalyzeSchedule(*plan, ia);
+    ScheduleReport rb = AnalyzeSchedule(*plan, ib);
     diff.a_critical_usec = ra.critical_path_usec;
     diff.b_critical_usec = rb.critical_path_usec;
     critical_a.assign(plan->size(), false);
@@ -182,33 +122,40 @@ TraceDiff DiffTraces(const std::vector<profiler::TraceEvent>& a,
     }
   }
 
-  for (const auto& [pc, digest_a] : da) {
-    auto it = db.find(pc);
-    if (it == db.end() || it->second.usec < 0 || digest_a.usec < 0) {
-      if (digest_a.usec >= 0 && (it == db.end() || it->second.usec < 0)) {
-        diff.only_a.push_back(pc);
-      }
+  // A pc takes part when it completed: its first done event carries the
+  // duration and the statement text.
+  auto first_done = [](const TraceIndex& index,
+                       int pc) -> const profiler::TraceEvent* {
+    const PcEvents* events = index.Find(pc);
+    if (events == nullptr || !events->completed()) return nullptr;
+    return &index.event(events->first_done);
+  };
+  for (const auto& [pc, events] : ia.pcs()) {
+    if (!events.completed()) continue;
+    const profiler::TraceEvent& done_a = ia.event(events.first_done);
+    const profiler::TraceEvent* done_b = first_done(ib, pc);
+    if (done_b == nullptr) {
+      diff.only_a.push_back(pc);
       continue;
     }
-    const PcDigest& digest_b = it->second;
     PcDelta delta;
     delta.pc = pc;
-    delta.stmt = !digest_b.stmt.empty() ? digest_b.stmt : digest_a.stmt;
-    delta.a_usec = digest_a.usec;
-    delta.b_usec = digest_b.usec;
-    delta.delta_usec = digest_b.usec - digest_a.usec;
-    delta.ratio = static_cast<double>(digest_b.usec) /
-                  static_cast<double>(std::max<int64_t>(1, digest_a.usec));
+    delta.stmt = !done_b->stmt.empty() ? done_b->stmt : done_a.stmt;
+    delta.a_usec = std::max<int64_t>(0, done_a.usec);
+    delta.b_usec = std::max<int64_t>(0, done_b->usec);
+    delta.delta_usec = delta.b_usec - delta.a_usec;
+    delta.ratio = static_cast<double>(delta.b_usec) /
+                  static_cast<double>(std::max<int64_t>(1, delta.a_usec));
     if (static_cast<size_t>(pc) < critical_a.size()) {
       delta.critical_a = critical_a[static_cast<size_t>(pc)];
       delta.critical_b = critical_b[static_cast<size_t>(pc)];
     }
     diff.deltas.push_back(std::move(delta));
   }
-  for (const auto& [pc, digest_b] : db) {
-    if (digest_b.usec < 0) continue;
-    auto it = da.find(pc);
-    if (it == da.end() || it->second.usec < 0) diff.only_b.push_back(pc);
+  for (const auto& [pc, events] : ib.pcs()) {
+    if (events.completed() && first_done(ia, pc) == nullptr) {
+      diff.only_b.push_back(pc);
+    }
   }
   std::sort(diff.deltas.begin(), diff.deltas.end(),
             [](const PcDelta& x, const PcDelta& y) {

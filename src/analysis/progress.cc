@@ -4,6 +4,7 @@
 
 #include "analysis/liveness.h"
 #include "analysis/perfdiff.h"
+#include "analysis/trace_index.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
 
@@ -288,45 +289,22 @@ obs::QueryObservation ProgressEstimator::ToObservation(
   observation.total_usec =
       first_us_ >= 0 ? std::max<int64_t>(0, newest_us_ - first_us_) : 0;
 
-  // Observed concurrency by interval sweep: each completed pc occupied
-  // (end - usec, end]; at every interval start count how many intervals are
-  // open (the starting one included). Ties break start-before-done so
-  // back-to-back completions at one timestamp read as overlapped.
-  struct Edge {
-    int64_t time_us;
-    int kind;  // 0 = start, 1 = done
-    int pc;
-  };
-  std::vector<Edge> edges;
+  // Observed concurrency: each completed pc occupied (end - usec, end].
+  std::vector<ExecInterval> intervals;
   for (size_t pc = 0; pc < done_.size(); ++pc) {
     if (pc_usec_[pc] < 0) continue;
-    const int64_t end = pc_end_us_[pc];
-    edges.push_back({end - pc_usec_[pc], 0, static_cast<int>(pc)});
-    edges.push_back({end, 1, static_cast<int>(pc)});
+    intervals.push_back({pc_end_us_[pc] - pc_usec_[pc], pc_end_us_[pc]});
   }
-  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
-    if (a.time_us != b.time_us) return a.time_us < b.time_us;
-    if (a.kind != b.kind) return a.kind < b.kind;
-    return a.pc < b.pc;
-  });
-  std::vector<int> concurrency(done_.size(), 1);
-  int open = 0;
-  for (const Edge& edge : edges) {
-    if (edge.kind == 0) {
-      ++open;
-      concurrency[static_cast<size_t>(edge.pc)] = open;
-    } else {
-      open = std::max(0, open - 1);
-    }
-  }
+  const std::vector<int> concurrency = ConcurrencyAtStart(intervals);
 
+  size_t next_interval = 0;
   for (size_t pc = 0; pc < done_.size(); ++pc) {
     if (pc_usec_[pc] < 0) continue;
     obs::PcSample sample;
     sample.pc = static_cast<int>(pc);
     sample.usec = pc_usec_[pc];
     sample.bytes = pc_rss_[pc];
-    sample.concurrency = concurrency[pc];
+    sample.concurrency = concurrency[next_interval++];
     observation.pcs.push_back(sample);
   }
   return observation;

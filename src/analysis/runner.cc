@@ -1,6 +1,7 @@
 #include "analysis/runner.h"
 
 #include <algorithm>
+#include <optional>
 #include <tuple>
 #include <utility>
 
@@ -59,10 +60,14 @@ void Runner::Add(std::unique_ptr<Check> check) {
 }
 
 std::vector<Diagnostic> Runner::Run(const CheckContext& context) const {
+  // Every trace check reads one index, built once per lint.
+  CheckContext ctx = context;
+  std::optional<TraceIndex> index;
+  if (ctx.trace != nullptr) ctx.trace_index = &index.emplace(*ctx.trace);
   std::vector<Diagnostic> diagnostics;
   for (const std::unique_ptr<Check>& check : checks_) {
-    if (!NeedsSatisfied(check->needs(), context)) continue;
-    check->Run(context, &diagnostics);
+    if (!NeedsSatisfied(check->needs(), ctx)) continue;
+    check->Run(ctx, &diagnostics);
   }
   std::stable_sort(diagnostics.begin(), diagnostics.end(),
                    [](const Diagnostic& a, const Diagnostic& b) {

@@ -66,28 +66,25 @@ void ParallelFor(engine::WorkerPool* pool, int n,
     return;
   }
   std::atomic<int> next{0};
-  std::atomic<int> active{0};
   std::mutex mu;
   std::condition_variable cv;
-  int helpers = std::min(n - 1, 3);
+  const int helpers = std::min(n - 1, 3);
+  int active = helpers;  // helpers still running; guarded by mu
   pool->EnsureWorkers(helpers);
-  active.store(helpers, std::memory_order_relaxed);
   for (int h = 0; h < helpers; ++h) {
     pool->Submit([&next, &active, &mu, &cv, &fn, n] {
       int i;
       while ((i = next.fetch_add(1, std::memory_order_relaxed)) < n) fn(i);
-      if (active.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_one();
-      }
+      // Count down and notify under the lock: the caller returns, and
+      // destroys mu and cv, as soon as it sees active == 0.
+      std::lock_guard<std::mutex> lock(mu);
+      if (--active == 0) cv.notify_one();
     });
   }
   int i;
   while ((i = next.fetch_add(1, std::memory_order_relaxed)) < n) fn(i);
   std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&active] {
-    return active.load(std::memory_order_acquire) == 0;
-  });
+  cv.wait(lock, [&active] { return active == 0; });
 }
 
 /// Shared state for the ordering phase. `position[v]` is v's index inside

@@ -1,5 +1,7 @@
 #include "profiler/sink.h"
 
+#include <iterator>
+
 #include "obs/metrics.h"
 
 namespace stetho::profiler {
@@ -16,7 +18,12 @@ obs::Counter* RingDroppedCounter() {
 
 void RingBufferSink::Consume(const TraceEvent& event) {
   std::lock_guard<std::mutex> lock(mu_);
-  buffer_.push_back(event);
+  // Workers hand events over after leaving the profiler's stamp lock, so an
+  // event can arrive just behind a later one: walk back past the few that
+  // overtook it. Equal ids keep arrival order.
+  auto pos = buffer_.end();
+  while (pos != buffer_.begin() && std::prev(pos)->event > event.event) --pos;
+  buffer_.insert(pos, event);
   ++total_;
   while (buffer_.size() > capacity_) {
     buffer_.pop_front();

@@ -41,8 +41,10 @@ class RingBufferSink : public EventSink {
  public:
   explicit RingBufferSink(size_t capacity) : capacity_(capacity) {}
 
+  /// Inserts at the event's sequence position, so a buffer fed by one
+  /// profiler's concurrent workers stays in TraceEvent::event order.
   void Consume(const TraceEvent& event) override;
-  /// One lock acquisition for the whole batch.
+  /// One lock acquisition for the whole batch, appended in the given order.
   void ConsumeBatch(const TraceEvent* events, size_t n) override;
 
   /// Snapshot of buffered events, oldest first.

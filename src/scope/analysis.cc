@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 
+#include "analysis/trace_index.h"
 #include "common/string_util.h"
 
 namespace stetho::scope {
@@ -24,9 +24,9 @@ std::string OperatorOf(const std::string& stmt) {
   return stmt.substr(start, paren - start);
 }
 
-}  // namespace
-
-UtilizationReport AnalyzeThreadUtilization(const std::vector<TraceEvent>& events) {
+/// Thread utilization; the peak comes from `index`, built over `events`.
+UtilizationReport Utilization(const std::vector<TraceEvent>& events,
+                              const analysis::TraceIndex& index) {
   UtilizationReport report;
   if (events.empty()) return report;
 
@@ -34,44 +34,31 @@ UtilizationReport AnalyzeThreadUtilization(const std::vector<TraceEvent>& events
   int64_t first_us = events.front().time_us;
   int64_t last_us = events.front().time_us;
   int64_t total_busy = 0;
-
-  // Concurrency sweep: +1 at each start timestamp, -1 at each done.
-  std::vector<std::pair<int64_t, int>> deltas;
   for (const TraceEvent& e : events) {
     first_us = std::min(first_us, e.time_us);
     last_us = std::max(last_us, e.time_us);
-    if (e.state == EventState::kStart) {
-      deltas.emplace_back(e.time_us, +1);
-      continue;
-    }
+    if (e.state != EventState::kDone) continue;
     ThreadUtilization& t = threads[e.thread];
     t.thread = e.thread;
     t.busy_us += e.usec;
     ++t.instructions;
     total_busy += e.usec;
-    deltas.emplace_back(e.time_us, -1);
-  }
-  std::stable_sort(deltas.begin(), deltas.end(),
-                   [](const auto& a, const auto& b) {
-                     if (a.first != b.first) return a.first < b.first;
-                     // Done before start at equal timestamps: conservative.
-                     return a.second < b.second;
-                   });
-  int64_t running = 0;
-  int64_t peak = 0;
-  for (const auto& [ts, delta] : deltas) {
-    running += delta;
-    peak = std::max(peak, running);
   }
 
   report.wall_us = last_us - first_us;
-  report.max_concurrency = static_cast<size_t>(peak);
+  report.max_concurrency = static_cast<size_t>(index.peak_open());
   report.avg_concurrency =
       report.wall_us > 0
           ? static_cast<double>(total_busy) / static_cast<double>(report.wall_us)
           : 0.0;
   for (auto& [id, t] : threads) report.threads.push_back(t);
   return report;
+}
+
+}  // namespace
+
+UtilizationReport AnalyzeThreadUtilization(const std::vector<TraceEvent>& events) {
+  return Utilization(events, analysis::TraceIndex(events));
 }
 
 std::string UtilizationReport::ToString() const {
@@ -148,11 +135,12 @@ std::vector<CostlyCluster> FindCostlyClusters(
 
 ParallelismDiagnosis DiagnoseParallelism(const std::vector<TraceEvent>& events,
                                          int expected_dop) {
-  UtilizationReport util = AnalyzeThreadUtilization(events);
+  const analysis::TraceIndex index(events);
+  const UtilizationReport util = Utilization(events, index);
   ParallelismDiagnosis diag;
   diag.max_concurrency = util.max_concurrency;
   diag.avg_concurrency = util.avg_concurrency;
-  diag.threads_used = static_cast<int>(util.threads.size());
+  diag.threads_used = static_cast<int>(index.threads().size());
   diag.expected_dop = expected_dop;
   diag.sequential_anomaly =
       expected_dop > 1 &&
@@ -168,90 +156,6 @@ ParallelismDiagnosis DiagnoseParallelism(const std::vector<TraceEvent>& events,
         diag.threads_used, diag.max_concurrency, expected_dop);
   }
   return diag;
-}
-
-namespace {
-
-/// Total completed time and operator per pc.
-std::map<int, std::pair<int64_t, std::string>> SumByPc(
-    const std::vector<TraceEvent>& events) {
-  std::map<int, std::pair<int64_t, std::string>> out;
-  for (const TraceEvent& e : events) {
-    if (e.state != EventState::kDone) continue;
-    auto& entry = out[e.pc];
-    entry.first += e.usec;
-    if (entry.second.empty()) entry.second = OperatorOf(e.stmt);
-  }
-  return out;
-}
-
-}  // namespace
-
-TraceComparison CompareTraces(const std::vector<TraceEvent>& a,
-                              const std::vector<TraceEvent>& b) {
-  TraceComparison cmp;
-  auto by_pc_a = SumByPc(a);
-  auto by_pc_b = SumByPc(b);
-  for (const auto& [pc, entry] : by_pc_a) {
-    cmp.total_usec_a += entry.first;
-    auto it = by_pc_b.find(pc);
-    if (it == by_pc_b.end()) {
-      cmp.only_in_a.push_back(pc);
-      continue;
-    }
-    TraceDelta delta;
-    delta.pc = pc;
-    delta.op = entry.second;
-    delta.usec_a = entry.first;
-    delta.usec_b = it->second.first;
-    cmp.deltas.push_back(std::move(delta));
-  }
-  for (const auto& [pc, entry] : by_pc_b) {
-    cmp.total_usec_b += entry.first;
-    if (!by_pc_a.count(pc)) cmp.only_in_b.push_back(pc);
-  }
-  std::sort(cmp.deltas.begin(), cmp.deltas.end(),
-            [](const TraceDelta& x, const TraceDelta& y) {
-              int64_t dx = x.delta_usec() < 0 ? -x.delta_usec() : x.delta_usec();
-              int64_t dy = y.delta_usec() < 0 ? -y.delta_usec() : y.delta_usec();
-              if (dx != dy) return dx > dy;
-              return x.pc < y.pc;
-            });
-  return cmp;
-}
-
-std::string TraceComparison::ToString(size_t top_n) const {
-  std::string out = StrFormat(
-      "total: %lldus -> %lldus (%+lldus)\n",
-      static_cast<long long>(total_usec_a),
-      static_cast<long long>(total_usec_b),
-      static_cast<long long>(total_usec_b - total_usec_a));
-  for (size_t i = 0; i < deltas.size() && i < top_n; ++i) {
-    const TraceDelta& d = deltas[i];
-    out += StrFormat("  pc=%-4d %-24s %8lldus -> %8lldus (%+lldus)\n", d.pc,
-                     d.op.c_str(), static_cast<long long>(d.usec_a),
-                     static_cast<long long>(d.usec_b),
-                     static_cast<long long>(d.delta_usec()));
-  }
-  if (!only_in_a.empty()) {
-    out += StrFormat("  %zu instruction(s) only in trace A\n", only_in_a.size());
-  }
-  if (!only_in_b.empty()) {
-    out += StrFormat("  %zu instruction(s) only in trace B\n", only_in_b.size());
-  }
-  return out;
-}
-
-double EstimateProgress(const std::vector<TraceEvent>& events,
-                        size_t plan_size) {
-  if (plan_size == 0) return 0.0;
-  std::set<int> done_pcs;
-  for (const TraceEvent& e : events) {
-    if (e.state == EventState::kDone) done_pcs.insert(e.pc);
-  }
-  double fraction =
-      static_cast<double>(done_pcs.size()) / static_cast<double>(plan_size);
-  return fraction > 1.0 ? 1.0 : fraction;
 }
 
 }  // namespace stetho::scope

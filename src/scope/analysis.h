@@ -21,7 +21,7 @@ struct ThreadUtilization {
 struct UtilizationReport {
   int64_t wall_us = 0;  ///< first start → last done
   std::vector<ThreadUtilization> threads;
-  size_t max_concurrency = 0;   ///< peak simultaneously-running instructions
+  size_t max_concurrency = 0;   ///< peak open start/done pairs, emission order
   double avg_concurrency = 0;   ///< total busy / wall
 
   /// Human-readable distribution table.
@@ -78,42 +78,6 @@ struct ParallelismDiagnosis {
 
 ParallelismDiagnosis DiagnoseParallelism(
     const std::vector<profiler::TraceEvent>& events, int expected_dop);
-
-/// --- Cross-run comparison (micro analysis, paper §6) ---
-
-/// Per-instruction change between two traces of the same plan.
-struct TraceDelta {
-  int pc = 0;
-  std::string op;            ///< "module.function"
-  int64_t usec_a = 0;        ///< total completed time in trace A
-  int64_t usec_b = 0;        ///< ... and in trace B
-  int64_t delta_usec() const { return usec_b - usec_a; }
-};
-
-struct TraceComparison {
-  int64_t total_usec_a = 0;
-  int64_t total_usec_b = 0;
-  /// Pcs present in both, sorted by |delta| descending (regressions and
-  /// improvements first).
-  std::vector<TraceDelta> deltas;
-  std::vector<int> only_in_a;  ///< executed only in trace A
-  std::vector<int> only_in_b;
-
-  /// Human-readable regression report (top `top_n` movers).
-  std::string ToString(size_t top_n = 10) const;
-};
-
-/// Compares two traces of the same plan pc-by-pc — the "micro analysis"
-/// workflow: record a query twice (e.g. before/after a kernel change) and
-/// diff where the time went.
-TraceComparison CompareTraces(const std::vector<profiler::TraceEvent>& a,
-                              const std::vector<profiler::TraceEvent>& b);
-
-/// --- Progress (paper §5: "Monitor the progress of query plan execution") ---
-
-/// Fraction of plan instructions with a done event, in [0, 1].
-double EstimateProgress(const std::vector<profiler::TraceEvent>& events,
-                        size_t plan_size);
 
 }  // namespace stetho::scope
 

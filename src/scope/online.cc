@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <thread>
 
@@ -39,32 +40,29 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
   std::mutex tracker_mu;
   PairSequenceTracker tracker;
 
-  // Live progress/ETA: the plan's work model comes from EXPLAIN (the
-  // pipeline is deterministic, so the shape matches what ExecuteSql will
-  // run) and the received done-events fill it in. A failed compile is
-  // surfaced by the query thread below; the monitor then just has no
-  // estimator to feed.
-  std::shared_ptr<analysis::ProgressEstimator> estimator;
+  // The query is compiled once: the explained plan prices the live
+  // progress/ETA model, keys the straggler baseline, and is what the query
+  // thread below runs.
+  STETHO_ASSIGN_OR_RETURN(mal::Program plan, server_->Explain(sql));
+  // Received done-events fill in the plan's work model.
+  auto estimator = std::make_shared<analysis::ProgressEstimator>(
+      analysis::ProgressModelCache::Default()->GetOrBuild(plan));
   // Straggler comparator: the stored cross-run baseline for this plan's
   // shape, if the profile store has one. Start times feed the running-
   // duration check (an instruction can be flagged before it completes).
-  std::shared_ptr<const obs::PlanProfile> baseline;
+  obs::ProfileStore* store = options_.profile != nullptr
+                                 ? options_.profile
+                                 : obs::ProfileStore::Default();
+  std::shared_ptr<const obs::PlanProfile> baseline =
+      store->Lookup(analysis::PlanShapeHash(plan));
   std::mutex straggler_mu;
   std::map<int, int64_t> start_us;
   int64_t newest_event_us = 0;
-  if (auto plan = server_->Explain(sql); plan.ok()) {
-    estimator = std::make_shared<analysis::ProgressEstimator>(
-        analysis::ProgressModelCache::Default()->GetOrBuild(plan.value()));
-    obs::ProfileStore* store = options_.profile != nullptr
-                                   ? options_.profile
-                                   : obs::ProfileStore::Default();
-    baseline = store->Lookup(analysis::PlanShapeHash(plan.value()));
-  }
 
   TextualStethoscope textual(topt);
   textual.SetEventCallback(
       [&](const std::string& /*server*/, const TraceEvent& event) {
-        if (estimator != nullptr) estimator->ObserveEvent(event);
+        estimator->ObserveEvent(event);
         if (baseline != nullptr) {
           std::lock_guard<std::mutex> lock(straggler_mu);
           newest_event_us = std::max(newest_event_us, event.time_us);
@@ -94,7 +92,7 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
   server::QueryOutcome outcome;
   std::atomic<bool> query_done{false};
   std::thread query_thread([&] {
-    auto r = server_->ExecuteSql(sql);
+    auto r = server_->ExecutePlan(std::move(plan), sql);
     if (r.ok()) {
       outcome = std::move(r).value();
     } else {
@@ -177,7 +175,7 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
            options_.straggler_ratio * std::max(1.0, median);
   };
   auto sweep_stragglers = [&] {
-    if (baseline == nullptr || estimator == nullptr) return;
+    if (baseline == nullptr) return;
     std::map<int, int64_t> starts;
     int64_t now_us;
     {
@@ -215,23 +213,12 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
     }
   };
   auto analyze_once = [&] {
-    std::vector<TraceEvent> buffer = textual.BufferSnapshot();
-    if (estimator != nullptr) {
-      report.progress_series.push_back(estimator->ratio());
-      report.eta_series_usec.push_back(estimator->EtaUsec());
-    } else {
-      report.progress_series.push_back(
-          EstimateProgress(buffer, report.graph_nodes));
-      report.eta_series_usec.push_back(-1);
-    }
+    report.progress_series.push_back(estimator->ratio());
+    report.eta_series_usec.push_back(estimator->EtaUsec());
     textual.ObserveStaleness();
     sweep_stragglers();
     if (options_.status_line) {
-      std::string line =
-          estimator != nullptr
-              ? estimator->ScoreboardLine(query_name)
-              : StrFormat("%s  %5.1f%%", query_name.c_str(),
-                          100.0 * report.progress_series.back());
+      std::string line = estimator->ScoreboardLine(query_name);
       if (baseline != nullptr) {
         line += StrFormat("  stragglers:%zu", report.stragglers.size());
       }
@@ -260,25 +247,24 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
     ++report.analysis_rounds;
   };
 
-  // The %EOF marker normally ends the loop; on a faulty wire it may never
-  // arrive, so once the query thread has returned and the receive side has
-  // drained (no new events across a few rounds), the monitor concludes on
-  // what it has instead of hanging — degraded, not stuck.
-  int64_t last_received = -1;
-  int stable_rounds = 0;
+  // The %EOF marker ends the loop. The in-process channel never drops
+  // control lines, so once the query thread has returned its %EOF is already
+  // queued behind the trace events: wait for the listener to process it,
+  // bounded by dot_timeout_us. A failed query sends no %EOF.
+  std::optional<int64_t> eof_deadline;
   while (!textual.QueryFinished(query_name)) {
     analyze_once();
     if (query_done.load(std::memory_order_acquire)) {
-      const int64_t rec = textual.events_received();
-      stable_rounds = rec == last_received ? stable_rounds + 1 : 0;
-      last_received = rec;
-      if (stable_rounds >= 3) break;
+      if (!query_status.ok()) break;
+      const int64_t now = clock->NowMicros();
+      if (!eof_deadline) eof_deadline = now + options_.dot_timeout_us;
+      if (now > *eof_deadline) break;
     }
     clock->SleepMicros(options_.analysis_period_us);
   }
   query_thread.join();
   // The query is complete: pin progress at 1.0 whatever the wire delivered.
-  if (estimator != nullptr && query_status.ok()) estimator->MarkFinished();
+  if (query_status.ok()) estimator->MarkFinished();
   analyze_once();  // final sweep over the complete buffer
   scene_->dispatcher()->Drain();
   server_->DetachStreams();
@@ -297,7 +283,6 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
   report.events = textual.BufferSnapshot();
   report.events_received = textual.events_received();
   report.events_filtered = textual.events_filtered();
-  report.utilization = AnalyzeThreadUtilization(report.events);
   // The *expected* degree of parallelism is what the analyst configured —
   // if the server silently ran sequentially (the demo's anomaly), the
   // diagnosis below is exactly what flags it.
@@ -306,11 +291,7 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
       server_->options().dop > 0
           ? server_->options().dop
           : static_cast<int>(std::thread::hardware_concurrency()));
-  report.operators = AnalyzeOperators(report.events);
-  report.final_progress =
-      estimator != nullptr
-          ? estimator->ratio()
-          : EstimateProgress(report.events, report.outcome.plan.size());
+  report.final_progress = estimator->ratio();
   return report;
 }
 

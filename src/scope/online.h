@@ -25,8 +25,9 @@ struct OnlineOptions {
   /// nullptr = steady clock. Tests pass a VirtualClock to drive the
   /// timeout deterministically.
   Clock* clock = nullptr;
-  /// How long to wait for the server to push the plan's dot file over the
-  /// stream before giving up.
+  /// Stream wait: how long to wait for the server to push the plan's dot
+  /// file before giving up, and, once the query has returned, for its %EOF
+  /// before concluding on the events received so far.
   int64_t dot_timeout_us = 30'000'000;
   /// EDT render pacing (the paper's 150 ms Java limitation).
   int64_t render_interval_us = 150000;
@@ -90,9 +91,7 @@ struct OnlineReport {
   std::vector<double> progress_series;
   /// ETA captured alongside each progress sample (-1 until estimable).
   std::vector<int64_t> eta_series_usec;
-  UtilizationReport utilization;
   ParallelismDiagnosis parallelism;
-  std::vector<OperatorStats> operators;
   double final_progress = 0;
   /// Delivery health of the monitored stream (sequence-gap accounting),
   /// finalized — pending gaps have settled into `lost`.

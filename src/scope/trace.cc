@@ -1,6 +1,5 @@
 #include "scope/trace.h"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "common/string_util.h"
@@ -64,13 +63,6 @@ Result<std::vector<TraceEvent>> TraceFileTail::Poll() {
   }
   pending_.erase(0, start);
   return events;
-}
-
-void SortTraceByEventId(std::vector<TraceEvent>* events) {
-  std::stable_sort(events->begin(), events->end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.event < b.event;
-                   });
 }
 
 }  // namespace stetho::scope

@@ -35,12 +35,6 @@ class TraceFileTail {
   int64_t parse_errors_ = 0;
 };
 
-/// Restores emission order in a trace that crossed a reordering transport
-/// (UDP datagrams may arrive out of order): stable-sorts by the profiler's
-/// global event sequence number. Analyses and the pair-sequence coloring
-/// algorithm assume emission order.
-void SortTraceByEventId(std::vector<profiler::TraceEvent>* events);
-
 }  // namespace stetho::scope
 
 #endif  // STETHO_SCOPE_TRACE_H_

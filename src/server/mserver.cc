@@ -103,38 +103,36 @@ Mserver::Mserver(storage::Catalog catalog, const MserverOptions& options)
 }
 
 Result<mal::Program> Mserver::Explain(const std::string& sql) const {
-  STETHO_ASSIGN_OR_RETURN(mal::Program program,
-                          sql::Compiler::CompileSql(&catalog_, sql));
-  optimizer::Pipeline pipeline =
-      optimizer::Pipeline::Default(options_.mitosis_pieces);
-  STETHO_ASSIGN_OR_RETURN(std::vector<std::string> fired,
-                          pipeline.Run(&program));
-  (void)fired;
-  return program;
-}
-
-Result<QueryOutcome> Mserver::ExecuteSql(const std::string& sql) {
-  QueryOutcome outcome;
-  outcome.sql = sql;
-  outcome.name = StrFormat("s%d", next_query_.fetch_add(1));
-
   // Phase spans bracket the query lifecycle on the server's own timeline;
   // kernel spans from the interpreter nest inside "execute". All no-ops
   // while the default tracer is disabled.
   obs::Tracer* tracer = obs::Tracer::Default();
-
   mal::Program program;
   {
     obs::Span parse_span(tracer, "parse", "phase");
     STETHO_ASSIGN_OR_RETURN(program, sql::Compiler::CompileSql(&catalog_, sql));
   }
-  program.set_function_name("user." + outcome.name);
   {
     obs::Span optimize_span(tracer, "optimize", "phase");
     optimizer::Pipeline pipeline =
         optimizer::Pipeline::Default(options_.mitosis_pieces);
-    STETHO_ASSIGN_OR_RETURN(outcome.optimizer_passes, pipeline.Run(&program));
+    STETHO_RETURN_IF_ERROR(pipeline.Run(&program).status());
   }
+  return program;
+}
+
+Result<QueryOutcome> Mserver::ExecuteSql(const std::string& sql) {
+  STETHO_ASSIGN_OR_RETURN(mal::Program program, Explain(sql));
+  return ExecutePlan(std::move(program), sql);
+}
+
+Result<QueryOutcome> Mserver::ExecutePlan(mal::Program program,
+                                          const std::string& sql) {
+  QueryOutcome outcome;
+  outcome.sql = sql;
+  outcome.name = StrFormat("s%d", next_query_.fetch_add(1));
+  program.set_function_name("user." + outcome.name);
+  obs::Tracer* tracer = obs::Tracer::Default();
 
   {
     obs::Span admit_span(tracer, "admit", "phase");

@@ -70,7 +70,6 @@ struct QueryOutcome {
   mal::Program plan;           ///< optimized MAL plan that actually ran
   std::string dot;             ///< the plan's dot file (emitted pre-run)
   engine::QueryResult result;
-  std::vector<std::string> optimizer_passes;  ///< passes that fired
 };
 
 /// The MonetDB server substitute: owns a catalog, compiles SQL to MAL,
@@ -78,8 +77,8 @@ struct QueryOutcome {
 /// MAL profiler. Stethoscope clients attach trace sinks (file, ring buffer,
 /// UDP stream) and set filter options remotely.
 ///
-/// Thread-safety: ExecuteSql may be called from any thread; each call runs
-/// independently. Profiler/stream configuration is internally synchronized.
+/// Thread-safety: ExecuteSql and ExecutePlan may be called from any thread;
+/// each call runs independently. Profiler/stream configuration is internally synchronized.
 class Mserver {
  public:
   /// Starts a server over an already-loaded catalog.
@@ -91,10 +90,14 @@ class Mserver {
   /// optimized plan.
   Result<mal::Program> Explain(const std::string& sql) const;
 
-  /// Runs a query end to end. Before execution the plan's dot file is
-  /// emitted to all attached streams (paper §4.2); trace events follow
-  /// during execution; an EOF marker closes the query.
+  /// Runs a query end to end: Explain, then ExecutePlan.
   Result<QueryOutcome> ExecuteSql(const std::string& sql);
+
+  /// Runs `plan`, the Explain result for `sql`, under a fresh query name.
+  /// Before execution the plan's dot file is emitted to all attached
+  /// streams (paper §4.2); trace events follow during execution; an EOF
+  /// marker closes the query.
+  Result<QueryOutcome> ExecutePlan(mal::Program plan, const std::string& sql);
 
   /// --- profiler / stream control (what the textual Stethoscope drives) ---
 

@@ -85,9 +85,11 @@ Program WidePlan() {
 
 std::vector<analysis::Diagnostic> ConformanceDiags(
     const Program& program, const std::vector<profiler::TraceEvent>& trace) {
+  const analysis::TraceIndex index(trace);
   analysis::CheckContext ctx;
   ctx.program = &program;
   ctx.trace = &trace;
+  ctx.trace_index = &index;
   std::vector<analysis::Diagnostic> diags;
   analysis::MakeTraceConformanceCheck()->Run(ctx, &diags);
   return diags;
@@ -130,6 +132,30 @@ TEST(SchedulerStressTest, ConcurrentQueriesKeepTraceContract) {
   }
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+/// Sinks receive events in sequence order even when dop-4 workers emit
+/// concurrently: a ring snapshot needs no sort before order-sensitive
+/// analysis.
+TEST(SchedulerStressTest, Dop4RingSnapshotIsInEventOrder) {
+  Catalog cat = MakeCatalog();
+  Program plan = WidePlan();
+  profiler::Profiler prof(SteadyClock::Default());
+  auto sink = std::make_shared<profiler::RingBufferSink>(1 << 14);
+  prof.AddSink(sink);
+  Interpreter interp(&cat);
+  ExecOptions opts;
+  opts.num_threads = 4;
+  opts.profiler = &prof;
+  for (int run = 0; run < 20; ++run) {
+    sink->Clear();
+    ASSERT_TRUE(interp.Execute(plan, opts).ok());
+    std::vector<profiler::TraceEvent> trace = sink->Snapshot();
+    ASSERT_EQ(trace.size(), 2 * plan.size());
+    for (size_t i = 1; i < trace.size(); ++i) {
+      ASSERT_LT(trace[i - 1].event, trace[i].event) << "run " << run;
+    }
+  }
 }
 
 /// The per-query admission slots stamped into stats/trace stay in

@@ -18,6 +18,7 @@
 #include "analysis/checks.h"
 #include "analysis/hb.h"
 #include "analysis/runner.h"
+#include "analysis/trace_index.h"
 #include "common/rng.h"
 #include "mal/program.h"
 #include "obs/metrics.h"
@@ -29,7 +30,9 @@ namespace {
 
 using analysis::CheckContext;
 using analysis::Diagnostic;
+using analysis::ExecInterval;
 using analysis::ScheduleReport;
+using analysis::TraceIndex;
 using mal::Argument;
 using mal::MalType;
 using obs::SpanRecord;
@@ -118,6 +121,12 @@ std::vector<TraceEvent> ParallelDiamondTrace(const mal::Program& p) {
   };
 }
 
+/// Replays `trace` against `p` through the trace's index.
+ScheduleReport Replay(const mal::Program& p,
+                      const std::vector<TraceEvent>& trace) {
+  return analysis::AnalyzeSchedule(p, TraceIndex(trace));
+}
+
 std::vector<TraceEvent>::iterator FindEvent(std::vector<TraceEvent>& trace,
                                             int pc, EventState state) {
   return std::find_if(trace.begin(), trace.end(),
@@ -161,9 +170,91 @@ TEST(VectorClockTest, TickJoinLessEq) {
   EXPECT_TRUE(narrow.LessEq(joined));
 }
 
+// ---------------------------------------------------------------------------
+// The trace index every start/done consumer reads
+// ---------------------------------------------------------------------------
+
+TEST(TraceIndexTest, RestoresEmissionOrder) {
+  // A reordering transport delivered ids 3, 0, 2, 1; equal ids keep their
+  // arrival order.
+  mal::Program p = DiamondPlan();
+  std::vector<TraceEvent> trace;
+  for (int64_t id : {3, 0, 2, 1, 2}) {
+    trace.push_back(Event(p, id, id, 0, 0, EventState::kDone));
+  }
+  trace[4].thread = 7;
+  TraceIndex index(trace);
+  ASSERT_EQ(index.size(), trace.size());
+  const std::vector<int64_t> ids = {0, 1, 2, 2, 3};
+  for (size_t i = 0; i < index.size(); ++i) {
+    EXPECT_EQ(index.event(i).event, ids[i]) << i;
+  }
+  EXPECT_EQ(index.event(2).thread, 0);
+  EXPECT_EQ(index.event(3).thread, 7);
+}
+
+TEST(TraceIndexTest, PairsFirstStartAndDonePerPc) {
+  mal::Program p = DiamondPlan();
+  std::vector<TraceEvent> trace = ParallelDiamondTrace(p);
+  trace.push_back(Event(p, 80, 1080, 3, 0, EventState::kDone, 1));  // surplus
+  TraceEvent no_pc = Event(p, 5, 1005, 0, 2, EventState::kStart);
+  no_pc.pc = -1;
+  trace.push_back(no_pc);
+  std::swap(trace[0], trace[5]);  // file order differs from emission order
+  TraceIndex index(trace);
+
+  ASSERT_EQ(index.pcs().size(), 4u);  // the negative pc belongs to none
+  const analysis::PcEvents* pc0 = index.Find(0);
+  ASSERT_NE(pc0, nullptr);
+  EXPECT_EQ(index.event(static_cast<size_t>(pc0->first_start)).event, 0);
+  EXPECT_EQ(index.event(static_cast<size_t>(pc0->first_done)).event, 10);
+  const analysis::PcEvents* pc3 = index.Find(3);
+  ASSERT_NE(pc3, nullptr);
+  EXPECT_EQ(pc3->starts, 1);
+  EXPECT_EQ(pc3->dones, 2);
+  EXPECT_EQ(index.event(static_cast<size_t>(pc3->first_done)).event, 70);
+  EXPECT_EQ(index.Find(4), nullptr);
+
+  // Threads in order of first appearance, numbered densely.
+  EXPECT_EQ(index.threads(), (std::vector<int>{0, 2, 1}));
+  for (size_t i = 0; i < index.size(); ++i) {
+    EXPECT_EQ(index.threads()[index.thread_slot(i)], index.event(i).thread);
+  }
+  EXPECT_EQ(index.peak_open(), 2);   // pc1 and pc2 overlap
+  EXPECT_EQ(index.Makespan(), 70);   // first start 1000, first done 1070
+}
+
+TEST(TraceIndexTest, PeakCountsOpenPairsInEmissionOrder) {
+  mal::Program p = DiamondPlan();
+  // Serial in emission order although the file lists both starts first.
+  std::vector<TraceEvent> trace = {
+      Event(p, 0, 0, 1, 0, EventState::kStart),
+      Event(p, 2, 20, 2, 0, EventState::kStart),
+      Event(p, 1, 10, 1, 0, EventState::kDone, 10),
+      Event(p, 3, 30, 2, 0, EventState::kDone, 10),
+  };
+  EXPECT_EQ(TraceIndex(trace).peak_open(), 1);
+  std::vector<TraceEvent> empty;
+  TraceIndex none(empty);
+  EXPECT_EQ(none.peak_open(), 0);
+  EXPECT_EQ(none.Makespan(), 0);
+  EXPECT_TRUE(none.threads().empty());
+}
+
+TEST(TraceIndexTest, ConcurrencyAtStartSweepsInTimeOrder) {
+  std::vector<ExecInterval> intervals(4);
+  intervals[0] = {0, 10};
+  intervals[1] = {10, 20};  // meets interval 0 at t=10: overlapped
+  intervals[2] = {5, ExecInterval::kNeverDone};
+  intervals[3] = {30, 40};  // interval 2 is still open
+  EXPECT_EQ(analysis::ConcurrencyAtStart(intervals),
+            (std::vector<int>{1, 3, 2, 2}));
+  EXPECT_TRUE(analysis::ConcurrencyAtStart({}).empty());
+}
+
 TEST(AnalyzeScheduleTest, CleanParallelRunHasNoViolations) {
   mal::Program p = DiamondPlan();
-  ScheduleReport report = analysis::AnalyzeSchedule(p, ParallelDiamondTrace(p));
+  ScheduleReport report = Replay(p, ParallelDiamondTrace(p));
   EXPECT_TRUE(report.violations.empty());
   EXPECT_TRUE(report.inverted.empty());
   EXPECT_TRUE(report.duplicates.empty());
@@ -175,7 +266,7 @@ TEST(AnalyzeScheduleTest, CleanParallelRunHasNoViolations) {
 
 TEST(AnalyzeScheduleTest, CriticalPathMakespanAndSlack) {
   mal::Program p = DiamondPlan();
-  ScheduleReport report = analysis::AnalyzeSchedule(p, ParallelDiamondTrace(p));
+  ScheduleReport report = Replay(p, ParallelDiamondTrace(p));
   // Weights 10/20/5/10: the longest chain is pc0 -> pc1 -> pc3 = 40 us.
   ASSERT_EQ(report.critical_path.size(), 3u);
   EXPECT_EQ(report.critical_path[0].pc, 0);
@@ -191,7 +282,7 @@ TEST(AnalyzeScheduleTest, CriticalPathMakespanAndSlack) {
 
 TEST(AnalyzeScheduleTest, HappensBeforeOrdersEdgesAndSlots) {
   mal::Program p = DiamondPlan();
-  ScheduleReport r = analysis::AnalyzeSchedule(p, ParallelDiamondTrace(p));
+  ScheduleReport r = Replay(p, ParallelDiamondTrace(p));
   // Producer -> consumer edges the schedule respected are ordered.
   EXPECT_TRUE(analysis::HappensBefore(r.executions[0], r.executions[1]));
   EXPECT_TRUE(analysis::HappensBefore(r.executions[0], r.executions[3]));
@@ -207,14 +298,14 @@ TEST(AnalyzeScheduleTest, UpdatesHbMetrics) {
   obs::Registry* registry = obs::Registry::Default();
   mal::Program p = DiamondPlan();
   // Metrics are process-global: delta-assert around the call.
-  analysis::AnalyzeSchedule(p, ParallelDiamondTrace(p));  // ensure created
+  Replay(p, ParallelDiamondTrace(p));  // ensure created
   int64_t replays =
       registry->CounterValue("stetho_hb_replays_total").value();
   int64_t violations =
       registry->CounterValue("stetho_hb_violations_total").value();
   std::vector<TraceEvent> bad = ParallelDiamondTrace(p);
   MoveBefore(&bad, 3, EventState::kStart, 1, EventState::kDone);
-  ScheduleReport report = analysis::AnalyzeSchedule(p, bad);
+  ScheduleReport report = Replay(p, bad);
   EXPECT_FALSE(report.violations.empty());
   EXPECT_EQ(registry->CounterValue("stetho_hb_replays_total").value(),
             replays + 1);
@@ -579,7 +670,7 @@ TEST(HbPropertyTest, LegalSchedulesRespectHappensBeforeEdges) {
   SplitMix64 rng(7);
   mal::Program p = RandomDagPlan(&rng, 16);
   std::vector<TraceEvent> trace = LegalSchedule(p, &rng, 3);
-  ScheduleReport report = analysis::AnalyzeSchedule(p, trace);
+  ScheduleReport report = Replay(p, trace);
   EXPECT_TRUE(report.violations.empty());
   std::vector<std::vector<int>> deps = p.BuildDependencies();
   for (size_t pc = 0; pc < p.size(); ++pc) {

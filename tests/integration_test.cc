@@ -9,6 +9,7 @@
 #include <fstream>
 #include <thread>
 
+#include "analysis/trace_index.h"
 #include "dot/parser.h"
 #include "layout/svg.h"
 #include "layout/sugiyama.h"
@@ -94,7 +95,12 @@ TEST(IntegrationTest, OfflineWorkflowOverFiles) {
                   .value(),
               viz::Color::Green());
   }
-  EXPECT_DOUBLE_EQ(scope::EstimateProgress(events.value(), plan_size), 1.0);
+  // Every instruction completed exactly once.
+  const analysis::TraceIndex index(events.value());
+  EXPECT_EQ(index.pcs().size(), plan_size);
+  for (const auto& [pc, pair] : index.pcs()) {
+    EXPECT_TRUE(pair.completed() && pair.dones == 1) << pc;
+  }
 
   std::remove(dot_path.c_str());
   std::remove(trace_path.c_str());

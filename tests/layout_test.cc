@@ -226,6 +226,25 @@ TEST(SugiyamaTest, ParallelOrderingMatchesSequential) {
   }
 }
 
+TEST(SugiyamaTest, ParallelPhasesSurviveRepeatedCalls) {
+  // Each parallel phase frees its shared state as soon as the last helper
+  // reports done. Many layouts above the parallel threshold give tsan many
+  // chances to catch a helper touching that state afterwards.
+  dot::Graph g = RandomLayeredDag(31, 32, 24, 0.1);
+  engine::WorkerPool pool;
+  pool.EnsureWorkers(3);
+  LayoutOptions options;
+  options.pool = &pool;
+  ASSERT_GE(g.num_nodes(), static_cast<size_t>(options.parallel_min_nodes));
+  auto first = LayoutGraph(g, options);
+  ASSERT_TRUE(first.ok());
+  for (int run = 0; run < 50; ++run) {
+    auto again = LayoutGraph(g, options);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again.value().crossings, first.value().crossings);
+  }
+}
+
 TEST(SugiyamaTest, EarlyExitNeverWorseThanFullSweeps) {
   // barycenter_sweeps is a ceiling: a huge budget must never end worse
   // than the default (convergence detection keeps the best ordering).

@@ -618,8 +618,10 @@ profiler::TraceEvent DoneEvent(int pc, int thread) {
 std::vector<analysis::Diagnostic> RunConformance(
     const std::vector<profiler::TraceEvent>& trace,
     const std::vector<SpanRecord>& spans) {
+  const analysis::TraceIndex index(trace);
   analysis::CheckContext ctx;
   ctx.trace = &trace;
+  ctx.trace_index = &index;
   ctx.spans = &spans;
   std::vector<analysis::Diagnostic> out;
   analysis::MakeTraceSpanConformanceCheck()->Run(ctx, &out);

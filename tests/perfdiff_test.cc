@@ -282,6 +282,27 @@ class PerfdiffExampleTest : public ::testing::Test {
     ASSERT_FALSE(trace_.empty());
   }
 
+  /// The example trace with its slowest instruction's done event
+  /// inflated 5x: well past both the 2.0x ratio gate and the 4*MAD jitter
+  /// floor. Reports that pc and its original duration.
+  std::vector<TraceEvent> InjectSlowdown(int* slow_pc, int64_t* slow_usec) {
+    *slow_pc = -1;
+    *slow_usec = 0;
+    for (const PcSample& sample : ObservationFromTrace(trace_).pcs) {
+      if (sample.usec > *slow_usec) {
+        *slow_usec = sample.usec;
+        *slow_pc = sample.pc;
+      }
+    }
+    std::vector<TraceEvent> slow_trace = trace_;
+    for (TraceEvent& event : slow_trace) {
+      if (event.pc == *slow_pc && event.state == EventState::kDone) {
+        event.usec *= 5;
+      }
+    }
+    return slow_trace;
+  }
+
   mal::Program program_;
   std::vector<TraceEvent> trace_;
 };
@@ -340,23 +361,10 @@ TEST_F(PerfdiffExampleTest, RegressionCheckFlagsInjectedSlowdown) {
   observation.shape_hash = PlanShapeHash(program_);
   ASSERT_TRUE(store.Fold(observation).ok());
 
-  // Find the slowest instruction and blow up its done event 5x — well past
-  // both the 2.0x ratio gate and the 4*MAD jitter floor.
-  int slow_pc = -1;
-  int64_t slow_usec = 0;
-  for (const PcSample& sample : observation.pcs) {
-    if (sample.usec > slow_usec) {
-      slow_usec = sample.usec;
-      slow_pc = sample.pc;
-    }
-  }
+  int slow_pc;
+  int64_t slow_usec;
+  std::vector<TraceEvent> slow_trace = InjectSlowdown(&slow_pc, &slow_usec);
   ASSERT_GE(slow_pc, 0);
-  std::vector<TraceEvent> slow_trace = trace_;
-  for (TraceEvent& event : slow_trace) {
-    if (event.pc == slow_pc && event.state == EventState::kDone) {
-      event.usec *= 5;
-    }
-  }
 
   auto check = MakeTracePerfRegressionCheck();
   CheckContext context;
@@ -410,21 +418,9 @@ TEST_F(PerfdiffExampleTest, DiffAgainstSelfIsFlat) {
 }
 
 TEST_F(PerfdiffExampleTest, DiffSurfacesInjectedSlowdownFirst) {
-  QueryObservation observation = ObservationFromTrace(trace_);
-  int slow_pc = -1;
-  int64_t slow_usec = 0;
-  for (const PcSample& sample : observation.pcs) {
-    if (sample.usec > slow_usec) {
-      slow_usec = sample.usec;
-      slow_pc = sample.pc;
-    }
-  }
-  std::vector<TraceEvent> slow_trace = trace_;
-  for (TraceEvent& event : slow_trace) {
-    if (event.pc == slow_pc && event.state == EventState::kDone) {
-      event.usec *= 5;
-    }
-  }
+  int slow_pc;
+  int64_t slow_usec;
+  std::vector<TraceEvent> slow_trace = InjectSlowdown(&slow_pc, &slow_usec);
 
   TraceDiff diff = DiffTraces(trace_, slow_trace, &program_);
   EXPECT_TRUE(diff.shapes_match);
@@ -438,6 +434,22 @@ TEST_F(PerfdiffExampleTest, DiffSurfacesInjectedSlowdownFirst) {
   EXPECT_NE(report.find("shape"), std::string::npos);
   EXPECT_NE(report.find("pc " + std::to_string(slow_pc)),
             std::string::npos);
+}
+
+TEST_F(PerfdiffExampleTest, DiffReportMatchesGolden) {
+  int slow_pc;
+  int64_t slow_usec;
+  std::vector<TraceEvent> slow_trace = InjectSlowdown(&slow_pc, &slow_usec);
+  const std::string report =
+      FormatTraceDiff(DiffTraces(trace_, slow_trace, &program_));
+
+  const std::string golden_path =
+      std::string(STETHO_TESTS_DIR) + "/golden/c4_q1_diff.txt";
+  std::ifstream in(golden_path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden file " << golden_path;
+  const std::string golden((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  EXPECT_EQ(report, golden) << "diff report diverged from " << golden_path;
 }
 
 TEST(DiffTracesTest, ReportsUnmatchedPcs) {

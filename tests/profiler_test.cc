@@ -320,5 +320,26 @@ TEST(ProfilerTest, ConcurrentEmitUniqueEventIds) {
   }
 }
 
+TEST(ProfilerTest, ConcurrentEmitDeliversInSequenceOrder) {
+  Profiler prof(SteadyClock::Default());
+  auto ring = std::make_shared<RingBufferSink>(100000);
+  prof.AddSink(ring);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&prof, t] {
+      for (int i = 0; i < 2000; ++i) prof.EmitStart(i, t, 0, "s");
+    });
+  }
+  for (auto& t : threads) t.join();
+  auto snap = ring->Snapshot();
+  ASSERT_EQ(snap.size(), 8000u);
+  for (size_t i = 0; i < snap.size(); ++i) {
+    ASSERT_EQ(snap[i].event, static_cast<int64_t>(i));
+    if (i > 0) {
+      ASSERT_LE(snap[i - 1].time_us, snap[i].time_us);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace stetho::profiler

@@ -294,66 +294,6 @@ TEST(AnalysisTest, OperatorPercentiles) {
   EXPECT_EQ(ops[0].p95_usec, 960);   // nearest-rank 95th
 }
 
-TEST(TraceSortTest, RestoresEmissionOrder) {
-  std::vector<TraceEvent> events;
-  for (int64_t id : {3, 0, 2, 1}) {
-    TraceEvent e = Ev(EventState::kDone, static_cast<int>(id));
-    e.event = id;
-    events.push_back(e);
-  }
-  SortTraceByEventId(&events);
-  for (size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].event, static_cast<int64_t>(i));
-  }
-}
-
-TEST(AnalysisTest, CompareTracesFindsRegressions) {
-  std::vector<TraceEvent> a = {
-      Ev(EventState::kDone, 0, 0, 100, 0, "X_0 := sql.mvc();"),
-      Ev(EventState::kDone, 1, 0, 500, 0, "X_1 := algebra.join(X_0,X_0);"),
-      Ev(EventState::kDone, 2, 0, 50, 0, "io.print(X_1);"),
-  };
-  std::vector<TraceEvent> b = {
-      Ev(EventState::kDone, 0, 0, 110, 0, "X_0 := sql.mvc();"),
-      Ev(EventState::kDone, 1, 0, 2500, 0, "X_1 := algebra.join(X_0,X_0);"),
-      Ev(EventState::kDone, 3, 0, 70, 0, "language.pass(X_1);"),
-  };
-  auto cmp = CompareTraces(a, b);
-  EXPECT_EQ(cmp.total_usec_a, 650);
-  EXPECT_EQ(cmp.total_usec_b, 2680);
-  ASSERT_EQ(cmp.deltas.size(), 2u);  // pcs 0 and 1 in both
-  EXPECT_EQ(cmp.deltas[0].pc, 1);    // biggest mover first
-  EXPECT_EQ(cmp.deltas[0].delta_usec(), 2000);
-  EXPECT_EQ(cmp.deltas[0].op, "algebra.join");
-  EXPECT_EQ(cmp.only_in_a, (std::vector<int>{2}));
-  EXPECT_EQ(cmp.only_in_b, (std::vector<int>{3}));
-  std::string report = cmp.ToString();
-  EXPECT_NE(report.find("+2030us"), std::string::npos);
-  EXPECT_NE(report.find("algebra.join"), std::string::npos);
-}
-
-TEST(AnalysisTest, CompareIdenticalTraces) {
-  auto t = std::vector<TraceEvent>{
-      Ev(EventState::kDone, 0, 0, 100),
-      Ev(EventState::kDone, 1, 0, 200),
-  };
-  auto cmp = CompareTraces(t, t);
-  EXPECT_EQ(cmp.total_usec_a, cmp.total_usec_b);
-  for (const auto& d : cmp.deltas) EXPECT_EQ(d.delta_usec(), 0);
-  EXPECT_TRUE(cmp.only_in_a.empty());
-  EXPECT_TRUE(cmp.only_in_b.empty());
-}
-
-TEST(AnalysisTest, ProgressEstimate) {
-  std::vector<TraceEvent> events = {
-      Ev(EventState::kDone, 0), Ev(EventState::kDone, 1),
-      Ev(EventState::kStart, 2),
-  };
-  EXPECT_DOUBLE_EQ(EstimateProgress(events, 4), 0.5);
-  EXPECT_DOUBLE_EQ(EstimateProgress({}, 4), 0.0);
-  EXPECT_DOUBLE_EQ(EstimateProgress(events, 0), 0.0);
-}
-
 // --- trace file IO ---
 
 TEST(TraceFileTest, WriteThenRead) {
@@ -983,9 +923,10 @@ TEST(OnlineMonitorTest, EndToEndColorsAndReports) {
   const OnlineReport& r = report.value();
   EXPECT_GT(r.graph_nodes, 0u);
   EXPECT_EQ(r.graph_nodes, r.outcome.plan.size());
-  EXPECT_GT(r.events_received, 0);
+  EXPECT_EQ(r.events_received,
+            2 * static_cast<int64_t>(r.outcome.plan.size()));
   EXPECT_GT(r.analysis_rounds, 0u);
-  EXPECT_FALSE(r.operators.empty());
+  EXPECT_FALSE(AnalyzeOperators(r.events).empty());
   EXPECT_DOUBLE_EQ(r.final_progress, 1.0);
   // Progress series is monotone and ends complete.
   ASSERT_FALSE(r.progress_series.empty());
@@ -999,7 +940,7 @@ TEST(OnlineMonitorTest, EndToEndColorsAndReports) {
 
 /// Tentpole acceptance: 5% injected datagram loss on the demo query. The
 /// monitor must not hang (the %EOF is spared, and even a lost one only
-/// costs three idle analysis rounds), the receiver's gap accounting must
+/// costs the bounded stream wait), the receiver's gap accounting must
 /// match the injector's exact counts, and progress still ends pinned at
 /// 1.0 because the query itself completed.
 TEST(OnlineMonitorTest, LossyWireIsAccountedAndStillCompletes) {
@@ -1096,6 +1037,8 @@ TEST(OnlineMonitorTest, FlagsStragglersAgainstStoredBaseline) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   const OnlineReport& r = report.value();
   EXPECT_DOUBLE_EQ(r.final_progress, 1.0);
+  EXPECT_EQ(r.events_received,
+            2 * static_cast<int64_t>(r.outcome.plan.size()));
 
   ASSERT_FALSE(r.stragglers.empty());
   EXPECT_GT(r.straggler_updates, 0u);
@@ -1152,6 +1095,8 @@ TEST(OnlineMonitorTest, NoStragglersAgainstGenerousBaseline) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report.value().stragglers.empty());
   EXPECT_EQ(report.value().straggler_updates, 0u);
+  EXPECT_EQ(report.value().events_received,
+            2 * static_cast<int64_t>(report.value().outcome.plan.size()));
 }
 
 TEST(OnlineMonitorTest, DetectsSequentialAnomaly) {
@@ -1174,6 +1119,8 @@ TEST(OnlineMonitorTest, DetectsSequentialAnomaly) {
   EXPECT_TRUE(report.value().parallelism.sequential_anomaly);
   EXPECT_NE(report.value().parallelism.summary.find("ANOMALY"),
             std::string::npos);
+  EXPECT_EQ(report.value().events_received,
+            2 * static_cast<int64_t>(report.value().outcome.plan.size()));
 }
 
 TEST(OnlineMonitorTest, RunsUnderVirtualClock) {
@@ -1194,7 +1141,8 @@ TEST(OnlineMonitorTest, RunsUnderVirtualClock) {
       monitor.MonitorQuery("select l_tax from lineitem where l_partkey = 1");
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_DOUBLE_EQ(report.value().final_progress, 1.0);
-  EXPECT_GT(report.value().events_received, 0);
+  EXPECT_EQ(report.value().events_received,
+            2 * static_cast<int64_t>(report.value().outcome.plan.size()));
 }
 
 TEST(OnlineMonitorTest, DotTimeoutDrivenByInjectedClock) {

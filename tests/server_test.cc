@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -305,8 +307,10 @@ TEST(MserverProfileTest, SlowQueryLogsAndEmitsPostmortem) {
 }
 
 TEST(MserverProfileTest, FastQueryWritesNoPostmortem) {
-  const std::string dir = testing::TempDir() + "mserver_flight_quiet";
-  mkdir(dir.c_str(), 0755);
+  // A fresh directory per run: a postmortem an earlier slow run left
+  // behind must not fail this one.
+  std::string dir = testing::TempDir() + "mserver_flight_quiet_XXXXXX";
+  ASSERT_NE(mkdtemp(dir.data()), nullptr);
 
   obs::ProfileStore store;
   MserverOptions options;
@@ -322,10 +326,13 @@ TEST(MserverProfileTest, FastQueryWritesNoPostmortem) {
   ASSERT_TRUE(server.ExecuteSql(sql).ok());
   auto r = server.ExecuteSql(sql);
   ASSERT_TRUE(r.ok());
+  const std::string path = dir + "/postmortem_" + r.value().name + ".txt";
   if (SlowQueriesValue() == slow_before) {
-    std::ifstream in(dir + "/postmortem_" + r.value().name + ".txt");
+    std::ifstream in(path);
     EXPECT_FALSE(in.good());
   }
+  std::remove(path.c_str());
+  rmdir(dir.c_str());
 }
 
 TEST(MserverTest, CompileErrorsSurface) {

@@ -346,7 +346,8 @@ int main(int argc, char** argv) {
       return 2;
     }
     analysis::ScheduleReport report =
-        analysis::AnalyzeSchedule(program.value(), trace.value());
+        analysis::AnalyzeSchedule(program.value(),
+                                  analysis::TraceIndex(trace.value()));
     std::fputs(
         analysis::FormatScheduleReport(report, program.value()).c_str(),
         stdout);
