@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -157,20 +158,30 @@ void BM_LivenessFootprintImpl(benchmark::State& state, const char* query_id) {
                           static_cast<int64_t>(plan.size()));
 }
 
-/// The memory_reorder pass on an unoptimized plan (two AnalyzeMemory runs +
-/// greedy list scheduling + validation) — its marginal pipeline cost.
+/// The memory_reorder pass on the plan it sees inside
+/// Pipeline::Default(pieces): compiled and run through every default pass
+/// before it, mitosis included (two AnalyzeMemory runs + greedy list
+/// scheduling + validation) — its marginal pipeline cost.
 void BM_MemoryReorderImpl(benchmark::State& state, const char* query_id) {
   storage::Catalog& catalog = bench::SharedCatalog(0.01);
   auto base =
       sql::Compiler::CompileSql(&catalog, tpch::GetQuery(query_id).value().sql);
   if (!base.ok()) std::abort();
+  mal::Program input = std::move(base).value();
+  optimizer::Pipeline pipeline =
+      optimizer::Pipeline::Default(static_cast<int>(state.range(0)));
+  for (const std::unique_ptr<optimizer::Pass>& pass : pipeline.passes()) {
+    if (std::string_view(pass->name()) == "memory_reorder") break;
+    if (!pass->Run(&input).ok()) std::abort();
+  }
   auto pass = optimizer::MakeMemoryReorderPass();
   for (auto _ : state) {
-    mal::Program plan = base.value();
+    mal::Program plan = input;
     auto changed = pass->Run(&plan);
     if (!changed.ok()) std::abort();
     benchmark::DoNotOptimize(plan);
   }
+  state.counters["plan_instructions"] = static_cast<double>(input.size());
 }
 
 void BM_AbsintQ1(benchmark::State& state) { BM_AbstractInterpret(state, "q1"); }
@@ -206,8 +217,16 @@ BENCHMARK(BM_LintQ3)->Arg(0)->Arg(8)->Arg(32)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_DiffQ1)->Arg(0)->Arg(8)->Arg(32)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_HbReplayQ1)->Arg(0)->Arg(8)->Arg(32)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_HbReplayQ3)->Arg(0)->Arg(8)->Arg(32)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_PipelineQ1)->Arg(0)->Arg(8)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PipelineQ6)->Arg(0)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PipelineQ1)
+    ->Arg(0)
+    ->Arg(8)
+    ->Arg(128)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PipelineQ6)
+    ->Arg(0)
+    ->Arg(8)
+    ->Arg(128)
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LivenessFootprint)
     ->Arg(0)
     ->Arg(8)
@@ -218,8 +237,18 @@ BENCHMARK(BM_LivenessFootprintQ3)
     ->Arg(8)
     ->Arg(32)
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_MemoryReorder)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_MemoryReorderQ3)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MemoryReorder)
+    ->Arg(0)
+    ->Arg(8)
+    ->Arg(32)
+    ->Arg(128)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MemoryReorderQ3)
+    ->Arg(0)
+    ->Arg(8)
+    ->Arg(32)
+    ->Arg(128)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -52,7 +52,7 @@ void BM_OptimizePlan(benchmark::State& state) {
   (void)pipeline.Run(&copy);
   state.counters["optimized_instructions"] = static_cast<double>(copy.size());
 }
-BENCHMARK(BM_OptimizePlan)->Arg(0)->Arg(4)->Arg(16);
+BENCHMARK(BM_OptimizePlan)->Arg(0)->Arg(4)->Arg(16)->Arg(128);
 
 void BM_ExecutePaperQuery(benchmark::State& state) {
   server::MserverOptions options;

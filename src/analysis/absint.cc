@@ -37,9 +37,8 @@ std::vector<AbstractValue> SeedResults(const KernelSignature* sig,
 
 std::vector<AbstractValue> EvalWithArgs(const Program& program,
                                         const Instruction& ins,
+                                        const KernelSignature* sig,
                                         const std::vector<AbstractValue>& args) {
-  const KernelSignature* sig =
-      LookupKernelSignature(ins.module, ins.function);
   std::vector<AbstractValue> results = SeedResults(sig, ins);
   if (sig != nullptr && sig->transfer != nullptr) {
     TransferContext ctx{&program, &ins, &args};
@@ -93,22 +92,28 @@ std::vector<AbstractValue> EvalInstruction(const Program& program,
   for (const Argument& a : ins.args) {
     args.push_back(ArgOperandValue(state, a));
   }
-  return EvalWithArgs(program, ins, args);
+  return EvalWithArgs(program, ins,
+                      LookupKernelSignature(ins.module, ins.function), args);
 }
 
 AbstractState AnalyzeProgram(const Program& program,
-                             const InstructionVisitor& visit) {
+                             std::vector<InstructionFacts>* per_pc) {
   AbstractState state;
   state.vars.resize(program.num_variables());
+  if (per_pc != nullptr) {
+    per_pc->clear();
+    per_pc->reserve(program.size());
+  }
   // Straight-line SSA: every argument's producer precedes its use, so one
   // forward pass in pc order is the fixpoint.
   for (const Instruction& ins : program.instructions()) {
     InstructionFacts facts;
+    facts.sig = LookupKernelSignature(ins.module, ins.function);
     facts.args.reserve(ins.args.size());
     for (const Argument& a : ins.args) {
       facts.args.push_back(ArgOperandValue(state, a));
     }
-    facts.raw_results = EvalWithArgs(program, ins, facts.args);
+    facts.raw_results = EvalWithArgs(program, ins, facts.sig, facts.args);
     facts.merged_results = facts.raw_results;
     for (size_t i = 0; i < ins.results.size(); ++i) {
       int r = ins.results[i];
@@ -117,26 +122,32 @@ AbstractState AnalyzeProgram(const Program& program,
           MergeDeclared(facts.raw_results[i], program.variable(r));
       state.vars[static_cast<size_t>(r)] = facts.merged_results[i];
     }
-    if (visit) visit(ins, facts);
+    if (per_pc != nullptr) per_pc->push_back(std::move(facts));
   }
   return state;
 }
 
 PlanSummary SummarizeObservable(const Program& program) {
+  std::vector<InstructionFacts> per_pc;
+  AnalyzeProgram(program, &per_pc);
+  return SummarizeObservable(program, per_pc);
+}
+
+PlanSummary SummarizeObservable(const Program& program,
+                                const std::vector<InstructionFacts>& per_pc) {
   PlanSummary summary;
-  AnalyzeProgram(program, [&summary](const Instruction& ins,
-                                     const InstructionFacts& facts) {
-    const KernelSignature* sig =
-        LookupKernelSignature(ins.module, ins.function);
-    bool is_sink = sig != nullptr
-                       ? sig->is_sink
+  for (size_t pc = 0; pc < per_pc.size() && pc < program.size(); ++pc) {
+    const Instruction& ins = program.instruction(static_cast<int>(pc));
+    const InstructionFacts& facts = per_pc[pc];
+    bool is_sink = facts.sig != nullptr
+                       ? facts.sig->is_sink
                        : LooksLikeResultSink(ins.module, ins.function);
-    if (!is_sink) return;
+    if (!is_sink) continue;
     for (size_t i = 0; i < facts.args.size(); ++i) {
       summary.columns.push_back(
           SinkColumn{ins.pc, ins.FullName(), i, facts.args[i]});
     }
-  });
+  }
   return summary;
 }
 

@@ -2,7 +2,6 @@
 #define STETHO_ANALYSIS_ABSINT_H_
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -44,18 +43,17 @@ std::vector<AbstractValue> EvalInstruction(const mal::Program& program,
 /// `merged_results` is what the state records: the raw transfer result
 /// refined by each result's declared type and cardinality annotation.
 struct InstructionFacts {
+  /// The kernel's signature-table entry; nullptr for extension kernels.
+  const KernelSignature* sig = nullptr;
   std::vector<AbstractValue> args;
   std::vector<AbstractValue> raw_results;
   std::vector<AbstractValue> merged_results;
 };
 
-using InstructionVisitor =
-    std::function<void(const mal::Instruction&, const InstructionFacts&)>;
-
-/// Runs the analysis over the whole plan, invoking `visit` (when non-null)
-/// on every instruction with its facts, and returns the final state.
+/// Runs the analysis over the whole plan and returns the final state. With
+/// `per_pc`, also returns every instruction's facts there, in program order.
 AbstractState AnalyzeProgram(const mal::Program& program,
-                             const InstructionVisitor& visit = nullptr);
+                             std::vector<InstructionFacts>* per_pc = nullptr);
 
 /// One observable output slot: argument `arg_index` of the result-sink
 /// instruction at `pc`. Identity across optimizer passes is positional
@@ -74,6 +72,9 @@ struct PlanSummary {
 };
 
 PlanSummary SummarizeObservable(const mal::Program& program);
+/// The same summary read from an AnalyzeProgram sweep's per-pc facts.
+PlanSummary SummarizeObservable(const mal::Program& program,
+                                const std::vector<InstructionFacts>& per_pc);
 
 /// Pass-equivalence test: OkStatus when `after` is a plausible rewrite of
 /// `before` (same sink columns, each column's abstract values compatible —

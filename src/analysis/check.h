@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "analysis/diagnostic.h"
-#include "analysis/trace_index.h"
+#include "analysis/facts.h"
 #include "dot/graph.h"
 #include "engine/kernel.h"
 #include "mal/program.h"
@@ -23,10 +23,12 @@ struct CheckContext {
   const mal::Program* program = nullptr;
   const dot::Graph* graph = nullptr;
   const std::vector<profiler::TraceEvent>* trace = nullptr;
-  /// Index over `trace`. Runner::Run builds it once per lint from `trace`,
-  /// replacing any value set here; code that calls a trace check's Run
-  /// directly must build it from the same vector.
-  const TraceIndex* trace_index = nullptr;
+  /// What checks derive from `program` and `trace` (absint facts, memory
+  /// report, dependencies, trace index, schedule replay), computed once per
+  /// lint. Runner::Run points it at the Facts of that call, replacing any
+  /// value set here; code that calls a check's Run directly must point it
+  /// at a Facts over the same program and trace.
+  const Facts* facts = nullptr;
   const engine::ModuleRegistry* registry = nullptr;
   /// Platform spans (obs tracer snapshot or a parsed Chrome trace export);
   /// lets checks cross-validate the profiler's event stream against the

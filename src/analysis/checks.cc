@@ -61,6 +61,12 @@ std::string Ellipsize(const std::string& s, size_t limit = 96) {
   return s.substr(0, limit) + "...";
 }
 
+/// The signature the lint's absint sweep resolved for `ins`.
+const KernelSignature* SignatureAt(const CheckContext& ctx,
+                                   const Instruction& ins) {
+  return ctx.facts->instructions()[static_cast<size_t>(ins.pc)].sig;
+}
+
 /// Number of instructions reading each variable (the interpreter's
 /// reference-count initialization).
 std::vector<int> ConsumerCounts(const Program& p) {
@@ -176,8 +182,7 @@ class DeadInstructionCheck final : public Check {
     std::vector<int> consumers = ConsumerCounts(p);
     for (const Instruction& ins : p.instructions()) {
       if (ins.results.empty()) continue;  // sinks and markers are effects
-      const KernelSignature* sig =
-          LookupKernelSignature(ins.module, ins.function);
+      const KernelSignature* sig = SignatureAt(ctx, ins);
       if (sig == nullptr || !sig->side_effect_free) continue;
       bool any_used = false;
       for (int r : ins.results) {
@@ -227,8 +232,7 @@ class KernelSignatureCheck final : public Check {
                   "register the kernel or fix the operation name");
         continue;
       }
-      const KernelSignature* sig =
-          LookupKernelSignature(ins.module, ins.function);
+      const KernelSignature* sig = SignatureAt(ctx, ins);
       if (sig == nullptr) continue;  // extension kernel; no shape info
 
       // Arity.
@@ -330,8 +334,7 @@ class BatLifetimeCheck final : public Check {
     // source of truth for that now, and the baseline loader aliases old
     // bat-lifetime fingerprints onto it so recorded baselines stay valid.
     for (const Instruction& ins : p.instructions()) {
-      const KernelSignature* sig =
-          LookupKernelSignature(ins.module, ins.function);
+      const KernelSignature* sig = SignatureAt(ctx, ins);
       if (sig != nullptr && sig->side_effect_free) continue;
       for (int r : ins.results) {
         if (!VarInRange(p, r)) continue;
@@ -366,8 +369,7 @@ class SinkOrderKeyCheck final : public Check {
     Emitter emit(id(), out);
     size_t sinks = 0;
     for (const Instruction& ins : p.instructions()) {
-      const KernelSignature* sig =
-          LookupKernelSignature(ins.module, ins.function);
+      const KernelSignature* sig = SignatureAt(ctx, ins);
       if (sig != nullptr && sig->is_sink) {
         ++sinks;
         // The order key is engine::ResultOrderKey(pc, arg-index); more
@@ -470,7 +472,7 @@ class DotContractCheck final : public Check {
 
     // Edges must be exactly the dataflow dependencies (producer -> consumer).
     std::set<std::pair<int, int>> expected;
-    std::vector<std::vector<int>> deps = p.BuildDependencies();
+    const std::vector<std::vector<int>>& deps = ctx.facts->deps();
     for (size_t pc = 0; pc < deps.size(); ++pc) {
       for (int producer : deps[pc]) {
         expected.emplace(producer, static_cast<int>(pc));
@@ -517,7 +519,7 @@ class TraceConformanceCheck final : public Check {
 
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     Emitter emit(id(), out);
-    const TraceIndex& index = *ctx.trace_index;
+    const TraceIndex& index = ctx.facts->trace_index();
     // Pcs whose statement text was already reported as diverging.
     std::vector<bool> stmt_mismatch(
         ctx.program != nullptr ? ctx.program->size() : 0, false);
@@ -639,7 +641,7 @@ class TraceSpanConformanceCheck final : public Check {
 
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     Emitter emit(id(), out);
-    const TraceIndex& index = *ctx.trace_index;
+    const TraceIndex& index = ctx.facts->trace_index();
 
     struct PcSpans {
       int count = 0;

@@ -20,6 +20,16 @@ int ResultVar(const Instruction& ins, size_t i) {
   return i < ins.results.size() ? ins.results[i] : -1;
 }
 
+/// Calls `visit(ins, facts)` for every instruction in program order, with
+/// the lint's shared absint facts for it.
+template <typename Visit>
+void ForEachInstruction(const CheckContext& ctx, Visit visit) {
+  const std::vector<InstructionFacts>& facts = ctx.facts->instructions();
+  for (const Instruction& ins : ctx.program->instructions()) {
+    visit(ins, facts[static_cast<size_t>(ins.pc)]);
+  }
+}
+
 int ArgVar(const Instruction& ins, size_t i) {
   if (i >= ins.args.size()) return -1;
   const mal::Argument& a = ins.args[i];
@@ -42,10 +52,9 @@ class TypeFlowCheck final : public Check {
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     const Program& p = *ctx.program;
     Emitter emit(id(), out);
-    AnalyzeProgram(p, [&](const Instruction& ins,
-                          const InstructionFacts& facts) {
-      const KernelSignature* sig =
-          LookupKernelSignature(ins.module, ins.function);
+    ForEachInstruction(ctx, [&](const Instruction& ins,
+                                const InstructionFacts& facts) {
+      const KernelSignature* sig = facts.sig;
 
       // Raw transfer result vs declared result type. The raw value is
       // untouched by the declaration, so a disagreement means the plan
@@ -120,12 +129,10 @@ class CardinalityContradictionCheck final : public Check {
   unsigned needs() const override { return kNeedsProgram; }
 
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
-    const Program& p = *ctx.program;
     Emitter emit(id(), out);
-    AnalyzeProgram(p, [&](const Instruction& ins,
-                          const InstructionFacts& facts) {
-      const KernelSignature* sig =
-          LookupKernelSignature(ins.module, ins.function);
+    ForEachInstruction(ctx, [&](const Instruction& ins,
+                                const InstructionFacts& facts) {
+      const KernelSignature* sig = facts.sig;
       if (sig == nullptr) return;
 
       for (const auto& [ai, bi] : sig->equal_card_args) {
@@ -204,8 +211,8 @@ class GuaranteedEmptyCheck final : public Check {
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     const Program& p = *ctx.program;
     Emitter emit(id(), out);
-    AnalyzeProgram(p, [&](const Instruction& ins,
-                          const InstructionFacts& facts) {
+    ForEachInstruction(ctx, [&](const Instruction& ins,
+                                const InstructionFacts& facts) {
       for (size_t i = 0; i < facts.merged_results.size(); ++i) {
         const AbstractValue& v = facts.merged_results[i];
         if (!v.defined || v.is_bat != Tri::kTrue) continue;
@@ -236,14 +243,13 @@ class MissedConstantFoldCheck final : public Check {
 
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     Emitter emit(id(), out);
-    AnalyzeProgram(*ctx.program, [&](const Instruction& ins,
-                                     const InstructionFacts& facts) {
+    ForEachInstruction(ctx, [&](const Instruction& ins,
+                                const InstructionFacts& facts) {
       if (ins.module != "calc" || ins.results.size() != 1 ||
           ins.args.empty()) {
         return;
       }
-      const KernelSignature* sig =
-          LookupKernelSignature(ins.module, ins.function);
+      const KernelSignature* sig = facts.sig;
       if (sig == nullptr || !sig->side_effect_free) return;
       for (const AbstractValue& a : facts.args) {
         if (!a.constant.has_value()) return;
@@ -271,12 +277,10 @@ class OrderKeyPropagationCheck final : public Check {
   unsigned needs() const override { return kNeedsProgram; }
 
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
-    const Program& p = *ctx.program;
     Emitter emit(id(), out);
-    AnalyzeProgram(p, [&](const Instruction& ins,
-                          const InstructionFacts& facts) {
-      const KernelSignature* sig =
-          LookupKernelSignature(ins.module, ins.function);
+    ForEachInstruction(ctx, [&](const Instruction& ins,
+                                const InstructionFacts& facts) {
+      const KernelSignature* sig = facts.sig;
       if (sig == nullptr) return;
       for (int slot : sig->candidate_args) {
         if (slot < 0 || static_cast<size_t>(slot) >= facts.args.size()) {

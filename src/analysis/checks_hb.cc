@@ -1,7 +1,8 @@
 // The happens-before check family: schedule/trace race detection built on
-// analysis/hb.h. Three checks replay the profiler trace against the plan's
-// dependency DAG (trace-dependency-violation, trace-write-race,
-// schedule-serialization), one audits the platform span export
+// analysis/hb.h. Three checks read the lint's one replay of the profiler
+// trace against the plan's dependency DAG (Facts::schedule():
+// trace-dependency-violation, trace-write-race, schedule-serialization),
+// one audits the platform span export
 // (span-interleaving), and one audits per-thread clocks (trace-clock-
 // monotonicity). Together they make the scheduler's ordering contract a
 // deterministic post-hoc lint instead of a TSan-needs-the-bad-interleaving
@@ -40,7 +41,7 @@ class TraceDependencyViolationCheck final : public Check {
 
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     Emitter emit(id(), out);
-    ScheduleReport report = AnalyzeSchedule(*ctx.program, *ctx.trace_index);
+    const ScheduleReport& report = ctx.facts->schedule();
     for (const DependencyViolation& v : report.violations) {
       emit.Emit(Severity::kError, v.pc, -1,
                 v.producer_done_missing
@@ -87,7 +88,7 @@ class TraceWriteRaceCheck final : public Check {
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     const Program& p = *ctx.program;
     Emitter emit(id(), out);
-    ScheduleReport report = AnalyzeSchedule(p, *ctx.trace_index);
+    const ScheduleReport& report = ctx.facts->schedule();
 
     // Access sets per BAT variable: the defining instruction writes, every
     // argument reference reads. (SSA means one writer per variable in a
@@ -224,7 +225,7 @@ class TraceClockMonotonicityCheck final : public Check {
 
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     Emitter emit(id(), out);
-    const TraceIndex& index = *ctx.trace_index;
+    const TraceIndex& index = ctx.facts->trace_index();
     struct Last {
       int64_t time_us = 0;
       int64_t event = -1;
@@ -267,7 +268,7 @@ class ScheduleSerializationCheck final : public Check {
 
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     Emitter emit(id(), out);
-    ScheduleReport report = AnalyzeSchedule(*ctx.program, *ctx.trace_index);
+    const ScheduleReport& report = ctx.facts->schedule();
     if (report.plan_width < 2) return;            // nothing to parallelize
     if (report.completed_executions < 2) return;  // too little evidence
     // A single admission slot in the trace means dop=1 was configured —

@@ -46,7 +46,7 @@ class MemoryBlowupCheck final : public Check {
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     const Program& p = *ctx.program;
     Emitter emit(id(), out);
-    MemoryReport report = AnalyzeMemory(p);
+    const MemoryReport& report = ctx.facts->memory();
     if (!report.bounded) {
       // Name the first unbounded range so the missing annotation is
       // actionable; without a bound, no budget comparison is meaningful.
@@ -124,8 +124,8 @@ class LiveRangeBloatCheck final : public Check {
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     const Program& p = *ctx.program;
     Emitter emit(id(), out);
-    MemoryReport report = AnalyzeMemory(p);
-    std::vector<std::vector<int>> deps = p.BuildDependencies();
+    const MemoryReport& report = ctx.facts->memory();
+    const std::vector<std::vector<int>>& deps = ctx.facts->deps();
     // Consumer pcs per variable, to find each register's second-to-last use.
     std::vector<std::vector<int>> use_pcs(p.num_variables());
     for (const mal::Instruction& ins : p.instructions()) {
@@ -266,7 +266,7 @@ class FootprintConformanceCheck final : public Check {
       }
     }
     int dop = std::max<int>(1, static_cast<int>(threads.size()));
-    MemoryReport report = AnalyzeMemory(p);
+    const MemoryReport& report = ctx.facts->memory();
     int64_t bound = ParallelPeakBound(p, report, dop);
     if (!report.bounded || bound == kUnboundedBytes) {
       emit.Emit(Severity::kNote, -1, -1,

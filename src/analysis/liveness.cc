@@ -192,6 +192,13 @@ int64_t EstimateResultBytes(const mal::Instruction& ins,
 }
 
 MemoryReport AnalyzeMemory(const mal::Program& program) {
+  std::vector<InstructionFacts> per_pc;
+  AnalyzeProgram(program, &per_pc);
+  return AnalyzeMemory(program, per_pc);
+}
+
+MemoryReport AnalyzeMemory(const mal::Program& program,
+                           const std::vector<InstructionFacts>& per_pc) {
   const size_t n = program.size();
   const size_t nvars = program.num_variables();
   MemoryReport report;
@@ -205,34 +212,33 @@ MemoryReport AnalyzeMemory(const mal::Program& program) {
   std::vector<int> last_use(nvars, -1);
   std::vector<int> consumers(nvars, 0);
 
-  // Forward absint sweep: footprint of every result register.
-  AnalyzeProgram(
-      program, [&](const mal::Instruction& ins, const InstructionFacts& facts) {
-        int64_t total = 0;
-        for (size_t k = 0; k < ins.results.size(); ++k) {
-          int v = ins.results[k];
-          if (v < 0 || static_cast<size_t>(v) >= nvars) continue;
-          const AbstractValue& val = k < facts.merged_results.size()
-                                         ? facts.merged_results[k]
-                                         : AbstractValue::Top();
-          int64_t bytes = EstimateResultBytes(ins, facts.args, val);
-          var_bytes[static_cast<size_t>(v)] = bytes;
-          var_card[static_cast<size_t>(v)] =
-              val.card.hi == Interval::kUnbounded ? Interval::kUnbounded
-                                                  : val.card.hi;
-          var_exact[static_cast<size_t>(v)] =
-              val.is_bat == Tri::kTrue && val.card.is_exact() ? 1 : 0;
-          def_pc[static_cast<size_t>(v)] = ins.pc;
-          total = SaturatingAddBytes(total, bytes);
-        }
-        if (static_cast<size_t>(ins.pc) < n) {
-          report.result_bytes[static_cast<size_t>(ins.pc)] = total;
-          if (ins.module == "sql" &&
-              (ins.function == "bind" || ins.function == "tid")) {
-            report.input_bytes = SaturatingAddBytes(report.input_bytes, total);
-          }
-        }
-      });
+  // Footprint of every result register, from the forward absint facts.
+  for (size_t pc = 0; pc < n && pc < per_pc.size(); ++pc) {
+    const mal::Instruction& ins = program.instruction(static_cast<int>(pc));
+    const InstructionFacts& facts = per_pc[pc];
+    int64_t total = 0;
+    for (size_t k = 0; k < ins.results.size(); ++k) {
+      int v = ins.results[k];
+      if (v < 0 || static_cast<size_t>(v) >= nvars) continue;
+      const AbstractValue& val = k < facts.merged_results.size()
+                                     ? facts.merged_results[k]
+                                     : AbstractValue::Top();
+      int64_t bytes = EstimateResultBytes(ins, facts.args, val);
+      var_bytes[static_cast<size_t>(v)] = bytes;
+      var_card[static_cast<size_t>(v)] =
+          val.card.hi == Interval::kUnbounded ? Interval::kUnbounded
+                                              : val.card.hi;
+      var_exact[static_cast<size_t>(v)] =
+          val.is_bat == Tri::kTrue && val.card.is_exact() ? 1 : 0;
+      def_pc[static_cast<size_t>(v)] = ins.pc;
+      total = SaturatingAddBytes(total, bytes);
+    }
+    report.result_bytes[pc] = total;
+    if (ins.module == "sql" &&
+        (ins.function == "bind" || ins.function == "tid")) {
+      report.input_bytes = SaturatingAddBytes(report.input_bytes, total);
+    }
+  }
 
   // Backward liveness (straight-line SSA: one reverse scan suffices).
   for (size_t pc = 0; pc < n; ++pc) {

@@ -92,6 +92,9 @@ struct MemoryReport {
 /// Runs the forward absint sweep + backward liveness and returns the
 /// per-range footprints and the sequential peak profile.
 MemoryReport AnalyzeMemory(const mal::Program& program);
+/// The same report built on an AnalyzeProgram sweep's per-pc facts.
+MemoryReport AnalyzeMemory(const mal::Program& program,
+                           const std::vector<InstructionFacts>& per_pc);
 
 /// Upper bound on the live-byte peak under ANY schedule the dataflow
 /// scheduler may choose with `dop` worker slots. Sound (never below the

@@ -1,7 +1,6 @@
 #include "analysis/runner.h"
 
 #include <algorithm>
-#include <optional>
 #include <tuple>
 #include <utility>
 
@@ -60,10 +59,14 @@ void Runner::Add(std::unique_ptr<Check> check) {
 }
 
 std::vector<Diagnostic> Runner::Run(const CheckContext& context) const {
-  // Every trace check reads one index, built once per lint.
+  const Facts facts(context.program, context.trace);
+  return Run(context, facts);
+}
+
+std::vector<Diagnostic> Runner::Run(const CheckContext& context,
+                                    const Facts& facts) const {
   CheckContext ctx = context;
-  std::optional<TraceIndex> index;
-  if (ctx.trace != nullptr) ctx.trace_index = &index.emplace(*ctx.trace);
+  ctx.facts = &facts;
   std::vector<Diagnostic> diagnostics;
   for (const std::unique_ptr<Check>& check : checks_) {
     if (!NeedsSatisfied(check->needs(), ctx)) continue;

@@ -27,8 +27,15 @@ class Runner {
 
   /// Runs every check whose needs() are satisfied by `context`; checks with
   /// missing inputs are skipped, not failed. Diagnostics come back sorted:
-  /// errors first, then by pc, check id, and variable.
+  /// errors first, then by pc, check id, and variable. The checks share one
+  /// Facts over the context's program and trace, built for this call.
   std::vector<Diagnostic> Run(const CheckContext& context) const;
+  /// The same lint over caller-owned `facts`, which must describe the
+  /// context's program and trace; afterwards the caller may read whatever
+  /// facts the checks computed (the optimizer derives its pass-equivalence
+  /// summary from them).
+  std::vector<Diagnostic> Run(const CheckContext& context,
+                              const Facts& facts) const;
 
   /// A Runner loaded with AllChecks().
   static Runner MakeDefault();

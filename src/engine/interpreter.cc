@@ -5,7 +5,6 @@
 #include <deque>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "common/logging.h"
@@ -416,10 +415,8 @@ Result<QueryResult> Interpreter::ExecuteInternal(
 
   int64_t run_start = clock->NowMicros();
 
-  int num_threads = options.num_threads > 0
-                        ? options.num_threads
-                        : static_cast<int>(std::thread::hardware_concurrency());
-  if (num_threads < 1) num_threads = 1;
+  int num_threads =
+      options.num_threads > 0 ? options.num_threads : DefaultDop();
 
   if (!options.use_dataflow || num_threads == 1 || program.size() <= 1) {
     // Sequential interpretation in plan order (valid: SSA implies defs

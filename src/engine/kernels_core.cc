@@ -684,9 +684,13 @@ Status DebugSleep(KernelArgs& a) {
 Status DebugSpin(KernelArgs& a) {
   STETHO_RETURN_IF_ERROR(ExpectArity(a, 1, 1));
   STETHO_ASSIGN_OR_RETURN(int64_t iters, ArgInt(a, 0));
-  volatile int64_t acc = 0;
-  for (int64_t i = 0; i < iters; ++i) acc = acc + i * 2654435761LL;
-  *a.results[0] = RegisterValue::Scalar(Value::Int(acc));
+  // Unsigned: the checksum wraps by design, which signed overflow may not.
+  volatile uint64_t acc = 0;
+  for (int64_t i = 0; i < iters; ++i) {
+    acc = acc + static_cast<uint64_t>(i) * 2654435761ULL;
+  }
+  *a.results[0] =
+      RegisterValue::Scalar(Value::Int(static_cast<int64_t>(acc)));
   return Status::OK();
 }
 

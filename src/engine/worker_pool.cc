@@ -1,6 +1,12 @@
 #include "engine/worker_pool.h"
 
+#include <sched.h>
+
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <fstream>
+#include <string>
 
 #include "common/clock.h"
 #include "common/logging.h"
@@ -20,7 +26,40 @@ std::atomic<bool>& SchedSelfCheckFlag() {
   return flag;
 }
 
+/// CPUs granted by the cgroup CPU quota of this process's cgroup as
+/// mounted at /sys/fs/cgroup, rounded up; 0 when no quota is set.
+int CgroupCpuQuota() {
+  int64_t quota = -1;
+  int64_t period = 0;
+  std::ifstream v2("/sys/fs/cgroup/cpu.max");  // "max 100000" or "50000 100000"
+  std::string first;
+  if (v2 >> first >> period) {
+    if (first != "max") quota = std::strtoll(first.c_str(), nullptr, 10);
+  } else {
+    for (const char* dir :
+         {"/sys/fs/cgroup/cpu", "/sys/fs/cgroup/cpu,cpuacct"}) {
+      std::ifstream q(std::string(dir) + "/cpu.cfs_quota_us");
+      std::ifstream p(std::string(dir) + "/cpu.cfs_period_us");
+      if (q >> quota && p >> period) break;
+      quota = -1;
+    }
+  }
+  if (quota <= 0 || period <= 0) return 0;
+  return static_cast<int>((quota + period - 1) / period);
+}
+
 }  // namespace
+
+int DefaultDop() {
+  int cpus = static_cast<int>(std::thread::hardware_concurrency());
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) cpus = CPU_COUNT(&mask);
+  // The quota cannot change under a running process; the mask can.
+  static const int quota = CgroupCpuQuota();
+  if (quota > 0) cpus = std::min(cpus, quota);
+  return std::max(1, cpus);
+}
 
 bool SchedSelfCheckEnabled() {
   return SchedSelfCheckFlag().load(std::memory_order_relaxed);

@@ -26,6 +26,12 @@ namespace stetho::engine {
 bool SchedSelfCheckEnabled();
 void SetSchedSelfCheck(bool enabled);
 
+/// The dop a query runs at when none is configured: the number of CPUs the
+/// calling thread may use, which is the smaller of its sched_getaffinity
+/// mask and the cgroup CPU quota (v2 `cpu.max`, v1 `cpu.cfs_quota_us` /
+/// `cpu.cfs_period_us`, rounded up), and at least 1.
+int DefaultDop();
+
 /// A persistent, process-wide pool of dataflow worker threads.
 ///
 /// Replaces the seed scheduler's thread-per-Execute model: workers are

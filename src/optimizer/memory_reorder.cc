@@ -13,13 +13,27 @@
 // fire".
 
 #include <algorithm>
+#include <functional>
+#include <queue>
+#include <utility>
 #include <vector>
 
+#include "analysis/absint.h"
 #include "analysis/liveness.h"
 #include "optimizer/pass.h"
 
 namespace stetho::optimizer {
 namespace {
+
+/// Moves the instruction at pc `from[i]` to pc i, for every i.
+void Permute(const std::vector<int>& from, mal::Program* program) {
+  std::vector<mal::Instruction> moved;
+  moved.reserve(from.size());
+  for (int pc : from) {
+    moved.push_back(std::move(program->mutable_instruction(pc)));
+  }
+  program->ReplaceInstructions(std::move(moved));
+}
 
 class MemoryReorderPass final : public Pass {
  public:
@@ -28,7 +42,13 @@ class MemoryReorderPass final : public Pass {
   Result<bool> Run(mal::Program* program) override {
     const size_t n = program->size();
     if (n < 3) return false;
-    analysis::MemoryReport before = analysis::AnalyzeMemory(*program);
+    // With every argument defined before its use, an instruction's absint
+    // facts are the same in any order that respects the dependencies, so
+    // the new order's memory report is built from these facts, permuted.
+    if (!program->Validate().ok()) return false;
+    std::vector<analysis::InstructionFacts> facts;
+    analysis::AnalyzeProgram(*program, &facts);
+    analysis::MemoryReport before = analysis::AnalyzeMemory(*program, facts);
     if (!before.bounded) return false;  // no finite objective to improve
 
     // Per-variable footprints and consumer counts.
@@ -70,68 +90,121 @@ class MemoryReorderPass final : public Pass {
     }
 
     // Greedy schedule: smallest net live-byte delta first, original pc as
-    // the deterministic tie break.
-    std::vector<int> remaining = consumers;
-    std::vector<int> ready;
+    // the deterministic tie break. An instruction's delta is its consumed
+    // results' bytes minus the bytes of every argument it is the last
+    // remaining reader of. Remaining counts only fall, so a delta only
+    // falls, and only when an argument's count drops to at most its
+    // occurrences in the instruction: just then are that argument's ready
+    // readers re-scored. Superseded heap entries are skipped on pop.
+    struct ArgUse {
+      int var = -1;
+      int occurrences = 0;
+    };
+    // Distinct arguments holding bytes (the only ones a delta can release):
+    // instruction pc's are uses[first_use[pc] .. first_use[pc + 1]).
+    std::vector<ArgUse> uses;
+    std::vector<size_t> first_use(n + 1, 0);
+    std::vector<int64_t> result_bytes(n, 0);
     for (size_t pc = 0; pc < n; ++pc) {
-      if (indegree[pc] == 0) ready.push_back(static_cast<int>(pc));
-    }
-    auto net_delta = [&](int pc) {
-      const mal::Instruction& ins = program->instruction(pc);
-      int64_t delta = 0;
+      const mal::Instruction& ins = program->instruction(static_cast<int>(pc));
       for (int r : ins.results) {
         if (r < 0 || static_cast<size_t>(r) >= nvars) continue;
         // Consumer-less results are released before the next instruction
         // runs, so they don't change the standing live set.
         if (consumers[static_cast<size_t>(r)] > 0) {
-          delta += var_bytes[static_cast<size_t>(r)];
+          result_bytes[pc] += var_bytes[static_cast<size_t>(r)];
         }
       }
-      std::vector<int> seen;
+      first_use[pc] = uses.size();
       for (const mal::Argument& a : ins.args) {
         if (a.kind != mal::Argument::Kind::kVar || a.var < 0 ||
-            static_cast<size_t>(a.var) >= nvars) {
+            static_cast<size_t>(a.var) >= nvars ||
+            var_bytes[static_cast<size_t>(a.var)] == 0) {
           continue;
         }
-        if (std::find(seen.begin(), seen.end(), a.var) != seen.end()) continue;
-        seen.push_back(a.var);
-        int occurrences = 0;
-        for (const mal::Argument& b : ins.args) {
-          if (b.kind == mal::Argument::Kind::kVar && b.var == a.var) {
-            occurrences++;
-          }
+        auto own = uses.begin() + static_cast<long>(first_use[pc]);
+        auto it = std::find_if(own, uses.end(), [&a](const ArgUse& u) {
+          return u.var == a.var;
+        });
+        if (it == uses.end()) {
+          uses.push_back(ArgUse{a.var, 1});
+        } else {
+          it->occurrences++;
         }
-        if (remaining[static_cast<size_t>(a.var)] <= occurrences) {
-          delta -= var_bytes[static_cast<size_t>(a.var)];
+      }
+    }
+    first_use[n] = uses.size();
+    // The readers of var v are readers[first_reader[v] .. first_reader[v+1]).
+    std::vector<int> max_occurrences(nvars, 0);
+    std::vector<size_t> first_reader(nvars + 1, 0);
+    for (const ArgUse& u : uses) {
+      first_reader[static_cast<size_t>(u.var) + 1]++;
+      int& most = max_occurrences[static_cast<size_t>(u.var)];
+      most = std::max(most, u.occurrences);
+    }
+    for (size_t v = 0; v < nvars; ++v) first_reader[v + 1] += first_reader[v];
+    std::vector<int> readers(uses.size());
+    std::vector<size_t> fill(first_reader.begin(), first_reader.end() - 1);
+    for (size_t pc = 0; pc < n; ++pc) {
+      for (size_t i = first_use[pc]; i < first_use[pc + 1]; ++i) {
+        readers[fill[static_cast<size_t>(uses[i].var)]++] =
+            static_cast<int>(pc);
+      }
+    }
+
+    std::vector<int> remaining = consumers;
+    auto net_delta = [&](int pc) {
+      int64_t delta = result_bytes[static_cast<size_t>(pc)];
+      for (size_t i = first_use[static_cast<size_t>(pc)];
+           i < first_use[static_cast<size_t>(pc) + 1]; ++i) {
+        if (remaining[static_cast<size_t>(uses[i].var)] <=
+            uses[i].occurrences) {
+          delta -= var_bytes[static_cast<size_t>(uses[i].var)];
         }
       }
       return delta;
     };
+    using Entry = std::pair<int64_t, int>;  // (delta, pc)
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> ready;
+    std::vector<int64_t> score(n, 0);
+    std::vector<char> is_ready(n, 0);
+    auto push = [&](int pc) {
+      score[static_cast<size_t>(pc)] = net_delta(pc);
+      ready.emplace(score[static_cast<size_t>(pc)], pc);
+    };
+    for (size_t pc = 0; pc < n; ++pc) {
+      if (indegree[pc] != 0) continue;
+      is_ready[pc] = 1;
+      push(static_cast<int>(pc));
+    }
     std::vector<int> order;
     order.reserve(n);
     while (!ready.empty()) {
-      size_t best = 0;
-      int64_t best_delta = net_delta(ready[0]);
-      for (size_t i = 1; i < ready.size(); ++i) {
-        int64_t d = net_delta(ready[i]);
-        if (d < best_delta || (d == best_delta && ready[i] < ready[best])) {
-          best = i;
-          best_delta = d;
-        }
+      auto [delta, pc] = ready.top();
+      ready.pop();
+      if (!is_ready[static_cast<size_t>(pc)] ||
+          delta != score[static_cast<size_t>(pc)]) {
+        continue;  // superseded by a re-score
       }
-      int pc = ready[best];
-      ready.erase(ready.begin() + static_cast<long>(best));
+      is_ready[static_cast<size_t>(pc)] = 0;
       order.push_back(pc);
-      const mal::Instruction& ins = program->instruction(pc);
-      for (const mal::Argument& a : ins.args) {
-        if (a.kind == mal::Argument::Kind::kVar && a.var >= 0 &&
-            static_cast<size_t>(a.var) < nvars &&
-            remaining[static_cast<size_t>(a.var)] > 0) {
-          remaining[static_cast<size_t>(a.var)]--;
+      for (size_t i = first_use[static_cast<size_t>(pc)];
+           i < first_use[static_cast<size_t>(pc) + 1]; ++i) {
+        const size_t v = static_cast<size_t>(uses[i].var);
+        remaining[v] = std::max(0, remaining[v] - uses[i].occurrences);
+        if (remaining[v] > max_occurrences[v]) continue;
+        for (size_t r = first_reader[v]; r < first_reader[v + 1]; ++r) {
+          const int reader = readers[r];
+          if (is_ready[static_cast<size_t>(reader)] &&
+              net_delta(reader) != score[static_cast<size_t>(reader)]) {
+            push(reader);
+          }
         }
       }
       for (int s : succ[static_cast<size_t>(pc)]) {
-        if (--indegree[static_cast<size_t>(s)] == 0) ready.push_back(s);
+        if (--indegree[static_cast<size_t>(s)] != 0) continue;
+        is_ready[static_cast<size_t>(s)] = 1;
+        push(s);
       }
     }
     if (order.size() != n) return false;  // cyclic deps: malformed plan
@@ -144,21 +217,25 @@ class MemoryReorderPass final : public Pass {
     }
     if (identity) return false;
 
-    std::vector<mal::Instruction> original = program->instructions();
-    std::vector<mal::Instruction> reordered;
-    reordered.reserve(n);
+    std::vector<analysis::InstructionFacts> reordered_facts;
+    reordered_facts.reserve(n);
     for (int pc : order) {
-      reordered.push_back(original[static_cast<size_t>(pc)]);
+      reordered_facts.push_back(std::move(facts[static_cast<size_t>(pc)]));
     }
-    program->ReplaceInstructions(std::move(reordered));
+    Permute(order, program);
 
     // Self-rejecting: the pass never ships a plan whose predicted peak is
     // not strictly smaller than what it started from.
-    analysis::MemoryReport after = analysis::AnalyzeMemory(*program);
+    analysis::MemoryReport after =
+        analysis::AnalyzeMemory(*program, reordered_facts);
     if (!after.bounded ||
         after.seq_peak_bytes >= before.seq_peak_bytes ||
         !program->Validate().ok()) {
-      program->ReplaceInstructions(std::move(original));
+      std::vector<int> inverse(n);
+      for (size_t i = 0; i < n; ++i) {
+        inverse[static_cast<size_t>(order[i])] = static_cast<int>(i);
+      }
+      Permute(inverse, program);
       return false;
     }
     return true;

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "analysis/absint.h"
+#include "analysis/facts.h"
 #include "analysis/runner.h"
 #include "common/string_util.h"
 #include "engine/kernel.h"
@@ -73,9 +74,9 @@ Result<std::vector<std::string>> Pipeline::Run(mal::Program* program) const {
   ctx.registry = engine::ModuleRegistry::Default();
   ctx.in_pipeline = true;
   // Pass-equivalence differ: abstract summary of what the plan outputs
-  // (analysis/absint.h), re-checked after every pass. A pass may refine the
-  // summary (folding, mitosis re-packing) but never contradict it — that
-  // would be a provable change of query results.
+  // (analysis/absint.h), re-checked after every pass that fired. A pass may
+  // refine the summary (folding, mitosis re-packing) but never contradict
+  // it — that would be a provable change of query results.
   analysis::PlanSummary summary = analysis::SummarizeObservable(*program);
   obs::Tracer* tracer = obs::Tracer::Default();
   // Counters are always on (one relaxed increment when a pass fires); the
@@ -93,15 +94,21 @@ Result<std::vector<std::string>> Pipeline::Run(mal::Program* program) const {
                                -1, t0, dur);
       }
     }
-    // Full lint after every pass (superset of the old Validate() call):
-    // a failure names the pass, the check, and the offending pc/variable.
+    // A pass that reports no change leaves the plan exactly as the last
+    // lint saw it (the optimized-plan golden test checks that contract),
+    // so only passes that fired are linted, plus the first, which covers
+    // the compiled input. The lint is a superset of Validate(): a failure
+    // names the pass, the check, and the offending pc/variable.
+    if (!changed && pass != passes_.front()) continue;
+    const analysis::Facts facts(program, nullptr);
     Status lint = analysis::DiagnosticsToStatus(
-        analysis::Runner::Default().Run(ctx),
+        analysis::Runner::Default().Run(ctx, facts),
         StrFormat("optimizer pass '%s' produced an invalid plan",
                   pass->name()));
     if (!lint.ok()) return DumpAndReturn(std::move(lint));
     if (changed) {
-      analysis::PlanSummary rewritten = analysis::SummarizeObservable(*program);
+      analysis::PlanSummary rewritten =
+          analysis::SummarizeObservable(*program, facts.instructions());
       Status equiv = analysis::CheckSummaryEquivalence(
           summary, rewritten, StrFormat("optimizer pass '%s'", pass->name()));
       if (!equiv.ok()) return DumpAndReturn(std::move(equiv));

@@ -15,7 +15,9 @@ class Pass {
  public:
   virtual ~Pass() = default;
   virtual const char* name() const = 0;
-  /// Rewrites `program` in place; returns true when anything changed.
+  /// Rewrites `program` in place; returns true when anything changed. A
+  /// pass that returns false must leave the plan untouched: the pipeline
+  /// does not re-lint it then.
   virtual Result<bool> Run(mal::Program* program) = 0;
 };
 
@@ -32,11 +34,14 @@ class Pipeline {
 
   void Add(std::unique_ptr<Pass> pass) { passes_.push_back(std::move(pass)); }
   size_t size() const { return passes_.size(); }
+  const std::vector<std::unique_ptr<Pass>>& passes() const { return passes_; }
 
   /// Runs all passes in order. Returns the names of passes that changed the
-  /// program. The program is re-linted with analysis::Runner::Default() after
-  /// every pass; an error diagnostic fails the pipeline with a Status naming
-  /// the pass, the check id, and the offending pc/variable.
+  /// program. The program is linted with analysis::Runner::Default() after
+  /// the first pass and after every pass that changed it (a pass that
+  /// reports no change must leave the plan untouched); an error diagnostic
+  /// fails the pipeline with a Status naming the pass, the check id, and
+  /// the offending pc/variable.
   Result<std::vector<std::string>> Run(mal::Program* program) const;
 
   /// MonetDB-like default pipeline: constant folding, common subexpression

@@ -10,6 +10,7 @@
 #include "analysis/perfdiff.h"
 #include "common/string_util.h"
 #include "dot/parser.h"
+#include "engine/worker_pool.h"
 #include "net/channel.h"
 #include "scope/mapping.h"
 
@@ -288,9 +289,8 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
   // diagnosis below is exactly what flags it.
   report.parallelism = DiagnoseParallelism(
       report.events,
-      server_->options().dop > 0
-          ? server_->options().dop
-          : static_cast<int>(std::thread::hardware_concurrency()));
+      server_->options().dop > 0 ? server_->options().dop
+                                 : engine::DefaultDop());
   report.final_progress = estimator->ratio();
   return report;
 }

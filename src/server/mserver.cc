@@ -95,9 +95,7 @@ Mserver::Mserver(storage::Catalog catalog, const MserverOptions& options)
   // Pre-warm the shared worker pool to the configured dop so the first
   // query never pays thread start-up inside its measured execution window.
   if (!options_.force_sequential) {
-    int dop = options_.dop > 0
-                  ? options_.dop
-                  : static_cast<int>(std::thread::hardware_concurrency());
+    int dop = options_.dop > 0 ? options_.dop : engine::DefaultDop();
     if (dop > 1) engine::WorkerPool::Default()->EnsureWorkers(dop);
   }
 }
@@ -307,10 +305,8 @@ Status Mserver::AdmitForMemory(const mal::Program& program) const {
 
   analysis::MemoryReport report = analysis::AnalyzeMemory(program);
   int dop = options_.force_sequential ? 1
-            : options_.dop > 0
-                ? options_.dop
-                : std::max(1, static_cast<int>(
-                                  std::thread::hardware_concurrency()));
+            : options_.dop > 0 ? options_.dop
+                               : engine::DefaultDop();
   int64_t predicted = analysis::ParallelPeakBound(program, report, dop);
   if (!report.bounded || predicted == analysis::kUnboundedBytes) {
     // The model cannot bound the plan (missing cardinality annotations);

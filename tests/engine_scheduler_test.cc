@@ -3,6 +3,7 @@
 // (the TSan target), trace-contract conformance under that concurrency, and
 // the abort-drain guarantee when a kernel fails mid-flight.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <set>
@@ -11,6 +12,7 @@
 
 #include "analysis/checks.h"
 #include "analysis/diagnostic.h"
+#include "analysis/facts.h"
 #include "common/clock.h"
 #include "engine/interpreter.h"
 #include "engine/kernel.h"
@@ -85,11 +87,11 @@ Program WidePlan() {
 
 std::vector<analysis::Diagnostic> ConformanceDiags(
     const Program& program, const std::vector<profiler::TraceEvent>& trace) {
-  const analysis::TraceIndex index(trace);
+  const analysis::Facts facts(&program, &trace);
   analysis::CheckContext ctx;
   ctx.program = &program;
   ctx.trace = &trace;
-  ctx.trace_index = &index;
+  ctx.facts = &facts;
   std::vector<analysis::Diagnostic> diags;
   analysis::MakeTraceConformanceCheck()->Run(ctx, &diags);
   return diags;
@@ -325,4 +327,25 @@ TEST(SchedSelfCheckTest, CleanRunPassesWithCheckEnabled) {
 }
 
 }  // namespace
+// The default dop is the CPUs the calling thread may run on, so a thread
+// pinned to one CPU defaults to sequential execution whatever the host's
+// core count.
+TEST(DefaultDopTest, FollowsTheAffinityMask) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_GE(engine::DefaultDop(), 1);
+  EXPECT_LE(engine::DefaultDop(), CPU_COUNT(&saved));
+
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const int pinned = engine::DefaultDop();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1);
+}
+
 }  // namespace stetho::engine

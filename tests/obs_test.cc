@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "analysis/checks.h"
+#include "analysis/facts.h"
 #include "common/clock.h"
 #include "engine/interpreter.h"
 #include "mal/program.h"
@@ -618,10 +619,10 @@ profiler::TraceEvent DoneEvent(int pc, int thread) {
 std::vector<analysis::Diagnostic> RunConformance(
     const std::vector<profiler::TraceEvent>& trace,
     const std::vector<SpanRecord>& spans) {
-  const analysis::TraceIndex index(trace);
+  const analysis::Facts facts(nullptr, &trace);
   analysis::CheckContext ctx;
   ctx.trace = &trace;
-  ctx.trace_index = &index;
+  ctx.facts = &facts;
   ctx.spans = &spans;
   std::vector<analysis::Diagnostic> out;
   analysis::MakeTraceSpanConformanceCheck()->Run(ctx, &out);

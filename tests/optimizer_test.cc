@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
+#include <iterator>
+#include <string>
+
+#include "common/string_util.h"
 #include "engine/interpreter.h"
 #include "mal/program.h"
 #include "optimizer/pass.h"
@@ -331,6 +337,71 @@ TEST(PipelineTest, BrokenPassFailsWithPassNameAndCheckId) {
   EXPECT_NE(msg.find("optimizer pass 'clobber'"), std::string::npos) << msg;
   EXPECT_NE(msg.find("ssa-def-before-use"), std::string::npos) << msg;
   EXPECT_NE(msg.find("pc="), std::string::npos) << msg;
+}
+
+// --- golden optimized plans ---
+
+uint64_t Fnv1a64(const std::string& text) {
+  uint64_t hash = 14695981039346656037ull;
+  for (unsigned char c : text) {
+    hash ^= c;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+// Every suite query through Pipeline::Default at three mitosis widths must
+// print exactly as recorded in tests/golden/optimized_plans.txt: a rewrite
+// of a pass (or of the pipeline's verification around it) may change how
+// fast a plan is optimized, never which plan comes out. The same sweep
+// checks the contract the pipeline's lint skip relies on: a pass whose Run
+// returns false leaves the plan text untouched.
+TEST(OptimizedPlanGoldenTest, DefaultPipelineOutputIsPinned) {
+  tpch::TpchConfig config;
+  config.scale_factor = 0.002;
+  auto cat = tpch::GenerateTpch(config);
+  ASSERT_TRUE(cat.ok());
+  std::string actual =
+      "# FNV-1a 64 of Program::ToString() after Pipeline::Default(m), "
+      "sf 0.002: query m hash\n";
+  for (const tpch::TpchQuery& query : tpch::TpchQueries()) {
+    for (int m : {0, 16, 128}) {
+      SCOPED_TRACE(query.id + " m=" + std::to_string(m));
+      auto base = sql::Compiler::CompileSql(&cat.value(), query.sql);
+      ASSERT_TRUE(base.ok()) << base.status().ToString();
+
+      Program optimized = base.value();
+      auto fired = Pipeline::Default(m).Run(&optimized);
+      ASSERT_TRUE(fired.ok()) << fired.status().ToString();
+      actual += StrFormat("%s %d %016llx\n", query.id.c_str(), m,
+                          static_cast<unsigned long long>(
+                              Fnv1a64(optimized.ToString())));
+
+      Program stepped = base.value();
+      Pipeline passes = Pipeline::Default(m);
+      for (const std::unique_ptr<Pass>& pass : passes.passes()) {
+        const std::string before = stepped.ToString();
+        auto changed = pass->Run(&stepped);
+        ASSERT_TRUE(changed.ok()) << pass->name();
+        if (!changed.value()) {
+          EXPECT_EQ(stepped.ToString(), before)
+              << pass->name() << " reported no change but rewrote the plan";
+        }
+      }
+      EXPECT_EQ(stepped.ToString(), optimized.ToString());
+    }
+  }
+  const std::string golden_path =
+      std::string(STETHO_TESTS_DIR) + "/golden/optimized_plans.txt";
+  std::ifstream in(golden_path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden file " << golden_path
+                         << "; actual output:\n"
+                         << actual;
+  const std::string golden((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  EXPECT_EQ(actual, golden) << "optimized plans diverged from " << golden_path
+                            << "; actual output:\n"
+                            << actual;
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include "analysis/checks.h"
 #include "analysis/perfdiff.h"
+#include "analysis/runner.h"
 #include "mal/parser.h"
 #include "obs/profile_store.h"
 #include "scope/trace.h"
@@ -306,6 +307,20 @@ class PerfdiffExampleTest : public ::testing::Test {
   mal::Program program_;
   std::vector<TraceEvent> trace_;
 };
+
+// The three happens-before checks read one replay per lint, not one each.
+TEST_F(PerfdiffExampleTest, DefaultLintReplaysTheScheduleOnce) {
+  CheckContext ctx;
+  ctx.program = &program_;
+  ctx.trace = &trace_;
+  obs::Registry* registry = obs::Registry::Default();
+  Runner::Default().Run(ctx);  // registers the counter
+  const int64_t replays =
+      registry->CounterValue("stetho_hb_replays_total").value();
+  Runner::Default().Run(ctx);
+  EXPECT_EQ(registry->CounterValue("stetho_hb_replays_total").value(),
+            replays + 1);
+}
 
 TEST_F(PerfdiffExampleTest, PlanAndTraceShapeHashesAgree) {
   const uint64_t plan_hash = PlanShapeHash(program_);
