@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/string_util.h"
+#include "engine/kernel.h"
 
 namespace stetho::analysis {
 namespace {
@@ -10,6 +11,11 @@ namespace {
 using mal::Argument;
 using mal::Instruction;
 using mal::Program;
+
+const KernelSignature* SignatureOf(const Instruction& ins) {
+  return engine::ModuleRegistry::Default()->Signature(ins.module,
+                                                      ins.function);
+}
 
 /// Per-result shape defaults from the signature's result kinds. Transfer
 /// functions refine these; kernels without a transfer still get their
@@ -92,8 +98,7 @@ std::vector<AbstractValue> EvalInstruction(const Program& program,
   for (const Argument& a : ins.args) {
     args.push_back(ArgOperandValue(state, a));
   }
-  return EvalWithArgs(program, ins,
-                      LookupKernelSignature(ins.module, ins.function), args);
+  return EvalWithArgs(program, ins, SignatureOf(ins), args);
 }
 
 AbstractState AnalyzeProgram(const Program& program,
@@ -108,7 +113,7 @@ AbstractState AnalyzeProgram(const Program& program,
   // forward pass in pc order is the fixpoint.
   for (const Instruction& ins : program.instructions()) {
     InstructionFacts facts;
-    facts.sig = LookupKernelSignature(ins.module, ins.function);
+    facts.sig = SignatureOf(ins);
     facts.args.reserve(ins.args.size());
     for (const Argument& a : ins.args) {
       facts.args.push_back(ArgOperandValue(state, a));

@@ -13,11 +13,12 @@
 namespace stetho::analysis {
 
 /// Abstract interpreter over MAL plans: assigns every SSA register an
-/// AbstractValue (analysis/domain.h) by running the per-kernel transfer
-/// functions registered in the signature table (analysis/signatures.cc) over
-/// the plan in pc order. Plans are straight-line SSA, so one forward pass
-/// reaches the fixpoint. The results feed the absint-based lint checks
-/// (checks_absint.cc) and the optimizer's pass-equivalence differ.
+/// AbstractValue (analysis/domain.h) by running the transfer functions the
+/// built-in kernels register with their signatures
+/// (engine::ModuleRegistry::Default()) over the plan in pc order. Plans
+/// are straight-line SSA, so one forward pass reaches the fixpoint. The
+/// results feed the absint-based lint checks (checks_absint.cc) and the
+/// optimizer's pass-equivalence differ.
 
 /// One abstract value per program variable, indexed by variable id.
 /// Registers no instruction assigns stay bottom (defined == false).
@@ -43,7 +44,8 @@ std::vector<AbstractValue> EvalInstruction(const mal::Program& program,
 /// `merged_results` is what the state records: the raw transfer result
 /// refined by each result's declared type and cardinality annotation.
 struct InstructionFacts {
-  /// The kernel's signature-table entry; nullptr for extension kernels.
+  /// The kernel's registered signature; nullptr for unknown operations and
+  /// extension kernels.
   const KernelSignature* sig = nullptr;
   std::vector<AbstractValue> args;
   std::vector<AbstractValue> raw_results;

@@ -15,7 +15,8 @@ namespace stetho::analysis {
 ///   ssa-single-assignment   every variable has at most one defining pc
 ///   dead-instruction        pure instruction whose results are never read
 ///   kernel-signature        op exists; arity and BAT/scalar shapes match the
-///                           kernel table (and the ModuleRegistry when given)
+///                           kernel's registered signature (the op must be
+///                           in the ModuleRegistry when one is given)
 ///   bat-lifetime            BAT registers produced by effectful instructions
 ///                           are consumed by someone (plan-only; the trace
 ///                           ordering half lives in
@@ -55,7 +56,7 @@ namespace stetho::analysis {
 ///                               is fully serial (program + trace)
 ///
 /// Abstract-interpretation checks (analysis/absint.h over the transfer
-/// functions in analysis/signatures.cc; all need a mal::Program):
+/// functions the kernels register; all need a mal::Program):
 ///   type-flow                   computed element types match declarations
 ///                               and per-slot type constraints (strings,
 ///                               booleans, append/pack homogeneity)

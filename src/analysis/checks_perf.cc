@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,16 +24,12 @@ constexpr int kMaxDetailed = 8;
 // ---------------------------------------------------------------------------
 
 /// Compares a recorded trace against the stored cross-run baseline of the
-/// same plan shape. A pc regresses when BOTH hold:
-///   - ratio: observed / median >= 1.5 (warning) or >= 2.0 (error), and
-///   - delta: observed - median >= max(4 * MAD, 10us).
-/// The AND keeps the check quiet on re-recordings of an unchanged workload:
-/// the store's bucket-center quantiles are within ~4.5%, far below the 1.5x
-/// gate, and the MAD/floor term absorbs timer jitter on microsecond-scale
-/// kernels. End-to-end makespan gets the same treatment against the
-/// total_usec distribution, so a whole-query slowdown with no single guilty
-/// pc still fires. No baseline for the shape is a note — a fresh plan shape
-/// is information, not a failure.
+/// same plan shape. A pc regresses by obs::RegressionRatio, as a warning,
+/// or as an error from obs::kRegressionErrorRatio on. End-to-end makespan
+/// gets the same treatment against the total_usec distribution, so a
+/// whole-query slowdown with no single guilty pc still fires. No baseline
+/// for the shape is a note — a fresh plan shape is information, not a
+/// failure.
 class TracePerfRegressionCheck final : public Check {
  public:
   const char* id() const override { return "trace-perf-regression"; }
@@ -140,19 +137,17 @@ class TracePerfRegressionCheck final : public Check {
   }
 
  private:
-  /// Both gates (ratio x absolute delta) as documented on the class.
   static bool Regresses(int64_t observed_usec, const obs::RobustStat& stat,
                         Severity* severity, std::string* detail) {
     const double median = stat.Median();
     const double mad = stat.Mad();
-    const double floor = std::max(4.0 * mad, 10.0);
-    const double observed = static_cast<double>(observed_usec);
-    if (observed - median < floor) return false;
-    const double ratio = observed / std::max(1.0, median);
-    if (ratio < 1.5) return false;
-    *severity = ratio >= 2.0 ? Severity::kError : Severity::kWarning;
+    const std::optional<double> ratio =
+        obs::RegressionRatio(observed_usec, median, mad);
+    if (!ratio.has_value()) return false;
+    *severity = *ratio >= obs::kRegressionErrorRatio ? Severity::kError
+                                                     : Severity::kWarning;
     *detail = StrFormat("median %.0fus (MAD %.0fus, %.2fx)", median, mad,
-                        ratio);
+                        *ratio);
     return true;
   }
 };

@@ -146,4 +146,53 @@ std::string AbstractValue::ToString() const {
   return out;
 }
 
+const AbstractValue& Arg(const TransferContext& ctx, size_t i) {
+  static const AbstractValue& top = *new AbstractValue(AbstractValue::Top());
+  if (ctx.args == nullptr || i >= ctx.args->size()) return top;
+  return (*ctx.args)[i];
+}
+
+bool ConstInt(const TransferContext& ctx, size_t i, int64_t* out) {
+  const AbstractValue& v = Arg(ctx, i);
+  if (!v.constant.has_value()) return false;
+  auto r = v.constant->ToInt();
+  if (!r.ok()) return false;
+  *out = r.value();
+  return true;
+}
+
+Interval ZipCard(const TransferContext& ctx) {
+  bool any = false;
+  Interval meet = Interval::Unknown();
+  Interval hull{Interval::kUnbounded, 0};
+  for (size_t i = 0; ctx.args != nullptr && i < ctx.args->size(); ++i) {
+    const AbstractValue& v = (*ctx.args)[i];
+    if (!v.defined || v.is_bat != Tri::kTrue) continue;
+    meet = meet.Meet(v.card);
+    hull = any ? hull.Join(v.card) : v.card;
+    any = true;
+  }
+  if (!any) return Interval::Unknown();
+  return meet.lo <= meet.hi ? meet : hull;
+}
+
+DataType ArithElem(const TransferContext& ctx, bool is_div) {
+  if (is_div) return DataType::kDouble;
+  bool all_known = true;
+  for (size_t i = 0; ctx.args != nullptr && i < ctx.args->size(); ++i) {
+    const AbstractValue& v = (*ctx.args)[i];
+    if (v.elem == DataType::kDouble) return DataType::kDouble;
+    if (!v.elem_known()) all_known = false;
+  }
+  return all_known ? DataType::kInt64 : DataType::kNull;
+}
+
+Tri PropagatedNullable(const TransferContext& ctx) {
+  Tri out = Tri::kFalse;
+  for (size_t i = 0; ctx.args != nullptr && i < ctx.args->size(); ++i) {
+    out = TriOr(out, (*ctx.args)[i].nullable);
+  }
+  return out;
+}
+
 }  // namespace stetho::analysis

@@ -118,11 +118,39 @@ struct TransferContext {
 };
 
 /// Refines the per-result abstract values (pre-seeded with the signature's
-/// generic shape defaults) for one kernel. Registered alongside the shape
-/// entries in analysis/signatures.cc so the shape table and the transfer
-/// table stay one table.
+/// generic shape defaults) for one kernel. Each kernel registers its
+/// transfer function with its signature, beside its implementation in
+/// src/engine/kernels_*.cc, and must keep it SOUND: every fact it asserts
+/// (element type, cardinality interval, NULL-freedom, ascending order) must
+/// hold for the value the kernel actually produces. The checks built on top
+/// (type-flow, cardinality-contradiction, the pass-equivalence differ)
+/// treat a violated fact as a provable bug, so optimism in a transfer
+/// function becomes false positives there.
 using AbstractTransferFn = void (*)(const TransferContext& ctx,
                                     std::vector<AbstractValue>* results);
+
+/// --- Helpers shared by transfer functions ---
+
+/// Argument i's abstract value; Top when the instruction has fewer.
+const AbstractValue& Arg(const TransferContext& ctx, size_t i);
+
+/// Constant argument i coerced to int64, when statically known.
+bool ConstInt(const TransferContext& ctx, size_t i, int64_t* out);
+
+/// Meet of the cardinalities of all BAT arguments (batcalc zip semantics:
+/// at run time they are all the same size, so the true count lies in every
+/// argument's interval). Falls back to the join hull when the meet is empty
+/// (contradictory plans — the cardinality-contradiction check reports it).
+Interval ZipCard(const TransferContext& ctx);
+
+/// Numeric promotion shared by calc./batcalc. arithmetic: double if the
+/// operation is a division or any operand is a double; int64 once every
+/// operand type is known non-double; unknown otherwise.
+storage::DataType ArithElem(const TransferContext& ctx, bool is_div);
+
+/// kFalse only when every operand is provably NULL-free; NULLs propagate
+/// through arithmetic and comparisons.
+Tri PropagatedNullable(const TransferContext& ctx);
 
 }  // namespace stetho::analysis
 

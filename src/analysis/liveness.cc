@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,38 +34,6 @@ int64_t NextPow2(int64_t n) {
     c <<= 1;
   }
   return c;
-}
-
-/// Kernels whose output column capacity equals its size: they either
-/// Reserve the exact row count up front (projection/sort/pack/batcalc/
-/// group/aggr) or build via Slice / MakeOidRange, which size exactly.
-/// Everything else (selects, joins, bat.append, unknown extensions) is
-/// modeled with power-of-two append growth.
-bool HasExactCapacity(const mal::Instruction& ins) {
-  if (ins.module == "batcalc" || ins.module == "group" ||
-      ins.module == "aggr" || ins.module == "mat") {
-    return true;
-  }
-  if (ins.module == "sql") return ins.function == "tid" || ins.function == "bind";
-  if (ins.module == "bat") {
-    return ins.function == "mirror" || ins.function == "densebat" ||
-           ins.function == "partition";
-  }
-  if (ins.module == "algebra") {
-    return ins.function == "projection" || ins.function == "sort" ||
-           ins.function == "slice" || ins.function == "firstn";
-  }
-  return false;
-}
-
-/// Constant int64 operand value, or nullopt.
-std::optional<int64_t> ConstIntArg(const mal::Instruction& ins, size_t idx) {
-  if (idx >= ins.args.size()) return std::nullopt;
-  const mal::Argument& a = ins.args[idx];
-  if (a.kind != mal::Argument::Kind::kConst) return std::nullopt;
-  auto v = a.constant.ToInt();
-  if (!v.ok()) return std::nullopt;
-  return v.value();
 }
 
 /// Dinic max-flow over a small static graph. Capacities are byte counts;
@@ -156,28 +123,14 @@ int64_t SaturatingAddBytes(int64_t a, int64_t b) {
   return a + b;
 }
 
-int64_t EstimateResultBytes(const mal::Instruction& ins,
-                            const std::vector<AbstractValue>& args,
+int64_t EstimateResultBytes(const KernelSignature* sig,
                             const AbstractValue& value) {
   if (value.is_bat != Tri::kTrue) return 0;  // scalars are negligible
   int64_t hi = value.card.hi;
-  // bat.partition deliberately keeps the whole-input interval in the
-  // abstract domain (signatures.cc); for bytes the ceil(|input|/pieces)
-  // slice is what the kernel materializes, and without it every mitosis
-  // piece would be charged the full table.
-  if (ins.module == "bat" && ins.function == "partition") {
-    std::optional<int64_t> pieces = ConstIntArg(ins, 1);
-    int64_t in_hi =
-        args.empty() ? Interval::kUnbounded : args[0].card.hi;
-    if (pieces && *pieces > 0 && in_hi != Interval::kUnbounded) {
-      hi = (in_hi + *pieces - 1) / *pieces;
-    } else {
-      hi = in_hi;
-    }
-  }
   if (hi == Interval::kUnbounded) return kUnboundedBytes;
   if (hi < 0) hi = 0;
-  int64_t capacity = HasExactCapacity(ins) ? hi : NextPow2(hi);
+  int64_t capacity =
+      sig != nullptr && sig->exact_capacity ? hi : NextPow2(hi);
   int64_t bytes = 0;
   if (value.elem == DataType::kString) {
     // Element costs are per stored row (size), the null mask per capacity.
@@ -223,7 +176,7 @@ MemoryReport AnalyzeMemory(const mal::Program& program,
       const AbstractValue& val = k < facts.merged_results.size()
                                      ? facts.merged_results[k]
                                      : AbstractValue::Top();
-      int64_t bytes = EstimateResultBytes(ins, facts.args, val);
+      int64_t bytes = EstimateResultBytes(facts.sig, val);
       var_bytes[static_cast<size_t>(v)] = bytes;
       var_card[static_cast<size_t>(v)] =
           val.card.hi == Interval::kUnbounded ? Interval::kUnbounded

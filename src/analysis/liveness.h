@@ -44,13 +44,12 @@ inline constexpr int64_t kUnboundedBytes = 0x7fffffffffffffff;
 int64_t SaturatingAddBytes(int64_t a, int64_t b);
 
 /// Upper bound on the bytes Column::MemoryBytes() can report for a BAT
-/// described by `value`, defined by instruction `ins` whose argument facts
-/// are `args`. Scalars cost 0; an unbounded cardinality costs
-/// kUnboundedBytes. The defining kernel decides the capacity model
-/// (exact Reserve vs power-of-two append growth) and bat.partition is
-/// special-cased to its ceil(|input| / pieces) slice.
-int64_t EstimateResultBytes(const mal::Instruction& ins,
-                            const std::vector<AbstractValue>& args,
+/// described by `value`, produced by a kernel with signature `sig`
+/// (nullptr for kernels without one). Scalars cost 0; an unbounded
+/// cardinality costs kUnboundedBytes. The signature's exact_capacity
+/// decides the capacity model (exact Reserve vs power-of-two append
+/// growth; the latter without a signature).
+int64_t EstimateResultBytes(const KernelSignature* sig,
                             const AbstractValue& value);
 
 /// One BAT register's live range and modeled footprint.

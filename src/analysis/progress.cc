@@ -43,30 +43,6 @@ int64_t CapBytes(int64_t bytes) {
   return std::min(bytes, kWeightByteCap);
 }
 
-/// Calibrated per-kernel cost factor over the modeled bytes. Kernels differ
-/// sharply in work per byte touched on this engine: sql/bat/language
-/// kernels return views or metadata (near-zero per byte — sql.bind hands
-/// out the stored column, bat.partition slices it), projection and sort
-/// are memory-bound gathers, partial aggregates touch mostly group ids,
-/// while select/group/arith/pack do per-value work. Without the factor the
-/// progress bar jumps to ~50% while the binds land and the ETA collapses
-/// (measured 3x under on examples/c4_q1); with it the weight tracks
-/// wall-clock within the 2x acceptance band (EXPERIMENTS § PIPE). The
-/// ~100x spread between view and compute kernels matters, the exact
-/// constants do not.
-double KernelCostFactor(const mal::Instruction& ins) {
-  if (ins.module == "sql" || ins.module == "bat" ||
-      ins.module == "language") {
-    return 0.01;
-  }
-  if (ins.module == "algebra" &&
-      (ins.function == "projection" || ins.function == "sort")) {
-    return 0.05;
-  }
-  if (ins.module == "aggr") return 0.2;
-  return 1.0;
-}
-
 /// "815us" / "1.2ms" / "3.4s" — scoreboard-sized durations.
 std::string FormatUsec(int64_t usec) {
   if (usec < 1000) return StrFormat("%lldus", static_cast<long long>(usec));
@@ -83,7 +59,9 @@ std::shared_ptr<const ProgressModel> ProgressModel::Build(
   model->weight_.assign(n, 1.0);
   model->deps_ = program.BuildDependencies();
 
-  MemoryReport report = AnalyzeMemory(program);
+  std::vector<InstructionFacts> facts;
+  AnalyzeProgram(program, &facts);
+  MemoryReport report = AnalyzeMemory(program, facts);
   std::vector<int64_t> var_bytes(program.num_variables(), 0);
   for (const LiveRange& range : report.ranges) {
     if (range.var >= 0 &&
@@ -102,10 +80,12 @@ std::shared_ptr<const ProgressModel> ProgressModel::Build(
       }
     }
     // 1 KiB of modeled traffic ~ one unit of per-value work (scaled by the
-    // kernel's calibrated cost factor); the +1 keeps metadata-only
-    // instructions visible in the denominator.
+    // kernel's calibrated cost factor; kernels without a signature count
+    // as per-value work); the +1 keeps metadata-only instructions visible
+    // in the denominator.
+    const KernelSignature* sig = facts[pc].sig;
     model->weight_[pc] = 1.0 + static_cast<double>(bytes) / 1024.0 *
-                                   KernelCostFactor(ins);
+                                   (sig != nullptr ? sig->cost_factor : 1.0);
     model->total_weight_ += model->weight_[pc];
   }
 

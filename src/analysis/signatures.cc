@@ -1,682 +1,6 @@
 #include "analysis/signatures.h"
 
-#include <algorithm>
-#include <map>
-
 namespace stetho::analysis {
-namespace {
-
-constexpr ValueKind kAny = ValueKind::kAny;
-constexpr ValueKind kScalar = ValueKind::kScalar;
-constexpr ValueKind kBat = ValueKind::kBat;
-
-using storage::DataType;
-using storage::Value;
-
-// ---------------------------------------------------------------------------
-// Transfer functions. Each mirrors the runtime semantics of one kernel in
-// src/engine/kernels_*.cc and must stay SOUND: every fact it asserts
-// (element type, cardinality interval, NULL-freedom, ascending order) must
-// hold for the value the kernel actually produces. The checks built on top
-// (type-flow, cardinality-contradiction, the pass-equivalence differ) treat
-// a violated fact as a provable bug, so optimism here becomes false
-// positives there.
-// ---------------------------------------------------------------------------
-
-const AbstractValue& Arg(const TransferContext& ctx, size_t i) {
-  static const AbstractValue& top = *new AbstractValue(AbstractValue::Top());
-  if (ctx.args == nullptr || i >= ctx.args->size()) return top;
-  return (*ctx.args)[i];
-}
-
-/// Constant argument i coerced to int64, when statically known.
-bool ConstInt(const TransferContext& ctx, size_t i, int64_t* out) {
-  const AbstractValue& v = Arg(ctx, i);
-  if (!v.constant.has_value()) return false;
-  auto r = v.constant->ToInt();
-  if (!r.ok()) return false;
-  *out = r.value();
-  return true;
-}
-
-/// Meet of the cardinalities of all BAT arguments (batcalc zip semantics:
-/// at run time they are all the same size, so the true count lies in every
-/// argument's interval). Falls back to the join hull when the meet is empty
-/// (contradictory plans — the cardinality-contradiction check reports it).
-Interval ZipCard(const TransferContext& ctx) {
-  bool any = false;
-  Interval meet = Interval::Unknown();
-  Interval hull{Interval::kUnbounded, 0};
-  for (size_t i = 0; ctx.args != nullptr && i < ctx.args->size(); ++i) {
-    const AbstractValue& v = (*ctx.args)[i];
-    if (!v.defined || v.is_bat != Tri::kTrue) continue;
-    meet = meet.Meet(v.card);
-    hull = any ? hull.Join(v.card) : v.card;
-    any = true;
-  }
-  if (!any) return Interval::Unknown();
-  return meet.lo <= meet.hi ? meet : hull;
-}
-
-/// Numeric promotion shared by calc./batcalc. arithmetic: double if the
-/// operation is a division or any operand is a double; int64 once every
-/// operand type is known non-double; unknown otherwise.
-DataType ArithElem(const TransferContext& ctx, bool is_div) {
-  if (is_div) return DataType::kDouble;
-  bool all_known = true;
-  for (size_t i = 0; ctx.args != nullptr && i < ctx.args->size(); ++i) {
-    const AbstractValue& v = (*ctx.args)[i];
-    if (v.elem == DataType::kDouble) return DataType::kDouble;
-    if (!v.elem_known()) all_known = false;
-  }
-  return all_known ? DataType::kInt64 : DataType::kNull;
-}
-
-/// kFalse only when every operand is provably NULL-free; NULLs propagate
-/// through arithmetic and comparisons.
-Tri PropagatedNullable(const TransferContext& ctx) {
-  Tri out = Tri::kFalse;
-  for (size_t i = 0; ctx.args != nullptr && i < ctx.args->size(); ++i) {
-    out = TriOr(out, (*ctx.args)[i].nullable);
-  }
-  return out;
-}
-
-void TransferDensebat(const TransferContext& ctx,
-                      std::vector<AbstractValue>* r) {
-  if (r->size() != 1) return;
-  AbstractValue& out = (*r)[0];
-  out.elem = DataType::kOid;
-  out.sorted = Tri::kTrue;
-  out.nullable = Tri::kFalse;
-  int64_t n = 0;
-  if (ConstInt(ctx, 0, &n)) out.card = Interval::Exact(std::max<int64_t>(0, n));
-}
-
-void TransferMirror(const TransferContext& ctx,
-                    std::vector<AbstractValue>* r) {
-  if (r->size() != 1) return;
-  AbstractValue& out = (*r)[0];
-  out.elem = DataType::kOid;
-  out.sorted = Tri::kTrue;
-  out.nullable = Tri::kFalse;
-  const AbstractValue& in = Arg(ctx, 0);
-  if (in.defined && in.is_bat == Tri::kTrue) out.card = in.card;
-}
-
-void TransferPartition(const TransferContext& ctx,
-                       std::vector<AbstractValue>* r) {
-  if (r->size() != 1) return;
-  AbstractValue& out = (*r)[0];
-  const AbstractValue& in = Arg(ctx, 0);
-  out.elem = in.elem;
-  out.sorted = in.sorted;
-  out.nullable = in.nullable;
-  // A piece holds between 0 and ceil(n / pieces) of the input's rows: the
-  // kernel slices [n*i/p, n*(i+1)/p), and no such slice exceeds the ceiling.
-  // The lower bound stays 0 (the exact split n*(i+1)/p - n*i/p is
-  // deliberately not used: it would prove tiny pieces empty and drown
-  // small-table plans in guaranteed-empty warnings). The ceiling matters for
-  // the memory model: without it every piece is bounded by the FULL input,
-  // and mat.pack's sum inflates downstream cardinalities by the piece count.
-  out.card = Interval{0, in.card.hi};
-  int64_t pieces = 0;
-  if (ConstInt(ctx, 1, &pieces) && pieces > 0 &&
-      in.card.hi != Interval::kUnbounded) {
-    out.card.hi = (in.card.hi + pieces - 1) / pieces;
-  }
-}
-
-void TransferAppend(const TransferContext& ctx,
-                    std::vector<AbstractValue>* r) {
-  if (r->size() != 1) return;
-  AbstractValue& out = (*r)[0];
-  const AbstractValue& x = Arg(ctx, 0);
-  const AbstractValue& y = Arg(ctx, 1);
-  if (x.elem_known() && x.elem == y.elem) out.elem = x.elem;
-  out.card = Interval::SaturatingAdd(x.card, y.card);
-  out.nullable = TriOr(x.nullable, y.nullable);
-}
-
-void TransferPack(const TransferContext& ctx, std::vector<AbstractValue>* r) {
-  if (r->size() != 1 || ctx.args == nullptr || ctx.args->empty()) return;
-  AbstractValue& out = (*r)[0];
-  DataType elem = (*ctx.args)[0].elem;
-  Interval card = Interval::Exact(0);
-  Tri nullable = Tri::kFalse;
-  for (const AbstractValue& v : *ctx.args) {
-    if (v.elem != elem) elem = DataType::kNull;
-    card = Interval::SaturatingAdd(card, v.card);
-    nullable = TriOr(nullable, v.nullable);
-  }
-  out.elem = elem;
-  out.card = card;
-  out.nullable = nullable;
-}
-
-template <bool kIsDiv>
-void TransferArith(const TransferContext& ctx, std::vector<AbstractValue>* r) {
-  if (r->size() != 1) return;
-  AbstractValue& out = (*r)[0];
-  out.elem = ArithElem(ctx, kIsDiv);
-  // x/0 yields NULL, so division is never provably NULL-free.
-  out.nullable = kIsDiv ? Tri::kUnknown : PropagatedNullable(ctx);
-  if (out.is_bat == Tri::kTrue) out.card = ZipCard(ctx);
-}
-
-void TransferCompare(const TransferContext& ctx,
-                     std::vector<AbstractValue>* r) {
-  if (r->size() != 1) return;
-  AbstractValue& out = (*r)[0];
-  out.elem = DataType::kBool;
-  out.nullable = PropagatedNullable(ctx);
-  if (out.is_bat == Tri::kTrue) out.card = ZipCard(ctx);
-}
-
-void TransferCast(DataType to, const TransferContext& ctx,
-                  std::vector<AbstractValue>* r) {
-  if (r->size() != 1) return;
-  AbstractValue& out = (*r)[0];
-  out.elem = to;
-  out.nullable = Arg(ctx, 0).nullable;
-}
-
-void TransferCastLng(const TransferContext& ctx,
-                     std::vector<AbstractValue>* r) {
-  TransferCast(DataType::kInt64, ctx, r);
-}
-void TransferCastDbl(const TransferContext& ctx,
-                     std::vector<AbstractValue>* r) {
-  TransferCast(DataType::kDouble, ctx, r);
-}
-void TransferCastStr(const TransferContext& ctx,
-                     std::vector<AbstractValue>* r) {
-  TransferCast(DataType::kString, ctx, r);
-}
-
-void TransferIfthenelse(const TransferContext& ctx,
-                        std::vector<AbstractValue>* r) {
-  if (r->size() != 1) return;
-  AbstractValue& out = (*r)[0];
-  const AbstractValue& t = Arg(ctx, 1);
-  const AbstractValue& e = Arg(ctx, 2);
-  if (t.elem == DataType::kDouble || e.elem == DataType::kDouble) {
-    out.elem = DataType::kDouble;  // either branch widens the result
-  } else if (t.elem_known() && e.elem_known()) {
-    out.elem = t.elem;
-  }
-  out.nullable = PropagatedNullable(ctx);
-  out.card = ZipCard(ctx);
-}
-
-void TransferLike(const TransferContext& ctx, std::vector<AbstractValue>* r) {
-  if (r->size() != 1) return;
-  AbstractValue& out = (*r)[0];
-  out.elem = DataType::kBool;
-  const AbstractValue& in = Arg(ctx, 0);
-  out.nullable = in.nullable;
-  if (in.defined && in.is_bat == Tri::kTrue) out.card = in.card;
-}
-
-/// select / thetaselect / likeselect: a subsequence of the candidate list
-/// (arg 1) restricted to positions of the value column (arg 0).
-void TransferSelect(const TransferContext& ctx,
-                    std::vector<AbstractValue>* r) {
-  if (r->size() != 1) return;
-  AbstractValue& out = (*r)[0];
-  out.elem = DataType::kOid;
-  out.nullable = Tri::kFalse;
-  const AbstractValue& col = Arg(ctx, 0);
-  const AbstractValue& cand = Arg(ctx, 1);
-  out.card = Interval{0, std::min(cand.card.hi, col.card.hi)};
-  // A subsequence preserves the candidate list's order.
-  out.sorted = cand.sorted;
-}
-
-void TransferSelectmask(const TransferContext& ctx,
-                        std::vector<AbstractValue>* r) {
-  if (r->size() != 1) return;
-  AbstractValue& out = (*r)[0];
-  out.elem = DataType::kOid;
-  out.nullable = Tri::kFalse;
-  const AbstractValue& cand = Arg(ctx, 0);
-  const AbstractValue& mask = Arg(ctx, 1);
-  out.card = Interval{0, std::min(cand.card.hi, mask.card.hi)};
-  out.sorted = cand.sorted;
-}
-
-void TransferProjection(const TransferContext& ctx,
-                        std::vector<AbstractValue>* r) {
-  if (r->size() != 1) return;
-  AbstractValue& out = (*r)[0];
-  const AbstractValue& cand = Arg(ctx, 0);
-  const AbstractValue& col = Arg(ctx, 1);
-  out.elem = col.elem;
-  out.nullable = col.nullable;
-  if (cand.defined && cand.is_bat == Tri::kTrue) out.card = cand.card;
-}
-
-void TransferJoin(const TransferContext& ctx, std::vector<AbstractValue>* r) {
-  if (r->size() != 2) return;
-  Interval card =
-      Interval::SaturatingMulUpper(Arg(ctx, 0).card, Arg(ctx, 1).card);
-  for (AbstractValue& out : *r) {
-    out.elem = DataType::kOid;
-    out.nullable = Tri::kFalse;
-    out.card = card;
-  }
-}
-
-void TransferSort(const TransferContext& ctx, std::vector<AbstractValue>* r) {
-  if (r->size() != 2) return;
-  const AbstractValue& in = Arg(ctx, 0);
-  AbstractValue& values = (*r)[0];
-  values.elem = in.elem;
-  values.nullable = in.nullable;
-  if (in.defined && in.is_bat == Tri::kTrue) values.card = in.card;
-  // Ascending sort provably sorts; descending output may still be ascending
-  // when all keys are equal, so it stays unknown rather than kFalse.
-  const AbstractValue& rev = Arg(ctx, 1);
-  if (rev.constant.has_value() && rev.constant->type() == DataType::kBool &&
-      !rev.constant->AsBool()) {
-    values.sorted = Tri::kTrue;
-  }
-  AbstractValue& perm = (*r)[1];
-  perm.elem = DataType::kOid;
-  perm.nullable = Tri::kFalse;
-  perm.card = values.card;
-}
-
-void TransferSlice(const TransferContext& ctx, std::vector<AbstractValue>* r) {
-  if (r->size() != 1) return;
-  AbstractValue& out = (*r)[0];
-  const AbstractValue& in = Arg(ctx, 0);
-  out.elem = in.elem;
-  out.nullable = in.nullable;
-  out.sorted = in.sorted;
-  int64_t lo = 0;
-  int64_t hi = 0;
-  if (ConstInt(ctx, 1, &lo) && ConstInt(ctx, 2, &hi) && lo >= 0 && hi >= lo) {
-    // rows(n) = min(hi, n) - min(lo, n), monotone in n.
-    auto rows = [lo, hi](int64_t n) {
-      return std::min(hi, n) - std::min(lo, n);
-    };
-    out.card = Interval{rows(in.card.lo), rows(in.card.hi)};
-  } else {
-    out.card = Interval{0, in.card.hi};
-  }
-}
-
-void TransferFirstn(const TransferContext& ctx,
-                    std::vector<AbstractValue>* r) {
-  if (r->size() != 1) return;
-  AbstractValue& out = (*r)[0];
-  out.elem = DataType::kOid;
-  out.nullable = Tri::kFalse;
-  int64_t n = 0;
-  int64_t hi = Arg(ctx, 0).card.hi;
-  if (ConstInt(ctx, 1, &n)) hi = std::min(hi, std::max<int64_t>(0, n));
-  out.card = Interval{0, hi};
-}
-
-/// group.group / group.subgroup -> (per-row group ids, extents, histogram).
-void TransferGroup(const TransferContext& ctx, std::vector<AbstractValue>* r) {
-  if (r->size() != 3) return;
-  const AbstractValue& col = Arg(ctx, 0);
-  AbstractValue& groups = (*r)[0];
-  groups.elem = DataType::kOid;
-  groups.nullable = Tri::kFalse;
-  if (col.defined && col.is_bat == Tri::kTrue) groups.card = col.card;
-  AbstractValue& extents = (*r)[1];
-  extents.elem = DataType::kOid;
-  extents.nullable = Tri::kFalse;
-  extents.card = Interval{col.card.lo > 0 ? 1 : 0, col.card.hi};
-  // First-occurrence positions are discovered scanning ascending.
-  extents.sorted = Tri::kTrue;
-  AbstractValue& histogram = (*r)[2];
-  histogram.elem = DataType::kInt64;
-  histogram.nullable = Tri::kFalse;
-  histogram.card = extents.card;
-}
-
-void TransferAggrCount(const TransferContext& ctx,
-                       std::vector<AbstractValue>* r) {
-  if (r->size() != 1) return;
-  AbstractValue& out = (*r)[0];
-  out.elem = DataType::kInt64;
-  out.nullable = Tri::kFalse;
-  const AbstractValue& col = Arg(ctx, 0);
-  // count skips NULLs, so the cardinality only pins the result for a
-  // provably NULL-free input.
-  if (col.defined && col.card.is_exact() && col.nullable == Tri::kFalse) {
-    out.constant = Value::Int(col.card.lo);
-  }
-}
-
-void TransferAggrNumeric(const TransferContext& ctx,
-                         std::vector<AbstractValue>* r) {
-  if (r->size() != 1) return;
-  AbstractValue& out = (*r)[0];
-  const AbstractValue& col = Arg(ctx, 0);
-  if (col.elem_known()) {
-    out.elem = col.elem == DataType::kDouble ? DataType::kDouble
-                                             : DataType::kInt64;
-  }
-}
-
-void TransferAggrAvg(const TransferContext& /*ctx*/,
-                     std::vector<AbstractValue>* r) {
-  if (r->size() != 1) return;
-  (*r)[0].elem = DataType::kDouble;
-}
-
-/// Grouped aggregates: one output row per group (extents, arg 2).
-void TransferSubaggr(DataType elem, const TransferContext& ctx,
-                     std::vector<AbstractValue>* r) {
-  if (r->size() != 1) return;
-  AbstractValue& out = (*r)[0];
-  const AbstractValue& col = Arg(ctx, 0);
-  const AbstractValue& extents = Arg(ctx, 2);
-  if (elem != DataType::kNull) {
-    out.elem = elem;
-  } else if (col.elem_known()) {
-    out.elem = col.elem == DataType::kDouble ? DataType::kDouble
-                                             : DataType::kInt64;
-  }
-  if (extents.defined && extents.is_bat == Tri::kTrue) {
-    out.card = extents.card;
-  }
-}
-
-void TransferSubNumeric(const TransferContext& ctx,
-                        std::vector<AbstractValue>* r) {
-  TransferSubaggr(DataType::kNull, ctx, r);
-}
-void TransferSubAvg(const TransferContext& ctx,
-                    std::vector<AbstractValue>* r) {
-  TransferSubaggr(DataType::kDouble, ctx, r);
-}
-void TransferSubCount(const TransferContext& ctx,
-                      std::vector<AbstractValue>* r) {
-  TransferSubaggr(DataType::kInt64, ctx, r);
-  if (r->size() == 1) (*r)[0].nullable = Tri::kFalse;
-}
-
-void TransferMvc(const TransferContext& ctx, std::vector<AbstractValue>* r) {
-  (void)ctx;
-  if (r->size() != 1) return;
-  (*r)[0].elem = DataType::kInt64;
-  (*r)[0].nullable = Tri::kFalse;
-}
-
-void TransferTid(const TransferContext& ctx, std::vector<AbstractValue>* r) {
-  (void)ctx;
-  if (r->size() != 1) return;
-  AbstractValue& out = (*r)[0];
-  out.elem = DataType::kOid;
-  out.sorted = Tri::kTrue;
-  out.nullable = Tri::kFalse;
-}
-
-KernelSignature Fixed(std::vector<ValueKind> args,
-                      std::vector<ValueKind> results) {
-  KernelSignature s;
-  s.args = std::move(args);
-  s.results = std::move(results);
-  return s;
-}
-
-KernelSignature Variadic(int min_args, ValueKind kind,
-                         std::vector<ValueKind> results) {
-  KernelSignature s;
-  s.variadic = true;
-  s.min_args = min_args;
-  s.variadic_kind = kind;
-  s.results = std::move(results);
-  return s;
-}
-
-/// The table mirrors the registrations in RegisterCoreKernels /
-/// RegisterAlgebraKernels / RegisterGroupAggrKernels and each kernel's
-/// ExpectArity + Arg{Bat,Scalar} calls, and carries the abstract transfer
-/// function modelling the kernel's value semantics. Keep all three in sync
-/// when adding kernels (tests/analysis_test.cc cross-checks coverage against
-/// the default registry).
-std::map<std::string, KernelSignature> BuildTable() {
-  constexpr DataType kElemAny = DataType::kNull;
-  constexpr DataType kElemBool = DataType::kBool;
-  constexpr DataType kElemStr = DataType::kString;
-  std::map<std::string, KernelSignature> t;
-
-  // --- sql: catalog access (pure: tables are immutable) + result sink ---
-  {
-    KernelSignature s = Fixed({}, {kScalar});
-    s.transfer = TransferMvc;
-    t["sql.mvc"] = s;
-  }
-  {
-    KernelSignature s = Fixed({kScalar, kScalar, kScalar}, {kBat});
-    s.arg_elem = {kElemAny, kElemStr, kElemStr};
-    s.transfer = TransferTid;
-    t["sql.tid"] = s;
-  }
-  {
-    KernelSignature s =
-        Fixed({kScalar, kScalar, kScalar, kScalar, kScalar}, {kBat});
-    s.arg_elem = {kElemAny, kElemStr, kElemStr, kElemStr, kElemAny};
-    t["sql.bind"] = s;
-  }
-  {
-    KernelSignature s = Fixed({kScalar, kAny}, {});
-    s.is_sink = true;
-    s.side_effect_free = false;
-    s.arg_elem = {kElemStr, kElemAny};
-    t["sql.resultSet"] = s;
-  }
-
-  // --- bat / mat: BAT bookkeeping and mergetable ---
-  {
-    KernelSignature s = Fixed({kBat}, {kBat});
-    s.transfer = TransferMirror;
-    t["bat.mirror"] = s;
-  }
-  {
-    KernelSignature s = Fixed({kBat, kScalar, kScalar}, {kBat});
-    s.transfer = TransferPartition;
-    t["bat.partition"] = s;
-  }
-  {
-    KernelSignature s = Fixed({kScalar}, {kBat});
-    s.transfer = TransferDensebat;
-    t["bat.densebat"] = s;
-  }
-  {
-    KernelSignature s = Fixed({kBat, kBat}, {kBat});
-    s.transfer = TransferAppend;
-    t["bat.append"] = s;
-  }
-  {
-    KernelSignature s = Variadic(1, kBat, {kBat});
-    s.transfer = TransferPack;
-    t["mat.pack"] = s;
-  }
-
-  // --- calc / batcalc: scalar and vectorized arithmetic ---
-  for (const char* op : {"add", "sub", "mul", "div", "eq", "ne", "lt", "le",
-                         "gt", "ge", "and", "or"}) {
-    const std::string name(op);
-    bool arith =
-        name == "add" || name == "sub" || name == "mul" || name == "div";
-    bool boolean = name == "and" || name == "or";
-    AbstractTransferFn fn = !arith ? TransferCompare
-                            : name == "div" ? TransferArith<true>
-                                            : TransferArith<false>;
-    KernelSignature c = Fixed({kScalar, kScalar}, {kScalar});
-    c.transfer = fn;
-    if (boolean) c.arg_elem = {kElemBool, kElemBool};
-    t[std::string("calc.") + op] = c;
-
-    KernelSignature b = Fixed({kAny, kAny}, {kBat});
-    b.needs_bat_arg = true;
-    b.transfer = fn;
-    b.equal_card_args = {{0, 1}};
-    if (boolean) b.arg_elem = {kElemBool, kElemBool};
-    t[std::string("batcalc.") + op] = b;
-  }
-  {
-    KernelSignature s = Fixed({kScalar}, {kScalar});
-    s.arg_elem = {kElemBool};
-    s.transfer = TransferCompare;  // !x is boolean with NULL propagation
-    t["calc.not"] = s;
-  }
-  {
-    KernelSignature s = Fixed({kScalar}, {kScalar});
-    s.transfer = TransferCastLng;
-    t["calc.lng"] = s;
-  }
-  {
-    KernelSignature s = Fixed({kScalar}, {kScalar});
-    s.transfer = TransferCastDbl;
-    t["calc.dbl"] = s;
-  }
-  {
-    KernelSignature s = Fixed({kScalar}, {kScalar});
-    s.transfer = TransferCastStr;
-    t["calc.str"] = s;
-  }
-  {
-    KernelSignature s = Fixed({kBat}, {kBat});
-    s.arg_elem = {kElemBool};
-    s.transfer = TransferCompare;
-    t["batcalc.not"] = s;
-  }
-  {
-    KernelSignature s = Fixed({kBat, kAny, kAny}, {kBat});
-    s.arg_elem = {kElemBool, kElemAny, kElemAny};
-    s.equal_card_args = {{0, 1}, {0, 2}};
-    s.transfer = TransferIfthenelse;
-    t["batcalc.ifthenelse"] = s;
-  }
-  {
-    KernelSignature s = Fixed({kBat, kScalar}, {kBat});
-    s.arg_elem = {kElemStr, kElemStr};
-    s.transfer = TransferLike;
-    t["batcalc.like"] = s;
-  }
-
-  // --- algebra: selections, projections, joins, sorting ---
-  for (const char* sel : {"select", "thetaselect"}) {
-    KernelSignature s = Fixed({kBat, kBat, kScalar, kScalar}, {kBat});
-    s.candidate_args = {1};
-    if (std::string(sel) == "thetaselect") {
-      s.arg_elem = {kElemAny, kElemAny, kElemAny, kElemStr};
-    }
-    s.transfer = TransferSelect;
-    t[std::string("algebra.") + sel] = s;
-  }
-  {
-    KernelSignature s = Fixed({kBat, kBat, kScalar}, {kBat});
-    s.candidate_args = {1};
-    s.arg_elem = {kElemStr, kElemAny, kElemStr};
-    s.transfer = TransferSelect;
-    t["algebra.likeselect"] = s;
-  }
-  {
-    KernelSignature s = Fixed({kBat, kBat}, {kBat});
-    s.candidate_args = {0};
-    s.arg_elem = {kElemAny, kElemBool};
-    s.equal_card_args = {{0, 1}};
-    s.transfer = TransferSelectmask;
-    t["algebra.selectmask"] = s;
-  }
-  {
-    KernelSignature s = Fixed({kBat, kBat}, {kBat});
-    s.candidate_args = {0};
-    s.transfer = TransferProjection;
-    t["algebra.projection"] = s;
-  }
-  {
-    KernelSignature s = Fixed({kBat, kBat}, {kBat, kBat});
-    s.transfer = TransferJoin;
-    t["algebra.join"] = s;
-  }
-  {
-    KernelSignature s = Fixed({kBat, kScalar}, {kBat, kBat});
-    s.arg_elem = {kElemAny, kElemBool};
-    s.transfer = TransferSort;
-    t["algebra.sort"] = s;
-  }
-  {
-    KernelSignature s = Fixed({kBat, kScalar, kScalar}, {kBat});
-    s.transfer = TransferSlice;
-    t["algebra.slice"] = s;
-  }
-  {
-    KernelSignature s = Fixed({kBat, kScalar, kScalar}, {kBat});
-    s.arg_elem = {kElemAny, kElemAny, kElemBool};
-    s.transfer = TransferFirstn;
-    t["algebra.firstn"] = s;
-  }
-
-  // --- group / aggr ---
-  {
-    KernelSignature s = Fixed({kBat}, {kBat, kBat, kBat});
-    s.transfer = TransferGroup;
-    t["group.group"] = s;
-  }
-  {
-    KernelSignature s = Fixed({kBat, kBat}, {kBat, kBat, kBat});
-    s.equal_card_args = {{0, 1}};
-    s.transfer = TransferGroup;
-    t["group.subgroup"] = s;
-  }
-  for (const char* agg : {"sum", "min", "max", "avg", "count"}) {
-    std::string name(agg);
-    KernelSignature s = Fixed({kBat}, {kScalar});
-    s.transfer = name == "count" ? TransferAggrCount
-                 : name == "avg" ? TransferAggrAvg
-                                 : TransferAggrNumeric;
-    t["aggr." + name] = s;
-
-    KernelSignature g = Fixed({kBat, kBat, kBat}, {kBat});
-    g.equal_card_args = {{0, 1}};
-    g.transfer = name == "count" ? TransferSubCount
-                 : name == "avg" ? TransferSubAvg
-                                 : TransferSubNumeric;
-    t["aggr.sub" + name] = g;
-  }
-
-  // --- language / io / debug: administrative and effectful ---
-  {
-    KernelSignature s = Fixed({}, {});
-    s.side_effect_free = false;
-    t["language.dataflow"] = s;
-  }
-  {
-    KernelSignature s = Fixed({kAny}, {});
-    s.side_effect_free = false;
-    t["language.pass"] = s;
-  }
-  {
-    KernelSignature s = Variadic(0, kAny, {});
-    s.is_sink = true;
-    s.side_effect_free = false;
-    t["io.print"] = s;
-  }
-  {
-    KernelSignature s = Fixed({kScalar}, {});
-    s.side_effect_free = false;
-    t["debug.sleep"] = s;
-  }
-  {
-    KernelSignature s = Fixed({kScalar}, {kScalar});
-    s.side_effect_free = false;  // exists to defeat dead-code elimination
-    t["debug.spin"] = s;
-  }
-  return t;
-}
-
-}  // namespace
 
 const char* ValueKindName(ValueKind kind) {
   switch (kind) {
@@ -688,14 +12,6 @@ const char* ValueKindName(ValueKind kind) {
       return "bat";
   }
   return "unknown";
-}
-
-const KernelSignature* LookupKernelSignature(const std::string& module,
-                                             const std::string& function) {
-  static const std::map<std::string, KernelSignature>& table =
-      *new std::map<std::string, KernelSignature>(BuildTable());
-  auto it = table.find(module + "." + function);
-  return it != table.end() ? &it->second : nullptr;
 }
 
 bool LooksLikeResultSink(const std::string& module,

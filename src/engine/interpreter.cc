@@ -315,20 +315,6 @@ void RunDataflowTask(RunState* state, int pc, int slot) {
   }
 }
 
-/// Makes an arbitrary module name safe for a metric name (the registry
-/// aborts on malformed names, and module names come from parsed MAL text).
-std::string MetricToken(const std::string& module) {
-  std::string out;
-  out.reserve(module.size());
-  for (char c : module) {
-    bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-              (c >= '0' && c <= '9') || c == '_';
-    out += ok ? c : '_';
-  }
-  if (out.empty()) out = "unknown";
-  return out;
-}
-
 /// Resolves per-kernel-family counters/histograms into per-pc vectors, one
 /// registry lookup per distinct module in the plan.
 void ResolveFamilyMetrics(RunState* state, const mal::Program& program) {
@@ -340,7 +326,7 @@ void ResolveFamilyMetrics(RunState* state, const mal::Program& program) {
     const std::string& module = program.instruction(pc).module;
     auto [it, inserted] = families.try_emplace(module);
     if (inserted) {
-      std::string token = MetricToken(module);
+      std::string token = obs::MetricToken(module);
       it->second.first = registry->GetOrCreateCounter(
           "stetho_kernel_" + token + "_calls_total",
           "Kernel invocations in MAL module '" + module + "'");

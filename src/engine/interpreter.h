@@ -36,7 +36,7 @@ class ProgressListener {
 /// Execution configuration for one query.
 struct ExecOptions {
   /// Degree of parallelism: at most this many instructions of the query are
-  /// in flight on the worker pool at once; 0 = hardware concurrency.
+  /// in flight on the worker pool at once; 0 = DefaultDop().
   int num_threads = 0;
   /// Worker pool executing dataflow tasks; nullptr = the lazily-started
   /// process-wide WorkerPool::Default(), shared by all concurrent queries.

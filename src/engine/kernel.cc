@@ -23,9 +23,20 @@ std::vector<ResultColumn> ExecContext::TakeResults() {
 }
 
 Status ModuleRegistry::Register(const std::string& module,
+                                const std::string& function, KernelFn fn,
+                                analysis::KernelSignature signature) {
+  return Add(module, function, Entry{std::move(fn), std::move(signature)});
+}
+
+Status ModuleRegistry::Register(const std::string& module,
                                 const std::string& function, KernelFn fn) {
-  std::string key = module + "." + function;
-  auto [it, inserted] = kernels_.emplace(std::move(key), std::move(fn));
+  return Add(module, function, Entry{std::move(fn), std::nullopt});
+}
+
+Status ModuleRegistry::Add(const std::string& module,
+                           const std::string& function, Entry entry) {
+  auto [it, inserted] =
+      kernels_.emplace(module + "." + function, std::move(entry));
   if (!inserted) {
     return Status::AlreadyExists("kernel '" + it->first +
                                  "' already registered");
@@ -39,13 +50,22 @@ Result<const KernelFn*> ModuleRegistry::Lookup(
   if (it == kernels_.end()) {
     return Status::NotFound("no kernel for '" + module + "." + function + "'");
   }
-  return &it->second;
+  return &it->second.fn;
+}
+
+const analysis::KernelSignature* ModuleRegistry::Signature(
+    const std::string& module, const std::string& function) const {
+  auto it = kernels_.find(module + "." + function);
+  if (it == kernels_.end() || !it->second.signature.has_value()) {
+    return nullptr;
+  }
+  return &*it->second.signature;
 }
 
 std::vector<std::string> ModuleRegistry::ListKernels() const {
   std::vector<std::string> out;
   out.reserve(kernels_.size());
-  for (const auto& [name, fn] : kernels_) out.push_back(name);
+  for (const auto& [name, entry] : kernels_) out.push_back(name);
   return out;
 }
 

@@ -5,9 +5,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "analysis/signatures.h"
 #include "common/clock.h"
 #include "common/logging.h"
 #include "common/status.h"
@@ -76,18 +78,30 @@ struct KernelArgs {
 /// A native implementation of one MAL module.function.
 using KernelFn = std::function<Status(KernelArgs&)>;
 
-/// Registry mapping "module.function" to its native kernel — MAL's module
-/// system. The default registry contains every built-in module (sql,
+/// Registry mapping "module.function" to its native kernel and, for the
+/// built-in kernels, the static facts the analysis layer and the optimizer
+/// read (analysis::KernelSignature) — MAL's module system and the one list
+/// of kernels. The default registry contains every built-in module (sql,
 /// algebra, group, aggr, bat, mat, calc, batcalc, language, io, debug).
 class ModuleRegistry {
  public:
-  /// Registers a kernel; AlreadyExists if (module, function) is taken.
+  /// Registers a kernel with its signature; AlreadyExists if (module,
+  /// function) is taken.
+  Status Register(const std::string& module, const std::string& function,
+                  KernelFn fn, analysis::KernelSignature signature);
+  /// Registers an extension kernel without a signature: the analysis layer
+  /// knows nothing of its shape and the optimizer treats it as effectful.
   Status Register(const std::string& module, const std::string& function,
                   KernelFn fn);
 
   /// Looks up a kernel; NotFound for unknown operations.
   Result<const KernelFn*> Lookup(const std::string& module,
                                  const std::string& function) const;
+
+  /// The signature registered with a kernel; nullptr for unknown operations
+  /// and kernels registered without one.
+  const analysis::KernelSignature* Signature(const std::string& module,
+                                             const std::string& function) const;
 
   /// Lists registered "module.function" names (sorted).
   std::vector<std::string> ListKernels() const;
@@ -96,7 +110,15 @@ class ModuleRegistry {
   static const ModuleRegistry* Default();
 
  private:
-  std::map<std::string, KernelFn> kernels_;
+  struct Entry {
+    KernelFn fn;
+    std::optional<analysis::KernelSignature> signature;
+  };
+
+  Status Add(const std::string& module, const std::string& function,
+             Entry entry);
+
+  std::map<std::string, Entry> kernels_;
 };
 
 /// Registration entry points for the built-in kernel families (each lives in

@@ -10,6 +10,11 @@
 namespace stetho::engine {
 namespace {
 
+using analysis::AbstractValue;
+using analysis::Interval;
+using analysis::TransferContext;
+using analysis::Tri;
+using enum analysis::ValueKind;
 using storage::Column;
 using storage::ColumnPtr;
 using storage::DataType;
@@ -153,6 +158,21 @@ Status AlgebraSelect(KernelArgs& a) {
   return Status::OK();
 }
 
+/// select / thetaselect / likeselect: a subsequence of the candidate list
+/// (arg 1) restricted to positions of the value column (arg 0).
+void TransferSelect(const TransferContext& ctx,
+                    std::vector<AbstractValue>* r) {
+  if (r->size() != 1) return;
+  AbstractValue& out = (*r)[0];
+  out.elem = DataType::kOid;
+  out.nullable = Tri::kFalse;
+  const AbstractValue& col = Arg(ctx, 0);
+  const AbstractValue& cand = Arg(ctx, 1);
+  out.card = Interval{0, std::min(cand.card.hi, col.card.hi)};
+  // A subsequence preserves the candidate list's order.
+  out.sorted = cand.sorted;
+}
+
 /// Typed theta scan: the comparison op is loop-invariant, so the per-row
 /// switch predicts perfectly; the win is never boxing values.
 template <typename T>
@@ -250,6 +270,18 @@ Status AlgebraSelectMask(KernelArgs& a) {
   return Status::OK();
 }
 
+void TransferSelectmask(const TransferContext& ctx,
+                        std::vector<AbstractValue>* r) {
+  if (r->size() != 1) return;
+  AbstractValue& out = (*r)[0];
+  out.elem = DataType::kOid;
+  out.nullable = Tri::kFalse;
+  const AbstractValue& cand = Arg(ctx, 0);
+  const AbstractValue& mask = Arg(ctx, 1);
+  out.card = Interval{0, std::min(cand.card.hi, mask.card.hi)};
+  out.sorted = cand.sorted;
+}
+
 /// algebra.projection(cand, col) :bat — col values at the candidate oids.
 Status AlgebraProjection(KernelArgs& a) {
   STETHO_RETURN_IF_ERROR(ExpectArity(a, 2, 1));
@@ -260,6 +292,17 @@ Status AlgebraProjection(KernelArgs& a) {
   STETHO_ASSIGN_OR_RETURN(ColumnPtr out, col->Gather(cand->ints()));
   *a.results[0] = RegisterValue::Bat(std::move(out));
   return Status::OK();
+}
+
+void TransferProjection(const TransferContext& ctx,
+                        std::vector<AbstractValue>* r) {
+  if (r->size() != 1) return;
+  AbstractValue& out = (*r)[0];
+  const AbstractValue& cand = Arg(ctx, 0);
+  const AbstractValue& col = Arg(ctx, 1);
+  out.elem = col.elem;
+  out.nullable = col.nullable;
+  if (cand.defined && cand.is_bat == Tri::kTrue) out.card = cand.card;
 }
 
 /// Hash key for join build sides: canonicalizes numerics to a bit pattern.
@@ -348,6 +391,17 @@ Status AlgebraJoin(KernelArgs& a) {
   return Status::OK();
 }
 
+void TransferJoin(const TransferContext& ctx, std::vector<AbstractValue>* r) {
+  if (r->size() != 2) return;
+  Interval card =
+      Interval::SaturatingMulUpper(Arg(ctx, 0).card, Arg(ctx, 1).card);
+  for (AbstractValue& out : *r) {
+    out.elem = DataType::kOid;
+    out.nullable = Tri::kFalse;
+    out.card = card;
+  }
+}
+
 /// Stable-sorts `order` by raw array values — no per-comparison boxing.
 template <typename T>
 void SortOrderTyped(std::vector<int64_t>* order, const std::vector<T>& vals,
@@ -411,6 +465,26 @@ Status AlgebraSort(KernelArgs& a) {
   return Status::OK();
 }
 
+void TransferSort(const TransferContext& ctx, std::vector<AbstractValue>* r) {
+  if (r->size() != 2) return;
+  const AbstractValue& in = Arg(ctx, 0);
+  AbstractValue& values = (*r)[0];
+  values.elem = in.elem;
+  values.nullable = in.nullable;
+  if (in.defined && in.is_bat == Tri::kTrue) values.card = in.card;
+  // Ascending sort provably sorts; descending output may still be ascending
+  // when all keys are equal, so it stays unknown rather than kFalse.
+  const AbstractValue& rev = Arg(ctx, 1);
+  if (rev.constant.has_value() && rev.constant->type() == DataType::kBool &&
+      !rev.constant->AsBool()) {
+    values.sorted = Tri::kTrue;
+  }
+  AbstractValue& perm = (*r)[1];
+  perm.elem = DataType::kOid;
+  perm.nullable = Tri::kFalse;
+  perm.card = values.card;
+}
+
 /// algebra.slice(col, lo, hi) :bat — rows [lo, hi) (LIMIT/OFFSET).
 Status AlgebraSlice(KernelArgs& a) {
   STETHO_RETURN_IF_ERROR(ExpectArity(a, 3, 1));
@@ -423,6 +497,26 @@ Status AlgebraSlice(KernelArgs& a) {
   *a.results[0] = RegisterValue::Bat(
       col->Slice(static_cast<size_t>(lo), static_cast<size_t>(hi)));
   return Status::OK();
+}
+
+void TransferSlice(const TransferContext& ctx, std::vector<AbstractValue>* r) {
+  if (r->size() != 1) return;
+  AbstractValue& out = (*r)[0];
+  const AbstractValue& in = Arg(ctx, 0);
+  out.elem = in.elem;
+  out.nullable = in.nullable;
+  out.sorted = in.sorted;
+  int64_t lo = 0;
+  int64_t hi = 0;
+  if (ConstInt(ctx, 1, &lo) && ConstInt(ctx, 2, &hi) && lo >= 0 && hi >= lo) {
+    // rows(n) = min(hi, n) - min(lo, n), monotone in n.
+    auto rows = [lo, hi](int64_t n) {
+      return std::min(hi, n) - std::min(lo, n);
+    };
+    out.card = Interval{rows(in.card.lo), rows(in.card.hi)};
+  } else {
+    out.card = Interval{0, in.card.hi};
+  }
 }
 
 /// algebra.firstn(col, n, asc) :bat[:oid] — positions of the n smallest
@@ -441,6 +535,18 @@ Status AlgebraFirstn(KernelArgs& a) {
   for (int64_t i : order) out->AppendOid(static_cast<uint64_t>(i));
   *a.results[0] = RegisterValue::Bat(std::move(out));
   return Status::OK();
+}
+
+void TransferFirstn(const TransferContext& ctx,
+                    std::vector<AbstractValue>* r) {
+  if (r->size() != 1) return;
+  AbstractValue& out = (*r)[0];
+  out.elem = DataType::kOid;
+  out.nullable = Tri::kFalse;
+  int64_t n = 0;
+  int64_t hi = Arg(ctx, 0).card.hi;
+  if (ConstInt(ctx, 1, &n)) hi = std::min(hi, std::max<int64_t>(0, n));
+  out.card = Interval{0, hi};
 }
 
 /// batcalc.like(col, pattern) :bat[:bit] — per-row LIKE mask (used when a
@@ -466,19 +572,88 @@ Status BatcalcLike(KernelArgs& a) {
   return Status::OK();
 }
 
+void TransferLike(const TransferContext& ctx, std::vector<AbstractValue>* r) {
+  if (r->size() != 1) return;
+  AbstractValue& out = (*r)[0];
+  out.elem = DataType::kBool;
+  const AbstractValue& in = Arg(ctx, 0);
+  out.nullable = in.nullable;
+  if (in.defined && in.is_bat == Tri::kTrue) out.card = in.card;
+}
+
 }  // namespace
 
 void RegisterAlgebraKernels(ModuleRegistry* r) {
-  STETHO_CHECK_REGISTER(r->Register("batcalc", "like", BatcalcLike));
-  STETHO_CHECK_REGISTER(r->Register("algebra", "select", AlgebraSelect));
-  STETHO_CHECK_REGISTER(r->Register("algebra", "thetaselect", AlgebraThetaSelect));
-  STETHO_CHECK_REGISTER(r->Register("algebra", "likeselect", AlgebraLikeSelect));
-  STETHO_CHECK_REGISTER(r->Register("algebra", "selectmask", AlgebraSelectMask));
-  STETHO_CHECK_REGISTER(r->Register("algebra", "projection", AlgebraProjection));
-  STETHO_CHECK_REGISTER(r->Register("algebra", "join", AlgebraJoin));
-  STETHO_CHECK_REGISTER(r->Register("algebra", "sort", AlgebraSort));
-  STETHO_CHECK_REGISTER(r->Register("algebra", "slice", AlgebraSlice));
-  STETHO_CHECK_REGISTER(r->Register("algebra", "firstn", AlgebraFirstn));
+  STETHO_CHECK_REGISTER(r->Register(
+      "batcalc", "like", BatcalcLike,
+      {.args = {kBat, kScalar},
+       .results = {kBat},
+       .arg_elem = {DataType::kString, DataType::kString},
+       .transfer = TransferLike,
+       .exact_capacity = true}));
+  STETHO_CHECK_REGISTER(r->Register(
+      "algebra", "select", AlgebraSelect,
+      {.args = {kBat, kBat, kScalar, kScalar},
+       .results = {kBat},
+       .candidate_args = {1},
+       .transfer = TransferSelect}));
+  STETHO_CHECK_REGISTER(r->Register(
+      "algebra", "thetaselect", AlgebraThetaSelect,
+      {.args = {kBat, kBat, kScalar, kScalar},
+       .results = {kBat},
+       .arg_elem = {analysis::kAnyElem, analysis::kAnyElem,
+                    analysis::kAnyElem, DataType::kString},
+       .candidate_args = {1},
+       .transfer = TransferSelect}));
+  STETHO_CHECK_REGISTER(r->Register(
+      "algebra", "likeselect", AlgebraLikeSelect,
+      {.args = {kBat, kBat, kScalar},
+       .results = {kBat},
+       .arg_elem = {DataType::kString, analysis::kAnyElem, DataType::kString},
+       .candidate_args = {1},
+       .transfer = TransferSelect}));
+  STETHO_CHECK_REGISTER(r->Register(
+      "algebra", "selectmask", AlgebraSelectMask,
+      {.args = {kBat, kBat},
+       .results = {kBat},
+       .arg_elem = {analysis::kAnyElem, DataType::kBool},
+       .equal_card_args = {{0, 1}},
+       .candidate_args = {0},
+       .transfer = TransferSelectmask}));
+  STETHO_CHECK_REGISTER(r->Register(
+      "algebra", "projection", AlgebraProjection,
+      {.args = {kBat, kBat},
+       .results = {kBat},
+       .candidate_args = {0},
+       .transfer = TransferProjection,
+       .exact_capacity = true,
+       .cost_factor = analysis::kGatherCost}));
+  STETHO_CHECK_REGISTER(r->Register(
+      "algebra", "join", AlgebraJoin,
+      {.args = {kBat, kBat},
+       .results = {kBat, kBat},
+       .transfer = TransferJoin}));
+  STETHO_CHECK_REGISTER(r->Register(
+      "algebra", "sort", AlgebraSort,
+      {.args = {kBat, kScalar},
+       .results = {kBat, kBat},
+       .arg_elem = {analysis::kAnyElem, DataType::kBool},
+       .transfer = TransferSort,
+       .exact_capacity = true,
+       .cost_factor = analysis::kGatherCost}));
+  STETHO_CHECK_REGISTER(r->Register(
+      "algebra", "slice", AlgebraSlice,
+      {.args = {kBat, kScalar, kScalar},
+       .results = {kBat},
+       .transfer = TransferSlice,
+       .exact_capacity = true}));
+  STETHO_CHECK_REGISTER(r->Register(
+      "algebra", "firstn", AlgebraFirstn,
+      {.args = {kBat, kScalar, kScalar},
+       .results = {kBat},
+       .arg_elem = {analysis::kAnyElem, analysis::kAnyElem, DataType::kBool},
+       .transfer = TransferFirstn,
+       .exact_capacity = true}));
 }
 
 }  // namespace stetho::engine

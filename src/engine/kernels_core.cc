@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 
 #include "common/string_util.h"
@@ -6,6 +7,12 @@
 namespace stetho::engine {
 namespace {
 
+using analysis::AbstractTransferFn;
+using analysis::AbstractValue;
+using analysis::Interval;
+using analysis::TransferContext;
+using analysis::Tri;
+using enum analysis::ValueKind;
 using storage::Column;
 using storage::ColumnPtr;
 using storage::DataType;
@@ -23,6 +30,13 @@ Status SqlMvc(KernelArgs& a) {
   return Status::OK();
 }
 
+void TransferMvc(const TransferContext& /*ctx*/,
+                 std::vector<AbstractValue>* r) {
+  if (r->size() != 1) return;
+  (*r)[0].elem = DataType::kInt64;
+  (*r)[0].nullable = Tri::kFalse;
+}
+
 /// sql.tid(mvc, schema, table) :bat[:oid] — all visible row ids of a table.
 Status SqlTid(KernelArgs& a) {
   STETHO_RETURN_IF_ERROR(ExpectArity(a, 3, 1));
@@ -31,6 +45,15 @@ Status SqlTid(KernelArgs& a) {
   *a.results[0] =
       RegisterValue::Bat(Column::MakeOidRange(0, t->num_rows()));
   return Status::OK();
+}
+
+void TransferTid(const TransferContext& /*ctx*/,
+                 std::vector<AbstractValue>* r) {
+  if (r->size() != 1) return;
+  AbstractValue& out = (*r)[0];
+  out.elem = DataType::kOid;
+  out.sorted = Tri::kTrue;
+  out.nullable = Tri::kFalse;
 }
 
 /// sql.bind(mvc, schema, table, column, access) :bat — a full base column.
@@ -73,6 +96,17 @@ Status BatMirror(KernelArgs& a) {
   return Status::OK();
 }
 
+void TransferMirror(const TransferContext& ctx,
+                    std::vector<AbstractValue>* r) {
+  if (r->size() != 1) return;
+  AbstractValue& out = (*r)[0];
+  out.elem = DataType::kOid;
+  out.sorted = Tri::kTrue;
+  out.nullable = Tri::kFalse;
+  const AbstractValue& in = Arg(ctx, 0);
+  if (in.defined && in.is_bat == Tri::kTrue) out.card = in.card;
+}
+
 /// bat.partition(b, pieces, index) :bat — the index-th of `pieces`
 /// near-equal horizontal slices of b (the mitosis optimizer's workhorse).
 Status BatPartition(KernelArgs& a) {
@@ -93,6 +127,29 @@ Status BatPartition(KernelArgs& a) {
   return Status::OK();
 }
 
+void TransferPartition(const TransferContext& ctx,
+                       std::vector<AbstractValue>* r) {
+  if (r->size() != 1) return;
+  AbstractValue& out = (*r)[0];
+  const AbstractValue& in = Arg(ctx, 0);
+  out.elem = in.elem;
+  out.sorted = in.sorted;
+  out.nullable = in.nullable;
+  // A piece holds between 0 and ceil(n / pieces) of the input's rows: the
+  // kernel slices [n*i/p, n*(i+1)/p), and no such slice exceeds the ceiling.
+  // The lower bound stays 0 (the exact split n*(i+1)/p - n*i/p is
+  // deliberately not used: it would prove tiny pieces empty and drown
+  // small-table plans in guaranteed-empty warnings). The ceiling matters for
+  // the memory model: without it every piece is bounded by the FULL input,
+  // and mat.pack's sum inflates downstream cardinalities by the piece count.
+  out.card = Interval{0, in.card.hi};
+  int64_t pieces = 0;
+  if (ConstInt(ctx, 1, &pieces) && pieces > 0 &&
+      in.card.hi != Interval::kUnbounded) {
+    out.card.hi = (in.card.hi + pieces - 1) / pieces;
+  }
+}
+
 /// bat.densebat(n) :bat[:oid] — oids [0, n).
 Status BatDense(KernelArgs& a) {
   STETHO_RETURN_IF_ERROR(ExpectArity(a, 1, 1));
@@ -101,6 +158,17 @@ Status BatDense(KernelArgs& a) {
   *a.results[0] =
       RegisterValue::Bat(Column::MakeOidRange(0, static_cast<uint64_t>(n)));
   return Status::OK();
+}
+
+void TransferDensebat(const TransferContext& ctx,
+                      std::vector<AbstractValue>* r) {
+  if (r->size() != 1) return;
+  AbstractValue& out = (*r)[0];
+  out.elem = DataType::kOid;
+  out.sorted = Tri::kTrue;
+  out.nullable = Tri::kFalse;
+  int64_t n = 0;
+  if (ConstInt(ctx, 0, &n)) out.card = Interval::Exact(std::max<int64_t>(0, n));
 }
 
 /// bat.append(a, b) :bat — concatenation of two BATs of the same type.
@@ -115,6 +183,17 @@ Status BatAppend(KernelArgs& a) {
   STETHO_RETURN_IF_ERROR(out->AppendColumn(*y));
   *a.results[0] = RegisterValue::Bat(std::move(out));
   return Status::OK();
+}
+
+void TransferAppend(const TransferContext& ctx,
+                    std::vector<AbstractValue>* r) {
+  if (r->size() != 1) return;
+  AbstractValue& out = (*r)[0];
+  const AbstractValue& x = Arg(ctx, 0);
+  const AbstractValue& y = Arg(ctx, 1);
+  if (x.elem_known() && x.elem == y.elem) out.elem = x.elem;
+  out.card = Interval::SaturatingAdd(x.card, y.card);
+  out.nullable = TriOr(x.nullable, y.nullable);
 }
 
 // ---------------------------------------------------------------------------
@@ -144,6 +223,22 @@ Status MatPack(KernelArgs& a) {
   }
   *a.results[0] = RegisterValue::Bat(std::move(out));
   return Status::OK();
+}
+
+void TransferPack(const TransferContext& ctx, std::vector<AbstractValue>* r) {
+  if (r->size() != 1 || ctx.args == nullptr || ctx.args->empty()) return;
+  AbstractValue& out = (*r)[0];
+  DataType elem = (*ctx.args)[0].elem;
+  Interval card = Interval::Exact(0);
+  Tri nullable = Tri::kFalse;
+  for (const AbstractValue& v : *ctx.args) {
+    if (v.elem != elem) elem = DataType::kNull;
+    card = Interval::SaturatingAdd(card, v.card);
+    nullable = TriOr(nullable, v.nullable);
+  }
+  out.elem = elem;
+  out.card = card;
+  out.nullable = nullable;
 }
 
 // ---------------------------------------------------------------------------
@@ -414,6 +509,28 @@ Status CalcBinOp(BinOp op, KernelArgs& a) {
   return Status::OK();
 }
 
+/// calc./batcalc. add, sub, mul, div.
+template <bool kIsDiv>
+void TransferArith(const TransferContext& ctx, std::vector<AbstractValue>* r) {
+  if (r->size() != 1) return;
+  AbstractValue& out = (*r)[0];
+  out.elem = ArithElem(ctx, kIsDiv);
+  // x/0 yields NULL, so division is never provably NULL-free.
+  out.nullable = kIsDiv ? Tri::kUnknown : PropagatedNullable(ctx);
+  if (out.is_bat == Tri::kTrue) out.card = ZipCard(ctx);
+}
+
+/// Comparisons and boolean connectives (calc./batcalc. eq..ge, and, or,
+/// not): boolean results with NULL propagation.
+void TransferCompare(const TransferContext& ctx,
+                     std::vector<AbstractValue>* r) {
+  if (r->size() != 1) return;
+  AbstractValue& out = (*r)[0];
+  out.elem = DataType::kBool;
+  out.nullable = PropagatedNullable(ctx);
+  if (out.is_bat == Tri::kTrue) out.card = ZipCard(ctx);
+}
+
 /// calc.lng / calc.dbl / calc.str casts.
 Status CalcCast(DataType target, KernelArgs& a) {
   STETHO_RETURN_IF_ERROR(ExpectArity(a, 1, 1));
@@ -449,6 +566,14 @@ Status CalcCast(DataType target, KernelArgs& a) {
     default:
       return Status::Unimplemented("calc cast target");
   }
+}
+
+template <DataType kTo>
+void TransferCast(const TransferContext& ctx, std::vector<AbstractValue>* r) {
+  if (r->size() != 1) return;
+  AbstractValue& out = (*r)[0];
+  out.elem = kTo;
+  out.nullable = Arg(ctx, 0).nullable;
 }
 
 /// Boolean operand: broadcast scalar bool or :bit BAT.
@@ -588,6 +713,21 @@ Status BatIfThenElse(KernelArgs& a) {
   return Status::OK();
 }
 
+void TransferIfthenelse(const TransferContext& ctx,
+                        std::vector<AbstractValue>* r) {
+  if (r->size() != 1) return;
+  AbstractValue& out = (*r)[0];
+  const AbstractValue& t = Arg(ctx, 1);
+  const AbstractValue& e = Arg(ctx, 2);
+  if (t.elem == DataType::kDouble || e.elem == DataType::kDouble) {
+    out.elem = DataType::kDouble;  // either branch widens the result
+  } else if (t.elem_known() && e.elem_known()) {
+    out.elem = t.elem;
+  }
+  out.nullable = PropagatedNullable(ctx);
+  out.card = ZipCard(ctx);
+}
+
 /// calc.and / calc.or / calc.not on scalar :bit values.
 Status CalcBoolOp(BoolOp op, KernelArgs& a) {
   STETHO_RETURN_IF_ERROR(ExpectArity(a, 2, 1));
@@ -697,64 +837,185 @@ Status DebugSpin(KernelArgs& a) {
 }  // namespace
 
 void RegisterCoreKernels(ModuleRegistry* r) {
-  STETHO_CHECK_REGISTER(r->Register("sql", "mvc", SqlMvc));
-  STETHO_CHECK_REGISTER(r->Register("sql", "tid", SqlTid));
-  STETHO_CHECK_REGISTER(r->Register("sql", "bind", SqlBind));
-  STETHO_CHECK_REGISTER(r->Register("sql", "resultSet", SqlResultSet));
+  // sql: catalog access (side-effect free: tables are immutable) and the
+  // result sink.
+  STETHO_CHECK_REGISTER(r->Register(
+      "sql", "mvc", SqlMvc,
+      {.results = {kScalar},
+       .transfer = TransferMvc,
+       .cost_factor = analysis::kViewCost}));
+  STETHO_CHECK_REGISTER(r->Register(
+      "sql", "tid", SqlTid,
+      {.args = {kScalar, kScalar, kScalar},
+       .results = {kBat},
+       .arg_elem = {analysis::kAnyElem, DataType::kString, DataType::kString},
+       .transfer = TransferTid,
+       .exact_capacity = true,
+       .cost_factor = analysis::kViewCost}));
+  STETHO_CHECK_REGISTER(r->Register(
+      "sql", "bind", SqlBind,
+      {.args = {kScalar, kScalar, kScalar, kScalar, kScalar},
+       .results = {kBat},
+       .arg_elem = {analysis::kAnyElem, DataType::kString, DataType::kString,
+                    DataType::kString, analysis::kAnyElem},
+       .exact_capacity = true,
+       .cost_factor = analysis::kViewCost}));
+  STETHO_CHECK_REGISTER(r->Register(
+      "sql", "resultSet", SqlResultSet,
+      {.args = {kScalar, kAny},
+       .is_sink = true,
+       .side_effect_free = false,
+       .arg_elem = {DataType::kString, analysis::kAnyElem},
+       .cost_factor = analysis::kViewCost}));
 
-  STETHO_CHECK_REGISTER(r->Register("bat", "mirror", BatMirror));
-  STETHO_CHECK_REGISTER(r->Register("bat", "partition", BatPartition));
-  STETHO_CHECK_REGISTER(r->Register("bat", "densebat", BatDense));
-  STETHO_CHECK_REGISTER(r->Register("bat", "append", BatAppend));
-  STETHO_CHECK_REGISTER(r->Register("mat", "pack", MatPack));
+  // bat / mat: BAT bookkeeping and mergetable.
+  STETHO_CHECK_REGISTER(r->Register(
+      "bat", "mirror", BatMirror,
+      {.args = {kBat},
+       .results = {kBat},
+       .transfer = TransferMirror,
+       .exact_capacity = true,
+       .cost_factor = analysis::kViewCost}));
+  STETHO_CHECK_REGISTER(r->Register(
+      "bat", "partition", BatPartition,
+      {.args = {kBat, kScalar, kScalar},
+       .results = {kBat},
+       .transfer = TransferPartition,
+       .exact_capacity = true,
+       .cost_factor = analysis::kViewCost}));
+  STETHO_CHECK_REGISTER(r->Register(
+      "bat", "densebat", BatDense,
+      {.args = {kScalar},
+       .results = {kBat},
+       .transfer = TransferDensebat,
+       .exact_capacity = true,
+       .cost_factor = analysis::kViewCost}));
+  STETHO_CHECK_REGISTER(r->Register(
+      "bat", "append", BatAppend,
+      {.args = {kBat, kBat},
+       .results = {kBat},
+       .transfer = TransferAppend,
+       .cost_factor = analysis::kViewCost}));
+  STETHO_CHECK_REGISTER(r->Register(
+      "mat", "pack", MatPack,
+      {.results = {kBat},
+       .variadic = true,
+       .min_args = 1,
+       .variadic_kind = kBat,
+       .transfer = TransferPack,
+       .exact_capacity = true}));
 
+  // calc / batcalc: scalar and vectorized arithmetic and comparisons.
   const struct {
     const char* name;
     BinOp op;
+    AbstractTransferFn transfer;
   } kBinOps[] = {
-      {"add", BinOp::kAdd}, {"sub", BinOp::kSub}, {"mul", BinOp::kMul},
-      {"div", BinOp::kDiv}, {"eq", BinOp::kEq},   {"ne", BinOp::kNe},
-      {"lt", BinOp::kLt},   {"le", BinOp::kLe},   {"gt", BinOp::kGt},
-      {"ge", BinOp::kGe},
+      {"add", BinOp::kAdd, TransferArith<false>},
+      {"sub", BinOp::kSub, TransferArith<false>},
+      {"mul", BinOp::kMul, TransferArith<false>},
+      {"div", BinOp::kDiv, TransferArith<true>},
+      {"eq", BinOp::kEq, TransferCompare},
+      {"ne", BinOp::kNe, TransferCompare},
+      {"lt", BinOp::kLt, TransferCompare},
+      {"le", BinOp::kLe, TransferCompare},
+      {"gt", BinOp::kGt, TransferCompare},
+      {"ge", BinOp::kGe, TransferCompare},
   };
   for (const auto& e : kBinOps) {
     BinOp op = e.op;
     STETHO_CHECK_REGISTER(r->Register(
-        "calc", e.name, [op](KernelArgs& a) { return CalcBinOp(op, a); }));
+        "calc", e.name, [op](KernelArgs& a) { return CalcBinOp(op, a); },
+        {.args = {kScalar, kScalar},
+         .results = {kScalar},
+         .transfer = e.transfer}));
     STETHO_CHECK_REGISTER(r->Register(
-        "batcalc", e.name, [op](KernelArgs& a) { return BatBinOp(op, a); }));
+        "batcalc", e.name, [op](KernelArgs& a) { return BatBinOp(op, a); },
+        {.args = {kAny, kAny},
+         .results = {kBat},
+         .needs_bat_arg = true,
+         .equal_card_args = {{0, 1}},
+         .transfer = e.transfer,
+         .exact_capacity = true}));
   }
-  STETHO_CHECK_REGISTER(r->Register("calc", "lng", [](KernelArgs& a) {
-    return CalcCast(DataType::kInt64, a);
-  }));
-  STETHO_CHECK_REGISTER(r->Register("calc", "dbl", [](KernelArgs& a) {
-    return CalcCast(DataType::kDouble, a);
-  }));
-  STETHO_CHECK_REGISTER(r->Register("calc", "str", [](KernelArgs& a) {
-    return CalcCast(DataType::kString, a);
-  }));
+  const struct {
+    const char* name;
+    BoolOp op;
+  } kBoolOps[] = {{"and", BoolOp::kAnd}, {"or", BoolOp::kOr}};
+  for (const auto& e : kBoolOps) {
+    BoolOp op = e.op;
+    STETHO_CHECK_REGISTER(r->Register(
+        "calc", e.name, [op](KernelArgs& a) { return CalcBoolOp(op, a); },
+        {.args = {kScalar, kScalar},
+         .results = {kScalar},
+         .arg_elem = {DataType::kBool, DataType::kBool},
+         .transfer = TransferCompare}));
+    STETHO_CHECK_REGISTER(r->Register(
+        "batcalc", e.name, [op](KernelArgs& a) { return BatBoolOp(op, a); },
+        {.args = {kAny, kAny},
+         .results = {kBat},
+         .needs_bat_arg = true,
+         .arg_elem = {DataType::kBool, DataType::kBool},
+         .equal_card_args = {{0, 1}},
+         .transfer = TransferCompare,
+         .exact_capacity = true}));
+  }
+  STETHO_CHECK_REGISTER(r->Register(
+      "calc", "not", CalcNot,
+      {.args = {kScalar},
+       .results = {kScalar},
+       .arg_elem = {DataType::kBool},
+       .transfer = TransferCompare}));
+  STETHO_CHECK_REGISTER(r->Register(
+      "batcalc", "not", BatNot,
+      {.args = {kBat},
+       .results = {kBat},
+       .arg_elem = {DataType::kBool},
+       .transfer = TransferCompare,
+       .exact_capacity = true}));
+  const struct {
+    const char* name;
+    DataType to;
+    AbstractTransferFn transfer;
+  } kCasts[] = {
+      {"lng", DataType::kInt64, TransferCast<DataType::kInt64>},
+      {"dbl", DataType::kDouble, TransferCast<DataType::kDouble>},
+      {"str", DataType::kString, TransferCast<DataType::kString>},
+  };
+  for (const auto& e : kCasts) {
+    DataType to = e.to;
+    STETHO_CHECK_REGISTER(r->Register(
+        "calc", e.name, [to](KernelArgs& a) { return CalcCast(to, a); },
+        {.args = {kScalar}, .results = {kScalar}, .transfer = e.transfer}));
+  }
+  STETHO_CHECK_REGISTER(r->Register(
+      "batcalc", "ifthenelse", BatIfThenElse,
+      {.args = {kBat, kAny, kAny},
+       .results = {kBat},
+       .arg_elem = {DataType::kBool, analysis::kAnyElem, analysis::kAnyElem},
+       .equal_card_args = {{0, 1}, {0, 2}},
+       .transfer = TransferIfthenelse,
+       .exact_capacity = true}));
 
-  STETHO_CHECK_REGISTER(r->Register("batcalc", "and", [](KernelArgs& a) {
-    return BatBoolOp(BoolOp::kAnd, a);
-  }));
-  STETHO_CHECK_REGISTER(r->Register("batcalc", "or", [](KernelArgs& a) {
-    return BatBoolOp(BoolOp::kOr, a);
-  }));
-  STETHO_CHECK_REGISTER(r->Register("batcalc", "not", BatNot));
-  STETHO_CHECK_REGISTER(r->Register("batcalc", "ifthenelse", BatIfThenElse));
-  STETHO_CHECK_REGISTER(r->Register("calc", "and", [](KernelArgs& a) {
-    return CalcBoolOp(BoolOp::kAnd, a);
-  }));
-  STETHO_CHECK_REGISTER(r->Register("calc", "or", [](KernelArgs& a) {
-    return CalcBoolOp(BoolOp::kOr, a);
-  }));
-  STETHO_CHECK_REGISTER(r->Register("calc", "not", CalcNot));
-
-  STETHO_CHECK_REGISTER(r->Register("language", "dataflow", LanguageDataflow));
-  STETHO_CHECK_REGISTER(r->Register("language", "pass", LanguagePass));
-  STETHO_CHECK_REGISTER(r->Register("io", "print", IoPrint));
-  STETHO_CHECK_REGISTER(r->Register("debug", "sleep", DebugSleep));
-  STETHO_CHECK_REGISTER(r->Register("debug", "spin", DebugSpin));
+  // language / io / debug: administrative and effectful.
+  STETHO_CHECK_REGISTER(r->Register(
+      "language", "dataflow", LanguageDataflow,
+      {.side_effect_free = false, .cost_factor = analysis::kViewCost}));
+  STETHO_CHECK_REGISTER(r->Register(
+      "language", "pass", LanguagePass,
+      {.args = {kAny},
+       .side_effect_free = false,
+       .cost_factor = analysis::kViewCost}));
+  STETHO_CHECK_REGISTER(r->Register(
+      "io", "print", IoPrint,
+      {.variadic = true, .is_sink = true, .side_effect_free = false}));
+  STETHO_CHECK_REGISTER(r->Register(
+      "debug", "sleep", DebugSleep,
+      {.args = {kScalar}, .side_effect_free = false}));
+  // Effectful so that dead-code elimination keeps it.
+  STETHO_CHECK_REGISTER(r->Register(
+      "debug", "spin", DebugSpin,
+      {.args = {kScalar}, .results = {kScalar}, .side_effect_free = false}));
 }
 
 }  // namespace stetho::engine

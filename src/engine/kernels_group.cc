@@ -8,6 +8,12 @@
 namespace stetho::engine {
 namespace {
 
+using analysis::AbstractTransferFn;
+using analysis::AbstractValue;
+using analysis::Interval;
+using analysis::TransferContext;
+using analysis::Tri;
+using enum analysis::ValueKind;
 using storage::Column;
 using storage::ColumnPtr;
 using storage::DataType;
@@ -102,6 +108,26 @@ Status GroupSubgroup(KernelArgs& a) {
   return GroupImpl(col, prior, a);
 }
 
+/// group.group / group.subgroup -> (per-row group ids, extents, histogram).
+void TransferGroup(const TransferContext& ctx, std::vector<AbstractValue>* r) {
+  if (r->size() != 3) return;
+  const AbstractValue& col = Arg(ctx, 0);
+  AbstractValue& groups = (*r)[0];
+  groups.elem = DataType::kOid;
+  groups.nullable = Tri::kFalse;
+  if (col.defined && col.is_bat == Tri::kTrue) groups.card = col.card;
+  AbstractValue& extents = (*r)[1];
+  extents.elem = DataType::kOid;
+  extents.nullable = Tri::kFalse;
+  extents.card = Interval{col.card.lo > 0 ? 1 : 0, col.card.hi};
+  // First-occurrence positions are discovered scanning ascending.
+  extents.sorted = Tri::kTrue;
+  AbstractValue& histogram = (*r)[2];
+  histogram.elem = DataType::kInt64;
+  histogram.nullable = Tri::kFalse;
+  histogram.card = extents.card;
+}
+
 /// Numeric view of col[i] for aggregation.
 Result<double> NumAt(const ColumnPtr& col, size_t i) {
   switch (col->type()) {
@@ -165,6 +191,37 @@ Status ScalarAgg(AggKind kind, KernelArgs& a) {
   *a.results[0] = RegisterValue::Scalar(
       int_result ? Value::Int(static_cast<int64_t>(out)) : Value::Double(out));
   return Status::OK();
+}
+
+void TransferAggrCount(const TransferContext& ctx,
+                       std::vector<AbstractValue>* r) {
+  if (r->size() != 1) return;
+  AbstractValue& out = (*r)[0];
+  out.elem = DataType::kInt64;
+  out.nullable = Tri::kFalse;
+  const AbstractValue& col = Arg(ctx, 0);
+  // count skips NULLs, so the cardinality only pins the result for a
+  // provably NULL-free input.
+  if (col.defined && col.card.is_exact() && col.nullable == Tri::kFalse) {
+    out.constant = Value::Int(col.card.lo);
+  }
+}
+
+void TransferAggrNumeric(const TransferContext& ctx,
+                         std::vector<AbstractValue>* r) {
+  if (r->size() != 1) return;
+  AbstractValue& out = (*r)[0];
+  const AbstractValue& col = Arg(ctx, 0);
+  if (col.elem_known()) {
+    out.elem = col.elem == DataType::kDouble ? DataType::kDouble
+                                             : DataType::kInt64;
+  }
+}
+
+void TransferAggrAvg(const TransferContext& /*ctx*/,
+                     std::vector<AbstractValue>* r) {
+  if (r->size() != 1) return;
+  (*r)[0].elem = DataType::kDouble;
 }
 
 /// Grouped aggregates: aggr.subX(col, groups, extents) :bat — one value per
@@ -238,28 +295,88 @@ Status GroupedAgg(AggKind kind, KernelArgs& a) {
   return Status::OK();
 }
 
+/// Grouped aggregates: one output row per group (extents, arg 2).
+void TransferSubaggr(DataType elem, const TransferContext& ctx,
+                     std::vector<AbstractValue>* r) {
+  if (r->size() != 1) return;
+  AbstractValue& out = (*r)[0];
+  const AbstractValue& col = Arg(ctx, 0);
+  const AbstractValue& extents = Arg(ctx, 2);
+  if (elem != DataType::kNull) {
+    out.elem = elem;
+  } else if (col.elem_known()) {
+    out.elem = col.elem == DataType::kDouble ? DataType::kDouble
+                                             : DataType::kInt64;
+  }
+  if (extents.defined && extents.is_bat == Tri::kTrue) {
+    out.card = extents.card;
+  }
+}
+
+void TransferSubNumeric(const TransferContext& ctx,
+                        std::vector<AbstractValue>* r) {
+  TransferSubaggr(DataType::kNull, ctx, r);
+}
+void TransferSubAvg(const TransferContext& ctx,
+                    std::vector<AbstractValue>* r) {
+  TransferSubaggr(DataType::kDouble, ctx, r);
+}
+void TransferSubCount(const TransferContext& ctx,
+                      std::vector<AbstractValue>* r) {
+  TransferSubaggr(DataType::kInt64, ctx, r);
+  if (r->size() == 1) (*r)[0].nullable = Tri::kFalse;
+}
+
 }  // namespace
 
 void RegisterGroupAggrKernels(ModuleRegistry* r) {
-  STETHO_CHECK_REGISTER(r->Register("group", "group", GroupGroup));
-  STETHO_CHECK_REGISTER(r->Register("group", "subgroup", GroupSubgroup));
+  STETHO_CHECK_REGISTER(r->Register(
+      "group", "group", GroupGroup,
+      {.args = {kBat},
+       .results = {kBat, kBat, kBat},
+       .transfer = TransferGroup,
+       .exact_capacity = true}));
+  STETHO_CHECK_REGISTER(r->Register(
+      "group", "subgroup", GroupSubgroup,
+      {.args = {kBat, kBat},
+       .results = {kBat, kBat, kBat},
+       .equal_card_args = {{0, 1}},
+       .transfer = TransferGroup,
+       .exact_capacity = true}));
 
   const struct {
     const char* scalar_name;
     const char* grouped_name;
     AggKind kind;
+    AbstractTransferFn scalar_transfer;
+    AbstractTransferFn grouped_transfer;
   } kAggs[] = {
-      {"sum", "subsum", AggKind::kSum},     {"min", "submin", AggKind::kMin},
-      {"max", "submax", AggKind::kMax},     {"avg", "subavg", AggKind::kAvg},
-      {"count", "subcount", AggKind::kCount},
+      {"sum", "subsum", AggKind::kSum, TransferAggrNumeric, TransferSubNumeric},
+      {"min", "submin", AggKind::kMin, TransferAggrNumeric, TransferSubNumeric},
+      {"max", "submax", AggKind::kMax, TransferAggrNumeric, TransferSubNumeric},
+      {"avg", "subavg", AggKind::kAvg, TransferAggrAvg, TransferSubAvg},
+      {"count", "subcount", AggKind::kCount, TransferAggrCount,
+       TransferSubCount},
   };
   for (const auto& e : kAggs) {
     AggKind kind = e.kind;
     STETHO_CHECK_REGISTER(r->Register(
-        "aggr", e.scalar_name, [kind](KernelArgs& a) { return ScalarAgg(kind, a); }));
+        "aggr", e.scalar_name,
+        [kind](KernelArgs& a) { return ScalarAgg(kind, a); },
+        {.args = {kBat},
+         .results = {kScalar},
+         .transfer = e.scalar_transfer,
+         .exact_capacity = true,
+         .cost_factor = analysis::kAggregateCost}));
     STETHO_CHECK_REGISTER(r->Register(
         "aggr", e.grouped_name,
-        [kind](KernelArgs& a) { return GroupedAgg(kind, a); }));
+        [kind](KernelArgs& a) { return GroupedAgg(kind, a); },
+        {.args = {kBat, kBat, kBat},
+         .results = {kBat},
+         .equal_card_args = {{0, 1}},
+         .transfer = e.grouped_transfer,
+         .exact_capacity = true,
+         .cost_factor = analysis::kAggregateCost}));
   }
 }
 

@@ -25,6 +25,18 @@ bool ValidName(const std::string& name) {
 
 }  // namespace
 
+std::string MetricToken(const std::string& text) {
+  std::string out;
+  out.reserve(text.size());
+  for (char c : text) {
+    bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+              (c >= '0' && c <= '9') || c == '_';
+    out += ok ? c : '_';
+  }
+  if (out.empty()) out = "unknown";
+  return out;
+}
+
 void SetEnabled(bool enabled) {
   g_enabled.store(enabled, std::memory_order_relaxed);
 }

@@ -131,6 +131,12 @@ struct MetricSample {
   int64_t sum = 0;    ///< histogram only
 };
 
+/// `text` made safe to embed in a metric name: every character outside
+/// [A-Za-z0-9_] becomes '_', and empty text becomes "unknown". For name
+/// parts that come from outside the code (module names from parsed MAL,
+/// pass names), since the registry aborts on malformed literal names.
+std::string MetricToken(const std::string& text);
+
 /// Process-wide metrics registry. Registration (rare, startup / first-use)
 /// takes a mutex and validates names; the returned pointers are stable for
 /// the registry's lifetime, so instrumented hot paths touch only the atomic

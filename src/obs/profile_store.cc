@@ -127,6 +127,17 @@ double RobustStat::Mad() const {
   return deviations.back().first;
 }
 
+std::optional<double> RegressionRatio(int64_t observed_usec, double median,
+                                      double mad) {
+  const double observed = static_cast<double>(observed_usec);
+  const double floor = std::max(kRegressionMadK * mad,
+                                static_cast<double>(kRegressionMinUsec));
+  if (observed - median < floor) return std::nullopt;
+  const double ratio = observed / std::max(1.0, median);
+  if (ratio < kRegressionRatio) return std::nullopt;
+  return ratio;
+}
+
 std::string RobustStat::Serialize() const {
   std::string out = StrFormat(
       "%lld,%lld,%lld,%lld", static_cast<long long>(count_),

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -68,6 +69,34 @@ class RobustStat {
   int64_t max_ = 0;
   std::map<int, int64_t> buckets_;  // sparse: log bucket -> observations
 };
+
+/// --- The regression rule ---
+///
+/// An observed duration regresses against a baseline distribution when both
+/// gates below hold. The trace-perf-regression lint (per pc and for the
+/// makespan) and the online monitor's straggler flags apply this one rule,
+/// so live and offline agree.
+
+/// Ratio gate: observed / max(1us, median) reaches this. RobustStat's
+/// bucket-center quantiles are within ~4.5%, far below it, so
+/// re-recordings of an unchanged workload stay quiet. The 1us floor keeps
+/// a sub-microsecond median from inflating the ratio.
+inline constexpr double kRegressionRatio = 1.5;
+/// The lint reports an error instead of a warning from this ratio on: the
+/// work took at least twice its usual time.
+inline constexpr double kRegressionErrorRatio = 2.0;
+/// Excess gate: observed - median reaches max(kRegressionMadK * MAD,
+/// kRegressionMinUsec). The MAD term scales with the baseline's own
+/// spread; the floor absorbs timer jitter on microsecond-scale kernels,
+/// whose ratio alone swings past 1.5x.
+inline constexpr double kRegressionMadK = 4.0;
+inline constexpr int64_t kRegressionMinUsec = 10;
+
+/// observed_usec / max(1, median) when the observation regresses against a
+/// baseline with this median and MAD; nullopt otherwise. Callers skip
+/// empty baselines.
+std::optional<double> RegressionRatio(int64_t observed_usec, double median,
+                                      double mad);
 
 /// One instruction's measurements from a single completed query.
 struct PcSample {

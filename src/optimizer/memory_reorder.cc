@@ -83,8 +83,8 @@ class MemoryReorderPass final : public Pass {
     }
     int prev_effectful = -1;
     for (size_t pc = 0; pc < n; ++pc) {
-      const mal::Instruction& ins = program->instruction(static_cast<int>(pc));
-      if (IsPureOperation(ins.module, ins.function)) continue;
+      const analysis::KernelSignature* sig = facts[pc].sig;
+      if (sig != nullptr && sig->side_effect_free) continue;
       if (prev_effectful >= 0) add_edge(prev_effectful, static_cast<int>(pc));
       prev_effectful = static_cast<int>(pc);
     }

@@ -14,18 +14,6 @@
 namespace stetho::optimizer {
 namespace {
 
-/// Pass names use '-' (e.g. "dead-code"); metric names may not.
-std::string PassToken(const std::string& name) {
-  std::string out;
-  out.reserve(name.size());
-  for (char c : name) {
-    bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-              (c >= '0' && c <= '9') || c == '_';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
 obs::Counter* PassesFiredCounter() {
   static obs::Counter* counter = obs::Registry::Default()->GetOrCreateCounter(
       "stetho_opt_passes_fired_total",
@@ -56,16 +44,6 @@ Status DumpAndReturn(Status st) {
 }
 
 }  // namespace
-
-bool IsPureOperation(const std::string& module, const std::string& function) {
-  if (module == "io" || module == "debug" || module == "language") return false;
-  if (module == "sql") {
-    return function == "bind" || function == "tid" || function == "mvc";
-  }
-  return module == "algebra" || module == "bat" || module == "mat" ||
-         module == "calc" || module == "batcalc" || module == "group" ||
-         module == "aggr";
-}
 
 Result<std::vector<std::string>> Pipeline::Run(mal::Program* program) const {
   std::vector<std::string> fired;
@@ -117,7 +95,8 @@ Result<std::vector<std::string>> Pipeline::Run(mal::Program* program) const {
       PassesFiredCounter()->Increment();
       obs::Registry::Default()
           ->GetOrCreateCounter(
-              "stetho_opt_pass_" + PassToken(pass->name()) + "_fired_total",
+              "stetho_opt_pass_" + obs::MetricToken(pass->name()) +
+                  "_fired_total",
               "Times optimizer pass '" + std::string(pass->name()) +
                   "' changed a plan")
           ->Increment();

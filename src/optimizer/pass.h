@@ -21,11 +21,6 @@ class Pass {
   virtual Result<bool> Run(mal::Program* program) = 0;
 };
 
-/// True for kernels whose only observable effect is their result value —
-/// these are safe to eliminate, deduplicate, and fold. Catalog readers
-/// (sql.bind/tid/mvc) count as pure because tables are immutable.
-bool IsPureOperation(const std::string& module, const std::string& function);
-
 /// An ordered list of passes applied until fixpoint-per-pass (each pass runs
 /// once, in order; the pipeline records which passes fired).
 class Pipeline {
@@ -60,10 +55,11 @@ class Pipeline {
 /// propagates the folded value into consumers.
 std::unique_ptr<Pass> MakeConstantFoldingPass();
 
-/// Deduplicates pure instructions with identical operations and arguments.
+/// Deduplicates instructions with identical operations and arguments whose
+/// kernel is side-effect free (KernelSignature::side_effect_free).
 std::unique_ptr<Pass> MakeCommonSubexpressionPass();
 
-/// Removes pure instructions whose results are never consumed.
+/// Removes side-effect-free instructions whose results are never consumed.
 std::unique_ptr<Pass> MakeDeadCodePass();
 
 /// Splits candidate-list selects over sql.tid ranges into `pieces` parallel

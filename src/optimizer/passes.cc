@@ -15,6 +15,16 @@ using mal::Program;
 using storage::DataType;
 using storage::Value;
 
+/// True when the kernel's only observable effect is its result value
+/// (KernelSignature::side_effect_free), so the call may be eliminated or
+/// deduplicated. Unknown operations and kernels without a signature may
+/// have effects.
+bool SideEffectFree(const Instruction& ins) {
+  const analysis::KernelSignature* sig =
+      engine::ModuleRegistry::Default()->Signature(ins.module, ins.function);
+  return sig != nullptr && sig->side_effect_free;
+}
+
 /// Remaps variable arguments through `replacement` (var id -> var id).
 void RemapArgs(Instruction* ins, const std::vector<int>& replacement) {
   for (Argument& arg : ins->args) {
@@ -97,7 +107,8 @@ class ConstantFoldingPass : public Pass {
 // Common subexpression elimination
 // ---------------------------------------------------------------------------
 
-/// Structural key of a pure instruction: op name + rendered args.
+/// Structural key of a side-effect-free instruction: op name + rendered
+/// args.
 std::string InstructionKey(const Program& program, const Instruction& ins) {
   std::string key = ins.module + "." + ins.function + "(";
   for (const Argument& arg : ins.args) {
@@ -127,7 +138,7 @@ class CommonSubexpressionPass : public Pass {
 
     for (Instruction ins : program->instructions()) {
       RemapArgs(&ins, replacement);
-      if (!IsPureOperation(ins.module, ins.function)) {
+      if (!SideEffectFree(ins)) {
         kept.push_back(std::move(ins));
         continue;
       }
@@ -172,7 +183,7 @@ class DeadCodePass : public Pass {
     const auto& instructions = program->instructions();
     for (size_t i = instructions.size(); i-- > 0;) {
       const Instruction& ins = instructions[i];
-      bool needed = !IsPureOperation(ins.module, ins.function);
+      bool needed = !SideEffectFree(ins);
       for (int r : ins.results) {
         if (live[static_cast<size_t>(r)]) needed = true;
       }

@@ -163,18 +163,6 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
   // algorithm, and push color changes through the render-paced EDT.
   std::map<int, viz::Color> applied;
   std::set<int> straggler_flagged;
-  // Both straggler gates (ratio x absolute delta), mirroring the
-  // trace-perf-regression lint check so live and offline agree.
-  auto is_straggler = [this](int64_t usec, const obs::RobustStat& stat) {
-    if (stat.count() == 0) return false;
-    const double median = stat.Median();
-    const double floor =
-        std::max(options_.straggler_mad_k * stat.Mad(),
-                 static_cast<double>(options_.straggler_min_usec));
-    if (static_cast<double>(usec) - median < floor) return false;
-    return static_cast<double>(usec) >=
-           options_.straggler_ratio * std::max(1.0, median);
-  };
   auto sweep_stragglers = [&] {
     if (baseline == nullptr) return;
     std::map<int, int64_t> starts;
@@ -196,7 +184,10 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
         if (it == starts.end()) continue;  // not started (or start lost)
         usec = now_us - it->second;
       }
-      if (!is_straggler(usec, stat)) continue;
+      if (stat.count() == 0 ||
+          !obs::RegressionRatio(usec, stat.Median(), stat.Mad())) {
+        continue;
+      }
       straggler_flagged.insert(ipc);
       report.stragglers.push_back({ipc, usec, stat.Median(), completed});
       // Deviation overlay: the fill stays with the pair-sequence state

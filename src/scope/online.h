@@ -54,16 +54,10 @@ struct OnlineOptions {
   /// process-wide obs::ProfileStore::Default()). When the monitored plan's
   /// shape has a stored profile, every analysis round compares each
   /// instruction's completed — or still-running — duration against the
-  /// baseline and flags stragglers: the glyph gets a magenta deviation
-  /// stroke, the status line appends "stragglers:N", and
-  /// OnlineReport::stragglers records the flags.
+  /// baseline by obs::RegressionRatio and flags stragglers: the glyph gets
+  /// a magenta deviation stroke, the status line appends "stragglers:N",
+  /// and OnlineReport::stragglers records the flags.
   obs::ProfileStore* profile = nullptr;
-  /// A pc is a straggler when its duration is at least `straggler_ratio` x
-  /// the baseline median AND exceeds it by max(straggler_mad_k x MAD,
-  /// straggler_min_usec). Mirrors the trace-perf-regression lint gates.
-  double straggler_ratio = 1.5;
-  double straggler_mad_k = 4.0;
-  int64_t straggler_min_usec = 10;
 };
 
 /// One instruction flagged by the live straggler comparator.

@@ -24,7 +24,7 @@ namespace stetho::server {
 
 /// Server configuration.
 struct MserverOptions {
-  /// Degree of parallelism for dataflow execution (0 = hardware threads).
+  /// Degree of parallelism for dataflow execution (0 = engine::DefaultDop()).
   int dop = 0;
   /// Mitosis partitions applied by the optimizer pipeline (0/1 = off).
   int mitosis_pieces = 0;

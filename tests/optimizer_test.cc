@@ -115,6 +115,21 @@ TEST(CsePassTest, DoesNotMergeImpure) {
   EXPECT_EQ(p.size(), 2u);
 }
 
+// An operation without a registered signature may have effects, even in
+// a module whose built-in kernels are all side-effect free.
+TEST(CsePassTest, DoesNotMergeUnregisteredOps) {
+  Program p;
+  for (int i = 0; i < 2; ++i) {
+    int v = p.AddVariable(MalType::Bat(DataType::kOid));
+    p.Add("algebra", "nosuch", {v}, {Argument::Const(Value::Int(1))});
+    p.Add("io", "print", {}, {Argument::Var(v)});
+  }
+  auto changed = MakeCommonSubexpressionPass()->Run(&p);
+  ASSERT_TRUE(changed.ok());
+  EXPECT_FALSE(changed.value());
+  EXPECT_EQ(CountOps(p, "algebra.nosuch"), 2u);
+}
+
 TEST(CsePassTest, DistinguishesDifferentConstantTypes) {
   Program p;
   int a = p.AddVariable(MalType::Bat(DataType::kOid));
@@ -152,6 +167,16 @@ TEST(DeadCodeTest, RemovesUnusedPureChains) {
 TEST(DeadCodeTest, KeepsImpureInstructions) {
   Program p;
   p.Add("debug", "sleep", {}, {Argument::Const(Value::Int(1))});
+  auto changed = MakeDeadCodePass()->Run(&p);
+  ASSERT_TRUE(changed.ok());
+  EXPECT_FALSE(changed.value());
+  EXPECT_EQ(p.size(), 1u);
+}
+
+TEST(DeadCodeTest, KeepsUnregisteredOps) {
+  Program p;
+  int unused = p.AddVariable(MalType::Bat(DataType::kOid));
+  p.Add("algebra", "nosuch", {unused}, {Argument::Const(Value::Int(1))});
   auto changed = MakeDeadCodePass()->Run(&p);
   ASSERT_TRUE(changed.ok());
   EXPECT_FALSE(changed.value());

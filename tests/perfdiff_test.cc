@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -104,6 +105,45 @@ TEST(RobustStatTest, SerializeParseRoundTrip) {
   EXPECT_FALSE(RobustStat::Parse("", &garbage));
   EXPECT_FALSE(RobustStat::Parse("not,a,stat", &garbage));
   EXPECT_FALSE(RobustStat::Parse("1,2,3", &garbage));
+}
+
+// --- The regression rule --------------------------------------------------
+
+// Each gate at its edge, one step either side: the ratio gate at exactly
+// 1.5 and the error ratio at exactly 2.0, the excess gate at exactly
+// 4 * MAD and at exactly the 10us floor, and the 1us floor under the ratio
+// for a sub-microsecond median.
+TEST(RegressionRuleTest, GatesHoldAtTheirEdges) {
+  const struct {
+    const char* edge;
+    int64_t observed;
+    double median;
+    double mad;
+    double want_ratio;  ///< 0 = no regression
+  } kCases[] = {
+      {"ratio exactly 1.5", 150, 100, 0, 1.5},
+      {"ratio just below 1.5", 149, 100, 0, 0},
+      {"ratio exactly 2.0", 200, 100, 0, 2.0},
+      {"ratio just below 2.0", 199, 100, 0, 1.99},
+      {"excess exactly 4*MAD", 60, 20, 10, 3.0},
+      {"excess just below 4*MAD", 59, 20, 10, 0},
+      {"excess exactly 10us", 14, 4, 1, 3.5},
+      {"excess just below 10us", 13, 4, 1, 0},
+      {"median below 1us", 11, 0.25, 0, 11.0},
+      {"median below 1us, excess below 10us", 10, 0.25, 0, 0},
+  };
+  for (const auto& c : kCases) {
+    std::optional<double> ratio =
+        obs::RegressionRatio(c.observed, c.median, c.mad);
+    if (c.want_ratio == 0) {
+      EXPECT_FALSE(ratio.has_value()) << c.edge;
+      continue;
+    }
+    ASSERT_TRUE(ratio.has_value()) << c.edge;
+    EXPECT_DOUBLE_EQ(*ratio, c.want_ratio) << c.edge;
+    EXPECT_EQ(*ratio >= obs::kRegressionErrorRatio, c.want_ratio >= 2.0)
+        << c.edge;
+  }
 }
 
 // --- ProfileStore ---------------------------------------------------------

@@ -1048,7 +1048,7 @@ TEST(OnlineMonitorTest, FlagsStragglersAgainstStoredBaseline) {
     EXPECT_LT(flag.pc, static_cast<int>(r.outcome.plan.size()));
     // Every flag cleared both gates against the near-zero baseline (a 0us
     // sample sits in the v<=1 log bucket, so its median reads as 1).
-    EXPECT_GE(flag.usec, options.straggler_min_usec);
+    EXPECT_GE(flag.usec, obs::kRegressionMinUsec);
     EXPECT_LE(flag.baseline_median, 1.0);
     // One flag per pc, never re-reported.
     EXPECT_TRUE(flagged_pcs.insert(flag.pc).second) << flag.pc;
