@@ -4,15 +4,19 @@
 // (distributed) sources. Its filter options allow for selective tracing."
 //
 // Measures datagram transport throughput (in-process channel and real
-// loopback UDP) and the textual Stethoscope's end-to-end ingest rate with
-// 1..8 concurrent servers, with and without filtering.
+// loopback UDP), the textual Stethoscope's end-to-end ingest rate with
+// 1..8 concurrent servers, with and without filtering, and the cost of
+// pushing a wide plan's dot file over loopback UDP (paper §4.2).
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <thread>
 
 #include "bench_util.h"
+#include "dot/writer.h"
 #include "net/channel.h"
+#include "net/trace_stream.h"
 #include "net/udp.h"
 #include "scope/textual.h"
 
@@ -125,6 +129,84 @@ BENCHMARK(BM_TextualIngestMultiServer)
     ->Args({8, 0})
     ->Args({4, 1})
     ->Unit(benchmark::kMillisecond);
+
+/// Forwards every datagram to `inner` and counts them.
+class CountingSender : public net::DatagramSender {
+ public:
+  explicit CountingSender(net::DatagramSender* inner) : inner_(inner) {}
+  Status Send(const std::string& payload) override {
+    ++datagrams;
+    return inner_->Send(payload);
+  }
+  int64_t datagrams = 0;
+
+ private:
+  net::DatagramSender* inner_;
+};
+
+/// The width-128 q1 plan's dot file (q1 at mitosis 128, about 4,000 lines
+/// and 128 KB) pushed over loopback UDP into a textual Stethoscope, as the
+/// server does before every monitored query. One iteration sends the dot
+/// file and one trace line behind it, and ends when the listener has
+/// ingested that line, so the dot's lines have all been processed. Counters:
+/// datagrams per dot file, iterations whose marker line was lost (a lost
+/// datagram), and whether the last dot arrived byte for byte.
+void BM_WideDotOverUdp(benchmark::State& state) {
+  server::MserverOptions server_options;
+  server_options.mitosis_pieces = 128;
+  auto server = bench::MakeServer(server_options, 0.002);
+  auto plan = server->Explain(tpch::GetQuery("q1").value().sql);
+  if (!plan.ok()) {
+    state.SkipWithError("explain failed");
+    return;
+  }
+  dot::DotWriterOptions dot_options;
+  dot_options.graph_name = plan.value().function_name();
+  const std::string dot = dot::ProgramToDot(plan.value(), dot_options);
+
+  auto udp_receiver = net::UdpReceiver::Bind(0);
+  if (!udp_receiver.ok()) {
+    state.SkipWithError("bind failed");
+    return;
+  }
+  auto udp_sender = net::UdpSender::Connect(udp_receiver.value()->port());
+  if (!udp_sender.ok()) {
+    state.SkipWithError("connect failed");
+    return;
+  }
+  scope::TextualStethoscope textual(scope::TextualOptions{});
+  (void)textual.AddServer("udp", std::move(udp_receiver).value());
+  CountingSender wire(udp_sender.value().get());
+  const std::string marker = SampleLine();
+
+  int64_t lost = 0;
+  for (auto _ : state) {
+    const int64_t before = textual.events_received();
+    (void)net::SendDotFile(&wire, "q1", dot);
+    (void)wire.Send(marker);
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+    while (textual.events_received() == before) {
+      if (std::chrono::steady_clock::now() > give_up) {
+        ++lost;
+        break;
+      }
+      std::this_thread::yield();
+    }
+  }
+  auto received = textual.DotFor("udp/q1");
+  textual.Stop();
+  const double iterations = static_cast<double>(state.iterations());
+  // The marker is one datagram per iteration; the rest carried the dot.
+  state.counters["datagrams_per_dot"] =
+      static_cast<double>(wire.datagrams) / iterations - 1;
+  state.counters["lost_markers"] = static_cast<double>(lost);
+  state.counters["dot_intact"] =
+      received.ok() && received.value() == dot ? 1 : 0;
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(dot.size()));
+}
+BENCHMARK(BM_WideDotOverUdp)->Unit(benchmark::kMicrosecond);
 
 /// Live server -> UDP -> textual Stethoscope, while the query runs.
 void BM_LiveQueryOverUdp(benchmark::State& state) {

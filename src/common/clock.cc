@@ -17,6 +17,12 @@ void SteadyClock::SleepMicros(int64_t micros) {
   }
 }
 
+void SteadyClock::WaitMicros(std::condition_variable* cv,
+                             std::unique_lock<std::mutex>* lock,
+                             int64_t micros) {
+  if (micros > 0) cv->wait_for(*lock, std::chrono::microseconds(micros));
+}
+
 SteadyClock* SteadyClock::Default() {
   static SteadyClock* clock = new SteadyClock();
   return clock;

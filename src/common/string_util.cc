@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -109,18 +110,22 @@ std::string StrFormat(const char* fmt, ...) {
 }
 
 Result<int64_t> ParseInt64(std::string_view s) {
-  std::string buf(TrimView(s));
-  if (buf.empty()) return Status::ParseError("empty integer literal");
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(buf.c_str(), &end, 10);
-  if (errno == ERANGE) {
-    return Status::OutOfRange("integer out of range: " + buf);
+  const std::string_view t = TrimView(s);
+  if (t.empty()) return Status::ParseError("empty integer literal");
+  // strtoll's decimal grammar: from_chars plus an optional leading '+'
+  // (which, like strtoll, must not be followed by another sign).
+  const char* first = t.data();
+  const char* last = t.data() + t.size();
+  if (t.size() > 1 && t[0] == '+' && t[1] != '-') ++first;
+  int64_t v = 0;
+  const auto [end, ec] = std::from_chars(first, last, v);
+  if (ec == std::errc::result_out_of_range) {
+    return Status::OutOfRange("integer out of range: " + std::string(t));
   }
-  if (end != buf.c_str() + buf.size()) {
-    return Status::ParseError("invalid integer literal: " + buf);
+  if (ec != std::errc() || end != last) {
+    return Status::ParseError("invalid integer literal: " + std::string(t));
   }
-  return static_cast<int64_t>(v);
+  return v;
 }
 
 Result<double> ParseDouble(std::string_view s) {

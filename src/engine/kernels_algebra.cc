@@ -316,13 +316,17 @@ struct JoinKeyHash {
   }
 };
 
-Result<JoinKey> NumericKey(const ColumnPtr& col, size_t i) {
+/// The key of row `i`. When both join sides are integer-typed the key is
+/// the integer itself, so distinct :lng values above 2^53 stay distinct.
+/// With a :dbl side (`as_double`), integers key by their double
+/// representation so an :lng column joins a :dbl column holding integral
+/// values.
+Result<JoinKey> NumericKey(const ColumnPtr& col, size_t i, bool as_double) {
   switch (col->type()) {
     case DataType::kInt64:
     case DataType::kOid:
     case DataType::kBool: {
-      // Encode integers via their double representation so an :lng column
-      // joins correctly against a :dbl column holding integral values.
+      if (!as_double) return JoinKey{static_cast<uint64_t>(col->IntAt(i))};
       double d = static_cast<double>(col->IntAt(i));
       uint64_t bits;
       std::memcpy(&bits, &d, sizeof(bits));
@@ -368,16 +372,18 @@ Status AlgebraJoin(KernelArgs& a) {
       }
     }
   } else {
+    const bool as_double =
+        l->type() == DataType::kDouble || r->type() == DataType::kDouble;
     std::unordered_map<JoinKey, std::vector<uint64_t>, JoinKeyHash> build;
     build.reserve(r->size());
     for (size_t i = 0; i < r->size(); ++i) {
       if (r->IsNull(i)) continue;
-      STETHO_ASSIGN_OR_RETURN(JoinKey key, NumericKey(r, i));
+      STETHO_ASSIGN_OR_RETURN(JoinKey key, NumericKey(r, i, as_double));
       build[key].push_back(i);
     }
     for (size_t i = 0; i < l->size(); ++i) {
       if (l->IsNull(i)) continue;
-      STETHO_ASSIGN_OR_RETURN(JoinKey key, NumericKey(l, i));
+      STETHO_ASSIGN_OR_RETURN(JoinKey key, NumericKey(l, i, as_double));
       auto it = build.find(key);
       if (it == build.end()) continue;
       for (uint64_t j : it->second) {

@@ -268,7 +268,38 @@ Result<double> ApplyDouble(BinOp op, double x, double y) {
   }
 }
 
-bool ApplyCompare(BinOp op, double x, double y) {
+/// Integer add, sub and mul, exact: a result outside :lng is an error, as in
+/// MonetDB, never a wrapped or rounded value.
+Result<int64_t> ApplyInt(BinOp op, int64_t x, int64_t y) {
+  int64_t v = 0;
+  bool overflow = false;
+  const char* symbol = "";
+  switch (op) {
+    case BinOp::kAdd:
+      overflow = __builtin_add_overflow(x, y, &v);
+      symbol = "+";
+      break;
+    case BinOp::kSub:
+      overflow = __builtin_sub_overflow(x, y, &v);
+      symbol = "-";
+      break;
+    case BinOp::kMul:
+      overflow = __builtin_mul_overflow(x, y, &v);
+      symbol = "*";
+      break;
+    default:
+      return Status::Internal("ApplyInt on division or comparison op");
+  }
+  if (overflow) {
+    return Status::OutOfRange(StrFormat("integer overflow: %lld %s %lld",
+                                        static_cast<long long>(x), symbol,
+                                        static_cast<long long>(y)));
+  }
+  return v;
+}
+
+template <typename T>
+bool ApplyCompare(BinOp op, T x, T y) {
   switch (op) {
     case BinOp::kEq:
       return x == y;
@@ -291,6 +322,7 @@ bool ApplyCompare(BinOp op, double x, double y) {
 struct NumOperand {
   ColumnPtr bat;       // null => scalar
   double scalar = 0;
+  int64_t int_scalar = 0;  // the scalar when it is not a :dbl
   bool scalar_is_double = false;
 
   size_t size() const { return bat ? bat->size() : 0; }
@@ -305,6 +337,8 @@ struct NumOperand {
                ? bat->DoubleAt(i)
                : static_cast<double>(bat->IntAt(i));
   }
+  /// Precondition: !is_double().
+  int64_t IntAt(size_t i) const { return bat ? bat->IntAt(i) : int_scalar; }
 };
 
 Result<NumOperand> MakeOperand(const KernelArgs& a, size_t i) {
@@ -322,6 +356,9 @@ Result<NumOperand> MakeOperand(const KernelArgs& a, size_t i) {
   STETHO_ASSIGN_OR_RETURN(double v, ArgDouble(a, i));
   op.scalar = v;
   op.scalar_is_double = a.args[i]->scalar.type() == DataType::kDouble;
+  if (!op.scalar_is_double) {
+    STETHO_ASSIGN_OR_RETURN(op.int_scalar, ArgInt(a, i));
+  }
   return op;
 }
 
@@ -424,6 +461,9 @@ Status BatBinOp(BinOp op, KernelArgs& a) {
                   lhs.bat->size(), rhs.bat->size()));
   }
   size_t n = lhs.bat ? lhs.size() : rhs.size();
+  // Integer ⊕ integer stays in int64_t; a :dbl side or a division computes
+  // in double.
+  const bool integers = !lhs.is_double() && !rhs.is_double();
 
   if (IsComparison(op)) {
     ColumnPtr out = Column::Make(DataType::kBool);
@@ -432,14 +472,16 @@ Status BatBinOp(BinOp op, KernelArgs& a) {
       if (lhs.IsNull(i) || rhs.IsNull(i)) {
         out->AppendNull();
       } else {
-        out->AppendBool(ApplyCompare(op, lhs.At(i), rhs.At(i)));
+        out->AppendBool(integers
+                            ? ApplyCompare(op, lhs.IntAt(i), rhs.IntAt(i))
+                            : ApplyCompare(op, lhs.At(i), rhs.At(i)));
       }
     }
     *a.results[0] = RegisterValue::Bat(std::move(out));
     return Status::OK();
   }
 
-  bool as_double = lhs.is_double() || rhs.is_double() || op == BinOp::kDiv;
+  const bool as_double = !integers || op == BinOp::kDiv;
   ColumnPtr out = Column::Make(as_double ? DataType::kDouble : DataType::kInt64);
   out->Reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -447,11 +489,13 @@ Status BatBinOp(BinOp op, KernelArgs& a) {
       out->AppendNull();
       continue;
     }
-    STETHO_ASSIGN_OR_RETURN(double v, ApplyDouble(op, lhs.At(i), rhs.At(i)));
     if (as_double) {
+      STETHO_ASSIGN_OR_RETURN(double v, ApplyDouble(op, lhs.At(i), rhs.At(i)));
       out->AppendDouble(v);
     } else {
-      out->AppendInt(static_cast<int64_t>(v));
+      STETHO_ASSIGN_OR_RETURN(int64_t v,
+                              ApplyInt(op, lhs.IntAt(i), rhs.IntAt(i)));
+      out->AppendInt(v);
     }
   }
   *a.results[0] = RegisterValue::Bat(std::move(out));
@@ -497,15 +541,24 @@ Status CalcBinOp(BinOp op, KernelArgs& a) {
   }
   STETHO_ASSIGN_OR_RETURN(double dx, x.ToDouble());
   STETHO_ASSIGN_OR_RETURN(double dy, y.ToDouble());
+  // Past ToDouble, a non-:dbl operand is a :lng or :bit, which ToInt takes.
+  const bool integers =
+      x.type() != DataType::kDouble && y.type() != DataType::kDouble;
   if (IsComparison(op)) {
-    *a.results[0] = RegisterValue::Scalar(Value::Bool(ApplyCompare(op, dx, dy)));
+    const bool r = integers ? ApplyCompare(op, x.ToInt().value(),
+                                           y.ToInt().value())
+                            : ApplyCompare(op, dx, dy);
+    *a.results[0] = RegisterValue::Scalar(Value::Bool(r));
+    return Status::OK();
+  }
+  if (integers && op != BinOp::kDiv) {
+    STETHO_ASSIGN_OR_RETURN(
+        int64_t v, ApplyInt(op, x.ToInt().value(), y.ToInt().value()));
+    *a.results[0] = RegisterValue::Scalar(Value::Int(v));
     return Status::OK();
   }
   STETHO_ASSIGN_OR_RETURN(double v, ApplyDouble(op, dx, dy));
-  bool as_double = x.type() == DataType::kDouble ||
-                   y.type() == DataType::kDouble || op == BinOp::kDiv;
-  *a.results[0] = RegisterValue::Scalar(
-      as_double ? Value::Double(v) : Value::Int(static_cast<int64_t>(v)));
+  *a.results[0] = RegisterValue::Scalar(Value::Double(v));
   return Status::OK();
 }
 

@@ -1,5 +1,6 @@
 #include <cstring>
 #include <limits>
+#include <type_traits>
 #include <unordered_map>
 
 #include "common/string_util.h"
@@ -128,21 +129,106 @@ void TransferGroup(const TransferContext& ctx, std::vector<AbstractValue>* r) {
   histogram.card = extents.card;
 }
 
-/// Numeric view of col[i] for aggregation.
-Result<double> NumAt(const ColumnPtr& col, size_t i) {
-  switch (col->type()) {
-    case DataType::kInt64:
-    case DataType::kOid:
-    case DataType::kBool:
-      return static_cast<double>(col->IntAt(i));
-    case DataType::kDouble:
-      return col->DoubleAt(i);
+enum class AggKind { kSum, kMin, kMax, kAvg, kCount };
+
+bool IsNumericColumn(DataType type) {
+  return type == DataType::kInt64 || type == DataType::kOid ||
+         type == DataType::kBool || type == DataType::kDouble;
+}
+
+/// The accumulator a sum/min/max/avg starts from.
+template <typename T>
+T FoldStart(AggKind kind) {
+  if (kind == AggKind::kMin) {
+    return std::numeric_limits<T>::has_infinity
+               ? std::numeric_limits<T>::infinity()
+               : std::numeric_limits<T>::max();
+  }
+  if (kind == AggKind::kMax) {
+    return std::numeric_limits<T>::has_infinity
+               ? -std::numeric_limits<T>::infinity()
+               : std::numeric_limits<T>::lowest();
+  }
+  return T{0};
+}
+
+/// The accumulator of an aggregate whose domain is T. Integer columns
+/// (:lng, :oid, :bit) fold in __int128: no run of fewer than 2^64 int64_t
+/// rows can wrap it, so a sum is exact whatever the row order and only its
+/// final value is checked against int64_t.
+template <typename T>
+using Acc = std::conditional_t<std::is_integral_v<T>, __int128, T>;
+
+/// Folds `v` into `*acc`.
+template <typename T>
+void Fold(AggKind kind, T v, Acc<T>* acc) {
+  switch (kind) {
+    case AggKind::kSum:
+    case AggKind::kAvg:
+      *acc += v;
+      break;
+    case AggKind::kMin:
+      *acc = v < *acc ? v : *acc;
+      break;
+    case AggKind::kMax:
+      *acc = v > *acc ? v : *acc;
+      break;
     default:
-      return Status::TypeError("aggregate over non-numeric column");
+      break;
   }
 }
 
-enum class AggKind { kSum, kMin, kMax, kAvg, kCount };
+/// col[i] in the aggregation domain T (int64_t for integer columns).
+template <typename T>
+T NumAt(const Column& col, size_t i) {
+  if constexpr (std::is_integral_v<T>) {
+    return col.IntAt(i);
+  } else {
+    return col.DoubleAt(i);
+  }
+}
+
+/// The aggregate's value over `n` folded rows (n > 0): avg divides the
+/// exact sum and never fails; an integer sum outside int64_t is an error;
+/// everything else keeps the column's domain.
+template <typename T>
+Result<Value> AggResult(AggKind kind, Acc<T> acc, int64_t n,
+                        const KernelArgs& a) {
+  if (kind == AggKind::kAvg) {
+    return Value::Double(static_cast<double>(acc) / static_cast<double>(n));
+  }
+  if constexpr (std::is_integral_v<T>) {
+    if (acc < std::numeric_limits<int64_t>::min() ||
+        acc > std::numeric_limits<int64_t>::max()) {
+      return Status::OutOfRange(a.ins->FullName() + ": integer overflow");
+    }
+    return Value::Int(static_cast<int64_t>(acc));
+  } else {
+    return Value::Double(acc);
+  }
+}
+
+/// Scalar sum/min/max/avg over a column whose aggregation domain is T.
+/// A non-numeric column is an error at its first non-NULL row.
+template <typename T>
+Status ScalarAggTyped(AggKind kind, const Column& col, KernelArgs& a) {
+  const bool numeric = IsNumericColumn(col.type());
+  Acc<T> acc = FoldStart<T>(kind);
+  int64_t n = 0;
+  for (size_t i = 0; i < col.size(); ++i) {
+    if (col.IsNull(i)) continue;
+    if (!numeric) return Status::TypeError("aggregate over non-numeric column");
+    Fold(kind, NumAt<T>(col, i), &acc);
+    ++n;
+  }
+  if (n == 0) {
+    *a.results[0] = RegisterValue::Scalar(Value::Null());
+    return Status::OK();
+  }
+  STETHO_ASSIGN_OR_RETURN(Value v, AggResult<T>(kind, acc, n, a));
+  *a.results[0] = RegisterValue::Scalar(std::move(v));
+  return Status::OK();
+}
 
 /// Scalar aggregates: aggr.sum/min/max/avg/count(col).
 Status ScalarAgg(AggKind kind, KernelArgs& a) {
@@ -157,40 +243,9 @@ Status ScalarAgg(AggKind kind, KernelArgs& a) {
     *a.results[0] = RegisterValue::Scalar(Value::Int(n));
     return Status::OK();
   }
-
-  double acc = kind == AggKind::kMin ? std::numeric_limits<double>::infinity()
-               : kind == AggKind::kMax
-                   ? -std::numeric_limits<double>::infinity()
-                   : 0.0;
-  int64_t n = 0;
-  for (size_t i = 0; i < col->size(); ++i) {
-    if (col->IsNull(i)) continue;
-    STETHO_ASSIGN_OR_RETURN(double v, NumAt(col, i));
-    switch (kind) {
-      case AggKind::kSum:
-      case AggKind::kAvg:
-        acc += v;
-        break;
-      case AggKind::kMin:
-        acc = v < acc ? v : acc;
-        break;
-      case AggKind::kMax:
-        acc = v > acc ? v : acc;
-        break;
-      default:
-        break;
-    }
-    ++n;
-  }
-  if (n == 0) {
-    *a.results[0] = RegisterValue::Scalar(Value::Null());
-    return Status::OK();
-  }
-  bool int_result = col->type() != DataType::kDouble && kind != AggKind::kAvg;
-  double out = kind == AggKind::kAvg ? acc / static_cast<double>(n) : acc;
-  *a.results[0] = RegisterValue::Scalar(
-      int_result ? Value::Int(static_cast<int64_t>(out)) : Value::Double(out));
-  return Status::OK();
+  return col->type() == DataType::kDouble
+             ? ScalarAggTyped<double>(kind, *col, a)
+             : ScalarAggTyped<int64_t>(kind, *col, a);
 }
 
 void TransferAggrCount(const TransferContext& ctx,
@@ -224,45 +279,22 @@ void TransferAggrAvg(const TransferContext& /*ctx*/,
   (*r)[0].elem = DataType::kDouble;
 }
 
-/// Grouped aggregates: aggr.subX(col, groups, extents) :bat — one value per
-/// group, aligned with `extents`.
-Status GroupedAgg(AggKind kind, KernelArgs& a) {
-  STETHO_RETURN_IF_ERROR(ExpectArity(a, 3, 1));
-  STETHO_ASSIGN_OR_RETURN(ColumnPtr col, ArgBat(a, 0));
-  STETHO_ASSIGN_OR_RETURN(ColumnPtr groups, ArgBat(a, 1));
-  STETHO_ASSIGN_OR_RETURN(ColumnPtr extents, ArgBat(a, 2));
-  if (groups->size() != col->size()) {
-    return Status::InvalidArgument(a.ins->FullName() +
-                                   ": groups not aligned with column");
-  }
-  size_t ngroups = extents->size();
-  std::vector<double> acc(
-      ngroups, kind == AggKind::kMin ? std::numeric_limits<double>::infinity()
-               : kind == AggKind::kMax
-                   ? -std::numeric_limits<double>::infinity()
-                   : 0.0);
+/// Grouped aggr.subX over a column whose aggregation domain is T. Rows are
+/// checked in order: group id first, then NULL, then the column type.
+template <typename T>
+Status GroupedAggTyped(AggKind kind, const Column& col, const Column& groups,
+                       size_t ngroups, KernelArgs& a) {
+  const bool numeric = IsNumericColumn(col.type());
+  std::vector<Acc<T>> acc(ngroups, FoldStart<T>(kind));
   std::vector<int64_t> counts(ngroups, 0);
-  for (size_t i = 0; i < col->size(); ++i) {
-    uint64_t g = groups->OidAt(i);
+  for (size_t i = 0; i < col.size(); ++i) {
+    uint64_t g = groups.OidAt(i);
     if (g >= ngroups) {
       return Status::OutOfRange(a.ins->FullName() + ": group id out of range");
     }
-    if (col->IsNull(i)) continue;
-    STETHO_ASSIGN_OR_RETURN(double v, NumAt(col, i));
-    switch (kind) {
-      case AggKind::kSum:
-      case AggKind::kAvg:
-        acc[g] += v;
-        break;
-      case AggKind::kMin:
-        acc[g] = v < acc[g] ? v : acc[g];
-        break;
-      case AggKind::kMax:
-        acc[g] = v > acc[g] ? v : acc[g];
-        break;
-      default:
-        break;
-    }
+    if (col.IsNull(i)) continue;
+    if (!numeric) return Status::TypeError("aggregate over non-numeric column");
+    Fold(kind, NumAt<T>(col, i), &acc[g]);
     ++counts[g];
   }
 
@@ -274,7 +306,7 @@ Status GroupedAgg(AggKind kind, KernelArgs& a) {
     return Status::OK();
   }
 
-  bool int_result = col->type() != DataType::kDouble && kind != AggKind::kAvg;
+  const bool int_result = std::is_integral_v<T> && kind != AggKind::kAvg;
   ColumnPtr out =
       Column::Make(int_result ? DataType::kInt64 : DataType::kDouble);
   out->Reserve(ngroups);
@@ -283,16 +315,33 @@ Status GroupedAgg(AggKind kind, KernelArgs& a) {
       out->AppendNull();
       continue;
     }
-    double v = kind == AggKind::kAvg ? acc[g] / static_cast<double>(counts[g])
-                                     : acc[g];
+    STETHO_ASSIGN_OR_RETURN(const Value v,
+                            AggResult<T>(kind, acc[g], counts[g], a));
     if (int_result) {
-      out->AppendInt(static_cast<int64_t>(v));
+      out->AppendInt(v.AsInt());
     } else {
-      out->AppendDouble(v);
+      out->AppendDouble(v.AsDouble());
     }
   }
   *a.results[0] = RegisterValue::Bat(std::move(out));
   return Status::OK();
+}
+
+/// Grouped aggregates: aggr.subX(col, groups, extents) :bat — one value per
+/// group, aligned with `extents`.
+Status GroupedAgg(AggKind kind, KernelArgs& a) {
+  STETHO_RETURN_IF_ERROR(ExpectArity(a, 3, 1));
+  STETHO_ASSIGN_OR_RETURN(ColumnPtr col, ArgBat(a, 0));
+  STETHO_ASSIGN_OR_RETURN(ColumnPtr groups, ArgBat(a, 1));
+  STETHO_ASSIGN_OR_RETURN(ColumnPtr extents, ArgBat(a, 2));
+  if (groups->size() != col->size()) {
+    return Status::InvalidArgument(a.ins->FullName() +
+                                   ": groups not aligned with column");
+  }
+  const size_t ngroups = extents->size();
+  return col->type() == DataType::kDouble
+             ? GroupedAggTyped<double>(kind, *col, *groups, ngroups, a)
+             : GroupedAggTyped<int64_t>(kind, *col, *groups, ngroups, a);
 }
 
 /// Grouped aggregates: one output row per group (extents, arg 2).

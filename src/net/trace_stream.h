@@ -5,13 +5,14 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "net/datagram.h"
 #include "profiler/sink.h"
 
 namespace stetho::net {
 
-/// Wire framing of the profiler stream (one datagram per line):
+/// Wire framing of the profiler stream:
 ///
 ///   %DOT-BEGIN <query-name>       the plan's dot file follows
 ///   %DOT <dot-file line>          one line of dot content
@@ -21,13 +22,31 @@ namespace stetho::net {
 ///
 /// This mirrors the paper's protocol: the server pushes the dot file over
 /// the UDP stream before query execution begins, then streams the trace;
-/// the textual Stethoscope demultiplexes the two (paper §4.2).
+/// the textual Stethoscope demultiplexes the two (paper §4.2). The lines
+/// are the paper's. SendDotFile packs the dot framing lines into
+/// '\n'-separated datagrams of at most kMaxDatagramBytes, so a receiver
+/// splits a datagram that starts with '%' on '\n'. Each trace event and
+/// each %EOF is a datagram of its own, taken whole: an event's statement
+/// may hold a raw newline (a string literal), and an event held back to
+/// fill a datagram would reach the monitor late, a start event only after
+/// the kernel it announces finished.
 struct StreamFraming {
-  static constexpr const char* kDotBegin = "%DOT-BEGIN ";
-  static constexpr const char* kDotLine = "%DOT ";
-  static constexpr const char* kDotEnd = "%DOT-END ";
-  static constexpr const char* kEof = "%EOF ";
+  static constexpr std::string_view kDotBegin = "%DOT-BEGIN ";
+  static constexpr std::string_view kDotLine = "%DOT ";
+  static constexpr std::string_view kDotEnd = "%DOT-END ";
+  static constexpr std::string_view kEof = "%EOF ";
 };
+
+/// Byte budget of a packed datagram. A width-128 plan's 128 KB dot file
+/// then travels in about 20 datagrams instead of 4,001, well under both
+/// UdpReceiver's 65,536-byte receive buffer and the 65,507-byte UDP payload
+/// limit. 7 KiB rather than 8: on Linux loopback a datagram of up to about
+/// 7.8 KB costs the socket's receive budget one 8 KiB allocation, a larger
+/// one a 16 KiB allocation, so the default 212,992-byte receive buffer
+/// holds 25 datagrams of 7 KiB but only 12 of 8 KiB — the whole width-128
+/// dot fits before the listener drains any of it. A single line longer
+/// than the budget still goes out, alone.
+inline constexpr size_t kMaxDatagramBytes = 7 * 1024;
 
 /// Profiler sink that forwards each event as one datagram. Thread-safe
 /// (serializes sends).
@@ -53,12 +72,13 @@ class DatagramTraceSink : public profiler::EventSink {
   std::atomic<int64_t> dropped_{0};
 };
 
-/// Sends a dot file over the stream using the framing above.
-Status SendDotFile(DatagramSender* sender, const std::string& query_name,
-                   const std::string& dot_content);
+/// Sends a dot file over the stream using the framing above, its lines
+/// packed into datagrams of at most kMaxDatagramBytes.
+Status SendDotFile(DatagramSender* sender, std::string_view query_name,
+                   std::string_view dot_content);
 
-/// Sends the end-of-query marker.
-Status SendEof(DatagramSender* sender, const std::string& query_name);
+/// Sends the end-of-query marker (one datagram).
+Status SendEof(DatagramSender* sender, std::string_view query_name);
 
 }  // namespace stetho::net
 

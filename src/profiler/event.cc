@@ -1,6 +1,6 @@
 #include "profiler/event.h"
 
-#include <vector>
+#include <charconv>
 
 #include "common/string_util.h"
 
@@ -16,60 +16,66 @@ const char* EventStateName(EventState state) {
   return "?";
 }
 
-std::string FormatTraceLine(const TraceEvent& e) {
-  return StrFormat(
-      "[ %lld,\t%lld,\t%d,\t%d,\t\"%s\",\t%lld,\t%lld,\t\"%s\" ]",
-      static_cast<long long>(e.event), static_cast<long long>(e.time_us),
-      e.pc, e.thread, EventStateName(e.state), static_cast<long long>(e.usec),
-      static_cast<long long>(e.rss_bytes), EscapeQuoted(e.stmt).c_str());
-}
-
 namespace {
 
-/// Splits the inside of the brackets on commas that are not inside quotes.
-Result<std::vector<std::string>> SplitFields(std::string_view body) {
-  std::vector<std::string> fields;
-  std::string cur;
-  bool in_quote = false;
-  for (size_t i = 0; i < body.size(); ++i) {
-    char c = body[i];
-    if (in_quote) {
-      if (c == '\\' && i + 1 < body.size()) {
-        cur.push_back(c);
-        cur.push_back(body[++i]);
-        continue;
-      }
-      if (c == '"') in_quote = false;
-      cur.push_back(c);
-      continue;
-    }
-    if (c == '"') {
-      in_quote = true;
-      cur.push_back(c);
-      continue;
-    }
-    if (c == ',') {
-      fields.push_back(std::move(cur));
-      cur.clear();
-      continue;
-    }
-    cur.push_back(c);
-  }
-  if (in_quote) return Status::ParseError("unterminated quote in trace line");
-  fields.push_back(std::move(cur));
-  return fields;
+/// Fields of a trace line, per the layout in event.h.
+constexpr size_t kFields = 8;
+/// Every field but the statement at its widest: four 20-byte int64s, two
+/// 11-byte ints, a 5-byte state and 22 bytes of brackets, separators and
+/// quotes.
+constexpr size_t kMaxLineBytesWithoutStmt = 129;
+
+void AppendInt(int64_t v, std::string* out) {
+  char buf[20];  // "-9223372036854775808"
+  const char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+  out->append(buf, static_cast<size_t>(end - buf));
 }
 
-/// Strips surrounding quotes (after trimming) and unescapes.
-Result<std::string> Unquote(std::string_view field) {
-  std::string_view t = TrimView(field);
+/// The bytes between a quoted field's quotes, as written (escapes kept).
+Result<std::string_view> QuotedBody(std::string_view field) {
+  const std::string_view t = TrimView(field);
   if (t.size() < 2 || t.front() != '"' || t.back() != '"') {
     return Status::ParseError("expected quoted field: " + std::string(field));
   }
-  return UnescapeQuoted(t.substr(1, t.size() - 2));
+  return t.substr(1, t.size() - 2);
 }
 
 }  // namespace
+
+std::string FormatTraceLine(const TraceEvent& e) {
+  std::string line;
+  line.reserve(kMaxLineBytesWithoutStmt + e.stmt.size());
+  line.append("[ ");
+  AppendInt(e.event, &line);
+  line.append(",\t");
+  AppendInt(e.time_us, &line);
+  line.append(",\t");
+  AppendInt(e.pc, &line);
+  line.append(",\t");
+  AppendInt(e.thread, &line);
+  line.append(",\t\"");
+  line.append(EventStateName(e.state));
+  line.append("\",\t");
+  AppendInt(e.usec, &line);
+  line.append(",\t");
+  AppendInt(e.rss_bytes, &line);
+  line.append(",\t\"");
+  // Escape '"' and '\\'. A NUL ends the statement, as it did when the line
+  // was printf'd from a C string.
+  const std::string& stmt = e.stmt;
+  size_t run = 0;
+  size_t i = 0;
+  for (; i < stmt.size() && stmt[i] != '\0'; ++i) {
+    if (stmt[i] == '"' || stmt[i] == '\\') {
+      line.append(stmt, run, i - run);
+      line.push_back('\\');
+      run = i;
+    }
+  }
+  line.append(stmt, run, i - run);
+  line.append("\" ]");
+  return line;
+}
 
 Result<TraceEvent> ParseTraceLine(std::string_view line) {
   std::string_view t = TrimView(line);
@@ -77,11 +83,35 @@ Result<TraceEvent> ParseTraceLine(std::string_view line) {
     return Status::ParseError("trace line must be bracketed: " +
                               std::string(line.substr(0, 60)));
   }
-  STETHO_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                          SplitFields(t.substr(1, t.size() - 2)));
-  if (fields.size() != 8) {
-    return Status::ParseError(
-        StrFormat("trace line has %zu fields, expected 8", fields.size()));
+  // Split the inside of the brackets on commas outside quotes; inside
+  // quotes a backslash escapes the next character.
+  const std::string_view body = t.substr(1, t.size() - 2);
+  std::string_view fields[kFields];
+  size_t count = 0;
+  size_t start = 0;
+  bool in_quote = false;
+  for (size_t i = 0; i < body.size(); ++i) {
+    const char c = body[i];
+    if (in_quote) {
+      if (c == '\\' && i + 1 < body.size()) {
+        ++i;
+      } else if (c == '"') {
+        in_quote = false;
+      }
+    } else if (c == '"') {
+      in_quote = true;
+    } else if (c == ',') {
+      if (count < kFields) fields[count] = body.substr(start, i - start);
+      ++count;
+      start = i + 1;
+    }
+  }
+  if (in_quote) return Status::ParseError("unterminated quote in trace line");
+  if (count < kFields) fields[count] = body.substr(start);
+  ++count;
+  if (count != kFields) {
+    return Status::ParseError(StrFormat(
+        "trace line has %zu fields, expected %zu", count, kFields));
   }
   TraceEvent e;
   STETHO_ASSIGN_OR_RETURN(e.event, ParseInt64(fields[0]));
@@ -90,7 +120,8 @@ Result<TraceEvent> ParseTraceLine(std::string_view line) {
   e.pc = static_cast<int>(pc);
   STETHO_ASSIGN_OR_RETURN(int64_t thread, ParseInt64(fields[3]));
   e.thread = static_cast<int>(thread);
-  STETHO_ASSIGN_OR_RETURN(std::string state, Unquote(fields[4]));
+  STETHO_ASSIGN_OR_RETURN(std::string_view quoted_state, QuotedBody(fields[4]));
+  const std::string state = UnescapeQuoted(quoted_state);
   if (state == "start") {
     e.state = EventState::kStart;
   } else if (state == "done") {
@@ -100,7 +131,8 @@ Result<TraceEvent> ParseTraceLine(std::string_view line) {
   }
   STETHO_ASSIGN_OR_RETURN(e.usec, ParseInt64(fields[5]));
   STETHO_ASSIGN_OR_RETURN(e.rss_bytes, ParseInt64(fields[6]));
-  STETHO_ASSIGN_OR_RETURN(e.stmt, Unquote(fields[7]));
+  STETHO_ASSIGN_OR_RETURN(std::string_view quoted_stmt, QuotedBody(fields[7]));
+  e.stmt = UnescapeQuoted(quoted_stmt);
   return e;
 }
 

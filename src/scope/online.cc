@@ -108,6 +108,9 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
   std::string dot_text;
   const int64_t deadline = clock->NowMicros() + options_.dot_timeout_us;
   while (true) {
+    // Read before the checks below, so a dot completing after them ends
+    // the wait at once.
+    const uint64_t seen = textual.changes();
     auto dots = textual.CompletedDots();
     if (!dots.empty()) {
       query_name = dots.back();
@@ -138,13 +141,17 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
         return Status::Internal("query finished without emitting a dot file");
       }
     }
-    if (clock->NowMicros() > deadline) {
+    const int64_t now = clock->NowMicros();
+    if (now > deadline) {
       query_thread.join();
       server_->DetachStreams();
       if (!query_status.ok()) return query_status;
       return Status::Internal("no dot file received from the server stream");
     }
-    clock->SleepMicros(1000);
+    // Woken when the dot completes; the period bounds the wait so that a
+    // query failing before it sends one is noticed.
+    textual.WaitForChange(
+        seen, std::min(options_.analysis_period_us, deadline - now + 1));
   }
 
   STETHO_ASSIGN_OR_RETURN(dot::Graph graph, dot::ParseDot(dot_text));
@@ -242,9 +249,12 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
   // The %EOF marker ends the loop. The in-process channel never drops
   // control lines, so once the query thread has returned its %EOF is already
   // queued behind the trace events: wait for the listener to process it,
-  // bounded by dot_timeout_us. A failed query sends no %EOF.
+  // bounded by dot_timeout_us. A failed query sends no %EOF. Each wait ends
+  // early when the %EOF arrives; trace events do not end it, so rounds stay
+  // at most one analysis period apart without re-running per event batch.
   std::optional<int64_t> eof_deadline;
-  while (!textual.QueryFinished(query_name)) {
+  for (uint64_t seen = textual.changes(); !textual.QueryFinished(query_name);
+       seen = textual.WaitForChange(seen, options_.analysis_period_us)) {
     analyze_once();
     if (query_done.load(std::memory_order_acquire)) {
       if (!query_status.ok()) break;
@@ -252,7 +262,6 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
       if (!eof_deadline) eof_deadline = now + options_.dot_timeout_us;
       if (now > *eof_deadline) break;
     }
-    clock->SleepMicros(options_.analysis_period_us);
   }
   query_thread.join();
   // The query is complete: pin progress at 1.0 whatever the wire delivered.

@@ -21,18 +21,23 @@ namespace stetho::scope {
 
 /// Options for an online monitoring session.
 struct OnlineOptions {
-  /// Time source for the dot-arrival deadline and monitoring sleeps;
+  /// Time source for the dot-arrival deadline and the monitor's waits;
   /// nullptr = steady clock. Tests pass a VirtualClock to drive the
-  /// timeout deterministically.
+  /// timeout deterministically (a virtual wait advances it and returns).
   Clock* clock = nullptr;
   /// Stream wait: how long to wait for the server to push the plan's dot
-  /// file before giving up, and, once the query has returned, for its %EOF
-  /// before concluding on the events received so far.
+  /// file (its lines packed into a few datagrams, see net/trace_stream.h)
+  /// before giving up, and, once the query has returned, for its %EOF
+  /// before concluding on the events received so far. The monitor wakes
+  /// as soon as the dot completes or the %EOF arrives; it does not poll.
   int64_t dot_timeout_us = 30'000'000;
   /// EDT render pacing (the paper's 150 ms Java limitation).
   int64_t render_interval_us = 150000;
   /// Sampling-buffer analysis period: the monitoring thread re-runs the
-  /// pair-sequence algorithm this often.
+  /// pair-sequence algorithm at least this often while the query runs.
+  /// It is an upper bound on every wait, not a floor on query latency:
+  /// the dot completing and the %EOF end a wait early, arriving trace
+  /// events do not.
   int64_t analysis_period_us = 20000;
   /// Client-side filter.
   profiler::EventFilter filter;

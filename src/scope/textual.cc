@@ -1,7 +1,5 @@
 #include "scope/textual.h"
 
-#include <cstring>
-
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "net/trace_stream.h"
@@ -101,6 +99,27 @@ bool TextualStethoscope::QueryFinished(const std::string& query) const {
   return false;
 }
 
+uint64_t TextualStethoscope::changes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return changes_;
+}
+
+uint64_t TextualStethoscope::WaitForChange(uint64_t seen, int64_t timeout_us) {
+  Clock* time = clock();
+  const int64_t deadline = time->NowMicros() + timeout_us;
+  std::unique_lock<std::mutex> lock(mu_);
+  while (changes_ == seen) {
+    const int64_t left = deadline - time->NowMicros();
+    if (left <= 0) break;
+    time->WaitMicros(&changed_, &lock, left);
+  }
+  return changes_;
+}
+
+Clock* TextualStethoscope::clock() const {
+  return options_.clock != nullptr ? options_.clock : SteadyClock::Default();
+}
+
 Status TextualStethoscope::Flush() {
   if (trace_file_ != nullptr) return trace_file_->Flush();
   return Status::OK();
@@ -134,10 +153,7 @@ net::PipeHealthSummary TextualStethoscope::Health() const {
 
 void TextualStethoscope::ObserveStaleness() {
   if (!obs::Active()) return;
-  Clock* clock = options_.clock != nullptr
-                     ? options_.clock
-                     : static_cast<Clock*>(SteadyClock::Default());
-  const int64_t now = clock->NowMicros();
+  const int64_t now = clock()->NowMicros();
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, health] : health_) health->ObserveStaleness(now);
 }
@@ -145,7 +161,7 @@ void TextualStethoscope::ObserveStaleness() {
 namespace {
 
 /// A stream-framing (control) line — never a trace event.
-bool IsControlLine(const std::string& line) {
+bool IsControlLine(std::string_view line) {
   return StartsWith(line, StreamFraming::kDotBegin) ||
          StartsWith(line, StreamFraming::kDotLine) ||
          StartsWith(line, StreamFraming::kDotEnd) ||
@@ -158,6 +174,7 @@ void TextualStethoscope::ListenLoop(std::string server,
                                     net::DatagramReceiver* receiver,
                                     net::StreamHealth* health) {
   std::vector<std::string> batch;
+  std::vector<std::string_view> lines;
   std::string payload;
   const size_t max_batch =
       options_.max_batch > 0 ? static_cast<size_t>(options_.max_batch) : 1;
@@ -180,14 +197,31 @@ void TextualStethoscope::ListenLoop(std::string server,
       if (!more.value()) break;
       batch.push_back(std::move(payload));
     }
-    HandleBatch(server, batch, health);
+    lines.clear();
+    for (const std::string& datagram : batch) {
+      std::string_view rest = datagram;
+      // Only framing datagrams are packed. A trace event is one line per
+      // datagram and its statement may hold a raw newline (a string
+      // literal), so it goes to the parser whole.
+      if (rest.empty() || rest.front() != '%') {
+        lines.push_back(rest);
+        continue;
+      }
+      size_t nl;
+      while ((nl = rest.find('\n')) != std::string_view::npos) {
+        lines.push_back(rest.substr(0, nl));
+        rest.remove_prefix(nl + 1);
+      }
+      lines.push_back(rest);
+    }
+    HandleBatch(server, lines, health);
     if (closed) return;
   }
 }
 
-void TextualStethoscope::HandleBatch(const std::string& server,
-                                     const std::vector<std::string>& lines,
-                                     net::StreamHealth* health) {
+void TextualStethoscope::HandleBatch(
+    const std::string& server, const std::vector<std::string_view>& lines,
+    net::StreamHealth* health) {
   std::function<void(const std::string&, const TraceEvent&)> cb;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -196,16 +230,9 @@ void TextualStethoscope::HandleBatch(const std::string& server,
   // One ingest timestamp per batch feeds the emit→ingest latency estimate.
   // The clock read is gated on the obs kill switch (counting gaps is free,
   // timing them is opt-in); a negative ingest skips the latency path.
-  int64_t ingest_us = -1;
-  if (obs::Active()) {
-    Clock* clock = options_.clock != nullptr
-                       ? options_.clock
-                       : static_cast<Clock*>(SteadyClock::Default());
-    ingest_us = clock->NowMicros();
-  }
+  const int64_t ingest_us = obs::Active() ? clock()->NowMicros() : -1;
 
   std::vector<TraceEvent> events;  // current contiguous run of accepted events
-  events.reserve(lines.size());
   int64_t received = 0;
   int64_t filtered = 0;
   int64_t malformed = 0;
@@ -265,40 +292,46 @@ void TextualStethoscope::HandleBatch(const std::string& server,
 }
 
 void TextualStethoscope::HandleControlLocked(const std::string& server,
-                                             const std::string& line) {
+                                             std::string_view line) {
   // Demultiplex dot-file content from trace events (paper §4.2). Queries
   // from different servers may share a name ("s0"), so all dot/EOF keys are
   // namespaced "server/query".
-  if (StartsWith(line, StreamFraming::kDotBegin)) {
-    std::string key =
-        server + "/" + line.substr(std::strlen(StreamFraming::kDotBegin));
-    dot_partial_[key].clear();
-    return;
-  }
   if (StartsWith(line, StreamFraming::kDotLine)) {
     // Dot lines carry no query tag; append to this server's open
     // accumulations (exactly one at a time per server in practice).
-    std::string prefix = server + "/";
+    const std::string_view text = line.substr(StreamFraming::kDotLine.size());
     for (auto& [key, content] : dot_partial_) {
-      if (!StartsWith(key, prefix)) continue;
-      content += line.substr(std::strlen(StreamFraming::kDotLine));
-      content += '\n';
+      if (key.size() <= server.size() || key[server.size()] != '/' ||
+          !StartsWith(key, server)) {
+        continue;
+      }
+      content.append(text);
+      content.push_back('\n');
     }
+    return;
+  }
+  auto key_after = [&](std::string_view tag) {
+    std::string key = server;
+    key.push_back('/');
+    key.append(line.substr(tag.size()));
+    return key;
+  };
+  if (StartsWith(line, StreamFraming::kDotBegin)) {
+    dot_partial_[key_after(StreamFraming::kDotBegin)].clear();
     return;
   }
   if (StartsWith(line, StreamFraming::kDotEnd)) {
-    std::string key =
-        server + "/" + line.substr(std::strlen(StreamFraming::kDotEnd));
-    auto it = dot_partial_.find(key);
+    auto it = dot_partial_.find(key_after(StreamFraming::kDotEnd));
     if (it != dot_partial_.end()) {
-      dot_complete_[key] = std::move(it->second);
+      dot_complete_[it->first] = std::move(it->second);
       dot_partial_.erase(it);
     }
-    return;
+  } else {
+    finished_.push_back(key_after(StreamFraming::kEof));
   }
-  std::string key =
-      server + "/" + line.substr(std::strlen(StreamFraming::kEof));
-  finished_.push_back(key);
+  // A completed dot or a %EOF is what OnlineMonitor waits for.
+  ++changes_;
+  changed_.notify_all();
 }
 
 }  // namespace stetho::scope

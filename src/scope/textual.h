@@ -2,11 +2,14 @@
 #define STETHO_SCOPE_TEXTUAL_H_
 
 #include <atomic>
+#include <condition_variable>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -36,19 +39,20 @@ struct TextualOptions {
   /// are drained (zero timeout) and processed as one batch — one sink lock
   /// acquisition per batch instead of per event.
   int max_batch = 256;
-  /// Receiver time source for the stream-health latency/staleness estimates
-  /// (nullptr = steady clock). Only read while obs::Active() — the
-  /// loss/reorder/duplicate accounting itself never reads a clock.
+  /// Receiver time source (nullptr = steady clock): WaitForChange waits on
+  /// it, and the stream-health latency/staleness estimates read it while
+  /// obs::Active() — the loss/reorder/duplicate accounting itself never
+  /// reads a clock.
   Clock* clock = nullptr;
   /// Stream-health accountant tuning (one accountant per connected server).
   net::StreamHealth::Options health;
 };
 
 /// The textual Stethoscope (paper §3.2): connects to one or more MonetDB
-/// servers over UDP, receives their execution-trace streams, demultiplexes
-/// dot-file content from trace events (paper §4.2 framing), redirects trace
-/// lines to a trace file, and keeps a sampled ring buffer for run-time
-/// analysis.
+/// servers over UDP, receives their execution-trace streams, splits each
+/// datagram into its newline-separated lines, demultiplexes dot-file content
+/// from trace events (paper §4.2 framing), redirects trace lines to a trace
+/// file, and keeps a sampled ring buffer for run-time analysis.
 ///
 /// One listener thread per connected server; Stop() joins them all.
 class TextualStethoscope {
@@ -89,6 +93,16 @@ class TextualStethoscope {
   std::vector<std::string> FinishedQueries() const;
   bool QueryFinished(const std::string& query) const;
 
+  /// Change counter, bumped each time a dot file completes and each time a
+  /// %EOF arrives (trace events do not bump it). Read it before checking
+  /// CompletedDots() or QueryFinished() and pass it to WaitForChange, so a
+  /// change landing between the check and the wait is not lost.
+  uint64_t changes() const;
+  /// Blocks until changes() differs from `seen` or `timeout_us` has passed
+  /// on the options' clock (a VirtualClock advances by the timeout and
+  /// returns at once). Returns the counter's value.
+  uint64_t WaitForChange(uint64_t seen, int64_t timeout_us);
+
   int64_t events_received() const { return received_.load(); }
   int64_t events_filtered() const { return filtered_.load(); }
   int64_t malformed_lines() const { return malformed_.load(); }
@@ -115,10 +129,12 @@ class TextualStethoscope {
   /// parsed outside any lock and pushed through the sinks batch-wise;
   /// each contiguous run of framing lines takes one mu_ acquisition.
   void HandleBatch(const std::string& server,
-                   const std::vector<std::string>& lines,
+                   const std::vector<std::string_view>& lines,
                    net::StreamHealth* health);
   /// Applies one framing (control) line; caller holds mu_.
-  void HandleControlLocked(const std::string& server, const std::string& line);
+  void HandleControlLocked(const std::string& server, std::string_view line);
+  /// options_.clock, or the steady clock when unset.
+  Clock* clock() const;
 
   TextualOptions options_;
   std::shared_ptr<profiler::RingBufferSink> buffer_;
@@ -139,6 +155,9 @@ class TextualStethoscope {
   std::map<std::string, std::string> dot_partial_;   // query -> accumulating
   std::map<std::string, std::string> dot_complete_;  // query -> full dot
   std::vector<std::string> finished_;
+  /// See changes(); guarded by mu_, waited on through `changed_`.
+  uint64_t changes_ = 0;
+  std::condition_variable changed_;
   std::function<void(const std::string&, const profiler::TraceEvent&)> callback_;
 };
 

@@ -11,15 +11,17 @@
 #include "analysis/checks.h"
 #include "analysis/runner.h"
 #include "analysis/signatures.h"
+#include "common/clock.h"
 #include "common/rng.h"
 #include "dot/parser.h"
 #include "dot/writer.h"
+#include "engine/interpreter.h"
 #include "engine/kernel.h"
 #include "mal/parser.h"
 #include "mal/program.h"
 #include "optimizer/pass.h"
+#include "profiler/profiler.h"
 #include "profiler/sink.h"
-#include "server/mserver.h"
 #include "sql/compiler.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
@@ -762,23 +764,38 @@ TEST_F(SeedPipelineTest, AllQueriesLintCleanAfterOptimization) {
 }
 
 TEST_F(SeedPipelineTest, ExecutedQueryTraceLintsClean) {
-  server::MserverOptions options;
-  options.mitosis_pieces = 4;
-  server::Mserver server(MakeCatalog(), options);
+  // The dataflow leg runs at an explicit dop 4 with every instruction
+  // padded by a 200 us sleep on the steady clock: while one slot sleeps
+  // another starts, on any number of CPUs, so the trace shows the overlap
+  // a dop-4 schedule must have and schedule-serialization stays quiet.
+  storage::Catalog catalog = MakeCatalog();
+  profiler::Profiler profiler(SteadyClock::Default());
   auto ring = std::make_shared<profiler::RingBufferSink>(1 << 16);
-  server.profiler()->AddSink(ring);
+  profiler.AddSink(ring);
+  engine::ExecOptions exec;
+  exec.num_threads = 4;
+  exec.use_dataflow = true;
+  exec.clock = SteadyClock::Default();
+  exec.profiler = &profiler;
+  exec.pad_instruction_usec = 200;
 
   for (const char* query : {"q1", "q6", "q14"}) {
     ring->Clear();
-    auto outcome = server.ExecuteSql(tpch::GetQuery(query).value().sql);
-    ASSERT_TRUE(outcome.ok()) << query;
-    auto graph = dot::ParseDot(outcome.value().dot);
+    auto plan = sql::Compiler::CompileSql(&catalog,
+                                          tpch::GetQuery(query).value().sql);
+    ASSERT_TRUE(plan.ok()) << query;
+    auto fired = optimizer::Pipeline::Default(4).Run(&plan.value());
+    ASSERT_TRUE(fired.ok()) << query << ": " << fired.status().ToString();
+    engine::Interpreter interpreter(&catalog);
+    auto executed = interpreter.Execute(plan.value(), exec);
+    ASSERT_TRUE(executed.ok()) << query << ": " << executed.status().ToString();
+    auto graph = dot::ParseDot(dot::ProgramToDot(plan.value()));
     ASSERT_TRUE(graph.ok()) << query;
     auto events = ring->Snapshot();
     ASSERT_FALSE(events.empty()) << query;
 
     CheckContext ctx;
-    ctx.program = &outcome.value().plan;
+    ctx.program = &plan.value();
     ctx.graph = &graph.value();
     ctx.trace = &events;
     ctx.registry = engine::ModuleRegistry::Default();

@@ -207,6 +207,50 @@ TEST(InterpreterTest, JoinProducesMatchingPairs) {
   EXPECT_EQ(r.value().columns[1].column->size(), 14u);
 }
 
+TEST(InterpreterTest, IntegerJoinKeysStayExactAboveTwoTo53) {
+  // 2^53 + 1 rounds to the double 2^53, so keyed as doubles the two
+  // collide. Integer-typed sides key on the integer itself; a :dbl side
+  // still joins integral values.
+  constexpr int64_t k = int64_t{1} << 53;
+  Catalog cat;
+  TablePtr t = Table::Make("lineitem", Schema({{"a", DataType::kInt64},
+                                               {"b", DataType::kInt64},
+                                               {"x", DataType::kDouble}}));
+  ASSERT_TRUE(
+      t->AppendRow({Value::Int(k), Value::Int(k + 1), Value::Double(5.0)}).ok());
+  ASSERT_TRUE(
+      t->AppendRow({Value::Int(k + 1), Value::Int(5), Value::Double(3.5)}).ok());
+  ASSERT_TRUE(cat.AddTable(t).ok());
+
+  Plan b;
+  int mvc = b.Mvc();
+  int a = b.Bind("a", DataType::kInt64, mvc);
+  int bcol = b.Bind("b", DataType::kInt64, mvc);
+  int x = b.Bind("x", DataType::kDouble, mvc);
+  int lo = b.p.AddVariable(MalType::Bat(DataType::kOid));
+  int ro = b.p.AddVariable(MalType::Bat(DataType::kOid));
+  b.p.Add("algebra", "join", {lo, ro}, {Argument::Var(a), Argument::Var(bcol)});
+  int mixed_lo = b.p.AddVariable(MalType::Bat(DataType::kOid));
+  int mixed_ro = b.p.AddVariable(MalType::Bat(DataType::kOid));
+  b.p.Add("algebra", "join", {mixed_lo, mixed_ro},
+          {Argument::Var(bcol), Argument::Var(x)});
+  b.Print(lo);
+  b.Print(ro);
+  b.Print(mixed_lo);
+  b.Print(mixed_ro);
+  auto r = RunPlan(b.p, &cat);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const auto& cols = r.value().columns;
+  // a = {2^53, 2^53 + 1} against b = {2^53 + 1, 5}: only a[1] = b[0].
+  ASSERT_EQ(cols[0].column->size(), 1u);
+  EXPECT_EQ(cols[0].column->OidAt(0), 1u);
+  EXPECT_EQ(cols[1].column->OidAt(0), 0u);
+  // b = {2^53 + 1, 5} against x = {5.0, 3.5}: b[1] = x[0].
+  ASSERT_EQ(cols[2].column->size(), 1u);
+  EXPECT_EQ(cols[2].column->OidAt(0), 1u);
+  EXPECT_EQ(cols[3].column->OidAt(0), 0u);
+}
+
 TEST(InterpreterTest, SortAndFirstn) {
   Catalog cat = MakeCatalog();
   Plan b;

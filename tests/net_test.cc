@@ -3,6 +3,7 @@
 #include <thread>
 
 #include "common/clock.h"
+#include "common/string_util.h"
 #include "net/channel.h"
 #include "net/fault_injection.h"
 #include "net/pipe_health.h"
@@ -136,24 +137,71 @@ TEST(UdpTest, ManyDatagramsArrive) {
 
 // --- trace stream framing ---
 
+/// Drains every queued datagram (10 ms of silence ends the drain).
+std::vector<std::string> DrainDatagrams(DatagramReceiver* receiver) {
+  std::vector<std::string> datagrams;
+  std::string payload;
+  while (true) {
+    auto got = receiver->Receive(&payload, 10);
+    if (!got.ok() || !got.value()) break;
+    datagrams.push_back(payload);
+  }
+  return datagrams;
+}
+
+/// The framing lines the datagrams carry, in order.
+std::vector<std::string> SplitLines(const std::vector<std::string>& datagrams) {
+  std::vector<std::string> lines;
+  for (const std::string& datagram : datagrams) {
+    for (std::string& line : Split(datagram, '\n')) {
+      lines.push_back(std::move(line));
+    }
+  }
+  return lines;
+}
+
 TEST(TraceStreamTest, DotFramingRoundTrip) {
   auto [sender, receiver] = Channel::CreatePair();
   std::string dot = "digraph g {\n  n0 [label=\"x\"];\n  n0 -> n1;\n}\n";
   ASSERT_TRUE(SendDotFile(sender.get(), "s0", dot).ok());
   ASSERT_TRUE(SendEof(sender.get(), "s0").ok());
 
-  std::vector<std::string> lines;
-  std::string payload;
-  while (true) {
-    auto got = receiver->Receive(&payload, 10);
-    if (!got.ok() || !got.value()) break;
-    lines.push_back(payload);
-  }
+  std::vector<std::string> lines = SplitLines(DrainDatagrams(receiver.get()));
   ASSERT_EQ(lines.size(), 7u);  // BEGIN + 4 dot lines + END + EOF
   EXPECT_EQ(lines.front(), "%DOT-BEGIN s0");
   EXPECT_EQ(lines[1], "%DOT digraph g {");
   EXPECT_EQ(lines[5], "%DOT-END s0");
   EXPECT_EQ(lines.back(), "%EOF s0");
+}
+
+TEST(TraceStreamTest, DotLinesPackIntoBudgetedDatagrams) {
+  // 3,000 short lines plus one line longer than the whole budget.
+  std::string dot;
+  for (int i = 0; i < 3000; ++i) dot += "  n" + std::to_string(i) + ";\n";
+  const std::string long_line(kMaxDatagramBytes + 100, 'x');
+  dot += long_line + "\n}\n";
+  auto [sender, receiver] = Channel::CreatePair();
+  ASSERT_TRUE(SendDotFile(sender.get(), "q", dot).ok());
+
+  std::vector<std::string> datagrams = DrainDatagrams(receiver.get());
+  EXPECT_LT(datagrams.size(), 20u);
+  size_t oversized = 0;
+  for (const std::string& datagram : datagrams) {
+    EXPECT_EQ(datagram.front(), '%');
+    EXPECT_NE(datagram.back(), '\n');
+    if (datagram.size() > kMaxDatagramBytes) {
+      // Only the over-budget line, alone.
+      EXPECT_EQ(datagram, "%DOT " + long_line);
+      ++oversized;
+    }
+  }
+  EXPECT_EQ(oversized, 1u);
+  std::vector<std::string> lines = SplitLines(datagrams);
+  ASSERT_EQ(lines.size(), 3004u);
+  EXPECT_EQ(lines.front(), "%DOT-BEGIN q");
+  EXPECT_EQ(lines[1], "%DOT   n0;");
+  EXPECT_EQ(lines[3001], "%DOT " + long_line);
+  EXPECT_EQ(lines.back(), "%DOT-END q");
 }
 
 TEST(TraceStreamTest, DatagramSinkForwardsEvents) {

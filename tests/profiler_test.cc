@@ -3,10 +3,12 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <thread>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/rng.h"
 #include "profiler/event.h"
 #include "profiler/filter.h"
 #include "profiler/profiler.h"
@@ -65,6 +67,271 @@ TEST(TraceLineTest, RejectsMalformed) {
 TEST(TraceLineTest, ToleratesWhitespace) {
   std::string line = "  " + FormatTraceLine(MakeEvent(1, EventState::kDone)) + "  ";
   EXPECT_TRUE(ParseTraceLine(line).ok());
+}
+
+// The wire format, pinned byte for byte: every line below was produced by
+// the printf-based formatter and the copying parser this format started
+// with, and any rewrite must reproduce it exactly.
+TEST(TraceLineTest, PinnedEdgeEventLines) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int kIMin = std::numeric_limits<int>::min();
+  constexpr int kIMax = std::numeric_limits<int>::max();
+  const struct {
+    TraceEvent event;
+    const char* line;
+  } kCases[] = {
+      {{0, 0, 0, 0, EventState::kStart, 0, 0, ""},
+       "[ 0,\t0,\t0,\t0,\t\"start\",\t0,\t0,\t\"\" ]"},
+      {{kMax, kMax, kIMax, kIMax, EventState::kDone, kMax, kMax, "X_1 := sql.mvc();"},
+       "[ 9223372036854775807,\t9223372036854775807,\t2147483647,\t2147483647,\t\"done\",\t9223372036854775807,\t9223372036854775807,\t\"X_1 := sql.mvc();\" ]"},
+      {{kMin, kMin, kIMin, kIMin, EventState::kStart, kMin, kMin, "X_1 := sql.mvc();"},
+       "[ -9223372036854775808,\t-9223372036854775808,\t-2147483648,\t-2147483648,\t\"start\",\t-9223372036854775808,\t-9223372036854775808,\t\"X_1 := sql.mvc();\" ]"},
+      {{-1, -12, -3, -4, EventState::kDone, -5, -6, "neg"},
+       "[ -1,\t-12,\t-3,\t-4,\t\"done\",\t-5,\t-6,\t\"neg\" ]"},
+      {{7, 1000, 3, 2, EventState::kStart, 0, 4096,
+        "X_4:bat[:str] := sql.bind(X_0,\"sys\",\"lineitem\",\"l_comment\",0);"},
+       "[ 7,\t1000,\t3,\t2,\t\"start\",\t0,\t4096,\t\"X_4:bat[:str] := sql.bind(X_0,\\\"sys\\\",\\\"lineitem\\\",\\\"l_comment\\\",0);\" ]"},
+      {{8, 1001, 3, 2, EventState::kDone, 99, 4096, "back\\slash \\\" and \\\\ end\\"},
+       "[ 8,\t1001,\t3,\t2,\t\"done\",\t99,\t4096,\t\"back\\\\slash \\\\\\\" and \\\\\\\\ end\\\\\" ]"},
+      {{9, 1002, 4, 1, EventState::kStart, 0, 0, "tab\there\tand\t\ttwo"},
+       "[ 9,\t1002,\t4,\t1,\t\"start\",\t0,\t0,\t\"tab\there\tand\t\ttwo\" ]"},
+      {{10, 1003, 5, 0, EventState::kDone, 1, 1, "\"\""},
+       "[ 10,\t1003,\t5,\t0,\t\"done\",\t1,\t1,\t\"\\\"\\\"\" ]"},
+      {{11, 1004, 6, 0, EventState::kStart, 0, 0, "commas, [brackets] ,\"q,uoted\", ]"},
+       "[ 11,\t1004,\t6,\t0,\t\"start\",\t0,\t0,\t\"commas, [brackets] ,\\\"q,uoted\\\", ]\" ]"},
+      {{12, 1005, 7, 0, EventState::kDone, 3, 0, "utf8 \xc3\xa9\xe2\x82\xac and \x01 ctl"},
+       "[ 12,\t1005,\t7,\t0,\t\"done\",\t3,\t0,\t\"utf8 \303\251\342\202\254 and \001 ctl\" ]"},
+      {{13, 1006, 8, 0, EventState::kStart, 0, 0, std::string("nul\0tail", 8)},
+       "[ 13,\t1006,\t8,\t0,\t\"start\",\t0,\t0,\t\"nul\" ]"},
+      {{14, 1007, 9, 0, static_cast<EventState>(2), 0, 0, "bad state"},
+       "[ 14,\t1007,\t9,\t0,\t\"?\",\t0,\t0,\t\"bad state\" ]"},
+      {{15, 1008, 10, 0, EventState::kDone, 0, 0, "  lead and trail  "},
+       "[ 15,\t1008,\t10,\t0,\t\"done\",\t0,\t0,\t\"  lead and trail  \" ]"},
+  };
+  for (const auto& c : kCases) {
+    EXPECT_EQ(FormatTraceLine(c.event), c.line);
+  }
+}
+
+// Verdicts of the parser on odd and malformed lines: the status code and
+// message of each rejection, or the re-formatted event of each acceptance.
+TEST(TraceLineTest, PinnedParseVerdicts) {
+  const struct {
+    std::string line;
+    StatusCode code;
+    std::string text;
+  } kCases[] = {
+      {"",
+       StatusCode::kParseError,
+       "trace line must be bracketed: "},
+      {"   ",
+       StatusCode::kParseError,
+       "trace line must be bracketed:    "},
+      {"not a trace line",
+       StatusCode::kParseError,
+       "trace line must be bracketed: not a trace line"},
+      {"[",
+       StatusCode::kParseError,
+       "trace line must be bracketed: ["},
+      {"]",
+       StatusCode::kParseError,
+       "trace line must be bracketed: ]"},
+      {"[]",
+       StatusCode::kParseError,
+       "trace line has 1 fields, expected 8"},
+      {"[ ]",
+       StatusCode::kParseError,
+       "trace line has 1 fields, expected 8"},
+      {"[ 1, 2, 3 ]",
+       StatusCode::kParseError,
+       "trace line has 3 fields, expected 8"},
+      {"[ 1, 2, 3, 4, \"start\", 5, 6, \"s\", 9 ]",
+       StatusCode::kParseError,
+       "trace line has 9 fields, expected 8"},
+      {"[ 1, 2, 3, 4, \"start\", 5, 6, \"a,b\", \"c\" ]",
+       StatusCode::kParseError,
+       "trace line has 9 fields, expected 8"},
+      {"[ 1,2,3,4,\"weird\",6,7,\"s\" ]",
+       StatusCode::kParseError,
+       "unknown event state 'weird'"},
+      {"[ 1,2,3,4,\"Start\",6,7,\"s\" ]",
+       StatusCode::kParseError,
+       "unknown event state 'Start'"},
+      {"[ 1,2,3,4,\"st\\\"art\",6,7,\"s\" ]",
+       StatusCode::kParseError,
+       "unknown event state 'st\"art'"},
+      {"[ 1,2,3,4,start,6,7,\"s\" ]",
+       StatusCode::kParseError,
+       "expected quoted field: start"},
+      {"[ 1,2,3,4,\t \"done,6,7,\"s\" ]",
+       StatusCode::kParseError,
+       "unterminated quote in trace line"},
+      {"[ 1,2,3,4,\"done\",6,7,s ]",
+       StatusCode::kParseError,
+       "expected quoted field: s "},
+      {"[ 1,2,3,4,\"done\",6,7, \"s ]",
+       StatusCode::kParseError,
+       "unterminated quote in trace line"},
+      {"[ 1,2,3,4,\"done\",6,7,\"abc\\ ]",
+       StatusCode::kParseError,
+       "unterminated quote in trace line"},
+      {"[ 1,2,3,4,\"done\",6,7,\"abc\\\\\" ]",
+       StatusCode::kOk,
+       "[ 1,\t2,\t3,\t4,\t\"done\",\t6,\t7,\t\"abc\\\\\" ]"},
+      {"[ 1,2,3,4,\"done\",6,7,\"a\"b\"c\" ]",
+       StatusCode::kOk,
+       "[ 1,\t2,\t3,\t4,\t\"done\",\t6,\t7,\t\"a\\\"b\\\"c\" ]"},
+      {"[ 1,2,3,4,\"done\",6,7,\"s\" ]]",
+       StatusCode::kParseError,
+       "expected quoted field: \"s\" ]"},
+      {"[ 1,2,3,4,\"done\",6,7,\"s\" ] x",
+       StatusCode::kParseError,
+       "trace line must be bracketed: [ 1,2,3,4,\"done\",6,7,\"s\" ] x"},
+      {"[ 1,2,3,4,\"done\",6,7,\"s\"  ",
+       StatusCode::kParseError,
+       "trace line must be bracketed: [ 1,2,3,4,\"done\",6,7,\"s\"  "},
+      {"  [ 1,2,3,4,\"done\",6,7,\"s\" ]\r\n",
+       StatusCode::kOk,
+       "[ 1,\t2,\t3,\t4,\t\"done\",\t6,\t7,\t\"s\" ]"},
+      {"\013[1,2,3,4,\"done\",6,7,\"\"]\014",
+       StatusCode::kOk,
+       "[ 1,\t2,\t3,\t4,\t\"done\",\t6,\t7,\t\"\" ]"},
+      {"[ 9223372036854775808, 2, 3, 4, \"start\", 5, 6, \"s\" ]",
+       StatusCode::kOutOfRange,
+       "integer out of range: 9223372036854775808"},
+      {"[ 1, -9223372036854775809, 3, 4, \"start\", 5, 6, \"s\" ]",
+       StatusCode::kOutOfRange,
+       "integer out of range: -9223372036854775809"},
+      {"[ 1, 2, 99999999999999999999x, 4, \"start\", 5, 6, \"s\" ]",
+       StatusCode::kOutOfRange,
+       "integer out of range: 99999999999999999999x"},
+      {"[ 9223372036854775807, -9223372036854775808, 3, 4, \"start\", 5, 6, \"s\" ]",
+       StatusCode::kOk,
+       "[ 9223372036854775807,\t-9223372036854775808,\t3,\t4,\t\"start\",\t5,\t6,\t\"s\" ]"},
+      {"[ +1, +2, 3, 4, \"start\", +5, 6, \"s\" ]",
+       StatusCode::kOk,
+       "[ 1,\t2,\t3,\t4,\t\"start\",\t5,\t6,\t\"s\" ]"},
+      {"[ +-1, 2, 3, 4, \"start\", 5, 6, \"s\" ]",
+       StatusCode::kParseError,
+       "invalid integer literal: +-1"},
+      {"[ -+1, 2, 3, 4, \"start\", 5, 6, \"s\" ]",
+       StatusCode::kParseError,
+       "invalid integer literal: -+1"},
+      {"[ 1, -, 3, 4, \"start\", 5, 6, \"s\" ]",
+       StatusCode::kParseError,
+       "invalid integer literal: -"},
+      {"[ 1, 2, +, 4, \"start\", 5, 6, \"s\" ]",
+       StatusCode::kParseError,
+       "invalid integer literal: +"},
+      {"[ 1, 2, 3, - 4, \"start\", 5, 6, \"s\" ]",
+       StatusCode::kParseError,
+       "invalid integer literal: - 4"},
+      {"[ 1, 2, 3, 4, \"start\", 0x10, 6, \"s\" ]",
+       StatusCode::kParseError,
+       "invalid integer literal: 0x10"},
+      {"[ 1, 2, 3, 4, \"start\", 5, 12abc, \"s\" ]",
+       StatusCode::kParseError,
+       "invalid integer literal: 12abc"},
+      {"[ , 2, 3, 4, \"start\", 5, 6, \"s\" ]",
+       StatusCode::kParseError,
+       "empty integer literal"},
+      {"[ 1,\t\t, 3, 4, \"start\", 5, 6, \"s\" ]",
+       StatusCode::kParseError,
+       "empty integer literal"},
+      {"[ 1\"2,3\", 2, 3, 4, \"start\", 5, 6, \"s\" ]",
+       StatusCode::kParseError,
+       "invalid integer literal: 1\"2,3\""},
+      {"[ 1 2, 2, 3, 4, \"start\", 5, 6, \"s\" ]",
+       StatusCode::kParseError,
+       "invalid integer literal: 1 2"},
+      {"[ 1.5, 2, 3, 4, \"start\", 5, 6, \"s\" ]",
+       StatusCode::kParseError,
+       "invalid integer literal: 1.5"},
+      {"[ x, 2, 3, 4, \"bogus\", 5, 6, \"s\" ]",
+       StatusCode::kParseError,
+       "invalid integer literal: x"},
+      {"[ 1, 2, 4294967297, -4294967298, \"done\", 5, 6, \"s\" ]",
+       StatusCode::kOk,
+       "[ 1,\t2,\t1,\t-2,\t\"done\",\t5,\t6,\t\"s\" ]"},
+      {"[ 007, 2, 3, 4, \"start\", -0, 6, \"s\" ]",
+       StatusCode::kOk,
+       "[ 7,\t2,\t3,\t4,\t\"start\",\t0,\t6,\t\"s\" ]"},
+      {"[ 1, 2, 3, 4, \"start\", 5, 6, ]",
+       StatusCode::kParseError,
+       "expected quoted field:  "},
+      {"[ 1, 2, 3, 4, \"start\", 5, 6, \"\" ]",
+       StatusCode::kOk,
+       "[ 1,\t2,\t3,\t4,\t\"start\",\t5,\t6,\t\"\" ]"},
+      {"[ 1, 2, 3, 4, \"\", 5, 6, \"s\" ]",
+       StatusCode::kParseError,
+       "unknown event state ''"},
+      {"[ 1, 2, 3, 4, \", 5, 6, \"s\" ]",
+       StatusCode::kParseError,
+       "unterminated quote in trace line"},
+      {"[ 1, 2, 3, 4, \"start\", 5, 6, \"s\" \"t\" ]",
+       StatusCode::kOk,
+       "[ 1,\t2,\t3,\t4,\t\"start\",\t5,\t6,\t\"s\\\" \\\"t\" ]"},
+      {"[ 1, 2, 3, 4, \"start\", 5, 6, \"x\"\"y\" ]",
+       StatusCode::kOk,
+       "[ 1,\t2,\t3,\t4,\t\"start\",\t5,\t6,\t\"x\\\"\\\"y\" ]"},
+      {"this line is clearly longer than sixty characters and has no bracket at all",
+       StatusCode::kParseError,
+       "trace line must be bracketed: this line is clearly longer than sixty characters and has no"},
+      {"  [ this line is also longer than sixty characters but lacks the closing one",
+       StatusCode::kParseError,
+       "trace line must be bracketed:   [ this line is also longer than sixty characters but lacks"},
+      {std::string("[ 1, 2, 3, 4, \"start\", 5, 6, \"a\000b\" ]", 36),
+       StatusCode::kOk,
+       "[ 1,\t2,\t3,\t4,\t\"start\",\t5,\t6,\t\"a\" ]"},
+      {std::string("[ 1\000, 2, 3, 4, \"start\", 5, 6, \"s\" ]", 35),
+       StatusCode::kParseError,
+       std::string("invalid integer literal: 1\000", 27)},
+      {"[ 1,\t2,\t3,\t4,\t\"start\",\t5,\t6,\t\"s\" ]",
+       StatusCode::kOk,
+       "[ 1,\t2,\t3,\t4,\t\"start\",\t5,\t6,\t\"s\" ]"},
+
+  };
+  for (const auto& c : kCases) {
+    auto parsed = ParseTraceLine(c.line);
+    if (c.code == StatusCode::kOk) {
+      ASSERT_TRUE(parsed.ok()) << c.line << ": " << parsed.status().ToString();
+      EXPECT_EQ(FormatTraceLine(parsed.value()), c.text) << c.line;
+    } else {
+      ASSERT_FALSE(parsed.ok()) << c.line;
+      EXPECT_EQ(parsed.status().code(), c.code) << c.line;
+      EXPECT_EQ(parsed.status().message(), c.text) << c.line;
+    }
+  }
+}
+
+// Property: any event with a NUL-free statement survives format + parse,
+// across the full range of every integer field and arbitrary statement
+// bytes (quotes, backslashes, commas, brackets, tabs, newlines, high bytes).
+TEST(TraceLineTest, RandomEventsRoundTrip) {
+  SplitMix64 rng(20260817);
+  const char kSpecials[] = "\"\\,[] \t\n\r";
+  for (int i = 0; i < 5000; ++i) {
+    TraceEvent e;
+    e.event = static_cast<int64_t>(rng.Next());
+    e.time_us = static_cast<int64_t>(rng.Next());
+    e.pc = static_cast<int>(static_cast<uint32_t>(rng.Next()));
+    e.thread = static_cast<int>(static_cast<uint32_t>(rng.Next()));
+    e.state = rng.NextBool(0.5) ? EventState::kStart : EventState::kDone;
+    e.usec = static_cast<int64_t>(rng.Next());
+    e.rss_bytes = static_cast<int64_t>(rng.Next());
+    const size_t len = rng.NextBounded(40);
+    for (size_t k = 0; k < len; ++k) {
+      char c = rng.NextBool(0.3)
+                   ? kSpecials[rng.NextBounded(sizeof(kSpecials) - 1)]
+                   : static_cast<char>(1 + rng.NextBounded(255));
+      e.stmt.push_back(c);
+    }
+    const std::string line = FormatTraceLine(e);
+    auto parsed = ParseTraceLine(line);
+    ASSERT_TRUE(parsed.ok()) << line << ": " << parsed.status().ToString();
+    ASSERT_EQ(parsed.value(), e) << line;
+  }
 }
 
 // --- filters ---

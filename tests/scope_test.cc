@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -28,6 +30,7 @@
 #include "scope/trace.h"
 #include "server/mserver.h"
 #include "tpch/dbgen.h"
+#include "tpch/queries.h"
 
 namespace stetho::scope {
 namespace {
@@ -386,6 +389,101 @@ TEST(TextualTest, DemultiplexesDotAndTrace) {
   textual.Stop();
 }
 
+/// Forwards every datagram to `inner` and records its size.
+class RecordingSender : public net::DatagramSender {
+ public:
+  explicit RecordingSender(net::DatagramSender* inner) : inner_(inner) {}
+  Status Send(const std::string& payload) override {
+    sizes.push_back(payload.size());
+    return inner_->Send(payload);
+  }
+  std::vector<size_t> sizes;
+
+ private:
+  net::DatagramSender* inner_;
+};
+
+/// The dot file of q1 at mitosis 128 (about 4,000 lines, 128 KB).
+std::string WideQ1Dot() {
+  tpch::TpchConfig config;
+  config.scale_factor = 0.001;
+  auto cat = tpch::GenerateTpch(config);
+  EXPECT_TRUE(cat.ok());
+  server::MserverOptions options;
+  options.mitosis_pieces = 128;
+  server::Mserver server(std::move(cat.value()), options);
+  auto plan = server.Explain(tpch::GetQuery("q1").value().sql);
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  dot::DotWriterOptions dot_options;
+  dot_options.graph_name = plan.value().function_name();
+  return dot::ProgramToDot(plan.value(), dot_options);
+}
+
+/// Sends `dot` through `sender` into a textual stethoscope listening on
+/// `receiver`; returns what DotFor reports and records the datagram sizes.
+std::string DotThroughWire(const std::string& dot, net::DatagramSender* sender,
+                           std::unique_ptr<net::DatagramReceiver> receiver,
+                           std::vector<size_t>* sizes) {
+  TextualStethoscope textual(TextualOptions{});
+  EXPECT_TRUE(textual.AddServer("srv", std::move(receiver)).ok());
+  RecordingSender wire(sender);
+  uint64_t seen = textual.changes();
+  EXPECT_TRUE(net::SendDotFile(&wire, "q1", dot).ok());
+  *sizes = wire.sizes;
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!textual.DotFor("srv/q1").ok() &&
+         std::chrono::steady_clock::now() < give_up) {
+    seen = textual.WaitForChange(seen, 1'000'000);
+  }
+  auto received = textual.DotFor("srv/q1");
+  textual.Stop();
+  return received.ok() ? received.value() : received.status().ToString();
+}
+
+TEST(TextualTest, WideDotArrivesIntactOverChannelAndUdp) {
+  const std::string dot = WideQ1Dot();
+  ASSERT_GT(dot.size(), 100'000u);
+  const size_t lines = static_cast<size_t>(std::count(dot.begin(), dot.end(), '\n'));
+
+  std::vector<size_t> sizes;
+  {
+    auto [sender, receiver] = net::Channel::CreatePair();
+    EXPECT_EQ(DotThroughWire(dot, sender.get(), std::move(receiver), &sizes), dot);
+  }
+  // Packed: the datagram count is a small fraction of the line count.
+  EXPECT_LT(sizes.size(), lines / 100);
+  for (size_t size : sizes) EXPECT_LE(size, net::kMaxDatagramBytes);
+
+  auto receiver = net::UdpReceiver::Bind(0);
+  ASSERT_TRUE(receiver.ok()) << receiver.status().ToString();
+  auto sender = net::UdpSender::Connect(receiver.value()->port());
+  ASSERT_TRUE(sender.ok()) << sender.status().ToString();
+  EXPECT_EQ(DotThroughWire(dot, sender.value().get(),
+                           std::move(receiver).value(), &sizes),
+            dot);
+  EXPECT_LT(sizes.size(), lines / 100);
+  for (size_t size : sizes) EXPECT_LE(size, net::kMaxDatagramBytes);
+}
+
+TEST(TextualTest, WaitForChangeWakesOnEof) {
+  auto [sender, receiver] = net::Channel::CreatePair();
+  TextualStethoscope textual(TextualOptions{});
+  ASSERT_TRUE(textual.AddServer("srv", std::move(receiver)).ok());
+  const uint64_t seen = textual.changes();
+  std::thread eof([&sender = sender] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_TRUE(net::SendEof(sender.get(), "s0").ok());
+  });
+  const auto start = std::chrono::steady_clock::now();
+  const uint64_t now = textual.WaitForChange(seen, 60'000'000);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  eof.join();
+  EXPECT_NE(now, seen);
+  EXPECT_TRUE(textual.QueryFinished("srv/s0"));
+  EXPECT_LT(waited, std::chrono::seconds(30));
+  textual.Stop();
+}
+
 TEST(TextualTest, ClientSideFilter) {
   auto [sender, receiver] = net::Channel::CreatePair();
   TextualOptions options;
@@ -484,6 +582,8 @@ TEST(TextualTest, OverRealUdp) {
 TEST(TextualTest, BatchedBurstPreservesOrderAndDemux) {
   // A burst far larger than max_batch arrives interleaved with framing
   // lines; batching must not reorder events or mix them into dot content.
+  // Every tenth statement holds a raw newline (a string literal): only
+  // framing datagrams are packed, so an event must not be cut at it.
   auto [sender, receiver] = net::Channel::CreatePair();
   TextualOptions options;
   options.max_batch = 8;
@@ -491,11 +591,15 @@ TEST(TextualTest, BatchedBurstPreservesOrderAndDemux) {
   ASSERT_TRUE(textual.AddServer("srv", std::move(receiver)).ok());
 
   const int kEvents = 100;
+  const char* kNewlineStmt = "X_1 := algebra.select(X_0, \"AIR\nMAIL\");";
+  auto event = [&](int i) {
+    return i % 10 == 0 ? Ev(EventState::kDone, i, 0, 10, 0, kNewlineStmt)
+                       : Ev(EventState::kDone, i);
+  };
   ASSERT_TRUE(
       net::SendDotFile(sender.get(), "s0", "digraph \"q\" {\n}\n").ok());
   for (int i = 0; i < kEvents; ++i) {
-    ASSERT_TRUE(
-        sender->Send(profiler::FormatTraceLine(Ev(EventState::kDone, i))).ok());
+    ASSERT_TRUE(sender->Send(profiler::FormatTraceLine(event(i))).ok());
   }
   ASSERT_TRUE(sender->Send("this is not a trace line").ok());
   ASSERT_TRUE(net::SendEof(sender.get(), "s0").ok());
@@ -510,7 +614,7 @@ TEST(TextualTest, BatchedBurstPreservesOrderAndDemux) {
   auto snapshot = textual.BufferSnapshot();
   ASSERT_EQ(snapshot.size(), static_cast<size_t>(kEvents));
   for (int i = 0; i < kEvents; ++i) {
-    EXPECT_EQ(snapshot[static_cast<size_t>(i)].pc, i);
+    EXPECT_EQ(snapshot[static_cast<size_t>(i)], event(i));
   }
   textual.Stop();
 }
@@ -1145,6 +1249,93 @@ TEST(OnlineMonitorTest, RunsUnderVirtualClock) {
             2 * static_cast<int64_t>(report.value().outcome.plan.size()));
 }
 
+/// Holds the first event it sees until `Open()` (or 20 s pass), so a query
+/// cannot finish before whatever opens the gate has run.
+class GateSink : public profiler::EventSink {
+ public:
+  void Consume(const TraceEvent& /*event*/) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (consumed_++ > 0) return;
+    held_ = cv_.wait_for(lock, std::chrono::seconds(20), [this] { return open_; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  /// True when the first event waited for Open().
+  bool held() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return held_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int64_t consumed_ = 0;
+  bool open_ = false;
+  bool held_ = false;
+};
+
+TEST(OnlineMonitorTest, EofEndsTheAnalysisWait) {
+  // The first analysis round runs while the query is held at its first
+  // event; after it, only the %EOF wake-up can end the monitor's wait
+  // before the 60 s analysis period is up.
+  tpch::TpchConfig config;
+  config.scale_factor = 0.001;
+  auto cat = tpch::GenerateTpch(config);
+  ASSERT_TRUE(cat.ok());
+  server::MserverOptions soptions;
+  soptions.dop = 2;
+  server::Mserver server(std::move(cat.value()), soptions);
+  auto gate = std::make_shared<GateSink>();
+  server.profiler()->AddSink(gate);
+
+  OnlineOptions options;
+  options.render_interval_us = 0;
+  options.analysis_period_us = 60'000'000;
+  options.status_line = [&gate](const std::string&) { gate->Open(); };
+  OnlineMonitor monitor(&server, options);
+  const auto start = std::chrono::steady_clock::now();
+  auto report =
+      monitor.MonitorQuery("select l_tax from lineitem where l_partkey = 1");
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(gate->held());
+  EXPECT_LT(elapsed, std::chrono::seconds(30));
+  EXPECT_EQ(report.value().events_received,
+            2 * static_cast<int64_t>(report.value().outcome.plan.size()));
+}
+
+TEST(OnlineMonitorTest, NewlineInStringLiteralKeepsEveryEvent) {
+  // The string literal's raw newline reaches the instruction statements,
+  // so every event carrying one must still arrive as one line.
+  tpch::TpchConfig config;
+  config.scale_factor = 0.001;
+  auto cat = tpch::GenerateTpch(config);
+  ASSERT_TRUE(cat.ok());
+  server::MserverOptions soptions;
+  soptions.dop = 2;
+  soptions.mitosis_pieces = 4;
+  server::Mserver server(std::move(cat.value()), soptions);
+
+  OnlineOptions options;
+  options.render_interval_us = 0;
+  options.analysis_period_us = 2000;
+  OnlineMonitor monitor(&server, options);
+  auto report = monitor.MonitorQuery(
+      "select l_tax from lineitem where l_shipmode = 'AIR\nMAIL'");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const OnlineReport& r = report.value();
+  EXPECT_EQ(r.events_received,
+            2 * static_cast<int64_t>(r.outcome.plan.size()));
+  EXPECT_EQ(r.pipe_health.lost, 0);
+  EXPECT_TRUE(std::any_of(r.events.begin(), r.events.end(),
+                          [](const TraceEvent& e) {
+                            return e.stmt.find('\n') != std::string::npos;
+                          }));
+}
+
 TEST(OnlineMonitorTest, DotTimeoutDrivenByInjectedClock) {
   // An already-expired deadline times out on the first poll — previously
   // this branch needed 30 real seconds to reach.
@@ -1162,6 +1353,10 @@ TEST(OnlineMonitorTest, DotTimeoutDrivenByInjectedClock) {
   options.clock = &clock;
   options.render_interval_us = 0;
   options.dot_timeout_us = -1000000;
+  // The wire drops every datagram, framing included, so no dot can reach
+  // the monitor before its first deadline check however the threads run.
+  options.fault.drop_p = 1.0;
+  options.fault.spare_control_lines = false;
   OnlineMonitor monitor(&server, options);
   auto report = monitor.MonitorQuery(
       "select sum(l_extendedprice * l_discount) as revenue from lineitem "

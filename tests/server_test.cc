@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "analysis/perfdiff.h"
+#include "common/string_util.h"
 #include "net/channel.h"
 #include "obs/metrics.h"
 #include "obs/profile_store.h"
@@ -116,12 +117,15 @@ TEST(MserverTest, StreamCarriesDotThenTraceThenEof) {
   auto r = server.ExecuteSql("select l_tax from lineitem where l_partkey = 1");
   ASSERT_TRUE(r.ok());
 
+  // A datagram carries one or more newline-separated lines.
   std::vector<std::string> lines;
   std::string payload;
   while (true) {
     auto got = receiver->Receive(&payload, 10);
     if (!got.ok() || !got.value()) break;
-    lines.push_back(payload);
+    for (std::string& line : Split(payload, '\n')) {
+      lines.push_back(std::move(line));
+    }
   }
   ASSERT_GT(lines.size(), 4u);
   EXPECT_EQ(lines.front().rfind("%DOT-BEGIN", 0), 0u);

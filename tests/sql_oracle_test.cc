@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "analysis/absint.h"
@@ -280,6 +282,332 @@ TEST_P(SqlOracleTest, RandomPipelinesPreserveSemantics) {
       EXPECT_DOUBLE_EQ(c0[1].column->DoubleAt(i), c1[1].column->DoubleAt(i))
           << sql << " [" << pass_names << "] row " << i;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// :lng edges. The columns hold values just above ±2^53, where a double can
+// no longer tell neighbouring integers apart, and near ±2^62 and ±2^63,
+// where int64_t arithmetic runs out. The reference computes exact
+// integers; a query that overflows anywhere must fail with an error.
+// ---------------------------------------------------------------------------
+
+constexpr int64_t kLngMax = std::numeric_limits<int64_t>::max();
+constexpr int64_t kLngMin = std::numeric_limits<int64_t>::min();
+
+/// Rows fall in three regions, stored as `g`: ±(2^53 + 0..7),
+/// ±(2^62 - 4 + 0..7), and kLngMax - 0..7 or its negation or kLngMin + 0..7.
+int64_t NearEdge(SplitMix64* rng, int64_t region) {
+  const int64_t offset = static_cast<int64_t>(rng->NextBounded(8));
+  int64_t v;
+  switch (region) {
+    case 0:
+      v = (int64_t{1} << 53) + offset;
+      break;
+    case 1:
+      v = (int64_t{1} << 62) - 4 + offset;
+      break;
+    default:
+      if (rng->NextBool(0.2)) return kLngMin + offset;
+      v = kLngMax - offset;
+      break;
+  }
+  return rng->NextBool(0.5) ? -v : v;
+}
+
+struct LngRow {
+  int64_t g;
+  int64_t a;
+  int64_t b;
+};
+
+struct LngDataset {
+  Catalog catalog;
+  std::vector<LngRow> rows;
+};
+
+LngDataset RandomLngDataset(SplitMix64* rng, size_t n) {
+  LngDataset out;
+  TablePtr t = Table::Make("t", Schema({{"g", DataType::kInt64},
+                                        {"a", DataType::kInt64},
+                                        {"b", DataType::kInt64}}));
+  for (size_t i = 0; i < n; ++i) {
+    LngRow row;
+    row.g = static_cast<int64_t>(rng->NextBounded(3));
+    row.a = NearEdge(rng, row.g);
+    row.b = NearEdge(rng, row.g);
+    out.rows.push_back(row);
+    EXPECT_TRUE(t->AppendRow({Value::Int(row.g), Value::Int(row.a),
+                              Value::Int(row.b)})
+                    .ok());
+  }
+  EXPECT_TRUE(out.catalog.AddTable(t).ok());
+  return out;
+}
+
+/// Exact x op y; nullopt when the result leaves int64_t.
+std::optional<int64_t> ExactArith(char op, int64_t x, int64_t y) {
+  int64_t v = 0;
+  bool overflow = op == '+'   ? __builtin_add_overflow(x, y, &v)
+                  : op == '-' ? __builtin_sub_overflow(x, y, &v)
+                              : __builtin_mul_overflow(x, y, &v);
+  if (overflow) return std::nullopt;
+  return v;
+}
+
+bool ExactCompare(const std::string& op, int64_t x, int64_t y) {
+  if (op == "=") return x == y;
+  if (op == "<>") return x != y;
+  if (op == "<") return x < y;
+  if (op == "<=") return x <= y;
+  if (op == ">") return x > y;
+  return x >= y;
+}
+
+/// A literal the SQL parser reads back as `v` (v != kLngMin).
+std::string LngLiteral(int64_t v) {
+  return StrFormat("(%lld)", static_cast<long long>(v));
+}
+
+/// Value of a result cell: a scalar result or row `row` of a column.
+Value Cell(const engine::ResultColumn& column, size_t row) {
+  return column.is_scalar ? column.scalar : column.column->GetValue(row);
+}
+
+/// Expected result: an overflow error, or these rows of :lng values
+/// (nullopt = NULL).
+struct LngExpectation {
+  bool overflow = false;
+  std::vector<std::vector<std::optional<int64_t>>> rows;
+};
+
+/// Runs `sql` and holds it to `expected`; returns false on a mismatch.
+bool CheckLngQuery(Catalog* catalog, const std::string& sql, int mitosis,
+                   const LngExpectation& expected) {
+  auto r = RunSql(catalog, sql, mitosis);
+  if (expected.overflow) {
+    EXPECT_FALSE(r.ok()) << sql << ": expected an overflow error";
+    if (r.ok()) return false;
+    EXPECT_NE(r.status().message().find("overflow"), std::string::npos)
+        << sql << ": " << r.status().ToString();
+    return r.status().message().find("overflow") != std::string::npos;
+  }
+  EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+  if (!r.ok()) return false;
+  const auto& cols = r.value().columns;
+  bool same = true;
+  for (size_t row = 0; row < expected.rows.size() && same; ++row) {
+    const auto& want = expected.rows[row];
+    if (cols.size() != want.size()) same = false;
+    for (size_t c = 0; c < want.size() && same; ++c) {
+      if (!cols[c].is_scalar && cols[c].column->size() != expected.rows.size()) {
+        same = false;
+        break;
+      }
+      const Value got = Cell(cols[c], row);
+      same = want[c].has_value()
+                 ? got.type() == DataType::kInt64 && got.AsInt() == *want[c]
+                 : got.is_null();
+    }
+  }
+  if (expected.rows.empty() && !cols.empty() && !cols[0].is_scalar) {
+    same = cols[0].column->size() == 0;
+  }
+  EXPECT_TRUE(same) << sql;
+  return same;
+}
+
+/// Exact sum/min/max over `values`. The sum is taken in __int128, so it
+/// overflows only when its total leaves int64_t, whatever the row order.
+std::vector<std::optional<int64_t>> ExactAggregates(
+    const std::vector<int64_t>& values, bool* overflow) {
+  if (values.empty()) return {std::nullopt, std::nullopt, std::nullopt};
+  __int128 sum = 0;
+  int64_t mn = values[0];
+  int64_t mx = values[0];
+  for (int64_t v : values) {
+    sum += v;
+    mn = std::min(mn, v);
+    mx = std::max(mx, v);
+  }
+  if (sum < kLngMin || sum > kLngMax) *overflow = true;
+  return {static_cast<int64_t>(sum), mn, mx};
+}
+
+/// avg over `values` as the engine must compute it: the exact sum divided
+/// by the row count, which never fails.
+double ExactAvg(const std::vector<int64_t>& values) {
+  __int128 sum = 0;
+  for (int64_t v : values) sum += v;
+  return static_cast<double>(sum) / static_cast<double>(values.size());
+}
+
+/// Runs `sql`, whose last column is an avg, and holds that column to
+/// `expected` row by row; returns false on a mismatch.
+bool CheckAvgQuery(Catalog* catalog, const std::string& sql, int mitosis,
+                   const std::vector<double>& expected) {
+  auto r = RunSql(catalog, sql, mitosis);
+  EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+  if (!r.ok()) return false;
+  const engine::ResultColumn& avg = r.value().columns.back();
+  bool same = avg.is_scalar ? expected.size() == 1
+                            : avg.column->size() == expected.size();
+  for (size_t row = 0; row < expected.size() && same; ++row) {
+    const Value got = Cell(avg, row);
+    same = got.type() == DataType::kDouble && got.AsDouble() == expected[row];
+  }
+  EXPECT_TRUE(same) << sql;
+  return same;
+}
+
+TEST_P(SqlOracleTest, LngEdgesAreExact) {
+  SplitMix64 rng(GetParam() + 2000);
+  LngDataset data = RandomLngDataset(&rng, 36);
+  const char kArith[] = {'+', '-', '*'};
+  const char* kCompare[] = {"=", "<>", "<", "<=", ">", ">="};
+  int cases = 0;
+  int failed = 0;
+  auto check = [&](const std::string& sql, const LngExpectation& expected) {
+    for (int mitosis : {0, 4}) {
+      ++cases;
+      if (!CheckLngQuery(&data.catalog, sql, mitosis, expected)) ++failed;
+    }
+  };
+  for (int trial = 0; trial < 6; ++trial) {
+    const int64_t region = static_cast<int64_t>(rng.NextBounded(3));
+    const char op = kArith[rng.NextBounded(3)];
+    const std::string cmp = kCompare[rng.NextBounded(6)];
+    int64_t k = NearEdge(&rng, static_cast<int64_t>(rng.NextBounded(3)));
+    if (k == kLngMin) k = kLngMax;
+
+    // Arithmetic, column with column and column with a literal.
+    LngExpectation by_column;
+    LngExpectation by_literal;
+    for (const LngRow& row : data.rows) {
+      if (row.g != region) continue;
+      auto v = ExactArith(op, row.a, row.b);
+      by_column.overflow |= !v.has_value();
+      by_column.rows.push_back({v});
+      auto w = ExactArith(op, row.a, k);
+      by_literal.overflow |= !w.has_value();
+      by_literal.rows.push_back({w});
+    }
+    const std::string where = StrFormat(" from t where g = %lld",
+                                        static_cast<long long>(region));
+    check(StrFormat("select a %c b", op) + where, by_column);
+    check(StrFormat("select a %c ", op) + LngLiteral(k) + where, by_literal);
+
+    // Comparisons: a residual column-with-column predicate and a pushed-
+    // down comparison with a literal.
+    LngExpectation pairs;
+    LngExpectation against_literal;
+    for (const LngRow& row : data.rows) {
+      if (ExactCompare(cmp, row.a, row.b)) pairs.rows.push_back({row.a, row.b});
+      if (ExactCompare(cmp, row.a, k)) against_literal.rows.push_back({row.a});
+    }
+    check("select a, b from t where a " + cmp + " b", pairs);
+    check("select a from t where a " + cmp + " " + LngLiteral(k),
+          against_literal);
+
+    // sum/min/max over rows of one sign, then over both signs, scalar and
+    // grouped. A mixed-sign sum can leave int64_t part way and come back;
+    // only its total decides.
+    const std::string one_sign = rng.NextBool(0.5) ? "a > 0" : "a < 0";
+    for (const std::string& sign : {one_sign, std::string("a <> 0")}) {
+      LngExpectation scalar;
+      LngExpectation grouped;
+      std::map<int64_t, std::vector<int64_t>> by_group;
+      for (const LngRow& row : data.rows) {
+        if ((sign == "a > 0" && row.a < 0) || (sign == "a < 0" && row.a > 0)) {
+          continue;
+        }
+        by_group[row.g].push_back(row.a);
+      }
+      scalar.rows.push_back(ExactAggregates(by_group[region], &scalar.overflow));
+      std::vector<double> avgs;
+      for (const auto& [g, values] : by_group) {
+        if (values.empty()) continue;
+        auto aggs = ExactAggregates(values, &grouped.overflow);
+        aggs.insert(aggs.begin(), g);
+        grouped.rows.push_back(aggs);
+        avgs.push_back(ExactAvg(values));
+      }
+      check("select sum(a), min(a), max(a)" + where + " and " + sign, scalar);
+      check("select g, sum(a), min(a), max(a) from t where " + sign +
+                " group by g order by g",
+            grouped);
+      if (sign != "a <> 0") continue;
+      for (int mitosis : {0, 4}) {
+        if (!by_group[region].empty()) {
+          ++cases;
+          if (!CheckAvgQuery(&data.catalog,
+                             "select avg(a)" + where + " and " + sign, mitosis,
+                             {ExactAvg(by_group[region])})) {
+            ++failed;
+          }
+        }
+        ++cases;
+        if (!CheckAvgQuery(&data.catalog,
+                           "select g, avg(a) from t where " + sign +
+                               " group by g order by g",
+                           mitosis, avgs)) {
+          ++failed;
+        }
+      }
+    }
+  }
+  RecordProperty("lng_cases", cases);
+  RecordProperty("lng_failed", failed);
+}
+
+TEST(LngAggregateTest, SumAndAvgDependOnlyOnTheTotal) {
+  // Some orders of these rows pass through a partial sum outside int64_t,
+  // others do not; the total is 1 either way.
+  std::vector<int64_t> rows = {-kLngMax, 1, kLngMax};
+  do {
+    Catalog catalog;
+    TablePtr t = Table::Make("t", Schema({{"g", DataType::kInt64},
+                                          {"a", DataType::kInt64},
+                                          {"b", DataType::kInt64}}));
+    for (int64_t a : rows) {
+      ASSERT_TRUE(
+          t->AppendRow({Value::Int(0), Value::Int(a), Value::Int(0)}).ok());
+    }
+    ASSERT_TRUE(catalog.AddTable(t).ok());
+    for (int mitosis : {0, 2}) {
+      LngExpectation sum;
+      sum.rows.push_back({1});
+      EXPECT_TRUE(CheckLngQuery(&catalog, "select sum(a) from t",
+                                mitosis, sum));
+      LngExpectation grouped;
+      grouped.rows.push_back({0, 1});
+      EXPECT_TRUE(CheckLngQuery(&catalog,
+                                "select g, sum(a) from t group by g", mitosis,
+                                grouped));
+      EXPECT_TRUE(CheckAvgQuery(&catalog, "select avg(a) from t", mitosis,
+                                {1.0 / 3.0}));
+    }
+  } while (std::next_permutation(rows.begin(), rows.end()));
+}
+
+TEST(LngAggregateTest, AvgOfAnOverflowingSumStillAnswers) {
+  Catalog catalog;
+  TablePtr t = Table::Make("t", Schema({{"g", DataType::kInt64},
+                                        {"a", DataType::kInt64}}));
+  for (int g : {0, 0, 1}) {
+    ASSERT_TRUE(t->AppendRow({Value::Int(g), Value::Int(kLngMax)}).ok());
+  }
+  ASSERT_TRUE(catalog.AddTable(t).ok());
+  const double max = static_cast<double>(kLngMax);
+  for (int mitosis : {0, 2}) {
+    LngExpectation overflow;
+    overflow.overflow = true;
+    EXPECT_TRUE(
+        CheckLngQuery(&catalog, "select sum(a) from t", mitosis, overflow));
+    EXPECT_TRUE(CheckAvgQuery(&catalog, "select avg(a) from t", mitosis, {max}));
+    EXPECT_TRUE(CheckAvgQuery(&catalog,
+                              "select g, avg(a) from t group by g order by g",
+                              mitosis, {max, max}));
   }
 }
 

@@ -13,6 +13,9 @@ Usage:
   tools/bench_baseline.py --min-time 0.1        # slower, steadier numbers
   tools/bench_baseline.py --only c4,layout      # substring filter on binaries
   tools/bench_baseline.py --diff-only A.json B.json   # just compare two files
+  tools/bench_baseline.py --ab BASE_BUILD --only layout,obs
+      # same-machine A/B: BASE_BUILD's benches against --build-dir's,
+      # interleaved, gating on each benchmark's median new/old ratio
 
 Exit status: 0 on success (diff regressions are reported, not fatal unless
 --fail-on-regress is given), 1 on harness errors.
@@ -30,6 +33,9 @@ import sys
 import tempfile
 
 REGRESS_THRESHOLD = 1.10  # default: >10% slower is a regression in the diff
+# A/B rounds per tree: an odd count of at least 3 gives a median that one
+# noisy round cannot move, with each tree going first at least once.
+AB_ROUNDS = 3
 
 
 def repo_root():
@@ -157,6 +163,63 @@ def diff(old, new, threshold=REGRESS_THRESHOLD):
     return regressions
 
 
+def real_times_ns(report):
+    """name -> real time in ns of one google-benchmark JSON report."""
+    return {bm["name"]: to_ns(bm["real_time"], bm.get("time_unit", "ns"))
+            for bm in report.get("benchmarks", [])
+            if bm.get("run_type") != "aggregate"}
+
+
+def ab(base_build, head_build, only, min_time, threshold):
+    """Runs the base and head builds' bench binaries interleaved on this
+    machine, AB_ROUNDS rounds alternating which tree goes first, and prints
+    each benchmark's median head/base real-time ratio. Returns the
+    benchmarks whose median ratio exceeds `threshold`."""
+    base = {os.path.basename(b): b for b in find_benches(base_build, only)}
+    head = {os.path.basename(b): b for b in find_benches(head_build, only)}
+    names = sorted(set(base) & set(head))
+    if not names:
+        raise RuntimeError(f"no common bench binaries under {base_build} "
+                           f"and {head_build}")
+    ratios = {}
+    for rnd in range(AB_ROUNDS):
+        for name in names:
+            sides = [("base", base[name]), ("head", head[name])]
+            if rnd % 2:
+                sides.reverse()
+            times = {}
+            for side, binary in sides:
+                sys.stderr.write(f"round {rnd + 1}/{AB_ROUNDS}: {side} {name}\n")
+                times[side] = real_times_ns(run_bench(binary, min_time))
+            for bm, head_ns in times["head"].items():
+                base_ns = times["base"].get(bm)
+                if base_ns and base_ns > 0:
+                    ratios.setdefault(f"{name}:{bm}", []).append(
+                        head_ns / base_ns)
+    print(f"--- A/B: {AB_ROUNDS} interleaved rounds, median head/base ---")
+    regressions = []
+    for label, values in sorted(ratios.items()):
+        values.sort()
+        mid = len(values) // 2
+        median = (values[mid] if len(values) % 2
+                  else (values[mid - 1] + values[mid]) / 2)
+        flag = ""
+        if median > threshold:
+            flag = "  REGRESSION"
+            regressions.append((label, median))
+        elif median < 1.0 / threshold:
+            flag = "  improved"
+        print(f"{label:<58} {median:>7.2f}x{flag}")
+    if regressions:
+        print(f"\n{len(regressions)} regression(s) > "
+              f"{(threshold - 1) * 100:.0f}%:")
+        for label, ratio in regressions:
+            print(f"  {label}: {ratio:.2f}x")
+    else:
+        print("\nno regressions")
+    return regressions
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--build-dir", default=None,
@@ -179,9 +242,17 @@ def main():
                              "for the noisier layout benches)")
     parser.add_argument("--diff-only", nargs=2, metavar=("OLD", "NEW"),
                         help="skip running; diff two existing baseline files")
+    parser.add_argument("--ab", metavar="BASE_BUILD", default=None,
+                        help="A/B mode: run BASE_BUILD's benches and the "
+                             "build dir's interleaved; writes no baseline")
     args = parser.parse_args()
 
     root = repo_root()
+    if args.ab:
+        regressions = ab(args.ab, args.build_dir or os.path.join(root, "build"),
+                         args.only, args.min_time,
+                         args.regress_threshold)
+        return 1 if (regressions and args.fail_on_regress) else 0
     if args.diff_only:
         with open(args.diff_only[0]) as f:
             old = json.load(f)
