@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
   auto outcome = server->ExecuteSql(kPaperSql);
   if (outcome.ok()) {
     std::printf("=== Fig. 1: MAL plan for \"%s\" ===\n%s\n", kPaperSql,
-                outcome.value().plan.ToString().c_str());
+                outcome.value().plan->program().ToString().c_str());
   }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

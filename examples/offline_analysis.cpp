@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     std::ofstream dot_file(dot_path);
     dot_file << outcome.value().dot;
     std::printf("wrote %s (%zu plan nodes) and %s\n", dot_path.c_str(),
-                outcome.value().plan.size(), trace_path.c_str());
+                outcome.value().plan->size(), trace_path.c_str());
   }
 
   // ---- offline analysis session: only the two files are used ----

@@ -48,7 +48,7 @@ int main() {
     return 1;
   }
   std::printf("\n== MAL plan (paper Fig. 1) ==\n%s\n",
-              outcome.value().plan.ToString().c_str());
+              outcome.value().plan->program().ToString().c_str());
   std::printf("result rows: %zu, total %lld us\n",
               outcome.value().result.columns[0].column->size(),
               static_cast<long long>(outcome.value().result.total_usec));

@@ -11,18 +11,6 @@
 namespace stetho::analysis {
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-void MixString(uint64_t* h, const std::string& s) {
-  for (char c : s) {
-    *h ^= static_cast<unsigned char>(c);
-    *h *= kFnvPrime;
-  }
-  *h ^= '\n';
-  *h *= kFnvPrime;
-}
-
 std::string Truncate(const std::string& s, size_t max) {
   if (s.size() <= max) return s;
   return s.substr(0, max - 3) + "...";
@@ -31,11 +19,14 @@ std::string Truncate(const std::string& s, size_t max) {
 }  // namespace
 
 uint64_t PlanShapeHash(const mal::Program& program) {
-  uint64_t h = kFnvOffset;
+  mal::ShapeHasher hasher;
+  std::string statement;
   for (const mal::Instruction& ins : program.instructions()) {
-    MixString(&h, program.InstructionToString(ins));
+    statement.clear();
+    program.AppendInstruction(ins, &statement);
+    hasher.Mix(statement);
   }
-  return h;
+  return hasher.value();
 }
 
 uint64_t TraceShapeHash(const std::vector<profiler::TraceEvent>& trace) {
@@ -44,9 +35,9 @@ uint64_t TraceShapeHash(const std::vector<profiler::TraceEvent>& trace) {
     if (event.pc < 0 || event.stmt.empty()) continue;
     stmts.emplace(event.pc, event.stmt);  // first text per pc wins
   }
-  uint64_t h = kFnvOffset;
-  for (const auto& [pc, stmt] : stmts) MixString(&h, stmt);
-  return h;
+  mal::ShapeHasher hasher;
+  for (const auto& [pc, stmt] : stmts) hasher.Mix(stmt);
+  return hasher.value();
 }
 
 obs::QueryObservation ObservationFromTrace(

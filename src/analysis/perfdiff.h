@@ -19,9 +19,11 @@ namespace stetho::analysis {
 /// plan or trace into that key, extracting a QueryObservation from a
 /// recorded trace, and diffing two traces of the same shape per pc.
 
-/// FNV-1a over the rendered instructions (the function-name header is
-/// deliberately excluded: "user.s0" and "user.s17" with identical bodies
-/// are one plan shape). The key ProgressModelCache and ProfileStore share.
+/// mal::ShapeHasher over the rendered instructions (the function-name
+/// header is deliberately excluded: "user.s0" and "user.s17" with identical
+/// bodies are one plan shape). The key ProgressModelCache and ProfileStore
+/// share; per-query paths read engine::PreparedPlan::shape_hash(), the same
+/// value computed once when the plan is prepared.
 uint64_t PlanShapeHash(const mal::Program& program);
 
 /// The same hash computed from a recorded trace: the statement text of

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "analysis/liveness.h"
-#include "analysis/perfdiff.h"
 #include "analysis/trace_index.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
@@ -121,10 +120,10 @@ double ProgressModel::RemainingCriticalWeight(
 }
 
 std::shared_ptr<const ProgressModel> ProgressModelCache::GetOrBuild(
-    const mal::Program& program) {
+    const engine::PreparedPlan& plan) {
   // The same function-name-blind content hash the profile store keys
-  // baselines by (analysis/perfdiff.h).
-  const uint64_t key = PlanShapeHash(program);
+  // baselines by, computed once when the plan was prepared.
+  const uint64_t key = plan.shape_hash();
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = models_.find(key);
@@ -138,7 +137,8 @@ std::shared_ptr<const ProgressModel> ProgressModelCache::GetOrBuild(
   }
   // Build outside the lock (absint + liveness are the expensive part);
   // a concurrent duplicate build is wasted work, not a correctness issue.
-  std::shared_ptr<const ProgressModel> model = ProgressModel::Build(program);
+  std::shared_ptr<const ProgressModel> model =
+      ProgressModel::Build(plan.program());
   std::lock_guard<std::mutex> lock(mu_);
   ++misses_;
   CacheMissCounter()->Increment();

@@ -61,16 +61,17 @@ class ProgressModel {
   double critical_weight_ = 0;
 };
 
-/// Content-hash LRU over ProgressModel, keyed on the plan's instruction
-/// text (the function name is excluded — the server renames each query
+/// Content-hash LRU over ProgressModel, keyed on the prepared plan's shape
+/// hash (the function name is excluded — the server renames each query
 /// "user.sN", and identical plan shapes must share one model). Mirrors
 /// layout::LayoutCache's role for the front end. Thread-safe.
 class ProgressModelCache {
  public:
   explicit ProgressModelCache(size_t capacity = 32) : capacity_(capacity) {}
 
-  /// Returns the cached model for `program`'s shape, building it on miss.
-  std::shared_ptr<const ProgressModel> GetOrBuild(const mal::Program& program);
+  /// Returns the cached model for `plan`'s shape, building it on miss.
+  std::shared_ptr<const ProgressModel> GetOrBuild(
+      const engine::PreparedPlan& plan);
 
   int64_t hits() const;
   int64_t misses() const;

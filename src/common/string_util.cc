@@ -146,22 +146,34 @@ Result<double> ParseDouble(std::string_view s) {
 std::string EscapeQuoted(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
+  AppendEscapedQuoted(s, &out);
   return out;
+}
+
+void AppendEscapedQuoted(std::string_view s, std::string* out) {
+  // The runs between special characters go in one append each.
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    if (s[i] != '"' && s[i] != '\\') continue;
+    out->append(s.data() + run, i - run);
+    out->push_back('\\');
+    run = i;  // the special character starts the next run
+  }
+  out->append(s.data() + run, s.size() - run);
 }
 
 std::string UnescapeQuoted(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '\\' && i + 1 < s.size()) {
-      ++i;
-    }
-    out.push_back(s[i]);
+  // A backslash before a character drops, the character stays; a trailing
+  // backslash stays. The runs between escapes go in one append each.
+  size_t run = 0;
+  for (size_t i = 0; i + 1 < s.size(); ++i) {
+    if (s[i] != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = ++i;
   }
+  out.append(s.data() + run, s.size() - run);
   return out;
 }
 

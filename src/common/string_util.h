@@ -46,6 +46,8 @@ Result<double> ParseDouble(std::string_view s);
 
 /// Escapes `"` and `\` for embedding inside a double-quoted DOT/JSON string.
 std::string EscapeQuoted(std::string_view s);
+/// Appends EscapeQuoted(s) to `out`.
+void AppendEscapedQuoted(std::string_view s, std::string* out);
 
 /// Inverse of EscapeQuoted for the characters it produces.
 std::string UnescapeQuoted(std::string_view s);

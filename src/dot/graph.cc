@@ -1,22 +1,28 @@
 #include "dot/graph.h"
 
 #include <deque>
+#include <utility>
 
 namespace stetho::dot {
 
+void Graph::Reserve(size_t nodes, size_t edges) {
+  nodes_.reserve(nodes);
+  index_.reserve(nodes);
+  edges_.reserve(edges);
+}
+
 GraphNode& Graph::AddNode(const std::string& id) {
-  auto it = index_.find(id);
-  if (it != index_.end()) return nodes_[static_cast<size_t>(it->second)];
-  index_[id] = static_cast<int>(nodes_.size());
+  auto [it, inserted] =
+      index_.try_emplace(id, static_cast<int>(nodes_.size()));
+  if (!inserted) return nodes_[static_cast<size_t>(it->second)];
   nodes_.push_back(GraphNode{id, {}});
   return nodes_.back();
 }
 
-GraphEdge& Graph::AddEdge(const std::string& from, const std::string& to) {
+GraphEdge& Graph::AddEdge(std::string from, std::string to) {
   AddNode(from);
   AddNode(to);
-  edges_.push_back(GraphEdge{from, to, {}});
-  return edges_.back();
+  return edges_.emplace_back(GraphEdge{std::move(from), std::move(to), {}});
 }
 
 int Graph::FindNode(const std::string& id) const {

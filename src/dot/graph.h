@@ -43,10 +43,14 @@ class Graph {
   bool directed() const { return directed_; }
   void set_directed(bool d) { directed_ = d; }
 
+  /// Pre-sizes node and edge storage (a capacity hint, like
+  /// std::vector::reserve).
+  void Reserve(size_t nodes, size_t edges);
+
   /// Adds (or merges attributes into) a node.
   GraphNode& AddNode(const std::string& id);
   /// Adds an edge; endpoints are implicitly created.
-  GraphEdge& AddEdge(const std::string& from, const std::string& to);
+  GraphEdge& AddEdge(std::string from, std::string to);
 
   size_t num_nodes() const { return nodes_.size(); }
   size_t num_edges() const { return edges_.size(); }

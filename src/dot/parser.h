@@ -1,7 +1,7 @@
 #ifndef STETHO_DOT_PARSER_H_
 #define STETHO_DOT_PARSER_H_
 
-#include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "dot/graph.h"
@@ -18,9 +18,12 @@ namespace stetho::dot {
 ///         | node [attr_list] ;        (default node attributes, ignored)
 ///   attr_list := '[' ID '=' (ID | "string") (',' ...)* ']'
 ///
-/// Identifiers are alphanumeric/underscore/dot sequences, numerals, or
-/// double-quoted strings with backslash escapes. Comments: //, /* */, #.
-Result<Graph> ParseDot(const std::string& text);
+/// Identifiers are alphanumeric/underscore/dot/minus sequences, numerals,
+/// or double-quoted strings with backslash escapes. A bare id ends where
+/// "->" or "--" begins (after its first character), so `a->b` and `a--b`
+/// are edges. Comments: //, /* */, #. The text is scanned in place; node and
+/// edge attributes are written straight into the graph.
+Result<Graph> ParseDot(std::string_view text);
 
 }  // namespace stetho::dot
 

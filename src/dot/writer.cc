@@ -1,5 +1,8 @@
 #include "dot/writer.h"
 
+#include <charconv>
+#include <string_view>
+
 #include "common/string_util.h"
 
 namespace stetho::dot {
@@ -7,33 +10,66 @@ namespace {
 
 std::string NodeName(int pc) { return StrFormat("n%d", pc); }
 
-std::string Truncate(const std::string& text, size_t limit) {
-  if (limit == 0 || text.size() <= limit) return text;
-  return text.substr(0, limit) + "...";
+/// Appends "n<pc>".
+void AppendNodeName(int pc, std::string* out) {
+  char digits[16];
+  const auto [end, ec] = std::to_chars(digits, digits + sizeof(digits), pc);
+  out->push_back('n');
+  out->append(digits, end);
 }
 
 }  // namespace
 
-std::string ProgramToDot(const mal::Program& program,
+std::string ProgramToDot(const engine::PreparedPlan& plan,
                          const DotWriterOptions& options) {
-  std::string out = "digraph \"" + EscapeQuoted(options.graph_name) + "\" {\n";
-  out += "  node [shape=" + options.node_shape + "];\n";
-  for (const mal::Instruction& ins : program.instructions()) {
-    std::string label =
-        Truncate(program.InstructionToString(ins), options.max_label_chars);
-    out += "  " + NodeName(ins.pc) + " [label=\"" + EscapeQuoted(label) +
-           "\"];\n";
+  // One reserved buffer: the labels and edges, plus their fixed text and
+  // an eighth for escapes.
+  size_t bytes = 64 + options.graph_name.size() + options.node_shape.size();
+  for (size_t pc = 0; pc < plan.size(); ++pc) {
+    const int ipc = static_cast<int>(pc);
+    bytes += plan.text(ipc).size() + 24 + 24 * plan.deps(ipc).size();
   }
-  auto deps = program.BuildDependencies();
-  for (size_t pc = 0; pc < deps.size(); ++pc) {
-    for (int producer : deps[pc]) {
+  std::string out;
+  out.reserve(bytes + bytes / 8);
+
+  out += "digraph \"";
+  AppendEscapedQuoted(options.graph_name, &out);
+  out += "\" {\n  node [shape=";
+  out += options.node_shape;
+  out += "];\n";
+  const size_t limit = options.max_label_chars;
+  for (size_t pc = 0; pc < plan.size(); ++pc) {
+    const int ipc = static_cast<int>(pc);
+    const std::string_view label = plan.text(ipc);
+    out += "  ";
+    AppendNodeName(ipc, &out);
+    out += " [label=\"";
+    if (limit == 0 || label.size() <= limit) {
+      AppendEscapedQuoted(label, &out);
+    } else {
+      AppendEscapedQuoted(label.substr(0, limit), &out);
+      out += "...";
+    }
+    out += "\"];\n";
+  }
+  for (size_t pc = 0; pc < plan.size(); ++pc) {
+    const int ipc = static_cast<int>(pc);
+    for (int producer : plan.deps(ipc)) {
       // Dataflow direction: producer -> consumer.
-      out += "  " + NodeName(producer) + " -> " +
-             NodeName(static_cast<int>(pc)) + ";\n";
+      out += "  ";
+      AppendNodeName(producer, &out);
+      out += " -> ";
+      AppendNodeName(ipc, &out);
+      out += ";\n";
     }
   }
   out += "}\n";
   return out;
+}
+
+std::string ProgramToDot(const mal::Program& program,
+                         const DotWriterOptions& options) {
+  return ProgramToDot(engine::PreparedPlan(program), options);
 }
 
 std::string GraphToDot(const Graph& graph) {

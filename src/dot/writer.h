@@ -4,6 +4,7 @@
 #include <string>
 
 #include "dot/graph.h"
+#include "engine/prepared_plan.h"
 #include "mal/program.h"
 
 namespace stetho::dot {
@@ -18,10 +19,14 @@ struct DotWriterOptions {
   size_t max_label_chars = 0;
 };
 
-/// Renders the dataflow DAG of a MAL program in the dot language. Node pc N
-/// is named "nN" and carries the rendered statement as its label — exactly
-/// the mapping the Stethoscope uses to join traces with the plan graph
-/// (paper §3.3). The MonetDB server emits this file before execution begins.
+/// Renders the dataflow DAG of a prepared MAL plan in the dot language.
+/// Node pc N is named "nN" and carries the rendered statement as its label —
+/// exactly the mapping the Stethoscope uses to join traces with the plan
+/// graph (paper §3.3). The MonetDB server emits this file before execution
+/// begins. Writes the prepared labels and edges into one reserved string.
+std::string ProgramToDot(const engine::PreparedPlan& plan,
+                         const DotWriterOptions& options = {});
+/// Prepares `program`, then renders it as above.
 std::string ProgramToDot(const mal::Program& program,
                          const DotWriterOptions& options = {});
 

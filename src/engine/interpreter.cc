@@ -5,10 +5,13 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <span>
+#include <string_view>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "engine/prepared_plan.h"
 #include "engine/worker_pool.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -44,15 +47,13 @@ obs::Gauge* EnginePeakRssGauge() {
 /// hold raw pointers; a task is only ever submitted after being counted in
 /// `in_flight`, which the done predicate drains to zero first.
 struct RunState {
-  const mal::Program* program = nullptr;
-  const ModuleRegistry* registry = nullptr;
+  const PreparedPlan* plan = nullptr;
   ExecContext* ctx = nullptr;
   const ExecOptions* options = nullptr;
   Clock* clock = nullptr;
   WorkerPool* pool = nullptr;
 
   std::vector<RegisterValue> registers;
-  std::vector<std::string> stmt_text;          // rendered once per pc
 
   // Observability, resolved once per Execute so the per-instruction hot path
   // touches only stable pointers. tracer is non-null only when span
@@ -66,17 +67,16 @@ struct RunState {
   std::atomic<int64_t> peak_bytes{0};
   std::vector<InstructionStat> stats;
 
-  // Dependency graph. indegree is decremented lock-free by finishing
-  // predecessors; the acq_rel counter is also the fence that publishes a
-  // predecessor's register writes to the dependent's executing worker.
-  std::vector<std::vector<int>> dependents;
+  // Pending producers per pc (the plan's dependency lists give the edges).
+  // indegree is decremented lock-free by finishing predecessors; the
+  // acq_rel counter is also the fence that publishes a predecessor's
+  // register writes to the dependent's executing worker.
   std::vector<std::atomic<int>> indegree;
   std::atomic<bool> abort{false};
 
-  // Scheduler self-check state (SchedSelfCheckEnabled() at Execute time):
-  // producers holds the inverse dependency lists, completed flips after an
-  // instruction ran. Both empty/unused when the check is off.
-  std::vector<std::vector<int>> producers;
+  // Scheduler self-check (SchedSelfCheckEnabled() at Execute time): each
+  // dispatched pc's producers must have flipped `completed`.
+  bool selfcheck = false;
   std::vector<std::atomic<bool>> completed;
 
   // Admission state (guarded by job_mu): at most `dop` instructions of this
@@ -111,8 +111,10 @@ struct RunState {
 /// Executes one instruction as logical thread `thread_id`. Returns the
 /// kernel's status; scheduling bookkeeping stays in the caller.
 Status RunInstruction(RunState* state, int pc, int thread_id) {
-  const mal::Instruction& ins = state->program->instruction(pc);
-  const std::string& stmt = state->stmt_text[static_cast<size_t>(pc)];
+  const PreparedPlan& plan = *state->plan;
+  const mal::Instruction& ins = plan.program().instruction(pc);
+  const std::string_view stmt = plan.text(pc);
+  const std::span<const int> arg_regs = plan.args(pc);
   profiler::Profiler* prof = state->options->profiler;
 
   if (prof != nullptr) {
@@ -121,40 +123,30 @@ Status RunInstruction(RunState* state, int pc, int thread_id) {
   }
   int64_t t0 = state->clock->NowMicros();
 
-  // Resolve the kernel.
-  auto kernel = state->registry->Lookup(ins.module, ins.function);
-  if (!kernel.ok()) return kernel.status();
+  const KernelFn* kernel = plan.kernel(pc);
+  if (kernel == nullptr) {
+    return Status::NotFound("no kernel for '" + ins.FullName() + "'");
+  }
 
-  // Materialize constants and collect argument registers.
+  // Argument registers: the query's own, or the plan's read-only constants.
   KernelArgs args;
   args.ins = &ins;
   args.ctx = state->ctx;
-  std::vector<RegisterValue> const_storage;
-  const_storage.reserve(ins.args.size());
-  args.args.reserve(ins.args.size());
+  args.args.reserve(arg_regs.size());
   args.results.reserve(ins.results.size());
-  // Reserve first: pointers into const_storage must stay stable.
-  for (const mal::Argument& arg : ins.args) {
-    if (arg.kind == mal::Argument::Kind::kConst) {
-      const_storage.push_back(RegisterValue::Scalar(arg.constant));
-    }
-  }
-  size_t const_i = 0;
-  for (const mal::Argument& arg : ins.args) {
-    if (arg.kind == mal::Argument::Kind::kVar) {
-      args.args.push_back(&state->registers[static_cast<size_t>(arg.var)]);
-    } else {
-      args.args.push_back(&const_storage[const_i++]);
-    }
+  for (int reg : arg_regs) {
+    args.args.push_back(reg >= 0 ? &state->registers[static_cast<size_t>(reg)]
+                                 : &plan.constant(reg));
   }
   for (int r : ins.results) {
     args.results.push_back(&state->registers[static_cast<size_t>(r)]);
   }
 
-  Status st = (*kernel.value())(args);
+  Status st = (*kernel)(args);
   if (!st.ok()) {
-    return Status(st.code(), StrFormat("pc=%d %s: %s", pc, stmt.c_str(),
-                                       st.message().c_str()));
+    return Status(st.code(),
+                  StrFormat("pc=%d %.*s: %s", pc, static_cast<int>(stmt.size()),
+                            stmt.data(), st.message().c_str()));
   }
 
   if (state->options->pad_instruction_usec > 0) {
@@ -172,11 +164,11 @@ Status RunInstruction(RunState* state, int pc, int thread_id) {
   // ...and fully-consumed argument BATs leave it. The consumer counters were
   // initialized to the number of instructions reading each variable; the
   // last reader frees the register.
-  for (const mal::Argument& arg : ins.args) {
-    if (arg.kind != mal::Argument::Kind::kVar) continue;
-    std::atomic<int>& counter = state->var_consumers[static_cast<size_t>(arg.var)];
+  for (int var : arg_regs) {
+    if (var < 0) continue;  // a plan constant
+    std::atomic<int>& counter = state->var_consumers[static_cast<size_t>(var)];
     if (counter.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      RegisterValue& reg = state->registers[static_cast<size_t>(arg.var)];
+      RegisterValue& reg = state->registers[static_cast<size_t>(var)];
       int64_t bytes = static_cast<int64_t>(reg.MemoryBytes());
       reg.bat.reset();
       if (bytes > 0) state->AddLiveBytes(-bytes);
@@ -251,8 +243,8 @@ void RunDataflowTask(RunState* state, int pc, int slot) {
   // all have completed. A violation is a scheduler bug (dispatch past an
   // unfinished dependency), so record it, dump the flight recorder for
   // context, and abort the query instead of reading a half-built register.
-  if (!state->producers.empty()) {
-    for (int q : state->producers[static_cast<size_t>(pc)]) {
+  if (state->selfcheck) {
+    for (int q : state->plan->deps(pc)) {
       if (state->completed[static_cast<size_t>(q)].load(
               std::memory_order_acquire)) {
         continue;
@@ -275,7 +267,7 @@ void RunDataflowTask(RunState* state, int pc, int slot) {
   }
   if (st.ok() && !state->abort.load(std::memory_order_acquire)) {
     st = RunInstruction(state, pc, slot);
-    if (st.ok() && !state->completed.empty()) {
+    if (st.ok() && state->selfcheck) {
       state->completed[static_cast<size_t>(pc)].store(
           true, std::memory_order_release);
     }
@@ -285,7 +277,7 @@ void RunDataflowTask(RunState* state, int pc, int slot) {
   // every predecessor's writes into the dependent's task.
   std::vector<int> newly_ready;
   if (st.ok() && !state->abort.load(std::memory_order_acquire)) {
-    for (int dep : state->dependents[static_cast<size_t>(pc)]) {
+    for (int dep : state->plan->dependents(pc)) {
       if (state->indegree[static_cast<size_t>(dep)].fetch_sub(
               1, std::memory_order_acq_rel) == 1) {
         newly_ready.push_back(dep);
@@ -340,11 +332,10 @@ void ResolveFamilyMetrics(RunState* state, const mal::Program& program) {
   }
 }
 
-}  // namespace
-
-Result<QueryResult> Interpreter::Execute(const mal::Program& program,
-                                         const ExecOptions& options) const {
-  Result<QueryResult> result = ExecuteInternal(program, options);
+/// Passes `result` through, dumping the flight recorder when the query
+/// aborted with an error.
+Result<QueryResult> RecordAbort(Result<QueryResult> result,
+                                const ExecOptions& options) {
   if (!result.ok()) {
     obs::FlightRecorder* recorder = options.recorder != nullptr
                                         ? options.recorder
@@ -358,9 +349,25 @@ Result<QueryResult> Interpreter::Execute(const mal::Program& program,
   return result;
 }
 
+}  // namespace
+
+Result<QueryResult> Interpreter::Execute(const mal::Program& program,
+                                         const ExecOptions& options) const {
+  // Preparing renders every statement, which needs in-range variable ids.
+  Status valid = program.Validate();
+  if (!valid.ok()) return RecordAbort(valid, options);
+  return Execute(PreparedPlan(program, registry_), options);
+}
+
+Result<QueryResult> Interpreter::Execute(const PreparedPlan& plan,
+                                         const ExecOptions& options) const {
+  return RecordAbort(ExecuteInternal(plan, options), options);
+}
+
 Result<QueryResult> Interpreter::ExecuteInternal(
-    const mal::Program& program, const ExecOptions& options) const {
-  STETHO_RETURN_IF_ERROR(program.Validate());
+    const PreparedPlan& plan, const ExecOptions& options) const {
+  STETHO_RETURN_IF_ERROR(plan.validation());
+  const mal::Program& program = plan.program();
 
   Clock* clock = options.clock != nullptr
                      ? options.clock
@@ -368,24 +375,15 @@ Result<QueryResult> Interpreter::ExecuteInternal(
   ExecContext ctx(catalog_, clock);
 
   RunState state(program.num_variables(), program.size());
-  state.program = &program;
-  state.registry = registry_;
+  state.plan = &plan;
   state.ctx = &ctx;
   state.options = &options;
   state.clock = clock;
   state.registers.resize(program.num_variables());
   state.stats.resize(program.size());
-
-  // Pre-render statement text (profiler payload) and consumer counts.
-  state.stmt_text.reserve(program.size());
-  for (const mal::Instruction& ins : program.instructions()) {
-    state.stmt_text.push_back(program.InstructionToString(ins));
-    for (const mal::Argument& arg : ins.args) {
-      if (arg.kind == mal::Argument::Kind::kVar) {
-        state.var_consumers[static_cast<size_t>(arg.var)].fetch_add(
-            1, std::memory_order_relaxed);
-      }
-    }
+  for (size_t var = 0; var < program.num_variables(); ++var) {
+    state.var_consumers[var].store(plan.readers(static_cast<int>(var)),
+                                   std::memory_order_relaxed);
   }
 
   obs::Tracer* tracer =
@@ -423,15 +421,11 @@ Result<QueryResult> Interpreter::ExecuteInternal(
       state.free_slots.push_back(slot);
     }
 
-    std::vector<std::vector<int>> deps = program.BuildDependencies();
-    if (SchedSelfCheckEnabled()) state.producers = deps;
-    state.dependents.resize(program.size());
+    state.selfcheck = SchedSelfCheckEnabled();
     for (size_t pc = 0; pc < program.size(); ++pc) {
-      state.indegree[pc].store(static_cast<int>(deps[pc].size()),
-                               std::memory_order_relaxed);
-      for (int d : deps[pc]) {
-        state.dependents[static_cast<size_t>(d)].push_back(static_cast<int>(pc));
-      }
+      state.indegree[pc].store(
+          static_cast<int>(plan.deps(static_cast<int>(pc)).size()),
+          std::memory_order_relaxed);
     }
     state.unfinished = static_cast<int>(program.size());
 

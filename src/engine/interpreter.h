@@ -6,6 +6,7 @@
 #include "common/clock.h"
 #include "common/status.h"
 #include "engine/kernel.h"
+#include "engine/prepared_plan.h"
 #include "mal/program.h"
 #include "obs/flight_recorder.h"
 #include "obs/span.h"
@@ -96,15 +97,19 @@ class Interpreter {
                        const ModuleRegistry* registry = ModuleRegistry::Default())
       : catalog_(catalog), registry_(registry) {}
 
-  /// Runs `program` to completion (or first error). The program must pass
-  /// Program::Validate().
+  /// Runs a prepared plan to completion (or first error); a plan failing
+  /// Program::Validate() is refused. The kernels are the ones resolved when
+  /// the plan was prepared.
+  Result<QueryResult> Execute(const PreparedPlan& plan,
+                              const ExecOptions& options) const;
+  /// Prepares `program` against this interpreter's registry, then runs it.
   Result<QueryResult> Execute(const mal::Program& program,
                               const ExecOptions& options) const;
 
   storage::Catalog* catalog() const { return catalog_; }
 
  private:
-  Result<QueryResult> ExecuteInternal(const mal::Program& program,
+  Result<QueryResult> ExecuteInternal(const PreparedPlan& plan,
                                       const ExecOptions& options) const;
 
   storage::Catalog* catalog_;

@@ -35,37 +35,46 @@ Status ModuleRegistry::Register(const std::string& module,
 
 Status ModuleRegistry::Add(const std::string& module,
                            const std::string& function, Entry entry) {
-  auto [it, inserted] =
-      kernels_.emplace(module + "." + function, std::move(entry));
-  if (!inserted) {
-    return Status::AlreadyExists("kernel '" + it->first +
+  if (!kernels_[module].emplace(function, std::move(entry)).second) {
+    return Status::AlreadyExists("kernel '" + module + "." + function +
                                  "' already registered");
   }
   return Status::OK();
 }
 
+const ModuleRegistry::Entry* ModuleRegistry::Find(
+    const std::string& module, const std::string& function) const {
+  auto by_module = kernels_.find(module);
+  if (by_module == kernels_.end()) return nullptr;
+  auto it = by_module->second.find(function);
+  return it != by_module->second.end() ? &it->second : nullptr;
+}
+
 Result<const KernelFn*> ModuleRegistry::Lookup(
     const std::string& module, const std::string& function) const {
-  auto it = kernels_.find(module + "." + function);
-  if (it == kernels_.end()) {
+  const Entry* entry = Find(module, function);
+  if (entry == nullptr) {
     return Status::NotFound("no kernel for '" + module + "." + function + "'");
   }
-  return &it->second.fn;
+  return &entry->fn;
 }
 
 const analysis::KernelSignature* ModuleRegistry::Signature(
     const std::string& module, const std::string& function) const {
-  auto it = kernels_.find(module + "." + function);
-  if (it == kernels_.end() || !it->second.signature.has_value()) {
-    return nullptr;
-  }
-  return &*it->second.signature;
+  const Entry* entry = Find(module, function);
+  if (entry == nullptr || !entry->signature.has_value()) return nullptr;
+  return &*entry->signature;
 }
 
 std::vector<std::string> ModuleRegistry::ListKernels() const {
   std::vector<std::string> out;
-  out.reserve(kernels_.size());
-  for (const auto& [name, entry] : kernels_) out.push_back(name);
+  for (const auto& [module, functions] : kernels_) {
+    for (const auto& [function, entry] : functions) {
+      out.push_back(module + "." + function);
+    }
+  }
+  // Sorted as "module.function" strings, whatever the module names.
+  std::sort(out.begin(), out.end());
   return out;
 }
 

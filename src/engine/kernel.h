@@ -67,7 +67,8 @@ class ExecContext {
 };
 
 /// Arguments handed to a kernel: resolved argument registers (constants are
-/// materialized into temporaries by the interpreter) and output registers.
+/// the prepared plan's read-only registers, shared by concurrent queries)
+/// and output registers.
 struct KernelArgs {
   const mal::Instruction* ins = nullptr;
   std::vector<const RegisterValue*> args;
@@ -117,8 +118,13 @@ class ModuleRegistry {
 
   Status Add(const std::string& module, const std::string& function,
              Entry entry);
+  /// The entry of module.function; nullptr when unregistered.
+  const Entry* Find(const std::string& module,
+                    const std::string& function) const;
 
-  std::map<std::string, Entry> kernels_;
+  /// module -> function -> entry: a lookup compares names in place, with
+  /// no "module.function" key built per call.
+  std::map<std::string, std::map<std::string, Entry>> kernels_;
 };
 
 /// Registration entry points for the built-in kernel families (each lives in

@@ -88,13 +88,20 @@ std::vector<std::vector<int>> Program::BuildDependencies() const {
 
 std::string Program::InstructionToString(const Instruction& ins) const {
   std::string out;
+  AppendInstruction(ins, &out);
+  return out;
+}
+
+void Program::AppendInstruction(const Instruction& ins,
+                                std::string* out_ptr) const {
+  std::string& out = *out_ptr;
   if (!ins.results.empty()) {
     if (ins.results.size() > 1) out += "(";
     for (size_t i = 0; i < ins.results.size(); ++i) {
       if (i > 0) out += ",";
       const Variable& v = variables_[static_cast<size_t>(ins.results[i])];
       out += v.name;
-      out += v.type.ToString();
+      v.type.AppendTo(&out);
     }
     if (ins.results.size() > 1) out += ")";
     out += " := ";
@@ -109,11 +116,10 @@ std::string Program::InstructionToString(const Instruction& ins) const {
     if (a.kind == Argument::Kind::kVar) {
       out += variables_[static_cast<size_t>(a.var)].name;
     } else {
-      out += a.constant.ToString();
+      a.constant.AppendTo(&out);
     }
   }
   out += ");";
-  return out;
 }
 
 std::string Program::ToString() const {
@@ -139,7 +145,7 @@ std::string Program::ToString() const {
   }
   for (const Instruction& ins : instructions_) {
     out += "    ";
-    out += InstructionToString(ins);
+    AppendInstruction(ins, &out);
     out += "\n";
   }
   out += "end " + function_name_ + ";\n";

@@ -1,7 +1,9 @@
 #ifndef STETHO_MAL_PROGRAM_H_
 #define STETHO_MAL_PROGRAM_H_
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -64,6 +66,29 @@ struct Instruction {
   std::string FullName() const { return module + "." + function; }
 };
 
+/// The plan-shape hash: FNV-1a 64 over the rendered statements in pc order,
+/// each followed by a newline. The function-name header is not mixed, so
+/// "user.s0" and "user.s17" with identical bodies are one shape. The one
+/// definition engine::PreparedPlan, analysis::PlanShapeHash and
+/// analysis::TraceShapeHash mix through, which keeps profile-store keys and
+/// stored journals stable.
+class ShapeHasher {
+ public:
+  void Mix(std::string_view statement) {
+    for (char c : statement) Step(static_cast<unsigned char>(c));
+    Step('\n');
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  void Step(unsigned char byte) {
+    hash_ ^= byte;
+    hash_ *= 1099511628211ULL;  // FNV-1a 64 prime
+  }
+
+  uint64_t hash_ = 1469598103934665603ULL;  // FNV-1a 64 offset basis
+};
+
 /// A MAL program (one `function user.main():void; ... end user.main;` body).
 /// Owns the variable table and the instruction sequence.
 class Program {
@@ -113,6 +138,8 @@ class Program {
   /// Renders one statement, e.g.
   /// `X_7:bat[:dbl] := algebra.projection(X_5,X_3);`.
   std::string InstructionToString(const Instruction& ins) const;
+  /// Appends InstructionToString(ins) to `out`.
+  void AppendInstruction(const Instruction& ins, std::string* out) const;
 
   /// Renders the whole program in the paper's Fig. 1 listing format.
   std::string ToString() const;

@@ -7,6 +7,12 @@ namespace stetho::mal {
 using storage::DataType;
 
 std::string MalType::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+void MalType::AppendTo(std::string* out) const {
   const char* name;
   switch (base) {
     case DataType::kNull:
@@ -31,8 +37,13 @@ std::string MalType::ToString() const {
       name = ":any";
       break;
   }
-  if (is_bat) return std::string(":bat[") + name + "]";
-  return name;
+  if (!is_bat) {
+    *out += name;
+    return;
+  }
+  *out += ":bat[";
+  *out += name;
+  *out += ']';
 }
 
 Result<MalType> ParseMalType(const std::string& text) {

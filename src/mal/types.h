@@ -22,6 +22,8 @@ struct MalType {
 
   /// Renders MAL syntax: ":lng", ":void", "bat[:oid]".
   std::string ToString() const;
+  /// Appends ToString() to `out`.
+  void AppendTo(std::string* out) const;
 
   bool operator==(const MalType& other) const {
     return base == other.base && is_bat == other.is_bat;

@@ -224,18 +224,32 @@ Status ProfileStore::Fold(const QueryObservation& observation) {
 }
 
 Status ProfileStore::FoldLocked(const QueryObservation& observation) {
-  auto it = profiles_.find(observation.shape_hash);
-  if (it == profiles_.end()) {
-    it = profiles_
-             .emplace(observation.shape_hash, std::make_unique<PlanProfile>())
-             .first;
-    lru_.push_front(observation.shape_hash);
-  } else {
-    TouchLocked(observation.shape_hash);
-  }
-  it->second->Fold(observation);
+  WritableLocked(observation.shape_hash)->Fold(observation);
   EvictLocked();
   return AppendJournalLocked(observation);
+}
+
+PlanProfile* ProfileStore::WritableLocked(uint64_t shape_hash) {
+  auto it = profiles_.find(shape_hash);
+  if (it == profiles_.end()) {
+    lru_.push_front(shape_hash);
+    return profiles_.emplace(shape_hash, std::make_shared<PlanProfile>())
+        .first->second.get();
+  }
+  TouchLocked(shape_hash);
+  std::shared_ptr<PlanProfile>& profile = it->second;
+  if (profile.use_count() > 1) {
+    // A Lookup snapshot is alive: write a copy, and leave the snapshot as
+    // it was handed out. Only Lookup, under mu_, hands out new references,
+    // so a count of one cannot grow while the lock is held.
+    profile = std::make_shared<PlanProfile>(*profile);
+  } else {
+    // Readers drop their snapshots without the lock. Copying the pointer is
+    // an acq_rel increment of the count their releases decremented, which
+    // orders each reader's last access before the writes that follow.
+    const std::shared_ptr<PlanProfile> order_after_readers = profile;
+  }
+  return profile.get();
 }
 
 std::shared_ptr<const PlanProfile> ProfileStore::Lookup(
@@ -244,7 +258,7 @@ std::shared_ptr<const PlanProfile> ProfileStore::Lookup(
   auto it = profiles_.find(shape_hash);
   if (it == profiles_.end()) return nullptr;
   TouchLocked(shape_hash);
-  return std::make_shared<const PlanProfile>(*it->second);
+  return it->second;
 }
 
 void ProfileStore::TouchLocked(uint64_t shape_hash) const {
@@ -337,16 +351,7 @@ Status ProfileStore::ParseLine(const std::string& line) {
       profile.pcs[static_cast<size_t>(pc)] = std::move(parsed);
     }
     LoadsCounter()->Increment();
-    auto it = profiles_.find(profile.shape_hash);
-    if (it == profiles_.end()) {
-      it = profiles_
-               .emplace(profile.shape_hash, std::make_unique<PlanProfile>())
-               .first;
-      lru_.push_front(profile.shape_hash);
-    } else {
-      TouchLocked(profile.shape_hash);
-    }
-    it->second->Merge(profile);
+    WritableLocked(profile.shape_hash)->Merge(profile);
     EvictLocked();
     return Status::OK();
   }

@@ -164,7 +164,10 @@ class ProfileStore {
   Status Fold(const QueryObservation& observation);
 
   /// Immutable snapshot of the shape's profile, or nullptr when the store
-  /// has never seen it. Refreshes the shape's LRU position.
+  /// has never seen it. Refreshes the shape's LRU position. The snapshot is
+  /// the stored profile itself, not a copy: while it is alive, a Fold or
+  /// load into the same shape writes a fresh copy (copy on write), so the
+  /// snapshot never changes.
   std::shared_ptr<const PlanProfile> Lookup(uint64_t shape_hash) const;
 
   /// Merges the records of `path` into memory. Corrupt lines are skipped
@@ -188,6 +191,9 @@ class ProfileStore {
 
  private:
   Status FoldLocked(const QueryObservation& observation);
+  /// The shape's profile for writing (created when absent, LRU touched),
+  /// unshared from any Lookup snapshot first.
+  PlanProfile* WritableLocked(uint64_t shape_hash);
   void TouchLocked(uint64_t shape_hash) const;
   void EvictLocked();
   Status ParseLine(const std::string& line);
@@ -195,7 +201,7 @@ class ProfileStore {
 
   const size_t capacity_;
   mutable std::mutex mu_;
-  std::map<uint64_t, std::unique_ptr<PlanProfile>> profiles_;
+  std::map<uint64_t, std::shared_ptr<PlanProfile>> profiles_;
   mutable std::list<uint64_t> lru_;  // most recently touched first
   std::string journal_path_;         // "" = in-memory only
   std::FILE* journal_ = nullptr;

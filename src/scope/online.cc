@@ -7,7 +7,6 @@
 #include <set>
 #include <thread>
 
-#include "analysis/perfdiff.h"
 #include "common/string_util.h"
 #include "dot/parser.h"
 #include "engine/worker_pool.h"
@@ -41,21 +40,38 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
   std::mutex tracker_mu;
   PairSequenceTracker tracker;
 
-  // The query is compiled once: the explained plan prices the live
-  // progress/ETA model, keys the straggler baseline, and is what the query
-  // thread below runs.
-  STETHO_ASSIGN_OR_RETURN(mal::Program plan, server_->Explain(sql));
+  // The query is compiled and prepared once: the prepared plan prices the
+  // live progress/ETA model, keys the straggler baseline, and is what the
+  // query thread below runs.
+  STETHO_ASSIGN_OR_RETURN(std::shared_ptr<const engine::PreparedPlan> plan,
+                          server_->Prepare(sql));
   // Received done-events fill in the plan's work model.
   auto estimator = std::make_shared<analysis::ProgressEstimator>(
-      analysis::ProgressModelCache::Default()->GetOrBuild(plan));
-  // Straggler comparator: the stored cross-run baseline for this plan's
-  // shape, if the profile store has one. Start times feed the running-
-  // duration check (an instruction can be flagged before it completes).
+      analysis::ProgressModelCache::Default()->GetOrBuild(*plan));
+  // Straggler comparator: each pc's duration median and MAD from the
+  // stored cross-run profile of this plan's shape, if the profile store has
+  // one. They are read once and the snapshot is dropped, so the server's
+  // fold at the end of this query updates the stored profile in place
+  // rather than copying it. Start times feed the running-duration check
+  // (an instruction can be flagged before it completes).
   obs::ProfileStore* store = options_.profile != nullptr
                                  ? options_.profile
                                  : obs::ProfileStore::Default();
-  std::shared_ptr<const obs::PlanProfile> baseline =
-      store->Lookup(analysis::PlanShapeHash(plan));
+  struct PcBaseline {
+    int64_t runs = 0;
+    double median = 0;
+    double mad = 0;
+  };
+  std::optional<std::vector<PcBaseline>> baseline;
+  if (std::shared_ptr<const obs::PlanProfile> profile =
+          store->Lookup(plan->shape_hash())) {
+    baseline.emplace();
+    baseline->reserve(profile->pcs.size());
+    for (const obs::PcStats& stats : profile->pcs) {
+      baseline->push_back(
+          {stats.usec.count(), stats.usec.Median(), stats.usec.Mad()});
+    }
+  }
   std::mutex straggler_mu;
   std::map<int, int64_t> start_us;
   int64_t newest_event_us = 0;
@@ -64,7 +80,7 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
   textual.SetEventCallback(
       [&](const std::string& /*server*/, const TraceEvent& event) {
         estimator->ObserveEvent(event);
-        if (baseline != nullptr) {
+        if (baseline) {
           std::lock_guard<std::mutex> lock(straggler_mu);
           newest_event_us = std::max(newest_event_us, event.time_us);
           if (event.state == profiler::EventState::kStart) {
@@ -93,7 +109,7 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
   server::QueryOutcome outcome;
   std::atomic<bool> query_done{false};
   std::thread query_thread([&] {
-    auto r = server_->ExecutePlan(std::move(plan), sql);
+    auto r = server_->ExecutePlan(plan, sql);
     if (r.ok()) {
       outcome = std::move(r).value();
     } else {
@@ -171,7 +187,7 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
   std::map<int, viz::Color> applied;
   std::set<int> straggler_flagged;
   auto sweep_stragglers = [&] {
-    if (baseline == nullptr) return;
+    if (!baseline) return;
     std::map<int, int64_t> starts;
     int64_t now_us;
     {
@@ -179,10 +195,10 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
       starts = start_us;
       now_us = newest_event_us;
     }
-    for (size_t pc = 0; pc < baseline->pcs.size(); ++pc) {
+    for (size_t pc = 0; pc < baseline->size(); ++pc) {
       const int ipc = static_cast<int>(pc);
       if (straggler_flagged.count(ipc) > 0) continue;
-      const obs::RobustStat& stat = baseline->pcs[pc].usec;
+      const PcBaseline& base = (*baseline)[pc];
       const int64_t done_usec = estimator->PcUsec(ipc);
       const bool completed = done_usec >= 0;
       int64_t usec = done_usec;
@@ -191,12 +207,12 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
         if (it == starts.end()) continue;  // not started (or start lost)
         usec = now_us - it->second;
       }
-      if (stat.count() == 0 ||
-          !obs::RegressionRatio(usec, stat.Median(), stat.Mad())) {
+      if (base.runs == 0 ||
+          !obs::RegressionRatio(usec, base.median, base.mad)) {
         continue;
       }
       straggler_flagged.insert(ipc);
-      report.stragglers.push_back({ipc, usec, stat.Median(), completed});
+      report.stragglers.push_back({ipc, usec, base.median, completed});
       // Deviation overlay: the fill stays with the pair-sequence state
       // machine; the stroke says "slow against history".
       int glyph = scene_->space()->ShapeFor(NodeForPc(ipc));
@@ -218,7 +234,7 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
     sweep_stragglers();
     if (options_.status_line) {
       std::string line = estimator->ScoreboardLine(query_name);
-      if (baseline != nullptr) {
+      if (baseline) {
         line += StrFormat("  stragglers:%zu", report.stragglers.size());
       }
       options_.status_line(line + "  | " +

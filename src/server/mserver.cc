@@ -5,9 +5,9 @@
 #include <thread>
 
 #include <cstdlib>
+#include <cstring>
 
 #include "analysis/liveness.h"
-#include "analysis/perfdiff.h"
 #include "common/string_util.h"
 #include "dot/writer.h"
 #include "engine/worker_pool.h"
@@ -66,6 +66,9 @@ obs::Counter* SlowQueriesCounter() {
   return c;
 }
 
+/// Every query's plan is named "user.<query name>" (user.s0, user.s1...).
+constexpr const char* kPlanNamePrefix = "user.";
+
 /// Events the postmortem ring retains — enough for several C4-scale
 /// queries' start/done pairs without unbounded growth.
 constexpr size_t kPostmortemRingCapacity = 4096;
@@ -119,29 +122,40 @@ Result<mal::Program> Mserver::Explain(const std::string& sql) const {
   return program;
 }
 
-Result<QueryOutcome> Mserver::ExecuteSql(const std::string& sql) {
+Result<std::shared_ptr<const engine::PreparedPlan>> Mserver::Prepare(
+    const std::string& sql) {
   STETHO_ASSIGN_OR_RETURN(mal::Program program, Explain(sql));
-  return ExecutePlan(std::move(program), sql);
+  program.set_function_name(
+      StrFormat("%ss%d", kPlanNamePrefix, next_query_.fetch_add(1)));
+  return engine::PreparedPlan::Prepare(std::move(program));
 }
 
-Result<QueryOutcome> Mserver::ExecutePlan(mal::Program program,
-                                          const std::string& sql) {
+Result<QueryOutcome> Mserver::ExecuteSql(const std::string& sql) {
+  STETHO_ASSIGN_OR_RETURN(std::shared_ptr<const engine::PreparedPlan> plan,
+                          Prepare(sql));
+  return ExecutePlan(std::move(plan), sql);
+}
+
+Result<QueryOutcome> Mserver::ExecutePlan(
+    std::shared_ptr<const engine::PreparedPlan> plan, const std::string& sql) {
   QueryOutcome outcome;
   outcome.sql = sql;
-  outcome.name = StrFormat("s%d", next_query_.fetch_add(1));
-  program.set_function_name("user." + outcome.name);
+  const std::string& function = plan->program().function_name();
+  outcome.name = function.rfind(kPlanNamePrefix, 0) == 0
+                     ? function.substr(std::strlen(kPlanNamePrefix))
+                     : function;
   obs::Tracer* tracer = obs::Tracer::Default();
 
   {
     obs::Span admit_span(tracer, "admit", "phase");
-    STETHO_RETURN_IF_ERROR(AdmitForMemory(program));
+    STETHO_RETURN_IF_ERROR(AdmitForMemory(plan->program()));
   }
 
   // The server generates the dot file before execution begins and pushes it
   // over every attached stream.
   dot::DotWriterOptions dot_options;
-  dot_options.graph_name = program.function_name();
-  outcome.dot = dot::ProgramToDot(program, dot_options);
+  dot_options.graph_name = function;
+  outcome.dot = dot::ProgramToDot(*plan, dot_options);
   {
     std::lock_guard<std::mutex> lock(stream_mu_);
     for (const auto& stream : streams_) {
@@ -153,7 +167,7 @@ Result<QueryOutcome> Mserver::ExecutePlan(mal::Program program,
   // the interpreter feed completions. The estimator outlives the query in
   // the scoreboard ring so ProgressText() can show recent history.
   auto estimator = std::make_shared<analysis::ProgressEstimator>(
-      analysis::ProgressModelCache::Default()->GetOrBuild(program));
+      analysis::ProgressModelCache::Default()->GetOrBuild(*plan));
   {
     std::lock_guard<std::mutex> lock(progress_mu_);
     progress_.emplace_back(outcome.name, estimator);
@@ -172,11 +186,11 @@ Result<QueryOutcome> Mserver::ExecutePlan(mal::Program program,
   exec.progress = estimator.get();
   {
     obs::Span execute_span(tracer, "execute", "phase");
-    STETHO_ASSIGN_OR_RETURN(outcome.result, interp.Execute(program, exec));
+    STETHO_ASSIGN_OR_RETURN(outcome.result, interp.Execute(*plan, exec));
   }
   estimator->MarkFinished();
-  RecordQueryProfile(outcome, program, *estimator);
-  outcome.plan = std::move(program);
+  outcome.plan = std::move(plan);
+  RecordQueryProfile(outcome, *estimator);
 
   {
     std::lock_guard<std::mutex> lock(stream_mu_);
@@ -229,23 +243,26 @@ obs::ProfileStore* Mserver::profile_store() const {
 }
 
 void Mserver::RecordQueryProfile(const QueryOutcome& outcome,
-                                 const mal::Program& program,
                                  const analysis::ProgressEstimator& estimator) {
   obs::ProfileStore* store = profile_store();
-  const uint64_t shape_hash = analysis::PlanShapeHash(program);
+  const uint64_t shape_hash = outcome.plan->shape_hash();
   // The slow-query gate judges against what the store knew *before* this
   // run; folding first would dilute the baseline with the query on trial.
-  std::shared_ptr<const obs::PlanProfile> baseline = store->Lookup(shape_hash);
+  // Read it and drop the snapshot before folding, so the fold need not
+  // copy the profile on our account.
+  int64_t baseline_runs = 0;
+  double median = 0;
+  if (std::shared_ptr<const obs::PlanProfile> baseline =
+          store->Lookup(shape_hash)) {
+    baseline_runs = baseline->total_usec.count();
+    if (baseline_runs > 0) median = baseline->total_usec.Median();
+  }
 
   obs::QueryObservation observation = estimator.ToObservation(shape_hash);
   observation.total_usec = outcome.result.total_usec;  // true end-to-end
   (void)store->Fold(observation);
 
-  if (options_.slow_query_factor <= 0 || baseline == nullptr ||
-      baseline->total_usec.count() == 0) {
-    return;
-  }
-  const double median = baseline->total_usec.Median();
+  if (options_.slow_query_factor <= 0 || baseline_runs == 0) return;
   if (median < 1.0) return;
   const double ratio =
       static_cast<double>(outcome.result.total_usec) / median;
@@ -268,9 +285,9 @@ void Mserver::RecordQueryProfile(const QueryOutcome& outcome,
       "(%.2fx >= %.2fx gate)\n\n== plan ==\n",
       outcome.name.c_str(), outcome.sql.c_str(),
       static_cast<long long>(outcome.result.total_usec), median,
-      static_cast<long long>(baseline->total_usec.count()), ratio,
+      static_cast<long long>(baseline_runs), ratio,
       options_.slow_query_factor);
-  bundle += program.ToString();
+  bundle += outcome.plan->program().ToString();
   bundle += "\n== recent trace events (ring snapshot, oldest first) ==\n";
   if (postmortem_ring_ != nullptr) {
     for (const profiler::TraceEvent& event : postmortem_ring_->Snapshot()) {

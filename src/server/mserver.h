@@ -10,6 +10,7 @@
 #include "common/clock.h"
 #include "common/status.h"
 #include "engine/interpreter.h"
+#include "engine/prepared_plan.h"
 #include "mal/program.h"
 #include "net/datagram.h"
 #include "obs/metrics.h"
@@ -67,7 +68,9 @@ struct MserverOptions {
 struct QueryOutcome {
   std::string name;            ///< server-assigned query name ("s0", "s1"...)
   std::string sql;
-  mal::Program plan;           ///< optimized MAL plan that actually ran
+  /// The prepared plan that actually ran; its program is the optimized MAL
+  /// plan, named "user.<name>".
+  std::shared_ptr<const engine::PreparedPlan> plan;
   std::string dot;             ///< the plan's dot file (emitted pre-run)
   engine::QueryResult result;
 };
@@ -90,14 +93,24 @@ class Mserver {
   /// optimized plan.
   Result<mal::Program> Explain(const std::string& sql) const;
 
-  /// Runs a query end to end: Explain, then ExecutePlan.
+  /// Explain, then names the plan for a fresh query ("user.sN") and
+  /// prepares it: the one place a query's statements are rendered, its
+  /// shape hashed and its kernels resolved. Every later step of the query
+  /// (dot, progress model, execution, profile fold, a monitor's baseline)
+  /// reads the result.
+  Result<std::shared_ptr<const engine::PreparedPlan>> Prepare(
+      const std::string& sql);
+
+  /// Runs a query end to end: Prepare, then ExecutePlan.
   Result<QueryOutcome> ExecuteSql(const std::string& sql);
 
-  /// Runs `plan`, the Explain result for `sql`, under a fresh query name.
-  /// Before execution the plan's dot file is emitted to all attached
-  /// streams (paper §4.2); trace events follow during execution; an EOF
-  /// marker closes the query.
-  Result<QueryOutcome> ExecutePlan(mal::Program plan, const std::string& sql);
+  /// Runs `plan`, the Prepare result for `sql`, under the query name it
+  /// was prepared with. Before execution the plan's dot file is emitted to
+  /// all attached streams (paper §4.2); trace events follow during
+  /// execution; an EOF marker closes the query.
+  Result<QueryOutcome> ExecutePlan(
+      std::shared_ptr<const engine::PreparedPlan> plan,
+      const std::string& sql);
 
   /// --- profiler / stream control (what the textual Stethoscope drives) ---
 
@@ -140,7 +153,6 @@ class Mserver {
   /// and, when its end-to-end time blows past the pre-fold baseline median
   /// by options_.slow_query_factor, logs it and emits a postmortem bundle.
   void RecordQueryProfile(const QueryOutcome& outcome,
-                          const mal::Program& program,
                           const analysis::ProgressEstimator& estimator);
 
   /// Budgeted admission (called between optimize and execute): predicts the

@@ -1,5 +1,7 @@
 #include "storage/value.h"
 
+#include <charconv>
+
 #include "common/string_util.h"
 
 namespace stetho::storage {
@@ -52,23 +54,46 @@ Result<int64_t> Value::ToInt() const {
 }
 
 std::string Value::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+void Value::AppendTo(std::string* out) const {
+  char digits[24];
   switch (type_) {
     case DataType::kNull:
-      return "NULL";
+      *out += "NULL";
+      return;
     case DataType::kBool:
-      return AsBool() ? "true" : "false";
-    case DataType::kInt64:
-      return StrFormat("%lld", static_cast<long long>(AsInt()));
+      *out += AsBool() ? "true" : "false";
+      return;
+    case DataType::kInt64: {
+      const auto [end, ec] = std::to_chars(digits, digits + sizeof(digits),
+                                           AsInt());
+      out->append(digits, end);
+      return;
+    }
     case DataType::kDouble:
-      return StrFormat("%g", AsDouble());
+      *out += StrFormat("%g", AsDouble());
+      return;
     case DataType::kString:
-      return "\"" + EscapeQuoted(AsString()) + "\"";
-    case DataType::kOid:
-      return StrFormat("%llu@0", static_cast<unsigned long long>(AsOid()));
+      *out += '"';
+      AppendEscapedQuoted(AsString(), out);
+      *out += '"';
+      return;
+    case DataType::kOid: {
+      const auto [end, ec] = std::to_chars(digits, digits + sizeof(digits),
+                                           AsOid());
+      out->append(digits, end);
+      *out += "@0";
+      return;
+    }
     case DataType::kBat:
-      return "<bat>";
+      *out += "<bat>";
+      return;
   }
-  return "?";
+  *out += '?';
 }
 
 bool Value::operator==(const Value& other) const {
@@ -79,26 +104,39 @@ int Value::Compare(const Value& other) const {
   if (is_null() && other.is_null()) return 0;
   if (is_null()) return -1;
   if (other.is_null()) return 1;
-  // Cross-numeric comparison via double.
-  auto as_numeric = [](const Value& v, double* out) {
+  // Integral operands (:bit, :lng, :oid) compare exactly as int64_t, so
+  // 2^53 and 2^53 + 1 stay distinct; only a :dbl side goes through double.
+  auto as_integral = [](const Value& v, int64_t* out) {
     switch (v.type_) {
       case DataType::kBool:
-        *out = v.AsBool() ? 1.0 : 0.0;
+        *out = v.AsBool() ? 1 : 0;
         return true;
       case DataType::kInt64:
       case DataType::kOid:
-        *out = static_cast<double>(std::get<int64_t>(v.data_));
-        return true;
-      case DataType::kDouble:
-        *out = v.AsDouble();
+        *out = std::get<int64_t>(v.data_);
         return true;
       default:
         return false;
     }
   };
+  int64_t ia = 0;
+  int64_t ib = 0;
+  if (as_integral(*this, &ia) && as_integral(other, &ib)) {
+    return ia < ib ? -1 : (ia > ib ? 1 : 0);
+  }
+  auto as_double = [&as_integral](const Value& v, double* out) {
+    int64_t i = 0;
+    if (as_integral(v, &i)) {
+      *out = static_cast<double>(i);
+      return true;
+    }
+    if (v.type_ != DataType::kDouble) return false;
+    *out = v.AsDouble();
+    return true;
+  };
   double a = 0.0;
   double b = 0.0;
-  if (as_numeric(*this, &a) && as_numeric(other, &b)) {
+  if (as_double(*this, &a) && as_double(other, &b)) {
     if (a < b) return -1;
     if (a > b) return 1;
     return 0;

@@ -80,12 +80,15 @@ class Value {
 
   /// Renders a literal form: NULL, true, 42, 3.14, "text", 7@0 (oid).
   std::string ToString() const;
+  /// Appends ToString() to `out`.
+  void AppendTo(std::string* out) const;
 
   bool operator==(const Value& other) const;
   bool operator!=(const Value& other) const { return !(*this == other); }
 
-  /// Total order for sorting; NULLs sort first, cross-numeric compares by
-  /// double value. Returns <0, 0, >0.
+  /// Total order for sorting; NULLs sort first. Integral operands (bool,
+  /// int64, oid) compare exactly as int64_t; a comparison with a double
+  /// side compares by double value. Returns <0, 0, >0.
   int Compare(const Value& other) const;
 
  private:

@@ -156,6 +156,18 @@ TEST(AbstractValueTest, JoinKeepsOnlyAgreedFacts) {
   EXPECT_EQ(a.Join(a), a);  // idempotent
 }
 
+TEST(AbstractValueTest, JoinDropsIntegerConstantsThatDifferAboveTwoTo53) {
+  const int64_t big = int64_t{1} << 53;
+  AbstractValue a = AbstractValue::FromConstant(Value::Int(big));
+  AbstractValue b = AbstractValue::FromConstant(Value::Int(big + 1));
+  // Equal as doubles; a join keeping the constant would be wrong for b.
+  EXPECT_FALSE(a.Join(b).constant.has_value());
+  EXPECT_FALSE(b.Join(a).constant.has_value());
+  EXPECT_FALSE(a.CompatibleWith(b));
+  ASSERT_TRUE(a.Join(a).constant.has_value());
+  EXPECT_EQ(a.Join(a).constant->AsInt(), big);
+}
+
 TEST(AbstractValueTest, CompatibleWithDetectsEveryConflictKind) {
   AbstractValue top = AbstractValue::Top();
   EXPECT_TRUE(top.CompatibleWith(top));

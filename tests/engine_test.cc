@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "common/clock.h"
 #include "engine/interpreter.h"
 #include "engine/kernel.h"
+#include "engine/prepared_plan.h"
 #include "mal/program.h"
 #include "obs/metrics.h"
 #include "profiler/profiler.h"
@@ -427,6 +430,102 @@ TEST(InterpreterTest, PartitionPackRoundTrip) {
   for (size_t i = 0; i < 6; ++i) {
     EXPECT_EQ(col->IntAt(i), static_cast<int64_t>((i + 1) * 10));
   }
+}
+
+// --- PreparedPlan ---
+
+std::vector<int> Ints(std::span<const int> row) {
+  return std::vector<int>(row.begin(), row.end());
+}
+
+TEST(PreparedPlanTest, ResolvesEachInstructionOnce) {
+  Program p = PaperQuery();
+  p.Add("bogus", "nothing", {}, {});
+  const PreparedPlan plan(p);
+  ASSERT_EQ(plan.size(), p.size());
+  EXPECT_TRUE(plan.validation().ok());
+  EXPECT_EQ(&plan.program(), &p);
+
+  const ModuleRegistry* registry = ModuleRegistry::Default();
+  const std::vector<std::vector<int>> deps = p.BuildDependencies();
+  std::vector<std::vector<int>> dependents(p.size());
+  std::vector<int> readers(p.num_variables(), 0);
+  for (size_t pc = 0; pc < p.size(); ++pc) {
+    for (int d : deps[pc]) {
+      dependents[static_cast<size_t>(d)].push_back(static_cast<int>(pc));
+    }
+  }
+  for (size_t pc = 0; pc < p.size(); ++pc) {
+    const int ipc = static_cast<int>(pc);
+    const mal::Instruction& ins = p.instruction(ipc);
+    SCOPED_TRACE(ins.FullName());
+    EXPECT_EQ(plan.text(ipc), p.InstructionToString(ins));
+    auto kernel = registry->Lookup(ins.module, ins.function);
+    EXPECT_EQ(plan.kernel(ipc), kernel.ok() ? kernel.value() : nullptr);
+    EXPECT_EQ(plan.signature(ipc),
+              registry->Signature(ins.module, ins.function));
+    const std::vector<int> args = Ints(plan.args(ipc));
+    ASSERT_EQ(args.size(), ins.args.size());
+    for (size_t i = 0; i < args.size(); ++i) {
+      if (ins.args[i].kind == Argument::Kind::kVar) {
+        EXPECT_EQ(args[i], ins.args[i].var);
+        ++readers[static_cast<size_t>(ins.args[i].var)];
+      } else {
+        ASSERT_LT(args[i], 0);
+        EXPECT_FALSE(plan.constant(args[i]).is_bat());
+        EXPECT_EQ(plan.constant(args[i]).scalar, ins.args[i].constant);
+      }
+    }
+    EXPECT_EQ(Ints(plan.deps(ipc)), deps[pc]);
+    EXPECT_EQ(Ints(plan.dependents(ipc)), dependents[pc]);
+  }
+  EXPECT_EQ(plan.kernel(static_cast<int>(p.size()) - 1), nullptr);
+  for (size_t var = 0; var < p.num_variables(); ++var) {
+    EXPECT_EQ(plan.readers(static_cast<int>(var)), readers[var]);
+  }
+}
+
+TEST(PreparedPlanTest, ExecuteRefusesAnInvalidPlan) {
+  Catalog cat = MakeCatalog();
+  Program p;
+  int v = p.AddVariable(MalType::Scalar(DataType::kInt64));
+  p.Add("io", "print", {}, {Argument::Var(v)});  // used, never defined
+  const PreparedPlan plan(p);
+  EXPECT_FALSE(plan.validation().ok());
+  auto r = Interpreter(&cat).Execute(plan, {});
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().ToString(), plan.validation().ToString());
+}
+
+// One prepared plan, read by several queries' threads at once (the server's
+// query thread, its workers and a monitor share one this way).
+TEST(PreparedPlanTest, OneSharedPlanServesConcurrentQueries) {
+  Catalog cat = MakeCatalog();
+  std::shared_ptr<const PreparedPlan> plan = PreparedPlan::Prepare(PaperQuery());
+  EXPECT_EQ(plan->program().ToString(), PaperQuery().ToString());
+  auto reference = RunPlan(PaperQuery(), &cat);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_EQ(reference.value().columns.size(), 1u);
+  const size_t rows = reference.value().columns[0].column->size();
+
+  std::vector<std::thread> queries;
+  std::vector<int> mismatches(3, 0);
+  for (size_t t = 0; t < mismatches.size(); ++t) {
+    queries.emplace_back([&, t] {
+      Interpreter interp(&cat);
+      ExecOptions opts;
+      opts.num_threads = 2;
+      for (int run = 0; run < 10; ++run) {
+        auto r = interp.Execute(*plan, opts);
+        if (!r.ok() || r.value().columns.size() != 1 ||
+            r.value().columns[0].column->size() != rows) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& query : queries) query.join();
+  EXPECT_EQ(mismatches, std::vector<int>(mismatches.size(), 0));
 }
 
 TEST(InterpreterTest, UnknownKernelFails) {

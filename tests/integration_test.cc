@@ -55,7 +55,7 @@ TEST(IntegrationTest, OfflineWorkflowOverFiles) {
     server.profiler()->AddSink(std::move(sink).value());
     auto outcome = server.ExecuteSql(tpch::GetQuery("q1").value().sql);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    plan_size = outcome.value().plan.size();
+    plan_size = outcome.value().plan->size();
     std::ofstream(dot_path) << outcome.value().dot;
     ASSERT_TRUE(server.profiler()->GetFilter().Matches(
         profiler::TraceEvent{}));  // default filter passes all
@@ -180,7 +180,7 @@ TEST(IntegrationTest, MultiQueryOnlineSession) {
     auto report = monitor.MonitorQuery(tpch::GetQuery(id).value().sql);
     ASSERT_TRUE(report.ok()) << id << ": " << report.status().ToString();
     EXPECT_DOUBLE_EQ(report.value().final_progress, 1.0) << id;
-    EXPECT_EQ(report.value().graph_nodes, report.value().outcome.plan.size());
+    EXPECT_EQ(report.value().graph_nodes, report.value().outcome.plan->size());
   }
 }
 
@@ -196,7 +196,7 @@ TEST(IntegrationTest, RemoteFilterReducesStream) {
   auto outcome = server.ExecuteSql(tpch::GetQuery("q6").value().sql);
   ASSERT_TRUE(outcome.ok());
   auto events = ring->Snapshot();
-  ASSERT_EQ(events.size(), outcome.value().plan.size());  // done only
+  ASSERT_EQ(events.size(), outcome.value().plan->size());  // done only
   for (const auto& e : events) {
     EXPECT_EQ(e.state, profiler::EventState::kDone);
   }
@@ -277,7 +277,7 @@ TEST(IntegrationTest, ColoringModesConsistentOnSameTrace) {
     EXPECT_TRUE(replayer.ok());
     (void)replayer.value()->Play(1e12, events.size());
     size_t colored = 0;
-    for (size_t pc = 0; pc < outcome.value().plan.size(); ++pc) {
+    for (size_t pc = 0; pc < outcome.value().plan->size(); ++pc) {
       auto c = replayer.value()->NodeColor(
           scope::NodeForPc(static_cast<int>(pc)));
       if (c.ok() && !(c.value() == viz::Color::Gray())) ++colored;
@@ -287,10 +287,10 @@ TEST(IntegrationTest, ColoringModesConsistentOnSameTrace) {
   // State mode colors every executed node; threshold(∞) colors none;
   // gradient colors every completed node.
   EXPECT_EQ(count_colored(scope::ColoringMode::kState, 0),
-            outcome.value().plan.size());
+            outcome.value().plan->size());
   EXPECT_EQ(count_colored(scope::ColoringMode::kThreshold, 1LL << 60), 0u);
   EXPECT_EQ(count_colored(scope::ColoringMode::kGradient, 0),
-            outcome.value().plan.size());
+            outcome.value().plan->size());
 }
 
 }  // namespace

@@ -13,9 +13,14 @@
 #include "analysis/checks.h"
 #include "analysis/perfdiff.h"
 #include "analysis/runner.h"
+#include "engine/prepared_plan.h"
 #include "mal/parser.h"
 #include "obs/profile_store.h"
+#include "profiler/sink.h"
 #include "scope/trace.h"
+#include "server/mserver.h"
+#include "tpch/dbgen.h"
+#include "tpch/queries.h"
 
 namespace stetho::analysis {
 namespace {
@@ -378,6 +383,52 @@ TEST_F(PerfdiffExampleTest, ShapeHashIsFunctionNameBlind) {
   auto program = mal::ParseProgram(renamed);
   ASSERT_TRUE(program.ok()) << program.status().ToString();
   EXPECT_EQ(PlanShapeHash(program.value()), PlanShapeHash(program_));
+}
+
+// The prepared plan hashes the text it renders once; that hash must be the
+// key every stored profile already uses: the rendered-program hash, the
+// hash of the executed query's own trace, and the key recorded in
+// examples/c4_q1.profile for examples/c4_q1.mal.
+TEST(PreparedPlanTest, HashMatchesRenderedAndTraceHash) {
+  tpch::TpchConfig config;
+  config.scale_factor = 0.002;
+  auto cat = tpch::GenerateTpch(config);
+  ASSERT_TRUE(cat.ok());
+  for (int m : {0, 16, 128}) {
+    obs::ProfileStore store;
+    server::MserverOptions options;
+    options.dop = 2;
+    options.mitosis_pieces = m;
+    options.profile_store = &store;
+    server::Mserver server(cat.value(), options);
+    for (const tpch::TpchQuery& query : tpch::TpchQueries()) {
+      SCOPED_TRACE(query.id + " m=" + std::to_string(m));
+      auto ring = std::make_shared<profiler::RingBufferSink>(1 << 16);
+      server.profiler()->ClearSinks();
+      server.profiler()->AddSink(ring);
+      auto outcome = server.ExecuteSql(query.sql);
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+      const engine::PreparedPlan& plan = *outcome.value().plan;
+      EXPECT_EQ(plan.shape_hash(), PlanShapeHash(plan.program()));
+      EXPECT_EQ(plan.shape_hash(), TraceShapeHash(ring->Snapshot()));
+      // The server folded the run under the prepared hash.
+      ASSERT_NE(store.Lookup(plan.shape_hash()), nullptr);
+    }
+  }
+
+  std::ifstream mal(ExamplePath("c4_q1.mal"));
+  std::string text((std::istreambuf_iterator<char>(mal)),
+                   std::istreambuf_iterator<char>());
+  auto program = mal::ParseProgram(text);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  std::ifstream profile(ExamplePath("c4_q1.profile"));
+  std::string kind;
+  std::string key;
+  ASSERT_TRUE(profile >> kind >> key);
+  ASSERT_EQ(kind, "p");
+  const uint64_t recorded = std::stoull(key, nullptr, 16);
+  EXPECT_EQ(engine::PreparedPlan(program.value()).shape_hash(), recorded);
+  EXPECT_EQ(PlanShapeHash(program.value()), recorded);
 }
 
 TEST_F(PerfdiffExampleTest, ObservationFromTraceCoversEveryPc) {

@@ -138,8 +138,8 @@ TEST_F(ProgressExampleTest, CacheSharesOneModelAcrossQueryNames) {
   a.set_function_name("user.s0");
   mal::Program b = program_;
   b.set_function_name("user.s17");  // same shape, server-renamed
-  auto ma = cache.GetOrBuild(a);
-  auto mb = cache.GetOrBuild(b);
+  auto ma = cache.GetOrBuild(engine::PreparedPlan(a));
+  auto mb = cache.GetOrBuild(engine::PreparedPlan(b));
   EXPECT_EQ(ma.get(), mb.get());
   EXPECT_EQ(cache.misses(), 1);
   EXPECT_EQ(cache.hits(), 1);

@@ -688,7 +688,7 @@ class ReplayFixture : public ::testing::Test {
     ASSERT_TRUE(graph.ok());
     graph_ = std::move(graph).value();
     events_ = ring_->Snapshot();
-    ASSERT_EQ(events_.size(), 2 * outcome_.plan.size());
+    ASSERT_EQ(events_.size(), 2 * outcome_.plan->size());
     // Make timings deterministic regardless of the host: event i happens at
     // i*10us and instruction pc takes (pc+1)*100us.
     for (size_t i = 0; i < events_.size(); ++i) {
@@ -738,7 +738,7 @@ TEST_F(ReplayFixture, PlayToEndAllGreen) {
   ASSERT_TRUE(applied.ok());
   EXPECT_EQ(applied.value(), events_.size());
   EXPECT_TRUE(replayer->AtEnd());
-  for (size_t pc = 0; pc < outcome_.plan.size(); ++pc) {
+  for (size_t pc = 0; pc < outcome_.plan->size(); ++pc) {
     EXPECT_EQ(replayer->NodeColor(NodeForPc(static_cast<int>(pc))).value(),
               viz::Color::Green())
         << pc;
@@ -824,7 +824,7 @@ TEST_F(ReplayFixture, ThresholdModeOnlyColorsCostly) {
   auto replayer = OfflineReplayer::Create(graph_, events_, options);
   ASSERT_TRUE(replayer.ok());
   ASSERT_TRUE(replayer.value()->Play(8.0, events_.size()).ok());
-  for (size_t pc = 0; pc < outcome_.plan.size(); ++pc) {
+  for (size_t pc = 0; pc < outcome_.plan->size(); ++pc) {
     EXPECT_EQ(
         replayer.value()->NodeColor(NodeForPc(static_cast<int>(pc))).value(),
         viz::Color::Gray());
@@ -844,7 +844,7 @@ TEST_F(ReplayFixture, ColorFadeAnimatesToTarget) {
             viz::Color::Red());
   // A full play ends all green despite fading through intermediate colors.
   ASSERT_TRUE(replayer.value()->Play(1e9, events_.size()).ok());
-  for (size_t pc = 0; pc < outcome_.plan.size(); ++pc) {
+  for (size_t pc = 0; pc < outcome_.plan->size(); ++pc) {
     EXPECT_EQ(replayer.value()
                   ->NodeColor(NodeForPc(static_cast<int>(pc)))
                   .value(),
@@ -858,7 +858,7 @@ TEST_F(ReplayFixture, GradientModeColorsByDuration) {
   ASSERT_TRUE(replayer->Play(8.0, events_.size()).ok());
   // At least one node is fully red (the max-duration one).
   bool saw_red = false;
-  for (size_t pc = 0; pc < outcome_.plan.size(); ++pc) {
+  for (size_t pc = 0; pc < outcome_.plan->size(); ++pc) {
     if (replayer->NodeColor(NodeForPc(static_cast<int>(pc))).value() ==
         viz::Color::Red()) {
       saw_red = true;
@@ -882,7 +882,7 @@ TEST_F(ReplayFixture, SeekMatchesSteppedOracleAllModes) {
       auto seeker = MakeReplayer(mode);
       ASSERT_TRUE(seeker->SeekTo(target).ok());
       if (mode == ColoringMode::kGradient) {
-        std::vector<int64_t> cum(outcome_.plan.size(), 0);
+        std::vector<int64_t> cum(outcome_.plan->size(), 0);
         for (size_t i = 0; i < target; ++i) {
           if (events_[i].state == EventState::kDone) {
             cum[static_cast<size_t>(events_[i].pc)] += events_[i].usec;
@@ -905,7 +905,7 @@ TEST_F(ReplayFixture, SeekMatchesSteppedOracleAllModes) {
       }
       auto stepper = MakeReplayer(mode);
       for (size_t i = 0; i < target; ++i) ASSERT_TRUE(stepper->Step().ok());
-      for (size_t pc = 0; pc < outcome_.plan.size(); ++pc) {
+      for (size_t pc = 0; pc < outcome_.plan->size(); ++pc) {
         std::string node = NodeForPc(static_cast<int>(pc));
         EXPECT_EQ(seeker->NodeColor(node).value(),
                   stepper->NodeColor(node).value())
@@ -927,7 +927,7 @@ TEST_F(ReplayFixture, SeekSequenceMatchesFreshReplay) {
   }
   auto oracle = MakeReplayer();
   for (size_t i = 0; i + 1 < n; ++i) ASSERT_TRUE(oracle->Step().ok());
-  for (size_t pc = 0; pc < outcome_.plan.size(); ++pc) {
+  for (size_t pc = 0; pc < outcome_.plan->size(); ++pc) {
     std::string node = NodeForPc(static_cast<int>(pc));
     EXPECT_EQ(replayer->NodeColor(node).value(),
               oracle->NodeColor(node).value())
@@ -945,7 +945,7 @@ TEST_F(ReplayFixture, FilterChangeKeepsSeekOracleAgreement) {
   const size_t target = seeker->size() / 2;
   ASSERT_TRUE(seeker->SeekTo(target).ok());
   for (size_t i = 0; i < target; ++i) ASSERT_TRUE(stepper->Step().ok());
-  for (size_t pc = 0; pc < outcome_.plan.size(); ++pc) {
+  for (size_t pc = 0; pc < outcome_.plan->size(); ++pc) {
     std::string node = NodeForPc(static_cast<int>(pc));
     EXPECT_EQ(seeker->NodeColor(node).value(),
               stepper->NodeColor(node).value())
@@ -1026,9 +1026,9 @@ TEST(OnlineMonitorTest, EndToEndColorsAndReports) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   const OnlineReport& r = report.value();
   EXPECT_GT(r.graph_nodes, 0u);
-  EXPECT_EQ(r.graph_nodes, r.outcome.plan.size());
+  EXPECT_EQ(r.graph_nodes, r.outcome.plan->size());
   EXPECT_EQ(r.events_received,
-            2 * static_cast<int64_t>(r.outcome.plan.size()));
+            2 * static_cast<int64_t>(r.outcome.plan->size()));
   EXPECT_GT(r.analysis_rounds, 0u);
   EXPECT_FALSE(AnalyzeOperators(r.events).empty());
   EXPECT_DOUBLE_EQ(r.final_progress, 1.0);
@@ -1142,14 +1142,14 @@ TEST(OnlineMonitorTest, FlagsStragglersAgainstStoredBaseline) {
   const OnlineReport& r = report.value();
   EXPECT_DOUBLE_EQ(r.final_progress, 1.0);
   EXPECT_EQ(r.events_received,
-            2 * static_cast<int64_t>(r.outcome.plan.size()));
+            2 * static_cast<int64_t>(r.outcome.plan->size()));
 
   ASSERT_FALSE(r.stragglers.empty());
   EXPECT_GT(r.straggler_updates, 0u);
   std::set<int> flagged_pcs;
   for (const StragglerFlag& flag : r.stragglers) {
     EXPECT_GE(flag.pc, 0);
-    EXPECT_LT(flag.pc, static_cast<int>(r.outcome.plan.size()));
+    EXPECT_LT(flag.pc, static_cast<int>(r.outcome.plan->size()));
     // Every flag cleared both gates against the near-zero baseline (a 0us
     // sample sits in the v<=1 log bucket, so its median reads as 1).
     EXPECT_GE(flag.usec, obs::kRegressionMinUsec);
@@ -1200,7 +1200,7 @@ TEST(OnlineMonitorTest, NoStragglersAgainstGenerousBaseline) {
   EXPECT_TRUE(report.value().stragglers.empty());
   EXPECT_EQ(report.value().straggler_updates, 0u);
   EXPECT_EQ(report.value().events_received,
-            2 * static_cast<int64_t>(report.value().outcome.plan.size()));
+            2 * static_cast<int64_t>(report.value().outcome.plan->size()));
 }
 
 TEST(OnlineMonitorTest, DetectsSequentialAnomaly) {
@@ -1224,7 +1224,7 @@ TEST(OnlineMonitorTest, DetectsSequentialAnomaly) {
   EXPECT_NE(report.value().parallelism.summary.find("ANOMALY"),
             std::string::npos);
   EXPECT_EQ(report.value().events_received,
-            2 * static_cast<int64_t>(report.value().outcome.plan.size()));
+            2 * static_cast<int64_t>(report.value().outcome.plan->size()));
 }
 
 TEST(OnlineMonitorTest, RunsUnderVirtualClock) {
@@ -1246,7 +1246,7 @@ TEST(OnlineMonitorTest, RunsUnderVirtualClock) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_DOUBLE_EQ(report.value().final_progress, 1.0);
   EXPECT_EQ(report.value().events_received,
-            2 * static_cast<int64_t>(report.value().outcome.plan.size()));
+            2 * static_cast<int64_t>(report.value().outcome.plan->size()));
 }
 
 /// Holds the first event it sees until `Open()` (or 20 s pass), so a query
@@ -1304,7 +1304,7 @@ TEST(OnlineMonitorTest, EofEndsTheAnalysisWait) {
   EXPECT_TRUE(gate->held());
   EXPECT_LT(elapsed, std::chrono::seconds(30));
   EXPECT_EQ(report.value().events_received,
-            2 * static_cast<int64_t>(report.value().outcome.plan.size()));
+            2 * static_cast<int64_t>(report.value().outcome.plan->size()));
 }
 
 TEST(OnlineMonitorTest, NewlineInStringLiteralKeepsEveryEvent) {
@@ -1328,7 +1328,7 @@ TEST(OnlineMonitorTest, NewlineInStringLiteralKeepsEveryEvent) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   const OnlineReport& r = report.value();
   EXPECT_EQ(r.events_received,
-            2 * static_cast<int64_t>(r.outcome.plan.size()));
+            2 * static_cast<int64_t>(r.outcome.plan->size()));
   EXPECT_EQ(r.pipe_health.lost, 0);
   EXPECT_TRUE(std::any_of(r.events.begin(), r.events.end(),
                           [](const TraceEvent& e) {

@@ -47,7 +47,7 @@ TEST(MserverTest, ExecutePaperQuery) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().name, "s0");
   EXPECT_FALSE(r.value().dot.empty());
-  EXPECT_GT(r.value().plan.size(), 0u);
+  EXPECT_GT(r.value().plan->size(), 0u);
   ASSERT_EQ(r.value().result.columns.size(), 1u);
 }
 
@@ -59,7 +59,7 @@ TEST(MserverTest, QueryNamesIncrement) {
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a.value().name, "s0");
   EXPECT_EQ(b.value().name, "s1");
-  EXPECT_NE(a.value().plan.function_name(), b.value().plan.function_name());
+  EXPECT_NE(a.value().plan->program().function_name(), b.value().plan->program().function_name());
 }
 
 TEST(MserverTest, ExplainDoesNotExecute) {
@@ -92,7 +92,7 @@ TEST(MserverTest, ProfilerEventsFlowDuringQuery) {
   ASSERT_TRUE(r.ok());
   // Two events per instruction.
   EXPECT_EQ(ring->total_consumed(),
-            static_cast<int64_t>(2 * r.value().plan.size()));
+            static_cast<int64_t>(2 * r.value().plan->size()));
 }
 
 TEST(MserverTest, FilterSetRemotely) {
@@ -247,12 +247,12 @@ TEST(MserverProfileTest, ExecuteFoldsIntoInjectedStore) {
   auto r = server.ExecuteSql("select l_tax from lineitem where l_partkey = 1");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
 
-  const uint64_t shape = analysis::PlanShapeHash(r.value().plan);
+  const uint64_t shape = analysis::PlanShapeHash(r.value().plan->program());
   auto profile = store.Lookup(shape);
   ASSERT_NE(profile, nullptr);
   EXPECT_EQ(profile->queries, 1);
-  EXPECT_EQ(profile->plan_size, r.value().plan.size());
-  EXPECT_EQ(profile->pcs.size(), r.value().plan.size());
+  EXPECT_EQ(profile->plan_size, r.value().plan->size());
+  EXPECT_EQ(profile->pcs.size(), r.value().plan->size());
   EXPECT_GE(profile->total_usec.max(), 0);
   // First run of the shape: no pre-fold baseline, so nothing is "slow".
   EXPECT_EQ(SlowQueriesValue(), slow_before);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "storage/column.h"
 #include "storage/table.h"
 #include "storage/value.h"
@@ -45,6 +47,22 @@ TEST(ValueTest, CompareNumericCrossType) {
   EXPECT_EQ(Value::Int(2).Compare(Value::Double(2.0)), 0);
   EXPECT_LT(Value::Int(1).Compare(Value::Double(1.5)), 0);
   EXPECT_GT(Value::Double(3.0).Compare(Value::Int(2)), 0);
+}
+
+TEST(ValueTest, IntegersCompareExactlyAboveTwoTo53) {
+  const int64_t big = int64_t{1} << 53;
+  // Both sides round to 2^53 as doubles.
+  EXPECT_FALSE(Value::Int(big) == Value::Int(big + 1));
+  EXPECT_LT(Value::Int(big).Compare(Value::Int(big + 1)), 0);
+  EXPECT_GT(Value::Int(-big).Compare(Value::Int(-big - 1)), 0);
+  EXPECT_GT(Value::Int(INT64_MAX).Compare(Value::Int(INT64_MAX - 1)), 0);
+  EXPECT_LT(Value::Int(INT64_MIN).Compare(Value::Int(INT64_MIN + 1)), 0);
+  EXPECT_LT(Value::Oid(big).Compare(Value::Oid(big + 1)), 0);
+  EXPECT_LT(Value::Oid(big).Compare(Value::Int(big + 1)), 0);
+  EXPECT_LT(Value::Bool(true).Compare(Value::Int(2)), 0);
+  // A :dbl side still compares by double value: 2^53 + 1 rounds to 2^53.
+  EXPECT_EQ(Value::Int(big + 1).Compare(Value::Double(static_cast<double>(big))),
+            0);
 }
 
 TEST(ValueTest, CompareNullsFirst) {

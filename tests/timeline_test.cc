@@ -122,7 +122,7 @@ TEST(TimelineTest, RealQueryTimeline) {
   ASSERT_TRUE(outcome.ok());
   auto events = ring->Snapshot();
   auto intervals = ExtractIntervals(events);
-  EXPECT_EQ(intervals.size(), outcome.value().plan.size());
+  EXPECT_EQ(intervals.size(), outcome.value().plan->size());
   std::string svg = RenderUtilizationTimeline(events);
   EXPECT_NE(svg.find("algebra.select"), std::string::npos);
 }

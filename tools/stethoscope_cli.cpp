@@ -174,7 +174,7 @@ int CmdRun(const CliOptions& cli, const std::string& sql) {
   std::printf("%s", server::FormatResultTable(outcome.value().result).c_str());
   std::printf("%lld us, plan of %zu instructions, peak memory %lld bytes\n",
               static_cast<long long>(outcome.value().result.total_usec),
-              outcome.value().plan.size(),
+              outcome.value().plan->size(),
               static_cast<long long>(outcome.value().result.peak_rss_bytes));
   PrintAnalyses(ring->Snapshot());
   return 0;
@@ -191,8 +191,8 @@ int CmdRecord(const CliOptions& cli, const std::string& sql,
   if (!outcome.ok()) return Fail(outcome.status());
   std::ofstream(prefix + ".dot") << outcome.value().dot;
   std::printf("wrote %s.dot and %s.trace (%zu instructions, %zu events)\n",
-              prefix.c_str(), prefix.c_str(), outcome.value().plan.size(),
-              2 * outcome.value().plan.size());
+              prefix.c_str(), prefix.c_str(), outcome.value().plan->size(),
+              2 * outcome.value().plan->size());
   return 0;
 }
 
