@@ -25,7 +25,7 @@ dot::Graph RandomDag(int n, uint64_t seed = 11) {
   SplitMix64 rng(seed);
   dot::Graph graph("bench");
   for (int i = 0; i < n; ++i) {
-    graph.AddNode("n" + std::to_string(i)).attrs["label"] =
+    graph.AddNode("n" + std::to_string(i)).given_label =
         "X_" + std::to_string(i) + " := algebra.select(...)";
   }
   for (int i = 1; i < n; ++i) {

@@ -37,7 +37,7 @@ dot::Graph RandomLayeredDag(uint64_t seed, int layers, int per_layer,
   for (int l = 0; l < layers; ++l) {
     for (int i = 0; i < per_layer; ++i) {
       int id = l * per_layer + i;
-      graph.AddNode("n" + std::to_string(id)).attrs["label"] =
+      graph.AddNode("n" + std::to_string(id)).given_label =
           "X_" + std::to_string(id) + " := algebra.select(...)";
     }
   }

@@ -434,7 +434,7 @@ class DotContractCheck final : public Check {
                             Ellipsize(node.id).c_str()));
         continue;
       }
-      if (node.attrs.find("label") == node.attrs.end()) {
+      if (!node.given_label) {
         emit.Emit(Severity::kWarning, pc, -1,
                   StrFormat("node \"n%d\" has no label attribute — the "
                             "statement text is lost",

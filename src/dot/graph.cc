@@ -5,18 +5,27 @@
 
 namespace stetho::dot {
 
-void Graph::Reserve(size_t nodes, size_t edges) {
-  nodes_.reserve(nodes);
-  index_.reserve(nodes);
-  edges_.reserve(edges);
+void GraphNode::SetAttr(std::string key, std::string value) {
+  if (key == "label") {
+    given_label = std::move(value);
+  } else {
+    attrs[std::move(key)] = std::move(value);
+  }
 }
 
-GraphNode& Graph::AddNode(const std::string& id) {
-  auto [it, inserted] =
-      index_.try_emplace(id, static_cast<int>(nodes_.size()));
-  if (!inserted) return nodes_[static_cast<size_t>(it->second)];
-  nodes_.push_back(GraphNode{id, {}});
-  return nodes_.back();
+void Graph::Reserve(size_t nodes, size_t edges) {
+  nodes_.reserve(nodes);
+  edges_.reserve(edges);
+  index_.Reserve(nodes, NodeId());
+}
+
+GraphNode& Graph::AddNode(std::string_view id) {
+  const int found =
+      index_.FindOrInsert(id, static_cast<int>(nodes_.size()), NodeId());
+  if (found >= 0) return nodes_[static_cast<size_t>(found)];
+  GraphNode& node = nodes_.emplace_back();
+  node.id = id;
+  return node;
 }
 
 GraphEdge& Graph::AddEdge(std::string from, std::string to) {
@@ -25,9 +34,8 @@ GraphEdge& Graph::AddEdge(std::string from, std::string to) {
   return edges_.emplace_back(GraphEdge{std::move(from), std::move(to), {}});
 }
 
-int Graph::FindNode(const std::string& id) const {
-  auto it = index_.find(id);
-  return it != index_.end() ? it->second : -1;
+int Graph::FindNode(std::string_view id) const {
+  return index_.Find(id, NodeId());
 }
 
 std::vector<int> Graph::Roots() const {

@@ -2,11 +2,13 @@
 #define STETHO_DOT_GRAPH_H_
 
 #include <map>
+#include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
+#include "common/string_index.h"
 
 namespace stetho::dot {
 
@@ -15,12 +17,34 @@ namespace stetho::dot {
 /// node "nN" and the MAL statement text lives in the "label" attribute.
 struct GraphNode {
   std::string id;
+  /// The "label" attribute, when one was given. It is held apart from
+  /// `attrs`, so a plan node, whose only attribute is its label, needs no
+  /// map.
+  std::optional<std::string> given_label;
+  /// Every other attribute; never holds "label".
   std::map<std::string, std::string> attrs;
 
-  /// The "label" attribute, or the id when absent.
-  const std::string& label() const {
-    auto it = attrs.find("label");
-    return it != attrs.end() ? it->second : id;
+  /// The label, or the id when none was given.
+  const std::string& label() const { return given_label ? *given_label : id; }
+
+  /// Sets attribute `key`: "label" goes to `given_label`, any other key to
+  /// `attrs`.
+  void SetAttr(std::string key, std::string value);
+
+  /// Calls fn(key, value) for every attribute in key order, the label at its
+  /// sorted place among the others.
+  template <typename Fn>
+  void ForEachAttr(Fn&& fn) const {
+    static const std::string kLabel = "label";
+    bool label_pending = given_label.has_value();
+    for (const auto& [key, value] : attrs) {
+      if (label_pending && kLabel < key) {
+        fn(kLabel, *given_label);
+        label_pending = false;
+      }
+      fn(key, value);
+    }
+    if (label_pending) fn(kLabel, *given_label);
   }
 };
 
@@ -48,7 +72,7 @@ class Graph {
   void Reserve(size_t nodes, size_t edges);
 
   /// Adds (or merges attributes into) a node.
-  GraphNode& AddNode(const std::string& id);
+  GraphNode& AddNode(std::string_view id);
   /// Adds an edge; endpoints are implicitly created.
   GraphEdge& AddEdge(std::string from, std::string to);
 
@@ -60,7 +84,7 @@ class Graph {
   const GraphNode& node(size_t i) const { return nodes_[i]; }
 
   /// Index of node `id`, or -1.
-  int FindNode(const std::string& id) const;
+  int FindNode(std::string_view id) const;
 
   /// Indices of nodes with no incoming edges (the "root node[s]" used to
   /// traverse the graph).
@@ -74,13 +98,21 @@ class Graph {
   Result<std::vector<int>> TopologicalOrder() const;
 
  private:
+  /// Reads node i's id for index_.
+  auto NodeId() const {
+    return [this](int i) -> const std::string& {
+      return nodes_[static_cast<size_t>(i)].id;
+    };
+  }
+
   std::string name_ = "G";
   bool directed_ = true;
   std::vector<GraphNode> nodes_;
   std::vector<GraphEdge> edges_;
-  // id -> node index. Hashed rather than ordered: FindNode sits on the hot
-  // path of adjacency construction, edge routing, and crossing counting.
-  std::unordered_map<std::string, int> index_;
+  // id -> node index. Flat rather than node-based, so adding a node
+  // allocates no index entry: FindNode sits on the hot path of dot
+  // parsing, adjacency construction, edge routing, and crossing counting.
+  StringIndex index_;
 };
 
 }  // namespace stetho::dot

@@ -141,10 +141,10 @@ class DotScanner {
   size_t pos_ = 0;
 };
 
-/// Parses an optional [k=v, ...] attribute list straight into `attrs`
-/// (nullptr: parse and drop, for default-attribute statements).
-Status ParseAttrList(DotScanner* scan,
-                     std::map<std::string, std::string>* attrs) {
+/// Parses an optional [k=v, ...] attribute list, handing each pair to
+/// `set(key, value)` as it is read.
+template <typename Set>
+Status ParseAttrList(DotScanner* scan, Set&& set) {
   if (!scan->Consume('[')) return Status::OK();
   if (scan->Consume(']')) return Status::OK();
   while (true) {
@@ -153,7 +153,7 @@ Status ParseAttrList(DotScanner* scan,
       return Status::ParseError("expected '=' in attribute list");
     }
     STETHO_ASSIGN_OR_RETURN(Token value, scan->ReadId());
-    if (attrs != nullptr) (*attrs)[key.str()] = value.str();
+    set(key, value);
     if (scan->Consume(',') || scan->Consume(';')) continue;
     if (scan->Consume(']')) break;
     return Status::ParseError("expected ',' or ']' in attribute list");
@@ -215,7 +215,8 @@ Result<Graph> ParseDot(std::string_view text) {
     // Default attribute statements: node [...] / edge [...] / graph [...]
     if (scan.Peek() == '[' &&
         (id.Is("node") || id.Is("edge") || id.Is("graph"))) {
-      STETHO_RETURN_IF_ERROR(ParseAttrList(&scan, nullptr));
+      STETHO_RETURN_IF_ERROR(
+          ParseAttrList(&scan, [](const Token&, const Token&) {}));
       scan.Consume(';');
       continue;
     }
@@ -224,14 +225,20 @@ Result<Graph> ParseDot(std::string_view text) {
     if (scan.ConsumeArrow(&directed_edge)) {
       STETHO_ASSIGN_OR_RETURN(Token to, scan.ReadId());
       GraphEdge& edge = graph.AddEdge(id.str(), to.str());
-      STETHO_RETURN_IF_ERROR(ParseAttrList(&scan, &edge.attrs));
+      STETHO_RETURN_IF_ERROR(
+          ParseAttrList(&scan, [&edge](const Token& key, const Token& value) {
+            edge.attrs[key.str()] = value.str();
+          }));
       scan.Consume(';');
       continue;
     }
 
     // A node declared again merges its attributes into the first.
     GraphNode& node = graph.AddNode(id.str());
-    STETHO_RETURN_IF_ERROR(ParseAttrList(&scan, &node.attrs));
+    STETHO_RETURN_IF_ERROR(
+        ParseAttrList(&scan, [&node](const Token& key, const Token& value) {
+          node.SetAttr(key.str(), value.str());
+        }));
     scan.Consume(';');
   }
   return graph;

@@ -78,16 +78,13 @@ std::string GraphToDot(const Graph& graph) {
   out += " \"" + EscapeQuoted(graph.name()) + "\" {\n";
   for (const GraphNode& node : graph.nodes()) {
     out += "  " + node.id;
-    if (!node.attrs.empty()) {
-      out += " [";
-      bool first = true;
-      for (const auto& [k, v] : node.attrs) {
-        if (!first) out += ", ";
-        first = false;
-        out += k + "=\"" + EscapeQuoted(v) + "\"";
-      }
-      out += "]";
-    }
+    bool first = true;
+    node.ForEachAttr([&](const std::string& k, const std::string& v) {
+      out += first ? " [" : ", ";
+      first = false;
+      out += k + "=\"" + EscapeQuoted(v) + "\"";
+    });
+    if (!first) out += "]";
     out += ";\n";
   }
   const char* arrow = graph.directed() ? " -> " : " -- ";
@@ -113,7 +110,7 @@ Graph ProgramToGraph(const mal::Program& program) {
   Graph graph(program.function_name());
   for (const mal::Instruction& ins : program.instructions()) {
     GraphNode& node = graph.AddNode(NodeName(ins.pc));
-    node.attrs["label"] = program.InstructionToString(ins);
+    node.given_label = program.InstructionToString(ins);
   }
   auto deps = program.BuildDependencies();
   for (size_t pc = 0; pc < deps.size(); ++pc) {

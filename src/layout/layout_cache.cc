@@ -10,31 +10,53 @@
 namespace stetho::layout {
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
+// The key mixes the content in 8-byte words, not bytes. Each round xors a
+// word into the state, multiplies by an odd constant (murmur3's finalizer
+// constant) and folds the high half down, so high input bits reach the low
+// key bits too. A round is a bijection of the state, so two graphs whose
+// word sequences differ in a single word never collide. The key lives only
+// in memory, so its values may change between builds.
+constexpr uint64_t kSeed = 0x9e3779b97f4a7c15ull;
+constexpr uint64_t kMultiplier = 0xff51afd7ed558ccdull;
 
-void HashBytes(uint64_t* h, const void* data, size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    *h ^= p[i];
-    *h *= kFnvPrime;
+void MixWord(uint64_t* h, uint64_t word) {
+  *h = (*h ^ word) * kMultiplier;
+  *h ^= *h >> 32;
+}
+
+void MixString(uint64_t* h, const std::string& s) {
+  MixWord(h, s.size());  // length-prefixed: "ab","c" != "a","bc"
+  const char* p = s.data();
+  size_t left = s.size();
+  for (; left >= sizeof(uint64_t); p += sizeof(uint64_t),
+                                   left -= sizeof(uint64_t)) {
+    uint64_t word = 0;
+    std::memcpy(&word, p, sizeof(word));
+    MixWord(h, word);
+  }
+  if (left > 0) {
+    uint64_t tail = 0;
+    std::memcpy(&tail, p, left);
+    MixWord(h, tail);
   }
 }
 
-void HashString(uint64_t* h, const std::string& s) {
-  uint64_t len = s.size();
-  HashBytes(h, &len, sizeof(len));  // length-prefixed: "ab","c" != "a","bc"
-  HashBytes(h, s.data(), s.size());
-}
-
-void HashDouble(uint64_t* h, double v) {
+void MixDouble(uint64_t* h, double v) {
   uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(v));
   std::memcpy(&bits, &v, sizeof(bits));
-  HashBytes(h, &bits, sizeof(bits));
+  MixWord(h, bits);
 }
 
-void HashInt(uint64_t* h, int64_t v) { HashBytes(h, &v, sizeof(v)); }
+void MixInt(uint64_t* h, int64_t v) { MixWord(h, static_cast<uint64_t>(v)); }
+
+/// Whether `layout` has `graph`'s node and edge counts. Two graphs whose
+/// keys collide are told apart here at least by their sizes, so a
+/// collision never hands out a layout that is indexed out of range.
+bool Fits(const GraphLayout& layout, const dot::Graph& graph) {
+  return layout.nodes.size() == graph.num_nodes() &&
+         layout.edges.size() == graph.num_edges();
+}
 
 size_t DefaultCapacity() {
   const char* env = std::getenv("STETHO_LAYOUT_CACHE");
@@ -70,29 +92,29 @@ LayoutCache* LayoutCache::Default() {
 
 uint64_t LayoutCache::HashKey(const dot::Graph& graph,
                               const LayoutOptions& options) {
-  uint64_t h = kFnvOffset;
-  HashInt(&h, static_cast<int64_t>(graph.num_nodes()));
+  uint64_t h = kSeed;
+  MixInt(&h, static_cast<int64_t>(graph.num_nodes()));
   for (const dot::GraphNode& node : graph.nodes()) {
-    HashString(&h, node.id);
-    HashString(&h, node.label());
+    MixString(&h, node.id);
+    MixString(&h, node.label());
   }
-  HashInt(&h, static_cast<int64_t>(graph.num_edges()));
+  MixInt(&h, static_cast<int64_t>(graph.num_edges()));
   for (const dot::GraphEdge& edge : graph.edges()) {
-    HashString(&h, edge.from);
-    HashString(&h, edge.to);
+    MixString(&h, edge.from);
+    MixString(&h, edge.to);
   }
   // Every option that affects geometry; pool / parallel_min_nodes are
   // deliberately absent (parallelism never changes the output).
-  HashDouble(&h, options.char_width);
-  HashDouble(&h, options.node_height);
-  HashDouble(&h, options.min_node_width);
-  HashDouble(&h, options.max_node_width);
-  HashDouble(&h, options.layer_gap);
-  HashDouble(&h, options.node_gap);
-  HashDouble(&h, options.margin);
-  HashInt(&h, options.barycenter_sweeps);
-  HashInt(&h, options.median ? 1 : 0);
-  HashInt(&h, options.transpose_passes);
+  MixDouble(&h, options.char_width);
+  MixDouble(&h, options.node_height);
+  MixDouble(&h, options.min_node_width);
+  MixDouble(&h, options.max_node_width);
+  MixDouble(&h, options.layer_gap);
+  MixDouble(&h, options.node_gap);
+  MixDouble(&h, options.margin);
+  MixInt(&h, options.barycenter_sweeps);
+  MixInt(&h, options.median ? 1 : 0);
+  MixInt(&h, options.transpose_passes);
   return h;
 }
 
@@ -107,7 +129,7 @@ Result<std::shared_ptr<const GraphLayout>> LayoutCache::GetOrCompute(
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = index_.find(key);
-    if (it != index_.end()) {
+    if (it != index_.end() && Fits(*it->second->layout, graph)) {
       mru_.splice(mru_.begin(), mru_, it->second);
       HitCounter()->Increment();
       return it->second->layout;
@@ -120,18 +142,36 @@ Result<std::shared_ptr<const GraphLayout>> LayoutCache::GetOrCompute(
   auto shared = std::make_shared<const GraphLayout>(std::move(layout));
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
-  if (it != index_.end()) {
+  if (it != index_.end() && Fits(*it->second->layout, graph)) {
     // A concurrent caller inserted the same key first; keep its entry.
     mru_.splice(mru_.begin(), mru_, it->second);
     return it->second->layout;
   }
-  mru_.push_front(Entry{key, shared});
+  InsertLocked(key, shared);
+  return shared;
+}
+
+void LayoutCache::Insert(uint64_t key,
+                         std::shared_ptr<const GraphLayout> layout) {
+  if (capacity_ == 0) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  InsertLocked(key, std::move(layout));
+}
+
+void LayoutCache::InsertLocked(uint64_t key,
+                               std::shared_ptr<const GraphLayout> layout) {
+  auto it = index_.find(key);
+  if (it != index_.end()) {
+    it->second->layout = std::move(layout);
+    mru_.splice(mru_.begin(), mru_, it->second);
+    return;
+  }
+  mru_.push_front(Entry{key, std::move(layout)});
   index_[key] = mru_.begin();
   while (mru_.size() > capacity_) {
     index_.erase(mru_.back().key);
     mru_.pop_back();
   }
-  return shared;
 }
 
 size_t LayoutCache::size() const {

@@ -22,6 +22,9 @@ namespace stetho::layout {
 /// covers node ids, labels, edge endpoints, and every LayoutOptions field
 /// that affects geometry (the pool / parallel threshold fields are
 /// excluded: parallelism is deterministic and never changes the output).
+/// A hit whose layout has another node or edge count than the graph (a
+/// key collision) is treated as a miss, so a returned layout is always
+/// indexed like the graph.
 ///
 /// Hits and misses are exported as `stetho_layout_cache_hits_total` /
 /// `stetho_layout_cache_misses_total`. A capacity of 0 disables caching:
@@ -46,10 +49,16 @@ class LayoutCache {
   Result<std::shared_ptr<const GraphLayout>> GetOrCompute(
       const dot::Graph& graph, const LayoutOptions& options = {});
 
-  /// FNV-1a 64 content hash of graph + geometry-relevant options — the
-  /// cache key. Exposed for tests.
+  /// Content hash of graph + geometry-relevant options, mixed in 8-byte
+  /// words — the cache key. Held only in memory, never stored. Exposed for
+  /// tests.
   static uint64_t HashKey(const dot::Graph& graph,
                           const LayoutOptions& options);
+
+  /// Stores `layout` under `key` as most recently used, replacing any
+  /// entry there, as a miss does. Exposed for tests that plant a
+  /// colliding entry.
+  void Insert(uint64_t key, std::shared_ptr<const GraphLayout> layout);
 
   size_t size() const;
   size_t capacity() const { return capacity_; }
@@ -60,6 +69,8 @@ class LayoutCache {
     uint64_t key = 0;
     std::shared_ptr<const GraphLayout> layout;
   };
+
+  void InsertLocked(uint64_t key, std::shared_ptr<const GraphLayout> layout);
 
   const size_t capacity_;
   mutable std::mutex mu_;

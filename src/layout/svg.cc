@@ -231,7 +231,7 @@ dot::Graph SvgToGraph(const SvgDocument& doc) {
   dot::Graph graph("svg");
   for (const SvgNode& node : doc.nodes) {
     dot::GraphNode& gn = graph.AddNode(node.id);
-    gn.attrs["label"] = node.label;
+    gn.given_label = node.label;
     if (!node.fill.empty()) gn.attrs["fillcolor"] = node.fill;
   }
   for (const SvgEdge& edge : doc.edges) {

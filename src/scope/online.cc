@@ -170,8 +170,10 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
         seen, std::min(options_.analysis_period_us, deadline - now + 1));
   }
 
+  // The parsed graph moves into the scene and the text into the report:
+  // neither is copied.
   STETHO_ASSIGN_OR_RETURN(dot::Graph graph, dot::ParseDot(dot_text));
-  report.dot = dot_text;
+  report.dot = std::move(dot_text);
   report.graph_nodes = graph.num_nodes();
 
   ReplayOptions scene_options;
@@ -180,7 +182,7 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
   scene_options.viewport_width = options_.viewport_width;
   scene_options.viewport_height = options_.viewport_height;
   STETHO_ASSIGN_OR_RETURN(
-      scene_, OfflineReplayer::Create(graph, {}, scene_options));
+      scene_, OfflineReplayer::Create(std::move(graph), {}, scene_options));
 
   // Monitoring loop: sample the buffer, run the §4.2.1 pair-sequence
   // algorithm, and push color changes through the render-paced EDT.

@@ -24,18 +24,18 @@ obs::Histogram* SeekHistogram() {
 }  // namespace
 
 Result<std::unique_ptr<OfflineReplayer>> OfflineReplayer::Create(
-    const dot::Graph& graph, std::vector<TraceEvent> events,
+    dot::Graph graph, std::vector<TraceEvent> events,
     const ReplayOptions& options) {
   STETHO_ASSIGN_OR_RETURN(std::shared_ptr<const layout::GraphLayout> layout,
                           layout::LayoutCache::Default()->GetOrCompute(graph));
   return std::unique_ptr<OfflineReplayer>(new OfflineReplayer(
-      graph, std::move(layout), std::move(events), options));
+      std::move(graph), std::move(layout), std::move(events), options));
 }
 
 OfflineReplayer::OfflineReplayer(
-    const dot::Graph& graph, std::shared_ptr<const layout::GraphLayout> layout,
+    dot::Graph graph, std::shared_ptr<const layout::GraphLayout> layout,
     std::vector<TraceEvent> events, const ReplayOptions& options)
-    : graph_(graph),
+    : graph_(std::move(graph)),
       layout_(std::move(layout)),
       all_events_(std::move(events)),
       events_(all_events_),

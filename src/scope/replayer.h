@@ -54,9 +54,10 @@ struct ReplayOptions {
 class OfflineReplayer {
  public:
   /// Builds scene state (layout + glyphs + camera) for `graph` and takes
-  /// ownership of the trace.
+  /// ownership of the graph and the trace: a caller done with its graph
+  /// moves it in instead of copying it.
   static Result<std::unique_ptr<OfflineReplayer>> Create(
-      const dot::Graph& graph, std::vector<profiler::TraceEvent> events,
+      dot::Graph graph, std::vector<profiler::TraceEvent> events,
       const ReplayOptions& options = {});
 
   ~OfflineReplayer();
@@ -133,7 +134,7 @@ class OfflineReplayer {
     std::vector<int64_t> cum_usec;  ///< cumulative done-usec after that event
   };
 
-  OfflineReplayer(const dot::Graph& graph,
+  OfflineReplayer(dot::Graph graph,
                   std::shared_ptr<const layout::GraphLayout> layout,
                   std::vector<profiler::TraceEvent> events,
                   const ReplayOptions& options);

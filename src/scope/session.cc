@@ -62,9 +62,8 @@ Result<std::string> InteractiveSession::Dispatch(
       AnimateCameraTo(cam->x(), cam->y(), target);
     } else if (words[1] == "fit") {
       viz::Camera fitted(cam->viewport_width(), cam->viewport_height());
-      layout::Point origin = replayer_->space()->BoundsOrigin();
-      layout::Point size = replayer_->space()->BoundsSize();
-      fitted.FitRect(origin.x, origin.y, size.x, size.y);
+      const viz::Box bounds = replayer_->space()->VisibleBounds();
+      fitted.FitRect(bounds.x, bounds.y, bounds.width, bounds.height);
       AnimateCameraTo(fitted.x(), fitted.y(), fitted.altitude());
     } else {
       return Status::InvalidArgument("zoom in|out|fit");

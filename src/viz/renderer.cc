@@ -94,9 +94,8 @@ Frame Renderer::RenderMinimap(const VirtualSpace& space,
                               const Camera& main_camera, double minimap_width,
                               double minimap_height) {
   Camera overview(minimap_width, minimap_height);
-  layout::Point origin = space.BoundsOrigin();
-  layout::Point size = space.BoundsSize();
-  overview.FitRect(origin.x, origin.y, size.x, size.y);
+  const Box bounds = space.VisibleBounds();
+  overview.FitRect(bounds.x, bounds.y, bounds.width, bounds.height);
   Frame frame = RenderFrame(space, overview);
 
   // Outline the main camera's visible world rect.

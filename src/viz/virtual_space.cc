@@ -1,6 +1,7 @@
 #include "viz/virtual_space.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <utility>
 
@@ -12,23 +13,46 @@ int VirtualSpace::AddGlyph(Glyph glyph) {
   std::lock_guard<std::mutex> lock(mu_);
   glyph.id = static_cast<int>(glyphs_.size());
   glyph.epoch = ++epoch_;
-  by_owner_[glyph.owner].push_back(glyph.id);
   glyphs_.push_back(std::move(glyph));
+  next_owned_.push_back(-1);
+  last_owned_.push_back(-1);
+  IndexOwnerLocked(glyphs_.back().id);
   return glyphs_.back().id;
 }
 
 int VirtualSpace::AddGlyphs(std::vector<Glyph> glyphs) {
   if (glyphs.empty()) return -1;
   std::lock_guard<std::mutex> lock(mu_);
-  int first = static_cast<int>(glyphs_.size());
-  glyphs_.reserve(glyphs_.size() + glyphs.size());
-  for (Glyph& glyph : glyphs) {
-    glyph.id = static_cast<int>(glyphs_.size());
-    glyph.epoch = ++epoch_;
-    by_owner_[glyph.owner].push_back(glyph.id);
-    glyphs_.push_back(std::move(glyph));
+  const size_t first = glyphs_.size();
+  if (first == 0) {
+    glyphs_ = std::move(glyphs);
+  } else {
+    glyphs_.insert(glyphs_.end(), std::make_move_iterator(glyphs.begin()),
+                   std::make_move_iterator(glyphs.end()));
   }
-  return first;
+  next_owned_.resize(glyphs_.size(), -1);
+  last_owned_.resize(glyphs_.size(), -1);
+  // Every glyph may have its own owner: size the index once for that.
+  owners_.Reserve(glyphs_.size(), GlyphOwner());
+  for (size_t i = first; i < glyphs_.size(); ++i) {
+    Glyph& glyph = glyphs_[i];
+    glyph.id = static_cast<int>(i);
+    glyph.epoch = ++epoch_;
+    IndexOwnerLocked(glyph.id);
+  }
+  return static_cast<int>(first);
+}
+
+void VirtualSpace::IndexOwnerLocked(int id) {
+  const int first = owners_.FindOrInsert(
+      glyphs_[static_cast<size_t>(id)].owner, id, GlyphOwner());
+  if (first < 0) {  // the owner's first glyph
+    last_owned_[static_cast<size_t>(id)] = id;
+    return;
+  }
+  int& last = last_owned_[static_cast<size_t>(first)];
+  next_owned_[static_cast<size_t>(last)] = id;
+  last = id;
 }
 
 Status VirtualSpace::MutateGlyph(int id, const std::function<void(Glyph*)>& fn) {
@@ -96,16 +120,18 @@ size_t VirtualSpace::size() const {
 
 std::vector<int> VirtualSpace::GlyphsForOwner(const std::string& owner) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = by_owner_.find(owner);
-  if (it == by_owner_.end()) return {};
-  return it->second;
+  std::vector<int> ids;
+  for (int id = owners_.Find(owner, GlyphOwner()); id >= 0;
+       id = next_owned_[static_cast<size_t>(id)]) {
+    ids.push_back(id);
+  }
+  return ids;
 }
 
 int VirtualSpace::ShapeFor(const std::string& owner) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = by_owner_.find(owner);
-  if (it == by_owner_.end()) return -1;
-  for (int id : it->second) {
+  for (int id = owners_.Find(owner, GlyphOwner()); id >= 0;
+       id = next_owned_[static_cast<size_t>(id)]) {
     if (glyphs_[static_cast<size_t>(id)].kind == GlyphKind::kShape) {
       return id;
     }
@@ -113,42 +139,37 @@ int VirtualSpace::ShapeFor(const std::string& owner) const {
   return -1;
 }
 
-layout::Point VirtualSpace::BoundsOrigin() const {
+Box VirtualSpace::VisibleBounds() const {
   std::lock_guard<std::mutex> lock(mu_);
   double min_x = std::numeric_limits<double>::infinity();
   double min_y = std::numeric_limits<double>::infinity();
-  for (const Glyph& g : glyphs_) {
-    if (!g.visible) continue;
-    min_x = std::min(min_x, g.x - g.width / 2.0);
-    min_y = std::min(min_y, g.y - g.height / 2.0);
-  }
-  if (glyphs_.empty()) return {0, 0};
-  return {min_x, min_y};
-}
-
-layout::Point VirtualSpace::BoundsSize() const {
-  layout::Point origin = BoundsOrigin();
-  std::lock_guard<std::mutex> lock(mu_);
   double max_x = -std::numeric_limits<double>::infinity();
   double max_y = -std::numeric_limits<double>::infinity();
+  bool any = false;
   for (const Glyph& g : glyphs_) {
     if (!g.visible) continue;
+    any = true;
+    min_x = std::min(min_x, g.x - g.width / 2.0);
+    min_y = std::min(min_y, g.y - g.height / 2.0);
     max_x = std::max(max_x, g.x + g.width / 2.0);
     max_y = std::max(max_y, g.y + g.height / 2.0);
   }
-  if (glyphs_.empty()) return {0, 0};
-  return {max_x - origin.x, max_y - origin.y};
+  if (!any) return {};
+  return {min_x, min_y, max_x - min_x, max_y - min_y};
 }
 
 void BuildScene(const dot::Graph& graph, const layout::GraphLayout& layout,
                 VirtualSpace* space) {
+  const size_t num_nodes = std::min(graph.num_nodes(), layout.nodes.size());
+  const size_t num_edges = std::min(graph.num_edges(), layout.edges.size());
   std::vector<Glyph> glyphs;
-  glyphs.reserve(layout.edges.size() + 2 * layout.nodes.size());
+  glyphs.reserve(num_edges + 2 * num_nodes);
   // Edges first (z=0) so shapes (z=1) and labels (z=2) draw above them.
-  for (const layout::EdgeLayout& el : layout.edges) {
-    if (el.points.size() < 2 || el.edge < 0) continue;
-    const dot::GraphEdge& edge = graph.edges()[static_cast<size_t>(el.edge)];
-    Glyph g;
+  for (size_t e = 0; e < num_edges; ++e) {
+    const layout::EdgeLayout& el = layout.edges[e];
+    if (el.points.size() < 2) continue;
+    const dot::GraphEdge& edge = graph.edges()[e];
+    Glyph& g = glyphs.emplace_back();
     g.kind = GlyphKind::kEdge;
     g.owner = edge.from + "->" + edge.to;
     g.x = el.points.front().x;
@@ -157,12 +178,11 @@ void BuildScene(const dot::Graph& graph, const layout::GraphLayout& layout,
     g.y2 = el.points.back().y;
     g.stroke = Color{0x33, 0x33, 0x33};
     g.z = 0;
-    glyphs.push_back(std::move(g));
   }
-  for (const layout::NodeLayout& nl : layout.nodes) {
-    if (nl.node < 0) continue;
-    const dot::GraphNode& node = graph.node(static_cast<size_t>(nl.node));
-    Glyph shape;
+  for (size_t i = 0; i < num_nodes; ++i) {
+    const layout::NodeLayout& nl = layout.nodes[i];
+    const dot::GraphNode& node = graph.node(i);
+    Glyph& shape = glyphs.emplace_back();
     shape.kind = GlyphKind::kShape;
     shape.owner = node.id;
     shape.x = nl.x;
@@ -171,9 +191,8 @@ void BuildScene(const dot::Graph& graph, const layout::GraphLayout& layout,
     shape.height = nl.height;
     shape.fill = Color::Gray();
     shape.z = 1;
-    glyphs.push_back(std::move(shape));
 
-    Glyph text;
+    Glyph& text = glyphs.emplace_back();
     text.kind = GlyphKind::kText;
     text.owner = node.id;
     text.x = nl.x;
@@ -182,7 +201,6 @@ void BuildScene(const dot::Graph& graph, const layout::GraphLayout& layout,
     text.height = nl.height;
     text.text = node.label();
     text.z = 2;
-    glyphs.push_back(std::move(text));
   }
   space->AddGlyphs(std::move(glyphs));
 }

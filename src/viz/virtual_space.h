@@ -5,10 +5,10 @@
 #include <functional>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
+#include "common/string_index.h"
 #include "dot/graph.h"
 #include "layout/sugiyama.h"
 #include "viz/color.h"
@@ -41,6 +41,14 @@ struct Glyph {
   int64_t epoch = 0;
 };
 
+/// An axis-aligned box in world coordinates: top-left corner and size.
+struct Box {
+  double x = 0;
+  double y = 0;
+  double width = 0;
+  double height = 0;
+};
+
 /// The canvas all glyphs live on — ZVTM's virtual space. Thread-safe: the
 /// event-dispatch thread mutates glyph state while analysis threads read
 /// snapshots.
@@ -58,11 +66,13 @@ class VirtualSpace {
 
   /// Adds a batch of glyphs under one lock acquisition; returns the id of
   /// the first (ids are consecutive). Scene construction for a
-  /// thousand-node plan is one lock round-trip instead of thousands.
+  /// thousand-node plan is one lock round-trip instead of thousands, and an
+  /// empty space adopts the batch's storage instead of moving each glyph.
   int AddGlyphs(std::vector<Glyph> glyphs);
 
   /// Runs `fn` on the glyph under the lock; NotFound for bad ids. Always
-  /// marks the glyph dirty (the mutation is opaque).
+  /// marks the glyph dirty (the mutation is opaque). `fn` must leave the
+  /// glyph's id and owner as they are: they key the owner index.
   Status MutateGlyph(int id, const std::function<void(Glyph*)>& fn);
 
   /// Sets the fill color; marks the glyph dirty only when the color
@@ -88,26 +98,44 @@ class VirtualSpace {
 
   size_t size() const;
 
-  /// Ids of the shape/text glyphs owned by graph node `node_id`.
+  /// Ids of the glyphs owned by `owner` (a graph node or edge id), in id
+  /// order.
   std::vector<int> GlyphsForOwner(const std::string& owner) const;
 
-  /// Id of the shape glyph owned by `owner`, or -1.
+  /// Id of the first shape glyph owned by `owner`, or -1.
   int ShapeFor(const std::string& owner) const;
 
-  /// Bounding box of all visible glyphs (world coords): x, y, w, h.
-  layout::Point BoundsOrigin() const;
-  layout::Point BoundsSize() const;
+  /// Bounding box of all visible glyphs (world coords), read in one pass
+  /// under one lock; all zeros when no glyph is visible.
+  Box VisibleBounds() const;
 
  private:
+  /// Reads glyph i's owner for owners_.
+  auto GlyphOwner() const {
+    return [this](int i) -> const std::string& {
+      return glyphs_[static_cast<size_t>(i)].owner;
+    };
+  }
+  /// Appends the newly added glyph `id` to its owner's chain.
+  void IndexOwnerLocked(int id);
+
   mutable std::mutex mu_;
-  int64_t epoch_ = 0;  // guarded by mu_
+  // Everything below is guarded by mu_.
+  int64_t epoch_ = 0;
   std::vector<Glyph> glyphs_;
-  std::unordered_map<std::string, std::vector<int>> by_owner_;
+  // Owner index: one entry per owner, its first glyph; each glyph links to
+  // the next glyph of its owner (-1: none), so a chain ascends by id, and
+  // an owner's first glyph records the chain's last.
+  StringIndex owners_;
+  std::vector<int> next_owned_;
+  std::vector<int> last_owned_;
 };
 
 /// Builds the scene for a laid-out graph: per node one shape glyph + one
 /// text glyph, per edge one edge glyph — the ZGrviewer object model.
-/// Glyphs are assembled outside the lock and added as one batch.
+/// `layout` is indexed like `graph` (layout::LayoutGraph's output); a layout
+/// shorter than the graph builds the glyphs it covers. Glyphs are assembled
+/// outside the lock and added as one batch.
 void BuildScene(const dot::Graph& graph, const layout::GraphLayout& layout,
                 VirtualSpace* space);
 

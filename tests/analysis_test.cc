@@ -365,7 +365,7 @@ TEST(DotContractTest, GeneratedGraphConforms) {
 TEST(DotContractTest, FlagsTamperedLabel) {
   mal::Program p = CleanPlan();
   dot::Graph g = dot::ProgramToGraph(p);
-  g.node(2).attrs["label"] = "tampered";
+  g.node(2).given_label = "tampered";
   CheckContext ctx = PlanContext(p);
   ctx.graph = &g;
   auto diags = RunOne(analysis::MakeDotContractCheck(), ctx);
@@ -373,6 +373,38 @@ TEST(DotContractTest, FlagsTamperedLabel) {
   EXPECT_EQ(diags[0].check_id, "dot-contract");
   EXPECT_EQ(diags[0].pc, 2);
   EXPECT_NE(diags[0].message.find("label mismatch"), std::string::npos);
+}
+
+TEST(DotContractTest, WarnsOnLabelLessNode) {
+  mal::Program p = CleanPlan();
+  // The plan's dot with node n1's attribute list cut away.
+  std::string text = dot::ProgramToDot(p);
+  const size_t start = text.find("  n1 [");
+  ASSERT_NE(start, std::string::npos);
+  const size_t end = text.find('\n', start);
+  text.replace(start, end - start, "  n1;");
+  auto g = dot::ParseDot(text);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  CheckContext ctx = PlanContext(p);
+  ctx.graph = &g.value();
+  auto diags = RunOne(analysis::MakeDotContractCheck(), ctx);
+  ASSERT_EQ(diags.size(), 2u);
+  bool warned = false, mismatched = false;
+  for (const Diagnostic& d : diags) {
+    EXPECT_EQ(d.pc, 1);
+    if (d.severity == Severity::kWarning &&
+        d.message.find("has no label attribute") != std::string::npos) {
+      warned = true;
+    }
+    // Without a label the node reads as its id, which is not the statement.
+    if (d.severity == Severity::kError &&
+        d.message.find("label mismatch: dot says \"n1\"") !=
+            std::string::npos) {
+      mismatched = true;
+    }
+  }
+  EXPECT_TRUE(warned);
+  EXPECT_TRUE(mismatched);
 }
 
 TEST(DotContractTest, FlagsMissingNodeAndBadId) {

@@ -40,7 +40,7 @@ Program TinyPlan() {
 
 TEST(GraphTest, AddNodeIdempotent) {
   Graph g;
-  g.AddNode("a").attrs["label"] = "first";
+  g.AddNode("a").given_label = "first";
   g.AddNode("a");
   EXPECT_EQ(g.num_nodes(), 1u);
   EXPECT_EQ(g.node(0).label(), "first");
@@ -132,7 +132,7 @@ TEST(DotParserTest, ParsesWriterOutput) {
 
 TEST(DotParserTest, GraphRoundTrip) {
   Graph g("roundtrip");
-  g.AddNode("a").attrs["label"] = "alpha \"quoted\"";
+  g.AddNode("a").given_label = "alpha \"quoted\"";
   g.AddNode("b").attrs["fillcolor"] = "red";
   g.AddEdge("a", "b").attrs["style"] = "dashed";
   auto parsed = ParseDot(GraphToDot(g));
@@ -144,6 +144,43 @@ TEST(DotParserTest, GraphRoundTrip) {
   EXPECT_EQ(back.node(1).attrs.at("fillcolor"), "red");
   ASSERT_EQ(back.num_edges(), 1u);
   EXPECT_EQ(back.edges()[0].attrs.at("style"), "dashed");
+}
+
+TEST(DotWriterTest, GraphToDotPlacesLabelAmongSortedAttributes) {
+  Graph g("g");
+  GraphNode& both = g.AddNode("a");
+  both.attrs["color"] = "red";
+  both.given_label = "x \"y\"";
+  both.attrs["shape"] = "box";
+  g.AddNode("b").given_label = "only";
+  g.AddNode("c").attrs["fillcolor"] = "blue";
+  GraphNode& after = g.AddNode("d");
+  after.attrs["style"] = "bold";
+  after.given_label = "first";
+  g.AddNode("e");
+  GraphNode& close = g.AddNode("f");
+  close.attrs["Label"] = "upper";
+  close.attrs["lab"] = "prefix";
+  close.attrs["label2"] = "longer";
+  close.attrs["label_angle"] = "45";
+  close.given_label = "exact";
+  g.AddEdge("a", "b").attrs["style"] = "dashed";
+  const std::string want =
+      "digraph \"g\" {\n"
+      "  a [color=\"red\", label=\"x \\\"y\\\"\", shape=\"box\"];\n"
+      "  b [label=\"only\"];\n"
+      "  c [fillcolor=\"blue\"];\n"
+      "  d [label=\"first\", style=\"bold\"];\n"
+      "  e;\n"
+      "  f [Label=\"upper\", lab=\"prefix\", label=\"exact\", "
+      "label2=\"longer\", label_angle=\"45\"];\n"
+      "  a -> b [style=\"dashed\"];\n"
+      "}\n";
+  EXPECT_EQ(GraphToDot(g), want);
+  auto parsed = ParseDot(want);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(GraphToDot(parsed.value()), want);
+  EXPECT_EQ(parsed.value().node(2).label(), "c");  // no label: the id
 }
 
 TEST(DotParserTest, UndirectedGraph) {
@@ -330,6 +367,7 @@ TEST(DotParserTest, ParseEqualsProgramToGraph) {
     for (size_t i = 0; i < want.num_nodes(); ++i) {
       EXPECT_EQ(got.node(i).id, want.node(i).id);
       EXPECT_EQ(got.node(i).label(), want.node(i).label());
+      EXPECT_EQ(got.node(i).given_label, want.node(i).given_label);
       EXPECT_EQ(got.node(i).attrs, want.node(i).attrs);
     }
     ASSERT_EQ(got.num_edges(), want.num_edges());
@@ -363,18 +401,21 @@ std::string ParseVerdict(const std::string& text) {
     }
     return out + "\"";
   };
-  auto attrs = [&](const std::map<std::string, std::string>& a) {
-    std::string out;
-    for (const auto& [k, v] : a) out += " " + show(k) + "=" + show(v);
-    return out;
+  auto attr = [&](const std::string& k, const std::string& v) {
+    return " " + show(k) + "=" + show(v);
   };
   std::string out = (g.directed() ? "digraph " : "graph ") + show(g.name());
   for (const GraphNode& node : g.nodes()) {
-    out += " N(" + show(node.id) + attrs(node.attrs) + ")";
+    out += " N(" + show(node.id);
+    node.ForEachAttr([&](const std::string& k, const std::string& v) {
+      out += attr(k, v);
+    });
+    out += ")";
   }
   for (const GraphEdge& edge : g.edges()) {
-    out += " E(" + show(edge.from) + "," + show(edge.to) + attrs(edge.attrs) +
-           ")";
+    out += " E(" + show(edge.from) + "," + show(edge.to);
+    for (const auto& [k, v] : edge.attrs) out += attr(k, v);
+    out += ")";
   }
   return out;
 }

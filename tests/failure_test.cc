@@ -254,7 +254,7 @@ TEST(StreamFailureTest, StopIsIdempotentAndStopsListeners) {
 
 TEST(ReplayFailureTest, TraceEventsWithoutPlanNodesAreIgnored) {
   dot::Graph graph;
-  graph.AddNode("n0").attrs["label"] = "only node";
+  graph.AddNode("n0").given_label = "only node";
   std::vector<profiler::TraceEvent> events(2);
   events[0].pc = 0;
   events[0].state = profiler::EventState::kStart;

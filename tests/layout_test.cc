@@ -16,10 +16,10 @@ namespace {
 
 dot::Graph Diamond() {
   dot::Graph g("diamond");
-  g.AddNode("a").attrs["label"] = "root";
-  g.AddNode("b").attrs["label"] = "left";
-  g.AddNode("c").attrs["label"] = "right";
-  g.AddNode("d").attrs["label"] = "sink";
+  g.AddNode("a").given_label = "root";
+  g.AddNode("b").given_label = "left";
+  g.AddNode("c").given_label = "right";
+  g.AddNode("d").given_label = "sink";
   g.AddEdge("a", "b");
   g.AddEdge("a", "c");
   g.AddEdge("b", "d");
@@ -91,7 +91,7 @@ TEST(SugiyamaTest, RejectsCycles) {
 
 TEST(SugiyamaTest, WideLabelWidthsClamped) {
   dot::Graph g;
-  g.AddNode("a").attrs["label"] = std::string(500, 'x');
+  g.AddNode("a").given_label = std::string(500, 'x');
   LayoutOptions options;
   auto layout = LayoutGraph(g, options);
   ASSERT_TRUE(layout.ok());
@@ -139,7 +139,7 @@ TEST(SugiyamaTest, ScalesToThousandNodes) {
   dot::Graph g;
   const int kNodes = 1200;
   for (int i = 0; i < kNodes; ++i) {
-    g.AddNode("n" + std::to_string(i)).attrs["label"] = "op" + std::to_string(i);
+    g.AddNode("n" + std::to_string(i)).given_label = "op" + std::to_string(i);
   }
   SplitMix64 rng(7);
   for (int i = 1; i < kNodes; ++i) {
@@ -300,6 +300,92 @@ TEST(LayoutCacheTest, DistinctOptionsMissDistinctEntries) {
   EXPECT_NE(LayoutCache::HashKey(g, {}), LayoutCache::HashKey(g, wide));
 }
 
+TEST(LayoutCacheTest, KeyCoversLabelsEdgesAndOptions) {
+  // Three nodes, two edges; `mid` labels b, a -> `to` is the second edge.
+  auto build = [](const std::string& mid, const std::string& to) {
+    dot::Graph g("keyed");
+    g.AddNode("a").given_label = "root statement, longer than a word";
+    g.AddNode("b").given_label = mid;
+    g.AddNode("c").given_label = "leaf";
+    g.AddEdge("a", "b");
+    g.AddEdge("a", to);
+    return g;
+  };
+  const std::string mid = "X_1 := algebra.select(X_0, 1:lng);";
+  const dot::Graph base = build(mid, "c");
+  const uint64_t key = LayoutCache::HashKey(base, {});
+  EXPECT_EQ(LayoutCache::HashKey(build(mid, "c"), {}), key);
+
+  // Any change of a label: each byte position of the label, a shorter
+  // and a longer label.
+  for (size_t i = 0; i < mid.size(); ++i) {
+    std::string changed = mid;
+    changed[i] = static_cast<char>(changed[i] ^ 0x01);
+    EXPECT_NE(LayoutCache::HashKey(build(changed, "c"), {}), key) << i;
+  }
+  EXPECT_NE(LayoutCache::HashKey(build(mid.substr(1), "c"), {}), key);
+  EXPECT_NE(LayoutCache::HashKey(build(mid + " ", "c"), {}), key);
+  // Bytes moved across the label boundary.
+  dot::Graph moved = build(mid, "c");
+  moved.node(1).given_label = mid + "l";
+  moved.node(2).given_label = "eaf";
+  EXPECT_NE(LayoutCache::HashKey(moved, {}), key);
+
+  // Any change of an edge: an endpoint, or one more edge.
+  EXPECT_NE(LayoutCache::HashKey(build(mid, "b"), {}), key);
+  dot::Graph extra = build(mid, "c");
+  extra.AddEdge("b", "c");
+  EXPECT_NE(LayoutCache::HashKey(extra, {}), key);
+
+  // Any change of a geometry option.
+  std::vector<LayoutOptions> tweaked(10);
+  tweaked[0].char_width += 1;
+  tweaked[1].node_height += 1;
+  tweaked[2].min_node_width += 1;
+  tweaked[3].max_node_width += 1;
+  tweaked[4].layer_gap += 1;
+  tweaked[5].node_gap += 1;
+  tweaked[6].margin += 1;
+  tweaked[7].barycenter_sweeps += 1;
+  tweaked[8].median = !tweaked[8].median;
+  tweaked[9].transpose_passes += 1;
+  for (size_t i = 0; i < tweaked.size(); ++i) {
+    EXPECT_NE(LayoutCache::HashKey(base, tweaked[i]), key) << i;
+  }
+  // Scheduling fields never change the geometry, so never the key.
+  LayoutOptions scheduled;
+  scheduled.parallel_min_nodes = 1;
+  EXPECT_EQ(LayoutCache::HashKey(base, scheduled), key);
+}
+
+TEST(LayoutCacheTest, SizeMismatchOnHitRecomputes) {
+  LayoutCache cache(4);
+  dot::Graph g = RandomLayeredDag(6, 4, 5, 0.3);
+  ASSERT_GT(g.num_edges(), 0u);
+  const uint64_t key = LayoutCache::HashKey(g, {});
+  obs::Counter* misses = obs::Registry::Default()->GetOrCreateCounter(
+      "stetho_layout_cache_misses_total", "");
+  // Colliding entries: another graph's layout stored under g's key, with
+  // too few nodes, then with the right nodes but too few edges.
+  GraphLayout fewer_edges;
+  fewer_edges.nodes.resize(g.num_nodes());
+  for (GraphLayout planted : {GraphLayout{}, fewer_edges}) {
+    cache.Insert(key, std::make_shared<const GraphLayout>(std::move(planted)));
+    const int64_t misses_before = misses->value();
+    auto got = cache.GetOrCompute(g);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(misses->value() - misses_before, 1);
+    EXPECT_EQ(got.value()->nodes.size(), g.num_nodes());
+    EXPECT_EQ(got.value()->edges.size(), g.num_edges());
+    // The recomputed layout replaced the colliding one.
+    auto again = cache.GetOrCompute(g);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again.value().get(), got.value().get());
+    EXPECT_EQ(misses->value() - misses_before, 1);
+    EXPECT_EQ(cache.size(), 1u);
+  }
+}
+
 TEST(LayoutCacheTest, LruEvictsOldest) {
   LayoutCache cache(2);
   dot::Graph a = RandomLayeredDag(1, 3, 4, 0.3);
@@ -394,7 +480,7 @@ TEST(SvgTest, SvgToGraphRebuildsTopology) {
 
 TEST(SvgTest, EscapedLabelsSurvive) {
   dot::Graph g;
-  g.AddNode("x").attrs["label"] = "a < b & \"c\"";
+  g.AddNode("x").given_label = "a < b & \"c\"";
   auto layout = LayoutGraph(g);
   ASSERT_TRUE(layout.ok());
   auto doc = ParseSvg(LayoutToSvg(g, layout.value()));

@@ -332,7 +332,7 @@ const Mutation kMutations[] = {
     {"dot-label-tampered", "dot-contract",
      [] {
        return WithGraph(
-           [](dot::Graph* g) { g->node(2).attrs["label"] = "tampered"; });
+           [](dot::Graph* g) { g->node(2).given_label = "tampered"; });
      }},
     {"dot-nodes-missing", "dot-contract",
      [] {

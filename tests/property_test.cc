@@ -153,7 +153,7 @@ dot::Graph RandomDag(int n, uint64_t seed) {
   SplitMix64 rng(seed);
   dot::Graph g;
   for (int i = 0; i < n; ++i) {
-    g.AddNode("n" + std::to_string(i)).attrs["label"] =
+    g.AddNode("n" + std::to_string(i)).given_label =
         std::string(1 + rng.NextBounded(40), 'x');
   }
   for (int i = 1; i < n; ++i) {

@@ -1,11 +1,24 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "common/clock.h"
+#include "common/string_util.h"
 #include "dot/parser.h"
+#include "dot/writer.h"
 #include "layout/sugiyama.h"
 #include "obs/metrics.h"
+#include "optimizer/pass.h"
+#include "sql/compiler.h"
+#include "tpch/dbgen.h"
+#include "tpch/queries.h"
 #include "viz/animation.h"
 #include "viz/camera.h"
 #include "viz/color.h"
@@ -48,8 +61,8 @@ TEST(ColorTest, LerpEndpointsAndClamp) {
 
 dot::Graph TwoNodeGraph() {
   dot::Graph g;
-  g.AddNode("n0").attrs["label"] = "first";
-  g.AddNode("n1").attrs["label"] = "second";
+  g.AddNode("n0").given_label = "first";
+  g.AddNode("n1").given_label = "second";
   g.AddEdge("n0", "n1");
   return g;
 }
@@ -404,6 +417,28 @@ TEST(RendererTest, MinimapShowsViewportMarker) {
   EXPECT_GT(wider.commands.back().width, marker.width);
 }
 
+TEST(RendererTest, MinimapFiniteWhenEveryGlyphHidden) {
+  // A space whose only glyph is hidden has nothing to bound: the minimap
+  // fits an empty box at the origin, so its viewport marker stays finite.
+  VirtualSpace space;
+  Glyph hidden;
+  hidden.owner = "n0";
+  hidden.x = 50;
+  hidden.y = 40;
+  hidden.width = 20;
+  hidden.height = 10;
+  hidden.visible = false;
+  space.AddGlyph(hidden);
+  Camera main(800, 600);
+  Frame minimap = Renderer::RenderMinimap(space, main, 200, 150);
+  ASSERT_EQ(minimap.commands.size(), 1u);  // the viewport marker only
+  const DrawCommand& marker = minimap.commands.back();
+  EXPECT_EQ(marker.owner, "viewport");
+  for (double v : {marker.x, marker.y, marker.width, marker.height}) {
+    EXPECT_TRUE(std::isfinite(v)) << v;
+  }
+}
+
 TEST(RendererTest, LensMagnifiesNearbyGlyphs) {
   VirtualSpace space;
   Glyph g;
@@ -577,6 +612,40 @@ TEST(VirtualSpaceTest, AddGlyphsMatchesRepeatedAddGlyph) {
   EXPECT_EQ(batched.GlyphsForOwner("n0").size(), 5u);
 }
 
+TEST(VirtualSpaceTest, AddGlyphAfterAddGlyphsKeepsIdsAndOwnerChain) {
+  VirtualSpace space;
+  std::vector<Glyph> batch;
+  for (const char* owner : {"a", "b", "a"}) {
+    Glyph g;
+    g.kind = GlyphKind::kText;
+    g.owner = owner;
+    batch.push_back(g);
+  }
+  EXPECT_EQ(space.AddGlyphs(std::move(batch)), 0);
+  Glyph shape;
+  shape.kind = GlyphKind::kShape;
+  shape.owner = "a";
+  EXPECT_EQ(space.AddGlyph(shape), 3);
+  shape.owner = "c";
+  EXPECT_EQ(space.AddGlyph(shape), 4);
+  std::vector<Glyph> more(2);
+  more[0].owner = "b";
+  more[1].owner = "a";
+  EXPECT_EQ(space.AddGlyphs(std::move(more)), 5);
+  ASSERT_EQ(space.size(), 7u);
+  for (int id = 0; id < 7; ++id) {
+    EXPECT_EQ(space.GetGlyph(id).value().id, id);
+  }
+  EXPECT_EQ(space.GlyphsForOwner("a"), (std::vector<int>{0, 2, 3, 6}));
+  EXPECT_EQ(space.GlyphsForOwner("b"), (std::vector<int>{1, 5}));
+  EXPECT_EQ(space.GlyphsForOwner("c"), (std::vector<int>{4}));
+  EXPECT_TRUE(space.GlyphsForOwner("d").empty());
+  EXPECT_EQ(space.ShapeFor("a"), 3);
+  EXPECT_EQ(space.ShapeFor("b"), 5);  // the batch's glyphs default to shapes
+  EXPECT_EQ(space.ShapeFor("c"), 4);
+  EXPECT_EQ(space.ShapeFor("d"), -1);
+}
+
 TEST(RendererTest, RenderDeltaContainsOnlyChangedGlyphs) {
   dot::Graph g = TwoNodeGraph();
   auto layout = layout::LayoutGraph(g);
@@ -664,6 +733,215 @@ TEST(RasterTest, ApplyDeltaRequiresMatchingScene) {
   wrong.viewport_width = 50;
   wrong.viewport_height = 100;
   EXPECT_FALSE(inc.ApplyDelta(wrong).ok());
+}
+
+// --- Scene golden: the glyphs each suite plan opens into ---
+
+/// FNV-1a 64 over length-prefixed strings and the bytes of numbers.
+class Fnv {
+ public:
+  void Bytes(const void* data, size_t len) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < len; ++i) {
+      hash_ ^= p[i];
+      hash_ *= 1099511628211ull;
+    }
+  }
+  void Int(int64_t v) { Bytes(&v, sizeof(v)); }
+  void Double(double v) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    Int(static_cast<int64_t>(bits));
+  }
+  void Str(const std::string& s) {
+    Int(static_cast<int64_t>(s.size()));
+    Bytes(s.data(), s.size());
+  }
+  void Color3(Color c) {
+    const unsigned char rgb[3] = {c.r, c.g, c.b};
+    Bytes(rgb, sizeof(rgb));
+  }
+  void Text(const std::string& s) { Bytes(s.data(), s.size()); }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 1469598103934665603ull;
+};
+
+struct SuiteScene {
+  std::string query;
+  int mitosis = 0;
+  dot::Graph graph;
+  layout::GraphLayout layout;
+  std::unique_ptr<VirtualSpace> space;
+};
+
+/// Every suite query after Pipeline::Default at mitosis 0, 16 and 64 on sf
+/// 0.002, opened the way a replay opens its dot: written, parsed, laid out
+/// and built into a scene.
+const std::vector<SuiteScene>& SuiteScenes() {
+  static const std::vector<SuiteScene>* scenes = [] {
+    auto* out = new std::vector<SuiteScene>;
+    tpch::TpchConfig config;
+    config.scale_factor = 0.002;
+    auto cat = tpch::GenerateTpch(config);
+    EXPECT_TRUE(cat.ok());
+    if (!cat.ok()) return out;
+    for (const tpch::TpchQuery& query : tpch::TpchQueries()) {
+      for (int m : {0, 16, 64}) {
+        auto program = sql::Compiler::CompileSql(&cat.value(), query.sql);
+        EXPECT_TRUE(program.ok()) << query.id;
+        if (!program.ok()) continue;
+        auto fired = optimizer::Pipeline::Default(m).Run(&program.value());
+        EXPECT_TRUE(fired.ok()) << query.id << " m=" << m;
+        if (!fired.ok()) continue;
+        dot::DotWriterOptions options;
+        options.graph_name = program.value().function_name();
+        auto graph =
+            dot::ParseDot(dot::ProgramToDot(program.value(), options));
+        EXPECT_TRUE(graph.ok()) << query.id << " m=" << m;
+        if (!graph.ok()) continue;
+        auto layout = layout::LayoutGraph(graph.value());
+        EXPECT_TRUE(layout.ok()) << query.id << " m=" << m;
+        if (!layout.ok()) continue;
+        SuiteScene scene;
+        scene.query = query.id;
+        scene.mitosis = m;
+        scene.graph = std::move(graph).value();
+        scene.layout = std::move(layout).value();
+        scene.space = std::make_unique<VirtualSpace>();
+        BuildScene(scene.graph, scene.layout, scene.space.get());
+        out->push_back(std::move(scene));
+      }
+    }
+    return out;
+  }();
+  return *scenes;
+}
+
+struct PinnedScene {
+  const char* query;
+  int mitosis;
+  size_t glyphs;
+  uint64_t glyph_fnv;  ///< every glyph in id order
+  uint64_t frame_fnv;  ///< the fitted whole-scene frame's SVG
+};
+
+// Regenerate from the failure message after a deliberate scene change.
+const PinnedScene kPinnedScenes[] = {
+    {"paper", 0, 24, 0x68ff80302e84ce9full, 0xc465380c1e9f859full},
+    {"paper", 16, 210, 0xbe161c6ccac38eebull, 0x22ffb51dd751d20eull},
+    {"paper", 64, 786, 0xf02bcf95a071bcdbull, 0x1ce1eeb612adbb71ull},
+    {"q1", 0, 236, 0x805e54839ed9e3c2ull, 0x8e7f9610b562fff2ull},
+    {"q1", 16, 830, 0x5bb1c9a2c1e9e891ull, 0xd3f532b925911dd1ull},
+    {"q1", 64, 2654, 0xdcbad149271f35abull, 0xa52f217dce31dc3aull},
+    {"q3", 0, 207, 0x85c0333335729d3aull, 0xa7dd6a62035b6943ull},
+    {"q3", 16, 801, 0xba18f1487bde7972ull, 0xb668d46bef4c9ad2ull},
+    {"q3", 64, 2625, 0xe6fc6b741f6b2965ull, 0x71bb447e7b9feb0aull},
+    {"q5", 0, 276, 0x78eb595cf6d5af57ull, 0x7fadced745030cffull},
+    {"q5", 16, 726, 0x279852b2f09dffdfull, 0x29b0242dad07cd9bull},
+    {"q5", 64, 2118, 0xf8e84fc4d2578c76ull, 0x3260116c786c31b9ull},
+    {"q6", 0, 53, 0xa2b38a0c86295f28ull, 0x795c36b120377817ull},
+    {"q6", 16, 497, 0x0ad9c01b962a7042ull, 0x8d706239b32feef1ull},
+    {"q6", 64, 1889, 0x33b12f88b5865f78ull, 0xaae73530ddbe1700ull},
+    {"q12", 0, 215, 0x501b4c7d45054edbull, 0x031459f8feb1897full},
+    {"q12", 16, 479, 0x7a7f5b5a18757f74ull, 0x6addc89bdbaadb1full},
+    {"q12", 64, 1295, 0x9e4673e0029f2e6dull, 0x3cef5e197e05450eull},
+    {"q14", 0, 98, 0xb19c4eb8a7bc118full, 0xe1a7cd3c6b09464cull},
+    {"q14", 16, 362, 0x569dcf5c78099e7aull, 0xe19b121d225a2e9dull},
+    {"q14", 64, 1178, 0xd18ba852f609e4f6ull, 0x1b66368edd267d5dull},
+    {"q11", 0, 138, 0x9aa06e0a8a537cadull, 0xb9c69ae27da776e4ull},
+    {"q11", 16, 324, 0x5f25d004353058e6ull, 0x4dcb33c11188289aull},
+    {"q11", 64, 900, 0x8cb4042e54a5fe75ull, 0x1cea0dcb7a22d516ull},
+    {"q16", 0, 135, 0x9cf8c6155929875cull, 0x3de00a21edd05f5dull},
+    {"q16", 16, 339, 0x2c83087d1032ffa6ull, 0xa0462d61318ccc7aull},
+    {"q16", 64, 963, 0xbd9a5e709346fc58ull, 0x303c2c691153e6fdull},
+    {"q18", 0, 84, 0x3eafa1bbd89746ecull, 0xc4619b07496463dbull},
+    {"q18", 16, 84, 0x3eafa1bbd89746ecull, 0xc4619b07496463dbull},
+    {"q18", 64, 84, 0x3eafa1bbd89746ecull, 0xc4619b07496463dbull},
+    {"distinct_flags", 0, 64, 0xf5d61ca199a6599bull, 0x931ced1a0806b852ull},
+    {"distinct_flags", 16, 64, 0xf5d61ca199a6599bull, 0x931ced1a0806b852ull},
+    {"distinct_flags", 64, 64, 0xf5d61ca199a6599bull, 0x931ced1a0806b852ull},
+    {"big_group", 0, 128, 0x5dcdc81871954809ull, 0x1ee37e84b6c14097ull},
+    {"big_group", 16, 128, 0x5dcdc81871954809ull, 0x1ee37e84b6c14097ull},
+    {"big_group", 64, 128, 0x5dcdc81871954809ull, 0x1ee37e84b6c14097ull},
+    {"scan_heavy", 0, 66, 0x5af462570aba418bull, 0xefd36c28b0fc62a3ull},
+    {"scan_heavy", 16, 630, 0x05cc26acb0c66cedull, 0xfc4d109648285895ull},
+    {"scan_heavy", 64, 2406, 0x53a7caa10671bfdbull, 0xcab62aab74628b24ull},
+};
+
+TEST(SceneGoldenTest, SuiteScenesArePinned) {
+  const std::vector<SuiteScene>& scenes = SuiteScenes();
+  std::string actual;
+  bool same = scenes.size() == std::size(kPinnedScenes);
+  for (size_t i = 0; i < scenes.size(); ++i) {
+    const SuiteScene& scene = scenes[i];
+    const VirtualSpace& space = *scene.space;
+    Fnv glyphs;
+    for (int id = 0; id < static_cast<int>(space.size()); ++id) {
+      const Glyph g = space.GetGlyph(id).value();
+      glyphs.Int(g.id);
+      glyphs.Int(static_cast<int64_t>(g.kind));
+      glyphs.Str(g.owner);
+      for (double v : {g.x, g.y, g.width, g.height, g.x2, g.y2}) {
+        glyphs.Double(v);
+      }
+      glyphs.Str(g.text);
+      glyphs.Int(g.z);
+      glyphs.Color3(g.fill);
+      glyphs.Color3(g.stroke);
+      glyphs.Int(g.visible ? 1 : 0);
+      glyphs.Int(g.epoch);
+    }
+    // What BirdsEyeView and a fresh CurrentView draw: the whole layout
+    // fitted into the replay's default viewport.
+    Camera camera(1280, 800);
+    camera.FitRect(0, 0, scene.layout.width, scene.layout.height);
+    Fnv frame;
+    frame.Text(Renderer::RenderFrame(space, camera).ToSvg());
+    actual += StrFormat("    {\"%s\", %d, %zu, 0x%016llxull, 0x%016llxull},\n",
+                        scene.query.c_str(), scene.mitosis, space.size(),
+                        static_cast<unsigned long long>(glyphs.value()),
+                        static_cast<unsigned long long>(frame.value()));
+    if (i >= std::size(kPinnedScenes)) continue;
+    const PinnedScene& pin = kPinnedScenes[i];
+    same = same && scene.query == pin.query && scene.mitosis == pin.mitosis &&
+           space.size() == pin.glyphs && glyphs.value() == pin.glyph_fnv &&
+           frame.value() == pin.frame_fnv;
+  }
+  EXPECT_TRUE(same) << "actual table:\n" << actual;
+}
+
+TEST(SceneGoldenTest, OwnerIndexMatchesBruteForceScan) {
+  for (const SuiteScene& scene : SuiteScenes()) {
+    SCOPED_TRACE(scene.query + " m=" + std::to_string(scene.mitosis));
+    const VirtualSpace& space = *scene.space;
+    // Reference: one pass over every glyph in id order.
+    std::map<std::string, std::vector<int>> owned;
+    std::map<std::string, int> shape;
+    for (int id = 0; id < static_cast<int>(space.size()); ++id) {
+      const Glyph g = space.GetGlyph(id).value();
+      owned[g.owner].push_back(id);
+      if (g.kind == GlyphKind::kShape) shape.emplace(g.owner, id);
+    }
+    std::vector<std::string> owners;
+    for (const dot::GraphNode& node : scene.graph.nodes()) {
+      owners.push_back(node.id);
+    }
+    for (const dot::GraphEdge& edge : scene.graph.edges()) {
+      owners.push_back(edge.from + "->" + edge.to);
+    }
+    owners.push_back("no-such-owner");
+    for (const std::string& owner : owners) {
+      auto it = owned.find(owner);
+      EXPECT_EQ(space.GlyphsForOwner(owner),
+                it != owned.end() ? it->second : std::vector<int>{})
+          << owner;
+      auto s = shape.find(owner);
+      EXPECT_EQ(space.ShapeFor(owner), s != shape.end() ? s->second : -1)
+          << owner;
+    }
+  }
 }
 
 }  // namespace

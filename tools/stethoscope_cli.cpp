@@ -210,8 +210,8 @@ int CmdReplay(const std::string& dot_path, const std::string& trace_path) {
 
   scope::ReplayOptions replay;
   replay.render_interval_us = 0;
-  auto replayer =
-      scope::OfflineReplayer::Create(graph.value(), events.value(), replay);
+  auto replayer = scope::OfflineReplayer::Create(std::move(graph).value(),
+                                                 events.value(), replay);
   if (!replayer.ok()) return Fail(replayer.status());
   auto played = replayer.value()->Play(1e12, events.value().size());
   if (!played.ok()) return Fail(played.status());
@@ -239,15 +239,15 @@ int CmdSession(const std::string& dot_path, const std::string& trace_path) {
 
   scope::ReplayOptions replay;
   replay.render_interval_us = 0;
-  auto replayer =
-      scope::OfflineReplayer::Create(graph.value(), events.value(), replay);
+  auto replayer = scope::OfflineReplayer::Create(std::move(graph).value(),
+                                                 events.value(), replay);
   if (!replayer.ok()) return Fail(replayer.status());
   scope::InteractiveSession session(replayer.value().get(),
                                     SteadyClock::Default(),
                                     /*animation_ms=*/0);
   std::printf("interactive session over %zu nodes / %zu events. 'help' "
               "lists commands, ctrl-d exits.\n",
-              graph.value().num_nodes(), events.value().size());
+              replayer.value()->graph().num_nodes(), events.value().size());
   char line[1024];
   while (std::printf("> "), std::fflush(stdout),
          std::fgets(line, sizeof(line), stdin) != nullptr) {
