@@ -12,11 +12,6 @@ using mal::Argument;
 using mal::Instruction;
 using mal::Program;
 
-const KernelSignature* SignatureOf(const Instruction& ins) {
-  return engine::ModuleRegistry::Default()->Signature(ins.module,
-                                                      ins.function);
-}
-
 /// Per-result shape defaults from the signature's result kinds. Transfer
 /// functions refine these; kernels without a transfer still get their
 /// scalar/BAT shape right.
@@ -98,7 +93,34 @@ std::vector<AbstractValue> EvalInstruction(const Program& program,
   for (const Argument& a : ins.args) {
     args.push_back(ArgOperandValue(state, a));
   }
-  return EvalWithArgs(program, ins, SignatureOf(ins), args);
+  return EvalWithArgs(
+      program, ins,
+      engine::ModuleRegistry::Default()->Signature(ins.module, ins.function),
+      args);
+}
+
+InstructionFacts StepInstruction(const Program& program,
+                                 const Instruction& ins,
+                                 AbstractState* state) {
+  InstructionFacts facts;
+  const engine::ModuleRegistry::Resolution resolution =
+      engine::ModuleRegistry::Default()->Resolve(ins.module, ins.function);
+  facts.sig = resolution.signature;
+  facts.resolved = resolution.registered;
+  facts.args.reserve(ins.args.size());
+  for (const Argument& a : ins.args) {
+    facts.args.push_back(ArgOperandValue(*state, a));
+  }
+  facts.raw_results = EvalWithArgs(program, ins, facts.sig, facts.args);
+  facts.merged_results = facts.raw_results;
+  for (size_t i = 0; i < ins.results.size(); ++i) {
+    int r = ins.results[i];
+    if (r < 0 || static_cast<size_t>(r) >= state->vars.size()) continue;
+    facts.merged_results[i] =
+        MergeDeclared(facts.raw_results[i], program.variable(r));
+    state->vars[static_cast<size_t>(r)] = facts.merged_results[i];
+  }
+  return facts;
 }
 
 AbstractState AnalyzeProgram(const Program& program,
@@ -112,21 +134,7 @@ AbstractState AnalyzeProgram(const Program& program,
   // Straight-line SSA: every argument's producer precedes its use, so one
   // forward pass in pc order is the fixpoint.
   for (const Instruction& ins : program.instructions()) {
-    InstructionFacts facts;
-    facts.sig = SignatureOf(ins);
-    facts.args.reserve(ins.args.size());
-    for (const Argument& a : ins.args) {
-      facts.args.push_back(ArgOperandValue(state, a));
-    }
-    facts.raw_results = EvalWithArgs(program, ins, facts.sig, facts.args);
-    facts.merged_results = facts.raw_results;
-    for (size_t i = 0; i < ins.results.size(); ++i) {
-      int r = ins.results[i];
-      if (r < 0 || static_cast<size_t>(r) >= state.vars.size()) continue;
-      facts.merged_results[i] =
-          MergeDeclared(facts.raw_results[i], program.variable(r));
-      state.vars[static_cast<size_t>(r)] = facts.merged_results[i];
-    }
+    InstructionFacts facts = StepInstruction(program, ins, &state);
     if (per_pc != nullptr) per_pc->push_back(std::move(facts));
   }
   return state;

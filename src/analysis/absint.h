@@ -47,10 +47,20 @@ struct InstructionFacts {
   /// The kernel's registered signature; nullptr for unknown operations and
   /// extension kernels.
   const KernelSignature* sig = nullptr;
+  /// The operation is registered in engine::ModuleRegistry::Default(), with
+  /// or without a signature (the kernel-signature check's unknown-op test).
+  bool resolved = false;
   std::vector<AbstractValue> args;
   std::vector<AbstractValue> raw_results;
   std::vector<AbstractValue> merged_results;
 };
+
+/// Steps the analysis over one instruction: resolves its kernel once,
+/// evaluates its transfer function over `state`, and records its merged
+/// results in `state`. AnalyzeProgram is this step in pc order.
+InstructionFacts StepInstruction(const mal::Program& program,
+                                 const mal::Instruction& ins,
+                                 AbstractState* state);
 
 /// Runs the analysis over the whole plan and returns the final state. With
 /// `per_pc`, also returns every instruction's facts there, in program order.

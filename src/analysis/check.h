@@ -29,6 +29,10 @@ struct CheckContext {
   /// value set here; code that calls a check's Run directly must point it
   /// at a Facts over the same program and trace.
   const Facts* facts = nullptr;
+  /// Non-null arms kernel-signature's unknown-operation test. It reads the
+  /// resolution the facts' absint sweep recorded, which is always against
+  /// engine::ModuleRegistry::Default(), the only registry a plan is
+  /// analysed with.
   const engine::ModuleRegistry* registry = nullptr;
   /// Platform spans (obs tracer snapshot or a parsed Chrome trace export);
   /// lets checks cross-validate the profiler's event stream against the
@@ -71,6 +75,12 @@ class Check {
   /// OR of CheckInputs bits; the Runner only invokes Run() when every
   /// required context field is non-null.
   virtual unsigned needs() const = 0;
+
+  /// The highest severity Run() emits in any context. The Runner asserts it
+  /// on every run, and a lint that reads only findings at or above some
+  /// severity (the optimizer pipeline reads errors) skips the checks whose
+  /// ceiling is below it.
+  virtual Severity ceiling() const = 0;
 
   /// Appends findings to `out`. Must not mutate the context.
   virtual void Run(const CheckContext& context,

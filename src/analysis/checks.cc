@@ -88,6 +88,7 @@ std::vector<int> ConsumerCounts(const Program& p) {
 class DefBeforeUseCheck final : public Check {
  public:
   const char* id() const override { return "ssa-def-before-use"; }
+  Severity ceiling() const override { return Severity::kError; }
   const char* description() const override {
     return "every variable argument is in range and defined by an earlier "
            "instruction";
@@ -131,6 +132,7 @@ class DefBeforeUseCheck final : public Check {
 class SingleAssignmentCheck final : public Check {
  public:
   const char* id() const override { return "ssa-single-assignment"; }
+  Severity ceiling() const override { return Severity::kError; }
   const char* description() const override {
     return "every variable has exactly one defining instruction (SSA)";
   }
@@ -171,6 +173,7 @@ class SingleAssignmentCheck final : public Check {
 class DeadInstructionCheck final : public Check {
  public:
   const char* id() const override { return "dead-instruction"; }
+  Severity ceiling() const override { return Severity::kWarning; }
   const char* description() const override {
     return "side-effect-free instruction whose results are never consumed";
   }
@@ -214,6 +217,7 @@ class DeadInstructionCheck final : public Check {
 class KernelSignatureCheck final : public Check {
  public:
   const char* id() const override { return "kernel-signature"; }
+  Severity ceiling() const override { return Severity::kError; }
   const char* description() const override {
     return "operations resolve to registered kernels and match their "
            "arity and BAT/scalar register shapes";
@@ -223,16 +227,17 @@ class KernelSignatureCheck final : public Check {
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     const Program& p = *ctx.program;
     Emitter emit(id(), out);
+    const std::vector<InstructionFacts>& facts = ctx.facts->instructions();
     for (const Instruction& ins : p.instructions()) {
-      if (ctx.registry != nullptr &&
-          !ctx.registry->Lookup(ins.module, ins.function).ok()) {
+      const InstructionFacts& at = facts[static_cast<size_t>(ins.pc)];
+      if (ctx.registry != nullptr && !at.resolved) {
         emit.Emit(Severity::kError, ins.pc, -1,
                   StrFormat("unknown kernel %s — not in the module registry",
                             ins.FullName().c_str()),
                   "register the kernel or fix the operation name");
         continue;
       }
-      const KernelSignature* sig = SignatureAt(ctx, ins);
+      const KernelSignature* sig = at.sig;
       if (sig == nullptr) continue;  // extension kernel; no shape info
 
       // Arity.
@@ -311,6 +316,7 @@ class KernelSignatureCheck final : public Check {
 class BatLifetimeCheck final : public Check {
  public:
   const char* id() const override { return "bat-lifetime"; }
+  Severity ceiling() const override { return Severity::kWarning; }
   const char* description() const override {
     return "BAT registers produced by effectful instructions are consumed "
            "by someone (plan-only; the trace-side producer/consumer "
@@ -358,6 +364,7 @@ class BatLifetimeCheck final : public Check {
 class SinkOrderKeyCheck final : public Check {
  public:
   const char* id() const override { return "sink-order-key"; }
+  Severity ceiling() const override { return Severity::kError; }
   const char* description() const override {
     return "result sinks carry a well-defined ResultColumn::order key so "
            "parallel sink execution keeps columns in statement order";
@@ -413,6 +420,7 @@ class SinkOrderKeyCheck final : public Check {
 class DotContractCheck final : public Check {
  public:
   const char* id() const override { return "dot-contract"; }
+  Severity ceiling() const override { return Severity::kError; }
   const char* description() const override {
     return "dot nodes follow the pc N <-> \"nN\" <-> label contract and "
            "edges match the plan's dataflow dependencies";
@@ -511,6 +519,7 @@ class DotContractCheck final : public Check {
 class TraceConformanceCheck final : public Check {
  public:
   const char* id() const override { return "trace-conformance"; }
+  Severity ceiling() const override { return Severity::kError; }
   const char* description() const override {
     return "each executed pc emits exactly one start and one done event, "
            "clocks are monotonic, pcs are in range, statements match";
@@ -633,6 +642,7 @@ class TraceConformanceCheck final : public Check {
 class TraceSpanConformanceCheck final : public Check {
  public:
   const char* id() const override { return "trace-span-conformance"; }
+  Severity ceiling() const override { return Severity::kError; }
   const char* description() const override {
     return "every profiler start/done pc pair is covered by exactly one "
            "kernel span with a matching thread id";

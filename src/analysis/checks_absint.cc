@@ -43,6 +43,7 @@ int ArgVar(const Instruction& ins, size_t i) {
 class TypeFlowCheck final : public Check {
  public:
   const char* id() const override { return "type-flow"; }
+  Severity ceiling() const override { return Severity::kError; }
   const char* description() const override {
     return "element types computed by the kernel transfer functions match "
            "the declared result types and per-argument type constraints";
@@ -122,6 +123,7 @@ class TypeFlowCheck final : public Check {
 class CardinalityContradictionCheck final : public Check {
  public:
   const char* id() const override { return "cardinality-contradiction"; }
+  Severity ceiling() const override { return Severity::kError; }
   const char* description() const override {
     return "argument pairs that must be equal-cardinality BATs (and "
            "candidate-list/column pairs) admit at least one common row count";
@@ -202,6 +204,7 @@ class CardinalityContradictionCheck final : public Check {
 class GuaranteedEmptyCheck final : public Check {
  public:
   const char* id() const override { return "guaranteed-empty"; }
+  Severity ceiling() const override { return Severity::kWarning; }
   const char* description() const override {
     return "a BAT register is provably empty on every execution — the "
            "subplan computing it does no useful work";
@@ -235,6 +238,7 @@ class GuaranteedEmptyCheck final : public Check {
 class MissedConstantFoldCheck final : public Check {
  public:
   const char* id() const override { return "missed-constant-fold"; }
+  Severity ceiling() const override { return Severity::kNote; }
   const char* description() const override {
     return "a pure calc.* operation over constant operands survives — "
            "constant folding would remove the instruction";
@@ -270,6 +274,7 @@ class MissedConstantFoldCheck final : public Check {
 class OrderKeyPropagationCheck final : public Check {
  public:
   const char* id() const override { return "order-key-propagation"; }
+  Severity ceiling() const override { return Severity::kError; }
   const char* description() const override {
     return "candidate-list argument slots receive ascending, NULL-free "
            "bat[:oid] values (row ids, not data)";

@@ -33,6 +33,7 @@ using profiler::TraceEvent;
 class TraceDependencyViolationCheck final : public Check {
  public:
   const char* id() const override { return "trace-dependency-violation"; }
+  Severity ceiling() const override { return Severity::kError; }
   const char* description() const override {
     return "no instruction's start event precedes any of its producers' "
            "done events in the observed schedule";
@@ -79,6 +80,7 @@ class TraceDependencyViolationCheck final : public Check {
 class TraceWriteRaceCheck final : public Check {
  public:
   const char* id() const override { return "trace-write-race"; }
+  Severity ceiling() const override { return Severity::kError; }
   const char* description() const override {
     return "no two happens-before-unordered instructions touch the same BAT "
            "variable when at least one of them writes it";
@@ -159,6 +161,7 @@ class TraceWriteRaceCheck final : public Check {
 class SpanInterleavingCheck final : public Check {
  public:
   const char* id() const override { return "span-interleaving"; }
+  Severity ceiling() const override { return Severity::kError; }
   const char* description() const override {
     return "kernel spans sharing one query-local tid nest properly (no "
            "partial overlap), matching the trace thread contract";
@@ -218,6 +221,7 @@ class SpanInterleavingCheck final : public Check {
 class TraceClockMonotonicityCheck final : public Check {
  public:
   const char* id() const override { return "trace-clock-monotonicity"; }
+  Severity ceiling() const override { return Severity::kError; }
   const char* description() const override {
     return "per-thread event timestamps never regress in emission order";
   }
@@ -260,6 +264,7 @@ class TraceClockMonotonicityCheck final : public Check {
 class ScheduleSerializationCheck final : public Check {
  public:
   const char* id() const override { return "schedule-serialization"; }
+  Severity ceiling() const override { return Severity::kNote; }
   const char* description() const override {
     return "a plan that admits parallel execution did not run fully "
            "serially (the lost-concurrency anomaly, paper section 5)";

@@ -36,6 +36,7 @@ constexpr int64_t kBlowupFactor = 32;
 class MemoryBlowupCheck final : public Check {
  public:
   const char* id() const override { return "memory-blowup"; }
+  Severity ceiling() const override { return Severity::kWarning; }
   const char* description() const override {
     return "the predicted sequential memory peak stays within "
            "STETHO_MEM_BUDGET (when set), and no exact-cardinality "
@@ -115,6 +116,7 @@ constexpr int kBloatMinSlack = 8;
 class LiveRangeBloatCheck final : public Check {
  public:
   const char* id() const override { return "live-range-bloat"; }
+  Severity ceiling() const override { return Severity::kWarning; }
   const char* description() const override {
     return "no heavy BAT stays live far past the point where its last "
            "consumer could legally have run";
@@ -245,6 +247,7 @@ int64_t ScheduleMatchedPeak(const Program& p, const MemoryReport& report,
 class FootprintConformanceCheck final : public Check {
  public:
   const char* id() const override { return "footprint-conformance"; }
+  Severity ceiling() const override { return Severity::kError; }
   const char* description() const override {
     return "the any-schedule peak bound and the schedule-matched static "
            "peak both dominate the engine-recorded rss peak, and the "

@@ -33,6 +33,7 @@ constexpr int kMaxDetailed = 8;
 class TracePerfRegressionCheck final : public Check {
  public:
   const char* id() const override { return "trace-perf-regression"; }
+  Severity ceiling() const override { return Severity::kError; }
   const char* description() const override {
     return "recorded per-pc durations and makespan stay within "
            "median + max(4*MAD, 10us) and 1.5x/2.0x of the stored cross-run "

@@ -29,6 +29,7 @@ constexpr int kMaxDetailed = 8;
 class TraceSequenceGapCheck final : public Check {
  public:
   const char* id() const override { return "trace-sequence-gap"; }
+  Severity ceiling() const override { return Severity::kError; }
   const char* description() const override {
     return "recorded event sequence numbers are contiguous, unique, and "
            "monotone (holes = transport loss, repeats = duplicates)";

@@ -116,6 +116,85 @@ class MaxFlow {
   std::vector<int64_t> cap_;
 };
 
+/// The interpreter's sequential live-byte accountant (RunInstruction):
+/// an instruction's result bytes land (the peak candidate), then the
+/// arguments it consumed last are released, then its consumer-less results
+/// are dropped. Unbounded registers are tracked by count so releases stay
+/// exact for the bounded part.
+class Accountant {
+ public:
+  Accountant(const std::vector<int64_t>& var_bytes,
+             const std::vector<int>& consumers)
+      : var_bytes_(var_bytes), consumers_(consumers), remaining_(consumers) {}
+
+  /// Lands `ins`'s results; returns the live bytes with them.
+  int64_t Land(const mal::Instruction& ins) {
+    for (int v : ins.results) {
+      if (!InRange(v)) continue;
+      if (var_bytes_[static_cast<size_t>(v)] == kUnboundedBytes) {
+        unbounded_live_++;
+        saw_unbounded_ = true;
+      } else {
+        live_ = SaturatingAddBytes(live_, var_bytes_[static_cast<size_t>(v)]);
+      }
+    }
+    return Live();
+  }
+
+  /// Releases what `ins` consumed last and its consumer-less results;
+  /// returns the live bytes after it retires.
+  int64_t Retire(const mal::Instruction& ins) {
+    for (const mal::Argument& a : ins.args) {
+      if (a.kind != mal::Argument::Kind::kVar || !InRange(a.var)) continue;
+      size_t v = static_cast<size_t>(a.var);
+      if (remaining_[v] > 0 && --remaining_[v] == 0) Release(v);
+    }
+    for (int v : ins.results) {
+      if (InRange(v) && consumers_[static_cast<size_t>(v)] == 0) {
+        Release(static_cast<size_t>(v));
+      }
+    }
+    return Live();
+  }
+
+  /// True once an unbounded register has landed.
+  bool saw_unbounded() const { return saw_unbounded_; }
+
+ private:
+  bool InRange(int v) const {
+    return v >= 0 && static_cast<size_t>(v) < var_bytes_.size();
+  }
+  void Release(size_t v) {
+    if (var_bytes_[v] == kUnboundedBytes) {
+      unbounded_live_--;
+    } else {
+      live_ -= var_bytes_[v];
+    }
+  }
+  int64_t Live() const { return unbounded_live_ > 0 ? kUnboundedBytes : live_; }
+
+  const std::vector<int64_t>& var_bytes_;
+  const std::vector<int>& consumers_;
+  std::vector<int> remaining_;
+  int64_t live_ = 0;
+  int unbounded_live_ = 0;
+  bool saw_unbounded_ = false;
+};
+
+/// Argument references per variable across the plan.
+std::vector<int> ConsumerCounts(const mal::Program& program) {
+  std::vector<int> consumers(program.num_variables(), 0);
+  for (const mal::Instruction& ins : program.instructions()) {
+    for (const mal::Argument& a : ins.args) {
+      if (a.kind == mal::Argument::Kind::kVar && a.var >= 0 &&
+          static_cast<size_t>(a.var) < consumers.size()) {
+        consumers[static_cast<size_t>(a.var)]++;
+      }
+    }
+  }
+  return consumers;
+}
+
 }  // namespace
 
 int64_t SaturatingAddBytes(int64_t a, int64_t b) {
@@ -220,57 +299,39 @@ MemoryReport AnalyzeMemory(const mal::Program& program,
               return a.def_pc < b.def_pc;
             });
 
-  // Sequential accountant simulation, mirroring engine RunInstruction:
-  // result bytes land (peak candidate), then fully-consumed arguments are
-  // released, then consumer-less results are dropped. Unbounded registers
-  // are tracked by count so releases stay exact for the bounded part.
-  std::vector<int> remaining = consumers;
-  int64_t live = 0;
-  int unbounded_live = 0;
-  auto display = [&]() {
-    return unbounded_live > 0 ? kUnboundedBytes : live;
-  };
+  // Sequential accountant simulation in program order.
+  Accountant accountant(var_bytes, consumers);
   for (size_t pc = 0; pc < n; ++pc) {
     const mal::Instruction& ins = program.instruction(static_cast<int>(pc));
-    for (int v : ins.results) {
-      if (v < 0 || static_cast<size_t>(v) >= nvars) continue;
-      if (var_bytes[static_cast<size_t>(v)] == kUnboundedBytes) {
-        unbounded_live++;
-        report.bounded = false;
-      } else {
-        live = SaturatingAddBytes(live, var_bytes[static_cast<size_t>(v)]);
-      }
-    }
-    if (display() > report.seq_peak_bytes) {
-      report.seq_peak_bytes = display();
+    const int64_t landed = accountant.Land(ins);
+    if (landed > report.seq_peak_bytes) {
+      report.seq_peak_bytes = landed;
       report.seq_peak_pc = static_cast<int>(pc);
     }
-    for (const mal::Argument& a : ins.args) {
-      if (a.kind != mal::Argument::Kind::kVar) continue;
-      if (a.var < 0 || static_cast<size_t>(a.var) >= nvars) continue;
-      size_t v = static_cast<size_t>(a.var);
-      if (remaining[v] > 0 && --remaining[v] == 0) {
-        if (var_bytes[v] == kUnboundedBytes) {
-          unbounded_live--;
-        } else {
-          live -= var_bytes[v];
-        }
-      }
-    }
-    for (int rv : ins.results) {
-      if (rv < 0 || static_cast<size_t>(rv) >= nvars) continue;
-      size_t v = static_cast<size_t>(rv);
-      if (consumers[v] == 0) {
-        if (var_bytes[v] == kUnboundedBytes) {
-          unbounded_live--;
-        } else {
-          live -= var_bytes[v];
-        }
-      }
-    }
-    report.live_after[pc] = display();
+    report.live_after[pc] = accountant.Retire(ins);
   }
+  report.bounded = !accountant.saw_unbounded();
   return report;
+}
+
+int64_t SequentialPeakInOrder(const mal::Program& program,
+                              const MemoryReport& report,
+                              const std::vector<int>& order) {
+  std::vector<int64_t> var_bytes(program.num_variables(), 0);
+  for (const LiveRange& r : report.ranges) {
+    if (r.var >= 0 && static_cast<size_t>(r.var) < var_bytes.size()) {
+      var_bytes[static_cast<size_t>(r.var)] = r.bytes;
+    }
+  }
+  const std::vector<int> consumers = ConsumerCounts(program);
+  Accountant accountant(var_bytes, consumers);
+  int64_t peak = 0;
+  for (int pc : order) {
+    const mal::Instruction& ins = program.instruction(pc);
+    peak = std::max(peak, accountant.Land(ins));
+    accountant.Retire(ins);
+  }
+  return peak;
 }
 
 int64_t ParallelPeakBound(const mal::Program& program,

@@ -95,6 +95,15 @@ MemoryReport AnalyzeMemory(const mal::Program& program);
 MemoryReport AnalyzeMemory(const mal::Program& program,
                            const std::vector<InstructionFacts>& per_pc);
 
+/// The sequential peak (MemoryReport::seq_peak_bytes) of `program` run in
+/// `order` (order[i] is the pc that runs i-th) instead of pc order, from
+/// `report`, AnalyzeMemory's report over `program`. Footprints do not
+/// depend on the order, so a schedule is priced without moving an
+/// instruction (the memory_reorder pass).
+int64_t SequentialPeakInOrder(const mal::Program& program,
+                              const MemoryReport& report,
+                              const std::vector<int>& order);
+
 /// Upper bound on the live-byte peak under ANY schedule the dataflow
 /// scheduler may choose with `dop` worker slots. Sound (never below the
 /// engine-recorded peak when the cardinality domain holds): the exact

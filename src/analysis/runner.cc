@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "analysis/checks.h"
+#include "common/logging.h"
 #include "common/string_util.h"
 
 namespace stetho::analysis {
@@ -64,13 +65,20 @@ std::vector<Diagnostic> Runner::Run(const CheckContext& context) const {
 }
 
 std::vector<Diagnostic> Runner::Run(const CheckContext& context,
-                                    const Facts& facts) const {
+                                    const Facts& facts, Severity floor) const {
   CheckContext ctx = context;
   ctx.facts = &facts;
   std::vector<Diagnostic> diagnostics;
   for (const std::unique_ptr<Check>& check : checks_) {
-    if (!NeedsSatisfied(check->needs(), ctx)) continue;
+    const Severity ceiling = check->ceiling();
+    if (ceiling < floor || !NeedsSatisfied(check->needs(), ctx)) continue;
+    const size_t first = diagnostics.size();
     check->Run(ctx, &diagnostics);
+    // A finding above the declared ceiling would be lost to a lint that
+    // skipped the check for it.
+    for (size_t i = first; i < diagnostics.size(); ++i) {
+      STETHO_CHECK(diagnostics[i].severity <= ceiling);
+    }
   }
   std::stable_sort(diagnostics.begin(), diagnostics.end(),
                    [](const Diagnostic& a, const Diagnostic& b) {

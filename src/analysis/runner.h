@@ -31,11 +31,11 @@ class Runner {
   /// Facts over the context's program and trace, built for this call.
   std::vector<Diagnostic> Run(const CheckContext& context) const;
   /// The same lint over caller-owned `facts`, which must describe the
-  /// context's program and trace; afterwards the caller may read whatever
-  /// facts the checks computed (the optimizer derives its pass-equivalence
-  /// summary from them).
-  std::vector<Diagnostic> Run(const CheckContext& context,
-                              const Facts& facts) const;
+  /// context's program and trace, running only the checks whose ceiling()
+  /// reaches `floor` (their findings below it are kept). The optimizer
+  /// pipeline asks for kError over the facts it carries across passes.
+  std::vector<Diagnostic> Run(const CheckContext& context, const Facts& facts,
+                              Severity floor = Severity::kNote) const;
 
   /// A Runner loaded with AllChecks().
   static Runner MakeDefault();

@@ -151,6 +151,14 @@ Result<std::string> MalDebugger::InspectVariable(const std::string& name) const 
   return name + " = " + RenderRegister(registers_[static_cast<size_t>(id)]);
 }
 
+const RegisterValue* MalDebugger::Register(int id) const {
+  if (id < 0 || static_cast<size_t>(id) >= registers_.size() ||
+      !assigned_[static_cast<size_t>(id)]) {
+    return nullptr;
+  }
+  return &registers_[static_cast<size_t>(id)];
+}
+
 std::vector<std::string> MalDebugger::ListVariables() const {
   std::vector<std::string> out;
   for (size_t v = 0; v < registers_.size(); ++v) {

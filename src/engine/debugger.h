@@ -54,6 +54,9 @@ class MalDebugger {
   Result<std::string> InspectVariable(const std::string& name) const;
   /// All assigned variables so far with compact values ("info locals").
   std::vector<std::string> ListVariables() const;
+  /// The register of variable `id` once an instruction assigned it; nullptr
+  /// before that and for out-of-range ids.
+  const RegisterValue* Register(int id) const;
   /// Rows of the accumulated result set so far.
   size_t results_so_far() const { return results_.size(); }
 

@@ -61,9 +61,15 @@ Result<const KernelFn*> ModuleRegistry::Lookup(
 
 const analysis::KernelSignature* ModuleRegistry::Signature(
     const std::string& module, const std::string& function) const {
+  return Resolve(module, function).signature;
+}
+
+ModuleRegistry::Resolution ModuleRegistry::Resolve(
+    const std::string& module, const std::string& function) const {
   const Entry* entry = Find(module, function);
-  if (entry == nullptr || !entry->signature.has_value()) return nullptr;
-  return &*entry->signature;
+  if (entry == nullptr) return Resolution{};
+  return Resolution{
+      true, entry->signature.has_value() ? &*entry->signature : nullptr};
 }
 
 std::vector<std::string> ModuleRegistry::ListKernels() const {

@@ -104,6 +104,16 @@ class ModuleRegistry {
   const analysis::KernelSignature* Signature(const std::string& module,
                                              const std::string& function) const;
 
+  /// What one search finds for module.function: whether it is registered,
+  /// and its signature (nullptr when unregistered or registered without
+  /// one). The abstract interpreter resolves each pc this way once.
+  struct Resolution {
+    bool registered = false;
+    const analysis::KernelSignature* signature = nullptr;
+  };
+  Resolution Resolve(const std::string& module,
+                     const std::string& function) const;
+
   /// Lists registered "module.function" names (sorted).
   std::vector<std::string> ListKernels() const;
 

@@ -9,12 +9,14 @@
 namespace stetho::mal {
 
 int Program::AddVariable(MalType type) {
+  ++variables_version_;
   int id = static_cast<int>(variables_.size());
   variables_.push_back(Variable{id, StrFormat("X_%d", id), type});
   return id;
 }
 
 int Program::AddNamedVariable(std::string name, MalType type) {
+  ++variables_version_;
   int id = static_cast<int>(variables_.size());
   variables_.push_back(Variable{id, std::move(name), type});
   return id;
@@ -30,12 +32,14 @@ int Program::FindVariable(const std::string& name) const {
 void Program::AnnotateCardinality(int var, int64_t lo, int64_t hi) {
   if (var < 0 || static_cast<size_t>(var) >= variables_.size()) return;
   if (lo < 0 || hi < lo) return;
+  ++variables_version_;
   variables_[static_cast<size_t>(var)].card_lo = lo;
   variables_[static_cast<size_t>(var)].card_hi = hi;
 }
 
 int Program::Add(std::string module, std::string function,
                  std::vector<int> results, std::vector<Argument> args) {
+  ++instructions_version_;
   Instruction ins;
   ins.pc = static_cast<int>(instructions_.size());
   ins.module = std::move(module);
@@ -47,8 +51,17 @@ int Program::Add(std::string module, std::string function,
 }
 
 void Program::ReplaceInstructions(std::vector<Instruction> instructions) {
+  ++instructions_version_;
   instructions_ = std::move(instructions);
   for (size_t i = 0; i < instructions_.size(); ++i) {
+    instructions_[i].pc = static_cast<int>(i);
+  }
+}
+
+void Program::InsertInstruction(int pc, Instruction ins) {
+  ++instructions_version_;
+  instructions_.insert(instructions_.begin() + pc, std::move(ins));
+  for (size_t i = static_cast<size_t>(pc); i < instructions_.size(); ++i) {
     instructions_[i].pc = static_cast<int>(i);
   }
 }

@@ -121,6 +121,7 @@ class Program {
     return instructions_[static_cast<size_t>(pc)];
   }
   Instruction& mutable_instruction(int pc) {
+    ++instructions_version_;
     return instructions_[static_cast<size_t>(pc)];
   }
   size_t size() const { return instructions_.size(); }
@@ -128,6 +129,18 @@ class Program {
 
   /// Replaces the instruction sequence (optimizer passes); re-numbers pcs.
   void ReplaceInstructions(std::vector<Instruction> instructions);
+  /// Inserts `ins` before the instruction at `pc` (size() appends) without
+  /// copying the others; re-numbers the pcs from `pc` on.
+  void InsertInstruction(int pc, Instruction ins);
+
+  /// Change counters. Every call that can change the instruction sequence
+  /// (Add, mutable_instruction, ReplaceInstructions, InsertInstruction)
+  /// bumps instructions_version(); every call that can change the variable
+  /// table (AddVariable, AddNamedVariable, AnnotateCardinality) bumps
+  /// variables_version(). An unchanged value proves that part untouched
+  /// (the optimizer pipeline checks a pass's report with them).
+  uint64_t instructions_version() const { return instructions_version_; }
+  uint64_t variables_version() const { return variables_version_; }
 
   /// --- Analysis ---
   /// For each instruction, the pcs of the instructions producing its variable
@@ -152,6 +165,8 @@ class Program {
   std::string function_name_ = "user.main";
   std::vector<Variable> variables_;
   std::vector<Instruction> instructions_;
+  uint64_t instructions_version_ = 0;
+  uint64_t variables_version_ = 0;
 };
 
 }  // namespace stetho::mal

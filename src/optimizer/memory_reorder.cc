@@ -7,10 +7,11 @@
 // legal instead of idling across unrelated work. Effectful instructions
 // (sinks, unknown extensions) form a serialized backbone that keeps their
 // relative order — observable output order is untouched, which is exactly
-// what the pass-equivalence differ checks. The rewrite is self-rejecting:
-// if the reordered plan's predicted sequential peak is not strictly
-// smaller, the original order is restored and the pass reports "did not
-// fire".
+// what the pass-equivalence differ checks. The absint facts, memory report
+// and dependency lists come from the facts the pass is given. The rewrite
+// is self-rejecting: unless the new order's predicted sequential peak is
+// strictly smaller, the plan is left as it was and the pass reports "did
+// not fire".
 
 #include <algorithm>
 #include <functional>
@@ -25,47 +26,32 @@
 namespace stetho::optimizer {
 namespace {
 
-/// Moves the instruction at pc `from[i]` to pc i, for every i.
-void Permute(const std::vector<int>& from, mal::Program* program) {
-  std::vector<mal::Instruction> moved;
-  moved.reserve(from.size());
-  for (int pc : from) {
-    moved.push_back(std::move(program->mutable_instruction(pc)));
-  }
-  program->ReplaceInstructions(std::move(moved));
-}
-
 class MemoryReorderPass final : public Pass {
  public:
   const char* name() const override { return "memory_reorder"; }
 
-  Result<bool> Run(mal::Program* program) override {
+  Result<Effect> Apply(mal::Program* program,
+                       const analysis::Facts& carried) override {
     const size_t n = program->size();
-    if (n < 3) return false;
+    if (n < 3) return Effect::None();
     // With every argument defined before its use, an instruction's absint
     // facts are the same in any order that respects the dependencies, so
-    // the new order's memory report is built from these facts, permuted.
-    if (!program->Validate().ok()) return false;
-    std::vector<analysis::InstructionFacts> facts;
-    analysis::AnalyzeProgram(*program, &facts);
-    analysis::MemoryReport before = analysis::AnalyzeMemory(*program, facts);
-    if (!before.bounded) return false;  // no finite objective to improve
+    // the new order is priced from these facts.
+    if (!program->Validate().ok()) return Effect::None();
+    const std::vector<analysis::InstructionFacts>& facts =
+        carried.instructions();
+    const analysis::MemoryReport& before = carried.memory();
+    if (!before.bounded) return Effect::None();  // no finite objective
 
-    // Per-variable footprints and consumer counts.
+    // Per-variable footprints and consumer counts, from the report: only
+    // registers that hold bytes change a delta.
     const size_t nvars = program->num_variables();
     std::vector<int64_t> var_bytes(nvars, 0);
     std::vector<int> consumers(nvars, 0);
     for (const analysis::LiveRange& r : before.ranges) {
       if (r.var >= 0 && static_cast<size_t>(r.var) < nvars) {
         var_bytes[static_cast<size_t>(r.var)] = r.bytes;
-      }
-    }
-    for (const mal::Instruction& ins : program->instructions()) {
-      for (const mal::Argument& a : ins.args) {
-        if (a.kind == mal::Argument::Kind::kVar && a.var >= 0 &&
-            static_cast<size_t>(a.var) < nvars) {
-          consumers[static_cast<size_t>(a.var)]++;
-        }
+        consumers[static_cast<size_t>(r.var)] = r.num_consumers;
       }
     }
 
@@ -73,7 +59,7 @@ class MemoryReorderPass final : public Pass {
     // instruction so side effects keep their order.
     std::vector<std::vector<int>> succ(n);
     std::vector<int> indegree(n, 0);
-    std::vector<std::vector<int>> deps = program->BuildDependencies();
+    const std::vector<std::vector<int>>& deps = carried.deps();
     auto add_edge = [&](int from, int to) {
       succ[static_cast<size_t>(from)].push_back(to);
       indegree[static_cast<size_t>(to)]++;
@@ -207,7 +193,7 @@ class MemoryReorderPass final : public Pass {
         push(s);
       }
     }
-    if (order.size() != n) return false;  // cyclic deps: malformed plan
+    if (order.size() != n) return Effect::None();  // cyclic deps
     bool identity = true;
     for (size_t i = 0; i < n; ++i) {
       if (order[i] != static_cast<int>(i)) {
@@ -215,30 +201,22 @@ class MemoryReorderPass final : public Pass {
         break;
       }
     }
-    if (identity) return false;
-
-    std::vector<analysis::InstructionFacts> reordered_facts;
-    reordered_facts.reserve(n);
-    for (int pc : order) {
-      reordered_facts.push_back(std::move(facts[static_cast<size_t>(pc)]));
-    }
-    Permute(order, program);
+    if (identity) return Effect::None();
 
     // Self-rejecting: the pass never ships a plan whose predicted peak is
-    // not strictly smaller than what it started from.
-    analysis::MemoryReport after =
-        analysis::AnalyzeMemory(*program, reordered_facts);
-    if (!after.bounded ||
-        after.seq_peak_bytes >= before.seq_peak_bytes ||
-        !program->Validate().ok()) {
-      std::vector<int> inverse(n);
-      for (size_t i = 0; i < n; ++i) {
-        inverse[static_cast<size_t>(order[i])] = static_cast<int>(i);
-      }
-      Permute(inverse, program);
-      return false;
+    // not strictly smaller than what it started from. A topological order
+    // of a valid plan is valid, so the plan needs no second Validate().
+    if (analysis::SequentialPeakInOrder(*program, before, order) >=
+        before.seq_peak_bytes) {
+      return Effect::None();
     }
-    return true;
+    std::vector<mal::Instruction> moved;
+    moved.reserve(n);
+    for (int pc : order) {
+      moved.push_back(std::move(program->mutable_instruction(pc)));
+    }
+    program->ReplaceInstructions(std::move(moved));
+    return Effect::Permutation(std::move(order));
   }
 };
 

@@ -3,22 +3,62 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "analysis/facts.h"
 #include "common/status.h"
 #include "mal/program.h"
 
 namespace stetho::optimizer {
+
+/// What a pass did to the plan, as the pass reports it. optimizer::Pipeline
+/// checks the claim (the program's change counters for kNone and the
+/// variable table, per-instruction field hashes taken before and after the
+/// pass for kPermutation and kInsert), then carries its analysis::Facts
+/// accordingly: nothing for kNone, a permutation of the absint facts for
+/// kPermutation, an evaluation of only the new instructions for kInsert,
+/// and a fresh sweep for kRewrite.
+struct Effect {
+  enum class Kind { kNone, kPermutation, kInsert, kRewrite };
+
+  Kind kind = Kind::kNone;
+  /// kPermutation: the instruction now at pc i was at pc pcs[i].
+  /// kInsert: the ascending pcs (after the pass) of the inserted
+  /// instructions, each with no results and no variable arguments.
+  std::vector<int> pcs;
+
+  static Effect None() { return Effect{}; }
+  static Effect Permutation(std::vector<int> order) {
+    return Effect{Kind::kPermutation, std::move(order)};
+  }
+  static Effect Insert(std::vector<int> inserted) {
+    return Effect{Kind::kInsert, std::move(inserted)};
+  }
+  static Effect Rewrite() { return Effect{Kind::kRewrite, {}}; }
+
+  bool changed() const { return kind != Kind::kNone; }
+  /// "none", "permutation", "insert" or "rewrite".
+  const char* name() const;
+};
 
 /// One MAL-to-MAL rewrite, mirroring MonetDB's optimizer pipeline stages.
 class Pass {
  public:
   virtual ~Pass() = default;
   virtual const char* name() const = 0;
-  /// Rewrites `program` in place; returns true when anything changed. A
-  /// pass that returns false must leave the plan untouched: the pipeline
-  /// does not re-lint it then.
-  virtual Result<bool> Run(mal::Program* program) = 0;
+
+  /// Rewrites `program` in place and reports what it did. `facts` describe
+  /// `program` as the pass receives it; read them before changing the
+  /// plan. The report must be exact: a pass that changes nothing returns
+  /// Effect::None(), and the pipeline fails a pass whose plan does not
+  /// match its report.
+  virtual Result<Effect> Apply(mal::Program* program,
+                               const analysis::Facts& facts) = 0;
+
+  /// The standalone entry point (tests, benches): Apply over fresh facts.
+  /// Returns true when anything changed.
+  Result<bool> Run(mal::Program* program);
 };
 
 /// An ordered list of passes applied until fixpoint-per-pass (each pass runs
@@ -31,12 +71,14 @@ class Pipeline {
   size_t size() const { return passes_.size(); }
   const std::vector<std::unique_ptr<Pass>>& passes() const { return passes_; }
 
-  /// Runs all passes in order. Returns the names of passes that changed the
-  /// program. The program is linted with analysis::Runner::Default() after
-  /// the first pass and after every pass that changed it (a pass that
-  /// reports no change must leave the plan untouched); an error diagnostic
-  /// fails the pipeline with a Status naming the pass, the check id, and
-  /// the offending pc/variable.
+  /// Runs all passes in order over one analysis::Facts carried from pass to
+  /// pass, and returns the names of passes that changed the program. After
+  /// every pass the pipeline checks the pass's Effect against the plan,
+  /// brings the facts up to date, and, after the first pass and every pass
+  /// that changed the plan, runs the checks that can report an error
+  /// (analysis::Runner::Default() at Severity::kError) and the
+  /// pass-equivalence differ. A failure is a Status naming the pass and,
+  /// for a lint error, the check id and the offending pc/variable.
   Result<std::vector<std::string>> Run(mal::Program* program) const;
 
   /// MonetDB-like default pipeline: constant folding, common subexpression
@@ -70,14 +112,16 @@ std::unique_ptr<Pass> MakeMitosisPass(int pieces);
 
 /// Topologically reorders instructions to shrink the sequential live-byte
 /// peak predicted by analysis/liveness.h (greedy list scheduling that
-/// consumes heavy intermediates as early as legal). Keeps the relative
-/// order of effectful instructions, must pass Program::Validate() and the
-/// pass-equivalence differ, and restores the original order (reporting
-/// "did not fire") unless the predicted peak strictly shrinks.
+/// consumes heavy intermediates as early as legal), reading the absint
+/// facts, memory report and dependency lists from the facts it is given.
+/// Keeps the relative order of effectful instructions and reports the
+/// permutation; leaves the plan untouched ("did not fire") unless the
+/// predicted peak strictly shrinks.
 std::unique_ptr<Pass> MakeMemoryReorderPass();
 
-/// Prepends the language.dataflow() marker instruction (an administrative
-/// node; the paper's §6 mentions pruning such nodes as future work).
+/// Inserts the language.dataflow() marker instruction at pc 0 (an
+/// administrative node; the paper's §6 mentions pruning such nodes as
+/// future work).
 std::unique_ptr<Pass> MakeDataflowMarkerPass();
 
 /// Removes administrative instructions (language.*) from a plan — the

@@ -1,3 +1,4 @@
+#include <charconv>
 #include <map>
 #include <unordered_map>
 
@@ -55,7 +56,7 @@ class ConstantFoldingPass : public Pass {
  public:
   const char* name() const override { return "constant_folding"; }
 
-  Result<bool> Run(Program* program) override {
+  Result<Effect> Apply(Program* program, const analysis::Facts&) override {
     const engine::ModuleRegistry* registry = engine::ModuleRegistry::Default();
     engine::ExecContext ctx(nullptr, SteadyClock::Default());
 
@@ -98,8 +99,9 @@ class ConstantFoldingPass : public Pass {
       }
       kept.push_back(std::move(ins));
     }
-    if (changed) program->ReplaceInstructions(std::move(kept));
-    return changed;
+    if (!changed) return Effect::None();
+    program->ReplaceInstructions(std::move(kept));
+    return Effect::Rewrite();
   }
 };
 
@@ -107,13 +109,22 @@ class ConstantFoldingPass : public Pass {
 // Common subexpression elimination
 // ---------------------------------------------------------------------------
 
-/// Structural key of a side-effect-free instruction: op name + rendered
-/// args.
-std::string InstructionKey(const Program& program, const Instruction& ins) {
+/// Structural key of a side-effect-free instruction: op name + args, each
+/// constant by its exact value and type.
+std::string InstructionKey(const Instruction& ins) {
   std::string key = ins.module + "." + ins.function + "(";
   for (const Argument& arg : ins.args) {
     if (arg.kind == Argument::Kind::kVar) {
       key += "v" + std::to_string(arg.var);
+    } else if (arg.constant.type() == DataType::kDouble) {
+      // ToString prints six significant digits, which would merge
+      // 1.0000001 with 1.0000002; the shortest round-trip form is exact.
+      char buf[32];
+      auto [end, ec] =
+          std::to_chars(buf, buf + sizeof(buf), arg.constant.AsDouble());
+      (void)ec;
+      key.append(buf, end);
+      key += DataTypeName(DataType::kDouble);
     } else {
       key += arg.constant.ToString();
       // Distinguish 1 (:lng) from 1@0 (:oid) via the type tag.
@@ -122,7 +133,6 @@ std::string InstructionKey(const Program& program, const Instruction& ins) {
     key += ",";
   }
   key += ")";
-  (void)program;
   return key;
 }
 
@@ -130,7 +140,7 @@ class CommonSubexpressionPass : public Pass {
  public:
   const char* name() const override { return "common_subexpression"; }
 
-  Result<bool> Run(Program* program) override {
+  Result<Effect> Apply(Program* program, const analysis::Facts&) override {
     std::vector<int> replacement(program->num_variables(), -1);
     std::map<std::string, size_t> seen;  // key -> index into `kept`
     std::vector<Instruction> kept;
@@ -142,7 +152,7 @@ class CommonSubexpressionPass : public Pass {
         kept.push_back(std::move(ins));
         continue;
       }
-      std::string key = InstructionKey(*program, ins);
+      std::string key = InstructionKey(ins);
       auto it = seen.find(key);
       if (it == seen.end()) {
         kept.push_back(std::move(ins));
@@ -161,8 +171,9 @@ class CommonSubexpressionPass : public Pass {
       }
       changed = true;
     }
-    if (changed) program->ReplaceInstructions(std::move(kept));
-    return changed;
+    if (!changed) return Effect::None();
+    program->ReplaceInstructions(std::move(kept));
+    return Effect::Rewrite();
   }
 };
 
@@ -174,7 +185,7 @@ class DeadCodePass : public Pass {
  public:
   const char* name() const override { return "dead_code"; }
 
-  Result<bool> Run(Program* program) override {
+  Result<Effect> Apply(Program* program, const analysis::Facts&) override {
     // Liveness: a variable is live if consumed by a kept instruction;
     // an instruction is kept if impure or any result is live. One backward
     // sweep suffices because defs precede uses (SSA).
@@ -206,8 +217,9 @@ class DeadCodePass : public Pass {
         changed = true;
       }
     }
-    if (changed) program->ReplaceInstructions(std::move(kept));
-    return changed;
+    if (!changed) return Effect::None();
+    program->ReplaceInstructions(std::move(kept));
+    return Effect::Rewrite();
   }
 };
 
@@ -221,8 +233,8 @@ class MitosisPass : public Pass {
 
   const char* name() const override { return "mitosis"; }
 
-  Result<bool> Run(Program* program) override {
-    if (pieces_ < 2) return false;
+  Result<Effect> Apply(Program* program, const analysis::Facts&) override {
+    if (pieces_ < 2) return Effect::None();
     // MonetDB-style mitosis + mergetable: the candidate list of a scan
     // (a sql.tid result) is sliced into `pieces_` partitions; the whole
     // select/projection ladder consuming it is cloned per slice; results
@@ -347,8 +359,9 @@ class MitosisPass : public Pass {
       }
       out.push_back(ins);
     }
-    if (changed) program->ReplaceInstructions(std::move(out));
-    return changed;
+    if (!changed) return Effect::None();
+    program->ReplaceInstructions(std::move(out));
+    return Effect::Rewrite();
   }
 
  private:
@@ -363,21 +376,17 @@ class DataflowMarkerPass : public Pass {
  public:
   const char* name() const override { return "dataflow_marker"; }
 
-  Result<bool> Run(Program* program) override {
+  Result<Effect> Apply(Program* program, const analysis::Facts&) override {
     for (const Instruction& ins : program->instructions()) {
       if (ins.module == "language" && ins.function == "dataflow") {
-        return false;  // already marked
+        return Effect::None();  // already marked
       }
     }
-    std::vector<Instruction> out;
-    out.reserve(program->size() + 1);
     Instruction marker;
     marker.module = "language";
     marker.function = "dataflow";
-    out.push_back(std::move(marker));
-    for (const Instruction& ins : program->instructions()) out.push_back(ins);
-    program->ReplaceInstructions(std::move(out));
-    return true;
+    program->InsertInstruction(0, std::move(marker));
+    return Effect::Insert({0});
   }
 };
 
@@ -385,7 +394,7 @@ class AdminPrunePass : public Pass {
  public:
   const char* name() const override { return "admin_prune"; }
 
-  Result<bool> Run(Program* program) override {
+  Result<Effect> Apply(Program* program, const analysis::Facts&) override {
     std::vector<Instruction> kept;
     bool changed = false;
     for (const Instruction& ins : program->instructions()) {
@@ -395,8 +404,9 @@ class AdminPrunePass : public Pass {
       }
       kept.push_back(ins);
     }
-    if (changed) program->ReplaceInstructions(std::move(kept));
-    return changed;
+    if (!changed) return Effect::None();
+    program->ReplaceInstructions(std::move(kept));
+    return Effect::Rewrite();
   }
 };
 

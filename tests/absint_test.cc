@@ -15,10 +15,15 @@
 #include "analysis/checks.h"
 #include "analysis/domain.h"
 #include "analysis/runner.h"
+#include "common/string_util.h"
+#include "engine/debugger.h"
 #include "engine/kernel.h"
 #include "mal/program.h"
 #include "optimizer/pass.h"
+#include "sql/compiler.h"
 #include "storage/value.h"
+#include "tpch/dbgen.h"
+#include "tpch/queries.h"
 
 namespace stetho {
 namespace {
@@ -358,7 +363,8 @@ TEST(SummaryTest, EquivalenceRejectsColumnCountAndRewiring) {
 class ConstantCorruptingPass final : public optimizer::Pass {
  public:
   const char* name() const override { return "constant_corrupting"; }
-  Result<bool> Run(mal::Program* program) override {
+  Result<optimizer::Effect> Apply(mal::Program* program,
+                                  const analysis::Facts&) override {
     for (size_t pc = 0; pc < program->size(); ++pc) {
       mal::Instruction& ins =
           program->mutable_instruction(static_cast<int>(pc));
@@ -366,11 +372,11 @@ class ConstantCorruptingPass final : public optimizer::Pass {
         if (arg.kind == Argument::Kind::kConst &&
             arg.constant.type() == DataType::kInt64) {
           arg.constant = Value::Int(arg.constant.AsInt() + 1);
-          return true;
+          return optimizer::Effect::Rewrite();
         }
       }
     }
-    return false;
+    return optimizer::Effect::None();
   }
 };
 
@@ -601,6 +607,112 @@ TEST(SarifTest, LevelsRegionsAndRuleIndexAreStable) {
   EXPECT_NE(sarif.find("\"ruleIndex\": 0"), std::string::npos);
   // The built-in check's description is attached to the rule.
   EXPECT_NE(sarif.find("\"shortDescription\""), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Soundness: the abstract values hold for the registers execution computes
+// ---------------------------------------------------------------------------
+
+/// What of `value` the executed register `reg` contradicts; "" when the
+/// register lies inside it.
+std::string Escape(const AbstractValue& value,
+                   const engine::RegisterValue& reg) {
+  if (value.is_bat != Tri::kUnknown &&
+      (value.is_bat == Tri::kTrue) != reg.is_bat()) {
+    return StrFormat("abstract %s but the register holds a %s",
+                     value.ToString().c_str(), reg.is_bat() ? "BAT" : "scalar");
+  }
+  if (!reg.is_bat()) {
+    const Value& scalar = reg.scalar;
+    if (value.elem_known() && !scalar.is_null() &&
+        scalar.type() != value.elem) {
+      return StrFormat("abstract %s but the scalar is %s",
+                       value.ToString().c_str(), scalar.ToString().c_str());
+    }
+    if ((value.nullable == Tri::kFalse && scalar.is_null()) ||
+        (value.nullable == Tri::kTrue && !scalar.is_null())) {
+      return StrFormat("abstract %s but the scalar is %s",
+                       value.ToString().c_str(), scalar.ToString().c_str());
+    }
+    if (value.constant.has_value() && !(*value.constant == scalar)) {
+      return StrFormat("abstract %s but the scalar is %s",
+                       value.ToString().c_str(), scalar.ToString().c_str());
+    }
+    return "";
+  }
+  const storage::Column& bat = *reg.bat;
+  const std::string facts = value.ToString();
+  if (value.elem_known() && bat.type() != value.elem) {
+    return StrFormat("abstract %s but the BAT holds %s", facts.c_str(),
+                     DataTypeName(bat.type()));
+  }
+  if (!value.card.Contains(static_cast<int64_t>(bat.size()))) {
+    return StrFormat("abstract %s but the BAT has %zu rows", facts.c_str(),
+                     bat.size());
+  }
+  size_t nulls = 0;
+  for (size_t i = 0; i < bat.size(); ++i) nulls += bat.IsNull(i) ? 1 : 0;
+  if ((value.nullable == Tri::kFalse && nulls > 0) ||
+      (value.nullable == Tri::kTrue && nulls == 0)) {
+    return StrFormat("abstract %s but the BAT holds %zu NULLs", facts.c_str(),
+                     nulls);
+  }
+  if (value.sorted == Tri::kTrue) {
+    for (size_t i = 1; i < bat.size(); ++i) {
+      if (bat.GetValue(i - 1).Compare(bat.GetValue(i)) > 0) {
+        return StrFormat("abstract %s but rows %zu and %zu descend",
+                         facts.c_str(), i - 1, i);
+      }
+    }
+  }
+  return "";
+}
+
+// Every result register of every suite plan, at four mitosis widths and
+// stepped one instruction at a time, lies inside the abstract value the
+// analysis records for it: shape, element type, row count, NULLs, order and
+// known constants. The lint, memory_reorder, admission, the progress model
+// and the optimizer's carried facts all trust these values, so an escape
+// names a transfer function that is too tight.
+TEST(AbsintSoundnessTest, EveryRegisterLiesInsideItsAbstractValue) {
+  tpch::TpchConfig config;
+  config.scale_factor = 0.002;
+  auto catalog = tpch::GenerateTpch(config);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  size_t registers = 0;
+  for (const tpch::TpchQuery& query : tpch::TpchQueries()) {
+    for (int m : {0, 4, 16, 128}) {
+      auto compiled = sql::Compiler::CompileSql(&catalog.value(), query.sql);
+      ASSERT_TRUE(compiled.ok()) << query.id << ": "
+                                 << compiled.status().ToString();
+      mal::Program plan = std::move(compiled.value());
+      auto fired = optimizer::Pipeline::Default(m).Run(&plan);
+      ASSERT_TRUE(fired.ok()) << fired.status().ToString();
+      std::vector<analysis::InstructionFacts> facts;
+      analysis::AnalyzeProgram(plan, &facts);
+      auto debugger = engine::MalDebugger::Create(&plan, &catalog.value());
+      ASSERT_TRUE(debugger.ok()) << debugger.status().ToString();
+      engine::MalDebugger& dbg = *debugger.value();
+      while (!dbg.Finished()) {
+        const int pc = dbg.next_pc();
+        Status stepped = dbg.Step();
+        ASSERT_TRUE(stepped.ok()) << query.id << " m=" << m << " pc=" << pc
+                                  << ": " << stepped.ToString();
+        const mal::Instruction& ins = plan.instruction(pc);
+        for (size_t i = 0; i < ins.results.size(); ++i) {
+          const engine::RegisterValue* reg = dbg.Register(ins.results[i]);
+          ASSERT_NE(reg, nullptr) << query.id << " m=" << m << " pc=" << pc;
+          ++registers;
+          const std::string escape = Escape(
+              facts[static_cast<size_t>(pc)].merged_results[i], *reg);
+          EXPECT_TRUE(escape.empty())
+              << query.id << " at mitosis " << m << ", pc=" << pc << " ("
+              << ins.FullName() << ") result " << i << ": " << escape;
+        }
+      }
+    }
+  }
+  EXPECT_GT(registers, 10000u);
 }
 
 }  // namespace

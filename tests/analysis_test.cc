@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "analysis/checks.h"
 #include "analysis/runner.h"
 #include "analysis/signatures.h"
+#include "check_ceilings.h"
 #include "common/clock.h"
 #include "common/rng.h"
 #include "dot/parser.h"
@@ -22,7 +25,9 @@
 #include "optimizer/pass.h"
 #include "profiler/profiler.h"
 #include "profiler/sink.h"
+#include "scope/trace.h"
 #include "sql/compiler.h"
+#include "check_ceilings.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
 
@@ -1049,6 +1054,60 @@ TEST(TraceSequenceGapTest, SkippedWithoutATrace) {
   mal::Program p = CleanPlan();
   EXPECT_TRUE(
       RunOne(analysis::MakeTraceSequenceGapCheck(), PlanContext(p)).empty());
+}
+
+// ---------------------------------------------------------------------------
+// Declared ceilings
+// ---------------------------------------------------------------------------
+
+// Every check declares the highest severity it emits, and the optimizer
+// pipeline runs only the checks that can emit an error. On the compiled and
+// optimized suite plans (with their dot graphs) and on the recorded
+// examples/c4_q1 triple, no finding exceeds its check's ceiling in either
+// the CLI's context or the pipeline's.
+TEST(CheckCeilingTest, SuitePlansAndRecordedExampleStayWithinCeilings) {
+  tpch::TpchConfig config;
+  config.scale_factor = 0.002;
+  auto catalog = tpch::GenerateTpch(config);
+  ASSERT_TRUE(catalog.ok());
+  for (const tpch::TpchQuery& query : tpch::TpchQueries()) {
+    auto compiled = sql::Compiler::CompileSql(&catalog.value(), query.sql);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    CheckContext ctx;
+    ctx.registry = engine::ModuleRegistry::Default();
+    ctx.program = &compiled.value();
+    tests::ExpectFindingsWithinCeilings(ctx, query.id + " compiled");
+    for (int m : {0, 16, 128}) {
+      mal::Program plan = compiled.value();
+      ASSERT_TRUE(optimizer::Pipeline::Default(m).Run(&plan).ok());
+      const dot::Graph graph = dot::ProgramToGraph(plan);
+      ctx.program = &plan;
+      ctx.graph = &graph;
+      tests::ExpectFindingsWithinCeilings(
+          ctx, query.id + " at mitosis " + std::to_string(m));
+      ctx.graph = nullptr;
+    }
+  }
+
+  const std::string examples = STETHO_EXAMPLES_DIR;
+  auto read = [](const std::string& path) {
+    std::ifstream in(path);
+    EXPECT_TRUE(in.good()) << "missing " << path;
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  auto plan = mal::ParseProgramLenient(read(examples + "/c4_q1.mal"));
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto graph = dot::ParseDot(read(examples + "/c4_q1.dot"));
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  auto trace = scope::ReadTraceFile(examples + "/c4_q1.trace");
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  CheckContext ctx;
+  ctx.registry = engine::ModuleRegistry::Default();
+  ctx.program = &plan.value();
+  ctx.graph = &graph.value();
+  ctx.trace = &trace.value();
+  tests::ExpectFindingsWithinCeilings(ctx, "examples/c4_q1");
 }
 
 }  // namespace

@@ -19,7 +19,9 @@
 #include "analysis/hb.h"
 #include "analysis/runner.h"
 #include "analysis/trace_index.h"
+#include "check_ceilings.h"
 #include "common/rng.h"
+#include "engine/kernel.h"
 #include "mal/program.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -506,6 +508,18 @@ TEST(HbMutationTest, EveryCorruptionIsCaughtByItsNamedCheck) {
     EXPECT_TRUE(HasCheck(diags, m.expected_check))
         << m.name << ": expected " << m.expected_check << ", got\n"
         << analysis::FormatDiagnostics(diags);
+  }
+}
+
+TEST(HbMutationTest, EveryCheckStaysWithinItsCeiling) {
+  for (const HbMutation& m : MutationCatalog()) {
+    Artifacts a = m.build();
+    CheckContext ctx;
+    ctx.program = &a.program;
+    ctx.registry = engine::ModuleRegistry::Default();
+    if (a.trace.has_value()) ctx.trace = &a.trace.value();
+    if (a.spans.has_value()) ctx.spans = &a.spans.value();
+    tests::ExpectFindingsWithinCeilings(ctx, m.name);
   }
 }
 

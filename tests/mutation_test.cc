@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "analysis/runner.h"
+#include "check_ceilings.h"
 #include "dot/writer.h"
 #include "engine/kernel.h"
 #include "mal/program.h"
@@ -505,6 +506,18 @@ TEST(MutationTest, EveryMutationIsCaughtByItsNamedCheck) {
                         << "' was not caught by " << m.expected_check
                         << "; diagnostics were:\n"
                         << analysis::FormatDiagnostics(diags);
+  }
+}
+
+TEST(MutationTest, EveryCheckStaysWithinItsCeiling) {
+  for (const Mutation& m : kMutations) {
+    Artifacts a = m.build();
+    CheckContext ctx;
+    ctx.program = &a.program;
+    ctx.registry = engine::ModuleRegistry::Default();
+    if (a.graph.has_value()) ctx.graph = &a.graph.value();
+    if (a.trace.has_value()) ctx.trace = &a.trace.value();
+    tests::ExpectFindingsWithinCeilings(ctx, m.name);
   }
 }
 

@@ -443,11 +443,12 @@ TEST(FlightRecorderTest, DisabledRecorderStaysSilentOnAbort) {
 class ClobberPass : public optimizer::Pass {
  public:
   const char* name() const override { return "clobber"; }
-  Result<bool> Run(Program* program) override {
+  Result<optimizer::Effect> Apply(Program* program,
+                                  const analysis::Facts&) override {
     std::vector<mal::Instruction> reversed(program->instructions().rbegin(),
                                            program->instructions().rend());
     program->ReplaceInstructions(std::move(reversed));
-    return true;
+    return optimizer::Effect::Rewrite();
   }
 };
 
@@ -536,6 +537,57 @@ TEST(InstrumentationTest, DatagramSinkCountsFailedSends) {
   EXPECT_EQ(sink.dropped(), 2);
   EXPECT_EQ(registry->CounterValue("stetho_net_trace_dropped_total").value(),
             before + 2);
+}
+
+// The optimizer explains its own time: a verify:<pass> span beside each
+// pass:<pass> span, the stetho_opt_verify_usec histogram, and while the
+// flight recorder is on one note per pass (plan size before and after, the
+// effect, pass and verify microseconds).
+TEST(InstrumentationTest, PipelineTimesEachPassAndItsVerification) {
+  Tracer* tracer = Tracer::Default();
+  FlightRecorder* recorder = FlightRecorder::Default();
+  tracer->SetEnabled(true);
+  tracer->Clear();
+  SetEnabled(true);
+  recorder->SetEnabled(true);
+
+  tpch::TpchConfig config;
+  config.scale_factor = 0.002;
+  auto cat = tpch::GenerateTpch(config);
+  ASSERT_TRUE(cat.ok());
+  server::MserverOptions options;
+  options.mitosis_pieces = 16;
+  server::Mserver server(std::move(cat).value(), options);
+  auto plan = server.Explain(tpch::GetQuery("q6").value().sql);
+  const std::string black_box = recorder->Render("pipeline test");
+  recorder->SetEnabled(false);
+  SetEnabled(false);
+  tracer->SetEnabled(false);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+
+  std::vector<std::string> passes;
+  std::vector<std::string> verified;
+  for (const SpanRecord& span : tracer->Snapshot()) {
+    if (span.cat == "pass") passes.push_back(span.name.substr(5));
+    if (span.cat == "verify") {
+      ASSERT_EQ(span.name.rfind("verify:", 0), 0u) << span.name;
+      verified.push_back(span.name.substr(7));
+    }
+  }
+  tracer->Clear();
+  EXPECT_EQ(passes.size(), optimizer::Pipeline::Default(16).size());
+  EXPECT_EQ(verified, passes);
+  for (const std::string& pass : passes) {
+    EXPECT_NE(black_box.find("optimizer pass " + pass + ": "),
+              std::string::npos)
+        << pass << " has no note in\n" << black_box;
+  }
+  EXPECT_NE(black_box.find("optimizer pass mitosis: "), std::string::npos);
+  EXPECT_TRUE(
+      Registry::Default()->FindHistogram("stetho_opt_verify_usec").ok());
+  for (const std::string& violation : Registry::Default()->AuditMetricNames()) {
+    EXPECT_EQ(violation.find("stetho_opt_"), std::string::npos) << violation;
+  }
 }
 
 TEST(InstrumentationTest, UdpCountersTrackDatagrams) {

@@ -3,8 +3,13 @@
 #include <cstdint>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "analysis/absint.h"
+#include "analysis/liveness.h"
 #include "common/string_util.h"
 #include "engine/interpreter.h"
 #include "mal/program.h"
@@ -141,6 +146,36 @@ TEST(CsePassTest, DistinguishesDifferentConstantTypes) {
   auto changed = MakeCommonSubexpressionPass()->Run(&p);
   ASSERT_TRUE(changed.ok());
   EXPECT_FALSE(changed.value());
+}
+
+// Double constants key by their exact value: 1.0000001 and 1.0000002 print
+// alike under %g ("1"), so a key built from the rendered text merged them.
+TEST(CsePassTest, KeepsNearlyEqualDoublesApart) {
+  Program p;
+  int mvc = p.AddVariable(MalType::Scalar(DataType::kInt64));
+  p.Add("sql", "mvc", {mvc}, {});
+  int x = p.AddVariable(MalType::Bat(DataType::kDouble));
+  p.Add("sql", "bind", {x},
+        {Argument::Var(mvc), Argument::Const(Value::String("sys")),
+         Argument::Const(Value::String("t")),
+         Argument::Const(Value::String("c")), Argument::Const(Value::Int(0))});
+  std::vector<int> products;
+  for (double factor : {1.0000001, 1.0000002, 1.0000001}) {
+    int v = p.AddVariable(MalType::Bat(DataType::kDouble));
+    p.Add("batcalc", "mul", {v},
+          {Argument::Var(x), Argument::Const(Value::Double(factor))});
+    products.push_back(v);
+  }
+  for (int v : products) p.Add("io", "print", {}, {Argument::Var(v)});
+
+  auto changed = MakeCommonSubexpressionPass()->Run(&p);
+  ASSERT_TRUE(changed.ok()) << changed.status().ToString();
+  EXPECT_TRUE(changed.value());  // the equal constants still merge
+  EXPECT_EQ(CountOps(p, "batcalc.mul"), 2u);
+  const int print = static_cast<int>(p.size()) - 3;
+  const int first = p.instruction(print).args[0].var;
+  EXPECT_NE(p.instruction(print + 1).args[0].var, first);
+  EXPECT_EQ(p.instruction(print + 2).args[0].var, first);
 }
 
 // --- dead code ---
@@ -339,11 +374,11 @@ TEST(PipelineTest, OptimizedPlanMatchesUnoptimized) {
 class ClobberPass : public Pass {
  public:
   const char* name() const override { return "clobber"; }
-  Result<bool> Run(Program* program) override {
+  Result<Effect> Apply(Program* program, const analysis::Facts&) override {
     std::vector<mal::Instruction> reversed(program->instructions().rbegin(),
                                            program->instructions().rend());
     program->ReplaceInstructions(std::move(reversed));
-    return true;
+    return Effect::Rewrite();
   }
 };
 
@@ -362,6 +397,198 @@ TEST(PipelineTest, BrokenPassFailsWithPassNameAndCheckId) {
   EXPECT_NE(msg.find("optimizer pass 'clobber'"), std::string::npos) << msg;
   EXPECT_NE(msg.find("ssa-def-before-use"), std::string::npos) << msg;
   EXPECT_NE(msg.find("pc="), std::string::npos) << msg;
+}
+
+// --- carried facts and checked effects ---
+
+/// Runs a pass owned by another pipeline, so a test pipeline can put probes
+/// between the default passes.
+class Borrowed : public Pass {
+ public:
+  explicit Borrowed(Pass* pass) : pass_(pass) {}
+  const char* name() const override { return pass_->name(); }
+  Result<Effect> Apply(Program* program,
+                       const analysis::Facts& facts) override {
+    return pass_->Apply(program, facts);
+  }
+
+ private:
+  Pass* pass_;
+};
+
+/// Compares the facts the pipeline carries into it with facts built fresh
+/// from the plan, field by field, recording each difference; changes
+/// nothing.
+class FactsProbe : public Pass {
+ public:
+  FactsProbe(std::string after, std::vector<std::string>* differences)
+      : after_(std::move(after)), differences_(differences) {}
+  const char* name() const override { return "facts_probe"; }
+  Result<Effect> Apply(Program* program,
+                       const analysis::Facts& carried) override {
+    std::vector<analysis::InstructionFacts> fresh;
+    analysis::AnalyzeProgram(*program, &fresh);
+    const std::vector<analysis::InstructionFacts>& facts =
+        carried.instructions();
+    if (facts.size() != fresh.size()) {
+      Differ(StrFormat("%zu facts for %zu instructions", facts.size(),
+                       fresh.size()));
+      return Effect::None();
+    }
+    for (size_t pc = 0; pc < fresh.size(); ++pc) {
+      const analysis::InstructionFacts& a = facts[pc];
+      const analysis::InstructionFacts& b = fresh[pc];
+      if (a.sig != b.sig) Differ(StrFormat("pc=%zu signature", pc));
+      if (a.resolved != b.resolved) Differ(StrFormat("pc=%zu resolved", pc));
+      if (a.args != b.args) Differ(StrFormat("pc=%zu args", pc));
+      if (a.raw_results != b.raw_results) {
+        Differ(StrFormat("pc=%zu raw results", pc));
+      }
+      if (a.merged_results != b.merged_results) {
+        Differ(StrFormat("pc=%zu merged results", pc));
+      }
+    }
+    if (carried.deps() != program->BuildDependencies()) Differ("deps");
+    const analysis::MemoryReport fresh_memory =
+        analysis::AnalyzeMemory(*program, fresh);
+    if (carried.memory().live_after != fresh_memory.live_after ||
+        carried.memory().seq_peak_bytes != fresh_memory.seq_peak_bytes) {
+      Differ("memory report");
+    }
+    return Effect::None();
+  }
+
+ private:
+  void Differ(const std::string& what) {
+    differences_->push_back("after " + after_ + ": " + what);
+  }
+
+  std::string after_;
+  std::vector<std::string>* differences_;
+};
+
+// After every pass of the default pipeline, the one fact set the pipeline
+// carries (permuted after memory_reorder, shifted after the marker, rebuilt
+// after a rewrite) equals facts built fresh from the plan.
+TEST(CarriedFactsTest, EqualFreshFactsAfterEveryDefaultPass) {
+  tpch::TpchConfig config;
+  config.scale_factor = 0.002;
+  auto cat = tpch::GenerateTpch(config);
+  ASSERT_TRUE(cat.ok());
+  for (const tpch::TpchQuery& query : tpch::TpchQueries()) {
+    for (int m : {0, 16, 128}) {
+      SCOPED_TRACE(query.id + " m=" + std::to_string(m));
+      auto base = sql::Compiler::CompileSql(&cat.value(), query.sql);
+      ASSERT_TRUE(base.ok()) << base.status().ToString();
+      Pipeline defaults = Pipeline::Default(m);
+      Pipeline probed;
+      std::vector<std::string> differences;
+      for (const std::unique_ptr<Pass>& pass : defaults.passes()) {
+        probed.Add(std::make_unique<Borrowed>(pass.get()));
+        probed.Add(std::make_unique<FactsProbe>(pass->name(), &differences));
+      }
+      Program plan = base.value();
+      auto fired = probed.Run(&plan);
+      ASSERT_TRUE(fired.ok()) << fired.status().ToString();
+      EXPECT_TRUE(differences.empty()) << differences.front();
+
+      Program reference = base.value();
+      ASSERT_TRUE(Pipeline::Default(m).Run(&reference).ok());
+      EXPECT_EQ(plan.ToString(), reference.ToString());
+    }
+  }
+}
+
+/// Bumps the first integer constant and claims to have only permuted.
+class ConstantChangingPermutation : public Pass {
+ public:
+  const char* name() const override { return "constant_changing_permutation"; }
+  Result<Effect> Apply(Program* program, const analysis::Facts&) override {
+    std::vector<int> identity;
+    for (size_t pc = 0; pc < program->size(); ++pc) {
+      identity.push_back(static_cast<int>(pc));
+    }
+    for (size_t pc = 0; pc < program->size(); ++pc) {
+      for (Argument& arg :
+           program->mutable_instruction(static_cast<int>(pc)).args) {
+        if (arg.kind == Argument::Kind::kConst &&
+            arg.constant.type() == DataType::kInt64) {
+          arg.constant = Value::Int(arg.constant.AsInt() + 1);
+          return Effect::Permutation(std::move(identity));
+        }
+      }
+    }
+    return Effect::Permutation(std::move(identity));
+  }
+};
+
+/// Inserts `ins` at pc 0 and claims an admin insert.
+class ClaimedInsert : public Pass {
+ public:
+  ClaimedInsert(const char* name, mal::Instruction ins)
+      : name_(name), ins_(std::move(ins)) {}
+  const char* name() const override { return name_; }
+  Result<Effect> Apply(Program* program, const analysis::Facts&) override {
+    program->InsertInstruction(0, ins_);
+    return Effect::Insert({0});
+  }
+
+ private:
+  const char* name_;
+  mal::Instruction ins_;
+};
+
+Status RunAfterDefaults(std::unique_ptr<Pass> pass) {
+  Catalog cat = TinyTpch();
+  auto base = sql::Compiler::CompileSql(&cat, tpch::GetQuery("q6").value().sql);
+  EXPECT_TRUE(base.ok());
+  Program p = std::move(base.value());
+  Pipeline pipeline = Pipeline::Default(4);
+  pipeline.Add(std::move(pass));
+  return pipeline.Run(&p).status();
+}
+
+TEST(CarriedFactsTest, PermutationThatChangesAConstantFails) {
+  const Status st =
+      RunAfterDefaults(std::make_unique<ConstantChangingPermutation>());
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find(
+                "optimizer pass 'constant_changing_permutation' reported "
+                "permutation"),
+            std::string::npos)
+      << st.ToString();
+}
+
+TEST(CarriedFactsTest, AdminInsertWithAResultFails) {
+  // Reuses an existing register as the result, so only the inserted
+  // instruction's shape contradicts the report.
+  mal::Instruction ins;
+  ins.module = "language";
+  ins.function = "dataflow";
+  ins.results = {0};
+  const Status st = RunAfterDefaults(
+      std::make_unique<ClaimedInsert>("insert_with_result", std::move(ins)));
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("optimizer pass 'insert_with_result' reported "
+                              "insert"),
+            std::string::npos)
+      << st.ToString();
+  EXPECT_NE(st.message().find("has results"), std::string::npos)
+      << st.ToString();
+}
+
+TEST(CarriedFactsTest, AdminInsertOfAnUnknownOperationFails) {
+  mal::Instruction ins;
+  ins.module = "language";
+  ins.function = "nosuch";
+  const Status st = RunAfterDefaults(
+      std::make_unique<ClaimedInsert>("insert_unknown", std::move(ins)));
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("optimizer pass 'insert_unknown'"),
+            std::string::npos)
+      << st.ToString();
+  EXPECT_NE(st.message().find("kernel-signature"), std::string::npos)
+      << st.ToString();
 }
 
 // --- golden optimized plans ---

@@ -10,6 +10,7 @@
 #include <iterator>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "analysis/perfdiff.h"
 #include "common/string_util.h"
@@ -49,6 +50,32 @@ TEST(MserverTest, ExecutePaperQuery) {
   EXPECT_FALSE(r.value().dot.empty());
   EXPECT_GT(r.value().plan->size(), 0u);
   ASSERT_EQ(r.value().result.columns.size(), 1u);
+}
+
+// The two products differ in the seventh significant digit, which CSE once
+// dropped by keying constants on their %g rendering, so b came back equal
+// to a.
+TEST(MserverTest, NearlyEqualDoubleConstantsStayApart) {
+  tpch::TpchConfig config;
+  config.scale_factor = 0.002;
+  auto cat = tpch::GenerateTpch(config);
+  ASSERT_TRUE(cat.ok());
+  Mserver server(std::move(cat.value()), MserverOptions{});
+  auto r = server.ExecuteSql(
+      "select sum(l_extendedprice * 1.0000001) as a, "
+      "sum(l_extendedprice * 1.0000002) as b from lineitem");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const std::vector<engine::ResultColumn>& columns = r.value().result.columns;
+  ASSERT_EQ(columns.size(), 2u);
+  std::vector<double> sums;
+  for (const engine::ResultColumn& column : columns) {
+    const storage::Value value =
+        column.is_scalar ? column.scalar : column.column->GetValue(0);
+    auto sum = value.ToDouble();
+    ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+    sums.push_back(sum.value());
+  }
+  EXPECT_NEAR(sums[1] / sums[0], 1.0000002 / 1.0000001, 1e-12);
 }
 
 TEST(MserverTest, QueryNamesIncrement) {
