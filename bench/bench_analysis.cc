@@ -110,7 +110,8 @@ void BM_HbReplay(benchmark::State& state, const char* query_id) {
   std::vector<profiler::TraceEvent> trace = ring->Snapshot();
   analysis::ScheduleReport report;
   for (auto _ : state) {
-    report = analysis::AnalyzeSchedule(plan, analysis::TraceIndex(trace));
+    report = analysis::AnalyzeSchedule(plan, plan.BuildDependencies(),
+                                       analysis::TraceIndex(trace));
     benchmark::DoNotOptimize(report);
   }
   state.counters["events"] = static_cast<double>(trace.size());
@@ -149,8 +150,11 @@ void BM_PipelineWithDiffer(benchmark::State& state, const char* query_id) {
 void BM_LivenessFootprintImpl(benchmark::State& state, const char* query_id) {
   mal::Program plan = ExpandedPlan(query_id, static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    analysis::MemoryReport report = analysis::AnalyzeMemory(plan);
-    int64_t bound = analysis::ParallelPeakBound(plan, report, 4);
+    const mal::Dependencies deps = plan.BuildDependencies();
+    std::vector<analysis::InstructionFacts> facts;
+    analysis::AnalyzeProgram(plan, &facts);
+    analysis::MemoryReport report = analysis::AnalyzeMemory(plan, facts, deps);
+    int64_t bound = analysis::ParallelPeakBound(plan, deps, report, 4);
     benchmark::DoNotOptimize(report);
     benchmark::DoNotOptimize(bound);
   }

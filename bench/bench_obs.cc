@@ -208,8 +208,9 @@ void BM_ProgressModelBuild(benchmark::State& state) {
     state.SkipWithError(plan.status().ToString().c_str());
     return;
   }
+  const engine::PreparedPlan prepared(plan.value());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::ProgressModel::Build(plan.value()));
+    benchmark::DoNotOptimize(analysis::ProgressModel::Build(prepared));
   }
   state.counters["plan_size"] = static_cast<double>(plan.value().size());
 }
@@ -227,7 +228,8 @@ void BM_ProgressEstimatorQuery(benchmark::State& state) {
     state.SkipWithError(plan.status().ToString().c_str());
     return;
   }
-  auto model = analysis::ProgressModel::Build(plan.value());
+  auto model =
+      analysis::ProgressModel::Build(engine::PreparedPlan(plan.value()));
   for (auto _ : state) {
     analysis::ProgressEstimator estimator(model);
     int64_t now = 0;
@@ -252,7 +254,8 @@ void BM_ProgressEtaHalfway(benchmark::State& state) {
     state.SkipWithError(plan.status().ToString().c_str());
     return;
   }
-  auto model = analysis::ProgressModel::Build(plan.value());
+  auto model =
+      analysis::ProgressModel::Build(engine::PreparedPlan(plan.value()));
   analysis::ProgressEstimator estimator(model);
   int64_t now = 0;
   for (size_t pc = 0; pc < model->plan_size() / 2; ++pc) {

@@ -67,20 +67,6 @@ const KernelSignature* SignatureAt(const CheckContext& ctx,
   return ctx.facts->instructions()[static_cast<size_t>(ins.pc)].sig;
 }
 
-/// Number of instructions reading each variable (the interpreter's
-/// reference-count initialization).
-std::vector<int> ConsumerCounts(const Program& p) {
-  std::vector<int> consumers(p.num_variables(), 0);
-  for (const Instruction& ins : p.instructions()) {
-    for (const Argument& arg : ins.args) {
-      if (arg.kind == Argument::Kind::kVar && VarInRange(p, arg.var)) {
-        ++consumers[static_cast<size_t>(arg.var)];
-      }
-    }
-  }
-  return consumers;
-}
-
 // ---------------------------------------------------------------------------
 // ssa-def-before-use
 // ---------------------------------------------------------------------------
@@ -182,14 +168,14 @@ class DeadInstructionCheck final : public Check {
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     const Program& p = *ctx.program;
     Emitter emit(id(), out);
-    std::vector<int> consumers = ConsumerCounts(p);
+    const mal::Dependencies& deps = ctx.facts->deps();
     for (const Instruction& ins : p.instructions()) {
       if (ins.results.empty()) continue;  // sinks and markers are effects
       const KernelSignature* sig = SignatureAt(ctx, ins);
       if (sig == nullptr || !sig->side_effect_free) continue;
       bool any_used = false;
       for (int r : ins.results) {
-        if (VarInRange(p, r) && consumers[static_cast<size_t>(r)] > 0) {
+        if (VarInRange(p, r) && !deps.readers(r).empty()) {
           any_used = true;
           break;
         }
@@ -327,7 +313,7 @@ class BatLifetimeCheck final : public Check {
   void Run(const CheckContext& ctx, std::vector<Diagnostic>* out) const override {
     const Program& p = *ctx.program;
     Emitter emit(id(), out);
-    std::vector<int> consumers = ConsumerCounts(p);
+    const mal::Dependencies& deps = ctx.facts->deps();
 
     // A BAT produced by an effectful instruction that nobody reads is
     // allocated, charged to the memory accountant, and released without
@@ -345,7 +331,7 @@ class BatLifetimeCheck final : public Check {
       for (int r : ins.results) {
         if (!VarInRange(p, r)) continue;
         if (!p.variable(r).type.is_bat) continue;
-        if (consumers[static_cast<size_t>(r)] == 0) {
+        if (deps.readers(r).empty()) {
           emit.Emit(Severity::kWarning, ins.pc, r,
                     StrFormat("BAT %s is defined but never consumed — it is "
                               "released without a reader",
@@ -480,9 +466,9 @@ class DotContractCheck final : public Check {
 
     // Edges must be exactly the dataflow dependencies (producer -> consumer).
     std::set<std::pair<int, int>> expected;
-    const std::vector<std::vector<int>>& deps = ctx.facts->deps();
+    const mal::Dependencies& deps = ctx.facts->deps();
     for (size_t pc = 0; pc < deps.size(); ++pc) {
-      for (int producer : deps[pc]) {
+      for (int producer : deps.producers(static_cast<int>(pc))) {
         expected.emplace(producer, static_cast<int>(pc));
       }
     }

@@ -20,7 +20,6 @@
 namespace stetho::analysis {
 namespace {
 
-using mal::Argument;
 using mal::Instruction;
 using mal::Program;
 using profiler::EventState;
@@ -92,30 +91,19 @@ class TraceWriteRaceCheck final : public Check {
     Emitter emit(id(), out);
     const ScheduleReport& report = ctx.facts->schedule();
 
-    // Access sets per BAT variable: the defining instruction writes, every
-    // argument reference reads. (SSA means one writer per variable in a
-    // well-formed plan; duplicated executions and double assignments show
-    // up as extra writers.)
-    struct Accesses {
-      std::vector<int> writers;
-      std::vector<int> readers;
-    };
-    std::map<int, Accesses> per_var;
+    // Access sets per BAT variable: the defining instructions write, and
+    // the index lists every argument reference that reads. (SSA means one
+    // writer per variable in a well-formed plan; duplicated executions and
+    // double assignments show up as extra writers.)
+    std::map<int, std::vector<int>> writers_of;
     for (const Instruction& ins : p.instructions()) {
       for (int r : ins.results) {
         if (r < 0 || static_cast<size_t>(r) >= p.num_variables()) continue;
         if (!p.variable(r).type.is_bat) continue;
-        per_var[r].writers.push_back(ins.pc);
-      }
-      for (const Argument& arg : ins.args) {
-        if (arg.kind != Argument::Kind::kVar) continue;
-        if (arg.var < 0 || static_cast<size_t>(arg.var) >= p.num_variables()) {
-          continue;
-        }
-        if (!p.variable(arg.var).type.is_bat) continue;
-        per_var[arg.var].readers.push_back(ins.pc);
+        writers_of[r].push_back(ins.pc);
       }
     }
+    const mal::Dependencies& deps = ctx.facts->deps();
 
     auto unordered = [&report](int a, int b) {
       const PcExecution& ea = report.executions[static_cast<size_t>(a)];
@@ -124,22 +112,22 @@ class TraceWriteRaceCheck final : public Check {
       return !HappensBefore(ea, eb) && !HappensBefore(eb, ea);
     };
 
-    for (const auto& [var, acc] : per_var) {
-      for (size_t i = 0; i < acc.writers.size(); ++i) {
-        int w = acc.writers[i];
+    for (const auto& [var, writers] : writers_of) {
+      for (size_t i = 0; i < writers.size(); ++i) {
+        int w = writers[i];
         // Writer vs writer (double definition executed concurrently).
-        for (size_t j = i + 1; j < acc.writers.size(); ++j) {
-          if (unordered(w, acc.writers[j])) {
-            emit.Emit(Severity::kError, std::min(w, acc.writers[j]), var,
+        for (size_t j = i + 1; j < writers.size(); ++j) {
+          if (unordered(w, writers[j])) {
+            emit.Emit(Severity::kError, std::min(w, writers[j]), var,
                       StrFormat("write-write race on %s: pc=%d and pc=%d "
                                 "are not happens-before ordered",
-                                VarName(p, var).c_str(), w, acc.writers[j]),
+                                VarName(p, var).c_str(), w, writers[j]),
                       "two unordered definitions of one register corrupt "
                       "whichever consumer reads it");
           }
         }
         // Writer vs reader.
-        for (int r : acc.readers) {
+        for (int r : deps.readers(var)) {
           if (r == w) continue;
           if (unordered(w, r)) {
             emit.Emit(Severity::kError, r, var,

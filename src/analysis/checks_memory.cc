@@ -127,17 +127,7 @@ class LiveRangeBloatCheck final : public Check {
     const Program& p = *ctx.program;
     Emitter emit(id(), out);
     const MemoryReport& report = ctx.facts->memory();
-    const std::vector<std::vector<int>>& deps = ctx.facts->deps();
-    // Consumer pcs per variable, to find each register's second-to-last use.
-    std::vector<std::vector<int>> use_pcs(p.num_variables());
-    for (const mal::Instruction& ins : p.instructions()) {
-      for (const mal::Argument& a : ins.args) {
-        if (a.kind == mal::Argument::Kind::kVar && a.var >= 0 &&
-            static_cast<size_t>(a.var) < use_pcs.size()) {
-          use_pcs[static_cast<size_t>(a.var)].push_back(ins.pc);
-        }
-      }
-    }
+    const mal::Dependencies& deps = ctx.facts->deps();
     for (const LiveRange& r : report.ranges) {
       if (r.bytes == kUnboundedBytes || r.bytes < kBloatMinBytes) continue;
       if (r.bytes < report.seq_peak_bytes / kBloatPeakFraction) continue;
@@ -149,10 +139,10 @@ class LiveRangeBloatCheck final : public Check {
       // consumers. Everything between that point and where the last
       // consumer actually sits holds `r` live for no dataflow reason.
       int floor_pc = r.def_pc;
-      for (int producer : deps[static_cast<size_t>(r.last_use_pc)]) {
+      for (int producer : deps.producers(r.last_use_pc)) {
         if (producer != r.def_pc) floor_pc = std::max(floor_pc, producer);
       }
-      for (int use : use_pcs[static_cast<size_t>(r.var)]) {
+      for (int use : deps.readers(r.var)) {
         if (use != r.last_use_pc) floor_pc = std::max(floor_pc, use);
       }
       int earliest = floor_pc + 1;
@@ -270,7 +260,7 @@ class FootprintConformanceCheck final : public Check {
     }
     int dop = std::max<int>(1, static_cast<int>(threads.size()));
     const MemoryReport& report = ctx.facts->memory();
-    int64_t bound = ParallelPeakBound(p, report, dop);
+    int64_t bound = ParallelPeakBound(p, ctx.facts->deps(), report, dop);
     if (!report.bounded || bound == kUnboundedBytes) {
       emit.Emit(Severity::kNote, -1, -1,
                 "static peak bound is unbounded — conformance against the "

@@ -14,11 +14,13 @@ const std::vector<InstructionFacts>& Facts::instructions() const {
 }
 
 const MemoryReport& Facts::memory() const {
-  if (!memory_) memory_.emplace(AnalyzeMemory(*program_, instructions()));
+  if (!memory_) {
+    memory_.emplace(AnalyzeMemory(*program_, instructions(), deps()));
+  }
   return *memory_;
 }
 
-const std::vector<std::vector<int>>& Facts::deps() const {
+const mal::Dependencies& Facts::deps() const {
   if (!deps_) deps_.emplace(program_->BuildDependencies());
   return *deps_;
 }
@@ -29,7 +31,9 @@ const TraceIndex& Facts::trace_index() const {
 }
 
 const ScheduleReport& Facts::schedule() const {
-  if (!schedule_) schedule_.emplace(AnalyzeSchedule(*program_, trace_index()));
+  if (!schedule_) {
+    schedule_.emplace(AnalyzeSchedule(*program_, deps(), trace_index()));
+  }
   return *schedule_;
 }
 

@@ -17,7 +17,8 @@ namespace stetho::analysis {
 /// and then shared by every reader:
 ///  - the abstract interpreter's per-pc facts, kernels resolved
 ///    (AnalyzeProgram), and the MemoryReport built on them (AnalyzeMemory);
-///  - the plan's dependency lists (Program::BuildDependencies);
+///  - the plan's def-use index (Program::BuildDependencies), which the
+///    memory report and the schedule are built on;
 ///  - with a trace, its TraceIndex and, with a plan too, the happens-before
 ///    ScheduleReport (AnalyzeSchedule).
 /// Runner::Run(ctx) builds one per lint. optimizer::Pipeline carries one
@@ -35,13 +36,13 @@ class Facts {
   /// One entry per instruction, in program order.
   const std::vector<InstructionFacts>& instructions() const;
   const MemoryReport& memory() const;
-  const std::vector<std::vector<int>>& deps() const;
+  const mal::Dependencies& deps() const;
   const TraceIndex& trace_index() const;
   const ScheduleReport& schedule() const;
 
   /// --- Carrying the facts across a plan rewrite ---
-  /// Each call drops the order-dependent facts (memory report, dependency
-  /// lists, schedule); the trace index depends on the trace alone and stays.
+  /// Each call drops the order-dependent facts (memory report, def-use
+  /// index, schedule); the trace index depends on the trace alone and stays.
 
   /// The plan's instructions were permuted: the one now at pc i was at
   /// order[i]. With every argument defined before its use, an instruction's
@@ -61,7 +62,7 @@ class Facts {
   const std::vector<profiler::TraceEvent>* trace_;
   mutable std::optional<std::vector<InstructionFacts>> instructions_;
   mutable std::optional<MemoryReport> memory_;
-  mutable std::optional<std::vector<std::vector<int>>> deps_;
+  mutable std::optional<mal::Dependencies> deps_;
   mutable std::optional<TraceIndex> trace_index_;
   mutable std::optional<ScheduleReport> schedule_;
 };

@@ -55,18 +55,16 @@ const HbMetrics& Metrics() {
 }
 
 /// Longest-path layering of the dependency DAG; returns the size of the
-/// largest layer. Only well-ordered edges (producer pc < consumer pc) are
-/// followed so malformed plans cannot cycle.
-int PlanWidth(const std::vector<std::vector<int>>& deps) {
+/// largest layer. Producers precede their consumers in the index, so one
+/// forward pass levels every pc.
+int PlanWidth(const mal::Dependencies& deps) {
   std::vector<int> level(deps.size(), 0);
   std::map<int, int> layer_sizes;
-  int width = deps.empty() ? 0 : 1;
+  int width = deps.size() == 0 ? 0 : 1;
   for (size_t pc = 0; pc < deps.size(); ++pc) {
     int lvl = 0;
-    for (int q : deps[pc]) {
-      if (q >= 0 && static_cast<size_t>(q) < pc) {
-        lvl = std::max(lvl, level[static_cast<size_t>(q)] + 1);
-      }
+    for (int q : deps.producers(static_cast<int>(pc))) {
+      lvl = std::max(lvl, level[static_cast<size_t>(q)] + 1);
     }
     level[pc] = lvl;
     width = std::max(width, ++layer_sizes[lvl]);
@@ -98,6 +96,7 @@ bool HappensBefore(const PcExecution& a, const PcExecution& b) {
 }
 
 ScheduleReport AnalyzeSchedule(const mal::Program& program,
+                               const mal::Dependencies& deps,
                                const TraceIndex& trace) {
   ScheduleReport report;
   report.executions.resize(program.size());
@@ -105,13 +104,10 @@ ScheduleReport AnalyzeSchedule(const mal::Program& program,
     report.executions[pc].pc = static_cast<int>(pc);
   }
 
-  std::vector<std::vector<int>> deps = program.BuildDependencies();
-  size_t dep_edges = 0;
-  for (const std::vector<int>& d : deps) dep_edges += d.size();
   report.avg_indegree =
-      program.size() == 0
-          ? 0.0
-          : static_cast<double>(dep_edges) / static_cast<double>(program.size());
+      program.size() == 0 ? 0.0
+                          : static_cast<double>(deps.num_edges()) /
+                                static_cast<double>(program.size());
   report.plan_width = PlanWidth(deps);
 
   report.events = static_cast<int64_t>(trace.size());
@@ -139,8 +135,7 @@ ScheduleReport AnalyzeSchedule(const mal::Program& program,
       continue;
     }
     if (e.state == EventState::kStart) {
-      for (int q : deps[static_cast<size_t>(e.pc)]) {
-        if (q < 0 || static_cast<size_t>(q) >= program.size()) continue;
+      for (int q : deps.producers(e.pc)) {
         const PcExecution& producer =
             report.executions[static_cast<size_t>(q)];
         if (producer.completed() &&
@@ -184,9 +179,9 @@ ScheduleReport AnalyzeSchedule(const mal::Program& program,
     v.producer_done_missing = !producer.completed();
   }
 
-  // Critical path: longest observed-duration path through the DAG. Only
-  // well-ordered edges (producer < consumer) participate, so the single
-  // forward pass is a topological sweep even over malformed plans.
+  // Critical path: longest observed-duration path through the DAG. Every
+  // producer precedes its consumer, so the single forward pass is a
+  // topological sweep even over malformed plans.
   std::vector<int64_t> path_usec(program.size(), 0);
   std::vector<int> best_pred(program.size(), -1);
   int tail = -1;
@@ -194,8 +189,7 @@ ScheduleReport AnalyzeSchedule(const mal::Program& program,
   for (size_t pc = 0; pc < program.size(); ++pc) {
     int64_t longest_in = 0;
     int pred = -1;
-    for (int q : deps[pc]) {
-      if (q < 0 || static_cast<size_t>(q) >= pc) continue;
+    for (int q : deps.producers(static_cast<int>(pc))) {
       if (path_usec[static_cast<size_t>(q)] > longest_in) {
         longest_in = path_usec[static_cast<size_t>(q)];
         pred = q;

@@ -126,12 +126,14 @@ struct ScheduleReport {
   int64_t slack_usec = 0;
 };
 
-/// Replays `trace` against `program` and returns the schedule report. Cost
+/// Replays `trace` against `program`, whose def-use index is `deps`
+/// (Program::BuildDependencies), and returns the schedule report. Cost
 /// is O(events * avg-indegree): one pass over the events in the index's
 /// emission order, each start joining its producers' clocks. Also updates
 /// the `stetho_hb_*` metrics in obs::Registry::Default() (replays/events/
 /// violations counters plus critical-path, makespan, and slack gauges).
 ScheduleReport AnalyzeSchedule(const mal::Program& program,
+                               const mal::Dependencies& deps,
                                const TraceIndex& trace);
 
 /// True when `a`'s completion happens-before `b`'s start under the replayed

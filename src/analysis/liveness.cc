@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -124,8 +125,13 @@ class MaxFlow {
 class Accountant {
  public:
   Accountant(const std::vector<int64_t>& var_bytes,
-             const std::vector<int>& consumers)
-      : var_bytes_(var_bytes), consumers_(consumers), remaining_(consumers) {}
+             const mal::Dependencies& deps)
+      : var_bytes_(var_bytes), deps_(deps), remaining_(var_bytes.size()) {
+    for (size_t v = 0; v < remaining_.size(); ++v) {
+      remaining_[v] =
+          static_cast<int>(deps.readers(static_cast<int>(v)).size());
+    }
+  }
 
   /// Lands `ins`'s results; returns the live bytes with them.
   int64_t Land(const mal::Instruction& ins) {
@@ -150,7 +156,7 @@ class Accountant {
       if (remaining_[v] > 0 && --remaining_[v] == 0) Release(v);
     }
     for (int v : ins.results) {
-      if (InRange(v) && consumers_[static_cast<size_t>(v)] == 0) {
+      if (InRange(v) && deps_.readers(v).empty()) {
         Release(static_cast<size_t>(v));
       }
     }
@@ -174,26 +180,12 @@ class Accountant {
   int64_t Live() const { return unbounded_live_ > 0 ? kUnboundedBytes : live_; }
 
   const std::vector<int64_t>& var_bytes_;
-  const std::vector<int>& consumers_;
+  const mal::Dependencies& deps_;
   std::vector<int> remaining_;
   int64_t live_ = 0;
   int unbounded_live_ = 0;
   bool saw_unbounded_ = false;
 };
-
-/// Argument references per variable across the plan.
-std::vector<int> ConsumerCounts(const mal::Program& program) {
-  std::vector<int> consumers(program.num_variables(), 0);
-  for (const mal::Instruction& ins : program.instructions()) {
-    for (const mal::Argument& a : ins.args) {
-      if (a.kind == mal::Argument::Kind::kVar && a.var >= 0 &&
-          static_cast<size_t>(a.var) < consumers.size()) {
-        consumers[static_cast<size_t>(a.var)]++;
-      }
-    }
-  }
-  return consumers;
-}
 
 }  // namespace
 
@@ -226,11 +218,12 @@ int64_t EstimateResultBytes(const KernelSignature* sig,
 MemoryReport AnalyzeMemory(const mal::Program& program) {
   std::vector<InstructionFacts> per_pc;
   AnalyzeProgram(program, &per_pc);
-  return AnalyzeMemory(program, per_pc);
+  return AnalyzeMemory(program, per_pc, program.BuildDependencies());
 }
 
 MemoryReport AnalyzeMemory(const mal::Program& program,
-                           const std::vector<InstructionFacts>& per_pc) {
+                           const std::vector<InstructionFacts>& per_pc,
+                           const mal::Dependencies& deps) {
   const size_t n = program.size();
   const size_t nvars = program.num_variables();
   MemoryReport report;
@@ -241,8 +234,6 @@ MemoryReport AnalyzeMemory(const mal::Program& program,
   std::vector<int64_t> var_card(nvars, 0);
   std::vector<char> var_exact(nvars, 0);
   std::vector<int> def_pc(nvars, -1);
-  std::vector<int> last_use(nvars, -1);
-  std::vector<int> consumers(nvars, 0);
 
   // Footprint of every result register, from the forward absint facts.
   for (size_t pc = 0; pc < n && pc < per_pc.size(); ++pc) {
@@ -272,23 +263,15 @@ MemoryReport AnalyzeMemory(const mal::Program& program,
     }
   }
 
-  // Backward liveness (straight-line SSA: one reverse scan suffices).
-  for (size_t pc = 0; pc < n; ++pc) {
-    for (const mal::Argument& a : program.instruction(static_cast<int>(pc)).args) {
-      if (a.kind != mal::Argument::Kind::kVar) continue;
-      if (a.var < 0 || static_cast<size_t>(a.var) >= nvars) continue;
-      consumers[static_cast<size_t>(a.var)]++;
-      last_use[static_cast<size_t>(a.var)] = static_cast<int>(pc);
-    }
-  }
-
+  // Live ranges end at the last reader (straight-line SSA).
   for (size_t v = 0; v < nvars; ++v) {
     if (def_pc[v] < 0 || var_bytes[v] == 0) continue;
+    const std::span<const int> readers = deps.readers(static_cast<int>(v));
     LiveRange r;
     r.var = static_cast<int>(v);
     r.def_pc = def_pc[v];
-    r.last_use_pc = last_use[v];
-    r.num_consumers = consumers[v];
+    r.last_use_pc = readers.empty() ? -1 : readers.back();
+    r.num_consumers = static_cast<int>(readers.size());
     r.bytes = var_bytes[v];
     r.card_hi = var_card[v];
     r.exact = var_exact[v] != 0;
@@ -300,7 +283,7 @@ MemoryReport AnalyzeMemory(const mal::Program& program,
             });
 
   // Sequential accountant simulation in program order.
-  Accountant accountant(var_bytes, consumers);
+  Accountant accountant(var_bytes, deps);
   for (size_t pc = 0; pc < n; ++pc) {
     const mal::Instruction& ins = program.instruction(static_cast<int>(pc));
     const int64_t landed = accountant.Land(ins);
@@ -315,6 +298,7 @@ MemoryReport AnalyzeMemory(const mal::Program& program,
 }
 
 int64_t SequentialPeakInOrder(const mal::Program& program,
+                              const mal::Dependencies& deps,
                               const MemoryReport& report,
                               const std::vector<int>& order) {
   std::vector<int64_t> var_bytes(program.num_variables(), 0);
@@ -323,8 +307,7 @@ int64_t SequentialPeakInOrder(const mal::Program& program,
       var_bytes[static_cast<size_t>(r.var)] = r.bytes;
     }
   }
-  const std::vector<int> consumers = ConsumerCounts(program);
-  Accountant accountant(var_bytes, consumers);
+  Accountant accountant(var_bytes, deps);
   int64_t peak = 0;
   for (int pc : order) {
     const mal::Instruction& ins = program.instruction(pc);
@@ -335,6 +318,7 @@ int64_t SequentialPeakInOrder(const mal::Program& program,
 }
 
 int64_t ParallelPeakBound(const mal::Program& program,
+                          const mal::Dependencies& deps,
                           const MemoryReport& report, int dop) {
   if (dop < 1) dop = 1;
   if (!report.bounded) return kUnboundedBytes;
@@ -344,19 +328,12 @@ int64_t ParallelPeakBound(const mal::Program& program,
   // Forward reachability over the dependency DAG as bitsets. Edges run
   // producer -> consumer, and SSA def-before-use makes every edge go from
   // a lower pc to a higher one, so one reverse scan closes the relation.
-  std::vector<std::vector<int>> deps = program.BuildDependencies();
   const size_t words = (n + 63) / 64;
   std::vector<uint64_t> reach(n * words, 0);
-  std::vector<std::vector<int>> succ(n);
-  for (size_t c = 0; c < deps.size() && c < n; ++c) {
-    for (int p : deps[c]) {
-      if (p >= 0 && static_cast<size_t>(p) < n) succ[static_cast<size_t>(p)].push_back(static_cast<int>(c));
-    }
-  }
   for (size_t pc = n; pc-- > 0;) {
     uint64_t* row = &reach[pc * words];
     row[pc / 64] |= uint64_t{1} << (pc % 64);
-    for (int s : succ[pc]) {
+    for (int s : deps.consumers(static_cast<int>(pc))) {
       const uint64_t* srow = &reach[static_cast<size_t>(s) * words];
       for (size_t w = 0; w < words; ++w) row[w] |= srow[w];
     }
@@ -365,17 +342,6 @@ int64_t ParallelPeakBound(const mal::Program& program,
     return (reach[static_cast<size_t>(from) * words + static_cast<size_t>(to) / 64] >>
             (static_cast<size_t>(to) % 64)) & 1;
   };
-
-  // Consumer pcs per variable (only for the consumed heavy ranges).
-  std::vector<std::vector<int>> use_pcs(program.num_variables());
-  for (size_t pc = 0; pc < n; ++pc) {
-    for (const mal::Argument& a : program.instruction(static_cast<int>(pc)).args) {
-      if (a.kind == mal::Argument::Kind::kVar && a.var >= 0 &&
-          static_cast<size_t>(a.var) < use_pcs.size()) {
-        use_pcs[static_cast<size_t>(a.var)].push_back(static_cast<int>(pc));
-      }
-    }
-  }
 
   // Lifetime poset over consumed ranges: v < w iff every consumer of v
   // strictly reaches def(w) — then v is provably released before w is
@@ -388,7 +354,7 @@ int64_t ParallelPeakBound(const mal::Program& program,
     if (r.num_consumers > 0 && r.bytes > 0) rs.push_back(&r);
   }
   auto precedes = [&](const LiveRange* a, const LiveRange* b) {
-    for (int c : use_pcs[static_cast<size_t>(a->var)]) {
+    for (int c : deps.readers(a->var)) {
       if (c == b->def_pc || !reaches(c, b->def_pc)) return false;
     }
     return true;
@@ -493,10 +459,11 @@ std::string FormatBytes(int64_t bytes) {
 }
 
 std::string FormatMemoryReport(const mal::Program& program,
+                               const mal::Dependencies& deps,
                                const MemoryReport& report, int dop,
                                int top_k) {
   std::string out;
-  int64_t par = ParallelPeakBound(program, report, dop);
+  int64_t par = ParallelPeakBound(program, deps, report, dop);
   out += StrFormat("memory profile: %zu instructions, %zu live ranges\n",
                    program.size(), report.ranges.size());
   out += StrFormat("  input (base columns bound): %s\n",

@@ -88,19 +88,23 @@ struct MemoryReport {
   bool bounded = true;
 };
 
-/// Runs the forward absint sweep + backward liveness and returns the
+/// Runs the forward absint sweep, builds the def-use index and returns the
 /// per-range footprints and the sequential peak profile.
 MemoryReport AnalyzeMemory(const mal::Program& program);
-/// The same report built on an AnalyzeProgram sweep's per-pc facts.
+/// The same report built on an AnalyzeProgram sweep's per-pc facts and the
+/// program's def-use index (Program::BuildDependencies), whose readers give
+/// each register's consumer count and last use.
 MemoryReport AnalyzeMemory(const mal::Program& program,
-                           const std::vector<InstructionFacts>& per_pc);
+                           const std::vector<InstructionFacts>& per_pc,
+                           const mal::Dependencies& deps);
 
 /// The sequential peak (MemoryReport::seq_peak_bytes) of `program` run in
 /// `order` (order[i] is the pc that runs i-th) instead of pc order, from
-/// `report`, AnalyzeMemory's report over `program`. Footprints do not
-/// depend on the order, so a schedule is priced without moving an
-/// instruction (the memory_reorder pass).
+/// `report`, AnalyzeMemory's report over `program` and `deps`. Footprints
+/// and reader counts do not depend on the order, so a schedule is priced
+/// without moving an instruction (the memory_reorder pass).
 int64_t SequentialPeakInOrder(const mal::Program& program,
+                              const mal::Dependencies& deps,
                               const MemoryReport& report,
                               const std::vector<int>& order);
 
@@ -112,11 +116,13 @@ int64_t SequentialPeakInOrder(const mal::Program& program,
 /// the consumer-less transients. dop < 1 is clamped to 1; returns
 /// kUnboundedBytes when the report is unbounded.
 int64_t ParallelPeakBound(const mal::Program& program,
+                          const mal::Dependencies& deps,
                           const MemoryReport& report, int dop);
 
 /// Human-readable profile: totals, sequential peak, parallel bound at
 /// `dop`, per-pc live-byte sparkline and the top_k heaviest live ranges.
 std::string FormatMemoryReport(const mal::Program& program,
+                               const mal::Dependencies& deps,
                                const MemoryReport& report, int dop,
                                int top_k = 5);
 

@@ -95,8 +95,9 @@ TraceDiff DiffTraces(const std::vector<profiler::TraceEvent>& a,
   std::vector<bool> critical_a;
   std::vector<bool> critical_b;
   if (plan != nullptr) {
-    ScheduleReport ra = AnalyzeSchedule(*plan, ia);
-    ScheduleReport rb = AnalyzeSchedule(*plan, ib);
+    const mal::Dependencies deps = plan->BuildDependencies();
+    ScheduleReport ra = AnalyzeSchedule(*plan, deps, ia);
+    ScheduleReport rb = AnalyzeSchedule(*plan, deps, ib);
     diff.a_critical_usec = ra.critical_path_usec;
     diff.b_critical_usec = rb.critical_path_usec;
     critical_a.assign(plan->size(), false);

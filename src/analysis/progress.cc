@@ -52,15 +52,16 @@ std::string FormatUsec(int64_t usec) {
 }  // namespace
 
 std::shared_ptr<const ProgressModel> ProgressModel::Build(
-    const mal::Program& program) {
+    const engine::PreparedPlan& plan) {
+  const mal::Program& program = plan.program();
   auto model = std::shared_ptr<ProgressModel>(new ProgressModel());
   const size_t n = program.size();
   model->weight_.assign(n, 1.0);
-  model->deps_ = program.BuildDependencies();
+  model->deps_ = plan.deps();
 
   std::vector<InstructionFacts> facts;
   AnalyzeProgram(program, &facts);
-  MemoryReport report = AnalyzeMemory(program, facts);
+  MemoryReport report = AnalyzeMemory(program, facts, model->deps_);
   std::vector<int64_t> var_bytes(program.num_variables(), 0);
   for (const LiveRange& range : report.ranges) {
     if (range.var >= 0 &&
@@ -93,7 +94,7 @@ std::shared_ptr<const ProgressModel> ProgressModel::Build(
   std::vector<double> chain(n, 0.0);
   for (size_t pc = 0; pc < n; ++pc) {
     double longest = 0;
-    for (int dep : model->deps_[pc]) {
+    for (int dep : model->deps_.producers(static_cast<int>(pc))) {
       longest = std::max(longest, chain[static_cast<size_t>(dep)]);
     }
     chain[pc] = longest + model->weight_[pc];
@@ -109,7 +110,7 @@ double ProgressModel::RemainingCriticalWeight(
   double best = 0;
   for (size_t pc = 0; pc < n; ++pc) {
     double longest = 0;
-    for (int dep : deps_[pc]) {
+    for (int dep : deps_.producers(static_cast<int>(pc))) {
       longest = std::max(longest, chain[static_cast<size_t>(dep)]);
     }
     const bool is_done = pc < done.size() && done[pc];
@@ -137,8 +138,7 @@ std::shared_ptr<const ProgressModel> ProgressModelCache::GetOrBuild(
   }
   // Build outside the lock (absint + liveness are the expensive part);
   // a concurrent duplicate build is wasted work, not a correctness issue.
-  std::shared_ptr<const ProgressModel> model =
-      ProgressModel::Build(plan.program());
+  std::shared_ptr<const ProgressModel> model = ProgressModel::Build(plan);
   std::lock_guard<std::mutex> lock(mu_);
   ++misses_;
   CacheMissCounter()->Increment();

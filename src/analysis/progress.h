@@ -36,10 +36,11 @@ namespace stetho::analysis {
 class ProgressModel {
  public:
   /// Builds the model: one absint + liveness sweep plus a longest-path DP
-  /// over BuildDependencies(). Cost is O(plan size) on top of
+  /// over the prepared plan's def-use index, which the model copies (it
+  /// outlives the plan in its cache). Cost is O(plan size) on top of
   /// AnalyzeMemory — use ProgressModelCache to pay it once per plan shape.
   static std::shared_ptr<const ProgressModel> Build(
-      const mal::Program& program);
+      const engine::PreparedPlan& plan);
 
   size_t plan_size() const { return weight_.size(); }
   double weight(int pc) const { return weight_[static_cast<size_t>(pc)]; }
@@ -56,7 +57,7 @@ class ProgressModel {
   ProgressModel() = default;
 
   std::vector<double> weight_;
-  std::vector<std::vector<int>> deps_;  // producers per pc
+  mal::Dependencies deps_;
   double total_weight_ = 0;
   double critical_weight_ = 0;
 };

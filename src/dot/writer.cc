@@ -27,7 +27,8 @@ std::string ProgramToDot(const engine::PreparedPlan& plan,
   size_t bytes = 64 + options.graph_name.size() + options.node_shape.size();
   for (size_t pc = 0; pc < plan.size(); ++pc) {
     const int ipc = static_cast<int>(pc);
-    bytes += plan.text(ipc).size() + 24 + 24 * plan.deps(ipc).size();
+    bytes += plan.text(ipc).size() + 24 +
+             24 * plan.deps().producers(ipc).size();
   }
   std::string out;
   out.reserve(bytes + bytes / 8);
@@ -54,7 +55,7 @@ std::string ProgramToDot(const engine::PreparedPlan& plan,
   }
   for (size_t pc = 0; pc < plan.size(); ++pc) {
     const int ipc = static_cast<int>(pc);
-    for (int producer : plan.deps(ipc)) {
+    for (int producer : plan.deps().producers(ipc)) {
       // Dataflow direction: producer -> consumer.
       out += "  ";
       AppendNodeName(producer, &out);
@@ -112,9 +113,9 @@ Graph ProgramToGraph(const mal::Program& program) {
     GraphNode& node = graph.AddNode(NodeName(ins.pc));
     node.given_label = program.InstructionToString(ins);
   }
-  auto deps = program.BuildDependencies();
+  const mal::Dependencies deps = program.BuildDependencies();
   for (size_t pc = 0; pc < deps.size(); ++pc) {
-    for (int producer : deps[pc]) {
+    for (int producer : deps.producers(static_cast<int>(pc))) {
       graph.AddEdge(NodeName(producer), NodeName(static_cast<int>(pc)));
     }
   }

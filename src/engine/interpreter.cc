@@ -67,7 +67,7 @@ struct RunState {
   std::atomic<int64_t> peak_bytes{0};
   std::vector<InstructionStat> stats;
 
-  // Pending producers per pc (the plan's dependency lists give the edges).
+  // Pending producers per pc (the plan's def-use index gives the edges).
   // indegree is decremented lock-free by finishing predecessors; the
   // acq_rel counter is also the fence that publishes a predecessor's
   // register writes to the dependent's executing worker.
@@ -244,7 +244,7 @@ void RunDataflowTask(RunState* state, int pc, int slot) {
   // unfinished dependency), so record it, dump the flight recorder for
   // context, and abort the query instead of reading a half-built register.
   if (state->selfcheck) {
-    for (int q : state->plan->deps(pc)) {
+    for (int q : state->plan->deps().producers(pc)) {
       if (state->completed[static_cast<size_t>(q)].load(
               std::memory_order_acquire)) {
         continue;
@@ -277,7 +277,7 @@ void RunDataflowTask(RunState* state, int pc, int slot) {
   // every predecessor's writes into the dependent's task.
   std::vector<int> newly_ready;
   if (st.ok() && !state->abort.load(std::memory_order_acquire)) {
-    for (int dep : state->plan->dependents(pc)) {
+    for (int dep : state->plan->deps().consumers(pc)) {
       if (state->indegree[static_cast<size_t>(dep)].fetch_sub(
               1, std::memory_order_acq_rel) == 1) {
         newly_ready.push_back(dep);
@@ -382,8 +382,9 @@ Result<QueryResult> Interpreter::ExecuteInternal(
   state.registers.resize(program.num_variables());
   state.stats.resize(program.size());
   for (size_t var = 0; var < program.num_variables(); ++var) {
-    state.var_consumers[var].store(plan.readers(static_cast<int>(var)),
-                                   std::memory_order_relaxed);
+    state.var_consumers[var].store(
+        static_cast<int>(plan.deps().readers(static_cast<int>(var)).size()),
+        std::memory_order_relaxed);
   }
 
   obs::Tracer* tracer =
@@ -424,7 +425,8 @@ Result<QueryResult> Interpreter::ExecuteInternal(
     state.selfcheck = SchedSelfCheckEnabled();
     for (size_t pc = 0; pc < program.size(); ++pc) {
       state.indegree[pc].store(
-          static_cast<int>(plan.deps(static_cast<int>(pc)).size()),
+          static_cast<int>(
+              plan.deps().producers(static_cast<int>(pc)).size()),
           std::memory_order_relaxed);
     }
     state.unfinished = static_cast<int>(program.size());

@@ -19,13 +19,14 @@ struct OwnedPlan {
 
 PreparedPlan::PreparedPlan(const mal::Program& program,
                            const ModuleRegistry* registry)
-    : program_(&program), validation_(program.Validate()) {
+    : program_(&program),
+      validation_(program.Validate()),
+      deps_(program.BuildDependencies()) {
   const size_t n = program.size();
   text_begin_.reserve(n + 1);
   kernels_.reserve(n);
   signatures_.reserve(n);
   args_.offsets.reserve(n + 1);
-  readers_.assign(program.num_variables(), 0);
 
   mal::ShapeHasher hasher;
   const mal::Instruction* previous = nullptr;
@@ -51,7 +52,6 @@ PreparedPlan::PreparedPlan(const mal::Program& program,
     for (const mal::Argument& arg : ins.args) {
       if (arg.kind == mal::Argument::Kind::kVar) {
         args_.items.push_back(arg.var);
-        ++readers_[static_cast<size_t>(arg.var)];
       } else {
         args_.items.push_back(~static_cast<int>(constants_.size()));
         constants_.push_back(RegisterValue::Scalar(arg.constant));
@@ -61,28 +61,6 @@ PreparedPlan::PreparedPlan(const mal::Program& program,
   }
   text_begin_.push_back(text_.size());
   shape_hash_ = hasher.value();
-
-  const std::vector<std::vector<int>> deps = program.BuildDependencies();
-  std::vector<int> consumers(n, 0);
-  for (const std::vector<int>& producers : deps) {
-    deps_.items.insert(deps_.items.end(), producers.begin(), producers.end());
-    deps_.EndRow();
-    for (int producer : producers) ++consumers[static_cast<size_t>(producer)];
-  }
-  // Consumers in ascending pc order, laid out by a counting sort.
-  dependents_.offsets.resize(n + 1);
-  for (size_t pc = 0; pc < n; ++pc) {
-    dependents_.offsets[pc + 1] = dependents_.offsets[pc] + consumers[pc];
-  }
-  dependents_.items.resize(deps_.items.size());
-  std::vector<int> next(dependents_.offsets.begin(),
-                        dependents_.offsets.end() - 1);
-  for (size_t pc = 0; pc < n; ++pc) {
-    for (int producer : deps[pc]) {
-      dependents_.items[static_cast<size_t>(
-          next[static_cast<size_t>(producer)]++)] = static_cast<int>(pc);
-    }
-  }
 }
 
 std::shared_ptr<const PreparedPlan> PreparedPlan::Prepare(

@@ -25,8 +25,8 @@ namespace stetho::engine {
 ///    (mal::ShapeHasher, which analysis::PlanShapeHash also uses);
 ///  - resolves each kernel and its signature once;
 ///  - materialises constant operands as read-only registers;
-///  - lists each instruction's argument registers, producers and consumers,
-///    and each variable's reader count.
+///  - lists each instruction's argument registers;
+///  - builds the plan's def-use index (Program::BuildDependencies).
 /// Immutable after construction, so the server's query thread, the
 /// interpreter's workers and a monitor's threads share one plan without
 /// locking. Nothing is cached across plans: a rewritten program is prepared
@@ -81,30 +81,11 @@ class PreparedPlan {
   const RegisterValue& constant(int reg) const {
     return constants_[static_cast<size_t>(~reg)];
   }
-  /// Producer pcs of `pc` (Program::BuildDependencies) and consumer pcs.
-  std::span<const int> deps(int pc) const { return deps_.row(pc); }
-  std::span<const int> dependents(int pc) const {
-    return dependents_.row(pc);
-  }
-  /// Argument slots across the plan that read variable `var`: the reads
-  /// after which the interpreter may release its register.
-  int readers(int var) const { return readers_[static_cast<size_t>(var)]; }
+  /// The plan's producers, consumers and readers: the interpreter
+  /// dispatches on them and releases a register after its last reader.
+  const mal::Dependencies& deps() const { return deps_; }
 
  private:
-  /// Rows of ints in one array: row r is items[offsets[r], offsets[r + 1]).
-  struct Rows {
-    std::vector<int> offsets{0};
-    std::vector<int> items;
-
-    void EndRow() { offsets.push_back(static_cast<int>(items.size())); }
-    std::span<const int> row(int r) const {
-      const size_t i = static_cast<size_t>(r);
-      return std::span<const int>(items).subspan(
-          static_cast<size_t>(offsets[i]),
-          static_cast<size_t>(offsets[i + 1] - offsets[i]));
-    }
-  };
-
   const mal::Program* program_;
   Status validation_;
   uint64_t shape_hash_ = 0;
@@ -113,10 +94,8 @@ class PreparedPlan {
   std::vector<const KernelFn*> kernels_;
   std::vector<const analysis::KernelSignature*> signatures_;
   std::vector<RegisterValue> constants_;
-  Rows args_;
-  Rows deps_;
-  Rows dependents_;
-  std::vector<int> readers_;
+  mal::IntRows args_;
+  mal::Dependencies deps_;
 };
 
 }  // namespace stetho::engine

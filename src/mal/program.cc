@@ -66,34 +66,60 @@ void Program::InsertInstruction(int pc, Instruction ins) {
   }
 }
 
-std::vector<std::vector<int>> Program::BuildDependencies() const {
-  // writer[v] = pc of the instruction that most recently assigned variable v.
-  std::vector<int> writer(variables_.size(), -1);
-  std::vector<std::vector<int>> deps(instructions_.size());
-  for (const Instruction& ins : instructions_) {
-    std::vector<int>& d = deps[static_cast<size_t>(ins.pc)];
+Dependencies Program::BuildDependencies() const {
+  const size_t n = instructions_.size();
+  const size_t nvars = variables_.size();
+  Dependencies deps;
+  deps.producers_.offsets.reserve(n + 1);
+  std::vector<int> consumer_count(n + 1, 0);
+  std::vector<int> reader_count(nvars + 1, 0);
+  // writer[v]: the pc that most recently assigned v; last_row[p]: the last
+  // pc whose row lists producer p (drops repeats in O(1)).
+  std::vector<int> writer(nvars, -1);
+  std::vector<int> last_row(n, -1);
+  for (size_t pc = 0; pc < n; ++pc) {
+    const Instruction& ins = instructions_[pc];
     for (const Argument& arg : ins.args) {
       if (arg.kind != Argument::Kind::kVar) continue;
       // Out-of-range references are a Validate() error; the lint path walks
       // such malformed programs to diagnose them, so skip rather than index.
-      if (arg.var < 0 || static_cast<size_t>(arg.var) >= writer.size()) {
+      if (arg.var < 0 || static_cast<size_t>(arg.var) >= nvars) continue;
+      ++reader_count[static_cast<size_t>(arg.var) + 1];
+      const int w = writer[static_cast<size_t>(arg.var)];
+      if (w < 0 || last_row[static_cast<size_t>(w)] == static_cast<int>(pc)) {
         continue;
       }
-      int w = writer[static_cast<size_t>(arg.var)];
-      if (w >= 0) {
-        bool seen = false;
-        for (int existing : d) {
-          if (existing == w) {
-            seen = true;
-            break;
-          }
-        }
-        if (!seen) d.push_back(w);
-      }
+      last_row[static_cast<size_t>(w)] = static_cast<int>(pc);
+      deps.producers_.items.push_back(w);
+      ++consumer_count[static_cast<size_t>(w) + 1];
     }
+    deps.producers_.EndRow();
     for (int r : ins.results) {
-      if (r < 0 || static_cast<size_t>(r) >= writer.size()) continue;
-      writer[static_cast<size_t>(r)] = ins.pc;
+      if (r < 0 || static_cast<size_t>(r) >= nvars) continue;
+      writer[static_cast<size_t>(r)] = static_cast<int>(pc);
+    }
+  }
+
+  // Counting pass: walking the pcs in order fills each consumer and reader
+  // row in ascending pc order.
+  for (size_t i = 0; i < n; ++i) consumer_count[i + 1] += consumer_count[i];
+  for (size_t v = 0; v < nvars; ++v) reader_count[v + 1] += reader_count[v];
+  deps.consumers_.offsets = consumer_count;
+  deps.readers_.offsets = reader_count;
+  deps.consumers_.items.resize(deps.producers_.items.size());
+  deps.readers_.items.resize(static_cast<size_t>(reader_count[nvars]));
+  for (size_t pc = 0; pc < n; ++pc) {
+    for (int p : deps.producers_.row(static_cast<int>(pc))) {
+      deps.consumers_.items[static_cast<size_t>(
+          consumer_count[static_cast<size_t>(p)]++)] = static_cast<int>(pc);
+    }
+    for (const Argument& arg : instructions_[pc].args) {
+      if (arg.kind != Argument::Kind::kVar || arg.var < 0 ||
+          static_cast<size_t>(arg.var) >= nvars) {
+        continue;
+      }
+      deps.readers_.items[static_cast<size_t>(
+          reader_count[static_cast<size_t>(arg.var)]++)] = static_cast<int>(pc);
     }
   }
   return deps;

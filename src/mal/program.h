@@ -2,6 +2,7 @@
 #define STETHO_MAL_PROGRAM_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -89,6 +90,57 @@ class ShapeHasher {
   uint64_t hash_ = 1469598103934665603ULL;  // FNV-1a 64 offset basis
 };
 
+/// Rows of ints in one array (compressed sparse rows): row r is
+/// items[offsets[r], offsets[r + 1]).
+struct IntRows {
+  std::vector<int> offsets{0};
+  std::vector<int> items;
+
+  void EndRow() { offsets.push_back(static_cast<int>(items.size())); }
+  size_t size() const { return offsets.size() - 1; }
+  std::span<const int> row(int r) const {
+    const size_t i = static_cast<size_t>(r);
+    return std::span<const int>(items).subspan(
+        static_cast<size_t>(offsets[i]),
+        static_cast<size_t>(offsets[i + 1] - offsets[i]));
+  }
+  bool operator==(const IntRows&) const = default;
+};
+
+/// A program's def-use relation, the one source every consumer reads (the
+/// interpreter's dispatch, the dot edges, memory_reorder, the lint,
+/// liveness, the happens-before replay and the progress model). Built by
+/// Program::BuildDependencies() as three compressed-row tables:
+///  - producers(pc): the distinct pcs whose results `pc` reads, in the
+///    order its arguments first name them (the dot writer's edge order);
+///  - consumers(pc): the pcs that read a result of `pc`, ascending;
+///  - readers(var): one entry per argument slot reading `var`, in
+///    ascending pc order, so size() is the interpreter's reader count and
+///    back() the last use.
+/// Malformed programs (the lint walks them) keep a defined relation:
+/// out-of-range argument and result ids are skipped, a use before any
+/// definition has no producer, and a variable assigned twice links to its
+/// latest writer before the use.
+class Dependencies {
+ public:
+  /// Number of instructions.
+  size_t size() const { return producers_.size(); }
+  std::span<const int> producers(int pc) const { return producers_.row(pc); }
+  std::span<const int> consumers(int pc) const { return consumers_.row(pc); }
+  std::span<const int> readers(int var) const { return readers_.row(var); }
+  /// Producer -> consumer edges in the plan.
+  size_t num_edges() const { return producers_.items.size(); }
+
+  bool operator==(const Dependencies&) const = default;
+
+ private:
+  friend class Program;
+
+  IntRows producers_;
+  IntRows consumers_;
+  IntRows readers_;
+};
+
 /// A MAL program (one `function user.main():void; ... end user.main;` body).
 /// Owns the variable table and the instruction sequence.
 class Program {
@@ -143,10 +195,10 @@ class Program {
   uint64_t variables_version() const { return variables_version_; }
 
   /// --- Analysis ---
-  /// For each instruction, the pcs of the instructions producing its variable
-  /// arguments (dataflow dependencies). Because codegen emits SSA, this is
-  /// the last/only writer of each argument variable.
-  std::vector<std::vector<int>> BuildDependencies() const;
+  /// The def-use relation (Dependencies). Because codegen emits SSA, each
+  /// argument's producer is the only writer of its variable. Nothing is
+  /// cached: Facts and PreparedPlan hold the one index each plan reads.
+  Dependencies BuildDependencies() const;
 
   /// Renders one statement, e.g.
   /// `X_7:bat[:dbl] := algebra.projection(X_5,X_3);`.

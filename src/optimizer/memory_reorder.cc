@@ -8,7 +8,7 @@
 // (sinks, unknown extensions) form a serialized backbone that keeps their
 // relative order — observable output order is untouched, which is exactly
 // what the pass-equivalence differ checks. The absint facts, memory report
-// and dependency lists come from the facts the pass is given. The rewrite
+// and def-use index come from the facts the pass is given. The rewrite
 // is self-rejecting: unless the new order's predicted sequential peak is
 // strictly smaller, the plan is left as it was and the pass reports "did
 // not fire".
@@ -42,36 +42,34 @@ class MemoryReorderPass final : public Pass {
         carried.instructions();
     const analysis::MemoryReport& before = carried.memory();
     if (!before.bounded) return Effect::None();  // no finite objective
+    const mal::Dependencies& deps = carried.deps();
 
-    // Per-variable footprints and consumer counts, from the report: only
-    // registers that hold bytes change a delta.
+    // Per-variable footprints, from the report: only registers that hold
+    // bytes change a delta.
     const size_t nvars = program->num_variables();
     std::vector<int64_t> var_bytes(nvars, 0);
-    std::vector<int> consumers(nvars, 0);
     for (const analysis::LiveRange& r : before.ranges) {
       if (r.var >= 0 && static_cast<size_t>(r.var) < nvars) {
         var_bytes[static_cast<size_t>(r.var)] = r.bytes;
-        consumers[static_cast<size_t>(r.var)] = r.num_consumers;
       }
     }
 
-    // Dependency edges + a serialized backbone through every effectful
-    // instruction so side effects keep their order.
-    std::vector<std::vector<int>> succ(n);
+    // Dependency edges plus a serialized backbone through every effectful
+    // instruction, so side effects keep their order: next_effectful[pc] is
+    // the effectful pc after effectful `pc` (-1 for none).
     std::vector<int> indegree(n, 0);
-    const std::vector<std::vector<int>>& deps = carried.deps();
-    auto add_edge = [&](int from, int to) {
-      succ[static_cast<size_t>(from)].push_back(to);
-      indegree[static_cast<size_t>(to)]++;
-    };
-    for (size_t c = 0; c < deps.size(); ++c) {
-      for (int p : deps[c]) add_edge(p, static_cast<int>(c));
-    }
+    std::vector<int> next_effectful(n, -1);
     int prev_effectful = -1;
     for (size_t pc = 0; pc < n; ++pc) {
+      indegree[pc] = static_cast<int>(
+          deps.producers(static_cast<int>(pc)).size());
       const analysis::KernelSignature* sig = facts[pc].sig;
       if (sig != nullptr && sig->side_effect_free) continue;
-      if (prev_effectful >= 0) add_edge(prev_effectful, static_cast<int>(pc));
+      if (prev_effectful >= 0) {
+        next_effectful[static_cast<size_t>(prev_effectful)] =
+            static_cast<int>(pc);
+        indegree[pc]++;
+      }
       prev_effectful = static_cast<int>(pc);
     }
 
@@ -97,7 +95,7 @@ class MemoryReorderPass final : public Pass {
         if (r < 0 || static_cast<size_t>(r) >= nvars) continue;
         // Consumer-less results are released before the next instruction
         // runs, so they don't change the standing live set.
-        if (consumers[static_cast<size_t>(r)] > 0) {
+        if (!deps.readers(r).empty()) {
           result_bytes[pc] += var_bytes[static_cast<size_t>(r)];
         }
       }
@@ -120,25 +118,14 @@ class MemoryReorderPass final : public Pass {
       }
     }
     first_use[n] = uses.size();
-    // The readers of var v are readers[first_reader[v] .. first_reader[v+1]).
     std::vector<int> max_occurrences(nvars, 0);
-    std::vector<size_t> first_reader(nvars + 1, 0);
+    std::vector<int> remaining(nvars, 0);
     for (const ArgUse& u : uses) {
-      first_reader[static_cast<size_t>(u.var) + 1]++;
-      int& most = max_occurrences[static_cast<size_t>(u.var)];
-      most = std::max(most, u.occurrences);
-    }
-    for (size_t v = 0; v < nvars; ++v) first_reader[v + 1] += first_reader[v];
-    std::vector<int> readers(uses.size());
-    std::vector<size_t> fill(first_reader.begin(), first_reader.end() - 1);
-    for (size_t pc = 0; pc < n; ++pc) {
-      for (size_t i = first_use[pc]; i < first_use[pc + 1]; ++i) {
-        readers[fill[static_cast<size_t>(uses[i].var)]++] =
-            static_cast<int>(pc);
-      }
+      const size_t v = static_cast<size_t>(u.var);
+      max_occurrences[v] = std::max(max_occurrences[v], u.occurrences);
+      remaining[v] = static_cast<int>(deps.readers(u.var).size());
     }
 
-    std::vector<int> remaining = consumers;
     auto net_delta = [&](int pc) {
       int64_t delta = result_bytes[static_cast<size_t>(pc)];
       for (size_t i = first_use[static_cast<size_t>(pc)];
@@ -157,6 +144,11 @@ class MemoryReorderPass final : public Pass {
     auto push = [&](int pc) {
       score[static_cast<size_t>(pc)] = net_delta(pc);
       ready.emplace(score[static_cast<size_t>(pc)], pc);
+    };
+    auto release = [&](int pc) {  // one of pc's incoming edges is done
+      if (--indegree[static_cast<size_t>(pc)] != 0) return;
+      is_ready[static_cast<size_t>(pc)] = 1;
+      push(pc);
     };
     for (size_t pc = 0; pc < n; ++pc) {
       if (indegree[pc] != 0) continue;
@@ -179,18 +171,18 @@ class MemoryReorderPass final : public Pass {
         const size_t v = static_cast<size_t>(uses[i].var);
         remaining[v] = std::max(0, remaining[v] - uses[i].occurrences);
         if (remaining[v] > max_occurrences[v]) continue;
-        for (size_t r = first_reader[v]; r < first_reader[v + 1]; ++r) {
-          const int reader = readers[r];
+        // A reader listed once per argument slot is re-scored once: its
+        // second visit finds the score current.
+        for (int reader : deps.readers(uses[i].var)) {
           if (is_ready[static_cast<size_t>(reader)] &&
               net_delta(reader) != score[static_cast<size_t>(reader)]) {
             push(reader);
           }
         }
       }
-      for (int s : succ[static_cast<size_t>(pc)]) {
-        if (--indegree[static_cast<size_t>(s)] != 0) continue;
-        is_ready[static_cast<size_t>(s)] = 1;
-        push(s);
+      for (int s : deps.consumers(pc)) release(s);
+      if (next_effectful[static_cast<size_t>(pc)] >= 0) {
+        release(next_effectful[static_cast<size_t>(pc)]);
       }
     }
     if (order.size() != n) return Effect::None();  // cyclic deps
@@ -206,7 +198,7 @@ class MemoryReorderPass final : public Pass {
     // Self-rejecting: the pass never ships a plan whose predicted peak is
     // not strictly smaller than what it started from. A topological order
     // of a valid plan is valid, so the plan needs no second Validate().
-    if (analysis::SequentialPeakInOrder(*program, before, order) >=
+    if (analysis::SequentialPeakInOrder(*program, deps, before, order) >=
         before.seq_peak_bytes) {
       return Effect::None();
     }

@@ -113,7 +113,7 @@ std::unique_ptr<Pass> MakeMitosisPass(int pieces);
 /// Topologically reorders instructions to shrink the sequential live-byte
 /// peak predicted by analysis/liveness.h (greedy list scheduling that
 /// consumes heavy intermediates as early as legal), reading the absint
-/// facts, memory report and dependency lists from the facts it is given.
+/// facts, memory report and def-use index from the facts it is given.
 /// Keeps the relative order of effectful instructions and reports the
 /// permutation; leaves the plan untouched ("did not fire") unless the
 /// predicted peak strictly shrinks.

@@ -16,6 +16,15 @@ const char* EventStateName(EventState state) {
   return "?";
 }
 
+std::string_view OperatorOf(std::string_view stmt) {
+  size_t start = 0;
+  const size_t assign = stmt.find(":=");
+  if (assign != std::string_view::npos) start = assign + 2;
+  while (start < stmt.size() && stmt[start] == ' ') ++start;
+  // Without a '(', npos - start still reaches the end of the text.
+  return stmt.substr(start, stmt.find('(', start) - start);
+}
+
 namespace {
 
 /// Fields of a trace line, per the layout in event.h.

@@ -50,6 +50,14 @@ struct TraceEvent {
   bool operator==(const TraceEvent& other) const = default;
 };
 
+/// The operator ("module.function") of a rendered MAL statement such as
+/// "X_3:bat[:oid] := sql.tid(...);", "(X_1:bat[:oid],X_2:bat[:oid]) :=
+/// group.group(X_0);" or "io.print(X_5);": the text after the first ":="
+/// (if any) and any spaces, up to the first "(" or, without one, the end.
+/// A received trace carries only the statement text, so every consumer
+/// that groups events by operator reads it through this function.
+std::string_view OperatorOf(std::string_view stmt);
+
 /// Renders the single-line trace format:
 ///   [ event, time_us, pc, thread, "state", usec, rss_bytes, "stmt" ]
 std::string FormatTraceLine(const TraceEvent& event);

@@ -3,21 +3,6 @@
 #include "common/string_util.h"
 
 namespace stetho::profiler {
-namespace {
-
-/// Extracts "module." prefix from a rendered MAL statement. Statements look
-/// like "X_3:bat[:oid] := sql.tid(...);" or "io.print(...);".
-std::string_view StatementModule(std::string_view stmt) {
-  size_t start = 0;
-  size_t assign = stmt.find(":=");
-  if (assign != std::string_view::npos) start = assign + 2;
-  while (start < stmt.size() && stmt[start] == ' ') ++start;
-  size_t dot = stmt.find('.', start);
-  if (dot == std::string_view::npos) return {};
-  return stmt.substr(start, dot - start);
-}
-
-}  // namespace
 
 bool EventFilter::Matches(const TraceEvent& event,
                           std::string_view stmt) const {
@@ -29,7 +14,8 @@ bool EventFilter::Matches(const TraceEvent& event,
     return false;
   }
   if (!modules_.empty()) {
-    std::string_view module = StatementModule(stmt);
+    const std::string_view op = OperatorOf(stmt);
+    const std::string_view module = op.substr(0, op.find('.'));
     bool hit = false;
     for (const std::string& m : modules_) {
       if (module == m) {

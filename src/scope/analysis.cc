@@ -13,17 +13,6 @@ using profiler::TraceEvent;
 
 namespace {
 
-/// Extracts "module.function" from a rendered MAL statement.
-std::string OperatorOf(const std::string& stmt) {
-  size_t start = 0;
-  size_t assign = stmt.find(":=");
-  if (assign != std::string::npos) start = assign + 2;
-  while (start < stmt.size() && stmt[start] == ' ') ++start;
-  size_t paren = stmt.find('(', start);
-  if (paren == std::string::npos) return stmt.substr(start);
-  return stmt.substr(start, paren - start);
-}
-
 /// Thread utilization; the peak comes from `index`, built over `events`.
 UtilizationReport Utilization(const std::vector<TraceEvent>& events,
                               const analysis::TraceIndex& index) {
@@ -81,7 +70,7 @@ std::vector<OperatorStats> AnalyzeOperators(const std::vector<TraceEvent>& event
   std::map<std::string, std::vector<int64_t>> durations;
   for (const TraceEvent& e : events) {
     if (e.state != EventState::kDone) continue;
-    std::string op = OperatorOf(e.stmt);
+    const std::string op(profiler::OperatorOf(e.stmt));
     OperatorStats& stats = by_op[op];
     stats.op = op;
     ++stats.calls;

@@ -12,16 +12,6 @@ using profiler::TraceEvent;
 
 namespace {
 
-std::string OperatorOf(const std::string& stmt) {
-  size_t start = 0;
-  size_t assign = stmt.find(":=");
-  if (assign != std::string::npos) start = assign + 2;
-  while (start < stmt.size() && stmt[start] == ' ') ++start;
-  size_t paren = stmt.find('(', start);
-  if (paren == std::string::npos) return stmt.substr(start);
-  return stmt.substr(start, paren - start);
-}
-
 /// Deterministic pastel color per module name.
 std::string ModuleColor(const std::string& op) {
   size_t dot = op.find('.');
@@ -51,7 +41,7 @@ std::vector<TimelineInterval> ExtractIntervals(
     iv.end_us = e.time_us - t0;
     iv.start_us = iv.end_us - e.usec;
     if (iv.start_us < 0) iv.start_us = 0;
-    iv.op = OperatorOf(e.stmt);
+    iv.op = profiler::OperatorOf(e.stmt);
     intervals.push_back(std::move(iv));
   }
   std::sort(intervals.begin(), intervals.end(),

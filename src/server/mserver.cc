@@ -8,6 +8,7 @@
 #include <cstring>
 
 #include "analysis/liveness.h"
+#include "analysis/runner.h"
 #include "common/string_util.h"
 #include "dot/writer.h"
 #include "engine/worker_pool.h"
@@ -101,6 +102,10 @@ Mserver::Mserver(storage::Catalog catalog, const MserverOptions& options)
     int dop = options_.dop > 0 ? options_.dop : engine::DefaultDop();
     if (dop > 1) engine::WorkerPool::Default()->EnsureWorkers(dop);
   }
+  // Likewise the kernel registry and the check catalog, which the first
+  // query's optimize phase would otherwise build inside its span.
+  engine::ModuleRegistry::Default();
+  analysis::Runner::Default();
 }
 
 Result<mal::Program> Mserver::Explain(const std::string& sql) const {
@@ -148,7 +153,7 @@ Result<QueryOutcome> Mserver::ExecutePlan(
 
   {
     obs::Span admit_span(tracer, "admit", "phase");
-    STETHO_RETURN_IF_ERROR(AdmitForMemory(plan->program()));
+    STETHO_RETURN_IF_ERROR(AdmitForMemory(*plan));
   }
 
   // The server generates the dot file before execution begins and pushes it
@@ -314,17 +319,22 @@ std::string Mserver::ProgressText() const {
   return out;
 }
 
-Status Mserver::AdmitForMemory(const mal::Program& program) const {
+Status Mserver::AdmitForMemory(const engine::PreparedPlan& plan) const {
   int64_t budget = options_.mem_budget_bytes > 0
                        ? options_.mem_budget_bytes
                        : analysis::EnvMemBudgetBytes();
   if (budget <= 0) return Status::OK();  // no budget configured: admit all
 
-  analysis::MemoryReport report = analysis::AnalyzeMemory(program);
+  const mal::Program& program = plan.program();
+  std::vector<analysis::InstructionFacts> facts;
+  analysis::AnalyzeProgram(program, &facts);
+  analysis::MemoryReport report =
+      analysis::AnalyzeMemory(program, facts, plan.deps());
   int dop = options_.force_sequential ? 1
             : options_.dop > 0 ? options_.dop
                                : engine::DefaultDop();
-  int64_t predicted = analysis::ParallelPeakBound(program, report, dop);
+  int64_t predicted =
+      analysis::ParallelPeakBound(program, plan.deps(), report, dop);
   if (!report.bounded || predicted == analysis::kUnboundedBytes) {
     // The model cannot bound the plan (missing cardinality annotations);
     // refusing service on an unbounded estimate would reject every such

@@ -159,7 +159,7 @@ class Mserver {
   /// plan's peak footprint and admits, queues, or rejects against the
   /// configured budget. Exports stetho_admission_{admitted,queued,rejected}_total
   /// and stetho_mem_predicted_peak_bytes.
-  Status AdmitForMemory(const mal::Program& program) const;
+  Status AdmitForMemory(const engine::PreparedPlan& plan) const;
 
   storage::Catalog catalog_;
   MserverOptions options_;

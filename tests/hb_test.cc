@@ -126,7 +126,8 @@ std::vector<TraceEvent> ParallelDiamondTrace(const mal::Program& p) {
 /// Replays `trace` against `p` through the trace's index.
 ScheduleReport Replay(const mal::Program& p,
                       const std::vector<TraceEvent>& trace) {
-  return analysis::AnalyzeSchedule(p, TraceIndex(trace));
+  return analysis::AnalyzeSchedule(p, p.BuildDependencies(),
+                                   TraceIndex(trace));
 }
 
 std::vector<TraceEvent>::iterator FindEvent(std::vector<TraceEvent>& trace,
@@ -583,14 +584,11 @@ mal::Program RandomDagPlan(SplitMix64* rng, int num_instructions) {
 /// scheduler could legally have produced.
 std::vector<TraceEvent> LegalSchedule(const mal::Program& p, SplitMix64* rng,
                                       int dop) {
-  std::vector<std::vector<int>> deps = p.BuildDependencies();
+  const mal::Dependencies deps = p.BuildDependencies();
   std::vector<int> indegree(p.size(), 0);
-  std::vector<std::vector<int>> dependents(p.size());
   for (size_t pc = 0; pc < p.size(); ++pc) {
-    indegree[pc] = static_cast<int>(deps[pc].size());
-    for (int q : deps[pc]) {
-      dependents[static_cast<size_t>(q)].push_back(static_cast<int>(pc));
-    }
+    indegree[pc] =
+        static_cast<int>(deps.producers(static_cast<int>(pc)).size());
   }
   std::vector<int> ready;
   for (size_t pc = 0; pc < p.size(); ++pc) {
@@ -629,7 +627,7 @@ std::vector<TraceEvent> LegalSchedule(const mal::Program& p, SplitMix64* rng,
       free_slots.push_back(done.slot);
       std::sort(free_slots.begin(), free_slots.end(),
                 std::greater<int>());  // keep lowest slot at the back
-      for (int dep : dependents[static_cast<size_t>(done.pc)]) {
+      for (int dep : deps.consumers(done.pc)) {
         if (--indegree[static_cast<size_t>(dep)] == 0) ready.push_back(dep);
       }
     }
@@ -662,13 +660,13 @@ TEST(HbPropertyTest, ViolatedEdgeIsAlwaysCaught) {
     std::vector<TraceEvent> trace = LegalSchedule(a.program, &rng, dop);
     // Violate one random dependency edge: renumber the consumer's start to
     // just before the producer's done.
-    std::vector<std::vector<int>> deps = a.program.BuildDependencies();
+    const mal::Dependencies deps = a.program.BuildDependencies();
     int consumer = -1;
     while (consumer < 0) {
       int pc = static_cast<int>(rng.NextBounded(a.program.size()));
-      if (!deps[static_cast<size_t>(pc)].empty()) consumer = pc;
+      if (!deps.producers(pc).empty()) consumer = pc;
     }
-    int producer = deps[static_cast<size_t>(consumer)][0];
+    int producer = deps.producers(consumer)[0];
     MoveBefore(&trace, consumer, EventState::kStart, producer,
                EventState::kDone);
     a.trace = std::move(trace);
@@ -686,9 +684,9 @@ TEST(HbPropertyTest, LegalSchedulesRespectHappensBeforeEdges) {
   std::vector<TraceEvent> trace = LegalSchedule(p, &rng, 3);
   ScheduleReport report = Replay(p, trace);
   EXPECT_TRUE(report.violations.empty());
-  std::vector<std::vector<int>> deps = p.BuildDependencies();
+  const mal::Dependencies deps = p.BuildDependencies();
   for (size_t pc = 0; pc < p.size(); ++pc) {
-    for (int q : deps[pc]) {
+    for (int q : deps.producers(static_cast<int>(pc))) {
       EXPECT_TRUE(analysis::HappensBefore(
           report.executions[static_cast<size_t>(q)], report.executions[pc]))
           << "edge pc" << q << " -> pc" << pc;

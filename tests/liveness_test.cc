@@ -106,7 +106,8 @@ TEST(LivenessTest, UnboundedSourceMakesReportUnbounded) {
   MemoryReport report = AnalyzeMemory(p);
   EXPECT_FALSE(report.bounded);
   EXPECT_EQ(report.seq_peak_bytes, analysis::kUnboundedBytes);
-  EXPECT_EQ(ParallelPeakBound(p, report, 4), analysis::kUnboundedBytes);
+  EXPECT_EQ(ParallelPeakBound(p, p.BuildDependencies(), report, 4),
+            analysis::kUnboundedBytes);
 }
 
 TEST(LivenessTest, AnnotatedSourceContributesInputBytes) {
@@ -192,7 +193,8 @@ TEST_F(TpchLivenessTest, StaticBoundsDominateRecordedPeaks) {
       auto pr = interp.Execute(plan, par);
       ASSERT_TRUE(pr.ok()) << pr.status().ToString();
       // Any dataflow schedule must stay under the dop-aware bound.
-      int64_t bound = ParallelPeakBound(plan, report, 4);
+      int64_t bound =
+          ParallelPeakBound(plan, plan.BuildDependencies(), report, 4);
       EXPECT_LE(pr.value().peak_rss_bytes, bound);
       // And the parallel bound can never undercut the sequential peak
       // (sequential order is one of the legal schedules).
@@ -204,7 +206,8 @@ TEST_F(TpchLivenessTest, StaticBoundsDominateRecordedPeaks) {
 TEST_F(TpchLivenessTest, ReportFormatsWithoutSurprises) {
   mal::Program plan = Compile("q1", 8);
   MemoryReport report = AnalyzeMemory(plan);
-  std::string text = analysis::FormatMemoryReport(plan, report, 4);
+  std::string text = analysis::FormatMemoryReport(
+      plan, plan.BuildDependencies(), report, 4);
   EXPECT_NE(text.find("sequential peak"), std::string::npos);
   EXPECT_NE(text.find("parallel bound"), std::string::npos);
   EXPECT_NE(text.find("heaviest live ranges"), std::string::npos);

@@ -1,8 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "mal/parser.h"
 #include "mal/program.h"
 #include "mal/types.h"
+#include "optimizer/pass.h"
+#include "sql/compiler.h"
+#include "tpch/dbgen.h"
+#include "tpch/queries.h"
 
 namespace stetho::mal {
 namespace {
@@ -105,15 +114,22 @@ TEST(ProgramTest, ValidateCatchesDoubleAssignment) {
   EXPECT_FALSE(p.Validate().ok());
 }
 
+std::vector<int> Ints(std::span<const int> row) {
+  return std::vector<int>(row.begin(), row.end());
+}
+
 TEST(ProgramTest, DependenciesFollowDefUse) {
   Program p = PaperLikePlan();
-  auto deps = p.BuildDependencies();
+  const Dependencies deps = p.BuildDependencies();
   ASSERT_EQ(deps.size(), 7u);
-  EXPECT_TRUE(deps[0].empty());                       // sql.mvc
-  EXPECT_EQ(deps[1], (std::vector<int>{0}));          // tid <- mvc
-  EXPECT_EQ(deps[3], (std::vector<int>{2, 1}));       // select <- bind, tid
-  EXPECT_EQ(deps[5], (std::vector<int>{3, 4}));       // projection <- cand, tax
-  EXPECT_EQ(deps[6], (std::vector<int>{5}));          // print <- projection
+  EXPECT_TRUE(deps.producers(0).empty());                  // sql.mvc
+  EXPECT_EQ(Ints(deps.producers(1)), (std::vector<int>{0}));     // tid
+  EXPECT_EQ(Ints(deps.producers(3)), (std::vector<int>{2, 1}));  // select
+  EXPECT_EQ(Ints(deps.producers(5)), (std::vector<int>{3, 4}));  // projection
+  EXPECT_EQ(Ints(deps.producers(6)), (std::vector<int>{5}));     // print
+  EXPECT_EQ(Ints(deps.consumers(0)), (std::vector<int>{1, 2, 4}));
+  EXPECT_EQ(Ints(deps.readers(0)), (std::vector<int>{1, 2, 4}));
+  EXPECT_EQ(deps.num_edges(), 8u);
 }
 
 TEST(ProgramTest, DependenciesDeduplicated) {
@@ -121,10 +137,153 @@ TEST(ProgramTest, DependenciesDeduplicated) {
   int a = p.AddVariable(MalType::Scalar(DataType::kInt64));
   p.Add("sql", "mvc", {a}, {});
   int b = p.AddVariable(MalType::Scalar(DataType::kInt64));
-  // Same producer referenced twice -> one dependency edge.
+  // Same producer referenced twice -> one dependency edge, two reads.
   p.Add("calc", "add", {b}, {Argument::Var(a), Argument::Var(a)});
-  auto deps = p.BuildDependencies();
-  EXPECT_EQ(deps[1], (std::vector<int>{0}));
+  const Dependencies deps = p.BuildDependencies();
+  EXPECT_EQ(Ints(deps.producers(1)), (std::vector<int>{0}));
+  EXPECT_EQ(Ints(deps.consumers(0)), (std::vector<int>{1}));
+  EXPECT_EQ(Ints(deps.readers(a)), (std::vector<int>{1, 1}));
+}
+
+// --- Dependencies against a brute-force oracle ---
+
+/// The def-use relation by a naive backward scan: an argument's producer is
+/// the nearest earlier instruction listing its variable among its results.
+struct NaiveDependencies {
+  std::vector<std::vector<int>> producers;
+  std::vector<std::vector<int>> consumers;
+  std::vector<std::vector<int>> readers;
+  size_t num_edges = 0;
+};
+
+NaiveDependencies NaiveScan(const Program& p) {
+  NaiveDependencies want;
+  want.producers.resize(p.size());
+  want.consumers.resize(p.size());
+  want.readers.resize(p.num_variables());
+  for (int pc = 0; pc < static_cast<int>(p.size()); ++pc) {
+    for (const Argument& arg : p.instruction(pc).args) {
+      if (arg.kind != Argument::Kind::kVar || arg.var < 0 ||
+          arg.var >= static_cast<int>(p.num_variables())) {
+        continue;
+      }
+      want.readers[static_cast<size_t>(arg.var)].push_back(pc);
+      for (int q = pc - 1; q >= 0; --q) {
+        const std::vector<int>& results = p.instruction(q).results;
+        if (std::find(results.begin(), results.end(), arg.var) ==
+            results.end()) {
+          continue;
+        }
+        std::vector<int>& row = want.producers[static_cast<size_t>(pc)];
+        if (std::find(row.begin(), row.end(), q) == row.end()) {
+          row.push_back(q);
+        }
+        break;
+      }
+    }
+  }
+  for (size_t pc = 0; pc < p.size(); ++pc) {
+    for (int q : want.producers[pc]) {
+      want.consumers[static_cast<size_t>(q)].push_back(static_cast<int>(pc));
+      ++want.num_edges;
+    }
+  }
+  return want;
+}
+
+void ExpectMatchesNaiveScan(const Program& p) {
+  const Dependencies deps = p.BuildDependencies();
+  const NaiveDependencies want = NaiveScan(p);
+  ASSERT_EQ(deps.size(), p.size());
+  EXPECT_EQ(deps.num_edges(), want.num_edges);
+  for (size_t pc = 0; pc < p.size(); ++pc) {
+    const int ipc = static_cast<int>(pc);
+    EXPECT_EQ(Ints(deps.producers(ipc)), want.producers[pc]) << "pc " << pc;
+    EXPECT_EQ(Ints(deps.consumers(ipc)), want.consumers[pc]) << "pc " << pc;
+  }
+  for (size_t var = 0; var < p.num_variables(); ++var) {
+    EXPECT_EQ(Ints(deps.readers(static_cast<int>(var))), want.readers[var])
+        << "var " << var;
+  }
+}
+
+TEST(DependenciesTest, SuitePlansMatchNaiveScan) {
+  tpch::TpchConfig config;
+  config.scale_factor = 0.002;
+  auto cat = tpch::GenerateTpch(config);
+  ASSERT_TRUE(cat.ok());
+  for (const tpch::TpchQuery& query : tpch::TpchQueries()) {
+    for (int m : {0, 16, 128}) {
+      SCOPED_TRACE(query.id + " m=" + std::to_string(m));
+      auto program = sql::Compiler::CompileSql(&cat.value(), query.sql);
+      ASSERT_TRUE(program.ok()) << program.status().ToString();
+      ASSERT_TRUE(optimizer::Pipeline::Default(m).Run(&program.value()).ok());
+      ExpectMatchesNaiveScan(program.value());
+    }
+  }
+}
+
+TEST(DependenciesTest, MalformedProgramsMatchNaiveScan) {
+  const MalType lng = MalType::Scalar(DataType::kInt64);
+  {
+    SCOPED_TRACE("out-of-range argument");
+    Program p;
+    int a = p.AddVariable(lng);
+    p.Add("sql", "mvc", {a}, {});
+    p.Add("io", "print", {}, {Argument::Var(7), Argument::Var(-1),
+                              Argument::Var(a)});
+    ExpectMatchesNaiveScan(p);
+    EXPECT_EQ(Ints(p.BuildDependencies().producers(1)),
+              (std::vector<int>{0}));
+  }
+  {
+    SCOPED_TRACE("out-of-range result");
+    Program p;
+    int a = p.AddVariable(lng);
+    p.Add("sql", "mvc", {a, 9}, {});
+    p.Add("io", "print", {}, {Argument::Var(a)});
+    ExpectMatchesNaiveScan(p);
+  }
+  {
+    SCOPED_TRACE("use before definition");
+    Program p;
+    int a = p.AddVariable(lng);
+    p.Add("io", "print", {}, {Argument::Var(a)});
+    p.Add("sql", "mvc", {a}, {});
+    ExpectMatchesNaiveScan(p);
+    const Dependencies deps = p.BuildDependencies();
+    EXPECT_TRUE(deps.producers(0).empty());
+    EXPECT_EQ(Ints(deps.readers(a)), (std::vector<int>{0}));
+  }
+  {
+    SCOPED_TRACE("double assignment");
+    Program p;
+    int a = p.AddVariable(lng);
+    p.Add("sql", "mvc", {a}, {});
+    p.Add("io", "print", {}, {Argument::Var(a)});
+    p.Add("sql", "mvc", {a}, {});
+    p.Add("io", "print", {}, {Argument::Var(a)});
+    ExpectMatchesNaiveScan(p);
+    const Dependencies deps = p.BuildDependencies();
+    EXPECT_EQ(Ints(deps.producers(3)), (std::vector<int>{2}));
+    EXPECT_EQ(Ints(deps.consumers(0)), (std::vector<int>{1}));
+  }
+  {
+    SCOPED_TRACE("one variable read twice by one pc");
+    Program p;
+    int a = p.AddVariable(lng);
+    int b = p.AddVariable(lng);
+    int c = p.AddVariable(lng);
+    p.Add("sql", "mvc", {a}, {});
+    p.Add("sql", "mvc", {b}, {});
+    p.Add("calc", "add", {c},
+          {Argument::Var(b), Argument::Var(a), Argument::Var(b)});
+    ExpectMatchesNaiveScan(p);
+    const Dependencies deps = p.BuildDependencies();
+    EXPECT_EQ(Ints(deps.producers(2)), (std::vector<int>{1, 0}));
+    EXPECT_EQ(Ints(deps.readers(b)), (std::vector<int>{2, 2}));
+    EXPECT_EQ(deps.num_edges(), 2u);
+  }
 }
 
 TEST(ProgramTest, ListingFormat) {

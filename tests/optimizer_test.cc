@@ -450,7 +450,7 @@ class FactsProbe : public Pass {
     }
     if (carried.deps() != program->BuildDependencies()) Differ("deps");
     const analysis::MemoryReport fresh_memory =
-        analysis::AnalyzeMemory(*program, fresh);
+        analysis::AnalyzeMemory(*program, fresh, program->BuildDependencies());
     if (carried.memory().live_after != fresh_memory.live_after ||
         carried.memory().seq_peak_bytes != fresh_memory.seq_peak_bytes) {
       Differ("memory report");

@@ -378,6 +378,38 @@ TEST(FilterTest, ModuleFilterParsesStatement) {
   EXPECT_TRUE(f.Matches(MakeEvent(0, EventState::kDone, 0, "io.print(X_5);")));
 }
 
+// The operator of a statement, which AnalyzeOperators, ExtractIntervals and
+// the module filter all read, on the shapes the renderer emits and on text
+// it does not.
+TEST(FilterTest, OperatorOfPinnedStatements) {
+  struct Case {
+    const char* stmt;
+    const char* op;
+    const char* module;
+  };
+  constexpr Case kCases[] = {
+      {"X_5:bat[:oid] := algebra.select(X_1,X_2,1,1);", "algebra.select",
+       "algebra"},
+      {"io.print(X_5);", "io.print", "io"},
+      {"(X_1:bat[:oid],X_2:bat[:oid]) := group.group(X_0);", "group.group",
+       "group"},
+      {"X_1:int := sql.mvc", "sql.mvc", "sql"},
+      {"   io.print(X_5);", "io.print", "io"},
+      {"X_2:bat[:str] := algebra.projection(X_1,\"f(x).y\");",
+       "algebra.projection", "algebra"},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.stmt);
+    EXPECT_EQ(OperatorOf(c.stmt), c.op);
+    EventFilter f;
+    f.AddModule(c.module);
+    EXPECT_TRUE(f.Matches(MakeEvent(0, EventState::kDone, 0, c.stmt)));
+    f = EventFilter();
+    f.AddModule(c.op);
+    EXPECT_FALSE(f.Matches(MakeEvent(0, EventState::kDone, 0, c.stmt)));
+  }
+}
+
 TEST(FilterTest, SerializeDeserializeRoundTrip) {
   EventFilter f;
   f.OnlyState(EventState::kDone).AddModule("algebra").AddModule("aggr");

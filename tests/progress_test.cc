@@ -48,12 +48,16 @@ class ProgressExampleTest : public ::testing::Test {
                      });
   }
 
+  std::shared_ptr<const ProgressModel> Model() const {
+    return ProgressModel::Build(engine::PreparedPlan(program_));
+  }
+
   mal::Program program_;
   std::vector<TraceEvent> done_;  // done-events in emission-time order
 };
 
 TEST_F(ProgressExampleTest, ModelPricesEveryInstruction) {
-  auto model = ProgressModel::Build(program_);
+  auto model = Model();
   ASSERT_EQ(model->plan_size(), program_.size());
   double sum = 0;
   for (size_t pc = 0; pc < model->plan_size(); ++pc) {
@@ -72,7 +76,7 @@ TEST_F(ProgressExampleTest, ModelPricesEveryInstruction) {
 }
 
 TEST_F(ProgressExampleTest, RatioMonotoneAndFinishesAtOne) {
-  ProgressEstimator estimator(ProgressModel::Build(program_));
+  ProgressEstimator estimator(Model());
   EXPECT_DOUBLE_EQ(estimator.ratio(), 0.0);
   EXPECT_EQ(estimator.EtaUsec(), -1);  // nothing observed yet
   double last = 0.0;
@@ -92,7 +96,7 @@ TEST_F(ProgressExampleTest, RatioMonotoneAndFinishesAtOne) {
 }
 
 TEST_F(ProgressExampleTest, StartEventsDoNotAdvanceProgress) {
-  ProgressEstimator estimator(ProgressModel::Build(program_));
+  ProgressEstimator estimator(Model());
   TraceEvent start = done_.front();
   start.state = EventState::kStart;
   estimator.ObserveEvent(start);
@@ -101,7 +105,7 @@ TEST_F(ProgressExampleTest, StartEventsDoNotAdvanceProgress) {
 }
 
 TEST_F(ProgressExampleTest, DuplicateDoneEventsAccountOnce) {
-  ProgressEstimator estimator(ProgressModel::Build(program_));
+  ProgressEstimator estimator(Model());
   estimator.ObserveEvent(done_.front());
   const double once = estimator.ratio();
   estimator.ObserveEvent(done_.front());  // duplicated delivery
@@ -115,7 +119,7 @@ TEST_F(ProgressExampleTest, DuplicateDoneEventsAccountOnce) {
 /// work in bytes, not microseconds, so the grade is a 2x band, not
 /// equality.
 TEST_F(ProgressExampleTest, EtaAtHalfwayWithinTwofoldOfTruth) {
-  ProgressEstimator estimator(ProgressModel::Build(program_));
+  ProgressEstimator estimator(Model());
   const int64_t end_us = done_.back().time_us;
   int64_t eta = -1;
   int64_t truth = -1;

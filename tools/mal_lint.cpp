@@ -50,6 +50,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/facts.h"
 #include "analysis/hb.h"
 #include "analysis/liveness.h"
 #include "analysis/perfdiff.h"
@@ -316,8 +317,10 @@ int main(int argc, char** argv) {
   if (spans.has_value()) ctx.spans = &spans.value();
   if (profile.has_value()) ctx.profile = &profile.value();
 
+  // One fact set serves the lint, --schedule and --memory.
+  const analysis::Facts facts(ctx.program, ctx.trace);
   std::vector<analysis::Diagnostic> diagnostics = analysis::ApplyBaseline(
-      analysis::Runner::Default().Run(ctx), baseline);
+      analysis::Runner::Default().Run(ctx, facts), baseline);
 
   if (write_baseline) {
     std::fputs(analysis::FormatBaseline(diagnostics).c_str(), stdout);
@@ -345,11 +348,9 @@ int main(int argc, char** argv) {
                    "--schedule needs both a plan and a trace input\n");
       return 2;
     }
-    analysis::ScheduleReport report =
-        analysis::AnalyzeSchedule(program.value(),
-                                  analysis::TraceIndex(trace.value()));
     std::fputs(
-        analysis::FormatScheduleReport(report, program.value()).c_str(),
+        analysis::FormatScheduleReport(facts.schedule(), program.value())
+            .c_str(),
         stdout);
   }
   if (memory) {
@@ -370,10 +371,10 @@ int main(int argc, char** argv) {
                     threads.end());
       dop = std::max<int>(1, static_cast<int>(threads.size()));
     }
-    analysis::MemoryReport report = analysis::AnalyzeMemory(program.value());
-    std::fputs(
-        analysis::FormatMemoryReport(program.value(), report, dop).c_str(),
-        stdout);
+    std::fputs(analysis::FormatMemoryReport(program.value(), facts.deps(),
+                                            facts.memory(), dop)
+                   .c_str(),
+               stdout);
   }
   return analysis::AnyAtOrAbove(diagnostics, fail_on) ? 1 : 0;
 }

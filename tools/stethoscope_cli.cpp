@@ -41,9 +41,6 @@
 #include "common/string_util.h"
 #include "dot/parser.h"
 #include "mal/parser.h"
-#include "layout/layout_cache.h"
-#include "layout/sugiyama.h"
-#include "layout/svg.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -157,20 +154,6 @@ int CmdRun(const CliOptions& cli, const std::string& sql) {
   server->profiler()->AddSink(ring);
   auto outcome = server->ExecuteSql(ResolveSql(sql));
   if (!outcome.ok()) return Fail(outcome.status());
-  if (obs::Tracer::Default()->enabled()) {
-    // With span recording on, also run the visualization pipeline over the
-    // plan's dot file so one invocation traces the full platform lifecycle:
-    // parse → optimize → execute → layout → svg.
-    auto graph = dot::ParseDot(outcome.value().dot);
-    if (graph.ok()) {
-      auto layout =
-          layout::LayoutCache::Default()->GetOrCompute(graph.value());
-      if (layout.ok()) {
-        (void)layout::LayoutToSvg(graph.value(), *layout.value(),
-                                  layout::SvgOptions());
-      }
-    }
-  }
   std::printf("%s", server::FormatResultTable(outcome.value().result).c_str());
   std::printf("%lld us, plan of %zu instructions, peak memory %lld bytes\n",
               static_cast<long long>(outcome.value().result.total_usec),
