@@ -36,18 +36,6 @@ std::vector<AbstractValue> SeedResults(const KernelSignature* sig,
   return results;
 }
 
-std::vector<AbstractValue> EvalWithArgs(const Program& program,
-                                        const Instruction& ins,
-                                        const KernelSignature* sig,
-                                        const std::vector<AbstractValue>& args) {
-  std::vector<AbstractValue> results = SeedResults(sig, ins);
-  if (sig != nullptr && sig->transfer != nullptr) {
-    TransferContext ctx{&program, &ins, &args};
-    sig->transfer(ctx, &results);
-  }
-  return results;
-}
-
 /// Refines a raw transfer result with the result register's declaration:
 /// the declared MAL type fills in facts the transfer left unknown, and a
 /// catalog cardinality annotation narrows the interval. The raw value is
@@ -72,8 +60,9 @@ AbstractValue MergeDeclared(const AbstractValue& raw,
   return out;
 }
 
-}  // namespace
-
+/// Abstract value of one instruction operand: constants are abstracted
+/// exactly, variables read the current state (bottom when out of range or
+/// not yet assigned — malformed plans analyze without crashing).
 AbstractValue ArgOperandValue(const AbstractState& state,
                               const Argument& arg) {
   if (arg.kind == Argument::Kind::kConst) {
@@ -85,19 +74,7 @@ AbstractValue ArgOperandValue(const AbstractState& state,
   return state.vars[static_cast<size_t>(arg.var)];
 }
 
-std::vector<AbstractValue> EvalInstruction(const Program& program,
-                                           const Instruction& ins,
-                                           const AbstractState& state) {
-  std::vector<AbstractValue> args;
-  args.reserve(ins.args.size());
-  for (const Argument& a : ins.args) {
-    args.push_back(ArgOperandValue(state, a));
-  }
-  return EvalWithArgs(
-      program, ins,
-      engine::ModuleRegistry::Default()->Signature(ins.module, ins.function),
-      args);
-}
+}  // namespace
 
 InstructionFacts StepInstruction(const Program& program,
                                  const Instruction& ins,
@@ -106,12 +83,16 @@ InstructionFacts StepInstruction(const Program& program,
   const engine::ModuleRegistry::Resolution resolution =
       engine::ModuleRegistry::Default()->Resolve(ins.module, ins.function);
   facts.sig = resolution.signature;
-  facts.resolved = resolution.registered;
+  facts.resolved = resolution.kernel != nullptr;
   facts.args.reserve(ins.args.size());
   for (const Argument& a : ins.args) {
     facts.args.push_back(ArgOperandValue(*state, a));
   }
-  facts.raw_results = EvalWithArgs(program, ins, facts.sig, facts.args);
+  facts.raw_results = SeedResults(facts.sig, ins);
+  if (facts.sig != nullptr && facts.sig->transfer != nullptr) {
+    TransferContext ctx{&program, &ins, &facts.args};
+    facts.sig->transfer(ctx, &facts.raw_results);
+  }
   facts.merged_results = facts.raw_results;
   for (size_t i = 0; i < ins.results.size(); ++i) {
     int r = ins.results[i];

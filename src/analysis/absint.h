@@ -26,23 +26,12 @@ struct AbstractState {
   std::vector<AbstractValue> vars;
 };
 
-/// Abstract value of one instruction operand: constants are abstracted
-/// exactly, variables read the current state (bottom when out of range or
-/// not yet assigned — malformed plans analyze without crashing).
-AbstractValue ArgOperandValue(const AbstractState& state,
-                              const mal::Argument& arg);
-
-/// Raw transfer result for one instruction: per-result values seeded from
-/// the signature's shape kinds and refined by its transfer function, WITHOUT
-/// folding in the results' declared MAL types. The type-flow check compares
-/// this raw view against the declarations; AnalyzeProgram merges the two.
-std::vector<AbstractValue> EvalInstruction(const mal::Program& program,
-                                           const mal::Instruction& ins,
-                                           const AbstractState& state);
-
 /// Everything known about one instruction as the analysis steps over it.
-/// `merged_results` is what the state records: the raw transfer result
-/// refined by each result's declared type and cardinality annotation.
+/// `raw_results` are seeded from the signature's shape kinds and refined by
+/// its transfer function, WITHOUT the results' declared MAL types; the
+/// type-flow check compares them against the declarations. `merged_results`
+/// is what the state records: the raw result refined by each result's
+/// declared type and cardinality annotation.
 struct InstructionFacts {
   /// The kernel's registered signature; nullptr for unknown operations and
   /// extension kernels.
@@ -53,6 +42,15 @@ struct InstructionFacts {
   std::vector<AbstractValue> args;
   std::vector<AbstractValue> raw_results;
   std::vector<AbstractValue> merged_results;
+
+  /// The signature's role and purity. An operation without a signature
+  /// has no role and may have effects.
+  KernelRole role() const {
+    return sig != nullptr ? sig->role : KernelRole::kNone;
+  }
+  bool side_effect_free() const {
+    return sig != nullptr && sig->side_effect_free;
+  }
 };
 
 /// Steps the analysis over one instruction: resolves its kernel once,

@@ -93,11 +93,9 @@ class TypeFlowCheck final : public Check {
         }
       }
 
-      // bat.append / mat.pack concatenate; heterogeneous element types are
-      // a runtime TypeError.
-      bool concatenates = (ins.module == "bat" && ins.function == "append") ||
-                          (ins.module == "mat" && ins.function == "pack");
-      if (concatenates && facts.args.size() >= 2) {
+      // Concatenations with heterogeneous element types are a runtime
+      // TypeError.
+      if (sig->role == KernelRole::kConcatenation && facts.args.size() >= 2) {
         const AbstractValue& first = facts.args[0];
         for (size_t i = 1; i < facts.args.size(); ++i) {
           const AbstractValue& other = facts.args[i];
@@ -163,28 +161,17 @@ class CardinalityContradictionCheck final : public Check {
       }
 
       // A candidate list selects positions of a value column, so it can
-      // never hold more rows than the column: select/thetaselect/likeselect
-      // pair (column 0, candidates 1); projection pairs (candidates 0,
-      // column 1).
-      int cand = -1;
-      int col = -1;
-      if (ins.module == "algebra") {
-        if (ins.function == "select" || ins.function == "thetaselect" ||
-            ins.function == "likeselect") {
-          col = 0;
-          cand = 1;
-        } else if (ins.function == "projection") {
-          cand = 0;
-          col = 1;
-        }
-      }
-      if (cand >= 0 && static_cast<size_t>(cand) < facts.args.size() &&
-          static_cast<size_t>(col) < facts.args.size()) {
-        const AbstractValue& c = facts.args[static_cast<size_t>(cand)];
-        const AbstractValue& v = facts.args[static_cast<size_t>(col)];
+      // never hold more rows than the column (CandidateColumnSlotsOf gives
+      // the two slots of a candidate select or a projection).
+      const CandidateColumnSlots slots = CandidateColumnSlotsOf(sig->role);
+      const size_t cand = static_cast<size_t>(slots.candidates);
+      const size_t col = static_cast<size_t>(slots.column);
+      if (slots.valid() && cand < facts.args.size() && col < facts.args.size()) {
+        const AbstractValue& c = facts.args[cand];
+        const AbstractValue& v = facts.args[col];
         if (c.defined && v.defined && c.is_bat == Tri::kTrue &&
             v.is_bat == Tri::kTrue && c.card.lo > v.card.hi) {
-          emit.Emit(Severity::kError, ins.pc, ArgVar(ins, static_cast<size_t>(cand)),
+          emit.Emit(Severity::kError, ins.pc, ArgVar(ins, cand),
                     StrFormat("%s candidate list holds at least %lld rows "
                               "but the column it indexes holds at most %lld",
                               ins.FullName().c_str(),
@@ -249,12 +236,10 @@ class MissedConstantFoldCheck final : public Check {
     Emitter emit(id(), out);
     ForEachInstruction(ctx, [&](const Instruction& ins,
                                 const InstructionFacts& facts) {
-      if (ins.module != "calc" || ins.results.size() != 1 ||
+      if (facts.role() != KernelRole::kScalarFold || ins.results.size() != 1 ||
           ins.args.empty()) {
         return;
       }
-      const KernelSignature* sig = facts.sig;
-      if (sig == nullptr || !sig->side_effect_free) return;
       for (const AbstractValue& a : facts.args) {
         if (!a.constant.has_value()) return;
       }

@@ -257,8 +257,8 @@ MemoryReport AnalyzeMemory(const mal::Program& program,
       total = SaturatingAddBytes(total, bytes);
     }
     report.result_bytes[pc] = total;
-    if (ins.module == "sql" &&
-        (ins.function == "bind" || ins.function == "tid")) {
+    if (facts.role() == KernelRole::kTableScan ||
+        facts.role() == KernelRole::kColumnBind) {
       report.input_bytes = SaturatingAddBytes(report.input_bytes, total);
     }
   }

@@ -23,6 +23,33 @@ const char* ValueKindName(ValueKind kind);
 /// KernelSignature::arg_elem entry for a slot without an element constraint.
 inline constexpr storage::DataType kAnyElem = storage::DataType::kNull;
 
+/// What a kernel is to the passes and checks that treat a class of
+/// operations alike (KernelSignature::role). They recognise an operation by
+/// its role, never by its name.
+enum class KernelRole {
+  kNone = 0,
+  kTableScan,        ///< sql.tid: a candidate list mitosis slices
+  kColumnBind,       ///< sql.bind; with scans, the plan's input bytes
+  kCandidateSelect,  ///< algebra.*select: column slot 0, candidates slot 1
+  kProjection,       ///< algebra.projection: candidates slot 0, column 1
+  kConcatenation,    ///< bat.append, mat.pack: operands of one element type
+  kAdmin,            ///< language.*: markers that admin pruning removes
+  kScalarFold,       ///< calc.*: pure total functions constant folding runs
+};
+
+/// The argument slots of a candidate list and of the column it indexes:
+/// {1, 0} for kCandidateSelect, {0, 1} for kProjection, none otherwise.
+struct CandidateColumnSlots {
+  int candidates = -1;
+  int column = -1;
+  bool valid() const { return candidates >= 0; }
+};
+constexpr CandidateColumnSlots CandidateColumnSlotsOf(KernelRole role) {
+  if (role == KernelRole::kCandidateSelect) return {1, 0};
+  if (role == KernelRole::kProjection) return {0, 1};
+  return {};
+}
+
 /// KernelSignature::cost_factor classes (EXPERIMENTS § PIPE gives the
 /// calibration): views and metadata, memory-bound gathers, and partial
 /// aggregates that touch mostly group ids. Per-value work is the default 1.
@@ -57,6 +84,8 @@ struct KernelSignature {
   /// eliminate, deduplicate and reorder the call. Catalog readers
   /// (sql.bind/tid/mvc) qualify because tables are immutable.
   bool side_effect_free = true;
+  /// The class of operations passes and checks treat it as (KernelRole).
+  KernelRole role = KernelRole::kNone;
 
   /// --- Abstract-interpretation metadata (analysis/absint.h) ---
 

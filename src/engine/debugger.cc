@@ -57,8 +57,10 @@ bool MalDebugger::HitsBreakpoint(int pc) const {
 
 Status MalDebugger::ExecuteAt(int pc) {
   const mal::Instruction& ins = program_->instruction(pc);
-  STETHO_ASSIGN_OR_RETURN(const KernelFn* kernel,
-                          registry_->Lookup(ins.module, ins.function));
+  const KernelFn* kernel = registry_->Resolve(ins.module, ins.function).kernel;
+  if (kernel == nullptr) {
+    return Status::NotFound("no kernel for '" + ins.FullName() + "'");
+  }
   KernelArgs args;
   args.ins = &ins;
   args.ctx = &ctx_;

@@ -42,34 +42,15 @@ Status ModuleRegistry::Add(const std::string& module,
   return Status::OK();
 }
 
-const ModuleRegistry::Entry* ModuleRegistry::Find(
-    const std::string& module, const std::string& function) const {
-  auto by_module = kernels_.find(module);
-  if (by_module == kernels_.end()) return nullptr;
-  auto it = by_module->second.find(function);
-  return it != by_module->second.end() ? &it->second : nullptr;
-}
-
-Result<const KernelFn*> ModuleRegistry::Lookup(
-    const std::string& module, const std::string& function) const {
-  const Entry* entry = Find(module, function);
-  if (entry == nullptr) {
-    return Status::NotFound("no kernel for '" + module + "." + function + "'");
-  }
-  return &entry->fn;
-}
-
-const analysis::KernelSignature* ModuleRegistry::Signature(
-    const std::string& module, const std::string& function) const {
-  return Resolve(module, function).signature;
-}
-
 ModuleRegistry::Resolution ModuleRegistry::Resolve(
     const std::string& module, const std::string& function) const {
-  const Entry* entry = Find(module, function);
-  if (entry == nullptr) return Resolution{};
+  auto by_module = kernels_.find(module);
+  if (by_module == kernels_.end()) return Resolution{};
+  auto it = by_module->second.find(function);
+  if (it == by_module->second.end()) return Resolution{};
+  const Entry& entry = it->second;
   return Resolution{
-      true, entry->signature.has_value() ? &*entry->signature : nullptr};
+      &entry.fn, entry.signature.has_value() ? &*entry.signature : nullptr};
 }
 
 std::vector<std::string> ModuleRegistry::ListKernels() const {

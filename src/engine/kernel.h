@@ -95,20 +95,11 @@ class ModuleRegistry {
   Status Register(const std::string& module, const std::string& function,
                   KernelFn fn);
 
-  /// Looks up a kernel; NotFound for unknown operations.
-  Result<const KernelFn*> Lookup(const std::string& module,
-                                 const std::string& function) const;
-
-  /// The signature registered with a kernel; nullptr for unknown operations
-  /// and kernels registered without one.
-  const analysis::KernelSignature* Signature(const std::string& module,
-                                             const std::string& function) const;
-
-  /// What one search finds for module.function: whether it is registered,
-  /// and its signature (nullptr when unregistered or registered without
-  /// one). The abstract interpreter resolves each pc this way once.
+  /// The one search for module.function: its kernel (nullptr when not
+  /// registered) and its signature (nullptr when unregistered or registered
+  /// without one).
   struct Resolution {
-    bool registered = false;
+    const KernelFn* kernel = nullptr;
     const analysis::KernelSignature* signature = nullptr;
   };
   Resolution Resolve(const std::string& module,
@@ -128,9 +119,6 @@ class ModuleRegistry {
 
   Status Add(const std::string& module, const std::string& function,
              Entry entry);
-  /// The entry of module.function; nullptr when unregistered.
-  const Entry* Find(const std::string& module,
-                    const std::string& function) const;
 
   /// module -> function -> entry: a lookup compares names in place, with
   /// no "module.function" key built per call.

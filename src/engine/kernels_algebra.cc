@@ -12,6 +12,7 @@ namespace {
 
 using analysis::AbstractValue;
 using analysis::Interval;
+using analysis::KernelRole;
 using analysis::TransferContext;
 using analysis::Tri;
 using enum analysis::ValueKind;
@@ -601,12 +602,14 @@ void RegisterAlgebraKernels(ModuleRegistry* r) {
       "algebra", "select", AlgebraSelect,
       {.args = {kBat, kBat, kScalar, kScalar},
        .results = {kBat},
+       .role = KernelRole::kCandidateSelect,
        .candidate_args = {1},
        .transfer = TransferSelect}));
   STETHO_CHECK_REGISTER(r->Register(
       "algebra", "thetaselect", AlgebraThetaSelect,
       {.args = {kBat, kBat, kScalar, kScalar},
        .results = {kBat},
+       .role = KernelRole::kCandidateSelect,
        .arg_elem = {analysis::kAnyElem, analysis::kAnyElem,
                     analysis::kAnyElem, DataType::kString},
        .candidate_args = {1},
@@ -615,6 +618,7 @@ void RegisterAlgebraKernels(ModuleRegistry* r) {
       "algebra", "likeselect", AlgebraLikeSelect,
       {.args = {kBat, kBat, kScalar},
        .results = {kBat},
+       .role = KernelRole::kCandidateSelect,
        .arg_elem = {DataType::kString, analysis::kAnyElem, DataType::kString},
        .candidate_args = {1},
        .transfer = TransferSelect}));
@@ -630,6 +634,7 @@ void RegisterAlgebraKernels(ModuleRegistry* r) {
       "algebra", "projection", AlgebraProjection,
       {.args = {kBat, kBat},
        .results = {kBat},
+       .role = KernelRole::kProjection,
        .candidate_args = {0},
        .transfer = TransferProjection,
        .exact_capacity = true,

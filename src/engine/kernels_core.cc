@@ -10,6 +10,7 @@ namespace {
 using analysis::AbstractTransferFn;
 using analysis::AbstractValue;
 using analysis::Interval;
+using analysis::KernelRole;
 using analysis::TransferContext;
 using analysis::Tri;
 using enum analysis::ValueKind;
@@ -901,6 +902,7 @@ void RegisterCoreKernels(ModuleRegistry* r) {
       "sql", "tid", SqlTid,
       {.args = {kScalar, kScalar, kScalar},
        .results = {kBat},
+       .role = KernelRole::kTableScan,
        .arg_elem = {analysis::kAnyElem, DataType::kString, DataType::kString},
        .transfer = TransferTid,
        .exact_capacity = true,
@@ -909,6 +911,7 @@ void RegisterCoreKernels(ModuleRegistry* r) {
       "sql", "bind", SqlBind,
       {.args = {kScalar, kScalar, kScalar, kScalar, kScalar},
        .results = {kBat},
+       .role = KernelRole::kColumnBind,
        .arg_elem = {analysis::kAnyElem, DataType::kString, DataType::kString,
                     DataType::kString, analysis::kAnyElem},
        .exact_capacity = true,
@@ -947,6 +950,7 @@ void RegisterCoreKernels(ModuleRegistry* r) {
       "bat", "append", BatAppend,
       {.args = {kBat, kBat},
        .results = {kBat},
+       .role = KernelRole::kConcatenation,
        .transfer = TransferAppend,
        .cost_factor = analysis::kViewCost}));
   STETHO_CHECK_REGISTER(r->Register(
@@ -955,6 +959,7 @@ void RegisterCoreKernels(ModuleRegistry* r) {
        .variadic = true,
        .min_args = 1,
        .variadic_kind = kBat,
+       .role = KernelRole::kConcatenation,
        .transfer = TransferPack,
        .exact_capacity = true}));
 
@@ -981,6 +986,7 @@ void RegisterCoreKernels(ModuleRegistry* r) {
         "calc", e.name, [op](KernelArgs& a) { return CalcBinOp(op, a); },
         {.args = {kScalar, kScalar},
          .results = {kScalar},
+         .role = KernelRole::kScalarFold,
          .transfer = e.transfer}));
     STETHO_CHECK_REGISTER(r->Register(
         "batcalc", e.name, [op](KernelArgs& a) { return BatBinOp(op, a); },
@@ -1001,6 +1007,7 @@ void RegisterCoreKernels(ModuleRegistry* r) {
         "calc", e.name, [op](KernelArgs& a) { return CalcBoolOp(op, a); },
         {.args = {kScalar, kScalar},
          .results = {kScalar},
+         .role = KernelRole::kScalarFold,
          .arg_elem = {DataType::kBool, DataType::kBool},
          .transfer = TransferCompare}));
     STETHO_CHECK_REGISTER(r->Register(
@@ -1017,6 +1024,7 @@ void RegisterCoreKernels(ModuleRegistry* r) {
       "calc", "not", CalcNot,
       {.args = {kScalar},
        .results = {kScalar},
+       .role = KernelRole::kScalarFold,
        .arg_elem = {DataType::kBool},
        .transfer = TransferCompare}));
   STETHO_CHECK_REGISTER(r->Register(
@@ -1039,7 +1047,8 @@ void RegisterCoreKernels(ModuleRegistry* r) {
     DataType to = e.to;
     STETHO_CHECK_REGISTER(r->Register(
         "calc", e.name, [to](KernelArgs& a) { return CalcCast(to, a); },
-        {.args = {kScalar}, .results = {kScalar}, .transfer = e.transfer}));
+        {.args = {kScalar}, .results = {kScalar},
+         .role = KernelRole::kScalarFold, .transfer = e.transfer}));
   }
   STETHO_CHECK_REGISTER(r->Register(
       "batcalc", "ifthenelse", BatIfThenElse,
@@ -1053,11 +1062,13 @@ void RegisterCoreKernels(ModuleRegistry* r) {
   // language / io / debug: administrative and effectful.
   STETHO_CHECK_REGISTER(r->Register(
       "language", "dataflow", LanguageDataflow,
-      {.side_effect_free = false, .cost_factor = analysis::kViewCost}));
+      {.side_effect_free = false, .role = KernelRole::kAdmin,
+       .cost_factor = analysis::kViewCost}));
   STETHO_CHECK_REGISTER(r->Register(
       "language", "pass", LanguagePass,
       {.args = {kAny},
        .side_effect_free = false,
+       .role = KernelRole::kAdmin,
        .cost_factor = analysis::kViewCost}));
   STETHO_CHECK_REGISTER(r->Register(
       "io", "print", IoPrint,

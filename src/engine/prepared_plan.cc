@@ -30,8 +30,7 @@ PreparedPlan::PreparedPlan(const mal::Program& program,
 
   mal::ShapeHasher hasher;
   const mal::Instruction* previous = nullptr;
-  const KernelFn* kernel = nullptr;
-  const analysis::KernelSignature* signature = nullptr;
+  ModuleRegistry::Resolution resolution;
   for (const mal::Instruction& ins : program.instructions()) {
     const size_t begin = text_.size();
     text_begin_.push_back(begin);
@@ -41,13 +40,11 @@ PreparedPlan::PreparedPlan(const mal::Program& program,
     // Mitosis plans repeat one operation across consecutive partitions.
     if (previous == nullptr || ins.module != previous->module ||
         ins.function != previous->function) {
-      auto found = registry->Lookup(ins.module, ins.function);
-      kernel = found.ok() ? found.value() : nullptr;
-      signature = registry->Signature(ins.module, ins.function);
+      resolution = registry->Resolve(ins.module, ins.function);
     }
     previous = &ins;
-    kernels_.push_back(kernel);
-    signatures_.push_back(signature);
+    kernels_.push_back(resolution.kernel);
+    signatures_.push_back(resolution.signature);
 
     for (const mal::Argument& arg : ins.args) {
       if (arg.kind == mal::Argument::Kind::kVar) {

@@ -51,12 +51,23 @@ obs::Histogram* StalenessHistogram() {
   return h;
 }
 
+/// hi - lo for lo <= hi, exact over the whole int64_t range.
+uint64_t Distance(int64_t lo, int64_t hi) {
+  return static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+}
+
+/// a + b for counts a, b >= 0, saturating at INT64_MAX.
+int64_t SaturatingAdd(int64_t a, int64_t b) {
+  return std::min(a, INT64_MAX - b) + b;
+}
+
 }  // namespace
 
 std::string PipeHealthSummary::ToString() const {
   std::string s = StrFormat(
       "pipe: %lld ok, %lld lost (%.1f%%), %lld reordered, %lld duplicated",
-      static_cast<long long>(observed), static_cast<long long>(lost + pending),
+      static_cast<long long>(observed),
+      static_cast<long long>(SaturatingAdd(lost, pending)),
       100.0 * loss_ratio(), static_cast<long long>(reordered),
       static_cast<long long>(duplicated));
   if (clock_offset_us != kNoClockOffset) {
@@ -67,19 +78,34 @@ std::string PipeHealthSummary::ToString() const {
   return s;
 }
 
-StreamHealth::StreamHealth(Options options) : options_(options) {
-  options_.reorder_window = std::max<int64_t>(1, options_.reorder_window);
+void StreamHealth::AddLostLocked(uint64_t holes) {
+  const int64_t n = static_cast<int64_t>(std::min<uint64_t>(holes, INT64_MAX));
+  sum_.lost = SaturatingAdd(sum_.lost, n);
+  LostCounter()->Increment(n);
+}
+
+void StreamHealth::OpenHolesLocked(int64_t lo, int64_t hi) {
+  const uint64_t holes = Distance(lo, hi) - 1;
+  // The hole at hi - j trails the high-water mark by behind + j, so the
+  // top `open` holes stay inside the window.
+  const uint64_t behind = Distance(hi, sum_.max_seq);
+  const uint64_t window = static_cast<uint64_t>(kReorderWindow);
+  const uint64_t open =
+      behind >= window ? 0 : std::min(holes, window - behind);
+  for (uint64_t j = 1; j <= open; ++j) {
+    pending_.insert(hi - static_cast<int64_t>(j));
+  }
+  if (holes > open) AddLostLocked(holes - open);
 }
 
 void StreamHealth::AgeOutLocked() {
-  // A hole further behind the high-water mark than the reorder window (or
-  // beyond the pending cap) is transport loss, not a straggler.
+  // A hole further behind the high-water mark than the reorder window is
+  // transport loss, not a straggler.
   while (!pending_.empty() &&
-         (*pending_.begin() + options_.reorder_window < sum_.max_seq ||
-          pending_.size() > options_.max_pending)) {
+         Distance(*pending_.begin(), sum_.max_seq) >
+             static_cast<uint64_t>(kReorderWindow)) {
     pending_.erase(pending_.begin());
-    ++sum_.lost;
-    LostCounter()->Increment();
+    AddLostLocked(1);
   }
 }
 
@@ -92,13 +118,14 @@ void StreamHealth::Observe(const profiler::TraceEvent& event,
     sum_.min_seq = sum_.max_seq = seq;
     ++sum_.observed;
   } else if (seq > sum_.max_seq) {
-    for (int64_t q = sum_.max_seq + 1; q < seq; ++q) pending_.insert(q);
+    const int64_t previous = sum_.max_seq;
     sum_.max_seq = seq;
+    if (seq - 1 > previous) OpenHolesLocked(previous, seq);  // skipped some
     ++sum_.observed;
   } else if (seq < sum_.min_seq) {
     // Straggler from before the first arrival: widen the span downward and
-    // open the holes it reveals. It necessarily arrived out of order.
-    for (int64_t q = seq + 1; q < sum_.min_seq; ++q) pending_.insert(q);
+    // account the holes it reveals. It necessarily arrived out of order.
+    OpenHolesLocked(seq, sum_.min_seq);
     sum_.min_seq = seq;
     ++sum_.observed;
     ++sum_.reordered;
@@ -140,10 +167,7 @@ void StreamHealth::ObserveStaleness(int64_t now_us) {
 
 void StreamHealth::Finalize() {
   std::lock_guard<std::mutex> lock(mu_);
-  sum_.lost += static_cast<int64_t>(pending_.size());
-  if (!pending_.empty()) {
-    LostCounter()->Increment(static_cast<int64_t>(pending_.size()));
-  }
+  if (!pending_.empty()) AddLostLocked(pending_.size());
   pending_.clear();
   sum_.pending = 0;
 }

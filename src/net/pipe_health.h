@@ -13,6 +13,12 @@ namespace stetho::net {
 /// Sentinel for "no emit→ingest clock-offset estimate yet".
 inline constexpr int64_t kNoClockOffset = 0x7fffffffffffffff;
 
+/// How far behind the high-water mark a hole may trail before StreamHealth
+/// declares it lost instead of late: wider than the reordering of a
+/// loopback or LAN UDP path, and the bound on open holes, so an arrival
+/// with a wild sequence number costs O(window), not O(jump).
+inline constexpr int64_t kReorderWindow = 256;
+
 /// Point-in-time picture of one stream's end-to-end delivery health, built
 /// from the profiler's per-event global sequence numbers
 /// (profiler::TraceEvent::event). All counts are monotone over the life of
@@ -36,14 +42,17 @@ struct PipeHealthSummary {
   int64_t max_latency_us = 0;   ///< worst offset-corrected delay seen
   int64_t newest_emit_us = 0;   ///< largest TraceEvent::time_us seen
 
-  /// Sequence numbers the emitter produced over the observed span.
+  /// Sequence numbers the emitter produced over the observed span
+  /// (saturating at INT64_MAX).
   int64_t expected() const {
-    return max_seq >= min_seq && min_seq >= 0 ? max_seq - min_seq + 1 : 0;
+    if (max_seq < min_seq || min_seq < 0) return 0;
+    return max_seq - min_seq + (max_seq - min_seq < INT64_MAX ? 1 : 0);
   }
   /// (lost + still-pending) / expected; 0 when nothing arrived yet.
   double loss_ratio() const {
     int64_t n = expected();
-    return n > 0 ? static_cast<double>(lost + pending) / static_cast<double>(n)
+    return n > 0 ? (static_cast<double>(lost) + static_cast<double>(pending)) /
+                       static_cast<double>(n)
                  : 0.0;
   }
   /// One status line: "pipe: 380 ok, 19 lost (4.8%), 2 reord, 0 dup, ...".
@@ -56,33 +65,20 @@ struct PipeHealthSummary {
 /// receiver observes is transport loss, any backwards arrival a reorder,
 /// and any repeat a duplicate.
 ///
-/// Algorithm: arrivals above the high-water mark open one pending gap per
-/// skipped sequence number; an arrival that fills a pending gap counts as
-/// a reorder; an arrival at an already-seen number counts as a duplicate.
-/// A pending gap more than `reorder_window` sequence numbers behind the
-/// high-water mark is declared lost (monotone — see PipeHealthSummary);
-/// Finalize() closes the remaining gaps at end of stream.
+/// Algorithm: a skipped sequence number within kReorderWindow of the
+/// high-water mark opens a pending gap, one further behind is lost (so is
+/// a gap the mark leaves more than the window behind; monotone — see
+/// PipeHealthSummary, `lost` saturates at INT64_MAX). An arrival that fills
+/// a pending gap counts as a reorder, one at an already-seen number as a
+/// duplicate. Finalize() closes the remaining gaps at end of stream.
 ///
 /// Process-wide mirrors: every transition bumps
 /// stetho_pipe_{lost,reordered,duplicated}_total, and timestamped arrivals
 /// feed stetho_pipe_latency_usec / ObserveStaleness() feeds
-/// stetho_pipe_staleness_usec. Thread-safe; one mutex, O(log gaps) per
-/// event.
+/// stetho_pipe_staleness_usec. Thread-safe; one mutex, O(log window) per
+/// event and O(window log window) per skip.
 class StreamHealth {
  public:
-  struct Options {
-    /// How many sequence numbers behind the high-water mark a hole may
-    /// trail before it is declared lost instead of merely late (clamped
-    /// to >= 1).
-    int64_t reorder_window = 256;
-    /// Hard cap on tracked open gaps; the oldest spill into `lost` (a
-    /// burst of loss should not grow memory without bound).
-    size_t max_pending = 4096;
-  };
-
-  StreamHealth() : StreamHealth(Options{}) {}
-  explicit StreamHealth(Options options);
-
   /// Accounts one arrival. `ingest_us` is the receiver clock at ingest and
   /// feeds the offset/latency estimate; pass a negative value when the
   /// receiver did not read a clock (loss accounting still runs — the obs
@@ -101,9 +97,13 @@ class StreamHealth {
   PipeHealthSummary Snapshot() const;
 
  private:
+  /// Accounts the holes strictly between `lo` and `hi` (lo < hi <=
+  /// high-water mark): those within the window become pending gaps, the
+  /// rest are lost.
+  void OpenHolesLocked(int64_t lo, int64_t hi);
   void AgeOutLocked();
+  void AddLostLocked(uint64_t holes);
 
-  Options options_;
   mutable std::mutex mu_;
   std::set<int64_t> pending_;  // open gaps, ascending
   PipeHealthSummary sum_;

@@ -63,8 +63,7 @@ class MemoryReorderPass final : public Pass {
     for (size_t pc = 0; pc < n; ++pc) {
       indegree[pc] = static_cast<int>(
           deps.producers(static_cast<int>(pc)).size());
-      const analysis::KernelSignature* sig = facts[pc].sig;
-      if (sig != nullptr && sig->side_effect_free) continue;
+      if (facts[pc].side_effect_free()) continue;
       if (prev_effectful >= 0) {
         next_effectful[static_cast<size_t>(prev_effectful)] =
             static_cast<int>(pc);

@@ -93,8 +93,8 @@ class Pipeline {
 
 /// --- concrete passes ---
 
-/// Evaluates calc.* instructions whose operands are all constants and
-/// propagates the folded value into consumers.
+/// Evaluates scalar-fold instructions (KernelRole::kScalarFold) whose
+/// operands are all constants and propagates the folded value into consumers.
 std::unique_ptr<Pass> MakeConstantFoldingPass();
 
 /// Deduplicates instructions with identical operations and arguments whose
@@ -104,7 +104,7 @@ std::unique_ptr<Pass> MakeCommonSubexpressionPass();
 /// Removes side-effect-free instructions whose results are never consumed.
 std::unique_ptr<Pass> MakeDeadCodePass();
 
-/// Splits candidate-list selects over sql.tid ranges into `pieces` parallel
+/// Splits candidate selects over table-scan ranges into `pieces` parallel
 /// partitions re-joined with mat.pack — MonetDB's mitosis/mergetable pair.
 /// Enables multi-core dataflow execution and inflates plan graphs to the
 /// >1000-node scale of the paper's Fig. 2.
@@ -124,8 +124,9 @@ std::unique_ptr<Pass> MakeMemoryReorderPass();
 /// future work).
 std::unique_ptr<Pass> MakeDataflowMarkerPass();
 
-/// Removes administrative instructions (language.*) from a plan — the
-/// paper's planned "selective pruning of MAL plans" feature.
+/// Removes administrative instructions (KernelRole::kAdmin; an operation
+/// without a signature is kept) from a plan — the paper's planned
+/// "selective pruning of MAL plans" feature.
 std::unique_ptr<Pass> MakeAdminPrunePass();
 
 }  // namespace stetho::optimizer

@@ -9,22 +9,15 @@
 namespace stetho::optimizer {
 namespace {
 
+using analysis::Facts;
+using analysis::InstructionFacts;
+using analysis::KernelRole;
 using mal::Argument;
 using mal::Instruction;
 using mal::MalType;
 using mal::Program;
 using storage::DataType;
 using storage::Value;
-
-/// True when the kernel's only observable effect is its result value
-/// (KernelSignature::side_effect_free), so the call may be eliminated or
-/// deduplicated. Unknown operations and kernels without a signature may
-/// have effects.
-bool SideEffectFree(const Instruction& ins) {
-  const analysis::KernelSignature* sig =
-      engine::ModuleRegistry::Default()->Signature(ins.module, ins.function);
-  return sig != nullptr && sig->side_effect_free;
-}
 
 /// Remaps variable arguments through `replacement` (var id -> var id).
 void RemapArgs(Instruction* ins, const std::vector<int>& replacement) {
@@ -56,7 +49,8 @@ class ConstantFoldingPass : public Pass {
  public:
   const char* name() const override { return "constant_folding"; }
 
-  Result<Effect> Apply(Program* program, const analysis::Facts&) override {
+  Result<Effect> Apply(Program* program, const Facts& facts) override {
+    const std::vector<InstructionFacts>& per_pc = facts.instructions();
     const engine::ModuleRegistry* registry = engine::ModuleRegistry::Default();
     engine::ExecContext ctx(nullptr, SteadyClock::Default());
 
@@ -64,7 +58,8 @@ class ConstantFoldingPass : public Pass {
     std::vector<Instruction> kept;
     bool changed = false;
 
-    for (Instruction ins : program->instructions()) {
+    for (size_t pc = 0; pc < program->size(); ++pc) {
+      Instruction ins = program->instruction(static_cast<int>(pc));
       FoldArgs(&ins, folded);
       bool all_const = true;
       for (const Argument& arg : ins.args) {
@@ -73,11 +68,13 @@ class ConstantFoldingPass : public Pass {
           break;
         }
       }
-      // Only scalar calc.* operations fold; they are total functions of
-      // their inputs (modulo division by zero, which we leave to run time).
-      if (all_const && ins.module == "calc" && ins.results.size() == 1) {
-        auto kernel = registry->Lookup(ins.module, ins.function);
-        if (kernel.ok()) {
+      // Only scalar-fold kernels fold; they are total functions of their
+      // inputs (modulo division by zero, which we leave to run time).
+      if (all_const && per_pc[pc].role() == KernelRole::kScalarFold &&
+          ins.results.size() == 1) {
+        const engine::KernelFn* kernel =
+            registry->Resolve(ins.module, ins.function).kernel;
+        if (kernel != nullptr) {
           engine::KernelArgs args;
           args.ins = &ins;
           args.ctx = &ctx;
@@ -89,7 +86,7 @@ class ConstantFoldingPass : public Pass {
           for (engine::RegisterValue& rv : storage_args) args.args.push_back(&rv);
           engine::RegisterValue result;
           args.results.push_back(&result);
-          Status st = (*kernel.value())(args);
+          Status st = (*kernel)(args);
           if (st.ok() && !result.is_bat()) {
             folded[ins.results[0]] = result.scalar;
             changed = true;
@@ -140,15 +137,17 @@ class CommonSubexpressionPass : public Pass {
  public:
   const char* name() const override { return "common_subexpression"; }
 
-  Result<Effect> Apply(Program* program, const analysis::Facts&) override {
+  Result<Effect> Apply(Program* program, const Facts& facts) override {
+    const std::vector<InstructionFacts>& per_pc = facts.instructions();
     std::vector<int> replacement(program->num_variables(), -1);
     std::map<std::string, size_t> seen;  // key -> index into `kept`
     std::vector<Instruction> kept;
     bool changed = false;
 
-    for (Instruction ins : program->instructions()) {
+    for (size_t pc = 0; pc < program->size(); ++pc) {
+      Instruction ins = program->instruction(static_cast<int>(pc));
       RemapArgs(&ins, replacement);
-      if (!SideEffectFree(ins)) {
+      if (!per_pc[pc].side_effect_free()) {
         kept.push_back(std::move(ins));
         continue;
       }
@@ -185,7 +184,8 @@ class DeadCodePass : public Pass {
  public:
   const char* name() const override { return "dead_code"; }
 
-  Result<Effect> Apply(Program* program, const analysis::Facts&) override {
+  Result<Effect> Apply(Program* program, const Facts& facts) override {
+    const std::vector<InstructionFacts>& per_pc = facts.instructions();
     // Liveness: a variable is live if consumed by a kept instruction;
     // an instruction is kept if impure or any result is live. One backward
     // sweep suffices because defs precede uses (SSA).
@@ -194,7 +194,7 @@ class DeadCodePass : public Pass {
     const auto& instructions = program->instructions();
     for (size_t i = instructions.size(); i-- > 0;) {
       const Instruction& ins = instructions[i];
-      bool needed = !SideEffectFree(ins);
+      bool needed = !per_pc[i].side_effect_free();
       for (int r : ins.results) {
         if (live[static_cast<size_t>(r)]) needed = true;
       }
@@ -233,18 +233,20 @@ class MitosisPass : public Pass {
 
   const char* name() const override { return "mitosis"; }
 
-  Result<Effect> Apply(Program* program, const analysis::Facts&) override {
+  Result<Effect> Apply(Program* program, const Facts& facts) override {
     if (pieces_ < 2) return Effect::None();
-    // MonetDB-style mitosis + mergetable: the candidate list of a scan
-    // (a sql.tid result) is sliced into `pieces_` partitions; the whole
-    // select/projection ladder consuming it is cloned per slice; results
+    const std::vector<InstructionFacts>& per_pc = facts.instructions();
+    // MonetDB-style mitosis + mergetable: the candidate list of a table
+    // scan is sliced into `pieces_` partitions; the whole candidate-select
+    // and projection ladder consuming it is cloned per slice; results
     // are reassembled with mat.pack only where a non-partitionable
     // consumer (join build, group, aggregate, result sink...) needs the
     // whole column. Candidate order is preserved, so results are
     // bit-identical to the unpartitioned plan.
     std::vector<bool> is_tid(program->num_variables(), false);
-    for (const Instruction& ins : program->instructions()) {
-      if (ins.module == "sql" && ins.function == "tid" &&
+    for (size_t pc = 0; pc < program->size(); ++pc) {
+      const Instruction& ins = program->instruction(static_cast<int>(pc));
+      if (per_pc[pc].role() == KernelRole::kTableScan &&
           ins.results.size() == 1) {
         is_tid[static_cast<size_t>(ins.results[0])] = true;
       }
@@ -295,60 +297,49 @@ class MitosisPass : public Pass {
       return &ins_it->second;
     };
 
-    for (const Instruction& ins : program->instructions()) {
-      // Selects with a partitionable candidate list (arg 1).
-      bool is_select =
-          ins.module == "algebra" &&
-          (ins.function == "select" || ins.function == "thetaselect" ||
-           ins.function == "likeselect") &&
-          ins.results.size() == 1 && ins.args.size() >= 2 &&
-          ins.args[1].kind == Argument::Kind::kVar;
-      // Projections over a partitioned candidate list (arg 0).
-      bool is_projection = ins.module == "algebra" &&
-                           ins.function == "projection" &&
-                           ins.results.size() == 1 && ins.args.size() == 2 &&
-                           ins.args[0].kind == Argument::Kind::kVar;
-
-      if (is_select) {
-        std::vector<int>* slices = pieces_of(ins.args[1].var);
-        if (slices != nullptr) {
-          // The value column (arg 0) stays whole.
-          if (ins.args[0].kind == Argument::Kind::kVar) {
-            ensure_packed(ins.args[0].var);
-          }
-          std::vector<int> result_pieces;
-          for (int slice : *slices) {
-            int res = program->AddVariable(MalType::Bat(DataType::kOid));
-            Instruction clone = ins;
-            clone.results = {res};
-            clone.args[1] = Argument::Var(slice);
-            out.push_back(std::move(clone));
-            result_pieces.push_back(res);
-          }
-          partitioned[ins.results[0]] = std::move(result_pieces);
-          changed = true;
-          continue;
-        }
+    // Clones `ins` once per slice (its slice in the candidate slot, a fresh
+    // `result_type` result); the column the candidates index stays whole.
+    auto clone_per_slice = [&](const Instruction& ins,
+                               analysis::CandidateColumnSlots slots,
+                               const std::vector<int>& slices,
+                               MalType result_type) {
+      const size_t cand = static_cast<size_t>(slots.candidates);
+      const Argument& column = ins.args[static_cast<size_t>(slots.column)];
+      if (column.kind == Argument::Kind::kVar) ensure_packed(column.var);
+      std::vector<int> result_pieces;
+      for (int slice : slices) {
+        int res = program->AddVariable(result_type);
+        Instruction clone = ins;
+        clone.results = {res};
+        clone.args[cand] = Argument::Var(slice);
+        out.push_back(std::move(clone));
+        result_pieces.push_back(res);
       }
-      if (is_projection) {
-        auto it = partitioned.find(ins.args[0].var);
-        if (it != partitioned.end() && !packed[ins.args[0].var]) {
-          if (ins.args[1].kind == Argument::Kind::kVar) {
-            ensure_packed(ins.args[1].var);
+      partitioned[ins.results[0]] = std::move(result_pieces);
+      changed = true;
+    };
+
+    for (size_t pc = 0; pc < program->size(); ++pc) {
+      const Instruction& ins = program->instruction(static_cast<int>(pc));
+      const KernelRole role = per_pc[pc].role();
+      const analysis::CandidateColumnSlots slots = CandidateColumnSlotsOf(role);
+      const size_t cand = static_cast<size_t>(slots.candidates);
+      // Both slots are 0 or 1; a projection takes exactly its two.
+      if (slots.valid() && ins.results.size() == 1 && ins.args.size() >= 2 &&
+          (role != KernelRole::kProjection || ins.args.size() == 2) &&
+          ins.args[cand].kind == Argument::Kind::kVar) {
+        const int candidates = ins.args[cand].var;
+        if (role == KernelRole::kCandidateSelect) {
+          // A select slices a scan's candidate list on the spot.
+          if (std::vector<int>* slices = pieces_of(candidates)) {
+            clone_per_slice(ins, slots, *slices, MalType::Bat(DataType::kOid));
+            continue;
           }
-          MalType result_type =
-              program->variable(ins.results[0]).type;
-          std::vector<int> result_pieces;
-          for (int slice : it->second) {
-            int res = program->AddVariable(result_type);
-            Instruction clone = ins;
-            clone.results = {res};
-            clone.args[0] = Argument::Var(slice);
-            out.push_back(std::move(clone));
-            result_pieces.push_back(res);
-          }
-          partitioned[ins.results[0]] = std::move(result_pieces);
-          changed = true;
+        } else if (auto it = partitioned.find(candidates);
+                   it != partitioned.end() && !packed[candidates]) {
+          // A projection follows a candidate list that is still in pieces.
+          clone_per_slice(ins, slots, it->second,
+                          program->variable(ins.results[0]).type);
           continue;
         }
       }
@@ -376,15 +367,16 @@ class DataflowMarkerPass : public Pass {
  public:
   const char* name() const override { return "dataflow_marker"; }
 
-  Result<Effect> Apply(Program* program, const analysis::Facts&) override {
-    for (const Instruction& ins : program->instructions()) {
-      if (ins.module == "language" && ins.function == "dataflow") {
-        return Effect::None();  // already marked
-      }
-    }
+  Result<Effect> Apply(Program* program, const Facts&) override {
+    // The one operation this pass recognises is its own output.
     Instruction marker;
     marker.module = "language";
     marker.function = "dataflow";
+    for (const Instruction& ins : program->instructions()) {
+      if (ins.module == marker.module && ins.function == marker.function) {
+        return Effect::None();  // already marked
+      }
+    }
     program->InsertInstruction(0, std::move(marker));
     return Effect::Insert({0});
   }
@@ -394,15 +386,16 @@ class AdminPrunePass : public Pass {
  public:
   const char* name() const override { return "admin_prune"; }
 
-  Result<Effect> Apply(Program* program, const analysis::Facts&) override {
+  Result<Effect> Apply(Program* program, const Facts& facts) override {
+    const std::vector<InstructionFacts>& per_pc = facts.instructions();
     std::vector<Instruction> kept;
     bool changed = false;
-    for (const Instruction& ins : program->instructions()) {
-      if (ins.module == "language") {
+    for (size_t pc = 0; pc < program->size(); ++pc) {
+      if (per_pc[pc].role() == KernelRole::kAdmin) {
         changed = true;
         continue;
       }
-      kept.push_back(ins);
+      kept.push_back(program->instruction(static_cast<int>(pc)));
     }
     if (!changed) return Effect::None();
     program->ReplaceInstructions(std::move(kept));

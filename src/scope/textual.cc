@@ -34,7 +34,7 @@ Status TextualStethoscope::AddServer(
   std::lock_guard<std::mutex> lock(mu_);
   auto& health = health_[name];
   if (health == nullptr) {
-    health = std::make_unique<net::StreamHealth>(options_.health);
+    health = std::make_unique<net::StreamHealth>();
   }
   receivers_.push_back(std::move(receiver));
   threads_.emplace_back(&TextualStethoscope::ListenLoop, this, name, raw,

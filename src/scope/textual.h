@@ -44,8 +44,6 @@ struct TextualOptions {
   /// obs::Active() — the loss/reorder/duplicate accounting itself never
   /// reads a clock.
   Clock* clock = nullptr;
-  /// Stream-health accountant tuning (one accountant per connected server).
-  net::StreamHealth::Options health;
 };
 
 /// The textual Stethoscope (paper §3.2): connects to one or more MonetDB

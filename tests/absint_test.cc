@@ -299,9 +299,10 @@ TEST(EvalInstructionTest, RawResultIgnoresDeclaration) {
   p.Add("bat", "densebat", {a}, {Argument::Const(Value::Int(4))});
   int wrong = p.AddVariable(BatLng());  // mirror actually produces bat[:oid]
   p.Add("bat", "mirror", {wrong}, {Argument::Var(a)});
-  AbstractState state = analysis::AnalyzeProgram(p);
-  std::vector<AbstractValue> raw =
-      analysis::EvalInstruction(p, p.instruction(1), state);
+  std::vector<analysis::InstructionFacts> per_pc;
+  analysis::AnalyzeProgram(p, &per_pc);
+  ASSERT_EQ(per_pc.size(), 2u);
+  const std::vector<AbstractValue>& raw = per_pc[1].raw_results;
   ASSERT_EQ(raw.size(), 1u);
   EXPECT_EQ(raw[0].elem, DataType::kOid);  // not the declared :lng
 }

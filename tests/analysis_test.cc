@@ -6,7 +6,9 @@
 
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -855,11 +857,55 @@ TEST(SignatureTableTest, CoversEveryRegisteredKernel) {
   for (const std::string& name : registry->ListKernels()) {
     size_t dotpos = name.find('.');
     ASSERT_NE(dotpos, std::string::npos) << name;
-    EXPECT_NE(registry->Signature(name.substr(0, dotpos),
-                                  name.substr(dotpos + 1)),
+    EXPECT_NE(registry->Resolve(name.substr(0, dotpos), name.substr(dotpos + 1))
+                  .signature,
               nullptr)
         << "built-in kernel " << name << " registered without a signature";
   }
+}
+
+// Passes and checks recognise an operation by its signature's role, so
+// each role must name exactly the kernels it stands for, and no other
+// kernel may carry one.
+TEST(KernelRoleTest, EachRoleNamesExactlyItsKernels) {
+  using analysis::KernelRole;
+  const std::map<KernelRole, std::set<std::string>> expected = {
+      {KernelRole::kTableScan, {"sql.tid"}},
+      {KernelRole::kColumnBind, {"sql.bind"}},
+      {KernelRole::kCandidateSelect,
+       {"algebra.likeselect", "algebra.select", "algebra.thetaselect"}},
+      {KernelRole::kProjection, {"algebra.projection"}},
+      {KernelRole::kConcatenation, {"bat.append", "mat.pack"}},
+      {KernelRole::kAdmin, {"language.dataflow", "language.pass"}},
+      {KernelRole::kScalarFold,
+       {"calc.add", "calc.and", "calc.dbl", "calc.div", "calc.eq", "calc.ge",
+        "calc.gt", "calc.le", "calc.lng", "calc.lt", "calc.mul", "calc.ne",
+        "calc.not", "calc.or", "calc.str", "calc.sub"}},
+  };
+  const engine::ModuleRegistry* registry = engine::ModuleRegistry::Default();
+  std::map<KernelRole, std::set<std::string>> actual;
+  for (const std::string& name : registry->ListKernels()) {
+    const size_t dotpos = name.find('.');
+    const analysis::KernelSignature* sig =
+        registry->Resolve(name.substr(0, dotpos), name.substr(dotpos + 1))
+            .signature;
+    ASSERT_NE(sig, nullptr) << name;
+    if (sig->role != KernelRole::kNone) actual[sig->role].insert(name);
+  }
+  EXPECT_EQ(actual, expected);
+
+  // The slot layout the candidate roles share with mitosis and
+  // cardinality-contradiction.
+  const analysis::CandidateColumnSlots select =
+      analysis::CandidateColumnSlotsOf(KernelRole::kCandidateSelect);
+  EXPECT_EQ(select.candidates, 1);
+  EXPECT_EQ(select.column, 0);
+  const analysis::CandidateColumnSlots projection =
+      analysis::CandidateColumnSlotsOf(KernelRole::kProjection);
+  EXPECT_EQ(projection.candidates, 0);
+  EXPECT_EQ(projection.column, 1);
+  EXPECT_FALSE(
+      analysis::CandidateColumnSlotsOf(KernelRole::kTableScan).valid());
 }
 
 // ---------------------------------------------------------------------------

@@ -454,10 +454,10 @@ TEST(PreparedPlanTest, ResolvesEachInstructionOnce) {
     const mal::Instruction& ins = p.instruction(ipc);
     SCOPED_TRACE(ins.FullName());
     EXPECT_EQ(plan.text(ipc), p.InstructionToString(ins));
-    auto kernel = registry->Lookup(ins.module, ins.function);
-    EXPECT_EQ(plan.kernel(ipc), kernel.ok() ? kernel.value() : nullptr);
-    EXPECT_EQ(plan.signature(ipc),
-              registry->Signature(ins.module, ins.function));
+    const ModuleRegistry::Resolution resolution =
+        registry->Resolve(ins.module, ins.function);
+    EXPECT_EQ(plan.kernel(ipc), resolution.kernel);
+    EXPECT_EQ(plan.signature(ipc), resolution.signature);
     const std::vector<int> args = Ints(plan.args(ipc));
     ASSERT_EQ(args.size(), ins.args.size());
     for (size_t i = 0; i < args.size(); ++i) {
@@ -824,9 +824,11 @@ TEST(ModuleRegistryTest, DefaultHasAllFamilies) {
         "bat.partition", "batcalc.add", "calc.add", "io.print",
         "language.dataflow", "debug.sleep"}) {
     auto dot = std::string(name).find('.');
-    auto fn = reg->Lookup(std::string(name).substr(0, dot),
-                          std::string(name).substr(dot + 1));
-    EXPECT_TRUE(fn.ok()) << name;
+    EXPECT_NE(reg->Resolve(std::string(name).substr(0, dot),
+                           std::string(name).substr(dot + 1))
+                  .kernel,
+              nullptr)
+        << name;
   }
 }
 

@@ -267,6 +267,20 @@ const Mutation kMutations[] = {
        return Plan(std::move(p));
      }},
 
+    {"heterogeneous-pack", "type-flow",
+     [] {
+       mal::Program p;
+       int a = p.AddVariable(BatOid());
+       p.Add("bat", "densebat", {a}, {Argument::Const(Value::Int(4))});
+       int c = p.AddVariable(BatLng());
+       p.Add("batcalc", "add", {c},
+             {Argument::Var(a), Argument::Const(Value::Int(1))});
+       int d = p.AddVariable(BatOid());
+       p.Add("mat", "pack", {d}, {Argument::Var(a), Argument::Var(c)});
+       p.Add("io", "print", {}, {Argument::Var(d)});
+       return Plan(std::move(p));
+     }},
+
     // --- cardinality flow ---
     {"zip-of-disjoint-cardinalities", "cardinality-contradiction",
      [] {
@@ -290,6 +304,22 @@ const Mutation kMutations[] = {
        int out = p.AddVariable(BatOid());
        p.Add("algebra", "projection", {out},
              {Argument::Var(cand), Argument::Var(col)});
+       p.Add("io", "print", {}, {Argument::Var(out)});
+       return Plan(std::move(p));
+     }},
+    {"candidate-list-exceeds-column-in-select", "cardinality-contradiction",
+     [] {
+       // The select layout: column in slot 0, candidates in slot 1.
+       mal::Program p;
+       int col = p.AddVariable(BatOid());
+       p.Add("bat", "densebat", {col}, {Argument::Const(Value::Int(4))});
+       int cand = p.AddVariable(BatOid());
+       p.Add("bat", "densebat", {cand}, {Argument::Const(Value::Int(8))});
+       int out = p.AddVariable(BatOid());
+       p.Add("algebra", "thetaselect", {out},
+             {Argument::Var(col), Argument::Var(cand),
+              Argument::Const(Value::Int(2)),
+              Argument::Const(Value::String(">"))});
        p.Add("io", "print", {}, {Argument::Var(out)});
        return Plan(std::move(p));
      }},

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <thread>
 
 #include "common/clock.h"
@@ -291,22 +294,63 @@ TEST(StreamHealthTest, StragglerBelowFirstArrivalCountsReordered) {
 }
 
 TEST(StreamHealthTest, GapAgesIntoLossPastReorderWindow) {
-  StreamHealth::Options options;
-  options.reorder_window = 4;
-  StreamHealth health(options);
+  StreamHealth health;
   health.Observe(SeqEvent(0));
-  health.Observe(SeqEvent(10));  // opens gaps 1..9
+  health.Observe(SeqEvent(kReorderWindow + 6));  // skips 1..window+5
   PipeHealthSummary s = health.Snapshot();
-  // Gaps trailing the high-water mark (10) by more than 4 are lost:
-  // 1..5; 6..9 may still be late stragglers.
+  // Gaps trailing the high-water mark (window+6) by more than the window
+  // are lost: 1..5; 6..window+5 may still be late stragglers.
   EXPECT_EQ(s.lost, 5);
-  EXPECT_EQ(s.pending, 4);
+  EXPECT_EQ(s.pending, kReorderWindow);
   // A straggler for an aged-out gap counts duplicated-side (monotone loss),
   // one inside the window still redeems as a reorder.
-  health.Observe(SeqEvent(7));
+  health.Observe(SeqEvent(kReorderWindow + 3));
   s = health.Snapshot();
   EXPECT_EQ(s.reordered, 1);
   EXPECT_EQ(s.lost, 5);
+}
+
+// Sequence numbers come off the wire, so one datagram may carry any
+// int64_t. An arrival opens at most the window's worth of holes and counts
+// the rest as lost in one step, so each call returns at once with exact
+// counts, and `lost` saturates instead of overflowing.
+TEST(StreamHealthTest, WildSequenceNumbersCostAtMostTheWindow) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  StreamHealth health;
+  auto observe = [&health](int64_t seq) {
+    profiler::TraceEvent e;
+    e.event = seq;
+    e.state = profiler::EventState::kDone;
+    health.Observe(e);
+    PipeHealthSummary s = health.Snapshot();
+    EXPECT_LE(s.pending, kReorderWindow) << "after " << seq;
+    return s;
+  };
+  observe(0);
+  PipeHealthSummary s = observe(int64_t{1} << 62);
+  // Skips 1 .. 2^62-1; the top window's worth stay pending.
+  EXPECT_EQ(s.pending, kReorderWindow);
+  EXPECT_EQ(s.lost, (int64_t{1} << 62) - 1 - kReorderWindow);
+  s = observe(kMax);
+  // Every number strictly between 0 and INT64_MAX but 2^62 is a hole; the
+  // window's worth below INT64_MAX stay pending.
+  EXPECT_EQ(s.pending, kReorderWindow);
+  EXPECT_EQ(s.lost, kMax - 2 - kReorderWindow);
+  EXPECT_EQ(s.expected(), kMax);  // saturated
+  s = observe(kMin);  // a straggler from before the first arrival
+  EXPECT_EQ(s.observed, 4);
+  EXPECT_EQ(s.reordered, 1);
+  EXPECT_EQ(s.duplicated, 0);
+  EXPECT_EQ(s.pending, kReorderWindow);
+  EXPECT_EQ(s.lost, kMax);  // saturated
+  EXPECT_EQ(s.min_seq, kMin);
+  EXPECT_EQ(s.max_seq, kMax);
+  EXPECT_NE(s.ToString().find("reordered"), std::string::npos);
+  health.Finalize();
+  s = health.Snapshot();
+  EXPECT_EQ(s.pending, 0);
+  EXPECT_EQ(s.lost, kMax);
 }
 
 TEST(StreamHealthTest, ClockOffsetAndLatencyEstimates) {

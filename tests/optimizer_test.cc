@@ -274,6 +274,50 @@ TEST(MitosisTest, ResultsUnchangedByPartitioning) {
   }
 }
 
+// No suite query emits algebra.likeselect, so this pins its candidate
+// select role: mitosis partitions it like the other selects, and the
+// partitioned plan returns the same rows.
+TEST(MitosisTest, PartitionsLikeSelects) {
+  Catalog cat = TinyTpch();
+  const char* sql = "select p_partkey from part where p_type like 'PROMO%'";
+  std::vector<Value> rows[2];
+  for (int m : {0, 4}) {
+    auto program = sql::Compiler::CompileSql(&cat, sql);
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    Program p = std::move(program.value());
+    auto fired = Pipeline::Default(m).Run(&p);
+    ASSERT_TRUE(fired.ok()) << fired.status().ToString();
+    if (m == 4) {
+      EXPECT_EQ(CountOps(p, "algebra.likeselect"), 4u);
+      size_t over_slices = 0;
+      for (const mal::Instruction& ins : p.instructions()) {
+        if (ins.FullName() != "algebra.likeselect") continue;
+        ASSERT_EQ(ins.args[1].kind, Argument::Kind::kVar);
+        for (const mal::Instruction& def : p.instructions()) {
+          if (!def.results.empty() && def.results[0] == ins.args[1].var &&
+              def.FullName() == "bat.partition") {
+            ++over_slices;
+          }
+        }
+      }
+      EXPECT_EQ(over_slices, 4u);
+    } else {
+      EXPECT_EQ(CountOps(p, "algebra.likeselect"), 1u);
+    }
+    Interpreter interp(&cat);
+    auto result = interp.Execute(p, ExecOptions());
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result.value().columns.size(), 1u);
+    const auto& column = result.value().columns[0].column;
+    ASSERT_NE(column, nullptr);
+    for (size_t i = 0; i < column->size(); ++i) {
+      rows[m == 0 ? 0 : 1].push_back(column->GetValue(i));
+    }
+  }
+  EXPECT_FALSE(rows[0].empty());
+  EXPECT_EQ(rows[0], rows[1]);
+}
+
 TEST(MitosisTest, NoEffectWithoutScanSelects) {
   Program p;
   int mvc = p.AddVariable(MalType::Scalar(DataType::kInt64));
@@ -307,6 +351,21 @@ TEST(AdminPruneTest, RemovesLanguageNodes) {
   EXPECT_TRUE(changed.value());
   ASSERT_EQ(p.size(), 1u);
   EXPECT_EQ(p.instruction(0).FullName(), "io.print");
+}
+
+// Admin pruning knows an operation only by its signature's role, so an
+// operation the registry cannot describe is kept, whatever its module.
+TEST(AdminPruneTest, KeepsUnregisteredLanguageOps) {
+  Program p;
+  p.Add("language", "dataflow", {}, {});
+  p.Add("language", "foo", {}, {});
+  p.Add("io", "print", {}, {Argument::Const(Value::Int(1))});
+  auto changed = MakeAdminPrunePass()->Run(&p);
+  ASSERT_TRUE(changed.ok());
+  EXPECT_TRUE(changed.value());
+  ASSERT_EQ(p.size(), 2u);
+  EXPECT_EQ(p.instruction(0).FullName(), "language.foo");
+  EXPECT_EQ(p.instruction(1).FullName(), "io.print");
 }
 
 // --- pipeline ---

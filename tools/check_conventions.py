@@ -8,6 +8,9 @@ Checks, over src/ tools/ tests/ bench/ examples/:
   2. No `throw` statements in src/ — public APIs report errors through
      stetho::Status / stetho::Result<T>.
   3. Project includes are written relative to src/ (no "../" includes).
+  4. No line under src/ compares an instruction's `.module` or `.function`
+     with a string literal: passes and checks recognise an operation by its
+     kernel signature's role (analysis::KernelRole), never by its name.
 
 Exit status: 0 clean, 1 violations (listed one per line), 2 usage error.
 """
@@ -18,6 +21,7 @@ from pathlib import Path
 
 THROW_RE = re.compile(r"\bthrow\b")
 REL_INCLUDE_RE = re.compile(r'#\s*include\s+"\.\./')
+NAME_COMPARE_RE = re.compile(r'\.(module|function)\s*[!=]=\s*"')
 
 
 def expected_guard(header: Path, src_root: Path) -> str:
@@ -97,6 +101,11 @@ def main(argv):
                 problems.append(
                     f"{path}:{lineno}: relative include — write includes "
                     "project-relative from src/"
+                )
+            if NAME_COMPARE_RE.search(line):
+                problems.append(
+                    f"{path}:{lineno}: operation matched by name — read the "
+                    "kernel signature's role through the analysis facts"
                 )
 
     for p in problems:

@@ -6,7 +6,8 @@
 #   tools/run_static_analysis.sh --no-tidy      # skip clang-tidy
 #
 # Stages (each gated on tool availability, each fatal on findings):
-#   1. tools/check_conventions.py      header guards, includes, no-throw
+#   1. tools/check_conventions.py      header guards, includes, no-throw,
+#                                      no operation matched by name
 #   2. clang-tidy                      on files changed vs origin/main (or
 #                                      HEAD~1), using the default preset's
 #                                      compile_commands.json
