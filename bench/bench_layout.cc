@@ -2,12 +2,12 @@
 // layout/render optimizations that make the F2/C6 pipeline interactive at
 // multi-thousand-node plans.
 //
-// Four before/after pairs, each with its slow path kept as the oracle:
+// Three before/after pairs, each with its slow path kept as the oracle:
 //   - crossing counting: BIT O(E log E) vs the naive pairwise scan,
 //   - layout with a cold vs warm LayoutCache (content-hash LRU),
 //   - sequential vs pooled per-layer ordering sweeps,
-//   - full re-rasterization vs dirty-rect incremental deltas.
-// EXPERIMENTS.md § LAYOUT records the acceptance numbers.
+// plus the cost of a full re-render and re-rasterization after one glyph
+// changes color. EXPERIMENTS.md § LAYOUT records the acceptance numbers.
 
 #include <benchmark/benchmark.h>
 
@@ -140,10 +140,9 @@ void BM_LayoutParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_LayoutParallel)->Args({2000, 2})->Args({2000, 4});
 
-/// Scene with n glyphs; returns the frame renderer + scene for delta work.
+/// Scene of n shape glyphs and their ids.
 struct RasterSetup {
   std::unique_ptr<viz::VirtualSpace> space;
-  viz::Frame frame;
   std::vector<int> shapes;
 };
 
@@ -167,7 +166,6 @@ RasterSetup MakeRasterSetup(int n) {
     g.fill = viz::Color::White();
     s.shapes.push_back(s.space->AddGlyph(g));
   }
-  s.frame = viz::Renderer::RenderFrame(*s.space, MakeCamera());
   return s;
 }
 
@@ -186,33 +184,6 @@ void BM_FullRasterRedraw(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullRasterRedraw)->Arg(500)->Arg(2000)->Unit(benchmark::kMicrosecond);
-
-void BM_IncrementalRasterDelta(benchmark::State& state) {
-  RasterSetup s = MakeRasterSetup(static_cast<int>(state.range(0)));
-  viz::Camera camera = MakeCamera();
-  viz::IncrementalRasterizer inc(1280, 800);
-  inc.Draw(s.frame);
-  int64_t epoch = s.frame.epoch;
-  int i = 0;
-  for (auto _ : state) {
-    int glyph = s.shapes[static_cast<size_t>(i++) % s.shapes.size()];
-    (void)s.space->MutateGlyph(glyph, [&](viz::Glyph* g) {
-      g->fill = (i % 2) != 0 ? viz::Color::Red() : viz::Color::Green();
-    });
-    viz::Frame delta = viz::Renderer::RenderDelta(*s.space, camera, epoch);
-    epoch = delta.epoch;
-    if (!inc.ApplyDelta(delta).ok()) {
-      state.SkipWithError("delta rejected");
-      return;
-    }
-    benchmark::DoNotOptimize(inc.raster().At(0, 0));
-  }
-  state.counters["redrawn_last"] = static_cast<double>(inc.last_redrawn());
-}
-BENCHMARK(BM_IncrementalRasterDelta)
-    ->Arg(500)
-    ->Arg(2000)
-    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "analysis/checks.h"
@@ -81,24 +83,32 @@ class TraceSequenceGapCheck final : public Check {
                 "");
     }
 
-    // Gaps: the span [min, max] should be fully populated.
-    const int64_t expected = max_seq - min_seq + 1;
-    const int64_t missing = expected - static_cast<int64_t>(count.size());
+    // Gaps: the span [min, max] should be fully populated. The ids come
+    // from a file, so the span is exact in unsigned arithmetic: max - min
+    // fits in 64 bits, and only the full int64 range spans 2^64 numbers.
+    const uint64_t span = static_cast<uint64_t>(max_seq) -
+                          static_cast<uint64_t>(min_seq);
+    const uint64_t missing = span - (count.size() - 1);
     if (missing > 0) {
       std::string holes;
       int listed = 0;
-      for (int64_t q = min_seq; q <= max_seq && listed < kMaxDetailed; ++q) {
+      // min and max are present, so every hole lies strictly between them.
+      for (int64_t q = min_seq + 1; q < max_seq && listed < kMaxDetailed;
+           ++q) {
         if (count.find(q) != count.end()) continue;
         holes += holes.empty() ? "" : ", ";
         holes += StrFormat("%lld", static_cast<long long>(q));
         ++listed;
       }
+      const std::string expected =
+          span == UINT64_MAX
+              ? std::string("18446744073709551616")  // 2^64
+              : StrFormat("%llu", static_cast<unsigned long long>(span + 1));
       emit.Emit(
           Severity::kWarning, -1, -1,
-          StrFormat("%lld of %lld sequence numbers missing (first holes: "
-                    "%s)",
-                    static_cast<long long>(missing),
-                    static_cast<long long>(expected), holes.c_str()),
+          StrFormat("%llu of %s sequence numbers missing (first holes: %s)",
+                    static_cast<unsigned long long>(missing),
+                    expected.c_str(), holes.c_str()),
           "events were lost between profiler emission and this capture "
           "(UDP drop, sink overflow, or a truncated file); per-pc pairing "
           "and byte accounting downstream run on partial data");

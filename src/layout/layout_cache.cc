@@ -41,13 +41,6 @@ void MixString(uint64_t* h, const std::string& s) {
   }
 }
 
-void MixDouble(uint64_t* h, double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  MixWord(h, bits);
-}
-
 void MixInt(uint64_t* h, int64_t v) { MixWord(h, static_cast<uint64_t>(v)); }
 
 /// Whether `layout` has `graph`'s node and edge counts. Two graphs whose
@@ -90,8 +83,7 @@ LayoutCache* LayoutCache::Default() {
   return cache;
 }
 
-uint64_t LayoutCache::HashKey(const dot::Graph& graph,
-                              const LayoutOptions& options) {
+uint64_t LayoutCache::HashKey(const dot::Graph& graph) {
   uint64_t h = kSeed;
   MixInt(&h, static_cast<int64_t>(graph.num_nodes()));
   for (const dot::GraphNode& node : graph.nodes()) {
@@ -103,29 +95,17 @@ uint64_t LayoutCache::HashKey(const dot::Graph& graph,
     MixString(&h, edge.from);
     MixString(&h, edge.to);
   }
-  // Every option that affects geometry; pool / parallel_min_nodes are
-  // deliberately absent (parallelism never changes the output).
-  MixDouble(&h, options.char_width);
-  MixDouble(&h, options.node_height);
-  MixDouble(&h, options.min_node_width);
-  MixDouble(&h, options.max_node_width);
-  MixDouble(&h, options.layer_gap);
-  MixDouble(&h, options.node_gap);
-  MixDouble(&h, options.margin);
-  MixInt(&h, options.barycenter_sweeps);
-  MixInt(&h, options.median ? 1 : 0);
-  MixInt(&h, options.transpose_passes);
   return h;
 }
 
 Result<std::shared_ptr<const GraphLayout>> LayoutCache::GetOrCompute(
-    const dot::Graph& graph, const LayoutOptions& options) {
+    const dot::Graph& graph) {
   if (capacity_ == 0) {
     MissCounter()->Increment();
-    STETHO_ASSIGN_OR_RETURN(GraphLayout layout, LayoutGraph(graph, options));
+    STETHO_ASSIGN_OR_RETURN(GraphLayout layout, LayoutGraph(graph));
     return std::make_shared<const GraphLayout>(std::move(layout));
   }
-  uint64_t key = HashKey(graph, options);
+  uint64_t key = HashKey(graph);
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = index_.find(key);
@@ -138,7 +118,7 @@ Result<std::shared_ptr<const GraphLayout>> LayoutCache::GetOrCompute(
   // Miss: compute outside the lock so concurrent misses on different
   // graphs do not serialize behind one Sugiyama run.
   MissCounter()->Increment();
-  STETHO_ASSIGN_OR_RETURN(GraphLayout layout, LayoutGraph(graph, options));
+  STETHO_ASSIGN_OR_RETURN(GraphLayout layout, LayoutGraph(graph));
   auto shared = std::make_shared<const GraphLayout>(std::move(layout));
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);

@@ -18,10 +18,9 @@ namespace stetho::layout {
 /// Replay seeks, rewind, session re-focus, and repeated MonitorQuery runs
 /// of the same plan all re-enter the layout stage with an unchanged graph;
 /// the cache turns those calls into a hash of the graph content plus a map
-/// lookup, returning a shared_ptr to the immutable geometry. The key
-/// covers node ids, labels, edge endpoints, and every LayoutOptions field
-/// that affects geometry (the pool / parallel threshold fields are
-/// excluded: parallelism is deterministic and never changes the output).
+/// lookup, returning a shared_ptr to the immutable geometry. Layouts are
+/// computed with the default LayoutOptions, so the key covers the graph
+/// alone: node ids, labels and edge endpoints.
 /// A hit whose layout has another node or edge count than the graph (a
 /// key collision) is treated as a miss, so a returned layout is always
 /// indexed like the graph.
@@ -43,17 +42,15 @@ class LayoutCache {
   /// Process-wide shared instance (capacity from STETHO_LAYOUT_CACHE).
   static LayoutCache* Default();
 
-  /// Returns the cached layout for (graph, options), computing and
-  /// inserting it on a miss. The layout is computed outside the cache
-  /// lock, so concurrent misses on different graphs do not serialize.
+  /// Returns the cached layout for `graph`, computing and inserting it on
+  /// a miss. The layout is computed outside the cache lock, so concurrent
+  /// misses on different graphs do not serialize.
   Result<std::shared_ptr<const GraphLayout>> GetOrCompute(
-      const dot::Graph& graph, const LayoutOptions& options = {});
+      const dot::Graph& graph);
 
-  /// Content hash of graph + geometry-relevant options, mixed in 8-byte
-  /// words — the cache key. Held only in memory, never stored. Exposed for
-  /// tests.
-  static uint64_t HashKey(const dot::Graph& graph,
-                          const LayoutOptions& options);
+  /// Content hash of the graph, mixed in 8-byte words — the cache key.
+  /// Held only in memory, never stored. Exposed for tests.
+  static uint64_t HashKey(const dot::Graph& graph);
 
   /// Stores `layout` under `key` as most recently used, replacing any
   /// entry there, as a miss does. Exposed for tests that plant a

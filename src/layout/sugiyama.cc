@@ -152,17 +152,10 @@ double MedianValue(std::vector<int>& positions, double fallback) {
   return (positions[m - 1] * right + positions[m] * left) / (left + right);
 }
 
-double MeanValue(const std::vector<int>& positions, double fallback) {
-  if (positions.empty()) return fallback;
-  double sum = 0;
-  for (int p : positions) sum += p;
-  return sum / static_cast<double>(positions.size());
-}
-
-/// Reorders one layer by the median/mean of neighbor positions. Keys are
+/// Reorders one layer by the median of neighbor positions. Keys are
 /// precomputed per node — the seed recomputed the barycenter inside the
 /// sort comparator, turning every sweep into O(k log k · deg) key work.
-void OrderLayer(OrderingContext& ctx, int li, bool down, bool median,
+void OrderLayer(OrderingContext& ctx, int li, bool down,
                 std::vector<double>& key, std::vector<int>& scratch) {
   auto& lay = ctx.layers[static_cast<size_t>(li)];
   for (int v : lay) {
@@ -172,9 +165,8 @@ void OrderLayer(OrderingContext& ctx, int li, bool down, bool median,
     for (int n : neighbors) {
       scratch.push_back(ctx.position[static_cast<size_t>(n)]);
     }
-    double fallback = ctx.position[static_cast<size_t>(v)];
     key[static_cast<size_t>(v)] =
-        median ? MedianValue(scratch, fallback) : MeanValue(scratch, fallback);
+        MedianValue(scratch, ctx.position[static_cast<size_t>(v)]);
   }
   std::stable_sort(lay.begin(), lay.end(), [&key](int a, int b) {
     return key[static_cast<size_t>(a)] < key[static_cast<size_t>(b)];
@@ -287,7 +279,7 @@ Result<GraphLayout> LayoutGraph(const dot::Graph& graph,
       bool down = (sweep % 2 == 0);
       for (int li = down ? 1 : num_layers - 2;
            down ? li < num_layers : li >= 0; down ? ++li : --li) {
-        OrderLayer(ctx, li, down, options.median, key, scratch);
+        OrderLayer(ctx, li, down, key, scratch);
       }
       for (int pass = 0; pass < options.transpose_passes; ++pass) {
         std::atomic<bool> changed{false};
@@ -319,10 +311,10 @@ Result<GraphLayout> LayoutGraph(const dot::Graph& graph,
     NodeLayout& nl = layout.nodes[i];
     nl.node = static_cast<int>(i);
     nl.layer = layer[i];
-    double w = options.min_node_width +
-               options.char_width * static_cast<double>(graph.node(i).label().size());
-    nl.width = std::min(w, options.max_node_width);
-    nl.height = options.node_height;
+    double w = kMinNodeWidth +
+               kCharWidth * static_cast<double>(graph.node(i).label().size());
+    nl.width = std::min(w, kMaxNodeWidth);
+    nl.height = kNodeHeight;
   }
 
   // Coordinate assignment: lay out each layer left-to-right, then center
@@ -332,7 +324,7 @@ Result<GraphLayout> LayoutGraph(const dot::Graph& graph,
     const auto& lay = layers[static_cast<size_t>(li)];
     double w = 0;
     for (size_t i = 0; i < lay.size(); ++i) {
-      if (i > 0) w += options.node_gap;
+      if (i > 0) w += kNodeGap;
       w += layout.nodes[static_cast<size_t>(lay[i])].width;
     }
     layer_width[static_cast<size_t>(li)] = w;
@@ -341,22 +333,22 @@ Result<GraphLayout> LayoutGraph(const dot::Graph& graph,
 
   for (int li = 0; li < num_layers; ++li) {
     const auto& lay = layers[static_cast<size_t>(li)];
-    double x = options.margin +
+    double x = kMargin +
                (max_width - layer_width[static_cast<size_t>(li)]) / 2.0;
-    double y = options.margin + options.node_height / 2.0 +
-               static_cast<double>(li) * (options.node_height + options.layer_gap);
+    double y = kMargin + kNodeHeight / 2.0 +
+               static_cast<double>(li) * (kNodeHeight + kLayerGap);
     for (int node : lay) {
       NodeLayout& nl = layout.nodes[static_cast<size_t>(node)];
       nl.x = x + nl.width / 2.0;
       nl.y = y;
-      x += nl.width + options.node_gap;
+      x += nl.width + kNodeGap;
     }
   }
 
-  layout.width = max_width + 2 * options.margin;
-  layout.height = options.margin * 2 + options.node_height +
+  layout.width = max_width + 2 * kMargin;
+  layout.height = kMargin * 2 + kNodeHeight +
                   static_cast<double>(num_layers - 1) *
-                      (options.node_height + options.layer_gap);
+                      (kNodeHeight + kLayerGap);
 
   // Edge routing: straight polyline bottom-port -> top-port.
   for (size_t e = 0; e < graph.num_edges(); ++e) {

@@ -18,22 +18,24 @@ struct Point {
   double y = 0;
 };
 
-/// Tunables for the layered (Sugiyama-style) DAG layout.
+/// Geometry of every layout, in world units: a node is kNodeHeight tall
+/// and as wide as its label estimate (kMinNodeWidth plus kCharWidth per
+/// character) up to kMaxNodeWidth.
+inline constexpr double kCharWidth = 7.0;
+inline constexpr double kNodeHeight = 28.0;
+inline constexpr double kMinNodeWidth = 40.0;
+inline constexpr double kMaxNodeWidth = 420.0;
+inline constexpr double kLayerGap = 56.0;  ///< vertical gap between layers
+inline constexpr double kNodeGap = 24.0;   ///< horizontal gap within a layer
+inline constexpr double kMargin = 24.0;
+
+/// Crossing-reduction effort and scheduling of the layered (Sugiyama-style)
+/// DAG layout.
 struct LayoutOptions {
-  double char_width = 7.0;      ///< label width estimate per character
-  double node_height = 28.0;
-  double min_node_width = 40.0;
-  double max_node_width = 420.0;
-  double layer_gap = 56.0;      ///< vertical distance between layers
-  double node_gap = 24.0;       ///< horizontal gap between nodes in a layer
-  double margin = 24.0;
   /// Maximum crossing-reduction sweeps; 0 disables ordering entirely
   /// (insertion order is kept). Sweeps stop early once a sweep no longer
   /// improves the crossing count, so this is a ceiling, not a fixed cost.
   int barycenter_sweeps = 4;
-  /// Order by the median of neighbor positions (the GKNV median heuristic)
-  /// instead of their mean.
-  bool median = true;
   /// Adjacent-transpose refinement passes after each ordering sweep; each
   /// pass swaps neighboring nodes whenever the swap strictly reduces
   /// crossings. 0 disables.
@@ -77,7 +79,7 @@ struct GraphLayout {
 };
 
 /// Computes a layered layout of a DAG: longest-path layer assignment,
-/// median/barycenter crossing reduction with adjacent-transpose refinement
+/// GKNV median crossing reduction with adjacent-transpose refinement
 /// and early-exit convergence, and sequential coordinate assignment with
 /// per-layer centering. This is the GraphViz-dot substitute the Stethoscope
 /// pipeline uses to place MAL plan graphs. Fails on cyclic graphs.

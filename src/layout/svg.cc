@@ -8,8 +8,18 @@
 
 namespace stetho::layout {
 
-std::string LayoutToSvg(const dot::Graph& graph, const GraphLayout& layout,
-                        const SvgOptions& options) {
+namespace {
+
+constexpr const char* kDefaultFill = "#f2f2f2";
+constexpr const char* kStroke = "#333333";
+constexpr const char* kFontFamily = "monospace";
+constexpr double kFontSize = 11.0;
+/// The node attribute the coloring algorithms set.
+constexpr const char* kFillAttr = "fillcolor";
+
+}  // namespace
+
+std::string LayoutToSvg(const dot::Graph& graph, const GraphLayout& layout) {
   obs::Span span(obs::Tracer::Default(), "svg", "phase");
   std::string out = StrFormat(
       "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"%.0f\" "
@@ -26,14 +36,14 @@ std::string LayoutToSvg(const dot::Graph& graph, const GraphLayout& layout,
         "  <line class=\"edge\" data-from=\"%s\" data-to=\"%s\" "
         "x1=\"%.1f\" y1=\"%.1f\" x2=\"%.1f\" y2=\"%.1f\" stroke=\"%s\"/>\n",
         EscapeXml(edge.from).c_str(), EscapeXml(edge.to).c_str(), a.x, a.y,
-        b.x, b.y, options.stroke.c_str());
+        b.x, b.y, kStroke);
   }
 
   for (const NodeLayout& nl : layout.nodes) {
     if (nl.node < 0) continue;
     const dot::GraphNode& node = graph.node(static_cast<size_t>(nl.node));
-    std::string fill = options.default_fill;
-    auto it = node.attrs.find(options.fill_attr);
+    std::string fill = kDefaultFill;
+    auto it = node.attrs.find(kFillAttr);
     if (it != node.attrs.end() && !it->second.empty()) fill = it->second;
     out += StrFormat("  <g class=\"node\" id=\"%s\">\n",
                      EscapeXml(node.id).c_str());
@@ -41,12 +51,12 @@ std::string LayoutToSvg(const dot::Graph& graph, const GraphLayout& layout,
         "    <rect x=\"%.1f\" y=\"%.1f\" width=\"%.1f\" height=\"%.1f\" "
         "fill=\"%s\" stroke=\"%s\"/>\n",
         nl.x - nl.width / 2.0, nl.y - nl.height / 2.0, nl.width, nl.height,
-        EscapeXml(fill).c_str(), options.stroke.c_str());
+        EscapeXml(fill).c_str(), kStroke);
     out += StrFormat(
         "    <text x=\"%.1f\" y=\"%.1f\" text-anchor=\"middle\" "
         "font-family=\"%s\" font-size=\"%.1f\">%s</text>\n",
-        nl.x, nl.y + options.font_size / 3.0, options.font_family.c_str(),
-        options.font_size, EscapeXml(node.label()).c_str());
+        nl.x, nl.y + kFontSize / 3.0, kFontFamily, kFontSize,
+        EscapeXml(node.label()).c_str());
     out += "  </g>\n";
   }
   out += "</svg>\n";

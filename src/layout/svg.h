@@ -10,24 +10,13 @@
 
 namespace stetho::layout {
 
-/// Options for SVG emission.
-struct SvgOptions {
-  std::string default_fill = "#f2f2f2";
-  std::string stroke = "#333333";
-  std::string font_family = "monospace";
-  double font_size = 11.0;
-  /// Node attribute consulted for per-node fill (set by the Stethoscope
-  /// coloring algorithms): "fillcolor".
-  std::string fill_attr = "fillcolor";
-};
-
 /// Renders a laid-out graph as a standalone SVG document. Nodes become
 /// <g class="node" id="..."><rect/><text/></g> groups; edges become <line
 /// class="edge" data-from="..." data-to="..."/> elements, so the document is
 /// self-describing and can be parsed back into a graph (the paper's
-/// dot -> svg -> in-memory-graph pipeline).
-std::string LayoutToSvg(const dot::Graph& graph, const GraphLayout& layout,
-                        const SvgOptions& options = {});
+/// dot -> svg -> in-memory-graph pipeline). A node's "fillcolor" attribute
+/// (set by the Stethoscope coloring algorithms) fills its rect.
+std::string LayoutToSvg(const dot::Graph& graph, const GraphLayout& layout);
 
 /// One node recovered from an SVG document.
 struct SvgNode {

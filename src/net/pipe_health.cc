@@ -61,6 +61,16 @@ int64_t SaturatingAdd(int64_t a, int64_t b) {
   return std::min(a, INT64_MAX - b) + b;
 }
 
+/// a - b clamped to the int64_t range. Emit times come off the wire, so
+/// offset, latency and staleness must not wrap on a wild one.
+int64_t SaturatingSub(int64_t a, int64_t b) {
+  int64_t difference = 0;
+  if (__builtin_sub_overflow(a, b, &difference)) {
+    return b < 0 ? INT64_MAX : INT64_MIN;
+  }
+  return difference;
+}
+
 }  // namespace
 
 std::string PipeHealthSummary::ToString() const {
@@ -146,9 +156,9 @@ void StreamHealth::Observe(const profiler::TraceEvent& event,
 
   sum_.newest_emit_us = std::max(sum_.newest_emit_us, event.time_us);
   if (ingest_us >= 0) {
-    const int64_t delta = ingest_us - event.time_us;
+    const int64_t delta = SaturatingSub(ingest_us, event.time_us);
     sum_.clock_offset_us = std::min(sum_.clock_offset_us, delta);
-    const int64_t latency = delta - sum_.clock_offset_us;
+    const int64_t latency = SaturatingSub(delta, sum_.clock_offset_us);
     sum_.last_latency_us = latency;
     sum_.max_latency_us = std::max(sum_.max_latency_us, latency);
     LatencyHistogram()->Observe(latency);
@@ -160,8 +170,9 @@ void StreamHealth::ObserveStaleness(int64_t now_us) {
   if (sum_.clock_offset_us == kNoClockOffset || sum_.newest_emit_us == 0) {
     return;
   }
-  const int64_t staleness =
-      std::max<int64_t>(0, now_us - sum_.clock_offset_us - sum_.newest_emit_us);
+  const int64_t staleness = std::max<int64_t>(
+      0, SaturatingSub(SaturatingSub(now_us, sum_.clock_offset_us),
+                       sum_.newest_emit_us));
   StalenessHistogram()->Observe(staleness);
 }
 

@@ -3,7 +3,6 @@
 
 #include <cstdio>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -89,18 +88,6 @@ class FileSink : public EventSink {
   std::mutex mu_;
   std::string path_;
   std::FILE* file_;
-};
-
-/// Invokes a callback per event. The callback must be thread-safe.
-class CallbackSink : public EventSink {
- public:
-  explicit CallbackSink(std::function<void(const TraceEvent&)> fn)
-      : fn_(std::move(fn)) {}
-
-  void Consume(const TraceEvent& event) override { fn_(event); }
-
- private:
-  std::function<void(const TraceEvent&)> fn_;
 };
 
 }  // namespace stetho::profiler

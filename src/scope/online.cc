@@ -30,7 +30,6 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
   TextualOptions topt;
   topt.trace_path = options_.trace_path;
   topt.filter = options_.filter;
-  topt.buffer_capacity = options_.buffer_capacity;
   topt.clock = options_.clock;
   // Incremental §4.2.1 analysis: the listener feeds every accepted event
   // into the tracker as it arrives, so each analysis round applies only the
@@ -179,8 +178,6 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
   ReplayOptions scene_options;
   scene_options.clock = options_.clock;
   scene_options.render_interval_us = options_.render_interval_us;
-  scene_options.viewport_width = options_.viewport_width;
-  scene_options.viewport_height = options_.viewport_height;
   STETHO_ASSIGN_OR_RETURN(
       scene_, OfflineReplayer::Create(std::move(graph), {}, scene_options));
 

@@ -44,9 +44,6 @@ struct OnlineOptions {
   /// Trace file the textual stethoscope redirects the stream into
   /// ("" = memory only).
   std::string trace_path;
-  size_t buffer_capacity = 8192;
-  double viewport_width = 1280;
-  double viewport_height = 800;
   /// Transport faults injected between server and monitor (seeded; see
   /// net::FaultInjectingSender). All-zero probabilities = clean wire. The
   /// injector's exact counts land in OnlineReport::injected_* so tests can

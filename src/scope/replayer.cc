@@ -38,11 +38,10 @@ OfflineReplayer::OfflineReplayer(
     : graph_(std::move(graph)),
       layout_(std::move(layout)),
       all_events_(std::move(events)),
-      events_(all_events_),
       options_(options),
       clock_(options.clock != nullptr ? options.clock
                                       : static_cast<Clock*>(SteadyClock::Default())),
-      camera_(options.viewport_width, options.viewport_height),
+      camera_(kReplayViewportWidth, kReplayViewportHeight),
       animator_(clock_) {
   viz::BuildScene(graph_, *layout_, &space_);
   edt_ = std::make_unique<viz::EventDispatchThread>(
@@ -71,8 +70,9 @@ void OfflineReplayer::RebuildHistory() {
   colored_pcs_.clear();
   std::vector<viz::Color> running(num_pcs, viz::Color::Gray());
   std::vector<int64_t> cum(num_pcs, 0);
-  for (size_t i = 0; i < events_.size(); ++i) {
-    const TraceEvent& e = events_[i];
+  const std::vector<TraceEvent>& active = events();
+  for (size_t i = 0; i < active.size(); ++i) {
+    const TraceEvent& e = active[i];
     if (e.pc < 0 || static_cast<size_t>(e.pc) >= num_pcs) continue;
     size_t pc = static_cast<size_t>(e.pc);
     bool done = (e.state == EventState::kDone);
@@ -153,7 +153,7 @@ void OfflineReplayer::ResetColors() {
 }
 
 void OfflineReplayer::ApplyEvent(size_t index) {
-  const TraceEvent& e = events_[index];
+  const TraceEvent& e = events()[index];
   if (e.state == EventState::kDone && static_cast<size_t>(e.pc) < usec_by_pc_.size()) {
     usec_by_pc_[static_cast<size_t>(e.pc)] += e.usec;
   }
@@ -198,7 +198,7 @@ Result<size_t> OfflineReplayer::Play(double speed, size_t count) {
   size_t applied = 0;
   while (applied < count && !AtEnd()) {
     if (applied > 0 && cursor_ > 0) {
-      int64_t gap = events_[cursor_].time_us - events_[cursor_ - 1].time_us;
+      int64_t gap = events()[cursor_].time_us - events()[cursor_ - 1].time_us;
       if (gap > 0) {
         clock_->SleepMicros(static_cast<int64_t>(
             static_cast<double>(gap) / speed));
@@ -215,7 +215,7 @@ Result<size_t> OfflineReplayer::Play(double speed, size_t count) {
 }
 
 Status OfflineReplayer::SeekTo(size_t index) {
-  if (index > events_.size()) return Status::OutOfRange("seek beyond trace");
+  if (index > size()) return Status::OutOfRange("seek beyond trace");
   int64_t t0 = obs::Active() ? SteadyClock::Default()->NowMicros() : 0;
   // Flush in-flight color work so the mirror matches the applied state,
   // then move only the pcs whose color can differ between the cursors.
@@ -235,9 +235,9 @@ void OfflineReplayer::Rewind() {
 }
 
 void OfflineReplayer::SetFilter(profiler::EventFilter filter) {
-  events_.clear();
+  filtered_events_.clear();
   for (const TraceEvent& e : all_events_) {
-    if (filter.Matches(e)) events_.push_back(e);
+    if (filter.Matches(e)) filtered_events_.push_back(e);
   }
   filtered_ = true;
   RebuildHistory();
@@ -245,7 +245,7 @@ void OfflineReplayer::SetFilter(profiler::EventFilter filter) {
 }
 
 void OfflineReplayer::ClearFilter() {
-  events_ = all_events_;
+  filtered_events_ = std::vector<TraceEvent>();
   filtered_ = false;
   RebuildHistory();
   Rewind();
@@ -285,8 +285,9 @@ void OfflineReplayer::ApplyColorsAt(size_t target) {
   size_t lo = std::min(target, cursor_);
   size_t hi = std::max(target, cursor_);
   ++mark_gen_;
+  const std::vector<TraceEvent>& active = events();
   for (size_t i = lo; i < hi; ++i) {
-    const TraceEvent& e = events_[i];
+    const TraceEvent& e = active[i];
     if (e.pc < 0 || static_cast<size_t>(e.pc) >= usec_by_pc_.size()) continue;
     size_t pc = static_cast<size_t>(e.pc);
     if (pc_mark_[pc] == mark_gen_) continue;
@@ -311,8 +312,9 @@ std::string OfflineReplayer::TooltipFor(const std::string& node_id) const {
   int64_t count = 0;
   int64_t last_rss = 0;
   int last_thread = -1;
+  const std::vector<TraceEvent>& active = events();
   for (size_t i = 0; i < cursor_; ++i) {
-    const TraceEvent& e = events_[i];
+    const TraceEvent& e = active[i];
     if (e.pc != pc.value()) continue;
     if (e.state == EventState::kDone) {
       total_usec += e.usec;
@@ -334,14 +336,14 @@ std::string OfflineReplayer::TooltipFor(const std::string& node_id) const {
 
 std::string OfflineReplayer::DebugWindowText() const {
   if (cursor_ == 0) return "trace not started";
-  const TraceEvent& e = events_[cursor_ - 1];
+  const TraceEvent& e = events()[cursor_ - 1];
   return StrFormat(
       "event=%lld time=%lldus pc=%d thread=%d state=%s usec=%lld rss=%lldB\n"
       "stmt: %s\nprogress: %zu/%zu events",
       static_cast<long long>(e.event), static_cast<long long>(e.time_us), e.pc,
       e.thread, profiler::EventStateName(e.state),
       static_cast<long long>(e.usec), static_cast<long long>(e.rss_bytes),
-      e.stmt.c_str(), cursor_, events_.size());
+      e.stmt.c_str(), cursor_, size());
 }
 
 viz::Frame OfflineReplayer::BirdsEyeView() const {

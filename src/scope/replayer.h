@@ -31,6 +31,11 @@ enum class ColoringMode {
   kGradient,
 };
 
+/// The replay camera's viewport in pixels: every view and birds-eye frame
+/// of a replay, and of the online monitor's scene, is this size.
+inline constexpr double kReplayViewportWidth = 1280;
+inline constexpr double kReplayViewportHeight = 800;
+
 struct ReplayOptions {
   Clock* clock = nullptr;            ///< nullptr = steady clock
   int64_t render_interval_us = 150000;  ///< EDT pacing (paper's 150 ms)
@@ -39,8 +44,6 @@ struct ReplayOptions {
   /// When > 0, node colors fade to their target over this duration instead
   /// of switching instantly (paper §5: animation effects on color changes).
   int64_t color_fade_us = 0;
-  double viewport_width = 1280;
-  double viewport_height = 800;
 };
 
 /// Offline trace replay (paper §4.1/§5): drives the glyph scene from a
@@ -78,8 +81,8 @@ class OfflineReplayer {
   void Rewind();
 
   size_t cursor() const { return cursor_; }
-  size_t size() const { return events_.size(); }
-  bool AtEnd() const { return cursor_ >= events_.size(); }
+  size_t size() const { return events().size(); }
+  bool AtEnd() const { return cursor_ >= size(); }
 
   /// --- filter options window (paper §5: "monitoring individual
   /// instruction using Stethoscope filter options window") ---
@@ -90,7 +93,7 @@ class OfflineReplayer {
   void ClearFilter();
   bool filtered() const { return filtered_; }
   /// Events hidden by the active filter.
-  size_t events_filtered_out() const { return all_events_.size() - events_.size(); }
+  size_t events_filtered_out() const { return all_events_.size() - size(); }
 
   /// --- inspection (the demo's tool-tip / debug window / birds-eye) ---
 
@@ -121,7 +124,11 @@ class OfflineReplayer {
   /// observe mid-fade colors tick it manually.
   viz::Animator* animator() { return &animator_; }
   const dot::Graph& graph() const { return graph_; }
-  const std::vector<profiler::TraceEvent>& events() const { return events_; }
+  /// The active trace: the filtered events while a filter is set, else the
+  /// whole trace.
+  const std::vector<profiler::TraceEvent>& events() const {
+    return filtered_ ? filtered_events_ : all_events_;
+  }
 
  private:
   /// Per-pc event history over the active (filtered) trace: for each event
@@ -141,7 +148,7 @@ class OfflineReplayer {
 
   /// Applies event `index`'s coloring through the EDT.
   void ApplyEvent(size_t index);
-  /// Rebuilds the per-pc histories from events_ (ctor / filter changes).
+  /// Rebuilds the per-pc histories from events() (ctor / filter changes).
   void RebuildHistory();
   /// Moves the applied color state from cursor_ to `target`, touching only
   /// pcs whose color can differ (gradient mode re-derives every colored pc
@@ -158,7 +165,8 @@ class OfflineReplayer {
   dot::Graph graph_;
   std::shared_ptr<const layout::GraphLayout> layout_;  ///< cache-shared
   std::vector<profiler::TraceEvent> all_events_;  ///< unfiltered trace
-  std::vector<profiler::TraceEvent> events_;      ///< active (filtered) view
+  /// Events passing the active filter; empty while no filter is set.
+  std::vector<profiler::TraceEvent> filtered_events_;
   bool filtered_ = false;
   ReplayOptions options_;
   Clock* clock_;

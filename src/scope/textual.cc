@@ -160,6 +160,16 @@ void TextualStethoscope::ObserveStaleness() {
 
 namespace {
 
+/// Receive timeout of a listener's blocking wait: how long Stop() may wait
+/// for a quiet listener to notice it should exit.
+constexpr int kPollMs = 20;
+
+/// After a blocking receive, queued datagrams are drained (zero timeout)
+/// into one batch of at most this many: one sink lock acquisition per batch
+/// instead of per event, while a flood still passes its events on, and
+/// checks for Stop(), after every batch.
+constexpr size_t kMaxBatch = 256;
+
 /// A stream-framing (control) line — never a trace event.
 bool IsControlLine(std::string_view line) {
   return StartsWith(line, StreamFraming::kDotBegin) ||
@@ -176,10 +186,8 @@ void TextualStethoscope::ListenLoop(std::string server,
   std::vector<std::string> batch;
   std::vector<std::string_view> lines;
   std::string payload;
-  const size_t max_batch =
-      options_.max_batch > 0 ? static_cast<size_t>(options_.max_batch) : 1;
   while (running_.load(std::memory_order_relaxed)) {
-    auto got = receiver->Receive(&payload, options_.poll_ms);
+    auto got = receiver->Receive(&payload, kPollMs);
     if (!got.ok()) return;  // closed
     if (!got.value()) continue;
     // Drain whatever else is already queued (zero timeout) so one wakeup
@@ -188,7 +196,7 @@ void TextualStethoscope::ListenLoop(std::string server,
     batch.clear();
     batch.push_back(std::move(payload));
     bool closed = false;
-    while (batch.size() < max_batch) {
+    while (batch.size() < kMaxBatch) {
       auto more = receiver->Receive(&payload, 0);
       if (!more.ok()) {
         closed = true;

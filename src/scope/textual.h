@@ -33,12 +33,6 @@ struct TextualOptions {
   /// Capacity of the in-memory sampling buffer (paper §4.2: "its content is
   /// sampled in a buffer").
   size_t buffer_capacity = 8192;
-  /// Receive poll timeout.
-  int poll_ms = 20;
-  /// After a blocking receive, up to this many additional queued datagrams
-  /// are drained (zero timeout) and processed as one batch — one sink lock
-  /// acquisition per batch instead of per event.
-  int max_batch = 256;
   /// Receiver time source (nullptr = steady clock): WaitForChange waits on
   /// it, and the stream-health latency/staleness estimates read it while
   /// obs::Active() — the loss/reorder/duplicate accounting itself never

@@ -12,6 +12,10 @@ using profiler::TraceEvent;
 
 namespace {
 
+constexpr double kChartWidth = 1200;  ///< time axis, px
+constexpr double kRowHeight = 22;     ///< per-thread lane height, px
+constexpr double kLabelWidth = 90;    ///< left gutter for thread labels, px
+
 /// Deterministic pastel color per module name.
 std::string ModuleColor(const std::string& op) {
   size_t dot = op.find('.');
@@ -52,8 +56,7 @@ std::vector<TimelineInterval> ExtractIntervals(
   return intervals;
 }
 
-std::string RenderUtilizationTimeline(const std::vector<TraceEvent>& events,
-                                      const TimelineOptions& options) {
+std::string RenderUtilizationTimeline(const std::vector<TraceEvent>& events) {
   std::vector<TimelineInterval> intervals = ExtractIntervals(events);
 
   // Lanes in thread order.
@@ -64,46 +67,43 @@ std::string RenderUtilizationTimeline(const std::vector<TraceEvent>& events,
     span_us = std::max(span_us, iv.end_us);
   }
   double height =
-      options.row_height * static_cast<double>(std::max<size_t>(lane.size(), 1)) +
+      kRowHeight * static_cast<double>(std::max<size_t>(lane.size(), 1)) +
       28;  // header row
   std::string out = StrFormat(
       "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"%.0f\" "
       "height=\"%.0f\">\n",
-      options.width + options.label_width, height);
+      kChartWidth + kLabelWidth, height);
   out += StrFormat(
       "  <text x=\"4\" y=\"16\" font-family=\"monospace\" font-size=\"12\">"
       "thread timeline — %zu instructions over %lldus</text>\n",
       intervals.size(), static_cast<long long>(span_us));
 
-  double usable = options.width;
   auto x_of = [&](int64_t us) {
-    return options.label_width +
-           usable * static_cast<double>(us) / static_cast<double>(span_us);
+    return kLabelWidth +
+           kChartWidth * static_cast<double>(us) / static_cast<double>(span_us);
   };
   for (const auto& [thread, row] : lane) {
-    double y = 24 + options.row_height * static_cast<double>(row);
+    double y = 24 + kRowHeight * static_cast<double>(row);
     out += StrFormat(
         "  <text x=\"4\" y=\"%.1f\" font-family=\"monospace\" "
         "font-size=\"11\">thread %d</text>\n",
-        y + options.row_height * 0.7, thread);
+        y + kRowHeight * 0.7, thread);
     out += StrFormat(
         "  <line x1=\"%.1f\" y1=\"%.1f\" x2=\"%.1f\" y2=\"%.1f\" "
         "stroke=\"#dddddd\"/>\n",
-        options.label_width, y + options.row_height,
-        options.label_width + usable, y + options.row_height);
+        kLabelWidth, y + kRowHeight, kLabelWidth + kChartWidth,
+        y + kRowHeight);
   }
   for (const TimelineInterval& iv : intervals) {
-    double y = 24 + options.row_height *
-                        static_cast<double>(lane[iv.thread]);
-    int64_t start = iv.start_us;
-    int64_t end = std::max(iv.end_us, start + options.min_visible_us);
-    double x1 = x_of(start);
-    double w = std::max(0.5, x_of(end) - x1);
+    double y = 24 + kRowHeight * static_cast<double>(lane[iv.thread]);
+    double x1 = x_of(iv.start_us);
+    // Too short to see, or a negative duration: half a pixel wide.
+    double w = std::max(0.5, x_of(iv.end_us) - x1);
     out += StrFormat(
         "  <rect class=\"interval\" data-pc=\"%d\" x=\"%.2f\" y=\"%.1f\" "
         "width=\"%.2f\" height=\"%.1f\" fill=\"%s\" stroke=\"#666666\" "
         "stroke-width=\"0.3\"><title>pc=%d %s (%lldus)</title></rect>\n",
-        iv.pc, x1, y + 2, w, options.row_height - 6,
+        iv.pc, x1, y + 2, w, kRowHeight - 6,
         ModuleColor(iv.op).c_str(), iv.pc, EscapeXml(iv.op).c_str(),
         static_cast<long long>(iv.end_us - iv.start_us));
   }
@@ -111,8 +111,7 @@ std::string RenderUtilizationTimeline(const std::vector<TraceEvent>& events,
   return out;
 }
 
-std::string RenderMemoryCurve(const std::vector<TraceEvent>& events,
-                              const TimelineOptions& options) {
+std::string RenderMemoryCurve(const std::vector<TraceEvent>& events) {
   // Points in emission order: (relative time, rss).
   std::vector<std::pair<int64_t, int64_t>> points;
   int64_t t0 = 0;
@@ -135,7 +134,7 @@ std::string RenderMemoryCurve(const std::vector<TraceEvent>& events,
   std::string out = StrFormat(
       "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"%.0f\" "
       "height=\"%.0f\">\n",
-      options.width + options.label_width, height);
+      kChartWidth + kLabelWidth, height);
   out += StrFormat(
       "  <text x=\"4\" y=\"16\" font-family=\"monospace\" font-size=\"12\">"
       "engine memory — peak %lld bytes over %lldus</text>\n",
@@ -144,14 +143,13 @@ std::string RenderMemoryCurve(const std::vector<TraceEvent>& events,
   out += StrFormat(
       "  <line x1=\"%.1f\" y1=\"%.1f\" x2=\"%.1f\" y2=\"%.1f\" "
       "stroke=\"#888888\"/>\n",
-      options.label_width, y_base, options.label_width + options.width, y_base);
+      kLabelWidth, y_base, kLabelWidth + kChartWidth, y_base);
   if (!points.empty() && peak > 0) {
     std::string path = "  <polyline fill=\"none\" stroke=\"#c03030\" "
                        "stroke-width=\"1.2\" points=\"";
     for (const auto& [t, rss] : points) {
-      double x = options.label_width +
-                 options.width * static_cast<double>(t) /
-                     static_cast<double>(span_us);
+      double x = kLabelWidth + kChartWidth * static_cast<double>(t) /
+                                   static_cast<double>(span_us);
       double y = y_base - chart_h * static_cast<double>(rss) /
                               static_cast<double>(peak);
       path += StrFormat("%.1f,%.1f ", x, y);

@@ -9,15 +9,6 @@
 
 namespace stetho::scope {
 
-/// Options for the per-thread execution timeline rendering.
-struct TimelineOptions {
-  double width = 1200;       ///< drawing width in px (time axis)
-  double row_height = 22;    ///< per-thread lane height
-  double label_width = 90;   ///< left gutter for thread labels
-  /// Intervals shorter than this many µs are widened to stay visible.
-  int64_t min_visible_us = 0;
-};
-
 /// One executed-instruction interval recovered from the trace.
 struct TimelineInterval {
   int thread = 0;
@@ -37,14 +28,12 @@ std::vector<TimelineInterval> ExtractIntervals(
 /// instruction, colored by operator module, with the MAL statement as the
 /// hover tooltip (<title>). Empty traces yield a small empty chart.
 std::string RenderUtilizationTimeline(
-    const std::vector<profiler::TraceEvent>& events,
-    const TimelineOptions& options = {});
+    const std::vector<profiler::TraceEvent>& events);
 
 /// Renders the engine's live column memory over time (the trace's rss
 /// field) as an SVG line chart — the companion view to the demo's "memory
 /// usage by operators" analysis. Peak is annotated.
-std::string RenderMemoryCurve(const std::vector<profiler::TraceEvent>& events,
-                              const TimelineOptions& options = {});
+std::string RenderMemoryCurve(const std::vector<profiler::TraceEvent>& events);
 
 }  // namespace stetho::scope
 

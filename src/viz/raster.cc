@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "obs/metrics.h"
-
 namespace stetho::viz {
 
 Raster::Raster(int width, int height, Color background)
@@ -61,24 +59,8 @@ double Raster::DiffRatio(const Raster& other) const {
 
 namespace {
 
-/// Inclusive pixel rectangle limiting where a redraw may write; nullptr
-/// means unclipped. Clipped drawing keeps dirty-rect redraws from touching
-/// correct pixels owned by commands outside the rectangle.
-struct ClipRect {
-  int x1, y1, x2, y2;
-};
-
-inline void PutPixel(Raster* raster, int x, int y, Color color,
-                     const ClipRect* clip) {
-  if (clip != nullptr &&
-      (x < clip->x1 || x > clip->x2 || y < clip->y1 || y > clip->y2)) {
-    return;
-  }
-  raster->Set(x, y, color);
-}
-
 void DrawLine(Raster* raster, double x1, double y1, double x2, double y2,
-              Color color, const ClipRect* clip) {
+              Color color) {
   int ix1 = static_cast<int>(std::lround(x1));
   int iy1 = static_cast<int>(std::lround(y1));
   int ix2 = static_cast<int>(std::lround(x2));
@@ -89,7 +71,7 @@ void DrawLine(Raster* raster, double x1, double y1, double x2, double y2,
   int sy = iy1 < iy2 ? 1 : -1;
   int err = dx + dy;
   while (true) {
-    PutPixel(raster, ix1, iy1, color, clip);
+    raster->Set(ix1, iy1, color);
     if (ix1 == ix2 && iy1 == iy2) break;
     int e2 = 2 * err;
     if (e2 >= dy) {
@@ -104,7 +86,7 @@ void DrawLine(Raster* raster, double x1, double y1, double x2, double y2,
 }
 
 void FillRect(Raster* raster, double cx, double cy, double w, double h,
-              Color fill, Color stroke, const ClipRect* clip) {
+              Color fill, Color stroke) {
   int x1 = static_cast<int>(std::lround(cx - w / 2));
   int y1 = static_cast<int>(std::lround(cy - h / 2));
   int x2 = static_cast<int>(std::lround(cx + w / 2));
@@ -112,22 +94,19 @@ void FillRect(Raster* raster, double cx, double cy, double w, double h,
   for (int y = y1; y <= y2; ++y) {
     for (int x = x1; x <= x2; ++x) {
       bool border = (x == x1 || x == x2 || y == y1 || y == y2);
-      PutPixel(raster, x, y, border ? stroke : fill, clip);
+      raster->Set(x, y, border ? stroke : fill);
     }
   }
 }
 
-/// Draws one command, optionally clipped. The single rasterization routine
-/// both the full and incremental paths use, so they cannot disagree.
-void DrawCommandOn(Raster* raster, const DrawCommand& cmd,
-                   const ClipRect* clip) {
+void DrawCommandOn(Raster* raster, const DrawCommand& cmd) {
   switch (cmd.kind) {
     case GlyphKind::kEdge:
-      DrawLine(raster, cmd.x, cmd.y, cmd.x2, cmd.y2, cmd.stroke, clip);
+      DrawLine(raster, cmd.x, cmd.y, cmd.x2, cmd.y2, cmd.stroke);
       break;
     case GlyphKind::kShape:
       FillRect(raster, cmd.x, cmd.y, cmd.width, cmd.height, cmd.fill,
-               cmd.stroke, clip);
+               cmd.stroke);
       break;
     case GlyphKind::kText: {
       // Geometry-only placeholder: a thin dark strip at the baseline.
@@ -135,18 +114,11 @@ void DrawCommandOn(Raster* raster, const DrawCommand& cmd,
                                 static_cast<double>(cmd.text.size()) * 4.0);
       if (strip_w >= 2 && cmd.height >= 6) {
         FillRect(raster, cmd.x, cmd.y, strip_w, 1.0, Color{80, 80, 80},
-                 Color{80, 80, 80}, clip);
+                 Color{80, 80, 80});
       }
       break;
     }
   }
-}
-
-obs::Counter* RedrawnCounter() {
-  static obs::Counter* c = obs::Registry::Default()->GetOrCreateCounter(
-      "stetho_viz_glyphs_redrawn_total",
-      "Draw commands re-rasterized by incremental dirty-rect redraws");
-  return c;
 }
 
 }  // namespace
@@ -155,103 +127,9 @@ Raster RasterizeFrame(const Frame& frame, Color background) {
   Raster raster(static_cast<int>(frame.viewport_width),
                 static_cast<int>(frame.viewport_height), background);
   for (const DrawCommand& cmd : frame.commands) {
-    DrawCommandOn(&raster, cmd, nullptr);
+    DrawCommandOn(&raster, cmd);
   }
   return raster;
-}
-
-IncrementalRasterizer::IncrementalRasterizer(int width, int height,
-                                             Color background)
-    : raster_(width, height, background), background_(background) {}
-
-IncrementalRasterizer::Box IncrementalRasterizer::BoundsOf(
-    const DrawCommand& cmd) {
-  Box b;
-  if (cmd.kind == GlyphKind::kEdge) {
-    b.x1 = static_cast<int>(std::lround(std::min(cmd.x, cmd.x2))) - 1;
-    b.x2 = static_cast<int>(std::lround(std::max(cmd.x, cmd.x2))) + 1;
-    b.y1 = static_cast<int>(std::lround(std::min(cmd.y, cmd.y2))) - 1;
-    b.y2 = static_cast<int>(std::lround(std::max(cmd.y, cmd.y2))) + 1;
-    return b;
-  }
-  b.x1 = static_cast<int>(std::lround(cmd.x - cmd.width / 2)) - 1;
-  b.x2 = static_cast<int>(std::lround(cmd.x + cmd.width / 2)) + 1;
-  b.y1 = static_cast<int>(std::lround(cmd.y - cmd.height / 2)) - 1;
-  b.y2 = static_cast<int>(std::lround(cmd.y + cmd.height / 2)) + 1;
-  return b;
-}
-
-void IncrementalRasterizer::Draw(const Frame& frame) {
-  raster_ = Raster(static_cast<int>(frame.viewport_width),
-                   static_cast<int>(frame.viewport_height), background_);
-  commands_ = frame.commands;
-  bounds_.clear();
-  bounds_.reserve(commands_.size());
-  by_glyph_.clear();
-  for (size_t i = 0; i < commands_.size(); ++i) {
-    bounds_.push_back(BoundsOf(commands_[i]));
-    if (commands_[i].glyph >= 0) by_glyph_[commands_[i].glyph] = i;
-    DrawCommandOn(&raster_, commands_[i], nullptr);
-  }
-  has_scene_ = true;
-  last_redrawn_ = 0;
-}
-
-Status IncrementalRasterizer::ApplyDelta(const Frame& delta) {
-  if (!has_scene_) {
-    return Status::InvalidArgument("ApplyDelta before first Draw");
-  }
-  if (static_cast<int>(delta.viewport_width) != raster_.width() ||
-      static_cast<int>(delta.viewport_height) != raster_.height()) {
-    return Status::InvalidArgument("delta viewport does not match raster");
-  }
-  last_redrawn_ = 0;
-  if (delta.commands.empty()) return Status::OK();
-
-  // Old + new footprint of every changed glyph becomes a dirty rectangle.
-  std::vector<Box> dirty;
-  dirty.reserve(delta.commands.size());
-  for (const DrawCommand& cmd : delta.commands) {
-    Box nb = BoundsOf(cmd);
-    auto it = by_glyph_.find(cmd.glyph);
-    if (it == by_glyph_.end()) {
-      // Unknown glyph: append at the end of the scene order.
-      if (cmd.glyph >= 0) by_glyph_[cmd.glyph] = commands_.size();
-      commands_.push_back(cmd);
-      bounds_.push_back(nb);
-      dirty.push_back(nb);
-      continue;
-    }
-    Box ob = bounds_[it->second];
-    commands_[it->second] = cmd;
-    bounds_[it->second] = nb;
-    dirty.push_back(ob);
-    if (ob.x1 != nb.x1 || ob.y1 != nb.y1 || ob.x2 != nb.x2 ||
-        ob.y2 != nb.y2) {
-      dirty.push_back(nb);  // moved/resized: both footprints are dirty
-    }
-  }
-
-  // Clear each dirty rectangle and redraw every intersecting command,
-  // clipped, in scene order. Overlapping rectangles redraw some pixels
-  // twice — idempotent, so still pixel-identical to a full redraw.
-  for (const Box& box : dirty) {
-    Box c{std::max(box.x1, 0), std::max(box.y1, 0),
-          std::min(box.x2, raster_.width() - 1),
-          std::min(box.y2, raster_.height() - 1)};
-    if (c.x2 < c.x1 || c.y2 < c.y1) continue;
-    for (int y = c.y1; y <= c.y2; ++y) {
-      for (int x = c.x1; x <= c.x2; ++x) raster_.Set(x, y, background_);
-    }
-    ClipRect clip{c.x1, c.y1, c.x2, c.y2};
-    for (size_t i = 0; i < commands_.size(); ++i) {
-      if (!bounds_[i].Intersects(c)) continue;
-      DrawCommandOn(&raster_, commands_[i], &clip);
-      ++last_redrawn_;
-    }
-  }
-  RedrawnCounter()->Increment(last_redrawn_);
-  return Status::OK();
 }
 
 }  // namespace stetho::viz

@@ -2,7 +2,6 @@
 #define STETHO_VIZ_RASTER_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -42,56 +41,6 @@ class Raster {
 /// strip (no font rendering — geometry only). The buffer matches the
 /// frame's viewport size.
 Raster RasterizeFrame(const Frame& frame, Color background = Color::White());
-
-/// Keeps a rasterized scene and redraws only the regions dirtied by delta
-/// frames, instead of re-rasterizing every command per update.
-///
-/// Usage: Draw(full_frame) once, then ApplyDelta(Renderer::RenderDelta(...))
-/// per update. For each delta command the prior and new screen bounding
-/// boxes become dirty rectangles; each dirty rectangle is cleared and every
-/// cached command intersecting it is redrawn clipped to the rectangle, in
-/// scene order, so the result is pixel-identical to a full redraw. Glyphs
-/// redrawn this way count into `stetho_viz_glyphs_redrawn_total`.
-///
-/// Camera moves, viewport resizes, and glyphs leaving the viewport change
-/// pixels everywhere — re-render a full frame and call Draw for those.
-/// Delta commands for glyphs unknown to the cache are appended at the end
-/// of the scene order (correct for the usual z-above-existing additions).
-class IncrementalRasterizer {
- public:
-  IncrementalRasterizer(int width, int height,
-                        Color background = Color::White());
-
-  /// Full redraw: resets all cached state from `frame`.
-  void Draw(const Frame& frame);
-
-  /// Applies a delta frame on top of the last Draw. InvalidArgument when
-  /// the delta's viewport does not match the buffer or Draw has not run
-  /// yet.
-  Status ApplyDelta(const Frame& delta);
-
-  const Raster& raster() const { return raster_; }
-  /// Commands redrawn by the last ApplyDelta (dirty-work measure).
-  int64_t last_redrawn() const { return last_redrawn_; }
-
- private:
-  struct Box {
-    int x1 = 0, y1 = 0, x2 = -1, y2 = -1;  // inclusive; empty when x2 < x1
-    bool Intersects(const Box& o) const {
-      return x1 <= o.x2 && o.x1 <= x2 && y1 <= o.y2 && o.y1 <= y2;
-    }
-  };
-
-  static Box BoundsOf(const DrawCommand& cmd);
-
-  Raster raster_;
-  Color background_;
-  bool has_scene_ = false;
-  int64_t last_redrawn_ = 0;
-  std::vector<DrawCommand> commands_;         // scene order (z-sorted)
-  std::vector<Box> bounds_;                   // parallel to commands_
-  std::unordered_map<int, size_t> by_glyph_;  // glyph id -> command index
-};
 
 }  // namespace stetho::viz
 

@@ -10,13 +10,11 @@ namespace stetho::viz {
 namespace {
 
 /// Projects one glyph into frame coordinates and appends the draw command,
-/// or bumps the cull counter. Shared by the full and delta render paths so
-/// a delta command is byte-identical to its full-frame counterpart.
+/// or bumps the cull counter.
 void ProjectGlyph(const Glyph& g, const Camera& camera,
                   const FisheyeLens* lens, double scale, Frame* frame) {
   DrawCommand cmd;
   cmd.kind = g.kind;
-  cmd.glyph = g.id;
   cmd.owner = g.owner;
   cmd.text = g.text;
   cmd.fill = g.fill;
@@ -70,50 +68,10 @@ Frame Renderer::RenderFrame(const VirtualSpace& space, const Camera& camera,
   frame.viewport_width = camera.viewport_width();
   frame.viewport_height = camera.viewport_height();
   double scale = camera.Scale();
-  for (const Glyph& g : space.Snapshot(&frame.epoch)) {
+  for (const Glyph& g : space.Snapshot()) {
     if (!g.visible) continue;
     ProjectGlyph(g, camera, lens, scale, &frame);
   }
-  return frame;
-}
-
-Frame Renderer::RenderDelta(const VirtualSpace& space, const Camera& camera,
-                            int64_t since, const FisheyeLens* lens) {
-  Frame frame;
-  frame.viewport_width = camera.viewport_width();
-  frame.viewport_height = camera.viewport_height();
-  double scale = camera.Scale();
-  for (const Glyph& g : space.SnapshotSince(since, &frame.epoch)) {
-    if (!g.visible) continue;
-    ProjectGlyph(g, camera, lens, scale, &frame);
-  }
-  return frame;
-}
-
-Frame Renderer::RenderMinimap(const VirtualSpace& space,
-                              const Camera& main_camera, double minimap_width,
-                              double minimap_height) {
-  Camera overview(minimap_width, minimap_height);
-  const Box bounds = space.VisibleBounds();
-  overview.FitRect(bounds.x, bounds.y, bounds.width, bounds.height);
-  Frame frame = RenderFrame(space, overview);
-
-  // Outline the main camera's visible world rect.
-  layout::Point view_origin = main_camera.VisibleOrigin();
-  layout::Point view_size = main_camera.VisibleSize();
-  layout::Point top_left = overview.Project(view_origin);
-  layout::Point bottom_right = overview.Project(
-      {view_origin.x + view_size.x, view_origin.y + view_size.y});
-  DrawCommand marker;
-  marker.kind = GlyphKind::kShape;
-  marker.owner = "viewport";
-  marker.x = (top_left.x + bottom_right.x) / 2.0;
-  marker.y = (top_left.y + bottom_right.y) / 2.0;
-  marker.width = bottom_right.x - top_left.x;
-  marker.height = bottom_right.y - top_left.y;
-  marker.fill = Color::White();
-  marker.stroke = Color::Red();
-  frame.commands.push_back(std::move(marker));
   return frame;
 }
 

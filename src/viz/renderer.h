@@ -1,7 +1,6 @@
 #ifndef STETHO_VIZ_RENDERER_H_
 #define STETHO_VIZ_RENDERER_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -14,7 +13,6 @@ namespace stetho::viz {
 /// One draw command of a rendered frame, in screen coordinates.
 struct DrawCommand {
   GlyphKind kind;
-  int glyph = -1;  ///< source glyph id (keys the incremental rasterizer)
   std::string owner;
   double x = 0, y = 0;        ///< center (shape/text) / first endpoint (edge)
   double x2 = 0, y2 = 0;      ///< second endpoint (edge)
@@ -31,9 +29,6 @@ struct Frame {
   std::vector<DrawCommand> commands;
   /// Glyphs skipped because they fell outside the viewport (culling).
   size_t culled = 0;
-  /// Space epoch this frame corresponds to; pass it to RenderDelta to get
-  /// only the glyphs that changed afterwards.
-  int64_t epoch = 0;
 
   /// Serializes the frame as SVG for inspection / golden artifacts.
   std::string ToSvg() const;
@@ -48,20 +43,6 @@ class Renderer {
   /// Renders a frame; `lens` may be null.
   static Frame RenderFrame(const VirtualSpace& space, const Camera& camera,
                            const FisheyeLens* lens = nullptr);
-
-  /// Renders only the glyphs modified after `since` (a previous frame's
-  /// `epoch`) — the delta draw list incremental rasterization consumes.
-  /// Camera and lens must be unchanged since the full frame.
-  static Frame RenderDelta(const VirtualSpace& space, const Camera& camera,
-                           int64_t since, const FisheyeLens* lens = nullptr);
-
-  /// Renders ZGrviewer's overview+detail "radar": the whole scene through
-  /// an auto-fitted camera of the given size, with one extra shape command
-  /// (owner "viewport") outlining the world region `main_camera` currently
-  /// shows.
-  static Frame RenderMinimap(const VirtualSpace& space,
-                             const Camera& main_camera, double minimap_width,
-                             double minimap_height);
 };
 
 }  // namespace stetho::viz

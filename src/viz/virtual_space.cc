@@ -12,7 +12,6 @@ namespace stetho::viz {
 int VirtualSpace::AddGlyph(Glyph glyph) {
   std::lock_guard<std::mutex> lock(mu_);
   glyph.id = static_cast<int>(glyphs_.size());
-  glyph.epoch = ++epoch_;
   glyphs_.push_back(std::move(glyph));
   next_owned_.push_back(-1);
   last_owned_.push_back(-1);
@@ -35,10 +34,8 @@ int VirtualSpace::AddGlyphs(std::vector<Glyph> glyphs) {
   // Every glyph may have its own owner: size the index once for that.
   owners_.Reserve(glyphs_.size(), GlyphOwner());
   for (size_t i = first; i < glyphs_.size(); ++i) {
-    Glyph& glyph = glyphs_[i];
-    glyph.id = static_cast<int>(i);
-    glyph.epoch = ++epoch_;
-    IndexOwnerLocked(glyph.id);
+    glyphs_[i].id = static_cast<int>(i);
+    IndexOwnerLocked(static_cast<int>(i));
   }
   return static_cast<int>(first);
 }
@@ -60,9 +57,7 @@ Status VirtualSpace::MutateGlyph(int id, const std::function<void(Glyph*)>& fn) 
   if (id < 0 || static_cast<size_t>(id) >= glyphs_.size()) {
     return Status::NotFound(StrFormat("no glyph %d", id));
   }
-  Glyph* g = &glyphs_[static_cast<size_t>(id)];
-  fn(g);
-  g->epoch = ++epoch_;
+  fn(&glyphs_[static_cast<size_t>(id)]);
   return Status::OK();
 }
 
@@ -71,10 +66,7 @@ Status VirtualSpace::SetFill(int id, Color fill) {
   if (id < 0 || static_cast<size_t>(id) >= glyphs_.size()) {
     return Status::NotFound(StrFormat("no glyph %d", id));
   }
-  Glyph* g = &glyphs_[static_cast<size_t>(id)];
-  if (g->fill == fill) return Status::OK();  // no-op: stays clean
-  g->fill = fill;
-  g->epoch = ++epoch_;
+  glyphs_[static_cast<size_t>(id)].fill = fill;
   return Status::OK();
 }
 
@@ -86,31 +78,12 @@ Result<Glyph> VirtualSpace::GetGlyph(int id) const {
   return glyphs_[static_cast<size_t>(id)];
 }
 
-std::vector<Glyph> VirtualSpace::Snapshot(int64_t* epoch_out) const {
+std::vector<Glyph> VirtualSpace::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (epoch_out != nullptr) *epoch_out = epoch_;
   std::vector<Glyph> out = glyphs_;
   std::stable_sort(out.begin(), out.end(),
                    [](const Glyph& a, const Glyph& b) { return a.z < b.z; });
   return out;
-}
-
-std::vector<Glyph> VirtualSpace::SnapshotSince(int64_t since,
-                                               int64_t* epoch_out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (epoch_out != nullptr) *epoch_out = epoch_;
-  std::vector<Glyph> out;
-  for (const Glyph& g : glyphs_) {
-    if (g.epoch > since) out.push_back(g);
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const Glyph& a, const Glyph& b) { return a.z < b.z; });
-  return out;
-}
-
-int64_t VirtualSpace::epoch() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return epoch_;
 }
 
 size_t VirtualSpace::size() const {

@@ -1,7 +1,6 @@
 #ifndef STETHO_VIZ_VIRTUAL_SPACE_H_
 #define STETHO_VIZ_VIRTUAL_SPACE_H_
 
-#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -36,9 +35,6 @@ struct Glyph {
   Color stroke = Color::Black();
   bool visible = true;
   int z = 0;  ///< draw order (higher on top)
-  /// Space-wide modification epoch stamped at the last add/mutation; the
-  /// delta render path uses it to pick up only dirty glyphs.
-  int64_t epoch = 0;
 };
 
 /// An axis-aligned box in world coordinates: top-left corner and size.
@@ -52,11 +48,6 @@ struct Box {
 /// The canvas all glyphs live on — ZVTM's virtual space. Thread-safe: the
 /// event-dispatch thread mutates glyph state while analysis threads read
 /// snapshots.
-///
-/// Every mutation stamps the touched glyph with a monotonically increasing
-/// space epoch; SnapshotSince(e) returns just the glyphs stamped after `e`,
-/// which is what makes incremental (dirty-glyph) rendering O(changed)
-/// instead of O(scene).
 class VirtualSpace {
  public:
   VirtualSpace() = default;
@@ -70,31 +61,20 @@ class VirtualSpace {
   /// empty space adopts the batch's storage instead of moving each glyph.
   int AddGlyphs(std::vector<Glyph> glyphs);
 
-  /// Runs `fn` on the glyph under the lock; NotFound for bad ids. Always
-  /// marks the glyph dirty (the mutation is opaque). `fn` must leave the
-  /// glyph's id and owner as they are: they key the owner index.
+  /// Runs `fn` on the glyph under the lock; NotFound for bad ids. `fn`
+  /// must leave the glyph's id and owner as they are: they key the owner
+  /// index.
   Status MutateGlyph(int id, const std::function<void(Glyph*)>& fn);
 
-  /// Sets the fill color; marks the glyph dirty only when the color
-  /// actually changes. The coloring hot path (replay, online monitor) goes
-  /// through this so repeated identical updates stay invisible to the
-  /// delta renderer.
+  /// Sets the fill color; NotFound for bad ids. The coloring hot path
+  /// (replay, online monitor) goes through this instead of MutateGlyph.
   Status SetFill(int id, Color fill);
 
   /// Copy of one glyph.
   Result<Glyph> GetGlyph(int id) const;
 
-  /// Copy of all glyphs in z-then-insertion order. When `epoch_out` is
-  /// non-null it receives the space epoch the snapshot corresponds to.
-  std::vector<Glyph> Snapshot(int64_t* epoch_out = nullptr) const;
-
-  /// Copy of the glyphs modified after `since` (z-then-insertion order);
-  /// `epoch_out` receives the epoch this delta brings the caller up to.
-  std::vector<Glyph> SnapshotSince(int64_t since,
-                                   int64_t* epoch_out = nullptr) const;
-
-  /// Current modification epoch (bumped by every add/mutation).
-  int64_t epoch() const;
+  /// Copy of all glyphs in z-then-insertion order.
+  std::vector<Glyph> Snapshot() const;
 
   size_t size() const;
 
@@ -121,7 +101,6 @@ class VirtualSpace {
 
   mutable std::mutex mu_;
   // Everything below is guarded by mu_.
-  int64_t epoch_ = 0;
   std::vector<Glyph> glyphs_;
   // Owner index: one entry per owner, its first glyph; each glyph links to
   // the next glyph of its owner (-1: none), so a chain ascends by id, and

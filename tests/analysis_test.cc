@@ -6,10 +6,12 @@
 
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/checks.h"
@@ -1076,6 +1078,42 @@ TEST(TraceSequenceGapTest, FileOrderRegressionIsANote) {
   EXPECT_EQ(diags[0].severity, Severity::kNote);
   EXPECT_NE(diags[0].message.find("out of emission order"),
             std::string::npos);
+}
+
+TEST(TraceSequenceGapTest, WildIdsCountExactlyAndStopAtTheLastId) {
+  // Ids come from a trace file. A span ending at INT64_MAX, or covering
+  // the whole int64 range, is counted exactly, and the hole scan stops at
+  // the largest id instead of stepping past INT64_MAX.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const std::pair<std::vector<int64_t>, std::string> cases[] = {
+      {{kMax - 2, kMax},
+       "1 of 3 sequence numbers missing (first holes: 9223372036854775806)"},
+      {{0, kMax},
+       "9223372036854775806 of 9223372036854775808 sequence numbers missing "
+       "(first holes: 1, 2, 3, 4, 5, 6, 7, 8)"},
+      {{kMin, kMax},
+       "18446744073709551614 of 18446744073709551616 sequence numbers "
+       "missing (first holes: -9223372036854775807, -9223372036854775806, "
+       "-9223372036854775805, -9223372036854775804, -9223372036854775803, "
+       "-9223372036854775802, -9223372036854775801, -9223372036854775800)"},
+  };
+  mal::Program p = CleanPlan();
+  for (const auto& [seqs, message] : cases) {
+    std::vector<TraceEvent> trace;
+    for (int64_t seq : seqs) {
+      TraceEvent e;
+      e.event = seq;
+      e.state = EventState::kDone;
+      trace.push_back(e);
+    }
+    CheckContext ctx = PlanContext(p);
+    ctx.trace = &trace;
+    auto diags = RunOne(analysis::MakeTraceSequenceGapCheck(), ctx);
+    ASSERT_EQ(diags.size(), 1u) << message;
+    EXPECT_EQ(diags[0].severity, Severity::kWarning);
+    EXPECT_EQ(diags[0].message, message);
+  }
 }
 
 TEST(TraceSequenceGapTest, TornTraceCapsDetailedDuplicates) {

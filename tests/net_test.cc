@@ -367,6 +367,43 @@ TEST(StreamHealthTest, ClockOffsetAndLatencyEstimates) {
   EXPECT_GE(s.max_latency_us, 120);
 }
 
+TEST(StreamHealthTest, WildEmitTimesClampInsteadOfWrapping) {
+  // Emit times come off the wire. One at INT64_MIN puts ingest - emit past
+  // INT64_MAX; one at INT64_MAX followed by ordinary ones puts the
+  // offset-corrected latency and the staleness past it. Offset, latency
+  // and staleness clamp; the loss accounting reads no clock and stays
+  // exact.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t seqs[] = {0, 2, 1, 1, 4};  // 3 lost, 1 reordered, 1 repeat
+  for (int64_t wild : {kMin, kMax}) {
+    SCOPED_TRACE(wild);
+    StreamHealth health;
+    for (size_t i = 0; i < std::size(seqs); ++i) {
+      profiler::TraceEvent e = SeqEvent(seqs[i]);
+      e.time_us = i == 0 ? wild : 0;
+      health.Observe(e, /*ingest_us=*/1000 + static_cast<int64_t>(i));
+    }
+    health.ObserveStaleness(/*now_us=*/2000);
+    health.Finalize();
+    PipeHealthSummary s = health.Snapshot();
+    EXPECT_EQ(s.observed, 4);
+    EXPECT_EQ(s.lost, 1);
+    EXPECT_EQ(s.reordered, 1);
+    EXPECT_EQ(s.duplicated, 1);
+    if (wild == kMin) {
+      // The clamped first delta never undercuts the ordinary ones.
+      EXPECT_EQ(s.clock_offset_us, 1001);
+      EXPECT_EQ(s.max_latency_us, 3);
+    } else {
+      EXPECT_EQ(s.clock_offset_us, 1000 - kMax);
+      EXPECT_EQ(s.last_latency_us, kMax);
+      EXPECT_EQ(s.max_latency_us, kMax);
+    }
+    EXPECT_NE(s.ToString().find("1 lost"), std::string::npos) << s.ToString();
+  }
+}
+
 TEST(StreamHealthTest, SummaryToStringMentionsLoss) {
   StreamHealth health;
   for (int64_t seq : {0, 3}) health.Observe(SeqEvent(seq));

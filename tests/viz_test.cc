@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -14,7 +13,6 @@
 #include "dot/parser.h"
 #include "dot/writer.h"
 #include "layout/sugiyama.h"
-#include "obs/metrics.h"
 #include "optimizer/pass.h"
 #include "sql/compiler.h"
 #include "tpch/dbgen.h"
@@ -393,33 +391,10 @@ TEST(RendererTest, InvisibleGlyphsSkipped) {
   EXPECT_TRUE(frame.commands.empty());
 }
 
-TEST(RendererTest, MinimapShowsViewportMarker) {
-  dot::Graph g = TwoNodeGraph();
-  auto layout = layout::LayoutGraph(g);
-  ASSERT_TRUE(layout.ok());
-  VirtualSpace space;
-  BuildScene(g, layout.value(), &space);
-
-  Camera main(800, 600);
-  main.SetAltitude(0);
-  main.CenterOn(layout.value().nodes[0].x, layout.value().nodes[0].y);
-  Frame minimap = Renderer::RenderMinimap(space, main, 200, 150);
-  EXPECT_EQ(minimap.viewport_width, 200);
-  // Whole scene (5 glyphs) plus the viewport marker.
-  ASSERT_EQ(minimap.commands.size(), 6u);
-  const DrawCommand& marker = minimap.commands.back();
-  EXPECT_EQ(marker.owner, "viewport");
-  EXPECT_EQ(marker.stroke, Color::Red());
-  EXPECT_GT(marker.width, 0);
-  // Zooming the main camera out grows the marker.
-  main.SetAltitude(500);
-  Frame wider = Renderer::RenderMinimap(space, main, 200, 150);
-  EXPECT_GT(wider.commands.back().width, marker.width);
-}
-
-TEST(RendererTest, MinimapFiniteWhenEveryGlyphHidden) {
-  // A space whose only glyph is hidden has nothing to bound: the minimap
-  // fits an empty box at the origin, so its viewport marker stays finite.
+TEST(VirtualSpaceTest, VisibleBoundsZeroWhenEveryGlyphHidden) {
+  // A space whose only glyph is hidden has nothing to bound: the bounds
+  // are an empty box at the origin, so a camera fitted to them (the
+  // session's `zoom fit`) stays finite.
   VirtualSpace space;
   Glyph hidden;
   hidden.owner = "n0";
@@ -429,13 +404,9 @@ TEST(RendererTest, MinimapFiniteWhenEveryGlyphHidden) {
   hidden.height = 10;
   hidden.visible = false;
   space.AddGlyph(hidden);
-  Camera main(800, 600);
-  Frame minimap = Renderer::RenderMinimap(space, main, 200, 150);
-  ASSERT_EQ(minimap.commands.size(), 1u);  // the viewport marker only
-  const DrawCommand& marker = minimap.commands.back();
-  EXPECT_EQ(marker.owner, "viewport");
-  for (double v : {marker.x, marker.y, marker.width, marker.height}) {
-    EXPECT_TRUE(std::isfinite(v)) << v;
+  const Box bounds = space.VisibleBounds();
+  for (double v : {bounds.x, bounds.y, bounds.width, bounds.height}) {
+    EXPECT_EQ(v, 0.0);
   }
 }
 
@@ -551,42 +522,6 @@ TEST(RasterTest, ReplayChangesPixels) {
   EXPECT_GT(after.DiffRatio(before), 0.001);
 }
 
-// --- dirty-glyph epochs + delta rendering ---
-
-TEST(VirtualSpaceTest, EpochTracksMutations) {
-  VirtualSpace space;
-  Glyph g;
-  g.kind = GlyphKind::kShape;
-  int id = space.AddGlyph(g);
-  int64_t e0 = space.epoch();
-  ASSERT_TRUE(space.SetFill(id, Color::Red()).ok());
-  EXPECT_GT(space.epoch(), e0);
-  // A no-op fill (same color) must not dirty the glyph.
-  int64_t e1 = space.epoch();
-  ASSERT_TRUE(space.SetFill(id, Color::Red()).ok());
-  EXPECT_EQ(space.epoch(), e1);
-  EXPECT_TRUE(space.SnapshotSince(e1).empty());
-}
-
-TEST(VirtualSpaceTest, SnapshotSinceReturnsOnlyDirtyGlyphs) {
-  VirtualSpace space;
-  Glyph g;
-  g.kind = GlyphKind::kShape;
-  int a = space.AddGlyph(g);
-  int b = space.AddGlyph(g);
-  int64_t epoch = 0;
-  auto all = space.Snapshot(&epoch);
-  EXPECT_EQ(all.size(), 2u);
-  EXPECT_TRUE(space.SnapshotSince(epoch).empty());
-  ASSERT_TRUE(space.SetFill(b, Color::Green()).ok());
-  auto dirty = space.SnapshotSince(epoch);
-  ASSERT_EQ(dirty.size(), 1u);
-  EXPECT_EQ(dirty[0].id, b);
-  EXPECT_EQ(dirty[0].fill, Color::Green());
-  // The other glyph is untouched.
-  EXPECT_NE(a, b);
-}
-
 TEST(VirtualSpaceTest, AddGlyphsMatchesRepeatedAddGlyph) {
   Glyph g;
   g.kind = GlyphKind::kShape;
@@ -644,95 +579,6 @@ TEST(VirtualSpaceTest, AddGlyphAfterAddGlyphsKeepsIdsAndOwnerChain) {
   EXPECT_EQ(space.ShapeFor("b"), 5);  // the batch's glyphs default to shapes
   EXPECT_EQ(space.ShapeFor("c"), 4);
   EXPECT_EQ(space.ShapeFor("d"), -1);
-}
-
-TEST(RendererTest, RenderDeltaContainsOnlyChangedGlyphs) {
-  dot::Graph g = TwoNodeGraph();
-  auto layout = layout::LayoutGraph(g);
-  ASSERT_TRUE(layout.ok());
-  VirtualSpace space;
-  BuildScene(g, layout.value(), &space);
-  Camera cam(400, 300);
-  cam.FitRect(0, 0, layout.value().width, layout.value().height);
-  Frame full = Renderer::RenderFrame(space, cam);
-  EXPECT_TRUE(Renderer::RenderDelta(space, cam, full.epoch).commands.empty());
-  int shape = space.ShapeFor("n1");
-  ASSERT_GE(shape, 0);
-  ASSERT_TRUE(space.SetFill(shape, Color::Red()).ok());
-  Frame delta = Renderer::RenderDelta(space, cam, full.epoch);
-  ASSERT_EQ(delta.commands.size(), 1u);
-  EXPECT_EQ(delta.commands[0].glyph, shape);
-  EXPECT_EQ(delta.commands[0].fill, Color::Red());
-}
-
-TEST(RasterTest, IncrementalDeltaMatchesFullRedraw) {
-  // Pixel-identity: dirty-rect redraw == full re-rasterization after a
-  // sequence of color changes.
-  dot::Graph g = TwoNodeGraph();
-  auto layout = layout::LayoutGraph(g);
-  ASSERT_TRUE(layout.ok());
-  VirtualSpace space;
-  BuildScene(g, layout.value(), &space);
-  Camera cam(400, 300);
-  cam.FitRect(0, 0, layout.value().width, layout.value().height);
-  Frame full = Renderer::RenderFrame(space, cam);
-  IncrementalRasterizer inc(400, 300);
-  inc.Draw(full);
-  int64_t epoch = full.epoch;
-  const Color colors[] = {Color::Red(), Color::Green(), Color::Orange()};
-  const char* nodes[] = {"n0", "n1", "n0"};
-  for (int step = 0; step < 3; ++step) {
-    int shape = space.ShapeFor(nodes[step]);
-    ASSERT_GE(shape, 0);
-    ASSERT_TRUE(space.SetFill(shape, colors[step]).ok());
-    Frame delta = Renderer::RenderDelta(space, cam, epoch);
-    epoch = delta.epoch;
-    ASSERT_TRUE(inc.ApplyDelta(delta).ok());
-    Raster oracle = RasterizeFrame(Renderer::RenderFrame(space, cam));
-    EXPECT_DOUBLE_EQ(inc.raster().DiffRatio(oracle), 0.0) << "step " << step;
-  }
-}
-
-TEST(RasterTest, IncrementalRedrawIsLocalAndCounted) {
-  dot::Graph g = TwoNodeGraph();
-  auto layout = layout::LayoutGraph(g);
-  ASSERT_TRUE(layout.ok());
-  VirtualSpace space;
-  BuildScene(g, layout.value(), &space);
-  Camera cam(400, 300);
-  cam.FitRect(0, 0, layout.value().width, layout.value().height);
-  Frame full = Renderer::RenderFrame(space, cam);
-  IncrementalRasterizer inc(400, 300);
-  inc.Draw(full);
-  obs::Counter* redrawn = obs::Registry::Default()->GetOrCreateCounter(
-      "stetho_viz_glyphs_redrawn_total", "");
-  int64_t before = redrawn->value();
-  int shape = space.ShapeFor("n0");
-  ASSERT_TRUE(space.SetFill(shape, Color::Red()).ok());
-  ASSERT_TRUE(
-      inc.ApplyDelta(Renderer::RenderDelta(space, cam, full.epoch)).ok());
-  // Only commands intersecting the node's dirty rectangle were redrawn —
-  // strictly fewer than the full scene.
-  EXPECT_GT(inc.last_redrawn(), 0);
-  EXPECT_LT(inc.last_redrawn(), static_cast<int64_t>(full.commands.size()));
-  EXPECT_EQ(redrawn->value() - before, inc.last_redrawn());
-}
-
-TEST(RasterTest, ApplyDeltaRequiresMatchingScene) {
-  IncrementalRasterizer inc(100, 100);
-  Frame delta;
-  delta.viewport_width = 100;
-  delta.viewport_height = 100;
-  EXPECT_FALSE(inc.ApplyDelta(delta).ok());  // no Draw yet
-  Frame full;
-  full.viewport_width = 100;
-  full.viewport_height = 100;
-  inc.Draw(full);
-  EXPECT_TRUE(inc.ApplyDelta(delta).ok());
-  Frame wrong;
-  wrong.viewport_width = 50;
-  wrong.viewport_height = 100;
-  EXPECT_FALSE(inc.ApplyDelta(wrong).ok());
 }
 
 // --- Scene golden: the glyphs each suite plan opens into ---
@@ -829,45 +675,45 @@ struct PinnedScene {
 
 // Regenerate from the failure message after a deliberate scene change.
 const PinnedScene kPinnedScenes[] = {
-    {"paper", 0, 24, 0x68ff80302e84ce9full, 0xc465380c1e9f859full},
-    {"paper", 16, 210, 0xbe161c6ccac38eebull, 0x22ffb51dd751d20eull},
-    {"paper", 64, 786, 0xf02bcf95a071bcdbull, 0x1ce1eeb612adbb71ull},
-    {"q1", 0, 236, 0x805e54839ed9e3c2ull, 0x8e7f9610b562fff2ull},
-    {"q1", 16, 830, 0x5bb1c9a2c1e9e891ull, 0xd3f532b925911dd1ull},
-    {"q1", 64, 2654, 0xdcbad149271f35abull, 0xa52f217dce31dc3aull},
-    {"q3", 0, 207, 0x85c0333335729d3aull, 0xa7dd6a62035b6943ull},
-    {"q3", 16, 801, 0xba18f1487bde7972ull, 0xb668d46bef4c9ad2ull},
-    {"q3", 64, 2625, 0xe6fc6b741f6b2965ull, 0x71bb447e7b9feb0aull},
-    {"q5", 0, 276, 0x78eb595cf6d5af57ull, 0x7fadced745030cffull},
-    {"q5", 16, 726, 0x279852b2f09dffdfull, 0x29b0242dad07cd9bull},
-    {"q5", 64, 2118, 0xf8e84fc4d2578c76ull, 0x3260116c786c31b9ull},
-    {"q6", 0, 53, 0xa2b38a0c86295f28ull, 0x795c36b120377817ull},
-    {"q6", 16, 497, 0x0ad9c01b962a7042ull, 0x8d706239b32feef1ull},
-    {"q6", 64, 1889, 0x33b12f88b5865f78ull, 0xaae73530ddbe1700ull},
-    {"q12", 0, 215, 0x501b4c7d45054edbull, 0x031459f8feb1897full},
-    {"q12", 16, 479, 0x7a7f5b5a18757f74ull, 0x6addc89bdbaadb1full},
-    {"q12", 64, 1295, 0x9e4673e0029f2e6dull, 0x3cef5e197e05450eull},
-    {"q14", 0, 98, 0xb19c4eb8a7bc118full, 0xe1a7cd3c6b09464cull},
-    {"q14", 16, 362, 0x569dcf5c78099e7aull, 0xe19b121d225a2e9dull},
-    {"q14", 64, 1178, 0xd18ba852f609e4f6ull, 0x1b66368edd267d5dull},
-    {"q11", 0, 138, 0x9aa06e0a8a537cadull, 0xb9c69ae27da776e4ull},
-    {"q11", 16, 324, 0x5f25d004353058e6ull, 0x4dcb33c11188289aull},
-    {"q11", 64, 900, 0x8cb4042e54a5fe75ull, 0x1cea0dcb7a22d516ull},
-    {"q16", 0, 135, 0x9cf8c6155929875cull, 0x3de00a21edd05f5dull},
-    {"q16", 16, 339, 0x2c83087d1032ffa6ull, 0xa0462d61318ccc7aull},
-    {"q16", 64, 963, 0xbd9a5e709346fc58ull, 0x303c2c691153e6fdull},
-    {"q18", 0, 84, 0x3eafa1bbd89746ecull, 0xc4619b07496463dbull},
-    {"q18", 16, 84, 0x3eafa1bbd89746ecull, 0xc4619b07496463dbull},
-    {"q18", 64, 84, 0x3eafa1bbd89746ecull, 0xc4619b07496463dbull},
-    {"distinct_flags", 0, 64, 0xf5d61ca199a6599bull, 0x931ced1a0806b852ull},
-    {"distinct_flags", 16, 64, 0xf5d61ca199a6599bull, 0x931ced1a0806b852ull},
-    {"distinct_flags", 64, 64, 0xf5d61ca199a6599bull, 0x931ced1a0806b852ull},
-    {"big_group", 0, 128, 0x5dcdc81871954809ull, 0x1ee37e84b6c14097ull},
-    {"big_group", 16, 128, 0x5dcdc81871954809ull, 0x1ee37e84b6c14097ull},
-    {"big_group", 64, 128, 0x5dcdc81871954809ull, 0x1ee37e84b6c14097ull},
-    {"scan_heavy", 0, 66, 0x5af462570aba418bull, 0xefd36c28b0fc62a3ull},
-    {"scan_heavy", 16, 630, 0x05cc26acb0c66cedull, 0xfc4d109648285895ull},
-    {"scan_heavy", 64, 2406, 0x53a7caa10671bfdbull, 0xcab62aab74628b24ull},
+    {"paper", 0, 24, 0x822c88c4655c23a9ull, 0xc465380c1e9f859full},
+    {"paper", 16, 210, 0x0627d64fac249e02ull, 0x22ffb51dd751d20eull},
+    {"paper", 64, 786, 0x4cdb9d3723674c87ull, 0x1ce1eeb612adbb71ull},
+    {"q1", 0, 236, 0x3f4b5333a85c6e8cull, 0x8e7f9610b562fff2ull},
+    {"q1", 16, 830, 0x2c2a7ce2c0e9dfd7ull, 0xd3f532b925911dd1ull},
+    {"q1", 64, 2654, 0xa3ab8a39a9bd4904ull, 0xa52f217dce31dc3aull},
+    {"q3", 0, 207, 0x4cb53d302fd9e5deull, 0xa7dd6a62035b6943ull},
+    {"q3", 16, 801, 0x48e8e6d4be3ac315ull, 0xb668d46bef4c9ad2ull},
+    {"q3", 64, 2625, 0xc4f5309ee1706040ull, 0x71bb447e7b9feb0aull},
+    {"q5", 0, 276, 0xda93aceb49b2040aull, 0x7fadced745030cffull},
+    {"q5", 16, 726, 0x9ed10a8fceccac52ull, 0x29b0242dad07cd9bull},
+    {"q5", 64, 2118, 0x2edbf5c19f58aed3ull, 0x3260116c786c31b9ull},
+    {"q6", 0, 53, 0xe8941e8127812edbull, 0x795c36b120377817ull},
+    {"q6", 16, 497, 0x23c5246a1948c925ull, 0x8d706239b32feef1ull},
+    {"q6", 64, 1889, 0x790b9c4f032b1eedull, 0xaae73530ddbe1700ull},
+    {"q12", 0, 215, 0x10532021a552ebcfull, 0x031459f8feb1897full},
+    {"q12", 16, 479, 0x56958f123cd481aeull, 0x6addc89bdbaadb1full},
+    {"q12", 64, 1295, 0x14b5a9c7163706afull, 0x3cef5e197e05450eull},
+    {"q14", 0, 98, 0xc61e579cdc5ed41eull, 0xe1a7cd3c6b09464cull},
+    {"q14", 16, 362, 0x461943e3e6d2dcccull, 0xe19b121d225a2e9dull},
+    {"q14", 64, 1178, 0x24177950a1f72d41ull, 0x1b66368edd267d5dull},
+    {"q11", 0, 138, 0xeac46b685b7ea8acull, 0xb9c69ae27da776e4ull},
+    {"q11", 16, 324, 0xfafcc9286c702b6bull, 0x4dcb33c11188289aull},
+    {"q11", 64, 900, 0x017fd370bd9bd18aull, 0x1cea0dcb7a22d516ull},
+    {"q16", 0, 135, 0x865c501730b025acull, 0x3de00a21edd05f5dull},
+    {"q16", 16, 339, 0x1855ea923d317420ull, 0xa0462d61318ccc7aull},
+    {"q16", 64, 963, 0xd3cd069d91b097c6ull, 0x303c2c691153e6fdull},
+    {"q18", 0, 84, 0x0d0382c666325572ull, 0xc4619b07496463dbull},
+    {"q18", 16, 84, 0x0d0382c666325572ull, 0xc4619b07496463dbull},
+    {"q18", 64, 84, 0x0d0382c666325572ull, 0xc4619b07496463dbull},
+    {"distinct_flags", 0, 64, 0x6c7a2e6c6a294ef1ull, 0x931ced1a0806b852ull},
+    {"distinct_flags", 16, 64, 0x6c7a2e6c6a294ef1ull, 0x931ced1a0806b852ull},
+    {"distinct_flags", 64, 64, 0x6c7a2e6c6a294ef1ull, 0x931ced1a0806b852ull},
+    {"big_group", 0, 128, 0x66ca74dcafc684e1ull, 0x1ee37e84b6c14097ull},
+    {"big_group", 16, 128, 0x66ca74dcafc684e1ull, 0x1ee37e84b6c14097ull},
+    {"big_group", 64, 128, 0x66ca74dcafc684e1ull, 0x1ee37e84b6c14097ull},
+    {"scan_heavy", 0, 66, 0x517bdc1253603f1eull, 0xefd36c28b0fc62a3ull},
+    {"scan_heavy", 16, 630, 0x3b6b5651f758e65cull, 0xfc4d109648285895ull},
+    {"scan_heavy", 64, 2406, 0x3e4b4d89cfbda599ull, 0xcab62aab74628b24ull},
 };
 
 TEST(SceneGoldenTest, SuiteScenesArePinned) {
@@ -891,7 +737,6 @@ TEST(SceneGoldenTest, SuiteScenesArePinned) {
       glyphs.Color3(g.fill);
       glyphs.Color3(g.stroke);
       glyphs.Int(g.visible ? 1 : 0);
-      glyphs.Int(g.epoch);
     }
     // What BirdsEyeView and a fresh CurrentView draw: the whole layout
     // fitted into the replay's default viewport.
