@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -965,6 +966,119 @@ TEST(ExamplesTest, C4Q1SeekMatchesSteppedReplay) {
     EXPECT_EQ(seeker.value()->NodeColor(node).value(),
               stepper.value()->NodeColor(node).value())
         << node;
+  }
+}
+
+// --- colours pinned on the recorded example, every mode, pacing on ---
+
+/// The recorded c4_q1 plan and trace; every trace pc names a plan node, so
+/// a count of events is a count of posted colour changes.
+class C4Q1ColorsTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kThresholdUs = 100;
+
+  void SetUp() override {
+    auto events =
+        ReadTraceFile(std::string(STETHO_EXAMPLES_DIR) + "/c4_q1.trace");
+    ASSERT_TRUE(events.ok()) << events.status().ToString();
+    events_ = std::move(events).value();
+    std::ifstream dot_in(std::string(STETHO_EXAMPLES_DIR) + "/c4_q1.dot");
+    std::string dot_text((std::istreambuf_iterator<char>(dot_in)),
+                         std::istreambuf_iterator<char>());
+    auto graph = dot::ParseDot(dot_text);
+    ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+    graph_ = std::move(graph).value();
+    for (const TraceEvent& e : events_) {
+      ASSERT_GE(graph_.FindNode(NodeForPc(e.pc)), 0) << e.pc;
+    }
+  }
+
+  /// A replay paced at the paper's 150 ms under a virtual clock.
+  std::unique_ptr<OfflineReplayer> MakeReplayer(ColoringMode mode) {
+    ReplayOptions options;
+    options.clock = &clock_;
+    options.mode = mode;
+    options.threshold_us = kThresholdUs;
+    auto r = OfflineReplayer::Create(graph_, events_, options);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return std::move(r).value();
+  }
+
+  /// Every node's fill after stepping a gradient replay through events
+  /// [0, k): each done tints its pc by the pc's cumulative time over the
+  /// largest cumulative time of any pc at that event.
+  std::map<int, viz::Color> GradientStepFills(size_t k) const {
+    std::map<int, int64_t> cum;
+    std::map<int, viz::Color> fills;
+    for (size_t i = 0; i < k; ++i) {
+      const TraceEvent& e = events_[i];
+      if (e.state != EventState::kDone) continue;
+      cum[e.pc] += e.usec;
+      int64_t max_usec = 1;
+      for (const auto& [pc, usec] : cum) max_usec = std::max(max_usec, usec);
+      fills[e.pc] = viz::Color::Lerp(
+          viz::Color::White(), viz::Color::Red(),
+          static_cast<double>(cum[e.pc]) / static_cast<double>(max_usec));
+    }
+    return fills;
+  }
+
+  VirtualClock clock_;
+  dot::Graph graph_;
+  std::vector<TraceEvent> events_;
+};
+
+TEST_F(C4Q1ColorsTest, SteppedRendersAndFinalFillsAllModes) {
+  for (ColoringMode mode : {ColoringMode::kState, ColoringMode::kThreshold,
+                            ColoringMode::kGradient}) {
+    // By hand: which events post a colour, and each node's last colour.
+    int64_t expected_renders = 0;
+    std::map<int, viz::Color> expected;
+    for (const TraceEvent& e : events_) {
+      const bool done = e.state == EventState::kDone;
+      if (mode == ColoringMode::kState) {
+        ++expected_renders;
+        expected[e.pc] = done ? viz::Color::Green() : viz::Color::Red();
+      } else if (mode == ColoringMode::kThreshold) {
+        if (done && e.usec >= kThresholdUs) {
+          ++expected_renders;
+          expected[e.pc] = viz::Color::Red();
+        }
+      } else if (done) {
+        ++expected_renders;
+      }
+    }
+    if (mode == ColoringMode::kGradient) {
+      expected = GradientStepFills(events_.size());
+    }
+
+    auto replayer = MakeReplayer(mode);
+    while (!replayer->AtEnd()) ASSERT_TRUE(replayer->Step().ok());
+    EXPECT_EQ(replayer->dispatcher()->Stats().renders, expected_renders)
+        << "mode " << static_cast<int>(mode);
+    for (size_t i = 0; i < graph_.num_nodes(); ++i) {
+      const int pc = static_cast<int>(i);
+      auto it = expected.find(pc);
+      EXPECT_EQ(replayer->NodeColor(NodeForPc(pc)).value(),
+                it != expected.end() ? it->second : viz::Color::Gray())
+          << "mode " << static_cast<int>(mode) << " pc " << pc;
+    }
+  }
+}
+
+TEST_F(C4Q1ColorsTest, GradientStepColorsFollowRunningMaximum) {
+  const size_t n = events_.size();
+  auto replayer = MakeReplayer(ColoringMode::kGradient);
+  for (size_t k : {size_t{1}, size_t{2}, n / 4, n / 2 + 1, 3 * n / 4, n}) {
+    while (replayer->cursor() < k) ASSERT_TRUE(replayer->Step().ok());
+    const std::map<int, viz::Color> expected = GradientStepFills(k);
+    for (size_t i = 0; i < graph_.num_nodes(); ++i) {
+      const int pc = static_cast<int>(i);
+      auto it = expected.find(pc);
+      EXPECT_EQ(replayer->NodeColor(NodeForPc(pc)).value(),
+                it != expected.end() ? it->second : viz::Color::Gray())
+          << "k " << k << " pc " << pc;
+    }
   }
 }
 
