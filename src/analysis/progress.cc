@@ -4,6 +4,7 @@
 
 #include "analysis/liveness.h"
 #include "analysis/trace_index.h"
+#include "common/saturating.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
 
@@ -173,7 +174,9 @@ ProgressEstimator::ProgressEstimator(
       done_(model_->plan_size(), false),
       pc_usec_(model_->plan_size(), -1),
       pc_end_us_(model_->plan_size(), 0),
-      pc_rss_(model_->plan_size(), 0) {}
+      pc_rss_(model_->plan_size(), 0),
+      pc_start_us_(model_->plan_size(), 0),
+      started_(model_->plan_size(), false) {}
 
 double ProgressEstimator::RatioLocked() const {
   if (finished_) return 1.0;
@@ -184,32 +187,54 @@ double ProgressEstimator::RatioLocked() const {
   return max_ratio_;
 }
 
+bool ProgressEstimator::DoneLocked(int pc, int64_t usec, int64_t now_us,
+                                   int64_t rss_bytes) {
+  if (pc < 0 || pc >= static_cast<int>(done_.size()) ||
+      done_[static_cast<size_t>(pc)]) {
+    return false;  // duplicate delivery or foreign pc: already accounted
+  }
+  done_[static_cast<size_t>(pc)] = true;
+  pc_usec_[static_cast<size_t>(pc)] = std::max<int64_t>(0, usec);
+  pc_end_us_[static_cast<size_t>(pc)] = now_us;
+  pc_rss_[static_cast<size_t>(pc)] = std::max<int64_t>(0, rss_bytes);
+  ++done_count_;
+  done_weight_ += model_->weight(pc);
+  busy_usec_ += static_cast<double>(std::max<int64_t>(0, usec));
+  if (first_us_ < 0) first_us_ = now_us - std::max<int64_t>(0, usec);
+  newest_us_ = std::max(newest_us_, now_us);
+  return true;
+}
+
 void ProgressEstimator::OnInstructionDone(int pc, int64_t usec,
                                           int64_t now_us, int64_t rss_bytes) {
   double published;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (pc < 0 || pc >= static_cast<int>(done_.size()) ||
-        done_[static_cast<size_t>(pc)]) {
-      return;  // duplicate delivery or foreign pc: already accounted
-    }
-    done_[static_cast<size_t>(pc)] = true;
-    pc_usec_[static_cast<size_t>(pc)] = std::max<int64_t>(0, usec);
-    pc_end_us_[static_cast<size_t>(pc)] = now_us;
-    pc_rss_[static_cast<size_t>(pc)] = std::max<int64_t>(0, rss_bytes);
-    ++done_count_;
-    done_weight_ += model_->weight(pc);
-    busy_usec_ += static_cast<double>(std::max<int64_t>(0, usec));
-    if (first_us_ < 0) first_us_ = now_us - std::max<int64_t>(0, usec);
-    newest_us_ = std::max(newest_us_, now_us);
+    if (!DoneLocked(pc, usec, now_us, rss_bytes)) return;
     published = RatioLocked();
   }
   ProgressGauge()->Set(static_cast<int64_t>(published * 1e6));
 }
 
 void ProgressEstimator::ObserveEvent(const profiler::TraceEvent& event) {
-  if (event.state != profiler::EventState::kDone) return;
-  OnInstructionDone(event.pc, event.usec, event.time_us, event.rss_bytes);
+  double published = -1;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    newest_event_us_ = std::max(newest_event_us_, event.time_us);
+    const int pc = event.pc;
+    if (event.state == profiler::EventState::kDone) {
+      if (DoneLocked(pc, event.usec, event.time_us, event.rss_bytes)) {
+        published = RatioLocked();
+      }
+    } else if (pc >= 0 && pc < static_cast<int>(started_.size()) &&
+               !started_[static_cast<size_t>(pc)]) {
+      started_[static_cast<size_t>(pc)] = true;
+      pc_start_us_[static_cast<size_t>(pc)] = event.time_us;
+    }
+  }
+  if (published >= 0) {
+    ProgressGauge()->Set(static_cast<int64_t>(published * 1e6));
+  }
 }
 
 void ProgressEstimator::MarkFinished() {
@@ -290,10 +315,17 @@ obs::QueryObservation ProgressEstimator::ToObservation(
   return observation;
 }
 
-int64_t ProgressEstimator::PcUsec(int pc) const {
+std::vector<ProgressEstimator::PcRun> ProgressEstimator::PcRuns() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (pc < 0 || pc >= static_cast<int>(pc_usec_.size())) return -1;
-  return pc_usec_[static_cast<size_t>(pc)];
+  std::vector<PcRun> runs(pc_usec_.size());
+  for (size_t pc = 0; pc < runs.size(); ++pc) {
+    if (pc_usec_[pc] >= 0) {
+      runs[pc] = {pc_usec_[pc], true};
+    } else if (started_[pc]) {
+      runs[pc].usec = SaturatingSub(newest_event_us_, pc_start_us_[pc]);
+    }
+  }
+  return runs;
 }
 
 std::string ProgressEstimator::ScoreboardLine(const std::string& name) const {

@@ -108,8 +108,9 @@ class ProgressEstimator : public engine::ProgressListener {
   void OnInstructionDone(int pc, int64_t usec, int64_t now_us,
                          int64_t rss_bytes) override;
 
-  /// Receiver-side feed: accounts a trace event (done-state events only;
-  /// start events and out-of-range pcs are ignored).
+  /// Receiver-side feed: accounts a trace event. A done event counts
+  /// towards progress; a start event only records when its pc began.
+  /// Out-of-range pcs are ignored.
   void ObserveEvent(const profiler::TraceEvent& event);
 
   /// The query completed: progress becomes exactly 1.0 regardless of how
@@ -141,11 +142,20 @@ class ProgressEstimator : public engine::ProgressListener {
   /// The estimator keeps accepting events afterwards — this is a snapshot.
   obs::QueryObservation ToObservation(uint64_t shape_hash) const;
 
-  /// Duration of `pc`'s completion (-1 = not yet observed).
-  int64_t PcUsec(int pc) const;
+  /// How long one pc has run, as far as the received events tell.
+  struct PcRun {
+    int64_t usec = -1;  ///< -1 = neither started nor completed
+    bool completed = false;
+  };
+  /// Every pc's run in one locked read: a completed pc's duration, or a
+  /// started pc's time from its first start event to the newest event
+  /// received.
+  std::vector<PcRun> PcRuns() const;
 
  private:
   double RatioLocked() const;
+  /// Accounts pc's completion; false for a duplicate or foreign pc.
+  bool DoneLocked(int pc, int64_t usec, int64_t now_us, int64_t rss_bytes);
 
   const std::shared_ptr<const ProgressModel> model_;
   mutable std::mutex mu_;
@@ -153,11 +163,14 @@ class ProgressEstimator : public engine::ProgressListener {
   std::vector<int64_t> pc_usec_;    // per-pc durations; -1 = unseen
   std::vector<int64_t> pc_end_us_;  // per-pc completion event time
   std::vector<int64_t> pc_rss_;     // per-pc live bytes at completion
+  std::vector<int64_t> pc_start_us_;  // per-pc first start event time
+  std::vector<bool> started_;
   int done_count_ = 0;
   double done_weight_ = 0;
   double busy_usec_ = 0;     // sum of observed instruction durations
   int64_t first_us_ = -1;    // event time of the first observed done
   int64_t newest_us_ = 0;    // event time of the newest observed done
+  int64_t newest_event_us_ = 0;  // ... of the newest event, start or done
   mutable double max_ratio_ = 0;  // monotonicity clamp
   bool finished_ = false;
 };

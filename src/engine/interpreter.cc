@@ -74,9 +74,8 @@ struct RunState {
   std::vector<std::atomic<int>> indegree;
   std::atomic<bool> abort{false};
 
-  // Scheduler self-check (SchedSelfCheckEnabled() at Execute time): each
-  // dispatched pc's producers must have flipped `completed`.
-  bool selfcheck = false;
+  // Scheduler self-check: each dispatched pc's producers must have flipped
+  // `completed`.
   std::vector<std::atomic<bool>> completed;
 
   // Admission state (guarded by job_mu): at most `dop` instructions of this
@@ -239,35 +238,34 @@ void PumpLocked(RunState* state) {
 /// mid-flight with queued dependents can never leave Execute hanging.
 void RunDataflowTask(RunState* state, int pc, int slot) {
   Status st;
-  // Debug-gated scheduler self-check: a dispatched task's producers must
-  // all have completed. A violation is a scheduler bug (dispatch past an
+  // Scheduler self-check, on in every dataflow run: a dispatched task's
+  // producers must all have completed. It is the live twin of the post-hoc
+  // `trace-dependency-violation` lint and costs one acquire load per
+  // dependency edge. A violation is a scheduler bug (dispatch past an
   // unfinished dependency), so record it, dump the flight recorder for
   // context, and abort the query instead of reading a half-built register.
-  if (state->selfcheck) {
-    for (int q : state->plan->deps().producers(pc)) {
-      if (state->completed[static_cast<size_t>(q)].load(
-              std::memory_order_acquire)) {
-        continue;
-      }
-      static obs::Counter* violations =
-          obs::Registry::Default()->GetOrCreateCounter(
-              "stetho_sched_selfcheck_violations_total",
-              "Dataflow tasks dispatched before a producer completed "
-              "(STETHO_SCHED_SELFCHECK)");
-      violations->Increment();
-      std::string what = StrFormat(
-          "sched-selfcheck: pc=%d dispatched before producer pc=%d "
-          "completed", pc, q);
-      obs::FlightRecorder* recorder = obs::FlightRecorder::Default();
-      recorder->Note(what);
-      recorder->Dump("sched-selfcheck violation");
-      st = Status::Internal(what);
-      break;
+  for (int q : state->plan->deps().producers(pc)) {
+    if (state->completed[static_cast<size_t>(q)].load(
+            std::memory_order_acquire)) {
+      continue;
     }
+    static obs::Counter* violations =
+        obs::Registry::Default()->GetOrCreateCounter(
+            "stetho_sched_selfcheck_violations_total",
+            "Dataflow tasks dispatched before a producer completed");
+    violations->Increment();
+    std::string what = StrFormat(
+        "sched-selfcheck: pc=%d dispatched before producer pc=%d "
+        "completed", pc, q);
+    obs::FlightRecorder* recorder = obs::FlightRecorder::Default();
+    recorder->Note(what);
+    recorder->Dump("sched-selfcheck violation");
+    st = Status::Internal(what);
+    break;
   }
   if (st.ok() && !state->abort.load(std::memory_order_acquire)) {
     st = RunInstruction(state, pc, slot);
-    if (st.ok() && state->selfcheck) {
+    if (st.ok()) {
       state->completed[static_cast<size_t>(pc)].store(
           true, std::memory_order_release);
     }
@@ -422,7 +420,6 @@ Result<QueryResult> Interpreter::ExecuteInternal(
       state.free_slots.push_back(slot);
     }
 
-    state.selfcheck = SchedSelfCheckEnabled();
     for (size_t pc = 0; pc < program.size(); ++pc) {
       state.indegree[pc].store(
           static_cast<int>(

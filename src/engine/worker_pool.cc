@@ -18,14 +18,6 @@ namespace {
 thread_local const WorkerPool* tls_pool = nullptr;
 thread_local int tls_worker = -1;
 
-std::atomic<bool>& SchedSelfCheckFlag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("STETHO_SCHED_SELFCHECK");
-    return env != nullptr && env[0] != '\0' && env[0] != '0';
-  }();
-  return flag;
-}
-
 /// CPUs granted by the cgroup CPU quota of this process's cgroup as
 /// mounted at /sys/fs/cgroup, rounded up; 0 when no quota is set.
 int CgroupCpuQuota() {
@@ -59,14 +51,6 @@ int DefaultDop() {
   static const int quota = CgroupCpuQuota();
   if (quota > 0) cpus = std::min(cpus, quota);
   return std::max(1, cpus);
-}
-
-bool SchedSelfCheckEnabled() {
-  return SchedSelfCheckFlag().load(std::memory_order_relaxed);
-}
-
-void SetSchedSelfCheck(bool enabled) {
-  SchedSelfCheckFlag().store(enabled, std::memory_order_relaxed);
 }
 
 WorkerPool::WorkerPool(int max_workers)

@@ -14,18 +14,6 @@
 
 namespace stetho::engine {
 
-/// Scheduler self-check switch (off by default). When enabled — via the
-/// STETHO_SCHED_SELFCHECK environment variable at startup or
-/// SetSchedSelfCheck at runtime — the dataflow interpreter verifies, before
-/// running every dispatched task, that each of the task's producers has
-/// completed, counts violations in `stetho_sched_selfcheck_violations_total`,
-/// and dumps the obs::FlightRecorder on the first violation. This is the
-/// live enforcement twin of the post-hoc `trace-dependency-violation` lint:
-/// the check costs one acquire load per dependency edge, so it stays off in
-/// production and on in stress tests.
-bool SchedSelfCheckEnabled();
-void SetSchedSelfCheck(bool enabled);
-
 /// The dop a query runs at when none is configured: the number of CPUs the
 /// calling thread may use, which is the smaller of its sched_getaffinity
 /// mask and the cgroup CPU quota (v2 `cpu.max`, v1 `cpu.cfs_quota_us` /

@@ -1,6 +1,5 @@
 #include "layout/layout_cache.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -51,15 +50,6 @@ bool Fits(const GraphLayout& layout, const dot::Graph& graph) {
          layout.edges.size() == graph.num_edges();
 }
 
-size_t DefaultCapacity() {
-  const char* env = std::getenv("STETHO_LAYOUT_CACHE");
-  if (env == nullptr || *env == '\0') return LayoutCache::kDefaultCapacity;
-  char* end = nullptr;
-  long v = std::strtol(env, &end, 10);
-  if (end == env || v < 0) return LayoutCache::kDefaultCapacity;
-  return static_cast<size_t>(v);
-}
-
 obs::Counter* HitCounter() {
   static obs::Counter* c = obs::Registry::Default()->GetOrCreateCounter(
       "stetho_layout_cache_hits_total",
@@ -79,7 +69,7 @@ obs::Counter* MissCounter() {
 LayoutCache::LayoutCache(size_t capacity) : capacity_(capacity) {}
 
 LayoutCache* LayoutCache::Default() {
-  static LayoutCache* cache = new LayoutCache(DefaultCapacity());
+  static LayoutCache* cache = new LayoutCache(kDefaultCapacity);
   return cache;
 }
 

@@ -28,8 +28,7 @@ namespace stetho::layout {
 /// Hits and misses are exported as `stetho_layout_cache_hits_total` /
 /// `stetho_layout_cache_misses_total`. A capacity of 0 disables caching:
 /// every call computes and nothing is stored. The process-wide Default()
-/// capacity honors the STETHO_LAYOUT_CACHE environment variable
-/// (default 32 entries).
+/// holds kDefaultCapacity entries.
 class LayoutCache {
  public:
   static constexpr size_t kDefaultCapacity = 32;
@@ -39,7 +38,7 @@ class LayoutCache {
   LayoutCache(const LayoutCache&) = delete;
   LayoutCache& operator=(const LayoutCache&) = delete;
 
-  /// Process-wide shared instance (capacity from STETHO_LAYOUT_CACHE).
+  /// Process-wide shared instance of kDefaultCapacity entries.
   static LayoutCache* Default();
 
   /// Returns the cached layout for `graph`, computing and inserting it on

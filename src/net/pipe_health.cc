@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/saturating.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
 
@@ -54,21 +55,6 @@ obs::Histogram* StalenessHistogram() {
 /// hi - lo for lo <= hi, exact over the whole int64_t range.
 uint64_t Distance(int64_t lo, int64_t hi) {
   return static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
-}
-
-/// a + b for counts a, b >= 0, saturating at INT64_MAX.
-int64_t SaturatingAdd(int64_t a, int64_t b) {
-  return std::min(a, INT64_MAX - b) + b;
-}
-
-/// a - b clamped to the int64_t range. Emit times come off the wire, so
-/// offset, latency and staleness must not wrap on a wild one.
-int64_t SaturatingSub(int64_t a, int64_t b) {
-  int64_t difference = 0;
-  if (__builtin_sub_overflow(a, b, &difference)) {
-    return b < 0 ? INT64_MAX : INT64_MIN;
-  }
-  return difference;
 }
 
 }  // namespace

@@ -107,20 +107,10 @@ std::string FlightRecorder::NextBundlePath() const {
                        dumps_.load(std::memory_order_relaxed) + 1));
 }
 
-size_t FlightRingFromEnv(size_t fallback) {
-  const char* raw = std::getenv("STETHO_FLIGHT_RING");
-  if (raw == nullptr || raw[0] == '\0') return fallback;
-  char* end = nullptr;
-  long long v = std::strtoll(raw, &end, 10);
-  if (end == raw || *end != '\0' || v <= 0) return fallback;
-  return static_cast<size_t>(v);
-}
-
 FlightRecorder* FlightRecorder::Default() {
   static FlightRecorder* recorder = [] {
-    const size_t ring = FlightRingFromEnv(64);
     auto* r = new FlightRecorder(Registry::Default(), Tracer::Default(),
-                                 /*max_notes=*/ring,
+                                 /*max_notes=*/64,
                                  /*max_spans=*/48);
     if (const char* dir = std::getenv("STETHO_FLIGHT_DIR");
         dir != nullptr && dir[0] != '\0') {

@@ -36,9 +36,7 @@ class FlightRecorder {
   void SetEnabled(bool enabled) {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
-  bool enabled() const {
-    return kCompiledIn && enabled_.load(std::memory_order_relaxed);
-  }
+  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// Appends a timestamped annotation to the ring ("query s3 started",
   /// "pass dead-code fired"). No-op while disabled.
@@ -70,9 +68,9 @@ class FlightRecorder {
   /// configured (lets callers report where the black box landed).
   std::string NextBundlePath() const;
 
-  /// Process-wide recorder over Registry::Default() / Tracer::Default().
-  /// Ring size honors STETHO_FLIGHT_RING (notes kept; default 64) and
-  /// STETHO_FLIGHT_DIR preconfigures SetOutputDir, both read once.
+  /// Process-wide recorder over Registry::Default() / Tracer::Default(),
+  /// keeping the last 64 notes. STETHO_FLIGHT_DIR preconfigures
+  /// SetOutputDir, read once.
   static FlightRecorder* Default();
 
  private:
@@ -93,10 +91,6 @@ class FlightRecorder {
   std::FILE* out_ = nullptr;  // nullptr = stderr
   std::string out_dir_;       // "" = single-stream output
 };
-
-/// STETHO_FLIGHT_RING parsed as a positive note-ring size; `fallback` when
-/// unset or malformed. Exposed for tests (Default() reads the env once).
-size_t FlightRingFromEnv(size_t fallback);
 
 }  // namespace stetho::obs
 

@@ -21,16 +21,8 @@ namespace stetho::obs {
 void SetEnabled(bool enabled);
 bool Enabled();
 
-/// Compile-time kill switch: building with -DSTETHO_OBS_DISABLED pins
-/// Active() to false so the optimizer removes every gated block outright.
-#ifdef STETHO_OBS_DISABLED
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
-
-/// True when observability is compiled in and enabled at runtime.
-inline bool Active() { return kCompiledIn && Enabled(); }
+/// True when observability is enabled at runtime.
+inline bool Active() { return Enabled(); }
 
 /// Monotonically increasing counter. The hot path is one relaxed fetch_add;
 /// construction and naming go through a Registry.

@@ -43,13 +43,11 @@ class Tracer {
                                 : static_cast<Clock*>(SteadyClock::Default())),
         capacity_(capacity == 0 ? 1 : capacity) {}
 
-  /// Spans are recorded only while enabled (and obs is compiled in).
+  /// Spans are recorded only while enabled.
   void SetEnabled(bool enabled) {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
-  bool enabled() const {
-    return kCompiledIn && enabled_.load(std::memory_order_relaxed);
-  }
+  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// Swaps the time source (tests install a VirtualClock).
   void SetClock(Clock* clock) {

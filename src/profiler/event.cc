@@ -1,6 +1,7 @@
 #include "profiler/event.h"
 
 #include <charconv>
+#include <limits>
 
 #include "common/string_util.h"
 
@@ -47,6 +48,18 @@ Result<std::string_view> QuotedBody(std::string_view field) {
     return Status::ParseError("expected quoted field: " + std::string(field));
   }
   return t.substr(1, t.size() - 2);
+}
+
+/// An int field (pc, thread): a value outside int's range is an error, not
+/// a wrap to some other instruction or thread.
+Result<int> ParseIntField(std::string_view field, const char* name) {
+  STETHO_ASSIGN_OR_RETURN(int64_t v, ParseInt64(field));
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    return Status::ParseError(StrFormat(
+        "trace %s %lld out of range", name, static_cast<long long>(v)));
+  }
+  return static_cast<int>(v);
 }
 
 }  // namespace
@@ -125,10 +138,8 @@ Result<TraceEvent> ParseTraceLine(std::string_view line) {
   TraceEvent e;
   STETHO_ASSIGN_OR_RETURN(e.event, ParseInt64(fields[0]));
   STETHO_ASSIGN_OR_RETURN(e.time_us, ParseInt64(fields[1]));
-  STETHO_ASSIGN_OR_RETURN(int64_t pc, ParseInt64(fields[2]));
-  e.pc = static_cast<int>(pc);
-  STETHO_ASSIGN_OR_RETURN(int64_t thread, ParseInt64(fields[3]));
-  e.thread = static_cast<int>(thread);
+  STETHO_ASSIGN_OR_RETURN(e.pc, ParseIntField(fields[2], "pc"));
+  STETHO_ASSIGN_OR_RETURN(e.thread, ParseIntField(fields[3], "thread"));
   STETHO_ASSIGN_OR_RETURN(std::string_view quoted_state, QuotedBody(fields[4]));
   const std::string state = UnescapeQuoted(quoted_state);
   if (state == "start") {

@@ -35,6 +35,15 @@ void Profiler::AddSink(std::shared_ptr<EventSink> sink) {
   dispatch_ = std::move(next);
 }
 
+void Profiler::RemoveSink(const EventSink* sink) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto next = std::make_shared<Dispatch>(*dispatch_);
+  std::erase_if(next->sinks, [sink](const std::shared_ptr<EventSink>& s) {
+    return s.get() == sink;
+  });
+  dispatch_ = std::move(next);
+}
+
 void Profiler::ClearSinks() {
   std::lock_guard<std::mutex> lock(mu_);
   auto next = std::make_shared<Dispatch>(*dispatch_);

@@ -27,6 +27,8 @@ class Profiler {
 
   /// Adds a sink. Sinks are shared so the caller can keep inspecting them.
   void AddSink(std::shared_ptr<EventSink> sink);
+  /// Removes `sink` if it was added; every other sink stays.
+  void RemoveSink(const EventSink* sink);
   void ClearSinks();
   size_t num_sinks() const;
 

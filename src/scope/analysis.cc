@@ -4,6 +4,7 @@
 #include <map>
 
 #include "analysis/trace_index.h"
+#include "common/saturating.h"
 #include "common/string_util.h"
 
 namespace stetho::scope {
@@ -29,12 +30,12 @@ UtilizationReport Utilization(const std::vector<TraceEvent>& events,
     if (e.state != EventState::kDone) continue;
     ThreadUtilization& t = threads[e.thread];
     t.thread = e.thread;
-    t.busy_us += e.usec;
+    t.busy_us = SaturatingAdd(t.busy_us, e.usec);
     ++t.instructions;
-    total_busy += e.usec;
+    total_busy = SaturatingAdd(total_busy, e.usec);
   }
 
-  report.wall_us = last_us - first_us;
+  report.wall_us = SaturatingSub(last_us, first_us);
   report.max_concurrency = static_cast<size_t>(index.peak_open());
   report.avg_concurrency =
       report.wall_us > 0
@@ -74,7 +75,7 @@ std::vector<OperatorStats> AnalyzeOperators(const std::vector<TraceEvent>& event
     OperatorStats& stats = by_op[op];
     stats.op = op;
     ++stats.calls;
-    stats.total_usec += e.usec;
+    stats.total_usec = SaturatingAdd(stats.total_usec, e.usec);
     stats.max_usec = std::max(stats.max_usec, e.usec);
     stats.max_rss_bytes = std::max(stats.max_rss_bytes, e.rss_bytes);
     durations[op].push_back(e.usec);
@@ -109,7 +110,7 @@ std::vector<CostlyCluster> FindCostlyClusters(
       CostlyCluster& c = clusters.back();
       c.last_event = i;
       c.pcs.push_back(e.pc);
-      c.total_usec += e.usec;
+      c.total_usec = SaturatingAdd(c.total_usec, e.usec);
       continue;
     }
     CostlyCluster c;

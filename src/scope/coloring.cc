@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 
+#include "common/saturating.h"
+
 namespace stetho::scope {
 
 using profiler::EventState;
@@ -103,7 +105,9 @@ std::vector<ColorDecision> GradientColoring(
   // plan reused it; normally pcs are unique, so this is per instruction).
   std::map<int, int64_t> usec_by_pc;
   for (const TraceEvent& e : buffer) {
-    if (e.state == EventState::kDone) usec_by_pc[e.pc] += e.usec;
+    if (e.state == EventState::kDone) {
+      usec_by_pc[e.pc] = SaturatingAdd(usec_by_pc[e.pc], e.usec);
+    }
   }
   int64_t max_usec = 0;
   for (const auto& [pc, usec] : usec_by_pc) {

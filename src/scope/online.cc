@@ -11,7 +11,6 @@
 #include "dot/parser.h"
 #include "engine/worker_pool.h"
 #include "net/channel.h"
-#include "scope/mapping.h"
 
 namespace stetho::scope {
 
@@ -51,8 +50,9 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
   // stored cross-run profile of this plan's shape, if the profile store has
   // one. They are read once and the snapshot is dropped, so the server's
   // fold at the end of this query updates the stored profile in place
-  // rather than copying it. Start times feed the running-duration check
-  // (an instruction can be flagged before it completes).
+  // rather than copying it. The estimator's start times feed the
+  // running-duration check (an instruction can be flagged before it
+  // completes).
   obs::ProfileStore* store = options_.profile != nullptr
                                  ? options_.profile
                                  : obs::ProfileStore::Default();
@@ -71,21 +71,11 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
           {stats.usec.count(), stats.usec.Median(), stats.usec.Mad()});
     }
   }
-  std::mutex straggler_mu;
-  std::map<int, int64_t> start_us;
-  int64_t newest_event_us = 0;
 
   TextualStethoscope textual(topt);
   textual.SetEventCallback(
       [&](const std::string& /*server*/, const TraceEvent& event) {
         estimator->ObserveEvent(event);
-        if (baseline) {
-          std::lock_guard<std::mutex> lock(straggler_mu);
-          newest_event_us = std::max(newest_event_us, event.time_us);
-          if (event.state == profiler::EventState::kStart) {
-            start_us.emplace(event.pc, event.time_us);
-          }
-        }
         std::lock_guard<std::mutex> lock(tracker_mu);
         tracker.Observe(event);
       });
@@ -100,6 +90,7 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
     wire = injector;
   }
   server_->AttachStream(wire);
+  const net::DatagramSender* stream = wire.get();
 
   // Launch the query in its own thread (paper §4.2: "The query whose
   // execution plan needs to be analyzed is launched next in a separate
@@ -146,20 +137,20 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
     if (query_done.load(std::memory_order_acquire)) {
       if (!query_status.ok()) {
         query_thread.join();
-        server_->DetachStreams();
+        server_->DetachStream(stream);
         return query_status;
       }
       if (!textual.FinishedQueries().empty() &&
           textual.CompletedDots().empty()) {
         query_thread.join();
-        server_->DetachStreams();
+        server_->DetachStream(stream);
         return Status::Internal("query finished without emitting a dot file");
       }
     }
     const int64_t now = clock->NowMicros();
     if (now > deadline) {
       query_thread.join();
-      server_->DetachStreams();
+      server_->DetachStream(stream);
       if (!query_status.ok()) return query_status;
       return Status::Internal("no dot file received from the server stream");
     }
@@ -182,46 +173,29 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
       scene_, OfflineReplayer::Create(std::move(graph), {}, scene_options));
 
   // Monitoring loop: sample the buffer, run the §4.2.1 pair-sequence
-  // algorithm, and push color changes through the render-paced EDT.
+  // algorithm, and paint color changes through the scene, whose EDT paces
+  // them.
   std::map<int, viz::Color> applied;
   std::set<int> straggler_flagged;
   auto sweep_stragglers = [&] {
     if (!baseline) return;
-    std::map<int, int64_t> starts;
-    int64_t now_us;
-    {
-      std::lock_guard<std::mutex> lock(straggler_mu);
-      starts = start_us;
-      now_us = newest_event_us;
-    }
-    for (size_t pc = 0; pc < baseline->size(); ++pc) {
+    const std::vector<analysis::ProgressEstimator::PcRun> runs =
+        estimator->PcRuns();
+    for (size_t pc = 0; pc < std::min(baseline->size(), runs.size()); ++pc) {
       const int ipc = static_cast<int>(pc);
-      if (straggler_flagged.count(ipc) > 0) continue;
+      const analysis::ProgressEstimator::PcRun& run = runs[pc];
+      // Not started (or its start lost), or flagged already.
+      if (run.usec < 0 || straggler_flagged.count(ipc) > 0) continue;
       const PcBaseline& base = (*baseline)[pc];
-      const int64_t done_usec = estimator->PcUsec(ipc);
-      const bool completed = done_usec >= 0;
-      int64_t usec = done_usec;
-      if (!completed) {
-        auto it = starts.find(ipc);
-        if (it == starts.end()) continue;  // not started (or start lost)
-        usec = now_us - it->second;
-      }
       if (base.runs == 0 ||
-          !obs::RegressionRatio(usec, base.median, base.mad)) {
+          !obs::RegressionRatio(run.usec, base.median, base.mad)) {
         continue;
       }
       straggler_flagged.insert(ipc);
-      report.stragglers.push_back({ipc, usec, base.median, completed});
+      report.stragglers.push_back({ipc, run.usec, base.median, run.completed});
       // Deviation overlay: the fill stays with the pair-sequence state
       // machine; the stroke says "slow against history".
-      int glyph = scene_->space()->ShapeFor(NodeForPc(ipc));
-      if (glyph >= 0) {
-        viz::VirtualSpace* space = scene_->space();
-        scene_->dispatcher()->PostRender([space, glyph] {
-          (void)space->MutateGlyph(glyph, [](viz::Glyph* g) {
-            g->stroke = viz::Color::Magenta();
-          });
-        });
+      if (scene_->PostStroke(ipc, viz::Color::Magenta())) {
         ++report.straggler_updates;
       }
     }
@@ -248,15 +222,7 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
       auto it = applied.find(d.pc);
       if (it != applied.end() && it->second == d.color) continue;
       applied[d.pc] = d.color;
-      int glyph = scene_->space()->ShapeFor(NodeForPc(d.pc));
-      if (glyph < 0) continue;
-      viz::Color color = d.color;
-      viz::VirtualSpace* space = scene_->space();
-      scene_->dispatcher()->PostRender([space, glyph, color] {
-        (void)space->MutateGlyph(glyph,
-                                 [&](viz::Glyph* g) { g->fill = color; });
-      });
-      ++report.color_updates;
+      if (scene_->PostColor(d.pc, d.color)) ++report.color_updates;
     }
     ++report.analysis_rounds;
   };
@@ -283,7 +249,7 @@ Result<OnlineReport> OnlineMonitor::MonitorQuery(const std::string& sql) {
   if (query_status.ok()) estimator->MarkFinished();
   analyze_once();  // final sweep over the complete buffer
   scene_->dispatcher()->Drain();
-  server_->DetachStreams();
+  server_->DetachStream(stream);
   textual.Stop();  // joins listeners and finalizes the health accounting
   STETHO_RETURN_IF_ERROR(textual.Flush());
   report.pipe_health = textual.HealthFor("server0");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/saturating.h"
 #include "common/string_util.h"
 #include "layout/layout_cache.h"
 #include "obs/metrics.h"
@@ -19,6 +20,13 @@ obs::Histogram* SeekHistogram() {
       "stetho_replay_seek_usec", "Latency of OfflineReplayer seeks",
       obs::Histogram::DefaultLatencyBounds());
   return h;
+}
+
+/// The gradient ramp: white at no time, red at the maximum.
+viz::Color Tint(int64_t cum_usec, int64_t max_usec) {
+  return viz::Color::Lerp(
+      viz::Color::White(), viz::Color::Red(),
+      static_cast<double>(cum_usec) / static_cast<double>(max_usec));
 }
 
 }  // namespace
@@ -43,20 +51,22 @@ OfflineReplayer::OfflineReplayer(
                                       : static_cast<Clock*>(SteadyClock::Default())),
       camera_(kReplayViewportWidth, kReplayViewportHeight),
       animator_(clock_) {
-  viz::BuildScene(graph_, *layout_, &space_);
+  const std::vector<int> shapes = viz::BuildScene(graph_, *layout_, &space_);
   edt_ = std::make_unique<viz::EventDispatchThread>(
       clock_, options_.render_interval_us);
   camera_.FitRect(0, 0, layout_->width, layout_->height);
-  int max_pc = 0;
-  for (const TraceEvent& e : all_events_) max_pc = std::max(max_pc, e.pc);
-  size_t num_pcs = static_cast<size_t>(max_pc) + 1;
-  usec_by_pc_.assign(num_pcs, 0);
-  shape_by_pc_.assign(num_pcs, -1);
-  for (size_t pc = 0; pc < num_pcs; ++pc) {
-    shape_by_pc_[pc] = space_.ShapeFor(NodeForPc(static_cast<int>(pc)));
+  const size_t num_nodes = graph_.num_nodes();
+  shape_by_pc_.assign(num_nodes, -1);
+  for (size_t i = 0; i < num_nodes; ++i) {
+    const std::string& id = graph_.node(i).id;
+    Result<int> pc = PcForNode(id);
+    if (pc.ok() && static_cast<size_t>(pc.value()) < num_nodes &&
+        NodeForPc(pc.value()) == id) {
+      shape_by_pc_[static_cast<size_t>(pc.value())] = shapes[i];
+    }
   }
-  cur_color_.assign(num_pcs, viz::Color::Gray());
-  pc_mark_.assign(num_pcs, 0);
+  cur_color_.assign(num_nodes, viz::Color::Gray());
+  pc_mark_.assign(num_nodes, 0);
   RebuildHistory();
 }
 
@@ -65,41 +75,45 @@ OfflineReplayer::~OfflineReplayer() {
 }
 
 void OfflineReplayer::RebuildHistory() {
-  size_t num_pcs = usec_by_pc_.size();
+  const size_t num_pcs = shape_by_pc_.size();
+  const bool gradient = options_.mode == ColoringMode::kGradient;
   history_.assign(num_pcs, {});
   colored_pcs_.clear();
-  std::vector<viz::Color> running(num_pcs, viz::Color::Gray());
-  std::vector<int64_t> cum(num_pcs, 0);
   const std::vector<TraceEvent>& active = events();
+  std::vector<int64_t> cum(gradient ? num_pcs : 0, 0);
+  int64_t max_usec = 1;
+  max_usec_.assign(gradient ? active.size() : 0, 0);
   for (size_t i = 0; i < active.size(); ++i) {
     const TraceEvent& e = active[i];
-    if (e.pc < 0 || static_cast<size_t>(e.pc) >= num_pcs) continue;
-    size_t pc = static_cast<size_t>(e.pc);
-    bool done = (e.state == EventState::kDone);
-    PcEventHistory& h = history_[pc];
-    switch (options_.mode) {
-      case ColoringMode::kState:
-        if (done) cum[pc] += e.usec;
-        h.index.push_back(i);
-        h.color.push_back(done ? viz::Color::Green() : viz::Color::Red());
-        h.cum_usec.push_back(cum[pc]);
-        break;
-      case ColoringMode::kThreshold:
-        if (!done) break;  // starts change neither color nor cumulative time
-        cum[pc] += e.usec;
-        if (e.usec >= options_.threshold_us) running[pc] = viz::Color::Red();
-        h.index.push_back(i);
-        h.color.push_back(running[pc]);
-        h.cum_usec.push_back(cum[pc]);
-        break;
-      case ColoringMode::kGradient:
-        if (!done) break;
-        cum[pc] += e.usec;
-        h.index.push_back(i);
-        h.color.push_back(viz::Color::Gray());  // derived at seek time
-        h.cum_usec.push_back(cum[pc]);
-        break;
+    const bool done = (e.state == EventState::kDone);
+    if (ShapeOf(e.pc) >= 0) {
+      const size_t pc = static_cast<size_t>(e.pc);
+      PcEventHistory& h = history_[pc];
+      switch (options_.mode) {
+        case ColoringMode::kState:
+          h.index.push_back(i);
+          h.color.push_back(done ? viz::Color::Green() : viz::Color::Red());
+          break;
+        case ColoringMode::kThreshold:
+          if (done && e.usec >= options_.threshold_us) {
+            h.index.push_back(i);
+            h.color.push_back(viz::Color::Red());
+          }
+          break;
+        case ColoringMode::kGradient:
+          if (!done) break;
+          cum[pc] = SaturatingAdd(cum[pc], e.usec);
+          h.index.push_back(i);
+          h.cum_usec.push_back(cum[pc]);
+          // A negative duration can lower the maximum: find it again.
+          max_usec = e.usec >= 0
+                         ? std::max(max_usec, cum[pc])
+                         : std::max<int64_t>(
+                               1, *std::max_element(cum.begin(), cum.end()));
+          break;
+      }
     }
+    if (gradient) max_usec_[i] = max_usec;
   }
   for (size_t pc = 0; pc < num_pcs; ++pc) {
     if (!history_[pc].index.empty()) {
@@ -108,11 +122,9 @@ void OfflineReplayer::RebuildHistory() {
   }
 }
 
-void OfflineReplayer::PostColor(int pc, viz::Color color) {
-  int glyph = (pc >= 0 && static_cast<size_t>(pc) < shape_by_pc_.size())
-                  ? shape_by_pc_[static_cast<size_t>(pc)]
-                  : -1;
-  if (glyph < 0) return;  // trace event without a plan node: ignore
+bool OfflineReplayer::PostColor(int pc, viz::Color color) {
+  const int glyph = ShapeOf(pc);
+  if (glyph < 0) return false;
   if (options_.color_fade_us > 0) {
     // Animated transition: the render task *starts* the fade; the fade
     // itself progresses on Animator ticks.
@@ -121,12 +133,23 @@ void OfflineReplayer::PostColor(int pc, viz::Color color) {
       animator_.AnimateGlyphFill(&space_, glyph, color, fade);
       cur_color_[static_cast<size_t>(pc)] = color;
     });
-    return;
+    return true;
   }
   edt_->PostRender([this, glyph, pc, color] {
     (void)space_.SetFill(glyph, color);
     cur_color_[static_cast<size_t>(pc)] = color;
   });
+  return true;
+}
+
+bool OfflineReplayer::PostStroke(int pc, viz::Color color) {
+  const int glyph = ShapeOf(pc);
+  if (glyph < 0) return false;
+  edt_->PostRender([this, glyph, color] {
+    (void)space_.MutateGlyph(glyph,
+                             [color](viz::Glyph* g) { g->stroke = color; });
+  });
+  return true;
 }
 
 void OfflineReplayer::SetFillIfChanged(int pc, viz::Color color) {
@@ -149,40 +172,25 @@ void OfflineReplayer::ResetColors() {
   for (size_t pc = 0; pc < cur_color_.size(); ++pc) {
     SetFillIfChanged(static_cast<int>(pc), viz::Color::Gray());
   }
-  std::fill(usec_by_pc_.begin(), usec_by_pc_.end(), 0);
 }
 
-void OfflineReplayer::ApplyEvent(size_t index) {
-  const TraceEvent& e = events()[index];
-  if (e.state == EventState::kDone && static_cast<size_t>(e.pc) < usec_by_pc_.size()) {
-    usec_by_pc_[static_cast<size_t>(e.pc)] += e.usec;
-  }
-  switch (options_.mode) {
-    case ColoringMode::kState:
-      PostColor(e.pc, e.state == EventState::kStart ? viz::Color::Red()
-                                                    : viz::Color::Green());
-      break;
-    case ColoringMode::kThreshold:
-      if (e.state == EventState::kDone && e.usec >= options_.threshold_us) {
-        PostColor(e.pc, viz::Color::Red());
-      }
-      break;
-    case ColoringMode::kGradient: {
-      if (e.state != EventState::kDone) break;
-      int64_t max_usec = 1;
-      for (int64_t u : usec_by_pc_) max_usec = std::max(max_usec, u);
-      double t = static_cast<double>(usec_by_pc_[static_cast<size_t>(e.pc)]) /
-                 static_cast<double>(max_usec);
-      PostColor(e.pc,
-                viz::Color::Lerp(viz::Color::White(), viz::Color::Red(), t));
-      break;
-    }
-  }
+void OfflineReplayer::PostEvent(size_t index) {
+  const int pc = events()[index].pc;
+  if (ShapeOf(pc) < 0) return;
+  const PcEventHistory& h = history_[static_cast<size_t>(pc)];
+  auto it = std::lower_bound(h.index.begin(), h.index.end(), index);
+  if (it == h.index.end() || *it != index) return;  // colour unchanged
+  const size_t k = static_cast<size_t>(it - h.index.begin());
+  // A step tints against the maximum at its own event; a seek against the
+  // maximum at its target (ApplyColorsAt).
+  PostColor(pc, options_.mode == ColoringMode::kGradient
+                    ? Tint(h.cum_usec[k], max_usec_[index])
+                    : h.color[k]);
 }
 
 Status OfflineReplayer::Step() {
   if (AtEnd()) return Status::OutOfRange("end of trace");
-  ApplyEvent(cursor_);
+  PostEvent(cursor_);
   ++cursor_;
   FinishPendingColorWork();
   return Status::OK();
@@ -198,13 +206,14 @@ Result<size_t> OfflineReplayer::Play(double speed, size_t count) {
   size_t applied = 0;
   while (applied < count && !AtEnd()) {
     if (applied > 0 && cursor_ > 0) {
-      int64_t gap = events()[cursor_].time_us - events()[cursor_ - 1].time_us;
+      int64_t gap = SaturatingSub(events()[cursor_].time_us,
+                                  events()[cursor_ - 1].time_us);
       if (gap > 0) {
         clock_->SleepMicros(static_cast<int64_t>(
             static_cast<double>(gap) / speed));
       }
     }
-    ApplyEvent(cursor_);
+    PostEvent(cursor_);
     ++cursor_;
     ++applied;
     // Advance any in-flight color fades alongside the replay.
@@ -261,22 +270,12 @@ void OfflineReplayer::ApplyColorsAt(size_t target) {
   if (options_.mode == ColoringMode::kGradient) {
     // The ramp divides by the global maximum, which shifts with the
     // cursor, so every colored pc is re-derived (and diffed) on a seek.
-    int64_t max_usec = 1;
+    const int64_t max_usec = target > 0 ? max_usec_[target - 1] : 1;
     for (int pc : colored_pcs_) {
-      size_t k = entries_before(history_[static_cast<size_t>(pc)]);
-      int64_t cum =
-          k > 0 ? history_[static_cast<size_t>(pc)].cum_usec[k - 1] : 0;
-      usec_by_pc_[static_cast<size_t>(pc)] = cum;
-      max_usec = std::max(max_usec, cum);
-    }
-    for (int pc : colored_pcs_) {
-      int64_t cum = usec_by_pc_[static_cast<size_t>(pc)];
-      viz::Color color =
-          cum > 0 ? viz::Color::Lerp(viz::Color::White(), viz::Color::Red(),
-                                     static_cast<double>(cum) /
-                                         static_cast<double>(max_usec))
-                  : viz::Color::Gray();
-      SetFillIfChanged(pc, color);
+      const PcEventHistory& h = history_[static_cast<size_t>(pc)];
+      size_t k = entries_before(h);
+      int64_t cum = k > 0 ? h.cum_usec[k - 1] : 0;
+      SetFillIfChanged(pc, cum > 0 ? Tint(cum, max_usec) : viz::Color::Gray());
     }
     return;
   }
@@ -288,13 +287,12 @@ void OfflineReplayer::ApplyColorsAt(size_t target) {
   const std::vector<TraceEvent>& active = events();
   for (size_t i = lo; i < hi; ++i) {
     const TraceEvent& e = active[i];
-    if (e.pc < 0 || static_cast<size_t>(e.pc) >= usec_by_pc_.size()) continue;
+    if (ShapeOf(e.pc) < 0) continue;
     size_t pc = static_cast<size_t>(e.pc);
     if (pc_mark_[pc] == mark_gen_) continue;
     pc_mark_[pc] = mark_gen_;
     const PcEventHistory& h = history_[pc];
     size_t k = entries_before(h);
-    usec_by_pc_[pc] = k > 0 ? h.cum_usec[k - 1] : 0;
     SetFillIfChanged(static_cast<int>(pc),
                      k > 0 ? h.color[k - 1] : viz::Color::Gray());
   }
@@ -317,7 +315,7 @@ std::string OfflineReplayer::TooltipFor(const std::string& node_id) const {
     const TraceEvent& e = active[i];
     if (e.pc != pc.value()) continue;
     if (e.state == EventState::kDone) {
-      total_usec += e.usec;
+      total_usec = SaturatingAdd(total_usec, e.usec);
       ++count;
       last_rss = e.rss_bytes;
       last_thread = e.thread;

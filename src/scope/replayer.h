@@ -116,6 +116,16 @@ class OfflineReplayer {
   /// The color currently applied to a node's shape (White = uncolored).
   Result<viz::Color> NodeColor(const std::string& node_id) const;
 
+  /// --- painting: the one way a colour reaches a node ---
+
+  /// Sets the fill of plan node "n<pc>" through the EDT (render-paced;
+  /// faded when color_fade_us > 0). Returns false, posting nothing, when
+  /// pc names no plan node.
+  bool PostColor(int pc, viz::Color color);
+  /// Sets the outline of plan node "n<pc>" through the EDT; false when pc
+  /// names no plan node.
+  bool PostStroke(int pc, viz::Color color);
+
   viz::VirtualSpace* space() { return &space_; }
   viz::Camera* camera() { return &camera_; }
   viz::EventDispatchThread* dispatcher() { return edt_.get(); }
@@ -131,14 +141,17 @@ class OfflineReplayer {
   }
 
  private:
-  /// Per-pc event history over the active (filtered) trace: for each event
-  /// touching the pc, its index, the node color after it, and the
-  /// cumulative done-usec after it. Seeks binary-search these instead of
-  /// replaying the trace, making SeekTo O(changed nodes · log events).
+  /// The colour changes of one plan node over the active (filtered) trace:
+  /// the index of each event that changes it and, per mode, what it
+  /// changes to. kState: every event, red or green; kThreshold: each done
+  /// at or above threshold_us, red; kGradient: each done, with the node's
+  /// cumulative done-usec after it. Steps post the entry of the event they
+  /// apply; seeks binary-search the entries, making SeekTo
+  /// O(changed nodes · log events).
   struct PcEventHistory {
     std::vector<size_t> index;      ///< event indices, ascending
-    std::vector<viz::Color> color;  ///< color after that event (state/threshold)
-    std::vector<int64_t> cum_usec;  ///< cumulative done-usec after that event
+    std::vector<viz::Color> color;  ///< kState, kThreshold
+    std::vector<int64_t> cum_usec;  ///< kGradient
   };
 
   OfflineReplayer(dot::Graph graph,
@@ -146,16 +159,20 @@ class OfflineReplayer {
                   std::vector<profiler::TraceEvent> events,
                   const ReplayOptions& options);
 
-  /// Applies event `index`'s coloring through the EDT.
-  void ApplyEvent(size_t index);
+  /// Shape glyph of plan node "n<pc>", or -1 when pc names no plan node.
+  int ShapeOf(int pc) const {
+    return pc >= 0 && static_cast<size_t>(pc) < shape_by_pc_.size()
+               ? shape_by_pc_[static_cast<size_t>(pc)]
+               : -1;
+  }
+  /// Posts the colour entry of event `index`, if the event has one.
+  void PostEvent(size_t index);
   /// Rebuilds the per-pc histories from events() (ctor / filter changes).
   void RebuildHistory();
   /// Moves the applied color state from cursor_ to `target`, touching only
   /// pcs whose color can differ (gradient mode re-derives every colored pc
   /// because the global maximum shifts). Callers flush the EDT first.
   void ApplyColorsAt(size_t target);
-  /// Sets a node's fill (render-paced; faded when color_fade_us > 0).
-  void PostColor(int pc, viz::Color color);
   /// Applies `color` directly (no pacing) when it differs from the mirror.
   void SetFillIfChanged(int pc, viz::Color color);
   /// Drains the render queue and finishes outstanding color fades.
@@ -175,9 +192,10 @@ class OfflineReplayer {
   viz::Animator animator_;
   std::unique_ptr<viz::EventDispatchThread> edt_;
   size_t cursor_ = 0;
-  /// Cumulative usec per pc (gradient mode input).
-  std::vector<int64_t> usec_by_pc_;
-  /// Shape glyph id per pc (-1 when the trace pc has no plan node).
+  /// Every per-pc table below has one slot per plan node: slot pc belongs
+  /// to node "n<pc>" for pc below the node count. A trace pc outside that
+  /// range has no slot and is never painted.
+  /// Shape glyph id per pc (-1 when no node is named "n<pc>").
   std::vector<int> shape_by_pc_;
   /// Mirror of the currently applied fill per pc; seeks diff against it so
   /// unchanged nodes cost nothing. Written on the EDT inside posted tasks,
@@ -185,6 +203,9 @@ class OfflineReplayer {
   std::vector<viz::Color> cur_color_;
   std::vector<PcEventHistory> history_;
   std::vector<int> colored_pcs_;  ///< pcs with at least one history entry
+  /// kGradient: per event of the active trace, the largest cumulative
+  /// done-usec of any node after it (at least 1) — the ramp's divisor.
+  std::vector<int64_t> max_usec_;
   /// Seek scratch: last mark generation per pc (dedups touched pcs).
   std::vector<uint32_t> pc_mark_;
   uint32_t mark_gen_ = 0;

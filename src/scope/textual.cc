@@ -133,24 +133,6 @@ net::PipeHealthSummary TextualStethoscope::HealthFor(
                              : net::PipeHealthSummary{};
 }
 
-net::PipeHealthSummary TextualStethoscope::Health() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  net::PipeHealthSummary total;
-  for (const auto& [name, health] : health_) {
-    net::PipeHealthSummary s = health->Snapshot();
-    total.observed += s.observed;
-    total.duplicated += s.duplicated;
-    total.reordered += s.reordered;
-    total.lost += s.lost;
-    total.pending += s.pending;
-    total.clock_offset_us = std::min(total.clock_offset_us, s.clock_offset_us);
-    total.last_latency_us = std::max(total.last_latency_us, s.last_latency_us);
-    total.max_latency_us = std::max(total.max_latency_us, s.max_latency_us);
-    total.newest_emit_us = std::max(total.newest_emit_us, s.newest_emit_us);
-  }
-  return total;
-}
-
 void TextualStethoscope::ObserveStaleness() {
   if (!obs::Active()) return;
   const int64_t now = clock()->NowMicros();

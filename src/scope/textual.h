@@ -103,9 +103,6 @@ class TextualStethoscope {
   /// global sequence numbers (pre-filter, so client-side filtering never
   /// reads as loss). Zero-valued summary for unknown servers.
   net::PipeHealthSummary HealthFor(const std::string& server) const;
-  /// All streams combined (counts summed; offset/latency from the worst
-  /// stream; sequence span unset — spans are per-stream quantities).
-  net::PipeHealthSummary Health() const;
   /// Feeds stetho_pipe_staleness_usec with the current age of the rendered
   /// picture on every stream. Call once per analysis/render round; no-op
   /// unless obs::Active().

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "common/saturating.h"
 #include "common/string_util.h"
 
 namespace stetho::scope {
@@ -42,8 +43,8 @@ std::vector<TimelineInterval> ExtractIntervals(
     TimelineInterval iv;
     iv.thread = e.thread;
     iv.pc = e.pc;
-    iv.end_us = e.time_us - t0;
-    iv.start_us = iv.end_us - e.usec;
+    iv.end_us = SaturatingSub(e.time_us, t0);
+    iv.start_us = SaturatingSub(iv.end_us, e.usec);
     if (iv.start_us < 0) iv.start_us = 0;
     iv.op = profiler::OperatorOf(e.stmt);
     intervals.push_back(std::move(iv));
@@ -105,7 +106,7 @@ std::string RenderUtilizationTimeline(const std::vector<TraceEvent>& events) {
         "stroke-width=\"0.3\"><title>pc=%d %s (%lldus)</title></rect>\n",
         iv.pc, x1, y + 2, w, kRowHeight - 6,
         ModuleColor(iv.op).c_str(), iv.pc, EscapeXml(iv.op).c_str(),
-        static_cast<long long>(iv.end_us - iv.start_us));
+        static_cast<long long>(SaturatingSub(iv.end_us, iv.start_us)));
   }
   out += "</svg>\n";
   return out;
@@ -121,7 +122,7 @@ std::string RenderMemoryCurve(const std::vector<TraceEvent>& events) {
     t0 = events.front().time_us;
     for (const TraceEvent& e : events) t0 = std::min(t0, e.time_us);
     for (const TraceEvent& e : events) {
-      int64_t t = e.time_us - t0;
+      int64_t t = SaturatingSub(e.time_us, t0);
       points.emplace_back(t, e.rss_bytes);
       span_us = std::max(span_us, t);
       peak = std::max(peak, e.rss_bytes);

@@ -163,8 +163,8 @@ Result<QueryOutcome> Mserver::ExecutePlan(
   outcome.dot = dot::ProgramToDot(*plan, dot_options);
   {
     std::lock_guard<std::mutex> lock(stream_mu_);
-    for (const auto& stream : streams_) {
-      (void)net::SendDotFile(stream.get(), outcome.name, outcome.dot);
+    for (const Stream& stream : streams_) {
+      (void)net::SendDotFile(stream.sender.get(), outcome.name, outcome.dot);
     }
   }
 
@@ -199,26 +199,29 @@ Result<QueryOutcome> Mserver::ExecutePlan(
 
   {
     std::lock_guard<std::mutex> lock(stream_mu_);
-    for (const auto& stream : streams_) {
-      (void)net::SendEof(stream.get(), outcome.name);
+    for (const Stream& stream : streams_) {
+      (void)net::SendEof(stream.sender.get(), outcome.name);
     }
   }
   return outcome;
 }
 
 void Mserver::AttachStream(std::shared_ptr<net::DatagramSender> sender) {
-  profiler_.AddSink(std::make_shared<net::DatagramTraceSink>(sender));
+  auto sink = std::make_shared<net::DatagramTraceSink>(sender);
+  profiler_.AddSink(sink);
   std::lock_guard<std::mutex> lock(stream_mu_);
-  streams_.push_back(std::move(sender));
+  streams_.push_back({std::move(sender), std::move(sink)});
 }
 
-void Mserver::DetachStreams() {
-  profiler_.ClearSinks();
-  // ClearSinks drops the postmortem ring with the client streams; the
-  // slow-query bundle must keep seeing events.
-  if (postmortem_ring_ != nullptr) profiler_.AddSink(postmortem_ring_);
+void Mserver::DetachStream(const net::DatagramSender* sender) {
   std::lock_guard<std::mutex> lock(stream_mu_);
-  streams_.clear();
+  auto it = std::find_if(streams_.begin(), streams_.end(),
+                         [sender](const Stream& stream) {
+                           return stream.sender.get() == sender;
+                         });
+  if (it == streams_.end()) return;
+  profiler_.RemoveSink(it->sink.get());
+  streams_.erase(it);
 }
 
 std::string Mserver::MetricsText() const {

@@ -119,7 +119,10 @@ class Mserver {
   /// Attaches an outgoing event stream (UDP sender or in-process channel).
   /// Dot files and EOF markers for subsequent queries go to the same stream.
   void AttachStream(std::shared_ptr<net::DatagramSender> sender);
-  void DetachStreams();
+  /// Detaches a stream AttachStream attached: its trace sink leaves the
+  /// profiler and it gets no more dot files or EOF markers. Every other
+  /// stream and sink stays.
+  void DetachStream(const net::DatagramSender* sender);
 
   /// Applies a serialized filter (EventFilter::Serialize format) —
   /// "The profiler accepts filter options set through Stethoscope".
@@ -172,8 +175,13 @@ class Mserver {
   std::string flight_dir_;
   std::shared_ptr<profiler::RingBufferSink> postmortem_ring_;
 
+  /// An attached stream and the profiler sink that feeds it.
+  struct Stream {
+    std::shared_ptr<net::DatagramSender> sender;
+    std::shared_ptr<profiler::EventSink> sink;
+  };
   std::mutex stream_mu_;
-  std::vector<std::shared_ptr<net::DatagramSender>> streams_;
+  std::vector<Stream> streams_;
 
   /// Progress scoreboard: the last few queries' estimators, newest last.
   /// Estimators are shared_ptr because a query thread updates its

@@ -131,10 +131,13 @@ Box VirtualSpace::VisibleBounds() const {
   return {min_x, min_y, max_x - min_x, max_y - min_y};
 }
 
-void BuildScene(const dot::Graph& graph, const layout::GraphLayout& layout,
-                VirtualSpace* space) {
+std::vector<int> BuildScene(const dot::Graph& graph,
+                            const layout::GraphLayout& layout,
+                            VirtualSpace* space) {
   const size_t num_nodes = std::min(graph.num_nodes(), layout.nodes.size());
   const size_t num_edges = std::min(graph.num_edges(), layout.edges.size());
+  // Each node's shape, as a position in `glyphs` until the batch has ids.
+  std::vector<int> shapes(graph.num_nodes(), -1);
   std::vector<Glyph> glyphs;
   glyphs.reserve(num_edges + 2 * num_nodes);
   // Edges first (z=0) so shapes (z=1) and labels (z=2) draw above them.
@@ -155,6 +158,7 @@ void BuildScene(const dot::Graph& graph, const layout::GraphLayout& layout,
   for (size_t i = 0; i < num_nodes; ++i) {
     const layout::NodeLayout& nl = layout.nodes[i];
     const dot::GraphNode& node = graph.node(i);
+    shapes[i] = static_cast<int>(glyphs.size());
     Glyph& shape = glyphs.emplace_back();
     shape.kind = GlyphKind::kShape;
     shape.owner = node.id;
@@ -175,7 +179,9 @@ void BuildScene(const dot::Graph& graph, const layout::GraphLayout& layout,
     text.text = node.label();
     text.z = 2;
   }
-  space->AddGlyphs(std::move(glyphs));
+  const int first = space->AddGlyphs(std::move(glyphs));
+  for (size_t i = 0; i < num_nodes; ++i) shapes[i] += first;
+  return shapes;
 }
 
 }  // namespace stetho::viz

@@ -114,9 +114,11 @@ class VirtualSpace {
 /// text glyph, per edge one edge glyph — the ZGrviewer object model.
 /// `layout` is indexed like `graph` (layout::LayoutGraph's output); a layout
 /// shorter than the graph builds the glyphs it covers. Glyphs are assembled
-/// outside the lock and added as one batch.
-void BuildScene(const dot::Graph& graph, const layout::GraphLayout& layout,
-                VirtualSpace* space);
+/// outside the lock and added as one batch. Returns each node's shape glyph
+/// id in graph order (-1 for a node the layout does not cover).
+std::vector<int> BuildScene(const dot::Graph& graph,
+                            const layout::GraphLayout& layout,
+                            VirtualSpace* space);
 
 }  // namespace stetho::viz
 

@@ -289,26 +289,22 @@ TEST(SchedulerStressTest, SequentialPathStaysOffPool) {
   EXPECT_EQ(WorkerPool::Default()->executed_count(), executed_before);
 }
 
-// The debug-gated scheduler self-check (STETHO_SCHED_SELFCHECK): a healthy
-// dataflow run passes with the check enabled — zero violations counted and
-// results unchanged — and the switch restores cleanly. The violation path
-// itself is exercised post-hoc by the trace replay in hb_test.cc (injecting
-// a live dispatch-before-producer bug would mean breaking the scheduler).
+// The scheduler self-check runs in every dataflow execution: a healthy
+// dataflow run passes it — zero violations counted and results unchanged.
+// The violation path itself is exercised post-hoc by the trace replay in
+// hb_test.cc (injecting a live dispatch-before-producer bug would mean
+// breaking the scheduler).
 TEST(SchedSelfCheckTest, CleanRunPassesWithCheckEnabled) {
   obs::Registry* registry = obs::Registry::Default();
   // Touch the counter so the delta read below cannot miss it.
   registry
       ->GetOrCreateCounter("stetho_sched_selfcheck_violations_total",
                            "Dataflow tasks dispatched before a producer "
-                           "completed (STETHO_SCHED_SELFCHECK)")
+                           "completed")
       ->Increment(0);
   int64_t violations_before =
       registry->CounterValue("stetho_sched_selfcheck_violations_total")
           .value();
-
-  bool was_enabled = SchedSelfCheckEnabled();
-  SetSchedSelfCheck(true);
-  EXPECT_TRUE(SchedSelfCheckEnabled());
 
   Catalog cat = MakeCatalog();
   Program plan = WidePlan();
@@ -320,7 +316,6 @@ TEST(SchedSelfCheckTest, CleanRunPassesWithCheckEnabled) {
     EXPECT_TRUE(r.ok()) << r.status().ToString();
   }
 
-  SetSchedSelfCheck(was_enabled);
   EXPECT_EQ(registry->CounterValue("stetho_sched_selfcheck_violations_total")
                 .value(),
             violations_before);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <thread>
 
 #include "engine/interpreter.h"
@@ -255,18 +256,29 @@ TEST(StreamFailureTest, StopIsIdempotentAndStopsListeners) {
 TEST(ReplayFailureTest, TraceEventsWithoutPlanNodesAreIgnored) {
   dot::Graph graph;
   graph.AddNode("n0").given_label = "only node";
-  std::vector<profiler::TraceEvent> events(2);
+  std::vector<profiler::TraceEvent> events(3);
   events[0].pc = 0;
   events[0].state = profiler::EventState::kStart;
   events[1].pc = 999;  // no such node in the graph
   events[1].state = profiler::EventState::kStart;
+  // The largest pc a trace line can name: the replay's tables follow the
+  // plan, so this costs nothing (sized by it, they would take ~195 GB).
+  events[2].pc = std::numeric_limits<int>::max();
+  events[2].state = profiler::EventState::kDone;
   scope::ReplayOptions options;
   options.render_interval_us = 0;
   auto replayer = scope::OfflineReplayer::Create(graph, events, options);
   ASSERT_TRUE(replayer.ok());
   EXPECT_TRUE(replayer.value()->Step().ok());
   EXPECT_TRUE(replayer.value()->Step().ok());  // unknown pc: no crash
+  EXPECT_TRUE(replayer.value()->Step().ok());
   EXPECT_FALSE(replayer.value()->Step().ok());  // end of trace
+  EXPECT_EQ(replayer.value()->NodeColor("n0").value(), viz::Color::Red());
+  EXPECT_TRUE(replayer.value()->SeekTo(1).ok());
+  EXPECT_TRUE(replayer.value()->SeekTo(3).ok());
+  EXPECT_EQ(replayer.value()->dispatcher()->Stats().renders, 1);
+  EXPECT_FALSE(replayer.value()->PostColor(999, viz::Color::Green()));
+  EXPECT_FALSE(replayer.value()->PostStroke(-1, viz::Color::Green()));
 }
 
 TEST(ReplayFailureTest, EmptyTrace) {

@@ -871,20 +871,6 @@ TEST(FlightRecorderTest, BundleDirWritesOrdinalFiles) {
   std::remove((dir + "/flight_0002.txt").c_str());
 }
 
-TEST(FlightRecorderTest, FlightRingFromEnvParsesAndFallsBack) {
-  const char* saved = std::getenv("STETHO_FLIGHT_RING");
-  const std::string restore = saved == nullptr ? "" : saved;
-  ::setenv("STETHO_FLIGHT_RING", "128", 1);
-  EXPECT_EQ(FlightRingFromEnv(64), 128u);
-  ::setenv("STETHO_FLIGHT_RING", "not-a-number", 1);
-  EXPECT_EQ(FlightRingFromEnv(64), 64u);
-  ::setenv("STETHO_FLIGHT_RING", "-5", 1);
-  EXPECT_EQ(FlightRingFromEnv(64), 64u);
-  ::unsetenv("STETHO_FLIGHT_RING");
-  EXPECT_EQ(FlightRingFromEnv(64), 64u);
-  if (saved != nullptr) ::setenv("STETHO_FLIGHT_RING", restore.c_str(), 1);
-}
-
 TEST(MetricsAuditTest, FlagsEveryNamingRuleViolation) {
   Registry reg;
   reg.GetOrCreateCounter("stetho_events", "counter missing _total");

@@ -64,6 +64,23 @@ TEST(TraceLineTest, RejectsMalformed) {
   EXPECT_FALSE(ParseTraceLine("").ok());
 }
 
+TEST(TraceLineTest, RejectsPcAndThreadOutsideInt) {
+  // 2^32 would wrap to pc 0 and colour, time and lint the wrong
+  // instruction.
+  auto wrapped = ParseTraceLine("[ 1, 2, 4294967296, 0, \"done\", 5, 6, \"s\" ]");
+  ASSERT_FALSE(wrapped.ok());
+  EXPECT_EQ(wrapped.status().code(), StatusCode::kParseError);
+  EXPECT_FALSE(
+      ParseTraceLine("[ 1, 2, -2147483649, 0, \"done\", 5, 6, \"s\" ]").ok());
+  EXPECT_FALSE(
+      ParseTraceLine("[ 1, 2, 0, 2147483648, \"done\", 5, 6, \"s\" ]").ok());
+  auto edges = ParseTraceLine(
+      "[ 1, 2, 2147483647, -2147483648, \"done\", 5, 6, \"s\" ]");
+  ASSERT_TRUE(edges.ok()) << edges.status().ToString();
+  EXPECT_EQ(edges.value().pc, std::numeric_limits<int>::max());
+  EXPECT_EQ(edges.value().thread, std::numeric_limits<int>::min());
+}
+
 TEST(TraceLineTest, ToleratesWhitespace) {
   std::string line = "  " + FormatTraceLine(MakeEvent(1, EventState::kDone)) + "  ";
   EXPECT_TRUE(ParseTraceLine(line).ok());
@@ -252,8 +269,11 @@ TEST(TraceLineTest, PinnedParseVerdicts) {
        StatusCode::kParseError,
        "invalid integer literal: x"},
       {"[ 1, 2, 4294967297, -4294967298, \"done\", 5, 6, \"s\" ]",
-       StatusCode::kOk,
-       "[ 1,\t2,\t1,\t-2,\t\"done\",\t5,\t6,\t\"s\" ]"},
+       StatusCode::kParseError,
+       "trace pc 4294967297 out of range"},
+      {"[ 1, 2, 3, -4294967298, \"done\", 5, 6, \"s\" ]",
+       StatusCode::kParseError,
+       "trace thread -4294967298 out of range"},
       {"[ 007, 2, 3, 4, \"start\", -0, 6, \"s\" ]",
        StatusCode::kOk,
        "[ 7,\t2,\t3,\t4,\t\"start\",\t0,\t6,\t\"s\" ]"},

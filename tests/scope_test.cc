@@ -1120,6 +1120,39 @@ TEST(OnlineMonitorTest, EndToEndColorsAndReports) {
   ASSERT_NE(monitor.scene(), nullptr);
 }
 
+TEST(OnlineMonitorTest, CallerSinksSurviveAMonitoredQuery) {
+  // A monitored query detaches only the stream it attached: a sink the
+  // caller added through profiler() keeps receiving events, and a second
+  // monitored query gets its own stream, events and %EOF.
+  tpch::TpchConfig config;
+  config.scale_factor = 0.001;
+  auto cat = tpch::GenerateTpch(config);
+  ASSERT_TRUE(cat.ok());
+  server::Mserver server(std::move(cat.value()), server::MserverOptions{});
+  auto ring = std::make_shared<profiler::RingBufferSink>(1 << 12);
+  server.profiler()->AddSink(ring);
+
+  OnlineOptions options;
+  options.render_interval_us = 0;
+  options.analysis_period_us = 2000;
+  OnlineMonitor monitor(&server, options);
+  const std::string sql = "select count(*) from lineitem";
+  for (int round = 0; round < 2; ++round) {
+    const int64_t before = ring->total_consumed();
+    auto report = monitor.MonitorQuery(sql);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    const int64_t events =
+        2 * static_cast<int64_t>(report.value().outcome.plan->size());
+    EXPECT_EQ(report.value().events_received, events) << round;
+    EXPECT_EQ(ring->total_consumed() - before, events) << round;
+  }
+  const int64_t before = ring->total_consumed();
+  auto outcome = server.ExecuteSql(sql);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(ring->total_consumed() - before,
+            2 * static_cast<int64_t>(outcome.value().plan->size()));
+}
+
 /// Tentpole acceptance: 5% injected datagram loss on the demo query. The
 /// monitor must not hang (the %EOF is spared, and even a lost one only
 /// costs the bounded stream wait), the receiver's gap accounting must
