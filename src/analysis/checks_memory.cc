@@ -16,6 +16,7 @@
 #include "analysis/checks.h"
 #include "analysis/emitter.h"
 #include "analysis/liveness.h"
+#include "common/saturating.h"
 #include "common/string_util.h"
 
 namespace stetho::analysis {
@@ -213,7 +214,7 @@ int64_t ScheduleMatchedPeak(const Program& p, const MemoryReport& report,
     const mal::Instruction& ins = p.instruction(e->pc);
     for (int v : ins.results) {
       if (v >= 0 && static_cast<size_t>(v) < nvars && has_range[static_cast<size_t>(v)]) {
-        live = SaturatingAddBytes(live, var_bytes[static_cast<size_t>(v)]);
+        live = SaturatingAdd(live, var_bytes[static_cast<size_t>(v)]);
       }
     }
     peak = std::max(peak, live);

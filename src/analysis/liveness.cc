@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/saturating.h"
 #include "common/string_util.h"
 #include "storage/value.h"
 
@@ -141,7 +142,7 @@ class Accountant {
         unbounded_live_++;
         saw_unbounded_ = true;
       } else {
-        live_ = SaturatingAddBytes(live_, var_bytes_[static_cast<size_t>(v)]);
+        live_ = SaturatingAdd(live_, var_bytes_[static_cast<size_t>(v)]);
       }
     }
     return Live();
@@ -189,11 +190,6 @@ class Accountant {
 
 }  // namespace
 
-int64_t SaturatingAddBytes(int64_t a, int64_t b) {
-  if (a >= kUnboundedBytes - b) return kUnboundedBytes;
-  return a + b;
-}
-
 int64_t EstimateResultBytes(const KernelSignature* sig,
                             const AbstractValue& value) {
   if (value.is_bat != Tri::kTrue) return 0;  // scalars are negligible
@@ -205,12 +201,12 @@ int64_t EstimateResultBytes(const KernelSignature* sig,
   int64_t bytes = 0;
   if (value.elem == DataType::kString) {
     // Element costs are per stored row (size), the null mask per capacity.
-    bytes = SaturatingAddBytes(hi * kStringBytesPerRow, capacity);
+    bytes = SaturatingAdd(hi * kStringBytesPerRow, capacity);
   } else {
     // kInt64/kOid/kBool share the int64 backing array; kDouble is 8 B too.
     // Unknown element types get the numeric width — every storable
     // non-string element is 8 B/row. Null mask: 1 B per reserved row.
-    bytes = SaturatingAddBytes(capacity * 8, capacity);
+    bytes = SaturatingAdd(capacity * 8, capacity);
   }
   return bytes;
 }
@@ -254,12 +250,12 @@ MemoryReport AnalyzeMemory(const mal::Program& program,
       var_exact[static_cast<size_t>(v)] =
           val.is_bat == Tri::kTrue && val.card.is_exact() ? 1 : 0;
       def_pc[static_cast<size_t>(v)] = ins.pc;
-      total = SaturatingAddBytes(total, bytes);
+      total = SaturatingAdd(total, bytes);
     }
     report.result_bytes[pc] = total;
     if (facts.role() == KernelRole::kTableScan ||
         facts.role() == KernelRole::kColumnBind) {
-      report.input_bytes = SaturatingAddBytes(report.input_bytes, total);
+      report.input_bytes = SaturatingAdd(report.input_bytes, total);
     }
   }
 
@@ -371,7 +367,7 @@ int64_t ParallelPeakBound(const mal::Program& program,
   int64_t chain_bound = 0;
   int64_t total_weight = 0;
   for (const LiveRange* r : rs) {
-    total_weight = SaturatingAddBytes(total_weight, r->bytes);
+    total_weight = SaturatingAdd(total_weight, r->bytes);
   }
   if (total_weight < (int64_t{1} << 56)) {
     const int m = static_cast<int>(rs.size());
@@ -421,7 +417,7 @@ int64_t ParallelPeakBound(const mal::Program& program,
     for (const std::vector<const LiveRange*>& chain : chains) {
       int64_t heaviest = 0;
       for (const LiveRange* r : chain) heaviest = std::max(heaviest, r->bytes);
-      chain_bound = SaturatingAddBytes(chain_bound, heaviest);
+      chain_bound = SaturatingAdd(chain_bound, heaviest);
     }
   }
 
@@ -433,13 +429,13 @@ int64_t ParallelPeakBound(const mal::Program& program,
     if (r.num_consumers == 0 && r.def_pc >= 0 &&
         static_cast<size_t>(r.def_pc) < n) {
       transients[static_cast<size_t>(r.def_pc)] =
-          SaturatingAddBytes(transients[static_cast<size_t>(r.def_pc)], r.bytes);
+          SaturatingAdd(transients[static_cast<size_t>(r.def_pc)], r.bytes);
     }
   }
   std::sort(transients.begin(), transients.end(), std::greater<int64_t>());
   int64_t bound = chain_bound;
   for (size_t k = 0; k < transients.size() && k < static_cast<size_t>(dop); ++k) {
-    bound = SaturatingAddBytes(bound, transients[k]);
+    bound = SaturatingAdd(bound, transients[k]);
   }
   return std::max(bound, report.seq_peak_bytes);
 }

@@ -40,9 +40,6 @@ namespace stetho::analysis {
 /// (int64 max); saturating arithmetic keeps it absorbing.
 inline constexpr int64_t kUnboundedBytes = 0x7fffffffffffffff;
 
-/// a + b with saturation at kUnboundedBytes.
-int64_t SaturatingAddBytes(int64_t a, int64_t b);
-
 /// Upper bound on the bytes Column::MemoryBytes() can report for a BAT
 /// described by `value`, produced by a kernel with signature `sig`
 /// (nullptr for kernels without one). Scalars cost 0; an unbounded

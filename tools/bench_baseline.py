@@ -33,9 +33,10 @@ import sys
 import tempfile
 
 REGRESS_THRESHOLD = 1.10  # default: >10% slower is a regression in the diff
-# A/B rounds per tree: an odd count of at least 3 gives a median that one
-# noisy round cannot move, with each tree going first at least once.
-AB_ROUNDS = 3
+# A/B rounds per tree, each tree going first in half of them. On a shared
+# host three rounds at --min-time 0.05 flagged a different set of unchanged
+# benchmarks in every session; six pinned rounds at 0.2 s read them level.
+AB_ROUNDS = 6
 
 
 def repo_root():
