@@ -44,15 +44,6 @@ void Profiler::RemoveSink(const EventSink* sink) {
   dispatch_ = std::move(next);
 }
 
-void Profiler::ClearSinks() {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto next = std::make_shared<Dispatch>(*dispatch_);
-  next->sinks.clear();
-  dispatch_ = std::move(next);
-}
-
-size_t Profiler::num_sinks() const { return Snapshot()->sinks.size(); }
-
 void Profiler::SetFilter(EventFilter filter) {
   std::lock_guard<std::mutex> lock(mu_);
   auto next = std::make_shared<Dispatch>(*dispatch_);

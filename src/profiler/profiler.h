@@ -29,8 +29,6 @@ class Profiler {
   void AddSink(std::shared_ptr<EventSink> sink);
   /// Removes `sink` if it was added; every other sink stays.
   void RemoveSink(const EventSink* sink);
-  void ClearSinks();
-  size_t num_sinks() const;
 
   /// Replaces the active filter (set remotely by Stethoscope clients).
   void SetFilter(EventFilter filter);

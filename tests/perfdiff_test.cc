@@ -401,11 +401,11 @@ TEST(PreparedPlanTest, HashMatchesRenderedAndTraceHash) {
     options.mitosis_pieces = m;
     options.profile_store = &store;
     server::Mserver server(cat.value(), options);
+    auto ring = std::make_shared<profiler::RingBufferSink>(1 << 16);
+    server.profiler()->AddSink(ring);
     for (const tpch::TpchQuery& query : tpch::TpchQueries()) {
       SCOPED_TRACE(query.id + " m=" + std::to_string(m));
-      auto ring = std::make_shared<profiler::RingBufferSink>(1 << 16);
-      server.profiler()->ClearSinks();
-      server.profiler()->AddSink(ring);
+      ring->Clear();
       auto outcome = server.ExecuteSql(query.sql);
       ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
       const engine::PreparedPlan& plan = *outcome.value().plan;
