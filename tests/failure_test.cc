@@ -262,7 +262,7 @@ TEST(ReplayFailureTest, TraceEventsWithoutPlanNodesAreIgnored) {
   events[1].pc = 999;  // no such node in the graph
   events[1].state = profiler::EventState::kStart;
   // The largest pc a trace line can name: the replay's tables follow the
-  // plan, so this costs nothing (sized by it, they would take ~195 GB).
+  // plan, so it must cost nothing.
   events[2].pc = std::numeric_limits<int>::max();
   events[2].state = profiler::EventState::kDone;
   scope::ReplayOptions options;
