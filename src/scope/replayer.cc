@@ -202,15 +202,17 @@ Status OfflineReplayer::StepBack() {
 }
 
 Result<size_t> OfflineReplayer::Play(double speed, size_t count) {
-  if (speed <= 0) return Status::InvalidArgument("speed must be positive");
+  if (!(speed > 0)) return Status::InvalidArgument("speed must be positive");
   size_t applied = 0;
   while (applied < count && !AtEnd()) {
     if (applied > 0 && cursor_ > 0) {
       int64_t gap = SaturatingSub(events()[cursor_].time_us,
                                   events()[cursor_ - 1].time_us);
       if (gap > 0) {
+        // Clamped in double: INT64_MAX / speed need not fit an int64_t.
         clock_->SleepMicros(static_cast<int64_t>(
-            static_cast<double>(gap) / speed));
+            std::min(static_cast<double>(gap) / speed,
+                     static_cast<double>(kMaxPlayPauseUs))));
       }
     }
     PostEvent(cursor_);

@@ -36,6 +36,12 @@ enum class ColoringMode {
 inline constexpr double kReplayViewportWidth = 1280;
 inline constexpr double kReplayViewportHeight = 800;
 
+/// The longest pause `OfflineReplayer::Play` takes between two events, in
+/// µs: a longer trace gap, scaled by the speed, is shortened to it. Emit
+/// times come from the trace file unchecked, so one wild pair would
+/// otherwise stall a replay for years.
+inline constexpr int64_t kMaxPlayPauseUs = 1000000;
+
 struct ReplayOptions {
   Clock* clock = nullptr;            ///< nullptr = steady clock
   int64_t render_interval_us = 150000;  ///< EDT pacing (paper's 150 ms)
@@ -72,8 +78,8 @@ class OfflineReplayer {
   /// Rewinds one event (recomputes colors up to the new cursor).
   Status StepBack();
   /// Replays up to `count` events, sleeping the inter-event trace gap
-  /// scaled by 1/speed between consecutive events (speed 2 = twice as
-  /// fast). Returns the number of events applied.
+  /// scaled by 1/speed, at most kMaxPlayPauseUs, between consecutive events
+  /// (speed 2 = twice as fast). Returns the number of events applied.
   Result<size_t> Play(double speed, size_t count);
   /// Jumps to absolute event index (fast-forward or rewind).
   Status SeekTo(size_t index);

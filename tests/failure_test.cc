@@ -281,6 +281,43 @@ TEST(ReplayFailureTest, TraceEventsWithoutPlanNodesAreIgnored) {
   EXPECT_FALSE(replayer.value()->PostStroke(-1, viz::Color::Green()));
 }
 
+TEST(ReplayFailureTest, WildEmitTimesPauseAtMostTheCap) {
+  // Events 0 and 1 at INT64_MIN and INT64_MAX: their gap saturates at
+  // INT64_MAX, and INT64_MAX / speed does not fit an int64_t at speed <= 1.
+  // Play pauses kMaxPlayPauseUs there; an ordinary gap still scales.
+  dot::Graph graph;
+  graph.AddNode("n0");
+  graph.AddNode("n1");
+  std::vector<profiler::TraceEvent> events(4);
+  events[0].pc = 0;
+  events[0].state = profiler::EventState::kStart;
+  events[0].time_us = std::numeric_limits<int64_t>::min();
+  events[1].pc = 0;
+  events[1].state = profiler::EventState::kDone;
+  events[1].time_us = std::numeric_limits<int64_t>::max();
+  events[2].pc = 1;
+  events[2].state = profiler::EventState::kStart;
+  events[2].time_us = 0;  // backwards in time: no pause
+  events[3].pc = 1;
+  events[3].state = profiler::EventState::kDone;
+  events[3].time_us = 40;
+  for (double speed : {0.5, 1.0, 2.0}) {
+    VirtualClock clock;
+    scope::ReplayOptions options;
+    options.clock = &clock;
+    options.render_interval_us = 0;
+    auto replayer = scope::OfflineReplayer::Create(graph, events, options);
+    ASSERT_TRUE(replayer.ok());
+    auto played = replayer.value()->Play(speed, events.size());
+    ASSERT_TRUE(played.ok());
+    EXPECT_EQ(played.value(), events.size());
+    EXPECT_EQ(clock.NowMicros(),
+              scope::kMaxPlayPauseUs + static_cast<int64_t>(40 / speed))
+        << "speed " << speed;
+    EXPECT_EQ(replayer.value()->NodeColor("n1").value(), viz::Color::Green());
+  }
+}
+
 TEST(ReplayFailureTest, EmptyTrace) {
   dot::Graph graph;
   graph.AddNode("n0");
@@ -305,6 +342,8 @@ TEST(ReplayFailureTest, InvalidSpeedRejected) {
   ASSERT_TRUE(replayer.ok());
   EXPECT_FALSE(replayer.value()->Play(0, 1).ok());
   EXPECT_FALSE(replayer.value()->Play(-3, 1).ok());
+  EXPECT_FALSE(
+      replayer.value()->Play(std::numeric_limits<double>::quiet_NaN(), 1).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <limits>
 
 #include "analysis/perfdiff.h"
 #include "common/string_util.h"
@@ -197,10 +196,7 @@ int CmdReplay(const std::string& dot_path, const std::string& trace_path) {
   auto replayer = scope::OfflineReplayer::Create(std::move(graph).value(),
                                                  events.value(), replay);
   if (!replayer.ok()) return Fail(replayer.status());
-  // Infinite speed: every event, no pause between them, however far apart
-  // the trace's emit times are.
-  auto played = replayer.value()->Play(
-      std::numeric_limits<double>::infinity(), events.value().size());
+  auto played = replayer.value()->Play(1e12, events.value().size());
   if (!played.ok()) return Fail(played.status());
 
   std::ofstream(trace_path + ".view.svg")
