@@ -241,9 +241,10 @@ void RunDataflowTask(RunState* state, int pc, int slot) {
   // Scheduler self-check, on in every dataflow run: a dispatched task's
   // producers must all have completed. It is the live twin of the post-hoc
   // `trace-dependency-violation` lint and costs one acquire load per
-  // dependency edge. A violation is a scheduler bug (dispatch past an
-  // unfinished dependency), so record it, dump the flight recorder for
-  // context, and abort the query instead of reading a half-built register.
+  // dependency edge and one release store per task. A violation is a
+  // scheduler bug (dispatch past an unfinished dependency), so record it,
+  // dump the flight recorder for context, and abort the query instead of
+  // reading a half-built register.
   for (int q : state->plan->deps().producers(pc)) {
     if (state->completed[static_cast<size_t>(q)].load(
             std::memory_order_acquire)) {
