@@ -34,8 +34,8 @@ import tempfile
 
 REGRESS_THRESHOLD = 1.10  # default: >10% slower is a regression in the diff
 # A/B rounds per tree, each tree going first in half of them. On a shared
-# host one process of a benchmark can run up to twice as slow as the next
-# on unchanged code, so the median ratio needs many rounds: three at
+# host one process of a benchmark can run more than twice as slow as the
+# next on unchanged code, so the median ratio needs many rounds: three at
 # --min-time 0.05 flagged a different set of unchanged benchmarks in every
 # session.
 AB_ROUNDS = 10
