@@ -3,6 +3,8 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -13,6 +15,8 @@
 #include <vector>
 
 #include "analysis/perfdiff.h"
+#include "analysis/trace_index.h"
+#include "common/clock.h"
 #include "common/string_util.h"
 #include "net/channel.h"
 #include "obs/metrics.h"
@@ -292,6 +296,92 @@ TEST(MserverProfileTest, ExecuteFoldsIntoInjectedStore) {
   profile = store.Lookup(shape);
   ASSERT_NE(profile, nullptr);
   EXPECT_EQ(profile->queries, 2);
+}
+
+/// A VirtualClock that moves 10 us forward on every read. The server has no
+/// per-instruction padding option, so this stands in for
+/// `ExecOptions::pad_instruction_usec`: every instruction gets a non-zero
+/// duration and the dataflow slots overlap, with no real sleep.
+class PaddedClock : public VirtualClock {
+ public:
+  static constexpr int64_t kPadUs = 10;
+
+  int64_t NowMicros() const override {
+    return VirtualClock::NowMicros() +
+           kPadUs * reads_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+ private:
+  mutable std::atomic<int64_t> reads_{0};
+};
+
+// The fold pin: what the server stores for a finished query equals a fold
+// of the observation built from the interpreter's own per-pc record
+// (QueryResult::stats): each pc's [start_us, start_us + usec] interval and
+// the concurrency at its start, its duration and its live bytes after,
+// both clamped at 0.
+TEST(MserverProfileTest, FoldEqualsObservationOfInstructionStats) {
+  tpch::TpchConfig config;
+  config.scale_factor = 0.002;
+  auto cat = tpch::GenerateTpch(config);
+  ASSERT_TRUE(cat.ok());
+  PaddedClock clock;
+  obs::ProfileStore store;
+  MserverOptions options;
+  options.dop = 2;
+  options.mitosis_pieces = 4;
+  options.profile_store = &store;
+  options.slow_query_factor = 0;
+  options.clock = &clock;
+  Mserver server(std::move(cat.value()), options);
+
+  const auto& queries = tpch::TpchQueries();
+  auto q1 = std::find_if(queries.begin(), queries.end(),
+                         [](const tpch::TpchQuery& q) { return q.id == "q1"; });
+  ASSERT_NE(q1, queries.end());
+  auto r = server.ExecuteSql(q1->sql);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const QueryOutcome& outcome = r.value();
+  const uint64_t shape = outcome.plan->shape_hash();
+  ASSERT_EQ(outcome.result.stats.size(), outcome.plan->size());
+
+  obs::QueryObservation observation;
+  observation.shape_hash = shape;
+  observation.plan_size = outcome.plan->size();
+  observation.total_usec = outcome.result.total_usec;
+  std::vector<analysis::ExecInterval> intervals;
+  for (const engine::InstructionStat& stat : outcome.result.stats) {
+    const int64_t done_us = stat.start_us + stat.usec;
+    intervals.push_back({done_us - std::max<int64_t>(0, stat.usec), done_us});
+  }
+  const std::vector<int> concurrency = analysis::ConcurrencyAtStart(intervals);
+  for (size_t i = 0; i < outcome.result.stats.size(); ++i) {
+    const engine::InstructionStat& stat = outcome.result.stats[i];
+    obs::PcSample sample;
+    sample.pc = stat.pc;
+    sample.usec = std::max<int64_t>(0, stat.usec);
+    sample.bytes = std::max<int64_t>(0, stat.rss_after_bytes);
+    sample.concurrency = concurrency[i];
+    EXPECT_GT(sample.usec, 0) << "pc " << stat.pc;
+    observation.pcs.push_back(sample);
+  }
+  obs::ProfileStore expected_store;
+  ASSERT_TRUE(expected_store.Fold(observation).ok());
+
+  std::shared_ptr<const obs::PlanProfile> got = store.Lookup(shape);
+  std::shared_ptr<const obs::PlanProfile> want = expected_store.Lookup(shape);
+  ASSERT_NE(got, nullptr);
+  ASSERT_NE(want, nullptr);
+  EXPECT_EQ(got->queries, want->queries);
+  EXPECT_EQ(got->plan_size, want->plan_size);
+  EXPECT_TRUE(got->total_usec == want->total_usec);
+  ASSERT_EQ(got->pcs.size(), want->pcs.size());
+  for (size_t pc = 0; pc < got->pcs.size(); ++pc) {
+    EXPECT_TRUE(got->pcs[pc].usec == want->pcs[pc].usec) << "pc " << pc;
+    EXPECT_TRUE(got->pcs[pc].bytes == want->pcs[pc].bytes) << "pc " << pc;
+    EXPECT_TRUE(got->pcs[pc].concurrency == want->pcs[pc].concurrency)
+        << "pc " << pc;
+  }
 }
 
 TEST(MserverProfileTest, SlowQueryLogsAndEmitsPostmortem) {
