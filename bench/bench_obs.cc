@@ -234,7 +234,7 @@ void BM_ProgressEstimatorQuery(benchmark::State& state) {
     analysis::ProgressEstimator estimator(model);
     int64_t now = 0;
     for (size_t pc = 0; pc < model->plan_size(); ++pc) {
-      estimator.OnInstructionDone(static_cast<int>(pc), 5, now += 10, 0);
+      estimator.OnInstructionDone(static_cast<int>(pc), 5, now += 10);
     }
     benchmark::DoNotOptimize(estimator.ratio());
   }
@@ -259,7 +259,7 @@ void BM_ProgressEtaHalfway(benchmark::State& state) {
   analysis::ProgressEstimator estimator(model);
   int64_t now = 0;
   for (size_t pc = 0; pc < model->plan_size() / 2; ++pc) {
-    estimator.OnInstructionDone(static_cast<int>(pc), 5, now += 10, 0);
+    estimator.OnInstructionDone(static_cast<int>(pc), 5, now += 10);
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(estimator.EtaUsec());

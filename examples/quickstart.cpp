@@ -11,7 +11,6 @@
 #include "dot/parser.h"
 #include "profiler/sink.h"
 #include "scope/analysis.h"
-#include "scope/mapping.h"
 #include "scope/replayer.h"
 #include "server/mserver.h"
 #include "tpch/dbgen.h"
@@ -73,7 +72,7 @@ int main() {
   if (!played.ok()) return 1;
   std::printf("\n== replayed %zu events; node n4 tooltip ==\n%s\n",
               played.value(),
-              replayer.value()->TooltipFor(scope::NodeForPc(4)).c_str());
+              replayer.value()->TooltipFor(dot::NodeName(4)).c_str());
 
   // 6. Run-time analyses.
   std::printf("\n== thread utilization ==\n%s",

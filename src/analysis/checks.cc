@@ -8,6 +8,7 @@
 #include "analysis/emitter.h"
 #include "analysis/signatures.h"
 #include "common/string_util.h"
+#include "dot/graph.h"
 
 namespace stetho::analysis {
 namespace {
@@ -42,18 +43,6 @@ bool Satisfies(ValueKind actual, ValueKind constraint) {
 
 bool VarInRange(const Program& p, int var) {
   return var >= 0 && static_cast<size_t>(var) < p.num_variables();
-}
-
-/// Parses the dot naming convention "n<pc>"; returns -1 on mismatch.
-int PcFromNodeId(const std::string& id) {
-  if (id.size() < 2 || id[0] != 'n') return -1;
-  int pc = 0;
-  for (size_t i = 1; i < id.size(); ++i) {
-    if (id[i] < '0' || id[i] > '9') return -1;
-    if (pc > 100000000) return -1;  // overflow guard; no plan is this large
-    pc = pc * 10 + (id[i] - '0');
-  }
-  return pc;
 }
 
 std::string Ellipsize(const std::string& s, size_t limit = 96) {
@@ -417,10 +406,10 @@ class DotContractCheck final : public Check {
     const dot::Graph& g = *ctx.graph;
     Emitter emit(id(), out);
 
-    // Node ids must follow the "n<pc>" convention regardless of whether we
-    // have the plan; the trace↔graph join is impossible otherwise.
+    // Node ids must follow the naming rule regardless of whether we have
+    // the plan; the trace↔graph join is impossible otherwise.
     for (const dot::GraphNode& node : g.nodes()) {
-      int pc = PcFromNodeId(node.id);
+      const int pc = dot::PcOfNode(node.id);
       if (pc < 0) {
         emit.Emit(Severity::kError, -1, -1,
                   StrFormat("node \"%s\" does not follow the \"n<pc>\" naming "
@@ -430,27 +419,29 @@ class DotContractCheck final : public Check {
       }
       if (!node.given_label) {
         emit.Emit(Severity::kWarning, pc, -1,
-                  StrFormat("node \"n%d\" has no label attribute — the "
+                  StrFormat("node \"%s\" has no label attribute — the "
                             "statement text is lost",
-                            pc));
+                            node.id.c_str()));
       }
       if (ctx.program != nullptr &&
           static_cast<size_t>(pc) >= ctx.program->size()) {
         emit.Emit(Severity::kError, pc, -1,
-                  StrFormat("node \"n%d\" is beyond the plan (size %zu)", pc,
-                            ctx.program->size()));
+                  StrFormat("node \"%s\" is beyond the plan (size %zu)",
+                            node.id.c_str(), ctx.program->size()));
       }
     }
     if (ctx.program == nullptr) return;
     const Program& p = *ctx.program;
 
-    // Every pc renders as node "nN" carrying the statement as its label.
+    // Every pc renders as node NodeName(pc) carrying the statement as its
+    // label.
     for (const Instruction& ins : p.instructions()) {
-      int node_index = g.FindNode(StrFormat("n%d", ins.pc));
+      const std::string name = dot::NodeName(ins.pc);
+      int node_index = g.FindNode(name);
       if (node_index < 0) {
         emit.Emit(Severity::kError, ins.pc, -1,
-                  StrFormat("plan instruction pc=%d has no dot node \"n%d\"",
-                            ins.pc, ins.pc));
+                  StrFormat("plan instruction pc=%d has no dot node \"%s\"",
+                            ins.pc, name.c_str()));
         continue;
       }
       const std::string& label = g.node(static_cast<size_t>(node_index)).label();
@@ -474,25 +465,27 @@ class DotContractCheck final : public Check {
     }
     std::set<std::pair<int, int>> actual;
     for (const dot::GraphEdge& edge : g.edges()) {
-      int from = PcFromNodeId(edge.from);
-      int to = PcFromNodeId(edge.to);
+      const int from = dot::PcOfNode(edge.from);
+      const int to = dot::PcOfNode(edge.to);
       if (from < 0 || to < 0) continue;  // ids already flagged above
       actual.emplace(from, to);
     }
     for (const auto& [from, to] : expected) {
       if (actual.find({from, to}) == actual.end()) {
         emit.Emit(Severity::kError, to, -1,
-                  StrFormat("dependency edge n%d -> n%d is missing from the "
+                  StrFormat("dependency edge %s -> %s is missing from the "
                             "dot file",
-                            from, to));
+                            dot::NodeName(from).c_str(),
+                            dot::NodeName(to).c_str()));
       }
     }
     for (const auto& [from, to] : actual) {
       if (expected.find({from, to}) == expected.end()) {
         emit.Emit(Severity::kWarning, to, -1,
-                  StrFormat("dot edge n%d -> n%d has no matching dataflow "
+                  StrFormat("dot edge %s -> %s has no matching dataflow "
                             "dependency in the plan",
-                            from, to));
+                            dot::NodeName(from).c_str(),
+                            dot::NodeName(to).c_str()));
       }
     }
   }
@@ -550,12 +543,15 @@ class TraceConformanceCheck final : public Check {
                             ctx.program->size()));
         continue;
       }
-      if (ctx.graph != nullptr &&
-          ctx.graph->FindNode(StrFormat("n%d", e.pc)) < 0) {
-        emit.Emit(Severity::kError, e.pc, -1,
-                  StrFormat("event %lld references pc=%d but the dot file "
-                            "has no node \"n%d\"",
-                            static_cast<long long>(e.event), e.pc, e.pc));
+      if (ctx.graph != nullptr) {
+        const std::string name = dot::NodeName(e.pc);
+        if (ctx.graph->FindNode(name) < 0) {
+          emit.Emit(Severity::kError, e.pc, -1,
+                    StrFormat("event %lld references pc=%d but the dot file "
+                              "has no node \"%s\"",
+                              static_cast<long long>(e.event), e.pc,
+                              name.c_str()));
+        }
       }
 
       if (e.state == EventState::kDone && e.usec < 0) {
@@ -586,14 +582,10 @@ class TraceConformanceCheck final : public Check {
           static_cast<size_t>(pc) >= ctx.program->size()) {
         break;
       }
-      const bool done_before_start =
-          info.completed() &&
-          (!info.started() || info.first_done < info.first_start);
-      if (info.starts == info.dones && info.starts == 1 &&
-          !done_before_start) {
+      if (info.starts == info.dones && info.starts == 1 && !info.inverted()) {
         continue;
       }
-      if (done_before_start) {
+      if (info.inverted()) {
         emit.Emit(Severity::kError, pc, -1,
                   "done event precedes its start event");
       }

@@ -9,7 +9,6 @@
 namespace stetho::analysis {
 namespace {
 
-using profiler::EventState;
 using profiler::TraceEvent;
 
 struct HbMetrics {
@@ -115,68 +114,58 @@ ScheduleReport AnalyzeSchedule(const mal::Program& program,
   report.threads = trace.threads();
   size_t num_threads = report.threads.size();
 
-  // Replay: per-thread clocks advance on every event; a start joins the done
-  // clocks of the producers the schedule actually respected.
+  // Each plan pc's first start/done pair and its surplus events, as the
+  // index paired them. Out-of-plan pcs belong to no execution record.
+  for (const auto& [pc, events] : trace.pcs()) {
+    if (static_cast<size_t>(pc) >= program.size()) break;
+    PcExecution& exec = report.executions[static_cast<size_t>(pc)];
+    exec.start_index = events.first_start;
+    exec.done_index = events.first_done;
+    if (events.completed()) ++report.completed_executions;
+    if (events.inverted()) report.inverted.push_back(pc);
+    if (events.repeated()) report.duplicates.push_back(pc);
+  }
+  report.max_observed_concurrency = trace.peak_open();
+
+  // Replay: per-thread clocks advance on every first-pair event; a start
+  // joins the done clocks of the producers the schedule actually respected.
   std::vector<VectorClock> thread_clock(num_threads,
                                         VectorClock(num_threads));
-  int open = 0;
   for (size_t i = 0; i < trace.size(); ++i) {
     const TraceEvent& e = trace.event(i);
     if (e.pc < 0 || static_cast<size_t>(e.pc) >= program.size()) continue;
     PcExecution& exec = report.executions[static_cast<size_t>(e.pc)];
+    const auto position = static_cast<int64_t>(i);
+    const bool start = position == exec.start_index;
+    if (!start && position != exec.done_index) continue;  // a surplus event
     size_t t = trace.thread_slot(i);
     VectorClock& clock = thread_clock[t];
-    bool duplicate = e.state == EventState::kStart ? exec.started()
-                                                   : exec.completed();
-    if (duplicate) {
-      if (report.duplicates.empty() || report.duplicates.back() != e.pc) {
-        report.duplicates.push_back(e.pc);
-      }
-      continue;
-    }
-    if (e.state == EventState::kStart) {
+    if (start) {
       for (int q : deps.producers(e.pc)) {
         const PcExecution& producer =
             report.executions[static_cast<size_t>(q)];
-        if (producer.completed() &&
-            producer.done_index < static_cast<int64_t>(i)) {
+        if (producer.completed() && producer.done_index < position) {
           clock.Join(producer.done_vc);  // the edge synchronized
         } else {
           DependencyViolation v;
           v.pc = e.pc;
           v.producer = q;
-          v.producer_done_missing = true;  // not done yet at this start
+          // The producer's done came later or never.
+          v.producer_done_missing = !producer.completed();
           report.violations.push_back(v);
         }
       }
       clock.Tick(t);
       exec.start_thread = e.thread;
-      exec.start_index = static_cast<int64_t>(i);
       exec.start_us = e.time_us;
       exec.start_vc = clock;
-      ++open;
-      report.max_observed_concurrency =
-          std::max(report.max_observed_concurrency, open);
     } else {
-      if (!exec.started()) report.inverted.push_back(e.pc);
       clock.Tick(t);
       exec.done_thread = e.thread;
-      exec.done_index = static_cast<int64_t>(i);
       exec.done_us = e.time_us;
       exec.usec = e.usec;
       exec.done_vc = clock;
-      if (exec.started()) --open;
-      ++report.completed_executions;
     }
-  }
-  // A producer whose done never arrived: every consumer start that ran is a
-  // violation recorded above (producer.completed() was false at join time),
-  // so nothing more to scan here. Distinguish the never-finished case in the
-  // records for better messages.
-  for (DependencyViolation& v : report.violations) {
-    const PcExecution& producer =
-        report.executions[static_cast<size_t>(v.producer)];
-    v.producer_done_missing = !producer.completed();
   }
 
   // Critical path: longest observed-duration path through the DAG. Every
@@ -211,20 +200,7 @@ ScheduleReport AnalyzeSchedule(const mal::Program& program,
   std::reverse(report.critical_path.begin(), report.critical_path.end());
   report.critical_path_usec = best_total;
 
-  int64_t first_start = 0, last_done = 0;
-  bool any = false;
-  for (const PcExecution& exec : report.executions) {
-    if (!exec.started() || !exec.completed()) continue;
-    if (!any) {
-      first_start = exec.start_us;
-      last_done = exec.done_us;
-      any = true;
-    } else {
-      first_start = std::min(first_start, exec.start_us);
-      last_done = std::max(last_done, exec.done_us);
-    }
-  }
-  report.makespan_usec = any ? last_done - first_start : 0;
+  report.makespan_usec = trace.Makespan();
   report.slack_usec = report.makespan_usec - report.critical_path_usec;
 
   const HbMetrics& metrics = Metrics();

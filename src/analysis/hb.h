@@ -95,12 +95,14 @@ struct ScheduleReport {
   std::vector<PcExecution> executions;
   /// Dependency edges violated by the observed event order.
   std::vector<DependencyViolation> violations;
-  /// Pcs whose first done event precedes their first start event — an
-  /// interval running backwards (swapped or duplicated events).
+  /// Plan pcs whose first done event precedes their first start event, or
+  /// that have no start at all (PcEvents::inverted), ascending — an interval
+  /// running backwards (swapped or duplicated events).
   std::vector<int> inverted;
-  /// Pcs with surplus start or done events (each listed once). The replay
-  /// models the first pair only; extra executions break the one-pair
-  /// contract the happens-before model is built on.
+  /// Plan pcs with surplus start or done events (PcEvents::repeated),
+  /// ascending, each listed once. The replay models the first pair only;
+  /// extra executions break the one-pair contract the happens-before model
+  /// is built on.
   std::vector<int> duplicates;
   /// Distinct trace thread ids, in dense-index order (vector clock space).
   std::vector<int> threads;
@@ -110,7 +112,8 @@ struct ScheduleReport {
   /// Width of the largest longest-path layer of the DAG — the number of
   /// instructions the plan admits running concurrently.
   int plan_width = 0;
-  /// Max pcs simultaneously open (started, not done) in event order.
+  /// Max pcs simultaneously open (started, not done) in event order: the
+  /// index's peak_open(), which counts out-of-plan pcs too.
   int max_observed_concurrency = 0;
   int completed_executions = 0;
 
@@ -119,7 +122,8 @@ struct ScheduleReport {
   /// rendered source-to-sink. Empty for an empty plan.
   std::vector<CriticalPathStep> critical_path;
   int64_t critical_path_usec = 0;
-  /// Last done timestamp minus first start timestamp (0 when nothing ran).
+  /// The index's Makespan(): latest first-done minus earliest first-start
+  /// timestamp over every pc (0 when nothing ran).
   int64_t makespan_usec = 0;
   /// makespan - critical path: scheduling headroom the run left on the
   /// table. Negative slack means the trace clock and durations disagree.
@@ -127,8 +131,10 @@ struct ScheduleReport {
 };
 
 /// Replays `trace` against `program`, whose def-use index is `deps`
-/// (Program::BuildDependencies), and returns the schedule report. Cost
-/// is O(events * avg-indegree): one pass over the events in the index's
+/// (Program::BuildDependencies), and returns the schedule report. Each pc's
+/// first pair, its surplus events, the open-pair peak and the makespan are
+/// the index's; the replay adds the vector clocks. Cost is
+/// O(events * avg-indegree): one pass over the events in the index's
 /// emission order, each start joining its producers' clocks. Also updates
 /// the `stetho_hb_*` metrics in obs::Registry::Default() (replays/events/
 /// violations counters plus critical-path, makespan, and slack gauges).

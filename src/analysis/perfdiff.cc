@@ -79,6 +79,35 @@ obs::QueryObservation ObservationFromTrace(
   return observation;
 }
 
+obs::QueryObservation ObservationFromStats(const engine::QueryResult& result,
+                                           uint64_t shape_hash) {
+  obs::QueryObservation observation;
+  observation.shape_hash = shape_hash;
+  observation.plan_size = result.stats.size();
+  observation.total_usec = result.total_usec;
+
+  // A negative duration is an instant at the instruction's end.
+  std::vector<ExecInterval> intervals;
+  intervals.reserve(result.stats.size());
+  for (const engine::InstructionStat& stat : result.stats) {
+    const int64_t done_us = stat.start_us + stat.usec;
+    intervals.push_back({done_us - std::max<int64_t>(0, stat.usec), done_us});
+  }
+  const std::vector<int> concurrency = ConcurrencyAtStart(intervals);
+
+  observation.pcs.reserve(result.stats.size());
+  for (size_t i = 0; i < result.stats.size(); ++i) {
+    const engine::InstructionStat& stat = result.stats[i];
+    obs::PcSample sample;
+    sample.pc = stat.pc;
+    sample.usec = std::max<int64_t>(0, stat.usec);
+    sample.bytes = std::max<int64_t>(0, stat.rss_after_bytes);
+    sample.concurrency = concurrency[i];
+    observation.pcs.push_back(sample);
+  }
+  return observation;
+}
+
 TraceDiff DiffTraces(const std::vector<profiler::TraceEvent>& a,
                      const std::vector<profiler::TraceEvent>& b,
                      const mal::Program* plan) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "engine/interpreter.h"
 #include "mal/program.h"
 #include "obs/profile_store.h"
 #include "profiler/event.h"
@@ -15,9 +16,10 @@ namespace stetho::analysis {
 /// --- Cross-run trace comparison (the analysis half of the profile store) ---
 ///
 /// obs::ProfileStore keeps baselines keyed by plain uint64 shape hashes;
-/// this header owns everything that needs MAL or profiler types: hashing a
-/// plan or trace into that key, extracting a QueryObservation from a
-/// recorded trace, and diffing two traces of the same shape per pc.
+/// this header owns everything that needs MAL, profiler or engine types:
+/// hashing a plan or trace into that key, extracting a QueryObservation
+/// from a recorded trace or a finished run, and diffing two traces of the
+/// same shape per pc.
 
 /// mal::ShapeHasher over the rendered instructions (the function-name
 /// header is deliberately excluded: "user.s0" and "user.s17" with identical
@@ -41,6 +43,14 @@ uint64_t TraceShapeHash(const std::vector<profiler::TraceEvent>& trace);
 /// PlanShapeHash to key consistently with the server's fold path.
 obs::QueryObservation ObservationFromTrace(
     const std::vector<profiler::TraceEvent>& trace);
+
+/// Folds a finished run into a single-query observation from the
+/// interpreter's own per-pc record: each pc's duration, its live bytes
+/// after completion (both clamped at 0) and the concurrency when its
+/// [start_us, start_us + usec] interval opened, plus the run's end-to-end
+/// time. This is what the server stores for every query it executes.
+obs::QueryObservation ObservationFromStats(const engine::QueryResult& result,
+                                           uint64_t shape_hash);
 
 /// One matched pc in a two-trace comparison.
 struct PcDelta {

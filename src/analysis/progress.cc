@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "analysis/liveness.h"
-#include "analysis/trace_index.h"
 #include "common/saturating.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
@@ -173,8 +172,6 @@ ProgressEstimator::ProgressEstimator(
     : model_(std::move(model)),
       done_(model_->plan_size(), false),
       pc_usec_(model_->plan_size(), -1),
-      pc_end_us_(model_->plan_size(), 0),
-      pc_rss_(model_->plan_size(), 0),
       pc_start_us_(model_->plan_size(), 0),
       started_(model_->plan_size(), false) {}
 
@@ -187,16 +184,13 @@ double ProgressEstimator::RatioLocked() const {
   return max_ratio_;
 }
 
-bool ProgressEstimator::DoneLocked(int pc, int64_t usec, int64_t now_us,
-                                   int64_t rss_bytes) {
+bool ProgressEstimator::DoneLocked(int pc, int64_t usec, int64_t now_us) {
   if (pc < 0 || pc >= static_cast<int>(done_.size()) ||
       done_[static_cast<size_t>(pc)]) {
     return false;  // duplicate delivery or foreign pc: already accounted
   }
   done_[static_cast<size_t>(pc)] = true;
   pc_usec_[static_cast<size_t>(pc)] = std::max<int64_t>(0, usec);
-  pc_end_us_[static_cast<size_t>(pc)] = now_us;
-  pc_rss_[static_cast<size_t>(pc)] = std::max<int64_t>(0, rss_bytes);
   ++done_count_;
   done_weight_ += model_->weight(pc);
   busy_usec_ += static_cast<double>(std::max<int64_t>(0, usec));
@@ -206,11 +200,11 @@ bool ProgressEstimator::DoneLocked(int pc, int64_t usec, int64_t now_us,
 }
 
 void ProgressEstimator::OnInstructionDone(int pc, int64_t usec,
-                                          int64_t now_us, int64_t rss_bytes) {
+                                          int64_t now_us) {
   double published;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!DoneLocked(pc, usec, now_us, rss_bytes)) return;
+    if (!DoneLocked(pc, usec, now_us)) return;
     published = RatioLocked();
   }
   ProgressGauge()->Set(static_cast<int64_t>(published * 1e6));
@@ -223,7 +217,7 @@ void ProgressEstimator::ObserveEvent(const profiler::TraceEvent& event) {
     newest_event_us_ = std::max(newest_event_us_, event.time_us);
     const int pc = event.pc;
     if (event.state == profiler::EventState::kDone) {
-      if (DoneLocked(pc, event.usec, event.time_us, event.rss_bytes)) {
+      if (DoneLocked(pc, event.usec, event.time_us)) {
         published = RatioLocked();
       }
     } else if (pc >= 0 && pc < static_cast<int>(started_.size()) &&
@@ -283,36 +277,6 @@ int64_t ProgressEstimator::EtaUsec() const {
   const double by_path =
       model_->RemainingCriticalWeight(done_) * usec_per_weight;
   return static_cast<int64_t>(std::max(by_rate, by_path));
-}
-
-obs::QueryObservation ProgressEstimator::ToObservation(
-    uint64_t shape_hash) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  obs::QueryObservation observation;
-  observation.shape_hash = shape_hash;
-  observation.plan_size = done_.size();
-  observation.total_usec =
-      first_us_ >= 0 ? std::max<int64_t>(0, newest_us_ - first_us_) : 0;
-
-  // Observed concurrency: each completed pc occupied (end - usec, end].
-  std::vector<ExecInterval> intervals;
-  for (size_t pc = 0; pc < done_.size(); ++pc) {
-    if (pc_usec_[pc] < 0) continue;
-    intervals.push_back({pc_end_us_[pc] - pc_usec_[pc], pc_end_us_[pc]});
-  }
-  const std::vector<int> concurrency = ConcurrencyAtStart(intervals);
-
-  size_t next_interval = 0;
-  for (size_t pc = 0; pc < done_.size(); ++pc) {
-    if (pc_usec_[pc] < 0) continue;
-    obs::PcSample sample;
-    sample.pc = static_cast<int>(pc);
-    sample.usec = pc_usec_[pc];
-    sample.bytes = pc_rss_[pc];
-    sample.concurrency = concurrency[next_interval++];
-    observation.pcs.push_back(sample);
-  }
-  return observation;
 }
 
 std::vector<ProgressEstimator::PcRun> ProgressEstimator::PcRuns() const {

@@ -11,7 +11,6 @@
 
 #include "engine/interpreter.h"
 #include "mal/program.h"
-#include "obs/profile_store.h"
 #include "profiler/event.h"
 
 namespace stetho::analysis {
@@ -105,8 +104,7 @@ class ProgressEstimator : public engine::ProgressListener {
 
   /// engine::ProgressListener — fed by the interpreter with the clock
   /// reads it already pays for its stats.
-  void OnInstructionDone(int pc, int64_t usec, int64_t now_us,
-                         int64_t rss_bytes) override;
+  void OnInstructionDone(int pc, int64_t usec, int64_t now_us) override;
 
   /// Receiver-side feed: accounts a trace event. A done event counts
   /// towards progress; a start event only records when its pc began.
@@ -135,13 +133,6 @@ class ProgressEstimator : public engine::ProgressListener {
   /// One scoreboard line: "s0  42.3%  131/260 done  eta 1.2ms  ...".
   std::string ScoreboardLine(const std::string& name) const;
 
-  /// Everything this run contributed, packaged for the profile store:
-  /// per-pc duration/bytes plus observed concurrency (a sweep over the
-  /// recorded completion intervals). total_usec is the observed event-time
-  /// span; callers who know the true end-to-end time should overwrite it.
-  /// The estimator keeps accepting events afterwards — this is a snapshot.
-  obs::QueryObservation ToObservation(uint64_t shape_hash) const;
-
   /// How long one pc has run, as far as the received events tell.
   struct PcRun {
     int64_t usec = -1;  ///< -1 = neither started nor completed
@@ -155,14 +146,12 @@ class ProgressEstimator : public engine::ProgressListener {
  private:
   double RatioLocked() const;
   /// Accounts pc's completion; false for a duplicate or foreign pc.
-  bool DoneLocked(int pc, int64_t usec, int64_t now_us, int64_t rss_bytes);
+  bool DoneLocked(int pc, int64_t usec, int64_t now_us);
 
   const std::shared_ptr<const ProgressModel> model_;
   mutable std::mutex mu_;
   std::vector<bool> done_;
   std::vector<int64_t> pc_usec_;    // per-pc durations; -1 = unseen
-  std::vector<int64_t> pc_end_us_;  // per-pc completion event time
-  std::vector<int64_t> pc_rss_;     // per-pc live bytes at completion
   std::vector<int64_t> pc_start_us_;  // per-pc first start event time
   std::vector<bool> started_;
   int done_count_ = 0;

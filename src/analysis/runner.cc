@@ -21,38 +21,6 @@ bool NeedsSatisfied(unsigned needs, const CheckContext& ctx) {
   return true;
 }
 
-/// Appends a JSON string literal, escaping quotes, backslashes, and control
-/// characters (messages can embed statement text).
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out->append(StrFormat("\\u%04x", static_cast<unsigned char>(c)));
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 }  // namespace
 
 void Runner::Add(std::unique_ptr<Check> check) {

@@ -22,6 +22,12 @@ struct PcEvents {
 
   bool started() const { return first_start >= 0; }
   bool completed() const { return first_done >= 0; }
+  /// A done with no start before it: the first pair runs backwards.
+  bool inverted() const {
+    return completed() && (!started() || first_done < first_start);
+  }
+  /// More than the one start and one done the trace contract allows.
+  bool repeated() const { return starts > 1 || dones > 1; }
 };
 
 /// The one index every start/done consumer reads, built once per trace:
@@ -87,7 +93,7 @@ struct ExecInterval {
 /// generous reading a skew detector wants), and equal edges keep input
 /// order. Returns one count per interval, in input order. This is the
 /// concurrency both profile-store feeds record (ObservationFromTrace and
-/// ProgressEstimator::ToObservation).
+/// ObservationFromStats).
 std::vector<int> ConcurrencyAtStart(
     const std::vector<ExecInterval>& intervals);
 

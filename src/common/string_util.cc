@@ -66,10 +66,6 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
          s.substr(s.size() - suffix.size()) == suffix;
 }
 
-bool ContainsString(std::string_view haystack, std::string_view needle) {
-  return haystack.find(needle) != std::string_view::npos;
-}
-
 std::string ToLower(std::string_view s) {
   std::string out(s);
   for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
@@ -160,6 +156,36 @@ void AppendEscapedQuoted(std::string_view s, std::string* out) {
     run = i;  // the special character starts the next run
   }
   out->append(s.data() + run, s.size() - run);
+}
+
+void AppendJsonString(std::string_view s, std::string* out) {
+  out->push_back('"');
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out->append("\\\"");
+        break;
+      case '\\':
+        out->append("\\\\");
+        break;
+      case '\n':
+        out->append("\\n");
+        break;
+      case '\t':
+        out->append("\\t");
+        break;
+      case '\r':
+        out->append("\\r");
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out->append(StrFormat("\\u%04x", static_cast<unsigned char>(c)));
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
 }
 
 std::string UnescapeQuoted(std::string_view s) {

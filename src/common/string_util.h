@@ -27,7 +27,6 @@ std::string Trim(std::string_view s);
 
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
-bool ContainsString(std::string_view haystack, std::string_view needle);
 
 /// ASCII-only case conversion.
 std::string ToLower(std::string_view s);
@@ -48,6 +47,11 @@ Result<double> ParseDouble(std::string_view s);
 std::string EscapeQuoted(std::string_view s);
 /// Appends EscapeQuoted(s) to `out`.
 void AppendEscapedQuoted(std::string_view s, std::string* out);
+
+/// Appends `s` as a JSON string literal, quotes included: `"` and `\` are
+/// backslash-escaped, newline, tab and carriage return written as \n, \t
+/// and \r, and every other control character as \u00XX.
+void AppendJsonString(std::string_view s, std::string* out);
 
 /// Inverse of EscapeQuoted for the characters it produces.
 std::string UnescapeQuoted(std::string_view s);

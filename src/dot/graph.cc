@@ -1,9 +1,29 @@
 #include "dot/graph.h"
 
+#include <charconv>
 #include <deque>
 #include <utility>
 
 namespace stetho::dot {
+
+std::string NodeName(int pc) {
+  char name[16] = {'n'};
+  const auto [end, ec] = std::to_chars(name + 1, name + sizeof(name), pc);
+  return std::string(name, end);
+}
+
+int PcOfNode(std::string_view id) {
+  // "n", then a digit that is not a leading zero: from_chars would take a
+  // sign, and a leading zero would give one pc two names.
+  if (id.size() < 2 || id[0] != 'n' || id[1] < '0' || id[1] > '9' ||
+      (id[1] == '0' && id.size() > 2)) {
+    return -1;
+  }
+  int pc = -1;
+  const char* last = id.data() + id.size();
+  const auto [end, ec] = std::from_chars(id.data() + 1, last, pc);
+  return ec == std::errc() && end == last ? pc : -1;
+}
 
 void GraphNode::SetAttr(std::string key, std::string value) {
   if (key == "label") {

@@ -12,9 +12,18 @@
 
 namespace stetho::dot {
 
+/// The trace↔plan naming rule (paper §3.3): the instruction at pc N is dot
+/// node "nN", and its statement text is that node's label. These two
+/// functions are the rule's only spelling: "n" followed by the pc in
+/// decimal, with no sign and no leading zero.
+std::string NodeName(int pc);
+/// The pc node `id` names, or -1 unless `id` is exactly NodeName's output
+/// for a non-negative int.
+int PcOfNode(std::string_view id);
+
 /// A node of a parsed DOT graph. `id` is the DOT identifier ("n12"); the
-/// trace↔plan mapping relies on the paper's convention that pc N maps to
-/// node "nN" and the MAL statement text lives in the "label" attribute.
+/// trace↔plan join reads its pc through PcOfNode, and the MAL statement
+/// text lives in the "label" attribute.
 struct GraphNode {
   std::string id;
   /// The "label" attribute, when one was given. It is held apart from

@@ -1,6 +1,5 @@
 #include "dot/writer.h"
 
-#include <charconv>
 #include <string_view>
 
 #include "common/string_util.h"
@@ -8,15 +7,8 @@
 namespace stetho::dot {
 namespace {
 
-std::string NodeName(int pc) { return StrFormat("n%d", pc); }
-
-/// Appends "n<pc>".
-void AppendNodeName(int pc, std::string* out) {
-  char digits[16];
-  const auto [end, ec] = std::to_chars(digits, digits + sizeof(digits), pc);
-  out->push_back('n');
-  out->append(digits, end);
-}
+/// The shape of every plan node.
+constexpr std::string_view kNodeShape = "box";
 
 }  // namespace
 
@@ -24,7 +16,7 @@ std::string ProgramToDot(const engine::PreparedPlan& plan,
                          const DotWriterOptions& options) {
   // One reserved buffer: the labels and edges, plus their fixed text and
   // an eighth for escapes.
-  size_t bytes = 64 + options.graph_name.size() + options.node_shape.size();
+  size_t bytes = 64 + options.graph_name.size() + kNodeShape.size();
   for (size_t pc = 0; pc < plan.size(); ++pc) {
     const int ipc = static_cast<int>(pc);
     bytes += plan.text(ipc).size() + 24 +
@@ -36,14 +28,14 @@ std::string ProgramToDot(const engine::PreparedPlan& plan,
   out += "digraph \"";
   AppendEscapedQuoted(options.graph_name, &out);
   out += "\" {\n  node [shape=";
-  out += options.node_shape;
+  out += kNodeShape;
   out += "];\n";
   const size_t limit = options.max_label_chars;
   for (size_t pc = 0; pc < plan.size(); ++pc) {
     const int ipc = static_cast<int>(pc);
     const std::string_view label = plan.text(ipc);
     out += "  ";
-    AppendNodeName(ipc, &out);
+    out += NodeName(ipc);
     out += " [label=\"";
     if (limit == 0 || label.size() <= limit) {
       AppendEscapedQuoted(label, &out);
@@ -58,9 +50,9 @@ std::string ProgramToDot(const engine::PreparedPlan& plan,
     for (int producer : plan.deps().producers(ipc)) {
       // Dataflow direction: producer -> consumer.
       out += "  ";
-      AppendNodeName(producer, &out);
+      out += NodeName(producer);
       out += " -> ";
-      AppendNodeName(ipc, &out);
+      out += NodeName(ipc);
       out += ";\n";
     }
   }

@@ -13,17 +13,16 @@ namespace stetho::dot {
 struct DotWriterOptions {
   /// Graph name emitted in the header.
   std::string graph_name = "user.main";
-  /// Node shape attribute.
-  std::string node_shape = "box";
   /// Truncate statement labels beyond this many characters (0 = no limit).
   size_t max_label_chars = 0;
 };
 
-/// Renders the dataflow DAG of a prepared MAL plan in the dot language.
-/// Node pc N is named "nN" and carries the rendered statement as its label —
-/// exactly the mapping the Stethoscope uses to join traces with the plan
-/// graph (paper §3.3). The MonetDB server emits this file before execution
-/// begins. Writes the prepared labels and edges into one reserved string.
+/// Renders the dataflow DAG of a prepared MAL plan in the dot language, every
+/// node a box. Node pc N is named NodeName(N) and carries the rendered
+/// statement as its label — exactly the mapping the Stethoscope uses to
+/// join traces with the plan graph (paper §3.3). The MonetDB server emits
+/// this file before execution begins. Writes the prepared labels and edges
+/// into one reserved string.
 std::string ProgramToDot(const engine::PreparedPlan& plan,
                          const DotWriterOptions& options = {});
 /// Prepares `program`, then renders it as above.

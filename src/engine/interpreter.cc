@@ -19,19 +19,6 @@
 namespace stetho::engine {
 namespace {
 
-/// Process-wide mirror of the per-query live-byte accountant: every
-/// AddLiveBytes delta also lands here (one relaxed add, always on), so the
-/// metrics page shows the engine's current column memory across all
-/// concurrent queries. Drains back to the accountant's own zero when every
-/// query releases its registers.
-obs::Gauge* EngineLiveBytesGauge() {
-  static obs::Gauge* gauge = obs::Registry::Default()->GetOrCreateGauge(
-      "stetho_engine_live_bytes",
-      "Live column bytes currently held by executing queries "
-      "(Column::MemoryBytes accounting)");
-  return gauge;
-}
-
 /// Peak of the accountant for the most recently finished query — the number
 /// footprint-conformance checks against the static bound.
 obs::Gauge* EnginePeakRssGauge() {
@@ -57,7 +44,7 @@ struct RunState {
 
   // Observability, resolved once per Execute so the per-instruction hot path
   // touches only stable pointers. tracer is non-null only when span
-  // recording is on; the family vectors are empty unless obs::Active().
+  // recording is on; the family vectors are empty unless obs::Enabled().
   obs::Tracer* tracer = nullptr;
   std::vector<std::string> span_names;          // per-pc "module.function"
   std::vector<obs::Counter*> family_calls;      // per-pc kernel-family counter
@@ -97,7 +84,7 @@ struct RunState {
       : var_consumers(num_vars), indegree(num_ins), completed(num_ins) {}
 
   void AddLiveBytes(int64_t delta) {
-    EngineLiveBytesGauge()->Add(delta);
+    LiveBytesGauge()->Add(delta);
     int64_t now = live_bytes.fetch_add(delta, std::memory_order_relaxed) + delta;
     int64_t peak = peak_bytes.load(std::memory_order_relaxed);
     while (now > peak &&
@@ -196,8 +183,7 @@ Status RunInstruction(RunState* state, int pc, int thread_id) {
     prof->EmitDone(pc, thread_id, t1 - t0, stat.rss_after_bytes, stmt);
   }
   if (state->options->progress != nullptr) {
-    state->options->progress->OnInstructionDone(pc, t1 - t0, t1,
-                                                stat.rss_after_bytes);
+    state->options->progress->OnInstructionDone(pc, t1 - t0, t1);
   }
 
   // Kernel-family metrics and the kernel span both reuse t0/t1 — tracing an
@@ -350,6 +336,14 @@ Result<QueryResult> RecordAbort(Result<QueryResult> result,
 
 }  // namespace
 
+obs::Gauge* LiveBytesGauge() {
+  static obs::Gauge* gauge = obs::Registry::Default()->GetOrCreateGauge(
+      "stetho_engine_live_bytes",
+      "Live column bytes currently held by executing queries "
+      "(Column::MemoryBytes accounting)");
+  return gauge;
+}
+
 Result<QueryResult> Interpreter::Execute(const mal::Program& program,
                                          const ExecOptions& options) const {
   // Preparing renders every statement, which needs in-range variable ids.
@@ -395,7 +389,7 @@ Result<QueryResult> Interpreter::ExecuteInternal(
       state.span_names.push_back(ins.module + "." + ins.function);
     }
   }
-  if (obs::Active()) ResolveFamilyMetrics(&state, program);
+  if (obs::Enabled()) ResolveFamilyMetrics(&state, program);
 
   int64_t run_start = clock->NowMicros();
 
@@ -456,7 +450,7 @@ Result<QueryResult> Interpreter::ExecuteInternal(
   // Whatever the query still holds (result columns about to be handed to the
   // caller) leaves the engine with it — drain the process-wide mirror so it
   // converges to zero when no query is executing.
-  EngineLiveBytesGauge()->Add(
+  LiveBytesGauge()->Add(
       -state.live_bytes.load(std::memory_order_relaxed));
   return result;
 }

@@ -9,6 +9,7 @@
 #include "engine/prepared_plan.h"
 #include "mal/program.h"
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 #include "obs/span.h"
 #include "profiler/profiler.h"
 #include "storage/table.h"
@@ -26,13 +27,16 @@ class WorkerPool;
 class ProgressListener {
  public:
   virtual ~ProgressListener() = default;
-  /// `pc` finished after `usec` microseconds, at clock time `now_us`, with
-  /// `rss_bytes` engine live bytes held after completion (the same figure
-  /// stamped on trace events — lets listeners fold byte baselines without
-  /// a profiler sink attached).
-  virtual void OnInstructionDone(int pc, int64_t usec, int64_t now_us,
-                                 int64_t rss_bytes) = 0;
+  /// `pc` finished after `usec` microseconds, at clock time `now_us`.
+  virtual void OnInstructionDone(int pc, int64_t usec, int64_t now_us) = 0;
 };
+
+/// Process-wide mirror of every query's live-byte accountant
+/// (stetho_engine_live_bytes): each allocation or release delta also lands
+/// here, one relaxed add, always on, so the gauge shows the engine's current
+/// column memory across all concurrent queries and drains back to zero when
+/// every query releases its registers. Memory admission reads it.
+obs::Gauge* LiveBytesGauge();
 
 /// Execution configuration for one query.
 struct ExecOptions {

@@ -173,7 +173,7 @@ void WorkerPool::WorkerMain(int index) {
   while (true) {
     if (TryAcquire(index, &task)) {
       executed_->Increment();
-      if (obs::Active()) {
+      if (obs::Enabled()) {
         // The latency histogram is the only pool stat that reads the clock,
         // so it alone hides behind the kill switch.
         int64_t t0 = SteadyClock::Default()->NowMicros();

@@ -61,14 +61,9 @@ class WorkerPool {
   /// external submitters round-robin across deques.
   void Submit(Task task);
 
-  int num_workers() const { return started_.load(std::memory_order_acquire); }
-  /// Tasks obtained by stealing from another worker's deque. Backed by the
-  /// process-wide `stetho_pool_steals_total` registry counter (shared across
-  /// pool instances); kept as an accessor for tests and callers that predate
-  /// the registry.
-  int64_t steal_count() const { return steals_->value(); }
-  /// Total tasks executed; backed by `stetho_pool_executed_total` (same
-  /// process-wide sharing caveat as steal_count()).
+  /// Total tasks executed; backed by the process-wide
+  /// `stetho_pool_executed_total` registry counter (shared across pool
+  /// instances).
   int64_t executed_count() const { return executed_->value(); }
 
  private:
@@ -87,7 +82,7 @@ class WorkerPool {
   std::atomic<int> next_victim_{0}; // round-robin submission cursor
   // Pool statistics live in the process-wide metrics registry (one relaxed
   // fetch_add, same cost as the ad-hoc atomics they replaced). The latency
-  // histogram alone reads the clock, so it is gated on obs::Active().
+  // histogram alone reads the clock, so it is gated on obs::Enabled().
   obs::Counter* steals_;
   obs::Counter* executed_;
   obs::Counter* wakeups_;

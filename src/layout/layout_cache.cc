@@ -1,46 +1,15 @@
 #include "layout/layout_cache.h"
 
-#include <cstring>
 #include <string>
 #include <utility>
 
+#include "common/hash.h"
 #include "obs/metrics.h"
 
 namespace stetho::layout {
 namespace {
 
-// The key mixes the content in 8-byte words, not bytes. Each round xors a
-// word into the state, multiplies by an odd constant (murmur3's finalizer
-// constant) and folds the high half down, so high input bits reach the low
-// key bits too. A round is a bijection of the state, so two graphs whose
-// word sequences differ in a single word never collide. The key lives only
-// in memory, so its values may change between builds.
 constexpr uint64_t kSeed = 0x9e3779b97f4a7c15ull;
-constexpr uint64_t kMultiplier = 0xff51afd7ed558ccdull;
-
-void MixWord(uint64_t* h, uint64_t word) {
-  *h = (*h ^ word) * kMultiplier;
-  *h ^= *h >> 32;
-}
-
-void MixString(uint64_t* h, const std::string& s) {
-  MixWord(h, s.size());  // length-prefixed: "ab","c" != "a","bc"
-  const char* p = s.data();
-  size_t left = s.size();
-  for (; left >= sizeof(uint64_t); p += sizeof(uint64_t),
-                                   left -= sizeof(uint64_t)) {
-    uint64_t word = 0;
-    std::memcpy(&word, p, sizeof(word));
-    MixWord(h, word);
-  }
-  if (left > 0) {
-    uint64_t tail = 0;
-    std::memcpy(&tail, p, left);
-    MixWord(h, tail);
-  }
-}
-
-void MixInt(uint64_t* h, int64_t v) { MixWord(h, static_cast<uint64_t>(v)); }
 
 /// Whether `layout` has `graph`'s node and edge counts. Two graphs whose
 /// keys collide are told apart here at least by their sizes, so a
@@ -74,16 +43,13 @@ LayoutCache* LayoutCache::Default() {
 }
 
 uint64_t LayoutCache::HashKey(const dot::Graph& graph) {
-  uint64_t h = kSeed;
-  MixInt(&h, static_cast<int64_t>(graph.num_nodes()));
+  uint64_t h = MixWord(kSeed, graph.num_nodes());
   for (const dot::GraphNode& node : graph.nodes()) {
-    MixString(&h, node.id);
-    MixString(&h, node.label());
+    h = MixText(MixText(h, node.id), node.label());
   }
-  MixInt(&h, static_cast<int64_t>(graph.num_edges()));
+  h = MixWord(h, graph.num_edges());
   for (const dot::GraphEdge& edge : graph.edges()) {
-    MixString(&h, edge.from);
-    MixString(&h, edge.to);
+    h = MixText(MixText(h, edge.from), edge.to);
   }
   return h;
 }

@@ -14,6 +14,11 @@
 namespace stetho::layout {
 namespace {
 
+/// Adjacent-transpose refinement passes after each ordering sweep; each pass
+/// swaps neighbouring nodes whenever the swap strictly reduces crossings,
+/// and the passes stop early once one changes nothing.
+constexpr int kTransposePasses = 2;
+
 /// Assigns each node the longest path length from any root.
 Result<std::vector<int>> AssignLayers(const dot::Graph& graph) {
   STETHO_ASSIGN_OR_RETURN(std::vector<int> order, graph.TopologicalOrder());
@@ -281,7 +286,7 @@ Result<GraphLayout> LayoutGraph(const dot::Graph& graph,
            down ? li < num_layers : li >= 0; down ? ++li : --li) {
         OrderLayer(ctx, li, down, key, scratch);
       }
-      for (int pass = 0; pass < options.transpose_passes; ++pass) {
+      for (int pass = 0; pass < kTransposePasses; ++pass) {
         std::atomic<bool> changed{false};
         for (const auto& phase : parity_layers) {
           ParallelFor(pool, static_cast<int>(phase.size()),

@@ -36,10 +36,6 @@ struct LayoutOptions {
   /// (insertion order is kept). Sweeps stop early once a sweep no longer
   /// improves the crossing count, so this is a ceiling, not a fixed cost.
   int barycenter_sweeps = 4;
-  /// Adjacent-transpose refinement passes after each ordering sweep; each
-  /// pass swaps neighboring nodes whenever the swap strictly reduces
-  /// crossings. 0 disables.
-  int transpose_passes = 2;
   /// Pool for per-layer parallel phases (transpose runs even/odd layers
   /// concurrently; crossing counts run per layer pair). nullptr uses
   /// engine::WorkerPool::Default(). Results are identical with or without a

@@ -18,8 +18,6 @@ struct MalType {
   static MalType Scalar(storage::DataType t) { return MalType{t, false}; }
   static MalType Bat(storage::DataType elem) { return MalType{elem, true}; }
 
-  bool is_void() const { return !is_bat && base == storage::DataType::kNull; }
-
   /// Renders MAL syntax: ":lng", ":void", "bat[:oid]".
   std::string ToString() const;
   /// Appends ToString() to `out`.

@@ -21,9 +21,6 @@ namespace stetho::obs {
 void SetEnabled(bool enabled);
 bool Enabled();
 
-/// True when observability is enabled at runtime.
-inline bool Active() { return Enabled(); }
-
 /// Monotonically increasing counter. The hot path is one relaxed fetch_add;
 /// construction and naming go through a Registry.
 class Counter {

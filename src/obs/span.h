@@ -38,6 +38,8 @@ class Tracer {
  public:
   static constexpr size_t kDefaultCapacity = 1 << 16;
 
+  /// `clock` is the time source for the tracer's lifetime (tests pass a
+  /// VirtualClock); nullptr = the steady clock.
   explicit Tracer(Clock* clock = nullptr, size_t capacity = kDefaultCapacity)
       : clock_(clock != nullptr ? clock
                                 : static_cast<Clock*>(SteadyClock::Default())),
@@ -49,11 +51,7 @@ class Tracer {
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Swaps the time source (tests install a VirtualClock).
-  void SetClock(Clock* clock) {
-    clock_.store(clock, std::memory_order_release);
-  }
-  Clock* clock() const { return clock_.load(std::memory_order_acquire); }
+  Clock* clock() const { return clock_; }
 
   /// Records a completed span with caller-measured timestamps — the kernel
   /// hot path reuses the interpreter's existing clock reads, so tracing a
@@ -78,7 +76,7 @@ class Tracer {
 
  private:
   std::atomic<bool> enabled_{false};
-  std::atomic<Clock*> clock_;
+  Clock* const clock_;
   const size_t capacity_;
 
   mutable std::mutex mu_;  // guards ring_ and next_seq_

@@ -9,24 +9,6 @@
 namespace stetho::obs {
 namespace {
 
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      case '\r': *out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += StrFormat("\\u%04x", c);
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
 /// Minimal JSON reader covering what WriteChromeTrace emits (and the usual
 /// Chrome/Perfetto variations): objects, arrays, strings with escapes,
 /// integer/float numbers, true/false/null. Parsed values are flattened into
@@ -244,11 +226,11 @@ std::string WriteChromeTrace(const std::vector<SpanRecord>& spans) {
   for (const SpanRecord& span : spans) {
     if (!first) out += ',';
     first = false;
-    out += "{\"name\":\"";
-    AppendEscaped(&out, span.name);
-    out += "\",\"cat\":\"";
-    AppendEscaped(&out, span.cat);
-    out += StrFormat("\",\"ph\":\"X\",\"ts\":%lld,\"dur\":%lld,"
+    out += "{\"name\":";
+    AppendJsonString(span.name, &out);
+    out += ",\"cat\":";
+    AppendJsonString(span.cat, &out);
+    out += StrFormat(",\"ph\":\"X\",\"ts\":%lld,\"dur\":%lld,"
                      "\"pid\":1,\"tid\":%d,\"args\":{\"seq\":%lld",
                      static_cast<long long>(span.start_us),
                      static_cast<long long>(span.dur_us), span.tid,

@@ -1,7 +1,6 @@
 #include "optimizer/pass.h"
 
 #include <bit>
-#include <cstring>
 #include <functional>
 #include <mutex>
 #include <string_view>
@@ -10,6 +9,7 @@
 
 #include "analysis/absint.h"
 #include "analysis/runner.h"
+#include "common/hash.h"
 #include "common/string_util.h"
 #include "engine/kernel.h"
 #include "obs/flight_recorder.h"
@@ -90,29 +90,6 @@ Status DumpAndReturn(Status st) {
     recorder->Dump(reason);
   }
   return st;
-}
-
-uint64_t MixWord(uint64_t hash, uint64_t word) {
-  hash ^= word;
-  hash *= 0x9e3779b97f4a7c15ULL;
-  return hash ^ (hash >> 29);
-}
-
-/// Mixes `text` eight bytes at a time, its length first.
-uint64_t MixText(uint64_t hash, std::string_view text) {
-  hash = MixWord(hash, text.size());
-  size_t i = 0;
-  for (; i + 8 <= text.size(); i += 8) {
-    uint64_t word;
-    std::memcpy(&word, text.data() + i, 8);
-    hash = MixWord(hash, word);
-  }
-  if (i < text.size()) {
-    uint64_t word = 0;
-    std::memcpy(&word, text.data() + i, text.size() - i);
-    hash = MixWord(hash, word);
-  }
-  return hash;
 }
 
 /// One instruction's fields mixed into 64 bits: the operation, the result
@@ -348,7 +325,7 @@ Result<std::vector<std::string>> Pipeline::Run(mal::Program* program) const {
   // duration histograms, spans and the recorder's per-pass note read the
   // clock, so they gate on the kill switch / tracer / recorder enablement.
   const bool timed =
-      obs::Active() || tracer->enabled() || recorder->enabled();
+      obs::Enabled() || tracer->enabled() || recorder->enabled();
   for (const auto& pass : passes_) {
     const size_t size_before = program->size();
     const uint64_t variables_version = program->variables_version();
@@ -361,7 +338,7 @@ Result<std::vector<std::string>> Pipeline::Run(mal::Program* program) const {
     if (timed) {
       const int64_t t2 = tracer->clock()->NowMicros();
       const PassInstruments& instruments = InstrumentsFor(pass->name());
-      if (obs::Active()) {
+      if (obs::Enabled()) {
         PassUsecHistogram()->Observe(t1 - t0);
         VerifyUsecHistogram()->Observe(t2 - t1);
       }

@@ -6,7 +6,6 @@
 #include "common/string_util.h"
 #include "layout/layout_cache.h"
 #include "obs/metrics.h"
-#include "scope/mapping.h"
 
 namespace stetho::scope {
 
@@ -58,11 +57,9 @@ OfflineReplayer::OfflineReplayer(
   const size_t num_nodes = graph_.num_nodes();
   shape_by_pc_.assign(num_nodes, -1);
   for (size_t i = 0; i < num_nodes; ++i) {
-    const std::string& id = graph_.node(i).id;
-    Result<int> pc = PcForNode(id);
-    if (pc.ok() && static_cast<size_t>(pc.value()) < num_nodes &&
-        NodeForPc(pc.value()) == id) {
-      shape_by_pc_[static_cast<size_t>(pc.value())] = shapes[i];
+    const int pc = dot::PcOfNode(graph_.node(i).id);
+    if (pc >= 0 && static_cast<size_t>(pc) < num_nodes) {
+      shape_by_pc_[static_cast<size_t>(pc)] = shapes[i];
     }
   }
   cur_color_.assign(num_nodes, viz::Color::Gray());
@@ -227,13 +224,13 @@ Result<size_t> OfflineReplayer::Play(double speed, size_t count) {
 
 Status OfflineReplayer::SeekTo(size_t index) {
   if (index > size()) return Status::OutOfRange("seek beyond trace");
-  int64_t t0 = obs::Active() ? SteadyClock::Default()->NowMicros() : 0;
+  int64_t t0 = obs::Enabled() ? SteadyClock::Default()->NowMicros() : 0;
   // Flush in-flight color work so the mirror matches the applied state,
   // then move only the pcs whose color can differ between the cursors.
   FinishPendingColorWork();
   ApplyColorsAt(index);
   cursor_ = index;
-  if (obs::Active()) {
+  if (obs::Enabled()) {
     SeekHistogram()->Observe(SteadyClock::Default()->NowMicros() - t0);
   }
   return Status::OK();
@@ -304,9 +301,9 @@ std::string OfflineReplayer::TooltipFor(const std::string& node_id) const {
   int idx = graph_.FindNode(node_id);
   if (idx < 0) return "unknown node " + node_id;
   const std::string& stmt = graph_.node(static_cast<size_t>(idx)).label();
-  auto pc = PcForNode(node_id);
+  const int pc = dot::PcOfNode(node_id);
   std::string out = node_id + ": " + stmt;
-  if (!pc.ok()) return out;
+  if (pc < 0) return out;
   // Observed executions of this pc up to the cursor.
   int64_t total_usec = 0;
   int64_t count = 0;
@@ -315,7 +312,7 @@ std::string OfflineReplayer::TooltipFor(const std::string& node_id) const {
   const std::vector<TraceEvent>& active = events();
   for (size_t i = 0; i < cursor_; ++i) {
     const TraceEvent& e = active[i];
-    if (e.pc != pc.value()) continue;
+    if (e.pc != pc) continue;
     if (e.state == EventState::kDone) {
       total_usec = SaturatingAdd(total_usec, e.usec);
       ++count;

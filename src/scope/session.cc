@@ -3,7 +3,7 @@
 #include <fstream>
 
 #include "common/string_util.h"
-#include "scope/mapping.h"
+#include "dot/graph.h"
 #include "viz/raster.h"
 #include "viz/renderer.h"
 
@@ -82,7 +82,11 @@ Result<std::string> InteractiveSession::Dispatch(
     if (verb == "focus") {
       if (words.size() != 2) return Status::InvalidArgument("focus <node>");
       node = words[1];
-      STETHO_ASSIGN_OR_RETURN(focused_pc_, PcForNode(node));
+      const int pc = dot::PcOfNode(node);
+      if (pc < 0) {
+        return Status::ParseError("node id is not of the form n<pc>: " + node);
+      }
+      focused_pc_ = pc;
     } else {
       // Navigate to the next/previous node in plan order — the paper's
       // "navigate to the next node in the graph" click action.
@@ -91,9 +95,9 @@ Result<std::string> InteractiveSession::Dispatch(
       int delta = verb == "next" ? 1 : -1;
       for (int step = 0; step < count; ++step) {
         focused_pc_ = ((focused_pc_ + delta) % count + count) % count;
-        if (replayer_->graph().FindNode(NodeForPc(focused_pc_)) >= 0) break;
+        if (replayer_->graph().FindNode(dot::NodeName(focused_pc_)) >= 0) break;
       }
-      node = NodeForPc(focused_pc_);
+      node = dot::NodeName(focused_pc_);
     }
     int idx = replayer_->graph().FindNode(node);
     if (idx < 0) return Status::NotFound("no node '" + node + "'");

@@ -134,7 +134,7 @@ net::PipeHealthSummary TextualStethoscope::HealthFor(
 }
 
 void TextualStethoscope::ObserveStaleness() {
-  if (!obs::Active()) return;
+  if (!obs::Enabled()) return;
   const int64_t now = clock()->NowMicros();
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, health] : health_) health->ObserveStaleness(now);
@@ -220,7 +220,7 @@ void TextualStethoscope::HandleBatch(
   // One ingest timestamp per batch feeds the emit→ingest latency estimate.
   // The clock read is gated on the obs kill switch (counting gaps is free,
   // timing them is opt-in); a negative ingest skips the latency path.
-  const int64_t ingest_us = obs::Active() ? clock()->NowMicros() : -1;
+  const int64_t ingest_us = obs::Enabled() ? clock()->NowMicros() : -1;
 
   std::vector<TraceEvent> events;  // current contiguous run of accepted events
   int64_t received = 0;

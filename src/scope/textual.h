@@ -35,7 +35,7 @@ struct TextualOptions {
   size_t buffer_capacity = 8192;
   /// Receiver time source (nullptr = steady clock): WaitForChange waits on
   /// it, and the stream-health latency/staleness estimates read it while
-  /// obs::Active() — the loss/reorder/duplicate accounting itself never
+  /// obs::Enabled() — the loss/reorder/duplicate accounting itself never
   /// reads a clock.
   Clock* clock = nullptr;
 };
@@ -105,7 +105,7 @@ class TextualStethoscope {
   net::PipeHealthSummary HealthFor(const std::string& server) const;
   /// Feeds stetho_pipe_staleness_usec with the current age of the rendered
   /// picture on every stream. Call once per analysis/render round; no-op
-  /// unless obs::Active().
+  /// unless obs::Enabled().
   void ObserveStaleness();
 
   /// Flushes the trace file (if any).

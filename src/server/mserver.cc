@@ -8,6 +8,7 @@
 #include <cstring>
 
 #include "analysis/liveness.h"
+#include "analysis/perfdiff.h"
 #include "analysis/runner.h"
 #include "common/string_util.h"
 #include "dot/writer.h"
@@ -46,16 +47,6 @@ obs::Gauge* PredictedPeakGauge() {
       "stetho_mem_predicted_peak_bytes",
       "Static peak-footprint prediction for the most recently admitted "
       "or rejected query");
-  return g;
-}
-
-/// The interpreter's process-wide live-byte mirror (same name, same
-/// registry instance as the one engine/interpreter.cc maintains).
-obs::Gauge* EngineLiveBytesGauge() {
-  static obs::Gauge* g = obs::Registry::Default()->GetOrCreateGauge(
-      "stetho_engine_live_bytes",
-      "Live column bytes currently held by executing queries "
-      "(Column::MemoryBytes accounting)");
   return g;
 }
 
@@ -195,7 +186,7 @@ Result<QueryOutcome> Mserver::ExecutePlan(
   }
   estimator->MarkFinished();
   outcome.plan = std::move(plan);
-  RecordQueryProfile(outcome, *estimator);
+  RecordQueryProfile(outcome);
 
   {
     std::lock_guard<std::mutex> lock(stream_mu_);
@@ -250,8 +241,7 @@ obs::ProfileStore* Mserver::profile_store() const {
                                            : obs::ProfileStore::Default();
 }
 
-void Mserver::RecordQueryProfile(const QueryOutcome& outcome,
-                                 const analysis::ProgressEstimator& estimator) {
+void Mserver::RecordQueryProfile(const QueryOutcome& outcome) {
   obs::ProfileStore* store = profile_store();
   const uint64_t shape_hash = outcome.plan->shape_hash();
   // The slow-query gate judges against what the store knew *before* this
@@ -266,9 +256,7 @@ void Mserver::RecordQueryProfile(const QueryOutcome& outcome,
     if (baseline_runs > 0) median = baseline->total_usec.Median();
   }
 
-  obs::QueryObservation observation = estimator.ToObservation(shape_hash);
-  observation.total_usec = outcome.result.total_usec;  // true end-to-end
-  (void)store->Fold(observation);
+  (void)store->Fold(analysis::ObservationFromStats(outcome.result, shape_hash));
 
   if (options_.slow_query_factor <= 0 || baseline_runs == 0) return;
   if (median < 1.0) return;
@@ -358,7 +346,7 @@ Status Mserver::AdmitForMemory(const engine::PreparedPlan& plan) const {
 
   // Fits the budget in isolation; check headroom against what running
   // queries currently hold, waiting for them to drain if necessary.
-  obs::Gauge* live = EngineLiveBytesGauge();
+  obs::Gauge* live = engine::LiveBytesGauge();
   if (predicted <= budget - live->value()) {
     AdmittedCounter()->Increment();
     return Status::OK();

@@ -152,11 +152,11 @@ class Mserver {
   /// default).
   obs::ProfileStore* profile_store() const;
 
-  /// Post-run bookkeeping: folds the finished query into the profile store
-  /// and, when its end-to-end time blows past the pre-fold baseline median
-  /// by options_.slow_query_factor, logs it and emits a postmortem bundle.
-  void RecordQueryProfile(const QueryOutcome& outcome,
-                          const analysis::ProgressEstimator& estimator);
+  /// Post-run bookkeeping: folds the finished query's per-pc stats into the
+  /// profile store and, when its end-to-end time blows past the pre-fold
+  /// baseline median by options_.slow_query_factor, logs it and emits a
+  /// postmortem bundle.
+  void RecordQueryProfile(const QueryOutcome& outcome);
 
   /// Budgeted admission (called between optimize and execute): predicts the
   /// plan's peak footprint and admits, queues, or rejects against the

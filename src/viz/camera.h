@@ -28,9 +28,6 @@ class Camera {
   /// Clamps to >= 0.
   void SetAltitude(double altitude) { altitude_ = altitude < 0 ? 0 : altitude; }
 
-  /// Relative zoom: positive deltas zoom out.
-  void AltitudeBy(double delta) { SetAltitude(altitude_ + delta); }
-
   /// Current world→screen scale factor.
   double Scale() const { return focal_ / (focal_ + altitude_); }
 

@@ -55,8 +55,6 @@ class EventDispatchThread {
   /// Snapshot of pacing statistics.
   DispatchStats Stats() const;
 
-  int64_t min_render_interval_us() const { return min_render_interval_us_; }
-
  private:
   struct Task {
     std::function<void()> fn;

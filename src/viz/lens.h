@@ -17,7 +17,6 @@ class FisheyeLens {
   double cx() const { return cx_; }
   double cy() const { return cy_; }
   double radius() const { return radius_; }
-  double magnification() const { return mag_; }
 
   void MoveTo(double cx, double cy) {
     cx_ = cx;

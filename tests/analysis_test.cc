@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -29,6 +30,7 @@
 #include "optimizer/pass.h"
 #include "profiler/profiler.h"
 #include "profiler/sink.h"
+#include "scope/replayer.h"
 #include "scope/trace.h"
 #include "sql/compiler.h"
 #include "check_ceilings.h"
@@ -444,6 +446,66 @@ TEST(DotContractTest, FlagsExtraAndMissingEdges) {
   EXPECT_EQ(diags[0].severity, Severity::kWarning);
   EXPECT_NE(diags[0].message.find("no matching dataflow dependency"),
             std::string::npos);
+}
+
+// One pc, one node name. Beside n1, this dot holds three ids that a
+// lenient number parse reads as pc 1 (a leading zero, a sign, a value that
+// wraps past int); its trace ran pc 1 for 42 us. Only n1 joins that
+// execution: the replay paints and counts it alone, and dot-contract
+// rejects the other three.
+TEST(DotContractTest, NonCanonicalIdsJoinNoExecution) {
+  auto g = dot::ParseDot(
+      "digraph odd {\n"
+      "  n1 [label=\"X_1:lng := sql.mvc();\"];\n"
+      "  n01 [label=\"X_1:lng := sql.mvc();\"];\n"
+      "  \"n+1\" [label=\"X_1:lng := sql.mvc();\"];\n"
+      "  n4294967297 [label=\"X_1:lng := sql.mvc();\"];\n"
+      "}\n");
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  const std::vector<std::string> odd = {"n01", "n+1", "n4294967297"};
+
+  CheckContext ctx;
+  ctx.graph = &g.value();
+  auto diags = RunOne(analysis::MakeDotContractCheck(), ctx);
+  ASSERT_EQ(diags.size(), odd.size()) << analysis::FormatDiagnostics(diags);
+  for (const std::string& id : odd) {
+    const std::string message = "node \"" + id + "\" does not follow";
+    EXPECT_TRUE(std::any_of(diags.begin(), diags.end(),
+                            [&message](const Diagnostic& d) {
+                              return d.severity == Severity::kError &&
+                                     d.message.find(message) !=
+                                         std::string::npos;
+                            }))
+        << id;
+  }
+
+  std::vector<TraceEvent> trace(2);
+  trace[0].event = 0;
+  trace[0].time_us = 100;
+  trace[0].pc = 1;
+  trace[0].state = EventState::kStart;
+  trace[1] = trace[0];
+  trace[1].event = 1;
+  trace[1].time_us = 142;
+  trace[1].state = EventState::kDone;
+  trace[1].usec = 42;
+  VirtualClock clock;
+  scope::ReplayOptions options;
+  options.clock = &clock;
+  auto replayer = scope::OfflineReplayer::Create(g.value(), trace, options);
+  ASSERT_TRUE(replayer.ok()) << replayer.status().ToString();
+  scope::OfflineReplayer& r = *replayer.value();
+  const viz::Color unpainted = r.NodeColor("n1").value();
+  ASSERT_TRUE(r.SeekTo(trace.size()).ok());
+  EXPECT_NE(r.TooltipFor("n1").find("executions=1 total=42us"),
+            std::string::npos)
+      << r.TooltipFor("n1");
+  EXPECT_EQ(r.NodeColor("n1").value(), viz::Color::Green());
+  for (const std::string& id : odd) {
+    EXPECT_EQ(r.TooltipFor(id).find("executions"), std::string::npos)
+        << r.TooltipFor(id);
+    EXPECT_EQ(r.NodeColor(id).value(), unpainted) << id;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,30 @@ Program TinyPlan() {
          Argument::Const(Value::String("t"))});
   p.Add("io", "print", {}, {Argument::Var(b)});
   return p;
+}
+
+// --- the node-naming rule ---
+
+TEST(MappingTest, RoundTrip) {
+  EXPECT_EQ(NodeName(0), "n0");
+  EXPECT_EQ(NodeName(42), "n42");
+  EXPECT_EQ(PcOfNode("n42"), 42);
+  EXPECT_EQ(PcOfNode("x42"), -1);
+  EXPECT_EQ(PcOfNode("n"), -1);
+  EXPECT_EQ(PcOfNode("n-3"), -1);
+}
+
+// A pc has one name: PcOfNode accepts exactly NodeName's output, so an id
+// with a sign, a space, a leading zero or a value past int names no pc.
+TEST(MappingTest, PcOfNodeAcceptsOnlyNodeNameOutput) {
+  for (int pc : {0, 7, 10, std::numeric_limits<int>::max()}) {
+    EXPECT_EQ(PcOfNode(NodeName(pc)), pc) << NodeName(pc);
+  }
+  EXPECT_EQ(NodeName(std::numeric_limits<int>::max()), "n2147483647");
+  for (const char* id : {"", "n", "x42", "n-3", "n01", "n+1", "n 1",
+                         "n2147483648", "n4294967297", "n00", "n1 ", "N1"}) {
+    EXPECT_EQ(PcOfNode(id), -1) << '"' << id << '"';
+  }
 }
 
 // --- Graph ---

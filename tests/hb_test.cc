@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -22,10 +24,12 @@
 #include "check_ceilings.h"
 #include "common/rng.h"
 #include "engine/kernel.h"
+#include "mal/parser.h"
 #include "mal/program.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "profiler/event.h"
+#include "scope/trace.h"
 
 namespace stetho {
 namespace {
@@ -547,6 +551,59 @@ TEST(HbMutationTest, SerialSingleSlotScheduleIsNotFlagged) {
   a.trace = std::move(trace);
   std::vector<Diagnostic> diags = RunHb(a);
   EXPECT_TRUE(diags.empty()) << analysis::FormatDiagnostics(diags);
+}
+
+/// The replay takes each pc's surplus events, the peak of open pairs and
+/// the makespan from the trace's index, so on any trace they agree.
+void ExpectScheduleFollowsIndex(const mal::Program& p,
+                                const std::vector<TraceEvent>& trace,
+                                const std::string& name) {
+  const TraceIndex index(trace);
+  const ScheduleReport report =
+      analysis::AnalyzeSchedule(p, p.BuildDependencies(), index);
+  EXPECT_EQ(report.makespan_usec, index.Makespan()) << name;
+  EXPECT_EQ(report.max_observed_concurrency, index.peak_open()) << name;
+  std::vector<int> duplicates;
+  for (const auto& [pc, events] : index.pcs()) {
+    if (events.starts > 1 || events.dones > 1) duplicates.push_back(pc);
+    EXPECT_EQ(std::count(report.inverted.begin(), report.inverted.end(), pc),
+              events.inverted() ? 1 : 0)
+        << name << " pc " << pc;
+  }
+  EXPECT_EQ(report.duplicates, duplicates) << name;
+}
+
+TEST(AnalyzeScheduleTest, FollowsTheTraceIndexOnCatalogTraces) {
+  int traces = 0;
+  for (const HbMutation& m : MutationCatalog()) {
+    Artifacts a = m.build();
+    if (!a.trace.has_value()) continue;
+    ExpectScheduleFollowsIndex(a.program, a.trace.value(), m.name);
+    ++traces;
+  }
+  EXPECT_GE(traces, 12);
+}
+
+// The recorded example with pc 1's done event removed: the makespan is the
+// index's (the first start to the latest first done, whether or not that
+// pc's pair is whole), the figure `stethoscope diff` prints too.
+TEST(AnalyzeScheduleTest, FollowsTheTraceIndexOnC4Q1WithoutOneDone) {
+  const std::string examples = STETHO_EXAMPLES_DIR;
+  std::ifstream mal_in(examples + "/c4_q1.mal");
+  ASSERT_TRUE(mal_in.good());
+  const std::string text((std::istreambuf_iterator<char>(mal_in)),
+                         std::istreambuf_iterator<char>());
+  auto plan = mal::ParseProgramLenient(text);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto trace = scope::ReadTraceFile(examples + "/c4_q1.trace");
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  auto done = FindEvent(trace.value(), 1, EventState::kDone);
+  ASSERT_NE(done, trace.value().end());
+  trace.value().erase(done);
+
+  ExpectScheduleFollowsIndex(plan.value(), trace.value(), "c4_q1");
+  const ScheduleReport report = Replay(plan.value(), trace.value());
+  EXPECT_EQ(report.makespan_usec, 19982);
 }
 
 // ---------------------------------------------------------------------------

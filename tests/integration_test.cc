@@ -16,7 +16,6 @@
 #include "net/udp.h"
 #include "profiler/sink.h"
 #include "scope/analysis.h"
-#include "scope/mapping.h"
 #include "scope/online.h"
 #include "scope/replayer.h"
 #include "scope/textual.h"
@@ -91,7 +90,7 @@ TEST(IntegrationTest, OfflineWorkflowOverFiles) {
   // All instructions completed -> every node green.
   for (size_t pc = 0; pc < plan_size; ++pc) {
     EXPECT_EQ(replayer.value()
-                  ->NodeColor(scope::NodeForPc(static_cast<int>(pc)))
+                  ->NodeColor(dot::NodeName(static_cast<int>(pc)))
                   .value(),
               viz::Color::Green());
   }
@@ -279,7 +278,7 @@ TEST(IntegrationTest, ColoringModesConsistentOnSameTrace) {
     size_t colored = 0;
     for (size_t pc = 0; pc < outcome.value().plan->size(); ++pc) {
       auto c = replayer.value()->NodeColor(
-          scope::NodeForPc(static_cast<int>(pc)));
+          dot::NodeName(static_cast<int>(pc)));
       if (c.ok() && !(c.value() == viz::Color::Gray())) ++colored;
     }
     return colored;

@@ -24,7 +24,6 @@
 #include "profiler/sink.h"
 #include "scope/analysis.h"
 #include "scope/coloring.h"
-#include "scope/mapping.h"
 #include "scope/online.h"
 #include "scope/replayer.h"
 #include "scope/textual.h"
@@ -50,17 +49,6 @@ TraceEvent Ev(EventState state, int pc, int thread = 0, int64_t usec = 10,
   e.rss_bytes = 1024;
   e.stmt = stmt;
   return e;
-}
-
-// --- mapping ---
-
-TEST(MappingTest, RoundTrip) {
-  EXPECT_EQ(NodeForPc(0), "n0");
-  EXPECT_EQ(NodeForPc(42), "n42");
-  EXPECT_EQ(PcForNode("n42").value(), 42);
-  EXPECT_FALSE(PcForNode("x42").ok());
-  EXPECT_FALSE(PcForNode("n").ok());
-  EXPECT_FALSE(PcForNode("n-3").ok());
 }
 
 // --- coloring: the paper's worked example ---
@@ -689,11 +677,11 @@ TEST_F(ReplayFixture, StepColorsNodes) {
   EXPECT_EQ(replayer->cursor(), 0u);
   // First event is the start of pc 0 -> RED.
   ASSERT_TRUE(replayer->Step().ok());
-  EXPECT_EQ(replayer->NodeColor(NodeForPc(events_[0].pc)).value(),
+  EXPECT_EQ(replayer->NodeColor(dot::NodeName(events_[0].pc)).value(),
             viz::Color::Red());
   // Second event: done of the same pc -> GREEN (sequential trace).
   ASSERT_TRUE(replayer->Step().ok());
-  EXPECT_EQ(replayer->NodeColor(NodeForPc(events_[1].pc)).value(),
+  EXPECT_EQ(replayer->NodeColor(dot::NodeName(events_[1].pc)).value(),
             viz::Color::Green());
 }
 
@@ -704,7 +692,7 @@ TEST_F(ReplayFixture, PlayToEndAllGreen) {
   EXPECT_EQ(applied.value(), events_.size());
   EXPECT_TRUE(replayer->AtEnd());
   for (size_t pc = 0; pc < outcome_.plan->size(); ++pc) {
-    EXPECT_EQ(replayer->NodeColor(NodeForPc(static_cast<int>(pc))).value(),
+    EXPECT_EQ(replayer->NodeColor(dot::NodeName(static_cast<int>(pc))).value(),
               viz::Color::Green())
         << pc;
   }
@@ -723,14 +711,14 @@ TEST_F(ReplayFixture, SeekForwardAndBack) {
   ASSERT_TRUE(replayer->SeekTo(4).ok());
   EXPECT_EQ(replayer->cursor(), 4u);
   // Events 0..3 are start/done of pcs 0 and 1 -> both GREEN, pc 2 untouched.
-  EXPECT_EQ(replayer->NodeColor(NodeForPc(events_[0].pc)).value(),
+  EXPECT_EQ(replayer->NodeColor(dot::NodeName(events_[0].pc)).value(),
             viz::Color::Green());
-  EXPECT_EQ(replayer->NodeColor(NodeForPc(events_[4].pc)).value(),
+  EXPECT_EQ(replayer->NodeColor(dot::NodeName(events_[4].pc)).value(),
             viz::Color::Gray());
   ASSERT_TRUE(replayer->StepBack().ok());
   EXPECT_EQ(replayer->cursor(), 3u);
   // After stepping back past pc 1's done, pc 1 is RED (start applied only).
-  EXPECT_EQ(replayer->NodeColor(NodeForPc(events_[2].pc)).value(),
+  EXPECT_EQ(replayer->NodeColor(dot::NodeName(events_[2].pc)).value(),
             viz::Color::Red());
   EXPECT_FALSE(replayer->SeekTo(events_.size() + 1).ok());
 }
@@ -790,9 +778,8 @@ TEST_F(ReplayFixture, ThresholdModeOnlyColorsCostly) {
   ASSERT_TRUE(replayer.ok());
   ASSERT_TRUE(replayer.value()->Play(8.0, events_.size()).ok());
   for (size_t pc = 0; pc < outcome_.plan->size(); ++pc) {
-    EXPECT_EQ(
-        replayer.value()->NodeColor(NodeForPc(static_cast<int>(pc))).value(),
-        viz::Color::Gray());
+    const std::string node = dot::NodeName(static_cast<int>(pc));
+    EXPECT_EQ(replayer.value()->NodeColor(node).value(), viz::Color::Gray());
   }
 }
 
@@ -805,13 +792,13 @@ TEST_F(ReplayFixture, ColorFadeAnimatesToTarget) {
   ASSERT_TRUE(replayer.ok());
   // Step completes the fade: target color exactly reached.
   ASSERT_TRUE(replayer.value()->Step().ok());
-  EXPECT_EQ(replayer.value()->NodeColor(NodeForPc(events_[0].pc)).value(),
+  EXPECT_EQ(replayer.value()->NodeColor(dot::NodeName(events_[0].pc)).value(),
             viz::Color::Red());
   // A full play ends all green despite fading through intermediate colors.
   ASSERT_TRUE(replayer.value()->Play(1e9, events_.size()).ok());
   for (size_t pc = 0; pc < outcome_.plan->size(); ++pc) {
     EXPECT_EQ(replayer.value()
-                  ->NodeColor(NodeForPc(static_cast<int>(pc)))
+                  ->NodeColor(dot::NodeName(static_cast<int>(pc)))
                   .value(),
               viz::Color::Green());
   }
@@ -824,7 +811,7 @@ TEST_F(ReplayFixture, GradientModeColorsByDuration) {
   // At least one node is fully red (the max-duration one).
   bool saw_red = false;
   for (size_t pc = 0; pc < outcome_.plan->size(); ++pc) {
-    if (replayer->NodeColor(NodeForPc(static_cast<int>(pc))).value() ==
+    if (replayer->NodeColor(dot::NodeName(static_cast<int>(pc))).value() ==
         viz::Color::Red()) {
       saw_red = true;
     }
@@ -862,8 +849,8 @@ TEST_F(ReplayFixture, SeekMatchesSteppedOracleAllModes) {
                                      static_cast<double>(cum[pc]) /
                                          static_cast<double>(max_usec))
                   : viz::Color::Gray();
-          EXPECT_EQ(seeker->NodeColor(NodeForPc(static_cast<int>(pc))).value(),
-                    expected)
+          const std::string node = dot::NodeName(static_cast<int>(pc));
+          EXPECT_EQ(seeker->NodeColor(node).value(), expected)
               << "gradient target " << target << " pc " << pc;
         }
         continue;
@@ -871,7 +858,7 @@ TEST_F(ReplayFixture, SeekMatchesSteppedOracleAllModes) {
       auto stepper = MakeReplayer(mode);
       for (size_t i = 0; i < target; ++i) ASSERT_TRUE(stepper->Step().ok());
       for (size_t pc = 0; pc < outcome_.plan->size(); ++pc) {
-        std::string node = NodeForPc(static_cast<int>(pc));
+        std::string node = dot::NodeName(static_cast<int>(pc));
         EXPECT_EQ(seeker->NodeColor(node).value(),
                   stepper->NodeColor(node).value())
             << "mode " << static_cast<int>(mode) << " target " << target
@@ -893,7 +880,7 @@ TEST_F(ReplayFixture, SeekSequenceMatchesFreshReplay) {
   auto oracle = MakeReplayer();
   for (size_t i = 0; i + 1 < n; ++i) ASSERT_TRUE(oracle->Step().ok());
   for (size_t pc = 0; pc < outcome_.plan->size(); ++pc) {
-    std::string node = NodeForPc(static_cast<int>(pc));
+    std::string node = dot::NodeName(static_cast<int>(pc));
     EXPECT_EQ(replayer->NodeColor(node).value(),
               oracle->NodeColor(node).value())
         << pc;
@@ -911,7 +898,7 @@ TEST_F(ReplayFixture, FilterChangeKeepsSeekOracleAgreement) {
   ASSERT_TRUE(seeker->SeekTo(target).ok());
   for (size_t i = 0; i < target; ++i) ASSERT_TRUE(stepper->Step().ok());
   for (size_t pc = 0; pc < outcome_.plan->size(); ++pc) {
-    std::string node = NodeForPc(static_cast<int>(pc));
+    std::string node = dot::NodeName(static_cast<int>(pc));
     EXPECT_EQ(seeker->NodeColor(node).value(),
               stepper->NodeColor(node).value())
         << pc;
@@ -962,7 +949,7 @@ TEST(ExamplesTest, C4Q1SeekMatchesSteppedReplay) {
     ASSERT_TRUE(stepper.value()->Step().ok());
   }
   for (size_t i = 0; i < graph.value().num_nodes(); ++i) {
-    std::string node = NodeForPc(static_cast<int>(i));
+    std::string node = dot::NodeName(static_cast<int>(i));
     EXPECT_EQ(seeker.value()->NodeColor(node).value(),
               stepper.value()->NodeColor(node).value())
         << node;
@@ -989,7 +976,7 @@ class C4Q1ColorsTest : public ::testing::Test {
     ASSERT_TRUE(graph.ok()) << graph.status().ToString();
     graph_ = std::move(graph).value();
     for (const TraceEvent& e : events_) {
-      ASSERT_GE(graph_.FindNode(NodeForPc(e.pc)), 0) << e.pc;
+      ASSERT_GE(graph_.FindNode(dot::NodeName(e.pc)), 0) << e.pc;
     }
   }
 
@@ -1059,7 +1046,7 @@ TEST_F(C4Q1ColorsTest, SteppedRendersAndFinalFillsAllModes) {
     for (size_t i = 0; i < graph_.num_nodes(); ++i) {
       const int pc = static_cast<int>(i);
       auto it = expected.find(pc);
-      EXPECT_EQ(replayer->NodeColor(NodeForPc(pc)).value(),
+      EXPECT_EQ(replayer->NodeColor(dot::NodeName(pc)).value(),
                 it != expected.end() ? it->second : viz::Color::Gray())
           << "mode " << static_cast<int>(mode) << " pc " << pc;
     }
@@ -1075,7 +1062,7 @@ TEST_F(C4Q1ColorsTest, GradientStepColorsFollowRunningMaximum) {
     for (size_t i = 0; i < graph_.num_nodes(); ++i) {
       const int pc = static_cast<int>(i);
       auto it = expected.find(pc);
-      EXPECT_EQ(replayer->NodeColor(NodeForPc(pc)).value(),
+      EXPECT_EQ(replayer->NodeColor(dot::NodeName(pc)).value(),
                 it != expected.end() ? it->second : viz::Color::Gray())
           << "k " << k << " pc " << pc;
     }

@@ -6,7 +6,6 @@
 #include "common/clock.h"
 #include "dot/parser.h"
 #include "profiler/sink.h"
-#include "scope/mapping.h"
 #include "scope/session.h"
 #include "server/mserver.h"
 #include "tpch/dbgen.h"

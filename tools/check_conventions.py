@@ -11,6 +11,10 @@ Checks, over src/ tools/ tests/ bench/ examples/:
   4. No line under src/ compares an instruction's `.module` or `.function`
      with a string literal: passes and checks recognise an operation by its
      kernel signature's role (analysis::KernelRole), never by its name.
+  5. No line under src/ outside src/dot/ spells the plan-node naming rule
+     (pc N <-> node "nN"): no "n%d"-style format, no "n" + concatenation and
+     no 'n'-prefix test of an id. dot::NodeName and dot::PcOfNode are the
+     rule's only spelling, so every join of a trace to a plan agrees on it.
 
 Exit status: 0 clean, 1 violations (listed one per line), 2 usage error.
 """
@@ -22,6 +26,15 @@ from pathlib import Path
 THROW_RE = re.compile(r"\bthrow\b")
 REL_INCLUDE_RE = re.compile(r'#\s*include\s+"\.\./')
 NAME_COMPARE_RE = re.compile(r'\.(module|function)\s*[!=]=\s*"')
+# Rule 5: a printf conversion right after a bare "n" (not the tail of a word
+# or of a "\n" escape), a "n" + concatenation, or a comparison of an id's
+# first character with 'n'.
+NODE_NAME_RE = re.compile(
+    r"(?<![A-Za-z0-9_\\])n%[-0-9]*(?:hh|h|ll|l|j|z|t)?[diu]"
+    r'|"n"\s*\+'
+    r"|(?:\[0\]|\.front\(\))\s*[!=]=\s*'n'"
+    r"|'n'\s*[!=]=\s*\w+(?:\[0\]|\.front\(\))"
+)
 
 
 def expected_guard(header: Path, src_root: Path) -> str:
@@ -79,6 +92,7 @@ def main(argv):
         return 2
     root = Path(argv[1]).resolve()
     src_root = root / "src"
+    dot_root = src_root / "dot"
     if not src_root.is_dir():
         print(f"{src_root} is not a directory", file=sys.stderr)
         return 2
@@ -106,6 +120,11 @@ def main(argv):
                 problems.append(
                     f"{path}:{lineno}: operation matched by name — read the "
                     "kernel signature's role through the analysis facts"
+                )
+            if dot_root not in path.parents and NODE_NAME_RE.search(line):
+                problems.append(
+                    f"{path}:{lineno}: plan-node name spelled by hand — use "
+                    "dot::NodeName / dot::PcOfNode"
                 )
 
     for p in problems:
