@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/string_util.h"
-#include "engine/kernel.h"
 
 namespace stetho::analysis {
 namespace {
@@ -80,10 +79,11 @@ InstructionFacts StepInstruction(const Program& program,
                                  const Instruction& ins,
                                  AbstractState* state) {
   InstructionFacts facts;
-  const engine::ModuleRegistry::Resolution resolution =
+  facts.kernel =
       engine::ModuleRegistry::Default()->Resolve(ins.module, ins.function);
-  facts.sig = resolution.signature;
-  facts.resolved = resolution.kernel != nullptr;
+  if (facts.kernel != nullptr && facts.kernel->signature.has_value()) {
+    facts.sig = &*facts.kernel->signature;
+  }
   facts.args.reserve(ins.args.size());
   for (const Argument& a : ins.args) {
     facts.args.push_back(ArgOperandValue(*state, a));

@@ -8,6 +8,7 @@
 #include "analysis/domain.h"
 #include "analysis/signatures.h"
 #include "common/status.h"
+#include "engine/kernel.h"
 #include "mal/program.h"
 
 namespace stetho::analysis {
@@ -33,12 +34,13 @@ struct AbstractState {
 /// is what the state records: the raw result refined by each result's
 /// declared type and cardinality annotation.
 struct InstructionFacts {
-  /// The kernel's registered signature; nullptr for unknown operations and
-  /// extension kernels.
+  /// The operation's record in engine::ModuleRegistry::Default(); nullptr
+  /// for an unknown operation (the kernel-signature check's unknown-op
+  /// test).
+  const engine::Kernel* kernel = nullptr;
+  /// The record's signature; nullptr for unknown operations and extension
+  /// kernels.
   const KernelSignature* sig = nullptr;
-  /// The operation is registered in engine::ModuleRegistry::Default(), with
-  /// or without a signature (the kernel-signature check's unknown-op test).
-  bool resolved = false;
   std::vector<AbstractValue> args;
   std::vector<AbstractValue> raw_results;
   std::vector<AbstractValue> merged_results;

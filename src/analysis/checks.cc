@@ -205,7 +205,7 @@ class KernelSignatureCheck final : public Check {
     const std::vector<InstructionFacts>& facts = ctx.facts->instructions();
     for (const Instruction& ins : p.instructions()) {
       const InstructionFacts& at = facts[static_cast<size_t>(ins.pc)];
-      if (ctx.registry != nullptr && !at.resolved) {
+      if (ctx.registry != nullptr && at.kernel == nullptr) {
         emit.Emit(Severity::kError, ins.pc, -1,
                   StrFormat("unknown kernel %s — not in the module registry",
                             ins.FullName().c_str()),

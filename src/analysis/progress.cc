@@ -163,7 +163,7 @@ int64_t ProgressModelCache::misses() const {
 }
 
 ProgressModelCache* ProgressModelCache::Default() {
-  static ProgressModelCache* cache = new ProgressModelCache(32);
+  static ProgressModelCache* cache = new ProgressModelCache(kDefaultCapacity);
   return cache;
 }
 

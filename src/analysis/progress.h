@@ -67,7 +67,13 @@ class ProgressModel {
 /// layout::LayoutCache's role for the front end. Thread-safe.
 class ProgressModelCache {
  public:
-  explicit ProgressModelCache(size_t capacity = 32) : capacity_(capacity) {}
+  /// Plan shapes Default() keeps. Chosen, not measured: the 13 built-in
+  /// queries at two mitosis widths fit, and it matches the layouts
+  /// layout::LayoutCache::kDefaultCapacity keeps for the same plans.
+  static constexpr size_t kDefaultCapacity = 32;
+
+  explicit ProgressModelCache(size_t capacity = kDefaultCapacity)
+      : capacity_(capacity) {}
 
   /// Returns the cached model for `plan`'s shape, building it on miss.
   std::shared_ptr<const ProgressModel> GetOrBuild(

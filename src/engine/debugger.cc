@@ -57,7 +57,7 @@ bool MalDebugger::HitsBreakpoint(int pc) const {
 
 Status MalDebugger::ExecuteAt(int pc) {
   const mal::Instruction& ins = program_->instruction(pc);
-  const KernelFn* kernel = registry_->Resolve(ins.module, ins.function).kernel;
+  const Kernel* kernel = registry_->Resolve(ins.module, ins.function);
   if (kernel == nullptr) {
     return Status::NotFound("no kernel for '" + ins.FullName() + "'");
   }
@@ -82,7 +82,7 @@ Status MalDebugger::ExecuteAt(int pc) {
   for (int r : ins.results) {
     args.results.push_back(&registers_[static_cast<size_t>(r)]);
   }
-  Status st = (*kernel)(args);
+  Status st = kernel->fn(args);
   if (!st.ok()) {
     return Status(st.code(),
                   StrFormat("pc=%d %s: %s", pc,

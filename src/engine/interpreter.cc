@@ -3,7 +3,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <span>
 #include <string_view>
@@ -19,15 +18,6 @@
 namespace stetho::engine {
 namespace {
 
-/// Peak of the accountant for the most recently finished query — the number
-/// footprint-conformance checks against the static bound.
-obs::Gauge* EnginePeakRssGauge() {
-  static obs::Gauge* gauge = obs::Registry::Default()->GetOrCreateGauge(
-      "stetho_engine_peak_rss_bytes",
-      "Live-byte peak recorded by the last completed query execution");
-  return gauge;
-}
-
 /// All mutable state shared by the dataflow tasks of one query execution —
 /// the per-query "epoch" the shared WorkerPool knows nothing about. Execute
 /// owns it on the stack and blocks until the job signals done, so tasks may
@@ -42,13 +32,11 @@ struct RunState {
 
   std::vector<RegisterValue> registers;
 
-  // Observability, resolved once per Execute so the per-instruction hot path
-  // touches only stable pointers. tracer is non-null only when span
-  // recording is on; the family vectors are empty unless obs::Enabled().
+  // Observability, decided once per Execute: tracer is non-null only when
+  // span recording is on, and the kernel records' family metrics are fed
+  // only while obs::Enabled().
   obs::Tracer* tracer = nullptr;
-  std::vector<std::string> span_names;          // per-pc "module.function"
-  std::vector<obs::Counter*> family_calls;      // per-pc kernel-family counter
-  std::vector<obs::Histogram*> family_usec;     // per-pc kernel-family latency
+  bool family_metrics = false;
   std::vector<std::atomic<int>> var_consumers;  // pending readers per variable
   std::atomic<int64_t> live_bytes{0};
   std::atomic<int64_t> peak_bytes{0};
@@ -109,7 +97,7 @@ Status RunInstruction(RunState* state, int pc, int thread_id) {
   }
   int64_t t0 = state->clock->NowMicros();
 
-  const KernelFn* kernel = plan.kernel(pc);
+  const Kernel* kernel = plan.kernel(pc);
   if (kernel == nullptr) {
     return Status::NotFound("no kernel for '" + ins.FullName() + "'");
   }
@@ -128,7 +116,7 @@ Status RunInstruction(RunState* state, int pc, int thread_id) {
     args.results.push_back(&state->registers[static_cast<size_t>(r)]);
   }
 
-  Status st = (*kernel)(args);
+  Status st = kernel->fn(args);
   if (!st.ok()) {
     return Status(st.code(),
                   StrFormat("pc=%d %.*s: %s", pc, static_cast<int>(stmt.size()),
@@ -188,17 +176,13 @@ Status RunInstruction(RunState* state, int pc, int thread_id) {
 
   // Kernel-family metrics and the kernel span both reuse t0/t1 — tracing an
   // instruction adds no clock read beyond what the stats above already paid.
-  if (!state->family_calls.empty()) {
-    if (obs::Counter* calls = state->family_calls[static_cast<size_t>(pc)]) {
-      calls->Increment();
-    }
-    if (obs::Histogram* usec = state->family_usec[static_cast<size_t>(pc)]) {
-      usec->Observe(t1 - t0);
-    }
+  if (state->family_metrics) {
+    kernel->calls->Increment();
+    kernel->usec->Observe(t1 - t0);
   }
   if (state->tracer != nullptr) {
-    state->tracer->RecordComplete(state->span_names[static_cast<size_t>(pc)],
-                                  "kernel", thread_id, pc, t0, t1 - t0);
+    state->tracer->RecordComplete(kernel->name, "kernel", thread_id, pc, t0,
+                                  t1 - t0);
   }
   return Status::OK();
 }
@@ -236,11 +220,7 @@ void RunDataflowTask(RunState* state, int pc, int slot) {
             std::memory_order_acquire)) {
       continue;
     }
-    static obs::Counter* violations =
-        obs::Registry::Default()->GetOrCreateCounter(
-            "stetho_sched_selfcheck_violations_total",
-            "Dataflow tasks dispatched before a producer completed");
-    violations->Increment();
+    SelfcheckViolations()->Increment();
     std::string what = StrFormat(
         "sched-selfcheck: pc=%d dispatched before producer pc=%d "
         "completed", pc, q);
@@ -292,31 +272,6 @@ void RunDataflowTask(RunState* state, int pc, int slot) {
   }
 }
 
-/// Resolves per-kernel-family counters/histograms into per-pc vectors, one
-/// registry lookup per distinct module in the plan.
-void ResolveFamilyMetrics(RunState* state, const mal::Program& program) {
-  obs::Registry* registry = obs::Registry::Default();
-  std::map<std::string, std::pair<obs::Counter*, obs::Histogram*>> families;
-  state->family_calls.resize(program.size(), nullptr);
-  state->family_usec.resize(program.size(), nullptr);
-  for (size_t pc = 0; pc < program.size(); ++pc) {
-    const std::string& module = program.instruction(pc).module;
-    auto [it, inserted] = families.try_emplace(module);
-    if (inserted) {
-      std::string token = obs::MetricToken(module);
-      it->second.first = registry->GetOrCreateCounter(
-          "stetho_kernel_" + token + "_calls_total",
-          "Kernel invocations in MAL module '" + module + "'");
-      it->second.second = registry->GetOrCreateHistogram(
-          "stetho_kernel_" + token + "_usec",
-          "Kernel latency in microseconds for MAL module '" + module + "'",
-          obs::Histogram::DefaultLatencyBounds());
-    }
-    state->family_calls[pc] = it->second.first;
-    state->family_usec[pc] = it->second.second;
-  }
-}
-
 /// Passes `result` through, dumping the flight recorder when the query
 /// aborted with an error.
 Result<QueryResult> RecordAbort(Result<QueryResult> result,
@@ -335,14 +290,6 @@ Result<QueryResult> RecordAbort(Result<QueryResult> result,
 }
 
 }  // namespace
-
-obs::Gauge* LiveBytesGauge() {
-  static obs::Gauge* gauge = obs::Registry::Default()->GetOrCreateGauge(
-      "stetho_engine_live_bytes",
-      "Live column bytes currently held by executing queries "
-      "(Column::MemoryBytes accounting)");
-  return gauge;
-}
 
 Result<QueryResult> Interpreter::Execute(const mal::Program& program,
                                          const ExecOptions& options) const {
@@ -382,14 +329,8 @@ Result<QueryResult> Interpreter::ExecuteInternal(
 
   obs::Tracer* tracer =
       options.tracer != nullptr ? options.tracer : obs::Tracer::Default();
-  if (tracer->enabled()) {
-    state.tracer = tracer;
-    state.span_names.reserve(program.size());
-    for (const mal::Instruction& ins : program.instructions()) {
-      state.span_names.push_back(ins.module + "." + ins.function);
-    }
-  }
-  if (obs::Enabled()) ResolveFamilyMetrics(&state, program);
+  if (tracer->enabled()) state.tracer = tracer;
+  state.family_metrics = obs::Enabled();
 
   int64_t run_start = clock->NowMicros();
 
@@ -446,7 +387,7 @@ Result<QueryResult> Interpreter::ExecuteInternal(
   result.stats = std::move(state.stats);
   result.total_usec = clock->NowMicros() - run_start;
   result.peak_rss_bytes = state.peak_bytes.load(std::memory_order_relaxed);
-  EnginePeakRssGauge()->Set(result.peak_rss_bytes);
+  PeakRssGauge()->Set(result.peak_rss_bytes);
   // Whatever the query still holds (result columns about to be handed to the
   // caller) leaves the engine with it — drain the process-wide mirror so it
   // converges to zero when no query is executing.

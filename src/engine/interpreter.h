@@ -9,7 +9,6 @@
 #include "engine/prepared_plan.h"
 #include "mal/program.h"
 #include "obs/flight_recorder.h"
-#include "obs/metrics.h"
 #include "obs/span.h"
 #include "profiler/profiler.h"
 #include "storage/table.h"
@@ -30,13 +29,6 @@ class ProgressListener {
   /// `pc` finished after `usec` microseconds, at clock time `now_us`.
   virtual void OnInstructionDone(int pc, int64_t usec, int64_t now_us) = 0;
 };
-
-/// Process-wide mirror of every query's live-byte accountant
-/// (stetho_engine_live_bytes): each allocation or release delta also lands
-/// here, one relaxed add, always on, so the gauge shows the engine's current
-/// column memory across all concurrent queries and drains back to zero when
-/// every query releases its registers. Memory admission reads it.
-obs::Gauge* LiveBytesGauge();
 
 /// Execution configuration for one query.
 struct ExecOptions {

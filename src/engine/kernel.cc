@@ -25,39 +25,49 @@ std::vector<ResultColumn> ExecContext::TakeResults() {
 Status ModuleRegistry::Register(const std::string& module,
                                 const std::string& function, KernelFn fn,
                                 analysis::KernelSignature signature) {
-  return Add(module, function, Entry{std::move(fn), std::move(signature)});
+  return Add(module, function,
+             Kernel{.fn = std::move(fn), .signature = std::move(signature)});
 }
 
 Status ModuleRegistry::Register(const std::string& module,
                                 const std::string& function, KernelFn fn) {
-  return Add(module, function, Entry{std::move(fn), std::nullopt});
+  return Add(module, function, Kernel{.fn = std::move(fn)});
 }
 
 Status ModuleRegistry::Add(const std::string& module,
-                           const std::string& function, Entry entry) {
-  if (!kernels_[module].emplace(function, std::move(entry)).second) {
+                           const std::string& function, Kernel kernel) {
+  kernel.name = module + "." + function;
+  // The module's first kernel creates its family metrics; the rest share
+  // them.
+  obs::Registry* metrics = obs::Registry::Default();
+  const std::string token = obs::MetricToken(module);
+  kernel.calls = metrics->GetOrCreateCounter(
+      "stetho_kernel_" + token + "_calls_total",
+      "Kernel invocations in MAL module '" + module + "'");
+  kernel.usec = metrics->GetOrCreateHistogram(
+      "stetho_kernel_" + token + "_usec",
+      "Kernel latency in microseconds for MAL module '" + module + "'",
+      obs::Histogram::DefaultLatencyBounds());
+  if (!kernels_[module].emplace(function, std::move(kernel)).second) {
     return Status::AlreadyExists("kernel '" + module + "." + function +
                                  "' already registered");
   }
   return Status::OK();
 }
 
-ModuleRegistry::Resolution ModuleRegistry::Resolve(
-    const std::string& module, const std::string& function) const {
+const Kernel* ModuleRegistry::Resolve(const std::string& module,
+                                      const std::string& function) const {
   auto by_module = kernels_.find(module);
-  if (by_module == kernels_.end()) return Resolution{};
+  if (by_module == kernels_.end()) return nullptr;
   auto it = by_module->second.find(function);
-  if (it == by_module->second.end()) return Resolution{};
-  const Entry& entry = it->second;
-  return Resolution{
-      &entry.fn, entry.signature.has_value() ? &*entry.signature : nullptr};
+  return it == by_module->second.end() ? nullptr : &it->second;
 }
 
 std::vector<std::string> ModuleRegistry::ListKernels() const {
   std::vector<std::string> out;
   for (const auto& [module, functions] : kernels_) {
-    for (const auto& [function, entry] : functions) {
-      out.push_back(module + "." + function);
+    for (const auto& [function, kernel] : functions) {
+      out.push_back(kernel.name);
     }
   }
   // Sorted as "module.function" strings, whatever the module names.
@@ -74,6 +84,28 @@ const ModuleRegistry* ModuleRegistry::Default() {
     return r;
   }();
   return registry;
+}
+
+obs::Gauge* LiveBytesGauge() {
+  static obs::Gauge* gauge = obs::Registry::Default()->GetOrCreateGauge(
+      "stetho_engine_live_bytes",
+      "Live column bytes currently held by executing queries "
+      "(Column::MemoryBytes accounting)");
+  return gauge;
+}
+
+obs::Gauge* PeakRssGauge() {
+  static obs::Gauge* gauge = obs::Registry::Default()->GetOrCreateGauge(
+      "stetho_engine_peak_rss_bytes",
+      "Live-byte peak recorded by the last completed query execution");
+  return gauge;
+}
+
+obs::Counter* SelfcheckViolations() {
+  static obs::Counter* counter = obs::Registry::Default()->GetOrCreateCounter(
+      "stetho_sched_selfcheck_violations_total",
+      "Dataflow tasks dispatched before a producer completed");
+  return counter;
 }
 
 Status ExpectArity(const KernelArgs& a, size_t num_args, size_t num_results) {

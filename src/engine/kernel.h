@@ -15,6 +15,7 @@
 #include "common/status.h"
 #include "engine/register.h"
 #include "mal/program.h"
+#include "obs/metrics.h"
 #include "storage/table.h"
 
 namespace stetho::engine {
@@ -22,7 +23,10 @@ namespace stetho::engine {
 /// Bits of ResultColumn::order reserved for the argument index within one
 /// sink instruction; a sink can therefore order at most 2^bits columns.
 /// Shared with the analysis sink-order-key lint check, which flags sinks
-/// whose argument count would overflow this key space.
+/// whose argument count would overflow this key space. 8 is chosen, not
+/// measured: sql.resultSet emits one column per instruction and only
+/// io.print one per argument, so 256 columns per sink is far above any
+/// plan the compiler emits, while the pc keeps 55 bits of the int64 key.
 inline constexpr int kResultOrderArgBits = 8;
 
 /// The canonical ResultColumn::order key: statement order first, operand
@@ -79,11 +83,28 @@ struct KernelArgs {
 /// A native implementation of one MAL module.function.
 using KernelFn = std::function<Status(KernelArgs&)>;
 
-/// Registry mapping "module.function" to its native kernel and, for the
-/// built-in kernels, the static facts the analysis layer and the optimizer
-/// read (analysis::KernelSignature) — MAL's module system and the one list
-/// of kernels. The default registry contains every built-in module (sql,
-/// algebra, group, aggr, bat, mat, calc, batcalc, language, io, debug).
+/// The one record of a registered kernel, built when it registers and read
+/// by every consumer, so no query looks up or builds anything about a
+/// kernel again. Records live, at stable addresses, as long as the registry.
+/// Members carry `= {}` so registration's designated initializers may omit
+/// them (-Wmissing-field-initializers).
+struct Kernel {
+  KernelFn fn;
+  /// The static facts the analysis layer and the optimizer read; empty for
+  /// an extension kernel registered without one.
+  std::optional<analysis::KernelSignature> signature = {};
+  std::string name = {};  ///< "module.function": the kernel span's name
+  /// The module's family call counter and latency histogram, created when
+  /// its first kernel registers; the interpreter feeds them while
+  /// obs::Enabled().
+  obs::Counter* calls = nullptr;
+  obs::Histogram* usec = nullptr;
+};
+
+/// Registry mapping "module.function" to its Kernel record — MAL's module
+/// system and the one list of kernels. The default registry contains every
+/// built-in module (sql, algebra, group, aggr, bat, mat, calc, batcalc,
+/// language, io, debug).
 class ModuleRegistry {
  public:
   /// Registers a kernel with its signature; AlreadyExists if (module,
@@ -95,15 +116,10 @@ class ModuleRegistry {
   Status Register(const std::string& module, const std::string& function,
                   KernelFn fn);
 
-  /// The one search for module.function: its kernel (nullptr when not
-  /// registered) and its signature (nullptr when unregistered or registered
-  /// without one).
-  struct Resolution {
-    const KernelFn* kernel = nullptr;
-    const analysis::KernelSignature* signature = nullptr;
-  };
-  Resolution Resolve(const std::string& module,
-                     const std::string& function) const;
+  /// The one search for module.function: its record, or nullptr when the
+  /// operation is not registered.
+  const Kernel* Resolve(const std::string& module,
+                        const std::string& function) const;
 
   /// Lists registered "module.function" names (sorted).
   std::vector<std::string> ListKernels() const;
@@ -112,18 +128,27 @@ class ModuleRegistry {
   static const ModuleRegistry* Default();
 
  private:
-  struct Entry {
-    KernelFn fn;
-    std::optional<analysis::KernelSignature> signature;
-  };
-
   Status Add(const std::string& module, const std::string& function,
-             Entry entry);
+             Kernel kernel);
 
-  /// module -> function -> entry: a lookup compares names in place, with
+  /// module -> function -> record: a lookup compares names in place, with
   /// no "module.function" key built per call.
-  std::map<std::string, std::map<std::string, Entry>> kernels_;
+  std::map<std::string, std::map<std::string, Kernel>> kernels_;
 };
+
+/// --- The engine's other process-wide metrics, created on first use ---
+
+/// Process-wide mirror of every query's live-byte accountant
+/// (stetho_engine_live_bytes): each allocation or release delta also lands
+/// here, one relaxed add, always on, so the gauge shows the engine's current
+/// column memory across all concurrent queries and drains back to zero when
+/// every query releases its registers. Memory admission reads it.
+obs::Gauge* LiveBytesGauge();
+/// The accountant's peak for the last finished query
+/// (stetho_engine_peak_rss_bytes), which footprint-conformance checks.
+obs::Gauge* PeakRssGauge();
+/// Dataflow tasks dispatched before a producer completed.
+obs::Counter* SelfcheckViolations();
 
 /// Registration entry points for the built-in kernel families (each lives in
 /// its own translation unit).

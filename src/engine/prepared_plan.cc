@@ -25,12 +25,11 @@ PreparedPlan::PreparedPlan(const mal::Program& program,
   const size_t n = program.size();
   text_begin_.reserve(n + 1);
   kernels_.reserve(n);
-  signatures_.reserve(n);
   args_.offsets.reserve(n + 1);
 
   mal::ShapeHasher hasher;
   const mal::Instruction* previous = nullptr;
-  ModuleRegistry::Resolution resolution;
+  const Kernel* kernel = nullptr;
   for (const mal::Instruction& ins : program.instructions()) {
     const size_t begin = text_.size();
     text_begin_.push_back(begin);
@@ -40,11 +39,10 @@ PreparedPlan::PreparedPlan(const mal::Program& program,
     // Mitosis plans repeat one operation across consecutive partitions.
     if (previous == nullptr || ins.module != previous->module ||
         ins.function != previous->function) {
-      resolution = registry->Resolve(ins.module, ins.function);
+      kernel = registry->Resolve(ins.module, ins.function);
     }
     previous = &ins;
-    kernels_.push_back(resolution.kernel);
-    signatures_.push_back(resolution.signature);
+    kernels_.push_back(kernel);
 
     for (const mal::Argument& arg : ins.args) {
       if (arg.kind == mal::Argument::Kind::kVar) {

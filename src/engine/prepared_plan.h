@@ -8,7 +8,6 @@
 #include <string_view>
 #include <vector>
 
-#include "analysis/signatures.h"
 #include "common/status.h"
 #include "engine/kernel.h"
 #include "engine/register.h"
@@ -23,7 +22,7 @@ namespace stetho::engine {
 ///  - renders each statement once (Program::InstructionToString's text, kept
 ///    in one buffer) and mixes the plan-shape hash from it
 ///    (mal::ShapeHasher, which analysis::PlanShapeHash also uses);
-///  - resolves each kernel and its signature once;
+///  - resolves each kernel's registry record once;
 ///  - materialises constant operands as read-only registers;
 ///  - lists each instruction's argument registers;
 ///  - builds the plan's def-use index (Program::BuildDependencies).
@@ -63,15 +62,11 @@ class PreparedPlan {
     return std::string_view(text_).substr(text_begin_[i],
                                           text_begin_[i + 1] - text_begin_[i]);
   }
-  /// The kernel of `pc`; nullptr when the registry has none, and Execute
+  /// The registry's record of `pc`'s kernel (function, signature, span name
+  /// and family metrics); nullptr when the registry has none, and Execute
   /// fails at that pc with NotFound.
-  const KernelFn* kernel(int pc) const {
+  const Kernel* kernel(int pc) const {
     return kernels_[static_cast<size_t>(pc)];
-  }
-  /// The kernel's signature; nullptr for unknown operations and kernels
-  /// registered without one.
-  const analysis::KernelSignature* signature(int pc) const {
-    return signatures_[static_cast<size_t>(pc)];
   }
 
   /// The registers `pc` reads, one per argument in order: a variable's
@@ -91,8 +86,7 @@ class PreparedPlan {
   uint64_t shape_hash_ = 0;
   std::string text_;                 // every statement, back to back
   std::vector<size_t> text_begin_;   // per pc, plus the end
-  std::vector<const KernelFn*> kernels_;
-  std::vector<const analysis::KernelSignature*> signatures_;
+  std::vector<const Kernel*> kernels_;
   std::vector<RegisterValue> constants_;
   mal::IntRows args_;
   mal::Dependencies deps_;

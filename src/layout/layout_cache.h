@@ -31,6 +31,8 @@ namespace stetho::layout {
 /// holds kDefaultCapacity entries.
 class LayoutCache {
  public:
+  /// Layouts Default() keeps. Chosen, not measured: the 13 built-in
+  /// queries at two mitosis widths fit.
   static constexpr size_t kDefaultCapacity = 32;
 
   explicit LayoutCache(size_t capacity = kDefaultCapacity);

@@ -204,11 +204,6 @@ Result<const Histogram*> Registry::FindHistogram(const std::string& name) const 
 
 namespace {
 
-bool EndsWith(const std::string& s, const char* suffix) {
-  const size_t n = std::char_traits<char>::length(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
 bool IsLowercase(const std::string& s) {
   for (char c : s) {
     if (c >= 'A' && c <= 'Z') return false;

@@ -51,7 +51,6 @@ class ConstantFoldingPass : public Pass {
 
   Result<Effect> Apply(Program* program, const Facts& facts) override {
     const std::vector<InstructionFacts>& per_pc = facts.instructions();
-    const engine::ModuleRegistry* registry = engine::ModuleRegistry::Default();
     engine::ExecContext ctx(nullptr, SteadyClock::Default());
 
     std::unordered_map<int, Value> folded;
@@ -69,29 +68,26 @@ class ConstantFoldingPass : public Pass {
         }
       }
       // Only scalar-fold kernels fold; they are total functions of their
-      // inputs (modulo division by zero, which we leave to run time).
+      // inputs (modulo division by zero, which we leave to run time). A
+      // role comes with a signature, so the sweep resolved the kernel.
       if (all_const && per_pc[pc].role() == KernelRole::kScalarFold &&
           ins.results.size() == 1) {
-        const engine::KernelFn* kernel =
-            registry->Resolve(ins.module, ins.function).kernel;
-        if (kernel != nullptr) {
-          engine::KernelArgs args;
-          args.ins = &ins;
-          args.ctx = &ctx;
-          std::vector<engine::RegisterValue> storage_args;
-          storage_args.reserve(ins.args.size());
-          for (const Argument& arg : ins.args) {
-            storage_args.push_back(engine::RegisterValue::Scalar(arg.constant));
-          }
-          for (engine::RegisterValue& rv : storage_args) args.args.push_back(&rv);
-          engine::RegisterValue result;
-          args.results.push_back(&result);
-          Status st = (*kernel)(args);
-          if (st.ok() && !result.is_bat()) {
-            folded[ins.results[0]] = result.scalar;
-            changed = true;
-            continue;  // drop the instruction
-          }
+        engine::KernelArgs args;
+        args.ins = &ins;
+        args.ctx = &ctx;
+        std::vector<engine::RegisterValue> storage_args;
+        storage_args.reserve(ins.args.size());
+        for (const Argument& arg : ins.args) {
+          storage_args.push_back(engine::RegisterValue::Scalar(arg.constant));
+        }
+        for (engine::RegisterValue& rv : storage_args) args.args.push_back(&rv);
+        engine::RegisterValue result;
+        args.results.push_back(&result);
+        Status st = per_pc[pc].kernel->fn(args);
+        if (st.ok() && !result.is_bat()) {
+          folded[ins.results[0]] = result.scalar;
+          changed = true;
+          continue;  // drop the instruction
         }
       }
       kept.push_back(std::move(ins));

@@ -72,11 +72,16 @@ OfflineReplayer::~OfflineReplayer() {
 }
 
 void OfflineReplayer::RebuildHistory() {
-  const size_t num_pcs = shape_by_pc_.size();
   const bool gradient = options_.mode == ColoringMode::kGradient;
+  const std::vector<TraceEvent>& active = events();
+  // Slots up to the largest pc the active trace paints: none for the
+  // monitor's empty trace.
+  size_t num_pcs = 0;
+  for (const TraceEvent& e : active) {
+    if (ShapeOf(e.pc) >= 0) num_pcs = std::max<size_t>(num_pcs, e.pc + 1);
+  }
   history_.assign(num_pcs, {});
   colored_pcs_.clear();
-  const std::vector<TraceEvent>& active = events();
   std::vector<int64_t> cum(gradient ? num_pcs : 0, 0);
   int64_t max_usec = 1;
   max_usec_.assign(gradient ? active.size() : 0, 0);
@@ -112,7 +117,7 @@ void OfflineReplayer::RebuildHistory() {
     }
     if (gradient) max_usec_[i] = max_usec;
   }
-  for (size_t pc = 0; pc < num_pcs; ++pc) {
+  for (size_t pc = 0; pc < history_.size(); ++pc) {
     if (!history_[pc].index.empty()) {
       colored_pcs_.push_back(static_cast<int>(pc));
     }

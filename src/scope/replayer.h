@@ -198,15 +198,17 @@ class OfflineReplayer {
   viz::Animator animator_;
   std::unique_ptr<viz::EventDispatchThread> edt_;
   size_t cursor_ = 0;
-  /// Every per-pc table below has one slot per plan node: slot pc belongs
-  /// to node "n<pc>" for pc below the node count. A trace pc outside that
-  /// range has no slot and is never painted.
+  /// The per-pc tables below have one slot per plan node (history_ fewer):
+  /// slot pc belongs to node "n<pc>" for pc below the node count. A trace
+  /// pc outside that range has no slot and is never painted.
   /// Shape glyph id per pc (-1 when no node is named "n<pc>").
   std::vector<int> shape_by_pc_;
   /// Mirror of the currently applied fill per pc; seeks diff against it so
   /// unchanged nodes cost nothing. Written on the EDT inside posted tasks,
   /// read on the caller thread only after an EDT drain (happens-before).
   std::vector<viz::Color> cur_color_;
+  /// The active trace's colour changes per pc, with slots only up to the
+  /// largest pc it paints (none for the online monitor's empty trace).
   std::vector<PcEventHistory> history_;
   std::vector<int> colored_pcs_;  ///< pcs with at least one history entry
   /// kGradient: per event of the active trace, the largest cumulative

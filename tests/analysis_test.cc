@@ -921,9 +921,11 @@ TEST(SignatureTableTest, CoversEveryRegisteredKernel) {
   for (const std::string& name : registry->ListKernels()) {
     size_t dotpos = name.find('.');
     ASSERT_NE(dotpos, std::string::npos) << name;
-    EXPECT_NE(registry->Resolve(name.substr(0, dotpos), name.substr(dotpos + 1))
-                  .signature,
-              nullptr)
+    const engine::Kernel* kernel =
+        registry->Resolve(name.substr(0, dotpos), name.substr(dotpos + 1));
+    ASSERT_NE(kernel, nullptr) << name;
+    EXPECT_EQ(kernel->name, name);
+    EXPECT_TRUE(kernel->signature.has_value())
         << "built-in kernel " << name << " registered without a signature";
   }
 }
@@ -950,11 +952,12 @@ TEST(KernelRoleTest, EachRoleNamesExactlyItsKernels) {
   std::map<KernelRole, std::set<std::string>> actual;
   for (const std::string& name : registry->ListKernels()) {
     const size_t dotpos = name.find('.');
-    const analysis::KernelSignature* sig =
-        registry->Resolve(name.substr(0, dotpos), name.substr(dotpos + 1))
-            .signature;
-    ASSERT_NE(sig, nullptr) << name;
-    if (sig->role != KernelRole::kNone) actual[sig->role].insert(name);
+    const engine::Kernel* kernel =
+        registry->Resolve(name.substr(0, dotpos), name.substr(dotpos + 1));
+    ASSERT_NE(kernel, nullptr) << name;
+    ASSERT_TRUE(kernel->signature.has_value()) << name;
+    const KernelRole role = kernel->signature->role;
+    if (role != KernelRole::kNone) actual[role].insert(name);
   }
   EXPECT_EQ(actual, expected);
 

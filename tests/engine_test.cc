@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -10,6 +12,7 @@
 #include "engine/prepared_plan.h"
 #include "mal/program.h"
 #include "obs/metrics.h"
+#include "obs/span.h"
 #include "profiler/profiler.h"
 #include "profiler/sink.h"
 #include "storage/table.h"
@@ -454,10 +457,7 @@ TEST(PreparedPlanTest, ResolvesEachInstructionOnce) {
     const mal::Instruction& ins = p.instruction(ipc);
     SCOPED_TRACE(ins.FullName());
     EXPECT_EQ(plan.text(ipc), p.InstructionToString(ins));
-    const ModuleRegistry::Resolution resolution =
-        registry->Resolve(ins.module, ins.function);
-    EXPECT_EQ(plan.kernel(ipc), resolution.kernel);
-    EXPECT_EQ(plan.signature(ipc), resolution.signature);
+    EXPECT_EQ(plan.kernel(ipc), registry->Resolve(ins.module, ins.function));
     const std::vector<int> args = Ints(plan.args(ipc));
     ASSERT_EQ(args.size(), ins.args.size());
     for (size_t i = 0; i < args.size(); ++i) {
@@ -471,6 +471,7 @@ TEST(PreparedPlanTest, ResolvesEachInstructionOnce) {
       }
     }
   }
+  EXPECT_EQ(registry->Resolve("bogus", "nothing"), nullptr);
   EXPECT_EQ(plan.kernel(static_cast<int>(p.size()) - 1), nullptr);
   for (size_t var = 0; var < p.num_variables(); ++var) {
     EXPECT_EQ(plan.deps().readers(static_cast<int>(var)).size(), readers[var]);
@@ -825,8 +826,7 @@ TEST(ModuleRegistryTest, DefaultHasAllFamilies) {
         "language.dataflow", "debug.sleep"}) {
     auto dot = std::string(name).find('.');
     EXPECT_NE(reg->Resolve(std::string(name).substr(0, dot),
-                           std::string(name).substr(dot + 1))
-                  .kernel,
+                           std::string(name).substr(dot + 1)),
               nullptr)
         << name;
   }
@@ -836,6 +836,129 @@ TEST(ModuleRegistryTest, DuplicateRegistrationRejected) {
   ModuleRegistry reg;
   ASSERT_TRUE(reg.Register("m", "f", [](KernelArgs&) { return Status::OK(); }).ok());
   EXPECT_FALSE(reg.Register("m", "f", [](KernelArgs&) { return Status::OK(); }).ok());
+}
+
+// A module's family metrics come with its first kernel's record, and its
+// other kernels share them.
+TEST(ModuleRegistryTest, KernelsOfOneModuleShareFamilyMetrics) {
+  ModuleRegistry reg;
+  const auto ok = [](KernelArgs&) { return Status::OK(); };
+  ASSERT_TRUE(reg.Register("famtest", "a", ok).ok());
+  ASSERT_TRUE(reg.Register("famtest", "b", ok).ok());
+  ASSERT_TRUE(reg.Register("famother", "a", ok).ok());
+  const Kernel* a = reg.Resolve("famtest", "a");
+  const Kernel* b = reg.Resolve("famtest", "b");
+  const Kernel* other = reg.Resolve("famother", "a");
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  ASSERT_NE(other, nullptr);
+  EXPECT_EQ(a->name, "famtest.a");
+  EXPECT_EQ(b->name, "famtest.b");
+  EXPECT_FALSE(a->signature.has_value());
+  ASSERT_NE(a->calls, nullptr);
+  ASSERT_NE(a->usec, nullptr);
+  EXPECT_EQ(a->calls->name(), "stetho_kernel_famtest_calls_total");
+  EXPECT_EQ(a->usec->name(), "stetho_kernel_famtest_usec");
+  EXPECT_EQ(b->calls, a->calls);
+  EXPECT_EQ(b->usec, a->usec);
+  EXPECT_NE(other->calls, a->calls);
+  EXPECT_NE(other->usec, a->usec);
+  EXPECT_EQ(reg.Resolve("famtest", "c"), nullptr);
+}
+
+/// Sets obs::Enabled() for one test and restores the previous value.
+class ObsEnabledScope {
+ public:
+  explicit ObsEnabledScope(bool enabled) : was_(obs::Enabled()) {
+    obs::SetEnabled(enabled);
+  }
+  ~ObsEnabledScope() { obs::SetEnabled(was_); }
+
+ private:
+  const bool was_;
+};
+
+/// The names of every kernel-family metric in the default registry.
+std::vector<std::string> KernelFamilyMetrics() {
+  std::vector<std::string> names;
+  for (const obs::MetricSample& m : obs::Registry::Default()->Snapshot()) {
+    if (m.name.rfind("stetho_kernel_", 0) == 0) names.push_back(m.name);
+  }
+  return names;
+}
+
+// Family metrics belong to registered modules only: an observed query
+// naming nothing but an unregistered module fails without creating any.
+TEST(ModuleRegistryTest, UnregisteredModuleGetsNoFamilyMetrics) {
+  const ObsEnabledScope observe(true);
+  Catalog cat = MakeCatalog();
+  const Interpreter interp(&cat);  // builds the default registry first
+  const std::vector<std::string> before = KernelFamilyMetrics();
+  Program p;
+  p.Add("unregistered", "nothing", {}, {});
+  auto r = interp.Execute(p, {});
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(KernelFamilyMetrics(), before);
+}
+
+// An observed run reads each kernel's span name and family metrics from
+// its registry record, so running one prepared plan again builds no name
+// and registers no metric.
+TEST(InterpreterTest, ObservedRunsReadTheKernelRecords) {
+  const ObsEnabledScope observe(true);
+  obs::Tracer tracer;
+  tracer.SetEnabled(true);
+  ExecOptions opts;
+  opts.tracer = &tracer;
+  Catalog cat = MakeCatalog();
+  const Program p = PaperQuery();
+  const PreparedPlan plan(p);
+  const Interpreter interp(&cat);
+  std::map<std::string, int64_t> per_module;
+  for (const mal::Instruction& ins : p.instructions()) ++per_module[ins.module];
+
+  const obs::Registry* metrics = obs::Registry::Default();
+  ASSERT_TRUE(interp.Execute(plan, opts).ok());
+  const size_t registered = metrics->size();
+  std::map<std::string, int64_t> calls_before;
+  std::map<std::string, int64_t> observed_before;
+  for (const auto& [module, count] : per_module) {
+    calls_before[module] =
+        metrics->CounterValue("stetho_kernel_" + module + "_calls_total")
+            .value();
+    observed_before[module] =
+        metrics->FindHistogram("stetho_kernel_" + module + "_usec")
+            .value()
+            ->count();
+  }
+  tracer.Clear();
+
+  ASSERT_TRUE(interp.Execute(plan, opts).ok());
+  EXPECT_EQ(metrics->size(), registered);
+  size_t kernel_spans = 0;
+  for (const obs::SpanRecord& span : tracer.Snapshot()) {
+    if (span.cat != "kernel") continue;
+    ++kernel_spans;
+    ASSERT_GE(span.pc, 0);
+    ASSERT_LT(static_cast<size_t>(span.pc), p.size());
+    const mal::Instruction& ins = p.instruction(span.pc);
+    EXPECT_EQ(span.name, ins.module + "." + ins.function);
+  }
+  EXPECT_EQ(kernel_spans, p.size());
+  for (const auto& [module, count] : per_module) {
+    SCOPED_TRACE(module);
+    EXPECT_EQ(
+        metrics->CounterValue("stetho_kernel_" + module + "_calls_total")
+                .value() -
+            calls_before[module],
+        count);
+    EXPECT_EQ(metrics->FindHistogram("stetho_kernel_" + module + "_usec")
+                      .value()
+                      ->count() -
+                  observed_before[module],
+              count);
+  }
 }
 
 }  // namespace

@@ -498,7 +498,7 @@ class FactsProbe : public Pass {
       const analysis::InstructionFacts& a = facts[pc];
       const analysis::InstructionFacts& b = fresh[pc];
       if (a.sig != b.sig) Differ(StrFormat("pc=%zu signature", pc));
-      if (a.resolved != b.resolved) Differ(StrFormat("pc=%zu resolved", pc));
+      if (a.kernel != b.kernel) Differ(StrFormat("pc=%zu kernel", pc));
       if (a.args != b.args) Differ(StrFormat("pc=%zu args", pc));
       if (a.raw_results != b.raw_results) {
         Differ(StrFormat("pc=%zu raw results", pc));

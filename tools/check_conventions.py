@@ -15,6 +15,10 @@ Checks, over src/ tools/ tests/ bench/ examples/:
      (pc N <-> node "nN"): no "n%d"-style format, no "n" + concatenation and
      no 'n'-prefix test of an id. dot::NodeName and dot::PcOfNode are the
      rule's only spelling, so every join of a trace to a plan agrees on it.
+  6. No line under src/ outside src/engine/kernel.cc spells the kernel-family
+     metric prefix "stetho_kernel_". A module's family metrics are created
+     once, when its first kernel registers, and carried on each kernel's
+     registry record (engine::Kernel), so no query resolves them again.
 
 Exit status: 0 clean, 1 violations (listed one per line), 2 usage error.
 """
@@ -35,6 +39,7 @@ NODE_NAME_RE = re.compile(
     r"|(?:\[0\]|\.front\(\))\s*[!=]=\s*'n'"
     r"|'n'\s*[!=]=\s*\w+(?:\[0\]|\.front\(\))"
 )
+KERNEL_FAMILY_PREFIX = "stetho_kernel_"
 
 
 def expected_guard(header: Path, src_root: Path) -> str:
@@ -93,6 +98,7 @@ def main(argv):
     root = Path(argv[1]).resolve()
     src_root = root / "src"
     dot_root = src_root / "dot"
+    kernel_registry = src_root / "engine" / "kernel.cc"
     if not src_root.is_dir():
         print(f"{src_root} is not a directory", file=sys.stderr)
         return 2
@@ -125,6 +131,11 @@ def main(argv):
                 problems.append(
                     f"{path}:{lineno}: plan-node name spelled by hand — use "
                     "dot::NodeName / dot::PcOfNode"
+                )
+            if path != kernel_registry and KERNEL_FAMILY_PREFIX in line:
+                problems.append(
+                    f"{path}:{lineno}: kernel-family metric named outside "
+                    "src/engine/kernel.cc — read Kernel::calls / Kernel::usec"
                 )
 
     for p in problems:
